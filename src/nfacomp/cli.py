@@ -115,6 +115,30 @@ def _run_method(method: str, a, budget, strategy: str, rear: str):
     return _run_gate(a, budget)
 
 
+def _minimize(a: Nfa) -> Nfa:
+    """Hopcroft-minimize a DFA output that trimming may have left partial.
+
+    A partial DFA is completed with one sink state, minimized, and trimmed,
+    which drops the dead class again.  A complete DFA is minimized as it is,
+    and an empty one (the complement of a universal language) is kept.
+    """
+    if a.num_states == 0:
+        return a
+    if not core.is_deterministic(a) or core.is_complete(a):
+        return reduction.hopcroft_minimize(a)
+    sink = a.num_states
+    defined = {(src, sym) for (src, sym, _dst) in a.transitions}
+    fill = {
+        (q, sym, sink)
+        for q in range(sink + 1)
+        for sym in range(len(a.alphabet))
+        if (q, sym) not in defined
+    }
+    names = None if a.state_names is None else core._uniquify(a.state_names + ("sink",))
+    completed = Nfa(a.alphabet, sink + 1, a.transitions | fill, a.initial, a.final, state_names=names)
+    return core.trim(reduction.hopcroft_minimize(completed))
+
+
 def _report(method, a, out, pre, extras, elapsed_ms) -> ComplementReport:
     return ComplementReport(
         method=method,
@@ -162,7 +186,7 @@ def _cmd_complement(args) -> int:
     if args.minimize:
         if isinstance(out, PortNfa):
             raise NfacompError("--minimize applies to plain automata only")
-        out = reduction.hopcroft_minimize(out)
+        out = _minimize(out)
     if args.reduce:
         if isinstance(out, PortNfa):
             out = reduction.simulation_reduce_port(out)

@@ -14,7 +14,6 @@ folds them together.
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -102,10 +101,29 @@ def determinize_front(p: SequentialPartition, *, budget: int | None = None) -> S
     return SequentialPartition.of(combined, range(off))
 
 
+def _unions_in_product_order(choice_lists, base: int = 0) -> list[int]:
+    """The distinct masks ``base | c1 | ... | ck`` over ``itertools.product(*choice_lists)``.
+
+    Each union appears once, at the place where the product first produces
+    it.  Folding from the innermost list outwards keeps that order: a later
+    duplicate of a partial union can only repeat unions already produced.
+    """
+    unions = [base]
+    for choices in reversed(choice_lists):
+        unions = list(dict.fromkeys([c | u for c in choices for u in unions]))
+    return unions
+
+
 def seq_complement_generalized_annotated(
     p: SequentialPartition, c2: PortNfa, *, budget: int | None = None
 ) -> tuple[PortNfa, tuple[SeqComplementState, ...]]:
-    """seq_complement_generalized plus the composite-state annotation."""
+    """seq_complement_generalized plus the composite-state annotation.
+
+    A composite state is a front state plus the bitmask of the tracked ``c2``
+    states.  Its successors on a symbol are the unions of one ``c2``
+    successor per tracked state and one entry state per gate that fires,
+    interned in the order the product of those choices first produces them.
+    """
     f = p.front
     if not core.is_deterministic(f) or not core.is_complete(f):
         raise ValueError("front must be deterministic and complete (see determinize_front)")
@@ -119,76 +137,103 @@ def seq_complement_generalized_annotated(
     nsyms = len(f.alphabet)
     nf = f.num_states
     nc = c2.num_states
+    # A composite state is interned as one int: the tracked mask shifted past
+    # the bits of the front state.  Every c2 state r stands for bit r + shift.
+    shift = nf.bit_length()
+    front_mask = (1 << shift) - 1
+    # The front is deterministic and complete: one successor bit per (sym, q).
+    front_succ = [m.bit_length() - 1 for m in f.succ_masks]
+    # Per symbol, each c2 state's successors as single-bit masks.
+    rear_succ = [
+        [tuple(1 << (r + shift) for r in core._bits(m)) for m in c2.succ_masks[sym * nc:(sym + 1) * nc]]
+        for sym in range(nsyms)
+    ]
     target_port = {t: p.rear.num_entry + k for k, t in enumerate(p.gate_targets)}
-    gates: dict[tuple[int, int], set[int]] = {}
+    gates: dict[int, set[int]] = {}
     for (x, sym, t) in p.transfer:
-        gates.setdefault((p.front_index[x], sym), set()).add(t)
-    gate_targets_at = {key: sorted(ts) for key, ts in gates.items()}
+        gates.setdefault(sym * nf + p.front_index[x], set()).add(t)
+    # Per (sym, q), the unions of one entry state per gate fired, or None.
+    gate_entries: list[list[int] | None] = [None] * (nsyms * nf)
+    for k, ts in gates.items():
+        gate_entries[k] = _unions_in_product_order(
+            [tuple(1 << (r + shift) for r in sorted(c2.entry_sets[target_port[t]])) for t in sorted(ts)]
+        )
+    # Per tracked mask and symbol, the unions of the tracked states' successors.
+    tracked_succ: dict[int, list[list[int]]] = {}
 
-    index: dict[tuple[int, frozenset], int] = {}
-    states: list[tuple[int, frozenset]] = []
+    def successors_of(tracked: int) -> list[list[int]]:
+        bits = list(core._bits(tracked >> shift))
+        rows = []
+        for row in rear_succ:
+            fixed = 0  # a tracked state with one successor adds it to every union
+            multi = []
+            for r in bits:
+                opts = row[r]
+                if len(opts) == 1:
+                    fixed |= opts[0]
+                elif opts:
+                    multi.append(opts)
+                else:  # this instance dies on the symbol, and with it every union
+                    rows.append([])
+                    break
+            else:
+                rows.append(_unions_in_product_order(multi, fixed))
+        return rows
 
-    def intern(st):
-        i = index.get(st)
+    index: dict[int, int] = {}
+    states: list[int] = []
+
+    def intern(key: int) -> int:
+        i = index.get(key)
         if i is None:
             if budget is not None and len(states) >= budget:
                 raise BudgetExceededError("composite state budget exceeded", budget=budget)
             i = len(states)
-            index[st] = i
-            states.append(st)
+            index[key] = i
+            states.append(key)
         return i
 
     entry_ids: list[frozenset[int]] = []
     for i in range(p.rear.num_entry):
         (q0,) = f.entry_sets[i]
         if p.rear.entry_sets[i]:
-            ids = frozenset(
-                intern((q0, frozenset({r0}))) for r0 in sorted(c2.entry_sets[i])
-            )
+            ids = frozenset(intern(1 << (r0 + shift) | q0) for r0 in sorted(c2.entry_sets[i]))
         else:
-            ids = frozenset({intern((q0, frozenset()))})
+            ids = frozenset({intern(q0)})
         entry_ids.append(ids)
 
-    transitions = set()
-    head = 0
-    while head < len(states):
-        q, tracked = states[head]
-        sid = head
-        head += 1
-        for sym in range(nsyms):
-            q2 = next(core._bits(f.succ_masks[sym * nf + q]))
-            choice_lists = []
-            dead = False
-            for r in sorted(tracked):
-                succs = sorted(core._bits(c2.succ_masks[sym * nc + r]))
-                if not succs:
-                    dead = True
-                    break
-                choice_lists.append(succs)
-            if dead:
-                continue
-            for t in gate_targets_at.get((q, sym), ()):
-                entry = sorted(c2.entry_sets[target_port[t]])
-                if not entry:
-                    dead = True
-                    break
-                choice_lists.append(entry)
-            if dead:
-                continue
-            for combo in itertools.product(*choice_lists):
-                transitions.add((sid, sym, intern((q2, frozenset(combo)))))
+    transitions = []  # each (state, symbol, successor) is produced once
+    for sid, key in enumerate(states):  # states grows while this runs
+        q = key & front_mask
+        tracked = key ^ q
+        rows = tracked_succ.get(tracked)
+        if rows is None:
+            rows = tracked_succ[tracked] = successors_of(tracked)
+        for sym, succs in enumerate(rows):
+            k = sym * nf + q
+            entries = gate_entries[k]
+            if entries is not None:
+                succs = list(dict.fromkeys([s | e for s in succs for e in entries]))
+            q2 = front_succ[k]
+            for m in succs:
+                i = index.get(m | q2)
+                if i is None:
+                    i = intern(m | q2)
+                transitions.append((sid, sym, i))
 
+    decoded = [(key & front_mask, key >> shift) for key in states]
     exit_ids = []
     for j in range(p.rear.num_exit):
         fj = f.exit_sets[j]
-        cj = c2.exit_sets[j]
+        outside = ~core._mask_of(c2.exit_sets[j])
         exit_ids.append(
-            frozenset(i for i, (q, tracked) in enumerate(states) if q not in fj and tracked <= cj)
+            frozenset(i for i, (q, tracked) in enumerate(decoded) if q not in fj and not tracked & outside)
         )
-    names = tuple(
-        f.state_name(q) + ":{" + ",".join(c2.state_name(r) for r in sorted(tracked)) + "}"
-        for (q, tracked) in states
-    )
+    tracked_sets = {m: frozenset(core._bits(m)) for m in {tracked for (_q, tracked) in decoded}}
+    tracked_names = {
+        m: ":{" + ",".join(c2.state_name(r) for r in sorted(rs)) + "}" for m, rs in tracked_sets.items()
+    }
+    names = tuple(f.state_name(q) + tracked_names[tracked] for (q, tracked) in decoded)
     out = PortNfa(
         f.alphabet,
         len(states),
@@ -197,7 +242,7 @@ def seq_complement_generalized_annotated(
         tuple(exit_ids),
         state_names=names,
     )
-    annotation = tuple(SeqComplementState(q, tracked) for (q, tracked) in states)
+    annotation = tuple(SeqComplementState(q, tracked_sets[tracked]) for (q, tracked) in decoded)
     return out, annotation
 
 
@@ -493,11 +538,26 @@ def seq_pipeline_best(
 ) -> tuple[Nfa, PartitionStrategy]:
     """Run every partitioning strategy and keep the smallest complement.
 
-    When a stats dict is supplied it ends up holding the winner's numbers.
+    The pipeline depends on the strategy only through its components, so a
+    strategy whose partition equals an earlier strategy's is not run again:
+    it shares that outcome, a budget cut included.  Ties keep the first
+    strategy in enum order.  When a stats dict is supplied it ends up holding
+    the winner's numbers plus ``attempts``, one entry per strategy with its
+    outcome: ``ok`` (with ``pre_trim`` and trimmed ``states``), ``budget``,
+    or ``same_partition_as`` an earlier strategy.
     """
     best: tuple[Nfa, PartitionStrategy, dict] | None = None
     failure: BudgetExceededError | None = None
+    first_with: dict[tuple[tuple[int, ...], ...], PartitionStrategy] = {}
+    attempts: list[dict] = []
     for strat in PartitionStrategy:
+        comps = partition(a, strat).components
+        earlier = first_with.setdefault(comps, strat)
+        if earlier is not strat:
+            attempts.append(
+                {"strategy": strat.value, "outcome": "same_partition_as", "same_partition_as": earlier.value}
+            )
+            continue
         local: dict = {}
         try:
             cand = seq_pipeline(
@@ -506,13 +566,18 @@ def seq_pipeline_best(
             )
         except BudgetExceededError as exc:
             failure = exc
+            attempts.append({"strategy": strat.value, "outcome": "budget"})
             continue
+        attempts.append(
+            {"strategy": strat.value, "outcome": "ok", "pre_trim": local["pre_trim"], "states": cand.num_states}
+        )
         if best is None or cand.num_states < best[0].num_states:
             best = (cand, strat, local)
     if best is None:
         raise failure if failure is not None else BudgetExceededError()
     if stats is not None:
         stats.update(best[2])
+        stats["attempts"] = attempts
     return best[0], best[1]
 
 

@@ -7,6 +7,8 @@ independent route to every answer the library computes cleverly.
 import itertools
 
 from nfacomp import core
+from nfacomp.errors import BudgetExceededError
+from nfacomp.sequential import SeqComplementState
 
 
 LETTERS = "abc"
@@ -120,3 +122,98 @@ def random_gate_instance(rng, max_component_states=10):
         return core.Nfa.build(("a", "b", "c"), n, trans, initial, final)
 
     return component(False, False), component(False, False)
+
+
+def seq_complement_reference(p, c2, *, budget=None):
+    """Composite exploration of the sequential complement, spelled out.
+
+    Tracked sets are frozensets and every successor is one element of the
+    product of the per-instance choice lists, so a successor set reached
+    through several choices is rebuilt once per choice.  The library's
+    ``seq_complement_generalized_annotated`` must return exactly this
+    automaton and annotation (validation of the inputs is left to it).
+    """
+    f = p.front
+    nsyms = len(f.alphabet)
+    nf = f.num_states
+    nc = c2.num_states
+    target_port = {t: p.rear.num_entry + k for k, t in enumerate(p.gate_targets)}
+    gates = {}
+    for (x, sym, t) in p.transfer:
+        gates.setdefault((p.front_index[x], sym), set()).add(t)
+    gate_targets_at = {key: sorted(ts) for key, ts in gates.items()}
+
+    index = {}
+    states = []
+
+    def intern(st):
+        i = index.get(st)
+        if i is None:
+            if budget is not None and len(states) >= budget:
+                raise BudgetExceededError("composite state budget exceeded", budget=budget)
+            i = len(states)
+            index[st] = i
+            states.append(st)
+        return i
+
+    entry_ids = []
+    for i in range(p.rear.num_entry):
+        (q0,) = f.entry_sets[i]
+        if p.rear.entry_sets[i]:
+            ids = frozenset(
+                intern((q0, frozenset({r0}))) for r0 in sorted(c2.entry_sets[i])
+            )
+        else:
+            ids = frozenset({intern((q0, frozenset()))})
+        entry_ids.append(ids)
+
+    transitions = set()
+    head = 0
+    while head < len(states):
+        q, tracked = states[head]
+        sid = head
+        head += 1
+        for sym in range(nsyms):
+            q2 = next(core._bits(f.succ_masks[sym * nf + q]))
+            choice_lists = []
+            dead = False
+            for r in sorted(tracked):
+                succs = sorted(core._bits(c2.succ_masks[sym * nc + r]))
+                if not succs:
+                    dead = True
+                    break
+                choice_lists.append(succs)
+            if dead:
+                continue
+            for t in gate_targets_at.get((q, sym), ()):
+                entry = sorted(c2.entry_sets[target_port[t]])
+                if not entry:
+                    dead = True
+                    break
+                choice_lists.append(entry)
+            if dead:
+                continue
+            for combo in itertools.product(*choice_lists):
+                transitions.add((sid, sym, intern((q2, frozenset(combo)))))
+
+    exit_ids = []
+    for j in range(p.rear.num_exit):
+        fj = f.exit_sets[j]
+        cj = c2.exit_sets[j]
+        exit_ids.append(
+            frozenset(i for i, (q, tracked) in enumerate(states) if q not in fj and tracked <= cj)
+        )
+    names = tuple(
+        f.state_name(q) + ":{" + ",".join(c2.state_name(r) for r in sorted(tracked)) + "}"
+        for (q, tracked) in states
+    )
+    out = core.PortNfa(
+        f.alphabet,
+        len(states),
+        frozenset(transitions),
+        tuple(entry_ids),
+        tuple(exit_ids),
+        state_names=names,
+    )
+    annotation = tuple(SeqComplementState(q, tracked) for (q, tracked) in states)
+    return out, annotation

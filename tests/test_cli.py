@@ -119,6 +119,60 @@ def test_complement_minimize_and_reduce(capsys, tmp_path, a2_file):
     assert fileformat.parse(out_path.read_text()).num_states <= 4
 
 
+# Languages whose trimmed forward complement is a partial DFA, with the size
+# of the complement's minimal complete DFA minus its dead class: b* (1),
+# ε + b(a|b)* (2), and the words without aa (2).  The complement of the
+# universal language is empty, so nothing is left after the dead class.
+PARTIAL_DFA_CASES = [
+    ("b* a (a|b)*", 2, [(0, "b", 0), (0, "a", 1), (1, "a", 1), (1, "b", 1)], {1}, 1),
+    ("a (a|b)*", 2, [(0, "a", 1), (1, "a", 1), (1, "b", 1)], {1}, 2),
+    ("(a|b)* aa (a|b)*", 3,
+     [(0, "a", 0), (0, "b", 0), (0, "a", 1), (1, "a", 2), (2, "a", 2), (2, "b", 2)], {2}, 2),
+    ("(a|b)*", 1, [(0, "a", 0), (0, "b", 0)], {0}, 0),
+]
+
+
+@pytest.mark.parametrize("lang, n, trans, final, want", PARTIAL_DFA_CASES, ids=[c[0] for c in PARTIAL_DFA_CASES])
+def test_minimize_partial_forward_complement(capsys, tmp_path, lang, n, trans, final, want):
+    src = tmp_path / "a.nfa"
+    src.write_text(fileformat.serialize(core.Nfa.build(("a", "b"), n, trans, {0}, final)))
+    out_path = tmp_path / "c.nfa"
+    code, _out, err = run(
+        capsys, "complement", "-m", "forward", "--minimize", "-i", str(src), "-o", str(out_path)
+    )
+    assert (code, err) == (0, "")
+    c = fileformat.parse(out_path.read_text())
+    assert c.num_states == want
+    assert want == 0 or core.is_deterministic(c)
+    code, out, _err = run(capsys, "oracle", "-a", str(src), "-c", str(out_path), "--max-len", "8")
+    assert code == 0 and out.startswith("OK")
+
+
+def test_sequential_stats_list_every_strategy(capsys, tmp_path):
+    b = tmp_path / "b4.nfa"
+    b.write_text(fileformat.serialize(sequential_chain(4)))
+    stats_path = tmp_path / "s.json"
+    for method in ("sequential", "portfolio"):
+        code, _out, _err = run(
+            capsys, "complement", "-m", method, "-i", str(b), "-o", str(tmp_path / "c.nfa"),
+            "--stats", str(stats_path),
+        )
+        assert code == 0
+        doc = json.loads(stats_path.read_text())
+        if method == "portfolio":
+            (doc,) = [r for r in doc["reports"] if r["method"] == "sequential"]
+        assert doc["partition_summary"] == {
+            "strategy": "detrev",
+            "component_sizes": [5, 6],
+            "stage_sizes": [7, 12],
+            "attempts": [
+                {"strategy": "det", "outcome": "ok", "pre_trim": 70, "states": 13},
+                {"strategy": "detrev", "outcome": "ok", "pre_trim": 12, "states": 12},
+                {"strategy": "mincut", "outcome": "same_partition_as", "same_partition_as": "detrev"},
+            ],
+        }
+
+
 def test_check_relations(capsys, a2_file, tmp_path):
     code, out, _ = run(capsys, "check", "--relation", "equiv", "-a", a2_file, "-b", a2_file)
     assert (code, out) == (0, "equiv: true\n")

@@ -1,0 +1,73 @@
+"""Byte-level regression guard: every complement method on a fixed corpus.
+
+``golden_digests.json`` records, for each method and input, the sha256 of the
+text ``nfacomp complement -m <method> --budget 4096`` writes, or the name of
+the exception the command raises.  The corpus is the three witness families
+at n = 1..6 plus 200 seeded random NFAs.  Regenerate the file only when an
+output change is intended and explained:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import pathlib
+import random
+from unittest import mock
+
+import pytest
+
+import helpers
+from nfacomp import cli
+from nfacomp.errors import NfacompError
+from nfacomp.families import FAMILY_KINDS, generate_family
+
+BUDGET = 4096
+SEED = 20250703
+DIGESTS = pathlib.Path(__file__).with_name("golden_digests.json")
+
+
+def corpus():
+    for kind in FAMILY_KINDS:
+        for n in range(1, 7):
+            yield f"{kind}-{n}", generate_family(kind, n)
+    rng = random.Random(SEED)
+    for i in range(200):
+        yield f"random-{i:03d}", helpers.random_nfa(rng, max_states=10, max_syms=2)
+
+
+def outcome(method, a):
+    """sha256 of the complement text the CLI writes, or the exception name.
+
+    The command reads ``a`` and writes its output in memory, so that random
+    automata with isolated states need no round trip through a file.
+    """
+    written = {}
+    args = cli._build_parser().parse_args(
+        ["complement", "-m", method, "--budget", str(BUDGET), "-i", "in", "-o", "out"]
+    )
+    with mock.patch.object(cli, "_read_automaton", lambda _path: a), \
+            mock.patch.object(cli, "_write_text", written.__setitem__):
+        try:
+            args.fn(args)
+        except (NfacompError, ValueError) as exc:  # the errors the CLI maps to exit codes
+            return type(exc).__name__
+    return hashlib.sha256(written["out"].encode()).hexdigest()
+
+
+def digests(method):
+    return {key: outcome(method, a) for key, a in corpus()}
+
+
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_outputs_match_golden_digests(method):
+    expected = json.loads(DIGESTS.read_text())[method]
+    got = digests(method)
+    changed = sorted(k for k in expected if got.get(k) != expected[k])
+    assert not changed, f"{len(changed)} outputs changed, first: {changed[:5]}"
+    assert got.keys() == expected.keys()
+
+
+if __name__ == "__main__":
+    table = {m: digests(m) for m in cli.METHODS}
+    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

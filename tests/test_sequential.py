@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import helpers
 from nfacomp import core, oracle, powerset, sequential
 from nfacomp.errors import BudgetExceededError
-from nfacomp.families import reverse_friendly, sequential_chain
+from nfacomp.families import gate_chain, reverse_friendly, sequential_chain
 from nfacomp.powerset import Direction
 from nfacomp.sequential import PartitionStrategy
 
@@ -203,6 +203,46 @@ def test_generalized_with_forward_rear_complement():
         assert helpers.brute_complement_ok(a, out, 5)
 
 
+def exploration_cases():
+    """(partition, rear complement) pairs: seeded random splits and the families.
+
+    Both rear directions are used; the forward complement of the rear of
+    sequential_chain(5) has 65 states, so tracked sets cross one 64-bit word.
+    """
+    rng = random.Random(9091)
+    for _a, p in seeded_partitions(rng, 60, max_states=8):
+        det_p = sequential.determinize_front(p)
+        yield det_p, powerset.port_reverse_complement(det_p.rear_for_targets())
+        yield det_p, powerset.port_forward_complement(det_p.rear_for_targets())
+    for a in [sequential_chain(n) for n in (1, 3, 5)] + [gate_chain(n) for n in (1, 2)]:
+        for strat in PartitionStrategy:
+            comps = sequential.partition(a, strat).components
+            det_p = sequential.determinize_front(core.SequentialPartition.of(a.as_port(), comps[0]))
+            yield det_p, powerset.port_reverse_complement(det_p.rear_for_targets())
+            yield det_p, powerset.port_forward_complement(det_p.rear_for_targets())
+
+
+def test_exploration_matches_naive_reference():
+    widest = 0
+    for det_p, c2 in exploration_cases():
+        widest = max(widest, c2.num_states)
+        out, ann = sequential.seq_complement_generalized_annotated(det_p, c2)
+        ref_out, ref_ann = helpers.seq_complement_reference(det_p, c2)
+        assert out == ref_out  # transitions, ports and state names, in order
+        assert ann == ref_ann
+    assert widest > 64
+
+
+def test_exploration_budget_edge_matches_naive_reference():
+    det_p = sequential.determinize_front(core.SequentialPartition.of(gate_chain(2).as_port(), [0]))
+    c2 = powerset.port_reverse_complement(det_p.rear_for_targets())
+    n = helpers.seq_complement_reference(det_p, c2)[0].num_states
+    assert sequential.seq_complement_generalized_annotated(det_p, c2, budget=n)[0].num_states == n
+    for explore in (helpers.seq_complement_reference, sequential.seq_complement_generalized_annotated):
+        with pytest.raises(BudgetExceededError):
+            explore(det_p, c2, budget=n - 1)
+
+
 # --- the full pipeline ------------------------------------------------------
 
 
@@ -260,6 +300,54 @@ def test_pipeline_best_picks_smallest():
     assert stats["strategy"] == strat.value
     for other in PartitionStrategy:
         assert out.num_states <= sequential.seq_pipeline(sequential_chain(2), other).num_states
+
+
+def gate_joined():
+    """Two strongly connected, nondeterministic parts joined by c: one cut."""
+    a1 = core.Nfa.build("abc", 2, [(0, "a", 0), (0, "a", 1), (1, "b", 0), (1, "a", 1)], {0}, {1})
+    a2 = core.Nfa.build("abc", 2, [(0, "b", 0), (0, "b", 1), (1, "a", 0), (1, "b", 1)], {0}, {1})
+    return helpers.concat_with_gate(a1, a2, "c")
+
+
+def test_pipeline_best_runs_each_distinct_partition_once(monkeypatch):
+    a = gate_joined()
+    assert len({sequential.partition(a, s).components for s in PartitionStrategy}) == 1
+    separately = []
+    for strat in PartitionStrategy:
+        local = {}
+        separately.append((sequential.seq_pipeline(a, strat, stats=local), strat, local))
+    # Ties keep the first strategy in enum order.
+    expected = min(separately, key=lambda run: run[0].num_states)
+
+    calls = []
+    real = sequential.seq_pipeline
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sequential, "seq_pipeline", counted)
+    stats = {}
+    out, strat = sequential.seq_pipeline_best(a, stats=stats)
+    assert calls == [PartitionStrategy.DETERMINISTIC_COMPONENTS]
+    attempts = stats.pop("attempts")
+    assert (out, strat, stats) == expected
+    assert attempts[1:] == [
+        {"strategy": s.value, "outcome": "same_partition_as", "same_partition_as": "det"}
+        for s in (PartitionStrategy.DET_PLUS_REVDET_BOTTOM, PartitionStrategy.MIN_CUT)
+    ]
+
+
+def test_pipeline_best_shares_a_budget_cut():
+    # On gate_chain(2), det and mincut give the same partition; det runs over.
+    stats = {}
+    out, strat = sequential.seq_pipeline_best(gate_chain(2), budget=64, stats=stats)
+    assert strat is PartitionStrategy.DET_PLUS_REVDET_BOTTOM
+    assert [(x["strategy"], x["outcome"]) for x in stats["attempts"]] == [
+        ("det", "budget"), ("detrev", "ok"), ("mincut", "same_partition_as"),
+    ]
+    assert stats["attempts"][2]["same_partition_as"] == "det"
+    assert oracle.oracle_complement_check(gate_chain(2), out, 6).ok
 
 
 def test_pipeline_random_inputs():
