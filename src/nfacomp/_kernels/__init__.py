@@ -1,28 +1,8 @@
-"""Hot-loop kernels with a compiled fast path and a pure-Python fallback.
+"""Hot-loop kernels over bitmask-encoded automata, in pure Python."""
 
-The compiled extension is optional: it is built when Cython and a C compiler
-are available, and skipped otherwise.  Set ``NFACOMP_FORCE_PURE=1`` to ignore
-it even when present (used by the parity tests and benchmarks).
-"""
-
-import os
-
-from . import pure as _pure
-
-if os.environ.get("NFACOMP_FORCE_PURE") == "1":
-    _impl = _pure
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _pure
-
-explore_subsets = _impl.explore_subsets
-word_signature = _impl.word_signature
-antichain_included = _impl.antichain_included
-product_nonempty = _impl.product_nonempty
+from .pure import antichain_included, explore_subsets, product_nonempty, word_signature
 
 
 def backend_name():
-    """Either ``"compiled"`` or ``"pure"``, depending on what got imported."""
-    return "pure" if _impl is _pure else "compiled"
+    """The kernel backend in use; there is one, ``"pure"``."""
+    return "pure"

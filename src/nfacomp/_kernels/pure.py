@@ -8,9 +8,8 @@ and :mod:`nfacomp.powerset` produce once per automaton:
   ``sym * nstates + q`` is the bitmask of successors of ``q`` under ``sym``,
 * state sets (initial, final, macrostates) are plain ints used as bitmasks.
 
-The compiled twin in ``_speedups.pyx`` implements the same four functions
-with the same observable behaviour; ``tests/test_kernels.py`` holds the two
-implementations to bit-for-bit agreement.
+These four functions are the package's only implementation of the kernels;
+:mod:`nfacomp._kernels` re-exports them.
 """
 
 from __future__ import annotations
@@ -25,26 +24,32 @@ def _bits(mask: int):
         mask ^= low
 
 
-def explore_subsets(nstates, nsyms, succ, init, budget=None):
-    """Breadth-first powerset exploration from the macrostate ``init``.
+def explore_subsets(nstates, nsyms, succ, seeds, budget=None):
+    """Breadth-first powerset exploration from the macrostates in ``seeds``.
 
-    Returns ``(macros, delta)`` where ``macros`` is the list of discovered
-    macrostate bitmasks in BFS order (``macros[0] == init``) and ``delta`` is
-    the flat transition table ``delta[i * nsyms + sym] -> macro index``.  The
+    The distinct seeds are interned first, in the given order, so the i-th
+    distinct seed gets index i; the breadth-first search then continues from
+    them.  Returns ``(macros, delta)`` where ``macros`` is the list of
+    discovered macrostate bitmasks in that order and ``delta`` is the flat
+    transition table ``delta[i * nsyms + sym] -> macro index``.  The
     exploration is complete: every macrostate gets a successor for every
     symbol, so the empty macrostate shows up exactly when some transition is
     missing in the source.  Returns ``None`` if more than ``budget``
-    macrostates would be materialized.
+    macrostates, seeds included, would be materialized.
     """
-    index = {init: 0}
-    macros = [init]
+    index = {}
+    macros = []
+    for seed in seeds:
+        if seed not in index:
+            if budget is not None and len(macros) >= budget:
+                return None
+            index[seed] = len(macros)
+            macros.append(seed)
     delta = []
-    queue = deque((0,))
-    while queue:
-        i = queue.popleft()
-        cur = macros[i]
-        base = len(delta)
-        delta.extend([0] * nsyms)
+    head = 0
+    while head < len(macros):
+        cur = macros[head]
+        head += 1
         for sym in range(nsyms):
             row = succ[sym * nstates : (sym + 1) * nstates]
             nxt = 0
@@ -57,8 +62,7 @@ def explore_subsets(nstates, nsyms, succ, init, budget=None):
                 j = len(macros)
                 index[nxt] = j
                 macros.append(nxt)
-                queue.append(j)
-            delta[base + sym] = j
+            delta.append(j)
     return macros, delta
 
 

@@ -471,24 +471,10 @@ def gate_complement_modified(p: GatePartition, *, budget: int | None = None) -> 
     if p.needs_intersection:
         if p.direction is GateDirection.FRONT_CLEAN:
             stripped = _strip_outer(base, entries_to_front=True)
-            other = PortNfa(
-                base.source.alphabet,
-                base.rear.num_states,
-                base.rear.transitions,
-                base.rear.entry_sets,
-                base.rear.exit_sets,
-                state_names=base.rear.state_names,
-            )
+            other = base.rear
         else:
             stripped = _strip_outer(base, entries_to_front=False)
-            other = PortNfa(
-                base.source.alphabet,
-                base.front.num_states,
-                base.front.transitions,
-                base.front.entry_sets,
-                base.front.exit_sets,
-                state_names=base.front.state_names,
-            )
+            other = base.front
         inner = GatePartition(
             stripped, p.gate_symbols, p.direction, p.method, needs_intersection=False
         )
@@ -555,21 +541,9 @@ def gate_complement_modified(p: GatePartition, *, budget: int | None = None) -> 
         state_names=front.state_names,
     )
     c1 = _smaller_port_complement(c1_in, budget=budget)
-    rear_t = base.rear_for_targets()
     c2 = _lift_alphabet_port(
         _smaller_port_complement(
-            _drop_symbols_port(
-                PortNfa(
-                    rear_t.alphabet,
-                    rear_t.num_states,
-                    rear_t.transitions,
-                    rear_t.entry_sets,
-                    rear_t.exit_sets,
-                    state_names=rear_t.state_names,
-                ),
-                p.gamma_ids,
-            ),
-            budget=budget,
+            _drop_symbols_port(base.rear_for_targets(), p.gamma_ids), budget=budget
         ),
         alphabet,
     )

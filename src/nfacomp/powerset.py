@@ -33,25 +33,37 @@ def _macro_name(a, mask: int) -> str:
     return "{" + ",".join(a.state_name(q) for q in core._bits(mask)) + "}"
 
 
-def determinize(a: Nfa, *, budget: int | None = None) -> MacrostateDfa:
-    """Reachable powerset construction; the result is deterministic and complete."""
+def _explore(a, seeds: list[int], budget: int | None):
+    """Subset construction of ``a`` from the macrostates ``seeds``.
+
+    Returns the macrostate bitmasks in discovery order, the complete
+    transition set over their indices, their names, and the back-map from
+    each macrostate to its set of original states.
+    """
     nsyms = len(a.alphabet)
-    res = _kernels.explore_subsets(a.num_states, nsyms, a.succ_masks, a.initial_mask, budget)
+    res = _kernels.explore_subsets(a.num_states, nsyms, a.succ_masks, seeds, budget)
     if res is None:
         raise BudgetExceededError("macrostate budget exceeded", budget=budget)
     macros, delta = res
     transitions = frozenset(
         (i, sym, delta[i * nsyms + sym]) for i in range(len(macros)) for sym in range(nsyms)
     )
+    names = tuple(_macro_name(a, m) for m in macros)
+    return macros, transitions, names, tuple(frozenset(core._bits(m)) for m in macros)
+
+
+def determinize(a: Nfa, *, budget: int | None = None) -> MacrostateDfa:
+    """Reachable powerset construction; the result is deterministic and complete."""
+    macros, transitions, names, subsets = _explore(a, [a.initial_mask], budget)
     dfa = Nfa(
         a.alphabet,
         len(macros),
         transitions,
         frozenset({0}),
         frozenset(i for i, m in enumerate(macros) if m & a.final_mask),
-        state_names=tuple(_macro_name(a, m) for m in macros),
+        state_names=names,
     )
-    return MacrostateDfa(dfa, tuple(frozenset(core._bits(m)) for m in macros))
+    return MacrostateDfa(dfa, subsets)
 
 
 def complement_dfa(d: MacrostateDfa | Nfa) -> Nfa:
@@ -86,47 +98,12 @@ def reverse_complement(a: Nfa, *, budget: int | None = None) -> Nfa:
 # Port variants
 
 
-def _explore_port(p: PortNfa, budget: int | None):
-    """BFS powerset exploration seeded with every entry set, in port order.
-
-    Returns (macro bitmasks, flat delta table, entry macro index per port).
-    """
-    nsyms = len(p.alphabet)
-    n = p.num_states
-    succ = p.succ_masks
-    index: dict[int, int] = {}
-    macros: list[int] = []
-
-    def intern(mask: int) -> int:
-        i = index.get(mask)
-        if i is None:
-            if budget is not None and len(macros) >= budget:
-                raise BudgetExceededError("macrostate budget exceeded", budget=budget)
-            i = len(macros)
-            index[mask] = i
-            macros.append(mask)
-        return i
-
-    entry_ids = [intern(core._mask_of(s)) for s in p.entry_sets]
-    delta: list[int] = []
-    head = 0
-    while head < len(macros):
-        cur = macros[head]
-        head += 1
-        for sym in range(nsyms):
-            nxt = 0
-            for q in core._bits(cur):
-                nxt |= succ[sym * n + q]
-            delta.append(intern(nxt))
-    return macros, delta, entry_ids
-
-
 def _port_powerset(p: PortNfa, budget: int | None) -> tuple[PortNfa, tuple[frozenset[int], ...]]:
-    macros, delta, entry_ids = _explore_port(p, budget)
-    nsyms = len(p.alphabet)
-    transitions = frozenset(
-        (i, sym, delta[i * nsyms + sym]) for i in range(len(macros)) for sym in range(nsyms)
-    )
+    entry_masks = [core._mask_of(s) for s in p.entry_sets]
+    macros, transitions, names, subsets = _explore(p, entry_masks, budget)
+    # The kernel interns the distinct entry masks first, in port order.
+    index: dict[int, int] = {}
+    entry_ids = [index.setdefault(m, len(index)) for m in entry_masks]
     exit_masks = [core._mask_of(s) for s in p.exit_sets]
     det = PortNfa(
         p.alphabet,
@@ -136,9 +113,9 @@ def _port_powerset(p: PortNfa, budget: int | None) -> tuple[PortNfa, tuple[froze
         tuple(
             frozenset(i for i, m in enumerate(macros) if m & em) for em in exit_masks
         ),
-        state_names=tuple(_macro_name(p, m) for m in macros),
+        state_names=names,
     )
-    return det, tuple(frozenset(core._bits(m)) for m in macros)
+    return det, subsets
 
 
 def port_determinize(p: PortNfa, *, budget: int | None = None) -> PortNfa:

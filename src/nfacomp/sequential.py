@@ -466,7 +466,6 @@ def seq_pipeline(
     strategy: PartitionStrategy,
     rear_method: Direction = Direction.REVERSE,
     *,
-    reduce_intermediate: bool = True,
     budget: int | None = None,
     stats: dict | None = None,
 ) -> Nfa:
@@ -511,14 +510,13 @@ def seq_pipeline(
         c_cur = port_reverse_complement(w, budget=budget)
     else:
         c_cur = port_forward_complement(w, budget=budget)
-    if reduce_intermediate:
-        c_cur = simulation_reduce_port(c_cur)
+    c_cur = simulation_reduce_port(c_cur)
     if stats is not None:
         stats["stage_sizes"] = [c_cur.num_states]
 
     for k in range(len(chain) - 1, -1, -1):
         c_cur = seq_complement_generalized(chain[k], c_cur, budget=budget)
-        if reduce_intermediate and k > 0:
+        if k > 0:
             c_cur = simulation_reduce_port(c_cur)
         if stats is not None:
             stats["stage_sizes"].append(c_cur.num_states)
@@ -532,7 +530,6 @@ def seq_pipeline_best(
     a: Nfa,
     rear_method: Direction = Direction.REVERSE,
     *,
-    reduce_intermediate: bool = True,
     budget: int | None = None,
     stats: dict | None = None,
 ) -> tuple[Nfa, PartitionStrategy]:
@@ -560,10 +557,7 @@ def seq_pipeline_best(
             continue
         local: dict = {}
         try:
-            cand = seq_pipeline(
-                a, strat, rear_method,
-                reduce_intermediate=reduce_intermediate, budget=budget, stats=local,
-            )
+            cand = seq_pipeline(a, strat, rear_method, budget=budget, stats=local)
         except BudgetExceededError as exc:
             failure = exc
             attempts.append({"strategy": strat.value, "outcome": "budget"})

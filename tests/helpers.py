@@ -33,8 +33,8 @@ def random_nfa(rng, max_states=8, max_syms=3, force_final=False):
     return core.Nfa.build(alphabet, n, trans, initial, final)
 
 
-def random_port_nfa(rng, max_states=6, num_entry=2, num_exit=2, max_syms=2):
-    n = rng.randint(1, max_states)
+def random_port_nfa(rng, max_states=6, num_entry=2, num_exit=2, max_syms=2, min_states=1):
+    n = rng.randint(min_states, max_states)
     k = rng.randint(1, max_syms)
     alphabet = tuple(LETTERS[:k])
     p = rng.uniform(0.5, 2.0) / n
@@ -217,3 +217,52 @@ def seq_complement_reference(p, c2, *, budget=None):
     )
     annotation = tuple(SeqComplementState(q, tracked) for (q, tracked) in states)
     return out, annotation
+
+
+def explore_port_reference(p, *, budget=None):
+    """Port powerset construction, spelled out.
+
+    Every entry set is interned first, in port order, then the macrostates
+    are expanded breadth-first, one original state at a time.  The budget
+    bounds the number of macrostates, entry macrostates included.  The
+    library's ``port_determinize_mapped`` must return exactly this automaton
+    and macrostate -> original-subset back-map.
+    """
+    nsyms = len(p.alphabet)
+    succ = {}
+    for (q, sym, r) in p.transitions:
+        succ.setdefault((q, sym), set()).add(r)
+    index = {}
+    macros = []
+
+    def intern(states):
+        i = index.get(states)
+        if i is None:
+            if budget is not None and len(macros) >= budget:
+                raise BudgetExceededError("macrostate budget exceeded", budget=budget)
+            i = len(macros)
+            index[states] = i
+            macros.append(states)
+        return i
+
+    entry_ids = [intern(frozenset(s)) for s in p.entry_sets]
+    transitions = set()
+    head = 0
+    while head < len(macros):
+        cur = macros[head]
+        for sym in range(nsyms):
+            nxt = frozenset(r for q in cur for r in succ.get((q, sym), ()))
+            transitions.add((head, sym, intern(nxt)))
+        head += 1
+    names = tuple(
+        "{" + ",".join(p.state_name(q) for q in sorted(m)) + "}" for m in macros
+    )
+    det = core.PortNfa(
+        p.alphabet,
+        len(macros),
+        frozenset(transitions),
+        tuple(frozenset({i}) for i in entry_ids),
+        tuple(frozenset(i for i, m in enumerate(macros) if m & s) for s in p.exit_sets),
+        state_names=names,
+    )
+    return det, tuple(macros)

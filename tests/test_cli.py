@@ -244,6 +244,16 @@ def test_exit_codes(capsys, tmp_path, a2_file):
     assert "error:" in err
 
 
+def test_budget_zero_cuts_even_one_macrostate(capsys, tmp_path):
+    loop = tmp_path / "loop.nfa"
+    loop.write_text("@NFA loop\n%Alphabet a\n%Initial 0\n%Final 0\n0 a 0\n")
+    code, _out, err = run(capsys, "complement", "-m", "forward", "-i", str(loop), "--budget", "0")
+    assert code == 4
+    assert "budget" in err
+    code, _out, _err = run(capsys, "complement", "-m", "forward", "-i", str(loop), "--budget", "1")
+    assert code == 0
+
+
 def test_port_input_restricted_to_powerset_methods(capsys, tmp_path):
     p = tmp_path / "p.nfa"
     p.write_text("@PortNFA p\n%Alphabet a\n%Entry 0 0\n%Exit 0 1\n0 a 1\n")

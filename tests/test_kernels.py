@@ -1,8 +1,5 @@
-"""The compiled and pure kernels must be bit-for-bit interchangeable."""
+"""The kernels against fixed answers and brute-force recomputation."""
 
-import random
-
-import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -10,82 +7,23 @@ from nfacomp import core
 from nfacomp._kernels import backend_name
 from nfacomp._kernels import pure
 
-try:
-    from nfacomp._kernels import _speedups as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled backend not built"
-)
-
 
 def test_backend_name():
-    assert backend_name() in ("pure", "compiled")
-
-
-def _random_table(rng, nstates, nsyms):
-    return [rng.randrange(1 << nstates) for _ in range(nsyms * nstates)]
-
-
-@needs_compiled
-def test_explore_subsets_parity():
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        k = rng.randint(1, 3)
-        succ = _random_table(rng, n, k)
-        init = rng.randrange(1 << n)
-        assert pure.explore_subsets(n, k, succ, init) == compiled.explore_subsets(
-            n, k, succ, init
-        )
-
-
-@needs_compiled
-def test_word_signature_parity():
-    rng = random.Random(11)
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        k = rng.randint(1, 3)
-        succ = _random_table(rng, n, k)
-        init = rng.randrange(1 << n)
-        final = rng.randrange(1 << n)
-        assert pure.word_signature(n, k, succ, init, final, 5) == compiled.word_signature(
-            n, k, succ, init, final, 5
-        )
-
-
-@needs_compiled
-def test_antichain_and_product_parity():
-    rng = random.Random(13)
-    for _ in range(200):
-        k = rng.randint(1, 3)
-        na, nb = rng.randint(1, 5), rng.randint(1, 5)
-        sa, sb = _random_table(rng, na, k), _random_table(rng, nb, k)
-        ia, ib = rng.randrange(1 << na), rng.randrange(1 << nb)
-        fa, fb = rng.randrange(1 << na), rng.randrange(1 << nb)
-        assert pure.antichain_included(
-            k, na, sa, ia, fa, nb, sb, ib, fb
-        ) == compiled.antichain_included(k, na, sa, ia, fa, nb, sb, ib, fb)
-        assert pure.product_nonempty(
-            k, na, sa, ia, fa, nb, sb, ib, fb
-        ) == compiled.product_nonempty(k, na, sa, ia, fa, nb, sb, ib, fb)
+    assert backend_name() == "pure"
 
 
 def test_explore_subsets_frozen():
     # One state with an 'a' self-loop: the only reachable subset is {0}.
-    assert pure.explore_subsets(1, 1, [1], 1) == ([1], [0])
+    assert pure.explore_subsets(1, 1, [1], (1,)) == ([1], [0])
     # Chain 0 -a-> 1: macrostates {0}, {1}, then {} as the sink.
-    macros, delta = pure.explore_subsets(2, 1, [2, 0], 1)
+    macros, delta = pure.explore_subsets(2, 1, [2, 0], (1,))
     assert macros == [1, 2, 0]
     assert delta == [1, 2, 2]
 
 
 def test_explore_subsets_budget_returns_none():
     a = core.Nfa.build(("a", "b"), 3, [(0, "a", 1), (0, "b", 2)], {0}, {2})
-    assert pure.explore_subsets(3, 2, a.succ_masks, 1, 2) is None
-    if compiled is not None:
-        assert compiled.explore_subsets(3, 2, a.succ_masks, 1, 2) is None
+    assert pure.explore_subsets(3, 2, a.succ_masks, (1,), 2) is None
 
 
 @given(st.integers(1, 5), st.data())

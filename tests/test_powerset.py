@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -100,6 +102,17 @@ def test_budget_exceeded():
         powerset.determinize(a, budget=5)
 
 
+def test_budget_counts_the_start_macrostate_at_every_layer():
+    # a*: one state, a self-loop; its powerset construction has one macrostate.
+    a = core.Nfa.build(("a",), 1, [(0, "a", 0)], {0}, {0})
+    with pytest.raises(BudgetExceededError):
+        powerset.determinize(a, budget=0)
+    with pytest.raises(BudgetExceededError):
+        powerset.port_determinize(a.as_port(), budget=0)
+    assert powerset.determinize(a, budget=1).nfa.num_states == 1
+    assert powerset.port_determinize(a.as_port(), budget=1).num_states == 1
+
+
 # --- port variants ----------------------------------------------------------
 
 
@@ -128,3 +141,52 @@ def test_port_determinize_shares_macrostates():
         t = core.trim(s)
         assert core.is_deterministic(t)
         assert helpers.brute_language(s, 4) == helpers.brute_language(p.slice(i, 0), 4)
+
+
+def _with_duplicate_and_empty_entries(p):
+    return core.PortNfa(
+        p.alphabet,
+        p.num_states,
+        p.transitions,
+        p.entry_sets + (p.entry_sets[0], frozenset()),
+        p.exit_sets,
+    )
+
+
+def _port_cases():
+    rng = random.Random(29)
+    for _ in range(60):
+        yield helpers.random_port_nfa(rng, num_entry=rng.randint(1, 3))
+    for _ in range(20):
+        yield _with_duplicate_and_empty_entries(helpers.random_port_nfa(rng))
+    for _ in range(8):
+        # Past the 64-state word boundary; about one successor per state and symbol.
+        p = helpers.random_port_nfa(rng, max_states=90, min_states=65, num_entry=3)
+        yield _with_duplicate_and_empty_entries(p)
+
+
+def _same_or_both_cut(p, budget):
+    try:
+        expected = helpers.explore_port_reference(p, budget=budget)
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError):
+            powerset.port_determinize_mapped(p, budget=budget)
+        return None
+    got = powerset.port_determinize_mapped(p, budget=budget)
+    assert got == expected  # state names included: PortNfa compares them
+    return got[0]
+
+
+def test_port_determinize_matches_reference():
+    seen_large = 0
+    for p in _port_cases():
+        det = _same_or_both_cut(p, 4096)
+        if det is None:
+            continue
+        seen_large += p.num_states > 64
+        distinct = len(set(p.entry_sets))
+        assert _same_or_both_cut(p, distinct - 1) is None
+        assert _same_or_both_cut(p, det.num_states) is not None
+        if det.num_states > distinct:
+            assert _same_or_both_cut(p, det.num_states - 1) is None
+    assert seen_large > 0
