@@ -8,6 +8,13 @@ and :mod:`nfacomp.powerset` produce once per automaton:
   ``sym * nstates + q`` is the bitmask of successors of ``q`` under ``sym``,
 * state sets (initial, final, macrostates) are plain ints used as bitmasks.
 
+``explore_subsets``, ``word_signature`` and ``antichain_included`` compute
+the subset image of a state set (the union of its states' successors under
+one symbol) one byte of the set at a time: per symbol, a table keyed
+``c * 256 + b`` holds the image of the states ``8c + i`` for the set bits
+``i`` of the byte value ``b``.  The tables are filled on demand, so a call
+pays only for the byte values its state sets actually contain.
+
 These four functions are the package's only implementation of the kernels;
 :mod:`nfacomp._kernels` re-exports them.
 """
@@ -22,6 +29,53 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+class _ByteImages(dict):
+    """Subset images under one symbol, per byte of the state set, filled on demand."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row):
+        super().__init__()
+        self.row = row
+
+    def __missing__(self, key):
+        base = (key >> 8) << 3
+        byte = key & 255
+        row = self.row
+        img = 0
+        while byte:
+            low = byte & -byte
+            img |= row[base + low.bit_length() - 1]
+            byte ^= low
+        self[key] = img
+        return img
+
+
+def _byte_keys(nstates):
+    """A function from a mask over ``nstates`` states to its byte keys.
+
+    Byte ``c`` of the mask with the nonzero value ``b`` gives the key
+    ``c * 256 + b``; zero bytes give none.
+    """
+    nbytes = (nstates + 7) >> 3
+    chunks = range(0, nbytes << 8, 256)
+
+    def keys_of(mask):
+        return [c + b for c, b in zip(chunks, mask.to_bytes(nbytes, "little")) if b]
+
+    return keys_of
+
+
+def _image_tables(nstates, nsyms, succ):
+    """The per-symbol subset-image tables, and the key function for their masks.
+
+    The image of a mask under a symbol is the union of that symbol's table
+    entries over the mask's keys.
+    """
+    tables = [_ByteImages(succ[sym * nstates : (sym + 1) * nstates]) for sym in range(nsyms)]
+    return tables, _byte_keys(nstates)
 
 
 def explore_subsets(nstates, nsyms, succ, seeds, budget=None):
@@ -45,16 +99,16 @@ def explore_subsets(nstates, nsyms, succ, seeds, budget=None):
                 return None
             index[seed] = len(macros)
             macros.append(seed)
+    tables, keys_of = _image_tables(nstates, nsyms, succ)
     delta = []
     head = 0
     while head < len(macros):
-        cur = macros[head]
+        keys = keys_of(macros[head])
         head += 1
-        for sym in range(nsyms):
-            row = succ[sym * nstates : (sym + 1) * nstates]
+        for table in tables:
             nxt = 0
-            for q in _bits(cur):
-                nxt |= row[q]
+            for key in keys:
+                nxt |= table[key]
             j = index.get(nxt)
             if j is None:
                 if budget is not None and len(macros) >= budget:
@@ -73,17 +127,18 @@ def word_signature(nstates, nsyms, succ, init, final, max_len):
     byte for word ``w`` is 1 iff the subset run from ``init`` over ``w`` ends
     in a set intersecting ``final``.  Shared prefixes are evaluated once.
     """
+    tables, keys_of = _image_tables(nstates, nsyms, succ)
     out = bytearray()
     level = [init]
     out.append(1 if init & final else 0)
     for _ in range(max_len):
         nxt_level = []
         for mask in level:
-            for sym in range(nsyms):
-                row = succ[sym * nstates : (sym + 1) * nstates]
+            keys = keys_of(mask)
+            for table in tables:
                 nxt = 0
-                for q in _bits(mask):
-                    nxt |= row[q]
+                for key in keys:
+                    nxt |= table[key]
                 nxt_level.append(nxt)
                 out.append(1 if nxt & final else 0)
         level = nxt_level
@@ -127,6 +182,7 @@ def antichain_included(
             return 0
         offer(p, init_b)
 
+    tables_b, keys_of = _image_tables(nstates_b, nsyms, succ_b)
     expansions = 0
     while queue:
         p, s = queue.popleft()
@@ -135,14 +191,14 @@ def antichain_included(
         expansions += 1
         if budget is not None and expansions > budget:
             return -1
-        for sym in range(nsyms):
-            row_b = succ_b[sym * nstates_b : (sym + 1) * nstates_b]
+        keys = keys_of(s)
+        for sym, table in enumerate(tables_b):
             targets_a = succ_a[sym * nstates_a + p]
             if not targets_a:
                 continue
             s2 = 0
-            for q in _bits(s):
-                s2 |= row_b[q]
+            for key in keys:
+                s2 |= table[key]
             for p2 in _bits(targets_a):
                 if (final_a >> p2) & 1 and not (s2 & final_b):
                     return 0

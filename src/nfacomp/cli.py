@@ -7,7 +7,8 @@ language relations), ``oracle`` (bounded brute-force complement check), and
 ``-i``/``-a``/... files or stdin, and written to ``-o`` or stdout.
 
 Exit codes: 0 success, 1 failed check/relation or unusable request, 2 parse
-error, 3 no usable gate partition, 4 budget exhausted.
+error or bad command line (argparse), 3 no usable gate partition, 4 budget
+exhausted.
 """
 
 from __future__ import annotations
@@ -152,18 +153,29 @@ def _report(method, a, out, pre, extras, elapsed_ms) -> ComplementReport:
     )
 
 
+def _skip_outcome(exc: NfacompError) -> str:
+    """Why portfolio skipped a method, as its stats report names it."""
+    if isinstance(exc, BudgetExceededError):
+        return "budget"
+    if isinstance(exc, NoGatePartitionError):
+        return "no_partition"
+    return "unsupported"
+
+
 def _cmd_complement(args) -> int:
     a = _read_automaton(args.input)
     budget = args.budget
 
     if args.method == "portfolio":
         reports = []
+        skipped = []
         best = None  # (output, method name)
         for method in PORTFOLIO_ORDER:
             start = time.perf_counter()
             try:
                 out, pre, extras = _run_method(method, a, budget, "all", args.rear)
-            except (BudgetExceededError, NoGatePartitionError, NfacompError):
+            except NfacompError as exc:
+                skipped.append({"method": method, "outcome": _skip_outcome(exc)})
                 continue
             elapsed = (time.perf_counter() - start) * 1000.0
             reports.append(_report(method, a, out, pre, extras, elapsed))
@@ -176,6 +188,7 @@ def _cmd_complement(args) -> int:
             "method": "portfolio",
             "selected": selected,
             "reports": [r.as_dict() for r in reports],
+            "skipped": skipped,
         }
     else:
         start = time.perf_counter()
@@ -269,6 +282,17 @@ def _cmd_stats(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _budget(text: str) -> int:
+    """The argparse type of ``--budget``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="nfacomp", description="NFA complementation toolkit")
     sub = top.add_subparsers(dest="command", required=True)
@@ -284,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="sequential partitioning strategy (default: all)")
     comp.add_argument("--rear", choices=("forward", "reverse"), default="reverse",
                       help="powerset direction for the rear component (default: reverse)")
-    comp.add_argument("--budget", type=int, default=DEFAULT_MACRO_BUDGET,
+    comp.add_argument("--budget", type=_budget, default=DEFAULT_MACRO_BUDGET,
                       help=f"macrostate budget per powerset call (default {DEFAULT_MACRO_BUDGET})")
     comp.set_defaults(fn=_cmd_complement)
 
@@ -298,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--relation", choices=("equiv", "incl", "disjoint"), required=True)
     chk.add_argument("-a", required=True, metavar="FILE")
     chk.add_argument("-b", required=True, metavar="FILE")
-    chk.add_argument("--budget", type=int, default=DEFAULT_ANTICHAIN_BUDGET,
+    chk.add_argument("--budget", type=_budget, default=DEFAULT_ANTICHAIN_BUDGET,
                      help=f"antichain expansion budget (default {DEFAULT_ANTICHAIN_BUDGET})")
     chk.set_defaults(fn=_cmd_check)
 

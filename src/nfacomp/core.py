@@ -244,17 +244,6 @@ class SccDag:
     components: tuple[frozenset[int], ...]
     edges: tuple[tuple[int, int, int], ...]
 
-    @cached_property
-    def component_index(self) -> dict:
-        out = {}
-        for ci, comp in enumerate(self.components):
-            for q in comp:
-                out[q] = ci
-        return out
-
-    def index_of(self, q: int) -> int:
-        return self.component_index[q]
-
 
 # ---------------------------------------------------------------------------
 # Structural operations

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import cycle
 
 from . import _kernels, core
+from ._kernels.pure import _byte_keys
 from .core import Nfa, PortNfa
 from .errors import BudgetExceededError
 
@@ -23,38 +26,67 @@ class Direction(enum.Enum):
 
 @dataclass(frozen=True)
 class MacrostateDfa:
-    """A determinized automaton plus the macrostate -> original-subset back-map."""
+    """A determinized automaton plus the macrostate -> original-subset back-map.
+
+    ``masks[i]`` is macrostate i as a bitmask of original states;
+    ``macrostates`` spells the same sets out as frozensets, built on first use.
+    """
 
     nfa: Nfa
-    macrostates: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
+
+    @cached_property
+    def macrostates(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(core._bits(m)) for m in self.masks)
 
 
-def _macro_name(a, mask: int) -> str:
-    return "{" + ",".join(a.state_name(q) for q in core._bits(mask)) + "}"
+class _NamePieces(dict):
+    """``",".join`` of the state names in one byte of a state set, filled on demand.
+
+    Key ``c * 256 + b`` stands for the states ``8c + i`` with bit ``i`` set in
+    the byte value ``b``, as in the kernels' subset-image tables.
+    """
+
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        super().__init__()
+        self.a = a
+
+    def __missing__(self, key):
+        base = (key >> 8) << 3
+        byte = key & 255
+        piece = ",".join(self.a.state_name(base + i) for i in range(8) if byte >> i & 1)
+        self[key] = piece
+        return piece
+
+
+def _macro_names(a, macros: list[int]) -> tuple[str, ...]:
+    """``{q1,q2,...}`` for each macrostate, its states' names in increasing order."""
+    keys_of = _byte_keys(a.num_states)
+    pieces = _NamePieces(a)
+    return tuple("{" + ",".join([pieces[key] for key in keys_of(m)]) + "}" for m in macros)
 
 
 def _explore(a, seeds: list[int], budget: int | None):
     """Subset construction of ``a`` from the macrostates ``seeds``.
 
     Returns the macrostate bitmasks in discovery order, the complete
-    transition set over their indices, their names, and the back-map from
-    each macrostate to its set of original states.
+    transition set over their indices, and their names.
     """
     nsyms = len(a.alphabet)
     res = _kernels.explore_subsets(a.num_states, nsyms, a.succ_masks, seeds, budget)
     if res is None:
         raise BudgetExceededError("macrostate budget exceeded", budget=budget)
     macros, delta = res
-    transitions = frozenset(
-        (i, sym, delta[i * nsyms + sym]) for i in range(len(macros)) for sym in range(nsyms)
-    )
-    names = tuple(_macro_name(a, m) for m in macros)
-    return macros, transitions, names, tuple(frozenset(core._bits(m)) for m in macros)
+    syms = range(nsyms)
+    transitions = frozenset(zip([i for i in range(len(macros)) for _ in syms], cycle(syms), delta))
+    return macros, transitions, _macro_names(a, macros)
 
 
 def determinize(a: Nfa, *, budget: int | None = None) -> MacrostateDfa:
     """Reachable powerset construction; the result is deterministic and complete."""
-    macros, transitions, names, subsets = _explore(a, [a.initial_mask], budget)
+    macros, transitions, names = _explore(a, [a.initial_mask], budget)
     dfa = Nfa(
         a.alphabet,
         len(macros),
@@ -63,7 +95,7 @@ def determinize(a: Nfa, *, budget: int | None = None) -> MacrostateDfa:
         frozenset(i for i, m in enumerate(macros) if m & a.final_mask),
         state_names=names,
     )
-    return MacrostateDfa(dfa, subsets)
+    return MacrostateDfa(dfa, tuple(macros))
 
 
 def complement_dfa(d: MacrostateDfa | Nfa) -> Nfa:
@@ -98,9 +130,10 @@ def reverse_complement(a: Nfa, *, budget: int | None = None) -> Nfa:
 # Port variants
 
 
-def _port_powerset(p: PortNfa, budget: int | None) -> tuple[PortNfa, tuple[frozenset[int], ...]]:
+def _port_powerset(p: PortNfa, budget: int | None) -> tuple[PortNfa, list[int]]:
+    """Port determinization plus each macrostate's bitmask of original states."""
     entry_masks = [core._mask_of(s) for s in p.entry_sets]
-    macros, transitions, names, subsets = _explore(p, entry_masks, budget)
+    macros, transitions, names = _explore(p, entry_masks, budget)
     # The kernel interns the distinct entry masks first, in port order.
     index: dict[int, int] = {}
     entry_ids = [index.setdefault(m, len(index)) for m in entry_masks]
@@ -115,7 +148,7 @@ def _port_powerset(p: PortNfa, budget: int | None) -> tuple[PortNfa, tuple[froze
         ),
         state_names=names,
     )
-    return det, subsets
+    return det, macros
 
 
 def port_determinize(p: PortNfa, *, budget: int | None = None) -> PortNfa:
@@ -126,7 +159,8 @@ def port_determinize(p: PortNfa, *, budget: int | None = None) -> PortNfa:
 
 def port_determinize_mapped(p: PortNfa, *, budget: int | None = None):
     """port_determinize plus the macrostate -> original-subset back-map."""
-    return _port_powerset(p, budget)
+    det, macros = _port_powerset(p, budget)
+    return det, tuple(frozenset(core._bits(m)) for m in macros)
 
 
 def port_forward_complement(p: PortNfa, *, trim: bool = True, budget: int | None = None) -> PortNfa:

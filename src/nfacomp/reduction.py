@@ -21,9 +21,6 @@ class SimulationPreorder:
 
     relation: frozenset[tuple[int, int]]
 
-    def contains(self, p: int, q: int) -> bool:
-        return (p, q) in self.relation
-
 
 def _simulation_masks(n: int, nsyms: int, succ, initial_candidates: list[int]) -> list[int]:
     """Greatest fixpoint of the direct-simulation refinement, as bitmasks.

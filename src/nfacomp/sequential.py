@@ -22,8 +22,8 @@ from .core import Nfa, PortNfa, SequentialPartition
 from .errors import BudgetExceededError
 from .powerset import (
     Direction,
+    _port_powerset,
     forward_complement,
-    port_determinize_mapped,
     port_forward_complement,
     port_reverse_complement,
     reverse_complement,
@@ -64,14 +64,15 @@ def determinize_front(p: SequentialPartition, *, budget: int | None = None) -> S
     part is kept untouched, so the rear-local ids (and with them the inner
     entry ports) are stable across this step.
     """
-    det, macros = port_determinize_mapped(p.front, budget=budget)
+    det, macros = _port_powerset(p.front, budget)
     rear = p.rear
     off = det.num_states
     trans = set(det.transitions)
     trans.update((src + off, sym, dst + off) for (src, sym, dst) in rear.transitions)
+    sources = core._mask_of(p.front_index[x] for (x, _sym, _t) in p.transfer)
     containing: dict[int, list[int]] = {}
     for mi, mac in enumerate(macros):
-        for q in mac:
+        for q in core._bits(mac & sources):
             containing.setdefault(q, []).append(mi)
     for (x, sym, t) in p.transfer:
         xl = p.front_index[x]
@@ -474,10 +475,20 @@ def seq_pipeline(
     Intermediate composites are reduced with the port-aware simulation pass;
     the final result is only trimmed.
     """
-    parts = partition(a, strategy)
-    comps = parts.components
     if stats is not None:
         stats["strategy"] = strategy.value
+    return _run_pipeline(a, partition(a, strategy).components, rear_method, budget, stats)
+
+
+def _run_pipeline(
+    a: Nfa,
+    comps: tuple[tuple[int, ...], ...],
+    rear_method: Direction,
+    budget: int | None,
+    stats: dict | None,
+) -> Nfa:
+    """seq_pipeline on the given components, in topological order."""
+    if stats is not None:
         stats["component_sizes"] = [len(c) for c in comps]
     if len(comps) <= 1:
         if rear_method is Direction.REVERSE:
@@ -555,9 +566,9 @@ def seq_pipeline_best(
                 {"strategy": strat.value, "outcome": "same_partition_as", "same_partition_as": earlier.value}
             )
             continue
-        local: dict = {}
+        local: dict = {"strategy": strat.value}
         try:
-            cand = seq_pipeline(a, strat, rear_method, budget=budget, stats=local)
+            cand = _run_pipeline(a, comps, rear_method, budget, local)
         except BudgetExceededError as exc:
             failure = exc
             attempts.append({"strategy": strat.value, "outcome": "budget"})

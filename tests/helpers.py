@@ -5,6 +5,7 @@ independent route to every answer the library computes cleverly.
 """
 
 import itertools
+from collections import deque
 
 from nfacomp import core
 from nfacomp.errors import BudgetExceededError
@@ -266,3 +267,96 @@ def explore_port_reference(p, *, budget=None):
         state_names=names,
     )
     return det, tuple(macros)
+
+
+# --- the kernels, one state at a time -----------------------------------------
+# The library's kernels compute subset images one byte of the state set at a
+# time through lazily filled tables; these walk the set bit by bit instead and
+# must give exactly the same answers.
+
+
+def subset_image_reference(nstates, succ, sym, mask):
+    img = 0
+    for q in core._bits(mask):
+        img |= succ[sym * nstates + q]
+    return img
+
+
+def explore_subsets_reference(nstates, nsyms, succ, seeds, budget=None):
+    index = {}
+    macros = []
+
+    def intern(mask):
+        j = index.get(mask)
+        if j is None:
+            if budget is not None and len(macros) >= budget:
+                return None
+            j = index[mask] = len(macros)
+            macros.append(mask)
+        return j
+
+    for seed in seeds:
+        if intern(seed) is None:
+            return None
+    delta = []
+    head = 0
+    while head < len(macros):
+        cur = macros[head]
+        head += 1
+        for sym in range(nsyms):
+            j = intern(subset_image_reference(nstates, succ, sym, cur))
+            if j is None:
+                return None
+            delta.append(j)
+    return macros, delta
+
+
+def word_signature_reference(nstates, nsyms, succ, init, final, max_len):
+    out = bytearray([1 if init & final else 0])
+    level = [init]
+    for _ in range(max_len):
+        level = [subset_image_reference(nstates, succ, sym, m) for m in level for sym in range(nsyms)]
+        out += bytes(1 if m & final else 0 for m in level)
+    return bytes(out)
+
+
+def antichain_included_reference(
+    nsyms, nstates_a, succ_a, init_a, final_a, nstates_b, succ_b, init_b, final_b, budget=None
+):
+    frontier = {}  # a-state -> list of minimal b-masks
+    queue = deque()
+
+    def offer(p, s):
+        kept = frontier.setdefault(p, [])
+        if any(old & s == old for old in kept):
+            return
+        frontier[p] = [old for old in kept if old & s != s] + [s]
+        queue.append((p, s))
+
+    for p in core._bits(init_a):
+        if (final_a >> p) & 1 and not (init_b & final_b):
+            return 0
+        offer(p, init_b)
+    expansions = 0
+    while queue:
+        p, s = queue.popleft()
+        if s not in frontier.get(p, ()):
+            continue
+        expansions += 1
+        if budget is not None and expansions > budget:
+            return -1
+        for sym in range(nsyms):
+            targets_a = succ_a[sym * nstates_a + p]
+            if not targets_a:
+                continue
+            s2 = subset_image_reference(nstates_b, succ_b, sym, s)
+            for p2 in core._bits(targets_a):
+                if (final_a >> p2) & 1 and not (s2 & final_b):
+                    return 0
+                offer(p2, s2)
+    return 1
+
+
+def macro_name_reference(a, mask):
+    """A macrostate's name: its states' names in increasing order, in braces."""
+    return "{" + ",".join(a.state_name(q) for q in core._bits(mask)) + "}"

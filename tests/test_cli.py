@@ -264,3 +264,45 @@ def test_port_input_restricted_to_powerset_methods(capsys, tmp_path):
     code, _out, err = run(capsys, "complement", "-m", "gate", "-i", str(p))
     assert code == 1
     assert "plain @NFA inputs only" in err
+
+
+def test_negative_budget_is_a_usage_error(capsys, tmp_path, a2_file):
+    # argparse refuses it before any construction runs: exit 2, not 4.
+    for argv in (
+        ("complement", "-m", "forward", "-i", a2_file, "--budget", "-1"),
+        ("check", "--relation", "equiv", "-a", a2_file, "-b", a2_file, "--budget", "-1"),
+        ("complement", "-m", "forward", "-i", a2_file, "--budget", "x"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
+
+def test_portfolio_lists_the_methods_it_skipped(capsys, tmp_path):
+    def portfolio(text, *extra):
+        src = tmp_path / "in.nfa"
+        src.write_text(text)
+        stats_path = tmp_path / "s.json"
+        code, _out, _err = run(
+            capsys, "complement", "-m", "portfolio", "-i", str(src),
+            "-o", str(tmp_path / "c.nfa"), "--stats", str(stats_path), *extra,
+        )
+        assert code == 0
+        doc = json.loads(stats_path.read_text())
+        return [r["method"] for r in doc["reports"]], doc["skipped"]
+
+    ran, skipped = portfolio(fileformat.serialize(gate_chain(4)), "--budget", "64")
+    assert ran == ["forward", "reverse", "gate"]
+    assert skipped == [{"method": "sequential", "outcome": "budget"}]
+
+    ran, skipped = portfolio(fileformat.serialize(sequential_chain(2)))
+    assert ran == ["forward", "reverse", "sequential"]
+    assert skipped == [{"method": "gate", "outcome": "no_partition"}]
+
+    ran, skipped = portfolio("@PortNFA p\n%Alphabet a\n%Entry 0 0\n%Exit 0 1\n0 a 1\n")
+    assert ran == ["forward", "reverse"]
+    assert skipped == [
+        {"method": "sequential", "outcome": "unsupported"},
+        {"method": "gate", "outcome": "unsupported"},
+    ]

@@ -320,16 +320,27 @@ def test_pipeline_best_runs_each_distinct_partition_once(monkeypatch):
     expected = min(separately, key=lambda run: run[0].num_states)
 
     calls = []
-    real = sequential.seq_pipeline
+    real_run, real_partition = sequential._run_pipeline, sequential.partition
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    def counted_run(*args):
+        calls.append(("run", args[1]))
+        return real_run(*args)
 
-    monkeypatch.setattr(sequential, "seq_pipeline", counted)
+    def counted_partition(*args):
+        calls.append(("partition", args[1]))
+        return real_partition(*args)
+
+    monkeypatch.setattr(sequential, "_run_pipeline", counted_run)
+    monkeypatch.setattr(sequential, "partition", counted_partition)
     stats = {}
     out, strat = sequential.seq_pipeline_best(a, stats=stats)
-    assert calls == [PartitionStrategy.DETERMINISTIC_COMPONENTS]
+    # Each strategy's partition is computed once, and the pipeline runs once.
+    comps = real_partition(a, PartitionStrategy.DETERMINISTIC_COMPONENTS).components
+    assert calls == [
+        ("partition", PartitionStrategy.DETERMINISTIC_COMPONENTS), ("run", comps),
+        ("partition", PartitionStrategy.DET_PLUS_REVDET_BOTTOM),
+        ("partition", PartitionStrategy.MIN_CUT),
+    ]
     attempts = stats.pop("attempts")
     assert (out, strat, stats) == expected
     assert attempts[1:] == [
