@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -293,7 +294,13 @@ def _budget(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls.
+
+    Parsing keeps no state in the parser: every ``parse_args`` fills a new
+    namespace from the defaults of the subcommand it selects.
+    """
     top = argparse.ArgumentParser(prog="nfacomp", description="NFA complementation toolkit")
     sub = top.add_subparsers(dest="command", required=True)
 

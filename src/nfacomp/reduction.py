@@ -1,9 +1,21 @@
 """Size reduction: Hopcroft DFA minimization and simulation-based NFA pruning.
 
 Hopcroft applies to deterministic complete automata only and yields the
-unique minimal DFA.  The simulation pass works on arbitrary NFAs: it merges
-simulation-equivalent states, drops transitions into dominated targets
-("little brothers"), and trims, all of which preserve the language.
+unique minimal DFA.  It refines the final/non-final split with a queue of
+(block, symbol) splitters, keeping the smaller half of each split (Hopcroft,
+"An n log n algorithm for minimizing states in a finite automaton", 1971),
+on a block id per state, a member set per block and per-symbol predecessor
+lists, so that a splitter costs time in the number of transitions into it,
+not in the number of blocks (Valmari & Lehtinen, "Efficient minimization of
+DFAs with partial transition functions", STACS 2008).
+
+The simulation pass works on arbitrary NFAs: it merges simulation-equivalent
+states, drops transitions into dominated targets ("little brothers"), and
+trims, all of which preserve the language.  The maximal direct simulation is
+the greatest fixpoint of ``sim[p] &= Pre_a(sim[p'])`` over the moves
+``p -a-> p'``, refined from a worklist of the states whose successors' sets
+shrank (Henzinger, Henzinger & Kopke, "Computing simulations on finite and
+infinite graphs", FOCS 1995; Ilie, Navarro & Yu, "On NFA reductions", 2004).
 """
 
 from __future__ import annotations
@@ -11,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import core
+from ._kernels.pure import _image_tables
 from .core import Nfa, PortNfa
 from .powerset import MacrostateDfa
 
@@ -26,31 +39,45 @@ def _simulation_masks(n: int, nsyms: int, succ, initial_candidates: list[int]) -
     """Greatest fixpoint of the direct-simulation refinement, as bitmasks.
 
     ``sim[p]`` starts from ``initial_candidates[p]`` (states not ruled out by
-    the acceptance condition) and loses q whenever some move of p cannot be
-    matched by q into the current relation.
+    the acceptance condition, p itself included) and keeps only the states
+    that can match every move ``p -a-> p'`` into ``sim[p']``, that is
+    ``Pre_a(sim[p'])``: the states with an a-successor in ``sim[p']``.
+    ``Pre_a`` is the subset image under the predecessor table, cached per
+    state until that state's set shrinks; a state is refined again only when
+    the set of one of its successors shrank.
     """
+    pred = [0] * (nsyms * n)
+    for i, row in enumerate(succ):
+        base = i - i % n
+        bit = 1 << (i - base)
+        for q in core._bits(row):
+            pred[base + q] |= bit
+    tables, keys_of = _image_tables(n, nsyms, pred)
     sim = list(initial_candidates)
-    changed = True
-    while changed:
-        changed = False
-        for p in range(n):
-            cur = sim[p]
-            for q in list(core._bits(cur)):
-                if q == p:
-                    continue
-                ok = True
-                for sym in range(nsyms):
-                    sq = succ[sym * n + q]
-                    for p2 in core._bits(succ[sym * n + p]):
-                        if not (sq & sim[p2]):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    cur &= ~(1 << q)
-                    changed = True
+    pre: list[list[int] | None] = [None] * n  # per-symbol Pre_a(sim[q]), None when stale
+    dirty = (1 << n) - 1
+    while dirty:
+        low = dirty & -dirty
+        dirty ^= low
+        p = low.bit_length() - 1
+        cur = sim[p]
+        for sym in range(nsyms):
+            for p2 in core._bits(succ[sym * n + p]):
+                images = pre[p2]
+                if images is None:
+                    keys = keys_of(sim[p2])
+                    images = pre[p2] = []
+                    for table in tables:
+                        img = 0
+                        for key in keys:
+                            img |= table[key]
+                        images.append(img)
+                cur &= images[sym]
+        if cur != sim[p]:
             sim[p] = cur
+            pre[p] = None
+            for sym in range(nsyms):
+                dirty |= pred[sym * n + p]
     return sim
 
 
@@ -72,65 +99,72 @@ def hopcroft_minimize(d: MacrostateDfa | Nfa) -> Nfa:
         raise ValueError("hopcroft_minimize needs a deterministic, complete automaton")
     n = dfa.num_states
     nsyms = len(dfa.alphabet)
+    succ = dfa.succ_masks
     preds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(nsyms)]
     for (p, sym, q) in dfa.transitions:
         preds[sym][q].append(p)
 
-    final = set(dfa.final)
-    nonfinal = set(range(n)) - final
-    partition = [b for b in (final, nonfinal) if b]
-    work: set[tuple[frozenset[int], int]] = set()
-    if len(partition) == 2:
-        smaller = frozenset(min(partition, key=len))
-        for sym in range(nsyms):
-            work.add((smaller, sym))
-    while work:
-        splitter, sym = work.pop()
-        moved = set()
-        for a_state in splitter:
-            moved.update(preds[sym][a_state])
-        next_partition = []
-        for block in partition:
-            inside = block & moved
-            outside = block - moved
-            if inside and outside:
-                next_partition.append(inside)
-                next_partition.append(outside)
-                f_block = frozenset(block)
-                f_in, f_out = frozenset(inside), frozenset(outside)
-                for sym2 in range(nsyms):
-                    if (f_block, sym2) in work:
-                        work.remove((f_block, sym2))
-                        work.add((f_in, sym2))
-                        work.add((f_out, sym2))
-                    else:
-                        work.add((f_in if len(inside) <= len(outside) else f_out, sym2))
-            else:
-                next_partition.append(block)
-        partition = next_partition
-
-    blocks = sorted(partition, key=min)  # canonical order by least member
-    block_of = {}
-    for bi, block in enumerate(blocks):
-        for q in block:
+    final = dfa.final_mask
+    blocks = [m for m in (
+        {q for q in range(n) if (final >> q) & 1},
+        {q for q in range(n) if not (final >> q) & 1},
+    ) if m]
+    block_of = [0] * n
+    for bi, members in enumerate(blocks):
+        for q in members:
             block_of[q] = bi
-    succ = dfa.succ_masks
+    queue: list[tuple[int, int]] = []
+    if len(blocks) == 2:
+        smaller = 0 if len(blocks[0]) <= len(blocks[1]) else 1
+        queue = [(smaller, sym) for sym in range(nsyms)]
+    pending = set(queue)
+    while queue:
+        splitter = queue.pop()
+        pending.discard(splitter)
+        b, sym = splitter
+        row = preds[sym]
+        touched: dict[int, list[int]] = {}  # block -> its states with a move into b
+        for q in blocks[b]:
+            for p in row[q]:
+                c = block_of[p]
+                moved = touched.get(c)
+                if moved is None:
+                    touched[c] = [p]
+                else:
+                    moved.append(p)
+        for c, moved in touched.items():
+            members = blocks[c]
+            if len(moved) == len(members):
+                continue
+            members.difference_update(moved)
+            new = len(blocks)
+            blocks.append(set(moved))
+            for p in moved:
+                block_of[p] = new
+            smaller = new if len(moved) <= len(members) else c
+            for sym2 in range(nsyms):
+                # A pending block stays pending as one half, so the other joins it.
+                split = (new, sym2) if (c, sym2) in pending else (smaller, sym2)
+                pending.add(split)
+                queue.append(split)
+
+    blocks = sorted(sorted(members) for members in blocks)  # canonical order by least member
+    for bi, members in enumerate(blocks):
+        for q in members:
+            block_of[q] = bi
     transitions = set()
-    for bi, block in enumerate(blocks):
-        rep = min(block)
+    for bi, members in enumerate(blocks):
         for sym in range(nsyms):
-            target = succ[sym * n + rep]
-            transitions.add((bi, sym, block_of[next(core._bits(target))]))
-    names = tuple(
-        "+".join(dfa.state_name(q) for q in sorted(block)) for block in blocks
-    )
+            target = succ[sym * n + members[0]].bit_length() - 1
+            transitions.add((bi, sym, block_of[target]))
+    names = tuple("+".join(dfa.state_name(q) for q in members) for members in blocks)
     (start,) = dfa.initial
     return Nfa(
         dfa.alphabet,
         len(blocks),
         frozenset(transitions),
         frozenset({block_of[start]}),
-        frozenset(bi for bi, block in enumerate(blocks) if block <= final),
+        frozenset(bi for bi, members in enumerate(blocks) if (final >> members[0]) & 1),
         state_names=names,
     )
 

@@ -360,3 +360,100 @@ def antichain_included_reference(
 def macro_name_reference(a, mask):
     """A macrostate's name: its states' names in increasing order, in braces."""
     return "{" + ",".join(a.state_name(q) for q in core._bits(mask)) + "}"
+
+
+# --- the reductions, pair by pair and block by block --------------------------
+# The library refines simulation through cached predecessor images and a
+# dirty-state worklist, and Hopcroft through block ids and a splitter queue;
+# these are the earlier sweeps over every pair and every block, which must
+# give exactly the same answers.
+
+
+def simulation_masks_reference(n, nsyms, succ, initial_candidates):
+    sim = list(initial_candidates)
+    changed = True
+    while changed:
+        changed = False
+        for p in range(n):
+            cur = sim[p]
+            for q in list(core._bits(cur)):
+                if q == p:
+                    continue
+                ok = True
+                for sym in range(nsyms):
+                    sq = succ[sym * n + q]
+                    for p2 in core._bits(succ[sym * n + p]):
+                        if not (sq & sim[p2]):
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if not ok:
+                    cur &= ~(1 << q)
+                    changed = True
+            sim[p] = cur
+    return sim
+
+
+def hopcroft_minimize_reference(dfa):
+    n = dfa.num_states
+    nsyms = len(dfa.alphabet)
+    preds = [[[] for _ in range(n)] for _ in range(nsyms)]
+    for (p, sym, q) in dfa.transitions:
+        preds[sym][q].append(p)
+
+    final = set(dfa.final)
+    nonfinal = set(range(n)) - final
+    partition = [b for b in (final, nonfinal) if b]
+    work = set()
+    if len(partition) == 2:
+        smaller = frozenset(min(partition, key=len))
+        for sym in range(nsyms):
+            work.add((smaller, sym))
+    while work:
+        splitter, sym = work.pop()
+        moved = set()
+        for a_state in splitter:
+            moved.update(preds[sym][a_state])
+        next_partition = []
+        for block in partition:
+            inside = block & moved
+            outside = block - moved
+            if inside and outside:
+                next_partition.append(inside)
+                next_partition.append(outside)
+                f_block = frozenset(block)
+                f_in, f_out = frozenset(inside), frozenset(outside)
+                for sym2 in range(nsyms):
+                    if (f_block, sym2) in work:
+                        work.remove((f_block, sym2))
+                        work.add((f_in, sym2))
+                        work.add((f_out, sym2))
+                    else:
+                        work.add((f_in if len(inside) <= len(outside) else f_out, sym2))
+            else:
+                next_partition.append(block)
+        partition = next_partition
+
+    blocks = sorted(partition, key=min)
+    block_of = {}
+    for bi, block in enumerate(blocks):
+        for q in block:
+            block_of[q] = bi
+    succ = dfa.succ_masks
+    transitions = set()
+    for bi, block in enumerate(blocks):
+        rep = min(block)
+        for sym in range(nsyms):
+            target = succ[sym * n + rep]
+            transitions.add((bi, sym, block_of[next(core._bits(target))]))
+    names = tuple("+".join(dfa.state_name(q) for q in sorted(block)) for block in blocks)
+    (start,) = dfa.initial
+    return core.Nfa(
+        dfa.alphabet,
+        len(blocks),
+        frozenset(transitions),
+        frozenset({block_of[start]}),
+        frozenset(bi for bi, block in enumerate(blocks) if block <= final),
+        state_names=names,
+    )

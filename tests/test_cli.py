@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+import helpers
 from nfacomp import cli, core, fileformat
 from nfacomp.families import gate_chain, reverse_friendly, sequential_chain
 
@@ -306,3 +308,75 @@ def test_portfolio_lists_the_methods_it_skipped(capsys, tmp_path):
         {"method": "sequential", "outcome": "unsupported"},
         {"method": "gate", "outcome": "unsupported"},
     ]
+
+
+def test_consecutive_calls_leak_no_state(capsys, tmp_path, a2_file, monkeypatch):
+    # The parser is built once per process; each call must still start from
+    # its own subcommand's defaults.
+    def complement(name, *extra):
+        path = tmp_path / name
+        code, _out, _err = run(capsys, "complement", "-m", "forward", "-i", a2_file, "-o", str(path), *extra)
+        assert code == 0
+        return path.read_text()
+
+    plain = complement("first.nfa")
+    assert fileformat.parse(complement("min.nfa", "--minimize")).num_states == 8
+    assert complement("plain.nfa") == plain
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["complement", "-m", "nosuch", "-i", a2_file])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert complement("after_error.nfa") == plain
+
+    budgets = []
+    inclusion = core.antichain_inclusion
+
+    def recorded(a, b, *, budget=None):
+        budgets.append(budget)
+        return inclusion(a, b, budget=budget)
+
+    monkeypatch.setattr(core, "antichain_inclusion", recorded)
+    complement("budget.nfa", "--budget", "4096")
+    code, _out, _err = run(capsys, "check", "--relation", "incl", "-a", a2_file, "-b", a2_file)
+    assert code == 0
+    assert budgets == [cli.DEFAULT_ANTICHAIN_BUDGET]
+
+
+def port_slices_complemented(p, c, max_len=5):
+    return (c.num_entry, c.num_exit) == (p.num_entry, p.num_exit) and all(
+        helpers.brute_complement_ok(p.slice(i, j), c.slice(i, j), max_len)
+        for i in range(p.num_entry)
+        for j in range(p.num_exit)
+    )
+
+
+@pytest.mark.parametrize("extra", [(), ("--reduce",)], ids=["plain", "reduce"])
+@pytest.mark.parametrize("method", ["forward", "reverse"])
+def test_port_complement_from_the_cli(capsys, tmp_path, method, extra):
+    rng = random.Random(20250705)
+    src, out_path = tmp_path / "p.nfa", tmp_path / "c.nfa"
+    ports = (core.trim_port(helpers.random_port_nfa(rng, max_states=6)) for _ in range(40))
+    for p in [p for p in ports if p.num_states][:12]:  # a file holds no isolated state
+        src.write_text(fileformat.serialize(p))
+        code, _out, _err = run(capsys, "complement", "-m", method, "-i", str(src), "-o", str(out_path), *extra)
+        assert code == 0
+        c = fileformat.parse(out_path.read_text())
+        assert isinstance(c, core.PortNfa)
+        assert port_slices_complemented(p, c)
+
+
+@pytest.mark.parametrize("strategy", ["det", "detrev", "mincut"])
+def test_sequential_strategy_from_the_cli(capsys, tmp_path, strategy):
+    out_path, stats_path = tmp_path / "c.nfa", tmp_path / "s.json"
+    for a in (sequential_chain(3), gate_chain(2)):
+        src = tmp_path / "in.nfa"
+        src.write_text(fileformat.serialize(a))
+        code, _out, _err = run(
+            capsys, "complement", "-m", "sequential", "--strategy", strategy,
+            "-i", str(src), "-o", str(out_path), "--stats", str(stats_path),
+        )
+        assert code == 0
+        c = fileformat.parse(out_path.read_text())
+        assert helpers.brute_complement_ok(a, c, 6)
+        assert json.loads(stats_path.read_text())["output_states"] == c.num_states

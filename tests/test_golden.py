@@ -3,8 +3,14 @@
 ``golden_digests.json`` records, for each method and input, the sha256 of the
 text ``nfacomp complement -m <method> --budget 4096`` writes, or the name of
 the exception the command raises.  The corpus is the three witness families
-at n = 1..6 plus 200 seeded random NFAs.  Regenerate the file only when an
-output change is intended and explained:
+at n = 1..6 plus 200 seeded random NFAs.
+
+``golden_postpass_digests.json`` does the same for the post-passes: ``-m
+forward --minimize``, ``-m forward --reduce`` and ``-m reverse --reduce`` on
+that corpus, and the two ``--reduce`` runs also on 100 seeded random port
+NFAs.
+
+Regenerate the files only when an output change is intended and explained:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -24,7 +30,15 @@ from nfacomp.families import FAMILY_KINDS, generate_family
 
 BUDGET = 4096
 SEED = 20250703
+PORT_SEED = 20250704
 DIGESTS = pathlib.Path(__file__).with_name("golden_digests.json")
+POSTPASS_DIGESTS = pathlib.Path(__file__).with_name("golden_postpass_digests.json")
+# (method, post-pass flag, whether the port corpus is run too)
+POSTPASSES = (
+    ("forward", "--minimize", False),
+    ("forward", "--reduce", True),
+    ("reverse", "--reduce", True),
+)
 
 
 def corpus():
@@ -36,7 +50,13 @@ def corpus():
         yield f"random-{i:03d}", helpers.random_nfa(rng, max_states=10, max_syms=2)
 
 
-def outcome(method, a):
+def port_corpus():
+    rng = random.Random(PORT_SEED)
+    for i in range(100):
+        yield f"port-{i:03d}", helpers.random_port_nfa(rng, max_states=8)
+
+
+def outcome(method, a, *flags):
     """sha256 of the complement text the CLI writes, or the exception name.
 
     The command reads ``a`` and writes its output in memory, so that random
@@ -44,7 +64,7 @@ def outcome(method, a):
     """
     written = {}
     args = cli._build_parser().parse_args(
-        ["complement", "-m", method, "--budget", str(BUDGET), "-i", "in", "-o", "out"]
+        ["complement", "-m", method, "--budget", str(BUDGET), *flags, "-i", "in", "-o", "out"]
     )
     with mock.patch.object(cli, "_read_automaton", lambda _path: a), \
             mock.patch.object(cli, "_write_text", written.__setitem__):
@@ -59,15 +79,30 @@ def digests(method):
     return {key: outcome(method, a) for key, a in corpus()}
 
 
-@pytest.mark.parametrize("method", cli.METHODS)
-def test_outputs_match_golden_digests(method):
-    expected = json.loads(DIGESTS.read_text())[method]
-    got = digests(method)
+def postpass_digests(method, flag, ports):
+    inputs = list(corpus()) + (list(port_corpus()) if ports else [])
+    return {key: outcome(method, a, flag) for key, a in inputs}
+
+
+def assert_same(expected, got):
     changed = sorted(k for k in expected if got.get(k) != expected[k])
     assert not changed, f"{len(changed)} outputs changed, first: {changed[:5]}"
     assert got.keys() == expected.keys()
 
 
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_outputs_match_golden_digests(method):
+    assert_same(json.loads(DIGESTS.read_text())[method], digests(method))
+
+
+@pytest.mark.parametrize("method, flag, ports", POSTPASSES)
+def test_postpass_outputs_match_golden_digests(method, flag, ports):
+    expected = json.loads(POSTPASS_DIGESTS.read_text())[f"{method} {flag}"]
+    assert_same(expected, postpass_digests(method, flag, ports))
+
+
 if __name__ == "__main__":
     table = {m: digests(m) for m in cli.METHODS}
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    table = {f"{m} {flag}": postpass_digests(m, flag, ports) for m, flag, ports in POSTPASSES}
+    POSTPASS_DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

@@ -1,3 +1,4 @@
+import random
 from collections import deque
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 
 import helpers
 from conftest import nfas, port_nfas
-from nfacomp import core, powerset, reduction
+from nfacomp import core, fileformat, powerset, reduction
 from nfacomp.families import reverse_friendly
 
 
@@ -124,3 +125,80 @@ def test_simulation_reduce_port_preserves_slices(p):
             assert helpers.brute_language(r.slice(i, j), 4) == helpers.brute_language(
                 p.slice(i, j), 4
             )
+
+
+def random_successor_table(rng, n, nsyms):
+    """A flat successor table; about a fifth of the rows are empty."""
+    p = rng.uniform(0.5, 3.0) / n
+    table = []
+    for _ in range(nsyms * n):
+        row = 0
+        if rng.random() > 0.2:
+            for q in range(n):
+                if rng.random() < p:
+                    row |= 1 << q
+        table.append(row)
+    return table
+
+
+def final_candidates(rng, n):
+    final = sum(1 << q for q in range(n) if rng.random() < 0.3)
+    return [final if (final >> p) & 1 else (1 << n) - 1 for p in range(n)]
+
+
+def exit_candidates(rng, n):
+    exits = [sum(1 << q for q in range(n) if rng.random() < 0.4) for _ in range(rng.randint(1, 3))]
+    candidates = []
+    for p in range(n):
+        cand = (1 << n) - 1
+        for em in exits:
+            if (em >> p) & 1:
+                cand &= em
+        candidates.append(cand)
+    return candidates
+
+
+def test_simulation_masks_match_reference():
+    rng = random.Random(20250706)
+    sizes = [rng.randint(1, 64) for _ in range(50)] + [rng.randint(65, 90) for _ in range(10)]
+    for n in sizes:
+        nsyms = rng.randint(1, 3)
+        succ = random_successor_table(rng, n, nsyms)
+        for candidates in (final_candidates(rng, n), exit_candidates(rng, n)):
+            want = helpers.simulation_masks_reference(n, nsyms, succ, candidates)
+            assert reduction._simulation_masks(n, nsyms, succ, candidates) == want
+
+
+def random_complete_dfa(rng, n):
+    """A complete DFA on n states, in about half the draws a copy of a smaller one.
+
+    A copy maps each state to one of k classes and sends each move to some
+    state of the target's class, so minimization has classes to merge.
+    """
+    nsyms = rng.randint(1, 3)
+    k = rng.randint(1, n) if rng.random() < 0.5 else n
+    cls = [q % k for q in range(n)]
+    rng.shuffle(cls)
+    members = [[q for q in range(n) if cls[q] == c] for c in range(k)]
+    step = [[rng.randrange(k) for _ in range(nsyms)] for _ in range(k)]
+    final_classes = {c for c in range(k) if rng.random() < 0.4}
+    trans = frozenset(
+        (q, sym, rng.choice(members[step[cls[q]][sym]])) for q in range(n) for sym in range(nsyms)
+    )
+    names = [f"s{q}" for q in range(n)] if rng.random() < 0.5 else None
+    return core.Nfa(
+        tuple("abc"[:nsyms]),
+        n,
+        trans,
+        frozenset({rng.randrange(n)}),
+        frozenset(q for q in range(n) if cls[q] in final_classes),
+        state_names=names,
+    )
+
+
+def test_hopcroft_matches_reference():
+    rng = random.Random(20250707)
+    for n in [rng.randint(1, 120) for _ in range(80)]:
+        d = random_complete_dfa(rng, n)
+        want = fileformat.serialize(helpers.hopcroft_minimize_reference(d))
+        assert fileformat.serialize(reduction.hopcroft_minimize(d)) == want
