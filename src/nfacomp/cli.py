@@ -55,26 +55,9 @@ def _write_text(path: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 # complement
 
-def _run_forward(a, budget):
-    if isinstance(a, PortNfa):
-        raw = powerset.port_forward_complement(a, trim=False, budget=budget)
-        return core.trim_port(raw), raw.num_states, {}
-    raw = powerset.forward_complement(a, trim=False, budget=budget)
-    return core.trim(raw), raw.num_states, {}
-
-
-def _run_reverse(a, budget):
-    if isinstance(a, PortNfa):
-        raw = powerset.port_forward_complement(core.reverse_port(a), trim=False, budget=budget)
-        return core.trim_port(core.reverse_port(raw)), raw.num_states, {}
-    raw = powerset.forward_complement(core.reverse(a), trim=False, budget=budget)
-    return core.trim(core.reverse(raw)), raw.num_states, {}
-
-
 def _run_auto(a, budget):
     choice = heuristic.choose_direction(a)
-    runner = _run_reverse if choice.choice is Direction.REVERSE else _run_forward
-    out, pre, _ = runner(a, budget)
+    out, pre = powerset._complement(a, choice.choice, budget)
     return out, pre, {
         "heuristic_scores": {
             "chosen": choice.choice.value,
@@ -106,10 +89,9 @@ def _run_method(method: str, a, budget, strategy: str, rear: str):
     """Returns (output automaton, pre-trim size, report extras)."""
     if isinstance(a, PortNfa) and method not in ("forward", "reverse"):
         raise NfacompError(f"method {method!r} works on plain @NFA inputs only")
-    if method == "forward":
-        return _run_forward(a, budget)
-    if method == "reverse":
-        return _run_reverse(a, budget)
+    if method in ("forward", "reverse"):
+        out, pre = powerset._complement(a, Direction(method), budget)
+        return out, pre, {}
     if method == "auto":
         return _run_auto(a, budget)
     if method == "sequential":

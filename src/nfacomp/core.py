@@ -4,6 +4,12 @@ States are dense integers ``0..num_states-1``; display names live in an
 optional side table.  Transition symbols are stored as indices into the
 ordered ``alphabet`` tuple.  State sets cross into the kernel layer as int
 bitmasks; everything user-facing stays as frozensets of state ids.
+
+A plain NFA is the port NFA with one entry set and one exit set: its
+read-only port view ``entry_sets``/``exit_sets`` is ``(initial,)`` and
+``(final,)``.  Every structural operation (``reverse``, ``union``,
+``induced``, ``trim``, ``product_intersection``) is written once against that
+view; it takes either class and returns an automaton of its input's class.
 """
 
 from __future__ import annotations
@@ -141,6 +147,16 @@ class Nfa:
     def state_name(self, q: int) -> str:
         return self.state_names[q] if self.state_names is not None else str(q)
 
+    @property
+    def entry_sets(self) -> tuple[frozenset[int], ...]:
+        """Port view: the one entry set, I."""
+        return (self.initial,)
+
+    @property
+    def exit_sets(self) -> tuple[frozenset[int], ...]:
+        """Port view: the one exit set, F."""
+        return (self.final,)
+
     def as_port(self) -> "PortNfa":
         """The same automaton with one entry port set (I) and one exit port set (F)."""
         return PortNfa(
@@ -249,27 +265,34 @@ class SccDag:
 # Structural operations
 
 
-def reverse(a: Nfa) -> Nfa:
-    """Flip every transition and swap initial with final states."""
-    return Nfa(
-        a.alphabet,
-        a.num_states,
-        frozenset((dst, sym, src) for (src, sym, dst) in a.transitions),
-        a.final,
-        a.initial,
-        state_names=a.state_names,
-    )
+def _rebuild(a: Automaton, num_states, transitions, entry_sets, exit_sets, state_names, name=None):
+    """An automaton of ``a``'s class over ``a``'s alphabet.
+
+    A plain NFA takes its initial and final states from the one entry set
+    and the one exit set given.
+    """
+    if isinstance(a, Nfa):
+        (initial,), (final,) = entry_sets, exit_sets
+        return Nfa(a.alphabet, num_states, transitions, initial, final, state_names=state_names, name=name)
+    return PortNfa(a.alphabet, num_states, transitions, entry_sets, exit_sets, state_names=state_names, name=name)
 
 
-def reverse_port(a: PortNfa) -> PortNfa:
-    """Flip every transition and swap the entry/exit port-set families."""
-    return PortNfa(
-        a.alphabet,
+def _check_compatible(a: Automaton, b: Automaton, what: str) -> None:
+    if a.alphabet != b.alphabet:
+        raise ValueError(f"{what} requires matching alphabets")
+    if len(a.entry_sets) != len(b.entry_sets) or len(a.exit_sets) != len(b.exit_sets):
+        raise ValueError(f"{what} requires matching port arities")
+
+
+def reverse(a: Automaton) -> Automaton:
+    """Flip every transition and swap the entry and exit sets (I and F)."""
+    return _rebuild(
+        a,
         a.num_states,
         frozenset((dst, sym, src) for (src, sym, dst) in a.transitions),
         a.exit_sets,
         a.entry_sets,
-        state_names=a.state_names,
+        a.state_names,
     )
 
 
@@ -295,39 +318,19 @@ def _uniquify(names) -> tuple[str, ...]:
     return tuple(out)
 
 
-def union(a: Nfa, b: Nfa) -> Nfa:
-    """Disjoint union; b's states are relabeled past a's."""
-    if a.alphabet != b.alphabet:
-        raise ValueError("union requires matching alphabets")
+def union(a: Automaton, b: Automaton) -> Automaton:
+    """Disjoint union, port set by port set; b's states are relabeled past a's."""
+    _check_compatible(a, b, "union")
     off = a.num_states
     trans = set(a.transitions)
     trans.update((src + off, sym, dst + off) for (src, sym, dst) in b.transitions)
-    return Nfa(
-        a.alphabet,
+    return _rebuild(
+        a,
         off + b.num_states,
         frozenset(trans),
-        a.initial | frozenset(q + off for q in b.initial),
-        a.final | frozenset(q + off for q in b.final),
-        state_names=_merged_names(a, b),
-    )
-
-
-def union_port(a: PortNfa, b: PortNfa) -> PortNfa:
-    """Element-wise disjoint union; requires equal entry/exit arities."""
-    if a.alphabet != b.alphabet:
-        raise ValueError("union requires matching alphabets")
-    if a.num_entry != b.num_entry or a.num_exit != b.num_exit:
-        raise ValueError("port union requires matching port arities")
-    off = a.num_states
-    trans = set(a.transitions)
-    trans.update((src + off, sym, dst + off) for (src, sym, dst) in b.transitions)
-    return PortNfa(
-        a.alphabet,
-        off + b.num_states,
-        frozenset(trans),
-        tuple(ea | frozenset(q + off for q in eb) for ea, eb in zip(a.entry_sets, b.entry_sets)),
-        tuple(fa | frozenset(q + off for q in fb) for fa, fb in zip(a.exit_sets, b.exit_sets)),
-        state_names=_merged_names(a, b),
+        [ea | frozenset(q + off for q in eb) for ea, eb in zip(a.entry_sets, b.entry_sets)],
+        [fa | frozenset(q + off for q in fb) for fa, fb in zip(a.exit_sets, b.exit_sets)],
+        _merged_names(a, b),
     )
 
 
@@ -433,62 +436,38 @@ def _both_adjacency(a: Automaton):
     return fwd, bwd
 
 
-def induced(a: Nfa, keep: Iterable[int]) -> Nfa:
-    """Subautomaton on ``keep`` (relabeled densely, order-preserving)."""
+def induced(a: Automaton, keep: Iterable[int]) -> Automaton:
+    """Subautomaton on ``keep`` (relabeled densely, order-preserving).
+
+    Every port set is restricted to ``keep``; the arities stay.
+    """
     keep = sorted(set(keep))
     remap = {q: i for i, q in enumerate(keep)}
-    return Nfa(
-        a.alphabet,
+    return _rebuild(
+        a,
         len(keep),
         frozenset(
             (remap[src], sym, remap[dst])
             for (src, sym, dst) in a.transitions
             if src in remap and dst in remap
         ),
-        frozenset(remap[q] for q in a.initial if q in remap),
-        frozenset(remap[q] for q in a.final if q in remap),
-        state_names=tuple(a.state_name(q) for q in keep) if a.state_names is not None else None,
+        [frozenset(remap[q] for q in s if q in remap) for s in a.entry_sets],
+        [frozenset(remap[q] for q in s if q in remap) for s in a.exit_sets],
+        tuple(a.state_name(q) for q in keep) if a.state_names is not None else None,
         name=a.name,
     )
 
 
-def induced_port(a: PortNfa, keep: Iterable[int]) -> PortNfa:
-    """Subautomaton on ``keep``; every port set is restricted, arity preserved."""
-    keep = sorted(set(keep))
-    remap = {q: i for i, q in enumerate(keep)}
-    return PortNfa(
-        a.alphabet,
-        len(keep),
-        frozenset(
-            (remap[src], sym, remap[dst])
-            for (src, sym, dst) in a.transitions
-            if src in remap and dst in remap
-        ),
-        tuple(frozenset(remap[q] for q in s if q in remap) for s in a.entry_sets),
-        tuple(frozenset(remap[q] for q in s if q in remap) for s in a.exit_sets),
-        state_names=tuple(a.state_name(q) for q in keep) if a.state_names is not None else None,
-        name=a.name,
-    )
+def trim(a: Automaton) -> Automaton:
+    """Drop states unreachable from every entry set or dead for every exit set.
 
-
-def trim(a: Nfa) -> Nfa:
-    """Drop states not on any initial-to-final path; language preserved."""
+    Every slice's language is preserved.
+    """
     fwd, bwd = _both_adjacency(a)
-    keep = _closure(a.initial, fwd) & _closure(a.final, bwd)
+    keep = _closure(frozenset().union(*a.entry_sets), fwd) & _closure(frozenset().union(*a.exit_sets), bwd)
     if len(keep) == a.num_states:
         return a
     return induced(a, keep)
-
-
-def trim_port(a: PortNfa) -> PortNfa:
-    """Drop states unreachable from every entry set or dead for every exit set."""
-    fwd, bwd = _both_adjacency(a)
-    entry_all = frozenset().union(*a.entry_sets)
-    exit_all = frozenset().union(*a.exit_sets)
-    keep = _closure(entry_all, fwd) & _closure(exit_all, bwd)
-    if len(keep) == a.num_states:
-        return a
-    return induced_port(a, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -559,54 +538,13 @@ def is_empty(a: Nfa) -> bool:
     return not (_closure(a.initial, fwd) & a.final)
 
 
-def product_intersection(a: Nfa, b: Nfa) -> Nfa:
-    """Reachable synchronized product; accepts L(a) & L(b)."""
-    if a.alphabet != b.alphabet:
-        raise ValueError("product requires matching alphabets")
-    index: dict[tuple[int, int], int] = {}
-    pairs: list[tuple[int, int]] = []
+def product_intersection(a: Automaton, b: Automaton) -> Automaton:
+    """Reachable synchronized product, port set by port set.
 
-    def intern(pair):
-        i = index.get(pair)
-        if i is None:
-            i = len(pairs)
-            index[pair] = i
-            pairs.append(pair)
-        return i
-
-    for pair in sorted((pa, pb) for pa in a.initial for pb in b.initial):
-        intern(pair)
-    transitions = set()
-    head = 0
-    na, nb = a.num_states, b.num_states
-    while head < len(pairs):
-        pa, pb = pairs[head]
-        cur = head
-        head += 1
-        for sym in range(len(a.alphabet)):
-            ta = a.succ_masks[sym * na + pa]
-            tb = b.succ_masks[sym * nb + pb]
-            if not ta or not tb:
-                continue
-            for qa in _bits(ta):
-                for qb in _bits(tb):
-                    transitions.add((cur, sym, intern((qa, qb))))
-    return Nfa(
-        a.alphabet,
-        len(pairs),
-        frozenset(transitions),
-        frozenset(index[p] for p in index if p[0] in a.initial and p[1] in b.initial),
-        frozenset(i for i, (pa, pb) in enumerate(pairs) if pa in a.final and pb in b.final),
-        state_names=tuple(f"{a.state_name(pa)}|{b.state_name(pb)}" for (pa, pb) in pairs),
-    )
-
-
-def product_intersection_port(a: PortNfa, b: PortNfa) -> PortNfa:
-    """Port-wise synchronized product: slice(i,j) accepts the slice intersection."""
-    if a.alphabet != b.alphabet:
-        raise ValueError("product requires matching alphabets")
-    if a.num_entry != b.num_entry or a.num_exit != b.num_exit:
-        raise ValueError("port product requires matching port arities")
+    Slice (i, j) accepts the intersection of the two slices (i, j); for
+    plain NFAs that is L(a) & L(b).
+    """
+    _check_compatible(a, b, "product")
     index: dict[tuple[int, int], int] = {}
     pairs: list[tuple[int, int]] = []
 
@@ -638,19 +576,19 @@ def product_intersection_port(a: PortNfa, b: PortNfa) -> PortNfa:
             for qa in _bits(ta):
                 for qb in _bits(tb):
                     transitions.add((cur, sym, intern((qa, qb))))
-    return PortNfa(
-        a.alphabet,
+    return _rebuild(
+        a,
         len(pairs),
         frozenset(transitions),
-        tuple(
+        [
             frozenset(i for i, (pa, pb) in enumerate(pairs) if pa in ea and pb in eb)
             for ea, eb in zip(a.entry_sets, b.entry_sets)
-        ),
-        tuple(
+        ],
+        [
             frozenset(i for i, (pa, pb) in enumerate(pairs) if pa in fa and pb in fb)
             for fa, fb in zip(a.exit_sets, b.exit_sets)
-        ),
-        state_names=tuple(f"{a.state_name(pa)}|{b.state_name(pb)}" for (pa, pb) in pairs),
+        ],
+        tuple(f"{a.state_name(pa)}|{b.state_name(pb)}" for (pa, pb) in pairs),
     )
 
 
@@ -658,23 +596,16 @@ def product_intersection_port(a: PortNfa, b: PortNfa) -> PortNfa:
 # Shape predicates
 
 
-def _transitions_deterministic(a: Automaton) -> bool:
+def is_deterministic(a: Automaton) -> bool:
+    """DFA check: single start per entry set, at most one successor per symbol."""
+    if any(len(s) != 1 for s in a.entry_sets):
+        return False
     seen = set()
     for (src, sym, _dst) in a.transitions:
         if (src, sym) in seen:
             return False
         seen.add((src, sym))
     return True
-
-
-def is_deterministic(a: Automaton) -> bool:
-    """DFA check: single start per slice, at most one successor per symbol."""
-    if isinstance(a, PortNfa):
-        if any(len(s) != 1 for s in a.entry_sets):
-            return False
-    elif len(a.initial) != 1:
-        return False
-    return _transitions_deterministic(a)
 
 
 def is_complete(a: Automaton) -> bool:
@@ -684,8 +615,6 @@ def is_complete(a: Automaton) -> bool:
 
 
 def is_reverse_deterministic(a: Automaton) -> bool:
-    if isinstance(a, PortNfa):
-        return is_deterministic(reverse_port(a))
     return is_deterministic(reverse(a))
 
 
@@ -726,8 +655,8 @@ class SequentialPartition:
             port,
             tuple(sorted(fset)),
             tuple(sorted(rset)),
-            induced_port(port, fset),
-            induced_port(port, rset),
+            induced(port, fset),
+            induced(port, rset),
             tuple(sorted(transfer)),
         )
 

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from . import core
 from .core import Nfa, PortNfa, SequentialPartition
 from .errors import BudgetExceededError, NoGatePartitionError
-from .powerset import (
-    forward_complement,
-    port_forward_complement,
-    port_reverse_complement,
-    reverse_complement,
-)
+from .powerset import forward_complement, reverse_complement
 
 
 class GateDirection(enum.Enum):
@@ -149,26 +144,13 @@ def _lift_alphabet_nfa(a: Nfa, full: tuple[str, ...]) -> Nfa:
     )
 
 
-def _smaller_complement(a: Nfa, *, budget: int | None = None) -> Nfa:
+def _smaller_complement(a: core.Automaton, *, budget: int | None = None) -> core.Automaton:
     """Forward and reverse powerset complement; the smaller wins, ties forward."""
     results = []
     failure = None
     for op in (forward_complement, reverse_complement):
         try:
             results.append(op(a, budget=budget))
-        except BudgetExceededError as exc:
-            failure = exc
-    if not results:
-        raise failure
-    return min(results, key=lambda c: c.num_states)
-
-
-def _smaller_port_complement(p: PortNfa, *, budget: int | None = None) -> PortNfa:
-    results = []
-    failure = None
-    for op in (port_forward_complement, port_reverse_complement):
-        try:
-            results.append(op(p, budget=budget))
         except BudgetExceededError as exc:
             failure = exc
     if not results:
@@ -249,7 +231,7 @@ def equal_complement_inputs(
     )
     alphabet = base.source.alphabet
     c1 = _lift_alphabet_port(
-        _smaller_port_complement(_drop_symbols_port(c1_in, p.gamma_ids), budget=budget),
+        _smaller_complement(_drop_symbols_port(c1_in, p.gamma_ids), budget=budget),
         alphabet,
     )
     rear_eq = base.rear_for_equal()
@@ -261,7 +243,7 @@ def equal_complement_inputs(
         rear_eq.exit_sets,
         state_names=rear_eq.state_names,
     )
-    c2 = _smaller_port_complement(c2_in, budget=budget)
+    c2 = _smaller_complement(c2_in, budget=budget)
     return c1, c2
 
 
@@ -277,7 +259,7 @@ def disjoint_complement_input(p: GatePartition, *, budget: int | None = None) ->
         rear_t.exit_sets,
         state_names=rear_t.state_names,
     )
-    return _smaller_port_complement(c2_in, budget=budget)
+    return _smaller_complement(c2_in, budget=budget)
 
 
 def _disjoint_front_complement(p: GatePartition, *, budget: int | None = None) -> PortNfa:
@@ -294,7 +276,7 @@ def _disjoint_front_complement(p: GatePartition, *, budget: int | None = None) -
         state_names=front.state_names,
     )
     return _lift_alphabet_port(
-        _smaller_port_complement(_drop_symbols_port(c1_in, p.gamma_ids), budget=budget),
+        _smaller_complement(_drop_symbols_port(c1_in, p.gamma_ids), budget=budget),
         base.source.alphabet,
     )
 
@@ -369,7 +351,7 @@ def gate_complement_equal_parts(p: GatePartition, c1: PortNfa, c2: PortNfa) -> G
             ["t"] + [c2.state_name(q) for q in range(c2.num_states)]
         ),
     )
-    return GateComplement(c_pre, c_suf, core.union_port(c_pre, c_suf))
+    return GateComplement(c_pre, c_suf, core.union(c_pre, c_suf))
 
 
 def gate_complement_disjoint(p: GatePartition, c2: PortNfa, *, budget: int | None = None) -> PortNfa:
@@ -428,7 +410,7 @@ def gate_complement_disjoint_parts(
             + [c2.state_name(q) for q in range(c2.num_states)]
         ),
     )
-    return GateComplement(c_pre, c_suf, core.union_port(c_pre, c_suf))
+    return GateComplement(c_pre, c_suf, core.union(c_pre, c_suf))
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +429,10 @@ def _reversed_equal_inputs(p: GatePartition, *, budget: int | None = None):
         + base.inner_exit_ports_front,
         state_names=front.state_names,
     )
-    c1 = _smaller_port_complement(c1_in, budget=budget)
+    c1 = _smaller_complement(c1_in, budget=budget)
     rear_eq = base.rear_for_equal()
     c2 = _lift_alphabet_port(
-        _smaller_port_complement(_drop_symbols_port(rear_eq, p.gamma_ids), budget=budget),
+        _smaller_complement(_drop_symbols_port(rear_eq, p.gamma_ids), budget=budget),
         base.source.alphabet,
     )
     return c1, c2
@@ -481,8 +463,8 @@ def gate_complement_modified(p: GatePartition, *, budget: int | None = None) -> 
         left = gate_complement_modified(inner, budget=budget) if (
             p.direction is GateDirection.REAR_CLEAN
         ) else _apply_front_clean(inner, budget=budget)
-        right = _smaller_port_complement(other, budget=budget)
-        return core.product_intersection_port(left, right)
+        right = _smaller_complement(other, budget=budget)
+        return core.product_intersection(left, right)
 
     # RearClean, no outer front exits.
     alphabet = base.source.alphabet
@@ -528,7 +510,7 @@ def gate_complement_modified(p: GatePartition, *, budget: int | None = None) -> 
                 ["t"] + [c2.state_name(q) for q in range(c2.num_states)]
             ),
         )
-        return core.union_port(c_pre, c_suf)
+        return core.union(c_pre, c_suf)
 
     # Disjoint, reversed: raw front inside C_suf, entries I₁ᵢ ∪ Ī₂ᵢ.
     c1_in = PortNfa(
@@ -540,9 +522,9 @@ def gate_complement_modified(p: GatePartition, *, budget: int | None = None) -> 
         + base.inner_exit_ports_front,
         state_names=front.state_names,
     )
-    c1 = _smaller_port_complement(c1_in, budget=budget)
+    c1 = _smaller_complement(c1_in, budget=budget)
     c2 = _lift_alphabet_port(
-        _smaller_port_complement(
+        _smaller_complement(
             _drop_symbols_port(base.rear_for_targets(), p.gamma_ids), budget=budget
         ),
         alphabet,
@@ -583,7 +565,7 @@ def gate_complement_modified(p: GatePartition, *, budget: int | None = None) -> 
             + [c2.state_name(q) for q in range(c2.num_states)]
         ),
     )
-    return core.union_port(c_pre, c_suf)
+    return core.union(c_pre, c_suf)
 
 
 def _strip_outer(base: SequentialPartition, *, entries_to_front: bool) -> SequentialPartition:
@@ -615,7 +597,7 @@ def _front_clean_view(p: GatePartition) -> GatePartition:
     """p itself, or its reversal when p is rear-clean (conditions mirror)."""
     if p.direction is GateDirection.FRONT_CLEAN:
         return p
-    rev = core.reverse_port(p.base.source)
+    rev = core.reverse(p.base.source)
     base = SequentialPartition.of(rev, p.base.rear_states)
     return GatePartition(
         base, p.gate_symbols, GateDirection.FRONT_CLEAN, p.method, p.needs_intersection

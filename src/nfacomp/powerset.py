@@ -1,5 +1,8 @@
 """Forward and reverse powerset complementation, for plain and port NFAs.
 
+Every construction is written once against the port view of ``core``; a
+plain NFA is the port NFA with one entry set and one exit set.
+
 Macrostates are explored breadth-first from the initial set(s) and interned
 in discovery order, so the constructions are byte-for-byte reproducible.
 The empty macrostate appears lazily — on the first missing transition — and
@@ -15,7 +18,7 @@ from itertools import cycle
 
 from . import _kernels, core
 from ._kernels.pure import _byte_keys
-from .core import Nfa, PortNfa
+from .core import Automaton, Nfa, PortNfa
 from .errors import BudgetExceededError
 
 
@@ -32,7 +35,7 @@ class MacrostateDfa:
     ``macrostates`` spells the same sets out as frozensets, built on first use.
     """
 
-    nfa: Nfa
+    nfa: Automaton
     masks: tuple[int, ...]
 
     @cached_property
@@ -84,18 +87,32 @@ def _explore(a, seeds: list[int], budget: int | None):
     return macros, transitions, _macro_names(a, macros)
 
 
-def determinize(a: Nfa, *, budget: int | None = None) -> MacrostateDfa:
+def _port_powerset(a: Automaton, budget: int | None, complement: bool = False):
+    """Powerset construction of ``a`` from each of its entry sets.
+
+    Returns an automaton of ``a``'s class, one start macrostate per entry
+    set over one shared state space, with each macrostate's bitmask of
+    original states.  Macrostate i is in exit set j when it meets the
+    original exit set j, or, with ``complement``, when it does not: that
+    complements every slice.
+    """
+    entry_masks = [core._mask_of(s) for s in a.entry_sets]
+    macros, transitions, names = _explore(a, entry_masks, budget)
+    # The kernel interns the distinct entry masks first, in port order.
+    index: dict[int, int] = {}
+    entry_ids = [index.setdefault(m, len(index)) for m in entry_masks]
+    exit_sets = [
+        frozenset(i for i, m in enumerate(macros) if bool(m & em) != complement)
+        for em in map(core._mask_of, a.exit_sets)
+    ]
+    det = core._rebuild(a, len(macros), transitions, [frozenset({i}) for i in entry_ids], exit_sets, names)
+    return det, macros
+
+
+def determinize(a: Automaton, *, budget: int | None = None) -> MacrostateDfa:
     """Reachable powerset construction; the result is deterministic and complete."""
-    macros, transitions, names = _explore(a, [a.initial_mask], budget)
-    dfa = Nfa(
-        a.alphabet,
-        len(macros),
-        transitions,
-        frozenset({0}),
-        frozenset(i for i, m in enumerate(macros) if m & a.final_mask),
-        state_names=names,
-    )
-    return MacrostateDfa(dfa, tuple(macros))
+    det, macros = _port_powerset(a, budget)
+    return MacrostateDfa(det, tuple(macros))
 
 
 def complement_dfa(d: MacrostateDfa | Nfa) -> Nfa:
@@ -114,41 +131,25 @@ def complement_dfa(d: MacrostateDfa | Nfa) -> Nfa:
     )
 
 
-def forward_complement(a: Nfa, *, trim: bool = True, budget: int | None = None) -> Nfa:
-    """co(det(a)).  Trimming drops dead macrostates (and may break completeness)."""
-    c = complement_dfa(determinize(a, budget=budget))
+def forward_complement(a: Automaton, *, trim: bool = True, budget: int | None = None) -> Automaton:
+    """co(det(a)), every slice complemented.  Trimming drops dead macrostates
+    (and may break completeness)."""
+    c, _ = _port_powerset(a, budget, complement=True)
     return core.trim(c) if trim else c
 
 
-def reverse_complement(a: Nfa, *, budget: int | None = None) -> Nfa:
+def reverse_complement(a: Automaton, *, budget: int | None = None) -> Automaton:
     """rev(co(det(rev(a)))), always trimmed: unreachable sink parts are dropped."""
-    c = forward_complement(core.reverse(a), trim=False, budget=budget)
-    return core.trim(core.reverse(c))
+    return _complement(a, Direction.REVERSE, budget)[0]
 
 
-# ---------------------------------------------------------------------------
-# Port variants
-
-
-def _port_powerset(p: PortNfa, budget: int | None) -> tuple[PortNfa, list[int]]:
-    """Port determinization plus each macrostate's bitmask of original states."""
-    entry_masks = [core._mask_of(s) for s in p.entry_sets]
-    macros, transitions, names = _explore(p, entry_masks, budget)
-    # The kernel interns the distinct entry masks first, in port order.
-    index: dict[int, int] = {}
-    entry_ids = [index.setdefault(m, len(index)) for m in entry_masks]
-    exit_masks = [core._mask_of(s) for s in p.exit_sets]
-    det = PortNfa(
-        p.alphabet,
-        len(macros),
-        transitions,
-        tuple(frozenset({i}) for i in entry_ids),
-        tuple(
-            frozenset(i for i, m in enumerate(macros) if m & em) for em in exit_masks
-        ),
-        state_names=names,
-    )
-    return det, macros
+def _complement(a: Automaton, direction: Direction, budget: int | None) -> tuple[Automaton, int]:
+    """The trimmed powerset complement of ``a`` in ``direction``, and its size before trimming."""
+    if direction is Direction.FORWARD:
+        raw = forward_complement(a, trim=False, budget=budget)
+        return core.trim(raw), raw.num_states
+    raw = forward_complement(core.reverse(a), trim=False, budget=budget)
+    return core.trim(core.reverse(raw)), raw.num_states
 
 
 def port_determinize(p: PortNfa, *, budget: int | None = None) -> PortNfa:
@@ -163,22 +164,5 @@ def port_determinize_mapped(p: PortNfa, *, budget: int | None = None):
     return det, tuple(frozenset(core._bits(m)) for m in macros)
 
 
-def port_forward_complement(p: PortNfa, *, trim: bool = True, budget: int | None = None) -> PortNfa:
-    """Port determinization with every exit set flipped; complements every slice."""
-    det, _ = _port_powerset(p, budget)
-    all_states = frozenset(range(det.num_states))
-    c = PortNfa(
-        det.alphabet,
-        det.num_states,
-        det.transitions,
-        det.entry_sets,
-        tuple(all_states - s for s in det.exit_sets),
-        state_names=det.state_names,
-    )
-    return core.trim_port(c) if trim else c
-
-
-def port_reverse_complement(p: PortNfa, *, budget: int | None = None) -> PortNfa:
-    """Reverse port powerset complementation, always trimmed."""
-    c = port_forward_complement(core.reverse_port(p), trim=False, budget=budget)
-    return core.trim_port(core.reverse_port(c))
+port_forward_complement = forward_complement
+port_reverse_complement = reverse_complement

@@ -284,4 +284,4 @@ def simulation_reduce_port(a: PortNfa) -> PortNfa:
         tuple(exit_sets),
         state_names=names,
     )
-    return core.trim_port(out)
+    return core.trim(out)

@@ -20,14 +20,7 @@ from dataclasses import dataclass
 from . import core
 from .core import Nfa, PortNfa, SequentialPartition
 from .errors import BudgetExceededError
-from .powerset import (
-    Direction,
-    _port_powerset,
-    forward_complement,
-    port_forward_complement,
-    port_reverse_complement,
-    reverse_complement,
-)
+from .powerset import Direction, _complement, _port_powerset, reverse_complement
 from .reduction import simulation_reduce_port
 
 
@@ -292,7 +285,7 @@ def seq_complement_basic(
     )
     part = determinize_front(SequentialPartition.of(combined, range(off)), budget=budget)
     if c2 is None:
-        c2_port = port_reverse_complement(part.rear_for_targets(), budget=budget)
+        c2_port = reverse_complement(part.rear_for_targets(), budget=budget)
     else:
         if c2.alphabet != a1.alphabet:
             raise ValueError("c2 alphabet mismatch")
@@ -451,11 +444,7 @@ def _min_cut_split(a: Nfa, dag: core.SccDag) -> list[set[int]]:
     for i in range(m):
         if i in reachable:
             front |= dag.components[i]
-    rear = set(range(a.num_states)) - front
-    if not front or not rear:  # degenerate flow network; fall back to a topological split
-        front = set(dag.components[0])
-        rear = set(range(a.num_states)) - front
-    return [front, rear]
+    return [front, set(range(a.num_states)) - front]
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +480,10 @@ def _run_pipeline(
     if stats is not None:
         stats["component_sizes"] = [len(c) for c in comps]
     if len(comps) <= 1:
-        if rear_method is Direction.REVERSE:
-            raw = forward_complement(core.reverse(a), trim=False, budget=budget)
-            out = core.trim(core.reverse(raw))
-        else:
-            raw = forward_complement(a, trim=False, budget=budget)
-            out = core.trim(raw)
+        out, pre = _complement(a, rear_method, budget)
         if stats is not None:
-            stats["stage_sizes"] = [raw.num_states]
-            stats["pre_trim"] = raw.num_states
+            stats["stage_sizes"] = [pre]
+            stats["pre_trim"] = pre
         return out
 
     w = a.as_port()
@@ -517,11 +501,7 @@ def _run_pipeline(
         current = {orig: rank[wid] for orig, wid in current.items() if wid in rank}
         w = det_p.rear_for_targets()
 
-    if rear_method is Direction.REVERSE:
-        c_cur = port_reverse_complement(w, budget=budget)
-    else:
-        c_cur = port_forward_complement(w, budget=budget)
-    c_cur = simulation_reduce_port(c_cur)
+    c_cur = simulation_reduce_port(_complement(w, rear_method, budget)[0])
     if stats is not None:
         stats["stage_sizes"] = [c_cur.num_states]
 

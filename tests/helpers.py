@@ -15,8 +15,8 @@ from nfacomp.sequential import SeqComplementState
 LETTERS = "abc"
 
 
-def random_nfa(rng, max_states=8, max_syms=3, force_final=False):
-    n = rng.randint(1, max_states)
+def random_nfa(rng, max_states=8, max_syms=3, force_final=False, min_states=1):
+    n = rng.randint(min_states, max_states)
     k = rng.randint(1, max_syms)
     alphabet = tuple(LETTERS[:k])
     p = rng.uniform(0.5, 2.0) / n

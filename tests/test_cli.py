@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import helpers
 from nfacomp import cli, core, fileformat
@@ -356,7 +362,7 @@ def port_slices_complemented(p, c, max_len=5):
 def test_port_complement_from_the_cli(capsys, tmp_path, method, extra):
     rng = random.Random(20250705)
     src, out_path = tmp_path / "p.nfa", tmp_path / "c.nfa"
-    ports = (core.trim_port(helpers.random_port_nfa(rng, max_states=6)) for _ in range(40))
+    ports = (core.trim(helpers.random_port_nfa(rng, max_states=6)) for _ in range(40))
     for p in [p for p in ports if p.num_states][:12]:  # a file holds no isolated state
         src.write_text(fileformat.serialize(p))
         code, _out, _err = run(capsys, "complement", "-m", method, "-i", str(src), "-o", str(out_path), *extra)
@@ -380,3 +386,93 @@ def test_sequential_strategy_from_the_cli(capsys, tmp_path, strategy):
         c = fileformat.parse(out_path.read_text())
         assert helpers.brute_complement_ok(a, c, 6)
         assert json.loads(stats_path.read_text())["output_states"] == c.num_states
+
+
+def test_sequential_on_one_component_is_the_forward_complement(capsys, tmp_path):
+    # 0 -a-> 1, 1 -a,b-> 1, 1 -a-> 0: one strongly connected component.  Its
+    # forward complement has 4 macrostates, and trimming drops the two that
+    # contain 1, from which every word is accepted.
+    a = core.Nfa.build(("a", "b"), 2, [(0, "a", 1), (1, "a", 1), (1, "b", 1), (1, "a", 0)], {0}, {1}, name="one")
+    assert len(core.scc_condensation(a).components) == 1
+    src, stats_path = tmp_path / "in.nfa", tmp_path / "s.json"
+    src.write_text(fileformat.serialize(a))
+    code, forward, _ = run(capsys, "complement", "-m", "forward", "-i", str(src))
+    assert code == 0
+    code, seq, _ = run(
+        capsys, "complement", "-m", "sequential", "--strategy", "det", "--rear", "forward",
+        "-i", str(src), "--stats", str(stats_path),
+    )
+    assert code == 0 and seq == forward
+    doc = json.loads(stats_path.read_text())
+    assert doc["output_states_pre_trim"] == doc["partition_summary"]["stage_sizes"][0] == 4
+    assert doc["output_states"] == fileformat.parse(seq).num_states == 2
+
+
+_SOURCES = tuple(
+    fileformat.serialize(a)
+    for a in (
+        reverse_friendly(2), sequential_chain(2), gate_chain(1),
+        *(helpers.random_port_nfa(random.Random(seed), max_states=5) for seed in range(3)),
+    )
+)
+# Inserted pieces are short, and digits come one at a time, so that no run of
+# edits can write a port index large enough to matter.  The whole lines keep
+# many mutants parseable, so that they reach the constructions.
+_PIECES = (
+    " ", "#", "a", "x", "0", "-", "@NFA", "%Alphabet", "%Bogus", "é", "\x00",
+    "\n0 a 1", "\n1 b 0", "\nx c x", "\n%Initial 1", "\n%Final", "\n%Entry 1 0", "\n%Exit 2", "\n%Exit 0",
+)
+_edits = st.lists(
+    st.tuples(st.sampled_from(("insert", "delete", "drop_line", "dup_line")), st.integers(0, 10**6),
+              st.sampled_from(_PIECES)),
+    max_size=4,
+)
+
+
+def _mutate(text: str, edits) -> str:
+    for op, pos, piece in edits:
+        lines = text.split("\n")
+        i, k = pos % (len(text) + 1), pos % len(lines)
+        if op == "insert":
+            text = text[:i] + piece + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[i + len(piece):]
+        elif op == "drop_line":
+            text = "\n".join(lines[:k] + lines[k + 1:])
+        else:
+            text = "\n".join(lines[:k + 1] + lines[k:])
+    return text
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    a_text=st.sampled_from(_SOURCES), a_edits=_edits,
+    b_text=st.sampled_from(_SOURCES), b_edits=_edits,
+    method=st.sampled_from(cli.METHODS), post=st.sampled_from(((), ("--minimize",), ("--reduce",))),
+    budget=st.sampled_from(("0", "64", "4096")), relation=st.sampled_from(("equiv", "incl", "disjoint")),
+    family=st.sampled_from(("reverse", "sequential", "gate", "bogus")), n=st.integers(-2, 4),
+)
+def test_mutated_files_never_give_a_traceback(a_text, a_edits, b_text, b_edits, method, post, budget,
+                                              relation, family, n):
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b, out = (os.path.join(tmp, name) for name in ("a.nfa", "b.nfa", "out.nfa"))
+        with open(a, "w", encoding="utf-8") as fh:
+            fh.write(_mutate(a_text, a_edits))
+        with open(b, "w", encoding="utf-8") as fh:
+            fh.write(_mutate(b_text, b_edits))
+        commands = (
+            ["complement", "-m", method, *post, "--budget", budget, "-i", a, "-o", out],
+            ["check", "--relation", relation, "-a", a, "-b", b, "--budget", budget],
+            ["oracle", "-a", a, "-c", b, "--max-len", "3"],
+            ["stats", "-i", a],
+            ["generate", "-f", family, "-n", str(n), "-o", out],
+        )
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse rejects the command line
+                    code = exc.code
+            assert code in (0, 1, 2, 3, 4), (argv, code)
+            assert "Traceback" not in err.getvalue(), argv

@@ -1,10 +1,14 @@
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 import helpers
 from conftest import nfa_pairs, nfas, port_nfas
-from nfacomp import core
+from nfacomp import core, powerset
+from nfacomp.errors import BudgetExceededError
 from nfacomp.families import reverse_friendly
 
 
@@ -149,12 +153,79 @@ def test_slice_and_induced():
 
 @given(port_nfas())
 def test_union_port_slicewise(p):
-    q = core.union_port(p, p)
+    q = core.union(p, p)
     for i in range(p.num_entry):
         for j in range(p.num_exit):
             assert helpers.brute_language(q.slice(i, j), 4) == helpers.brute_language(
                 p.slice(i, j), 4
             )
+
+
+def _both(op):
+    return op, op
+
+
+PLAIN_AND_PORT_OPERATIONS = {
+    "reverse": _both(lambda a, b: core.reverse(a)),
+    "union": _both(core.union),
+    "induced": _both(lambda a, b: core.induced(a, range(0, a.num_states, 2))),
+    "trim": _both(lambda a, b: core.trim(a)),
+    "product_intersection": _both(core.product_intersection),
+    "determinize": (
+        lambda a, b: powerset.determinize(a, budget=2048).nfa,
+        lambda a, b: powerset.port_determinize(a, budget=2048),
+    ),
+    "forward_complement": (
+        lambda a, b: powerset.forward_complement(a, budget=2048),
+        lambda a, b: powerset.port_forward_complement(a, budget=2048),
+    ),
+    "reverse_complement": (
+        lambda a, b: powerset.reverse_complement(a, budget=2048),
+        lambda a, b: powerset.port_reverse_complement(a, budget=2048),
+    ),
+}
+
+
+def _outcome(op, a, b):
+    try:
+        return op(a, b)
+    except BudgetExceededError:
+        return "budget"
+
+
+@pytest.mark.parametrize("name", PLAIN_AND_PORT_OPERATIONS)
+def test_plain_operation_is_the_1x1_port_operation(name):
+    # Each operation is written once against the port view; on a plain NFA it
+    # must return a plain NFA equal to slice (0, 0) of its result on the 1x1
+    # port NFA, state names included.
+    plain_op, port_op = PLAIN_AND_PORT_OPERATIONS[name]
+    rng = random.Random(20251018)
+    for k in range(40):
+        a = helpers.random_nfa(rng, max_states=90 if k % 5 == 0 else 10, min_states=65 if k % 5 == 0 else 1)
+        a = dataclasses.replace(a, state_names=[f"s{q}x" for q in range(a.num_states)], name="A")
+        # b's symbol indices stay below its own alphabet size, so a's alphabet fits it.
+        b = dataclasses.replace(helpers.random_nfa(rng, max_states=10, max_syms=len(a.alphabet)), alphabet=a.alphabet)
+        if k % 2:
+            b = dataclasses.replace(b, state_names=[f"t{q}" for q in range(b.num_states)])
+        got = _outcome(plain_op, a, b)
+        via_port = _outcome(port_op, a.as_port(), b.as_port())
+        if got == "budget" or via_port == "budget":
+            assert got == via_port, (name, k)
+            continue
+        assert type(got) is core.Nfa and type(via_port) is core.PortNfa, (name, k)
+        assert (len(via_port.entry_sets), len(via_port.exit_sets)) == (1, 1), (name, k)
+        assert got == via_port.slice(0, 0), (name, k)
+        assert got.name == via_port.name, (name, k)
+
+
+def test_binary_operations_reject_mismatched_inputs():
+    a = core.Nfa.build(("a",), 1, [], {0}, {0})
+    p = core.PortNfa.build(("a",), 1, [], [{0}, {0}], [{0}])
+    for op in (core.union, core.product_intersection):
+        with pytest.raises(ValueError, match="alphabets"):
+            op(a, core.Nfa.build(("b",), 1, [], {0}, {0}))
+        with pytest.raises(ValueError, match="arities"):
+            op(a.as_port(), p)
 
 
 def test_sequential_partition_of():

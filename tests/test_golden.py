@@ -8,7 +8,8 @@ at n = 1..6 plus 200 seeded random NFAs.
 ``golden_postpass_digests.json`` does the same for the post-passes: ``-m
 forward --minimize``, ``-m forward --reduce`` and ``-m reverse --reduce`` on
 that corpus, and the two ``--reduce`` runs also on 100 seeded random port
-NFAs.
+NFAs.  ``golden_port_digests.json`` holds plain ``-m forward`` and ``-m
+reverse`` on those port NFAs.
 
 Regenerate the files only when an output change is intended and explained:
 
@@ -33,6 +34,8 @@ SEED = 20250703
 PORT_SEED = 20250704
 DIGESTS = pathlib.Path(__file__).with_name("golden_digests.json")
 POSTPASS_DIGESTS = pathlib.Path(__file__).with_name("golden_postpass_digests.json")
+PORT_DIGESTS = pathlib.Path(__file__).with_name("golden_port_digests.json")
+PORT_METHODS = ("forward", "reverse")
 # (method, post-pass flag, whether the port corpus is run too)
 POSTPASSES = (
     ("forward", "--minimize", False),
@@ -84,6 +87,10 @@ def postpass_digests(method, flag, ports):
     return {key: outcome(method, a, flag) for key, a in inputs}
 
 
+def port_digests(method):
+    return {key: outcome(method, a) for key, a in port_corpus()}
+
+
 def assert_same(expected, got):
     changed = sorted(k for k in expected if got.get(k) != expected[k])
     assert not changed, f"{len(changed)} outputs changed, first: {changed[:5]}"
@@ -101,8 +108,15 @@ def test_postpass_outputs_match_golden_digests(method, flag, ports):
     assert_same(expected, postpass_digests(method, flag, ports))
 
 
+@pytest.mark.parametrize("method", PORT_METHODS)
+def test_port_outputs_match_golden_digests(method):
+    assert_same(json.loads(PORT_DIGESTS.read_text())[method], port_digests(method))
+
+
 if __name__ == "__main__":
     table = {m: digests(m) for m in cli.METHODS}
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     table = {f"{m} {flag}": postpass_digests(m, flag, ports) for m, flag, ports in POSTPASSES}
     POSTPASS_DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    table = {m: port_digests(m) for m in PORT_METHODS}
+    PORT_DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
