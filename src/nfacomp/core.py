@@ -705,18 +705,6 @@ class SequentialPartition:
         ri = self.rear_index
         return tuple(frozenset({ri[p]}) for p in self.gate_targets)
 
-    def front_for_gate(self) -> PortNfa:
-        """Front with the inner exit ports appended after the outer ones."""
-        f = self.front
-        return PortNfa(
-            f.alphabet,
-            f.num_states,
-            f.transitions,
-            f.entry_sets,
-            f.exit_sets + self.inner_exit_ports_front,
-            state_names=f.state_names,
-        )
-
     def rear_for_targets(self) -> PortNfa:
         """Rear with one singleton inner entry port per gate target."""
         r = self.rear

@@ -177,8 +177,10 @@ def parse(text: Union[str, bytes]) -> Union[Nfa, PortNfa]:
         if not table:
             raise ParseError(f"port automaton needs at least one {label} line", 1, 1)
         top = max(table)
-        if set(table) != set(range(top + 1)):
-            missing = min(set(range(top + 1)) - set(table))
+        # Distinct nonnegative keys are contiguous iff the largest is len - 1;
+        # otherwise some index below len(table) is missing.
+        if top != len(table) - 1:
+            missing = next(i for i in range(len(table)) if i not in table)
             raise ParseError(
                 f"{label} indices must be contiguous from 0 (missing {missing})",
                 port_lines[(label, top)],

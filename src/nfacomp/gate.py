@@ -1,10 +1,25 @@
 """Gate complementation.
 
 A gate partition is a sequential split whose transfer symbols Γ are absent
-from one side.  The complement is then a union of two halves: C_pre catches
-words whose prefix cannot reach a gate (funnelled into a fresh sink s), and
-C_suf catches words whose suffix avoids the rear component (dispatched from a
-fresh state t, or straight out of the raw front for the Disjoint method).
+from one side, the clean side.  The complement is the union of two halves,
+built from a complement c1 of the front and a complement c2 of the rear; the
+clean side is complemented over Σ∖Γ and lifted back, the other over Σ.
+
+- C_pre = c1 + s catches the words whose prefix fails the front: c1's gate
+  exits enter a fresh sink s on their Γ symbol.
+- C_suf = head + c2 catches the words whose suffix fails the rear: the head
+  enters c2 on a gate symbol.  For the Equal method the head is a fresh
+  dispatcher t, and c2 has one gate entry port per gate symbol; for the
+  Disjoint method it is the raw front, and c2 has one per gate target.
+
+The direction decides which side is clean, and with it three things.
+Front-clean, s loops on Σ and t on Σ∖Γ, c2 carries no outer entry ports,
+and t is in every exit set the front leaves empty.  Rear-clean swaps the two
+loops (the gate is then the last Γ symbol of the word), c2 keeps its outer
+entries, which join C_suf's entry sets, and t is in no exit set.  When the
+offending outer ports exist (rear entries for front-clean, front exits for
+rear-clean), the complement without them is intersected with a complement of
+the component that holds them.
 
 The constructions need a side condition to be sound; ``check_equal`` and
 ``check_disjoint`` decide the two published variants, ``find_gate_partitions``
@@ -14,9 +29,9 @@ is the end-to-end driver the CLI uses.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import itertools
-from dataclasses import dataclass
 
 from . import core
 from .core import Nfa, PortNfa, SequentialPartition
@@ -34,7 +49,7 @@ class GateMethod(enum.Enum):
     DISJOINT = "disjoint"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class GatePartition:
     """A sequential split qualified for gate complementation."""
 
@@ -63,15 +78,6 @@ class GatePartition:
         return frozenset(self.base.source.symbol_ids[s] for s in self.gate_symbols)
 
 
-@dataclass(frozen=True)
-class GateComplement:
-    """The two halves of a gate complement and their port union."""
-
-    c_pre: PortNfa
-    c_suf: PortNfa
-    combined: PortNfa
-
-
 def _internal_symbols(p: PortNfa) -> set[int]:
     return {sym for (_src, sym, _dst) in p.transitions}
 
@@ -80,68 +86,35 @@ def _internal_symbols(p: PortNfa) -> set[int]:
 # Alphabet plumbing
 
 
-def _drop_symbols_port(p: PortNfa, gamma_ids: frozenset[int]) -> PortNfa:
-    keep = [k for k in range(len(p.alphabet)) if k not in gamma_ids]
+def _drop_symbols(a: core.Automaton, gamma_ids: frozenset[int]) -> core.Automaton:
+    """``a`` over its alphabet without the gate symbols, which it must not use."""
+    keep = [k for k in range(len(a.alphabet)) if k not in gamma_ids]
     if not keep:
         raise ValueError("cannot complement over an empty alphabet")
     remap = {old: new for new, old in enumerate(keep)}
     trans = set()
-    for (src, sym, dst) in p.transitions:
+    for (src, sym, dst) in a.transitions:
         if sym in gamma_ids:
-            raise ValueError("component still carries a gate symbol")
+            raise ValueError(f"component still carries the gate symbol {a.alphabet[sym]!r}")
         trans.add((src, remap[sym], dst))
-    return PortNfa(
-        tuple(p.alphabet[k] for k in keep),
-        p.num_states,
-        frozenset(trans),
-        p.entry_sets,
-        p.exit_sets,
-        state_names=p.state_names,
+    return dataclasses.replace(
+        a, alphabet=tuple(a.alphabet[k] for k in keep), transitions=frozenset(trans)
     )
 
 
-def _lift_alphabet_port(p: PortNfa, full: tuple[str, ...]) -> PortNfa:
+def _lift_alphabet(a: core.Automaton, full: tuple[str, ...]) -> core.Automaton:
+    """``a`` over the larger alphabet ``full``, with no transition on the new symbols."""
     pos = {s: i for i, s in enumerate(full)}
-    remap = {k: pos[s] for k, s in enumerate(p.alphabet)}
-    return PortNfa(
-        full,
-        p.num_states,
-        frozenset((src, remap[sym], dst) for (src, sym, dst) in p.transitions),
-        p.entry_sets,
-        p.exit_sets,
-        state_names=p.state_names,
+    remap = [pos[s] for s in a.alphabet]
+    return dataclasses.replace(
+        a,
+        alphabet=full,
+        transitions=frozenset((src, remap[sym], dst) for (src, sym, dst) in a.transitions),
     )
 
 
 def _drop_symbol_nfa(a: Nfa, c: str) -> Nfa:
-    keep = [s for s in a.alphabet if s != c]
-    if not keep:
-        raise ValueError("cannot complement over an empty alphabet")
-    cid = a.symbol_ids[c]
-    if any(sym == cid for (_src, sym, _dst) in a.transitions):
-        raise ValueError(f"component still carries the gate symbol {c!r}")
-    remap = {a.symbol_ids[s]: i for i, s in enumerate(keep)}
-    return Nfa(
-        tuple(keep),
-        a.num_states,
-        frozenset((src, remap[sym], dst) for (src, sym, dst) in a.transitions),
-        a.initial,
-        a.final,
-        state_names=a.state_names,
-    )
-
-
-def _lift_alphabet_nfa(a: Nfa, full: tuple[str, ...]) -> Nfa:
-    pos = {s: i for i, s in enumerate(full)}
-    remap = {k: pos[s] for k, s in enumerate(a.alphabet)}
-    return Nfa(
-        full,
-        a.num_states,
-        frozenset((src, remap[sym], dst) for (src, sym, dst) in a.transitions),
-        a.initial,
-        a.final,
-        state_names=a.state_names,
-    )
+    return _drop_symbols(a, frozenset({a.symbol_ids[c]}))
 
 
 def _smaller_complement(a: core.Automaton, *, budget: int | None = None) -> core.Automaton:
@@ -156,6 +129,75 @@ def _smaller_complement(a: core.Automaton, *, budget: int | None = None) -> core
     if not results:
         raise failure
     return min(results, key=lambda c: c.num_states)
+
+
+def _clean_complement(a: core.Automaton, gamma_ids: frozenset[int], *, budget: int | None):
+    """The complement of a clean side over Σ∖Γ, lifted back to Σ."""
+    c = _smaller_complement(_drop_symbols(a, gamma_ids), budget=budget)
+    return _lift_alphabet(c, a.alphabet)
+
+
+# ---------------------------------------------------------------------------
+# The two halves
+
+
+def _sink_half(c1, gamma: list[int], carried: tuple[int, ...], num_exit: int, loops):
+    """C_pre: c1 plus a sink s.
+
+    c1's exit ports are the outer exits listed in ``carried``, then one per
+    gate symbol in ``gamma``; each of those enters s on its symbol.  s loops
+    on ``loops`` and lies in all ``num_exit`` exit sets.
+    """
+    s = c1.num_states
+    trans = set(c1.transitions)
+    for k, cid in enumerate(gamma):
+        trans.update((q, cid, s) for q in c1.exit_sets[len(carried) + k])
+    trans.update((s, sym, s) for sym in loops)
+    exit_of = dict(zip(carried, c1.exit_sets))
+    return core._rebuild(
+        c1,
+        s + 1,
+        frozenset(trans),
+        c1.entry_sets,
+        [exit_of.get(j, frozenset()) | {s} for j in range(num_exit)],
+        core._uniquify([c1.state_name(q) for q in range(s)] + ["s"]),
+    )
+
+
+def _suffix_half(head, c2, dispatch, gate_start: int = 0):
+    """C_suf: the head's states, then c2's.
+
+    Each (x, sym, k) of ``dispatch`` leads from head state x on sym into c2's
+    entry port ``gate_start + k``.  c2's entry ports before ``gate_start`` are
+    outer entries and join the head's entry sets of the same index.
+    """
+    h = head.num_states
+    trans = set(head.transitions)
+    trans.update((src + h, sym, dst + h) for (src, sym, dst) in c2.transitions)
+    for (x, sym, k) in dispatch:
+        trans.update((x, sym, q + h) for q in c2.entry_sets[gate_start + k])
+
+    def shifted(states):
+        return frozenset(q + h for q in states)
+
+    entries = [e | shifted(c2.entry_sets[i]) if i < gate_start else e
+               for i, e in enumerate(head.entry_sets)]
+    names = [head.state_name(q) for q in range(h)] + [c2.state_name(q) for q in range(c2.num_states)]
+    return core._rebuild(
+        c2,
+        h + c2.num_states,
+        frozenset(trans),
+        entries,
+        [e | shifted(f) for e, f in zip(head.exit_sets, c2.exit_sets)],
+        core._uniquify(names),
+    )
+
+
+def _dispatcher(like, loops, entry_sets, exit_sets):
+    """The one-state head t of ``like``'s class, looping on ``loops``."""
+    return core._rebuild(
+        like, 1, frozenset((0, sym, 0) for sym in loops), entry_sets, exit_sets, ("t",)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -173,419 +215,111 @@ def gate_complement_basic(a1: Nfa, a2: Nfa, c: str, *, budget: int | None = None
     if c not in a1.symbol_ids:
         raise ValueError(f"symbol {c!r} not in the alphabet")
     cid = a1.symbol_ids[c]
-    c1 = _lift_alphabet_nfa(
-        _smaller_complement(_drop_symbol_nfa(a1, c), budget=budget), a1.alphabet
-    )
+    c1 = _clean_complement(a1, frozenset({cid}), budget=budget)
     c2 = _smaller_complement(a2, budget=budget)
-    n1 = c1.num_states
-    s = n1
-    t = n1 + 1
-    off = n1 + 2
-    trans = set(c1.transitions)
-    trans.update((qf, cid, s) for qf in c1.final)
-    trans.update((s, sym, s) for sym in range(len(a1.alphabet)))
-    trans.update((t, sym, t) for sym in range(len(a1.alphabet)) if sym != cid)
-    trans.update((t, cid, q + off) for q in c2.initial)
-    trans.update((src + off, sym, dst + off) for (src, sym, dst) in c2.transitions)
-    names = core._uniquify(
-        [c1.state_name(q) for q in range(n1)]
-        + ["s", "t"]
-        + [c2.state_name(q) for q in range(c2.num_states)]
-    )
-    return Nfa(
-        a1.alphabet,
-        off + c2.num_states,
-        frozenset(trans),
-        c1.initial | {t},
-        frozenset({s, t}) | frozenset(q + off for q in c2.final),
-        state_names=names,
-    )
+    syms = range(len(a1.alphabet))
+    c_pre = _sink_half(c1, [cid], (), 1, syms)
+    t = _dispatcher(c2, [sym for sym in syms if sym != cid], [{0}], [{0}])
+    return core.union(c_pre, _suffix_half(t, c2, [(0, cid, 0)]))
 
 
 # ---------------------------------------------------------------------------
-# Component complements for the generalized constructions
+# Generalized constructions
 
 
-def equal_complement_inputs(
-    p: GatePartition, *, budget: int | None = None
+def _carried_exits(p: GatePartition) -> tuple[int, ...]:
+    """The outer exit ports c1 carries.
+
+    An empty outer exit is caught by s and t instead, which keeps the
+    complement trimmable; front-clean Disjoint has no t, so there c1
+    carries every outer exit.
+    """
+    front = p.base.front
+    if p.direction is GateDirection.FRONT_CLEAN and p.method is GateMethod.DISJOINT:
+        return tuple(range(front.num_exit))
+    return tuple(j for j in range(front.num_exit) if front.exit_sets[j])
+
+
+def _component_complements(
+    p: GatePartition, carried: tuple[int, ...], *, budget: int | None = None
 ) -> tuple[PortNfa, PortNfa]:
-    """(c1, c2) for gate_complement_equal: front over Σ∖Γ, rear over Σ.
+    """(c1, c2): port complements of the front and of the rear.
 
-    c1 carries the outer entry ports, the nonempty outer exit ports, and one
-    inner exit port per gate symbol; empty outer exits are covered by s and t
-    instead, which keeps the complement trimmable.  c2 carries one inner
-    entry port per gate symbol and every outer exit port.
+    c1's exit ports are the ``carried`` outer exits, then one per gate symbol
+    holding that symbol's gate sources.  c2's entry ports are one per gate
+    symbol (Equal) or per gate target (Disjoint), after the rear's outer
+    entries, which front-clean drops.  The clean side is complemented over
+    Σ∖Γ, the other over Σ.
     """
     base = p.base
     front = base.front
-    entries = front.entry_sets
-    kept_exits = [j for j in range(front.num_exit) if front.exit_sets[j]]
-    inner = base.inner_exit_ports_front
-    c1_in = PortNfa(
-        front.alphabet,
-        front.num_states,
-        front.transitions,
-        entries,
-        tuple(front.exit_sets[j] for j in kept_exits) + inner,
-        state_names=front.state_names,
+    c1_in = dataclasses.replace(
+        front,
+        exit_sets=tuple(front.exit_sets[j] for j in carried) + base.inner_exit_ports_front,
     )
-    alphabet = base.source.alphabet
-    c1 = _lift_alphabet_port(
-        _smaller_complement(_drop_symbols_port(c1_in, p.gamma_ids), budget=budget),
-        alphabet,
-    )
-    rear_eq = base.rear_for_equal()
-    c2_in = PortNfa(
-        rear_eq.alphabet,
-        rear_eq.num_states,
-        rear_eq.transitions,
-        rear_eq.entry_sets[base.rear.num_entry :],
-        rear_eq.exit_sets,
-        state_names=rear_eq.state_names,
-    )
-    c2 = _smaller_complement(c2_in, budget=budget)
-    return c1, c2
-
-
-def disjoint_complement_input(p: GatePartition, *, budget: int | None = None) -> PortNfa:
-    """c2 for gate_complement_disjoint: rear over Σ, singleton inner entries."""
-    base = p.base
-    rear_t = base.rear_for_targets()
-    c2_in = PortNfa(
-        rear_t.alphabet,
-        rear_t.num_states,
-        rear_t.transitions,
-        rear_t.entry_sets[base.rear.num_entry :],
-        rear_t.exit_sets,
-        state_names=rear_t.state_names,
-    )
-    return _smaller_complement(c2_in, budget=budget)
-
-
-def _disjoint_front_complement(p: GatePartition, *, budget: int | None = None) -> PortNfa:
-    # Without t, the ∅-exit slices must be caught by c1 itself, so every
-    # outer exit port is carried through the complement here.
-    base = p.base
-    front = base.front
-    c1_in = PortNfa(
-        front.alphabet,
-        front.num_states,
-        front.transitions,
-        front.entry_sets,
-        front.exit_sets + base.inner_exit_ports_front,
-        state_names=front.state_names,
-    )
-    return _lift_alphabet_port(
-        _smaller_complement(_drop_symbols_port(c1_in, p.gamma_ids), budget=budget),
-        base.source.alphabet,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Generalized constructions (FrontClean)
-
-
-def _sorted_gamma(p: GatePartition) -> list[int]:
-    return sorted(p.gamma_ids)
-
-
-def gate_complement_equal(p: GatePartition, c1: PortNfa, c2: PortNfa) -> PortNfa:
-    return gate_complement_equal_parts(p, c1, c2).combined
-
-
-def gate_complement_equal_parts(p: GatePartition, c1: PortNfa, c2: PortNfa) -> GateComplement:
-    """Union of C_pre = c1 + s and C_suf = t + c2 for an equal gate partition.
-
-    c1/c2 must be the port complements described by equal_complement_inputs.
-    """
-    if p.direction is not GateDirection.FRONT_CLEAN or p.needs_intersection:
-        raise ValueError("construction applies to front-clean partitions without outer rear entries")
-    base = p.base
-    alphabet = base.source.alphabet
-    nsyms = len(alphabet)
-    gamma = _sorted_gamma(p)
-    front = base.front
-    kept_exits = [j for j in range(front.num_exit) if front.exit_sets[j]]
-    if c1.num_entry != front.num_entry or c1.num_exit != len(kept_exits) + len(gamma):
-        raise ValueError("c1 ports do not line up with the partition")
-    if c2.num_entry != len(gamma) or c2.num_exit != base.rear.num_exit:
-        raise ValueError("c2 ports do not line up with the partition")
-
-    # C_pre: c1 plus the sink s.
-    s = c1.num_states
-    pre_trans = set(c1.transitions)
-    for k, cid in enumerate(gamma):
-        pre_trans.update((q, cid, s) for q in c1.exit_sets[len(kept_exits) + k])
-    pre_trans.update((s, sym, s) for sym in range(nsyms))
-    exit_of = {j: pos for pos, j in enumerate(kept_exits)}
-    pre_exits = tuple(
-        (c1.exit_sets[exit_of[j]] if j in exit_of else frozenset()) | {s}
-        for j in range(front.num_exit)
-    )
-    c_pre = PortNfa(
-        alphabet,
-        s + 1,
-        frozenset(pre_trans),
-        c1.entry_sets,
-        pre_exits,
-        state_names=core._uniquify([c1.state_name(q) for q in range(s)] + ["s"]),
-    )
-
-    # C_suf: the dispatcher t plus c2.
-    suf_trans = set((src + 1, sym, dst + 1) for (src, sym, dst) in c2.transitions)
-    suf_trans.update((0, sym, 0) for sym in range(nsyms) if sym not in p.gamma_ids)
-    for k, cid in enumerate(gamma):
-        suf_trans.update((0, cid, q + 1) for q in c2.entry_sets[k])
-    suf_exits = tuple(
-        frozenset(q + 1 for q in c2.exit_sets[j])
-        | (frozenset({0}) if not front.exit_sets[j] else frozenset())
-        for j in range(base.rear.num_exit)
-    )
-    c_suf = PortNfa(
-        alphabet,
-        c2.num_states + 1,
-        frozenset(suf_trans),
-        (frozenset({0}),) * front.num_entry,
-        suf_exits,
-        state_names=core._uniquify(
-            ["t"] + [c2.state_name(q) for q in range(c2.num_states)]
-        ),
-    )
-    return GateComplement(c_pre, c_suf, core.union(c_pre, c_suf))
-
-
-def gate_complement_disjoint(p: GatePartition, c2: PortNfa, *, budget: int | None = None) -> PortNfa:
-    return gate_complement_disjoint_parts(p, c2, budget=budget).combined
-
-
-def gate_complement_disjoint_parts(
-    p: GatePartition, c2: PortNfa, *, budget: int | None = None
-) -> GateComplement:
-    """C_pre as for Equal; C_suf embeds the raw front with gates redirected to c2.
-
-    c2 must be the complement from disjoint_complement_input (one singleton
-    inner entry port per gate target).
-    """
-    if p.direction is not GateDirection.FRONT_CLEAN or p.needs_intersection:
-        raise ValueError("construction applies to front-clean partitions without outer rear entries")
-    base = p.base
-    alphabet = base.source.alphabet
-    nsyms = len(alphabet)
-    gamma = _sorted_gamma(p)
-    front = base.front
-    targets = base.gate_targets
-    if c2.num_entry != len(targets) or c2.num_exit != base.rear.num_exit:
-        raise ValueError("c2 ports do not line up with the partition")
-
-    c1 = _disjoint_front_complement(p, budget=budget)
-    s = c1.num_states
-    pre_trans = set(c1.transitions)
-    for k, cid in enumerate(gamma):
-        pre_trans.update((q, cid, s) for q in c1.exit_sets[front.num_exit + k])
-    pre_trans.update((s, sym, s) for sym in range(nsyms))
-    c_pre = PortNfa(
-        alphabet,
-        s + 1,
-        frozenset(pre_trans),
-        c1.entry_sets,
-        tuple(c1.exit_sets[j] | {s} for j in range(front.num_exit)),
-        state_names=core._uniquify([c1.state_name(q) for q in range(s)] + ["s"]),
-    )
-
-    nf = front.num_states
-    target_port = {t: k for k, t in enumerate(targets)}
-    suf_trans = set(front.transitions)
-    suf_trans.update((src + nf, sym, dst + nf) for (src, sym, dst) in c2.transitions)
-    for (x, sym, t) in base.transfer:
-        xl = base.front_index[x]
-        suf_trans.update((xl, sym, q + nf) for q in c2.entry_sets[target_port[t]])
-    c_suf = PortNfa(
-        alphabet,
-        nf + c2.num_states,
-        frozenset(suf_trans),
-        front.entry_sets,
-        tuple(frozenset(q + nf for q in c2.exit_sets[j]) for j in range(base.rear.num_exit)),
-        state_names=core._uniquify(
-            [front.state_name(q) for q in range(nf)]
-            + [c2.state_name(q) for q in range(c2.num_states)]
-        ),
-    )
-    return GateComplement(c_pre, c_suf, core.union(c_pre, c_suf))
-
-
-# ---------------------------------------------------------------------------
-# Modified constructions (RearClean, and the intersection fallbacks)
-
-
-def _reversed_equal_inputs(p: GatePartition, *, budget: int | None = None):
-    base = p.base
-    front = base.front
-    c1_in = PortNfa(
-        front.alphabet,
-        front.num_states,
-        front.transitions,
-        front.entry_sets,
-        tuple(front.exit_sets[j] for j in range(front.num_exit) if front.exit_sets[j])
-        + base.inner_exit_ports_front,
-        state_names=front.state_names,
-    )
+    c2_in = base.rear_for_equal() if p.method is GateMethod.EQUAL else base.rear_for_targets()
+    if p.direction is GateDirection.FRONT_CLEAN:
+        c2_in = dataclasses.replace(c2_in, entry_sets=c2_in.entry_sets[base.rear.num_entry :])
+        c1 = _clean_complement(c1_in, p.gamma_ids, budget=budget)
+        return c1, _smaller_complement(c2_in, budget=budget)
     c1 = _smaller_complement(c1_in, budget=budget)
-    rear_eq = base.rear_for_equal()
-    c2 = _lift_alphabet_port(
-        _smaller_complement(_drop_symbols_port(rear_eq, p.gamma_ids), budget=budget),
-        base.source.alphabet,
-    )
-    return c1, c2
+    return c1, _clean_complement(c2_in, p.gamma_ids, budget=budget)
 
 
-def gate_complement_modified(p: GatePartition, *, budget: int | None = None) -> PortNfa:
-    """The reversed (RearClean) construction, or the port-product fallback.
+def apply_gate_complement(p: GatePartition, *, budget: int | None = None) -> PortNfa:
+    """The gate complement of ``p.base.source``, port set by port set.
 
-    RearClean without outer front exits complements the front over the full
-    alphabet (s then loops only on Σ∖Γ, making the gate the last Γ symbol)
-    and lets the rear complement carry the outer entries.  When the offending
-    outer ports exist, the gate complement of the stripped automaton is
-    intersected with a port complement of the untouched component.
+    With offending outer ports (rear entries for front-clean, front exits
+    for rear-clean), the gate complement of the source without them is
+    intersected with a complement of the component that holds them.
     """
-    if p.direction is GateDirection.FRONT_CLEAN and not p.needs_intersection:
-        raise ValueError("front-clean partitions use gate_complement_equal/disjoint")
     base = p.base
+    front_clean = p.direction is GateDirection.FRONT_CLEAN
     if p.needs_intersection:
-        if p.direction is GateDirection.FRONT_CLEAN:
-            stripped = _strip_outer(base, entries_to_front=True)
-            other = base.rear
-        else:
-            stripped = _strip_outer(base, entries_to_front=False)
-            other = base.front
-        inner = GatePartition(
-            stripped, p.gate_symbols, p.direction, p.method, needs_intersection=False
+        stripped = GatePartition(
+            _strip_outer(base, entries_to_front=front_clean),
+            p.gate_symbols,
+            p.direction,
+            p.method,
+            needs_intersection=False,
         )
-        left = gate_complement_modified(inner, budget=budget) if (
-            p.direction is GateDirection.REAR_CLEAN
-        ) else _apply_front_clean(inner, budget=budget)
-        right = _smaller_complement(other, budget=budget)
+        left = apply_gate_complement(stripped, budget=budget)
+        right = _smaller_complement(base.rear if front_clean else base.front, budget=budget)
         return core.product_intersection(left, right)
 
-    # RearClean, no outer front exits.
-    alphabet = base.source.alphabet
-    nsyms = len(alphabet)
-    gamma = _sorted_gamma(p)
     front = base.front
-    c1, c2 = _reversed_equal_inputs(p, budget=budget) if p.method is GateMethod.EQUAL else (
-        None,
-        None,
-    )
+    gamma = list(base.gate_symbols)
+    syms = range(len(base.source.alphabet))
+    clean_syms = [sym for sym in syms if sym not in p.gamma_ids]
+    carried = _carried_exits(p)
+    c1, c2 = _component_complements(p, carried, budget=budget)
+    # Front-clean: s loops on Σ and t on Σ∖Γ.  Rear-clean reverses the
+    # roles, so that the gate is the last Γ symbol of the word.
+    c_pre = _sink_half(c1, gamma, carried, front.num_exit, syms if front_clean else clean_syms)
+    gate_start = 0 if front_clean else base.rear.num_entry
     if p.method is GateMethod.EQUAL:
-        s = c1.num_states
-        pre_trans = set(c1.transitions)
-        kept = sum(1 for j in range(front.num_exit) if front.exit_sets[j])
-        for k, cid in enumerate(gamma):
-            pre_trans.update((q, cid, s) for q in c1.exit_sets[kept + k])
-        pre_trans.update((s, sym, s) for sym in range(nsyms) if sym not in p.gamma_ids)
-        c_pre = PortNfa(
-            alphabet,
-            s + 1,
-            frozenset(pre_trans),
-            c1.entry_sets,
-            (frozenset({s}),) * base.rear.num_exit,
-            state_names=core._uniquify([c1.state_name(q) for q in range(s)] + ["s"]),
+        head = _dispatcher(
+            c2,
+            clean_syms if front_clean else syms,
+            [{0}] * front.num_entry,
+            [{0} if front_clean and not e else frozenset() for e in front.exit_sets],
         )
-        k_outer = base.rear.num_entry
-        suf_trans = set((src + 1, sym, dst + 1) for (src, sym, dst) in c2.transitions)
-        suf_trans.update((0, sym, 0) for sym in range(nsyms))
-        for k, cid in enumerate(gamma):
-            suf_trans.update((0, cid, q + 1) for q in c2.entry_sets[k_outer + k])
-        c_suf = PortNfa(
-            alphabet,
-            c2.num_states + 1,
-            frozenset(suf_trans),
-            tuple(
-                frozenset({0}) | frozenset(q + 1 for q in c2.entry_sets[i])
-                for i in range(k_outer)
-            ),
-            tuple(
-                frozenset(q + 1 for q in c2.exit_sets[j]) for j in range(base.rear.num_exit)
-            ),
-            state_names=core._uniquify(
-                ["t"] + [c2.state_name(q) for q in range(c2.num_states)]
-            ),
-        )
-        return core.union(c_pre, c_suf)
-
-    # Disjoint, reversed: raw front inside C_suf, entries I₁ᵢ ∪ Ī₂ᵢ.
-    c1_in = PortNfa(
-        front.alphabet,
-        front.num_states,
-        front.transitions,
-        front.entry_sets,
-        tuple(front.exit_sets[j] for j in range(front.num_exit) if front.exit_sets[j])
-        + base.inner_exit_ports_front,
-        state_names=front.state_names,
-    )
-    c1 = _smaller_complement(c1_in, budget=budget)
-    c2 = _lift_alphabet_port(
-        _smaller_complement(
-            _drop_symbols_port(base.rear_for_targets(), p.gamma_ids), budget=budget
-        ),
-        alphabet,
-    )
-    s = c1.num_states
-    pre_trans = set(c1.transitions)
-    kept = sum(1 for j in range(front.num_exit) if front.exit_sets[j])
-    for k, cid in enumerate(gamma):
-        pre_trans.update((q, cid, s) for q in c1.exit_sets[kept + k])
-    pre_trans.update((s, sym, s) for sym in range(nsyms) if sym not in p.gamma_ids)
-    c_pre = PortNfa(
-        alphabet,
-        s + 1,
-        frozenset(pre_trans),
-        c1.entry_sets,
-        (frozenset({s}),) * base.rear.num_exit,
-        state_names=core._uniquify([c1.state_name(q) for q in range(s)] + ["s"]),
-    )
-    nf = front.num_states
-    k_outer = base.rear.num_entry
-    target_port = {t: k_outer + k for k, t in enumerate(base.gate_targets)}
-    suf_trans = set(front.transitions)
-    suf_trans.update((src + nf, sym, dst + nf) for (src, sym, dst) in c2.transitions)
-    for (x, sym, t) in base.transfer:
-        xl = base.front_index[x]
-        suf_trans.update((xl, sym, q + nf) for q in c2.entry_sets[target_port[t]])
-    c_suf = PortNfa(
-        alphabet,
-        nf + c2.num_states,
-        frozenset(suf_trans),
-        tuple(
-            front.entry_sets[i] | frozenset(q + nf for q in c2.entry_sets[i])
-            for i in range(k_outer)
-        ),
-        tuple(frozenset(q + nf for q in c2.exit_sets[j]) for j in range(base.rear.num_exit)),
-        state_names=core._uniquify(
-            [front.state_name(q) for q in range(nf)]
-            + [c2.state_name(q) for q in range(c2.num_states)]
-        ),
-    )
-    return core.union(c_pre, c_suf)
+        dispatch = [(0, cid, k) for k, cid in enumerate(gamma)]
+    else:
+        head = dataclasses.replace(front, exit_sets=(frozenset(),) * front.num_exit)
+        port = {t: k for k, t in enumerate(base.gate_targets)}
+        dispatch = [(base.front_index[x], sym, port[t]) for (x, sym, t) in base.transfer]
+    return core.union(c_pre, _suffix_half(head, c2, dispatch, gate_start))
 
 
 def _strip_outer(base: SequentialPartition, *, entries_to_front: bool) -> SequentialPartition:
     """Remove the offending outer ports (rear entries, or front exits) from the source."""
     src = base.source
-    front_set = set(base.front_states)
+    front_set = frozenset(base.front_states)
     if entries_to_front:
-        entries = tuple(e & frozenset(front_set) for e in src.entry_sets)
-        exits = src.exit_sets
+        stripped = dataclasses.replace(src, entry_sets=tuple(e & front_set for e in src.entry_sets))
     else:
-        entries = src.entry_sets
-        exits = tuple(f - frozenset(front_set) for f in src.exit_sets)
-    stripped = PortNfa(
-        src.alphabet,
-        src.num_states,
-        src.transitions,
-        entries,
-        exits,
-        state_names=src.state_names,
-    )
+        stripped = dataclasses.replace(src, exit_sets=tuple(f - front_set for f in src.exit_sets))
     return SequentialPartition.of(stripped, base.front_states)
 
 
@@ -605,27 +339,11 @@ def _front_clean_view(p: GatePartition) -> GatePartition:
 
 
 def _prefix_language(base: SequentialPartition, i: int, finals: frozenset[int]) -> Nfa:
-    front = base.front
-    return Nfa(
-        front.alphabet,
-        front.num_states,
-        front.transitions,
-        front.entry_sets[i],
-        finals,
-        state_names=front.state_names,
-    )
+    return dataclasses.replace(base.front.slice(i, 0), final=finals)
 
 
 def _suffix_language(base: SequentialPartition, starts: frozenset[int], j: int) -> Nfa:
-    rear = base.rear
-    return Nfa(
-        rear.alphabet,
-        rear.num_states,
-        rear.transitions,
-        starts,
-        rear.exit_sets[j],
-        state_names=rear.state_names,
-    )
+    return dataclasses.replace(base.rear.slice(0, j), initial=starts)
 
 
 def check_equal(p: GatePartition, *, budget: int | None = None) -> bool:
@@ -695,7 +413,7 @@ def check_disjoint(p: GatePartition, *, budget: int | None = None) -> bool:
 _CUT_CAP = 4096
 
 
-def _downward_closed_cuts(dag: core.SccDag, cap: int) -> list[tuple[int, ...]] | None:
+def _downward_closed_cuts(dag: core.SccDag) -> list[tuple[int, ...]] | None:
     m = len(dag.components)
     preds: dict[int, set[int]] = {k: set() for k in range(m)}
     for (i, j, _cap) in dag.edges:
@@ -708,7 +426,7 @@ def _downward_closed_cuts(dag: core.SccDag, cap: int) -> list[tuple[int, ...]] |
             if k not in cur and preds[k] <= cur:
                 nxt = cur | {k}
                 if nxt not in ideals:
-                    if len(ideals) > cap + 1:
+                    if len(ideals) > _CUT_CAP + 1:
                         return None
                     ideals.add(nxt)
                     frontier.append(nxt)
@@ -718,13 +436,11 @@ def _downward_closed_cuts(dag: core.SccDag, cap: int) -> list[tuple[int, ...]] |
     return cuts
 
 
-def find_gate_partitions(
-    a: PortNfa, *, check_budget: int | None = None, cut_cap: int = _CUT_CAP
-) -> list[GatePartition]:
+def find_gate_partitions(a: PortNfa, *, check_budget: int | None = None) -> list[GatePartition]:
     """Every qualifying split of the SCC condensation, tagged Equal/Disjoint.
 
     Candidate fronts are downward-closed unions of condensation components
-    (topological prefixes when there are more than ``cut_cap`` of them);
+    (topological prefixes when there are more than ``_CUT_CAP`` of them);
     candidates whose gate symbols appear inside both components are dropped,
     as are those failing both input conditions or blowing the check budget.
     """
@@ -732,7 +448,7 @@ def find_gate_partitions(
     m = len(dag.components)
     if m <= 1:
         return []
-    cuts = _downward_closed_cuts(dag, cut_cap)
+    cuts = _downward_closed_cuts(dag)
     if cuts is None:
         cuts = [tuple(range(k + 1)) for k in range(m - 1)]
     out = []
@@ -786,19 +502,6 @@ def select_partition(ps: list[GatePartition]) -> GatePartition | None:
 
 # ---------------------------------------------------------------------------
 # Driver
-
-
-def _apply_front_clean(p: GatePartition, *, budget: int | None = None) -> PortNfa:
-    if p.method is GateMethod.EQUAL:
-        c1, c2 = equal_complement_inputs(p, budget=budget)
-        return gate_complement_equal(p, c1, c2)
-    return gate_complement_disjoint(p, disjoint_complement_input(p, budget=budget), budget=budget)
-
-
-def apply_gate_complement(p: GatePartition, *, budget: int | None = None) -> PortNfa:
-    if p.needs_intersection or p.direction is GateDirection.REAR_CLEAN:
-        return gate_complement_modified(p, budget=budget)
-    return _apply_front_clean(p, budget=budget)
 
 
 def gate_complement_auto(

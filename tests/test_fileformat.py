@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -144,6 +145,24 @@ def test_port_directive_errors():
         fileformat.parse("@PortNFA x\n%Alphabet a\n%Entry 0\n")
     with pytest.raises(ParseError, match="not an integer"):
         fileformat.parse("@PortNFA x\n%Alphabet a\n%Entry one 0\n%Exit 0\n")
+
+
+def test_port_index_gap_check_does_not_grow_with_the_index():
+    # The check must cost memory in the number of port lines, not in the
+    # value of the largest index.
+    text = "@PortNFA x\n%Alphabet a\n%Entry 1000000 0\n%Exit 0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            fileformat.parse(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "line 3, column 1: %Entry indices must be contiguous from 0 (missing 0)"
+    assert peak < 1_000_000
+    with pytest.raises(ParseError) as err:
+        fileformat.parse("@PortNFA x\n%Alphabet a\n%Entry 0\n%Exit 0 0\n%Exit 3\n%Exit 1\n")
+    assert str(err.value) == "line 5, column 1: %Exit indices must be contiguous from 0 (missing 2)"
 
 
 def test_parse_error_carries_position_attributes():

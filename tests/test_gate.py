@@ -4,7 +4,7 @@ import pytest
 
 import helpers
 from nfacomp import core, gate, oracle, powerset
-from nfacomp.errors import NoGatePartitionError
+from nfacomp.errors import BudgetExceededError, NoGatePartitionError
 from nfacomp.families import gate_chain
 from nfacomp.gate import GateDirection, GateMethod
 
@@ -74,7 +74,7 @@ def test_basic_gate_size_identity_random():
     for _ in range(30):
         a1, a2 = helpers.random_gate_instance(rng, max_component_states=6)
         c = gate.gate_complement_basic(a1, a2, "c")
-        c1 = gate._lift_alphabet_nfa(
+        c1 = gate._lift_alphabet(
             gate._smaller_complement(gate._drop_symbol_nfa(a1, "c")), a1.alphabet
         )
         c2 = gate._smaller_complement(a2)
@@ -113,9 +113,9 @@ def test_equal_construction_parts_on_g1():
     assert sel.direction is GateDirection.FRONT_CLEAN
     assert sel.method is GateMethod.EQUAL
     assert not sel.needs_intersection
-    c1, c2 = gate.equal_complement_inputs(sel)
+    c1, c2 = gate._component_complements(sel, gate._carried_exits(sel))
     assert (c1.num_states, c2.num_states) == (3, 4)
-    full = gate.gate_complement_equal(sel, c1, c2)
+    full = gate.apply_gate_complement(sel)
     assert full.num_states == 9
     out = core.trim(full.slice(0, 0))
     assert oracle.oracle_complement_check(G1, out, 7).ok
@@ -161,8 +161,7 @@ def test_disjoint_partition_detection_and_construction():
     assert gp.method is GateMethod.DISJOINT
     assert not gate.check_equal(gp)
     assert gate.check_disjoint(gp)
-    c2 = gate.disjoint_complement_input(gp)
-    out = core.trim(gate.gate_complement_disjoint(gp, c2).slice(0, 0))
+    out = core.trim(gate.apply_gate_complement(gp).slice(0, 0))
     assert helpers.brute_complement_ok(dj, out, 7)
     # The automatic route is free to pick a different eligible cut, but the
     # language must come out the same.
@@ -194,3 +193,53 @@ def test_random_gate_partitions_complement():
             continue
         done += 1
         assert helpers.brute_complement_ok(a, c, 5)
+
+
+def fronts(partitions):
+    return [p.base.front_states for p in partitions]
+
+
+def test_partition_search_falls_back_to_topological_prefixes(monkeypatch):
+    # With more downward-closed cuts than the cap, only the prefixes of the
+    # condensation's topological order are tried.
+    a = core.Nfa.build(
+        ("a", "b"),
+        5,
+        [(0, "a", 0), (0, "a", 2), (2, "a", 4), (2, "b", 1), (2, "b", 2), (4, "b", 2)],
+        {2, 3},
+        {0, 4},
+    )
+    assert fronts(gate.find_gate_partitions(a.as_port())) == [(0, 2, 4), (0, 2, 3, 4)]
+    monkeypatch.setattr(gate, "_CUT_CAP", 1)
+    dag = core.scc_condensation(a)
+    assert gate._downward_closed_cuts(dag) is None
+    prefixes = [
+        tuple(sorted(q for c in dag.components[: k + 1] for q in c))
+        for k in range(len(dag.components) - 1)
+    ]
+    capped = gate.find_gate_partitions(a.as_port())
+    assert fronts(capped) == [(0, 2, 3, 4)]
+    for p in capped:
+        assert p.base.front_states in prefixes
+        out = core.trim(gate.apply_gate_complement(p).slice(0, 0))
+        assert helpers.brute_complement_ok(a, out, 7)
+
+
+def test_partition_search_skips_a_candidate_whose_check_runs_out():
+    a = core.Nfa.build(
+        ("a", "b", "c"),
+        6,
+        [
+            (0, "a", 0), (0, "b", 5), (0, "c", 0), (1, "a", 0), (2, "a", 1),
+            (3, "b", 5), (3, "c", 0), (4, "b", 0), (4, "c", 2), (5, "c", 2),
+        ],
+        {2, 3, 4},
+        {1, 2, 5},
+    )
+    assert fronts(gate.find_gate_partitions(a.as_port())) == [(4,), (3,), (3, 4)]
+    assert fronts(gate.find_gate_partitions(a.as_port(), check_budget=1)) == [(4,), (3,)]
+
+
+def test_gate_complement_raises_when_both_directions_run_out():
+    with pytest.raises(BudgetExceededError):
+        gate.gate_complement_auto(gate_chain(2), budget=1)

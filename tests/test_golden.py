@@ -11,6 +11,14 @@ that corpus, and the two ``--reduce`` runs also on 100 seeded random port
 NFAs.  ``golden_port_digests.json`` holds plain ``-m forward`` and ``-m
 reverse`` on those port NFAs.
 
+``golden_gate_digests.json`` pins the gate construction itself, route by
+route: the untrimmed ``apply_gate_complement`` result for every partition
+``find_gate_partitions`` returns on the corpus and on 2,000 seeded random
+NFAs over three symbols (which reach all eight direction / method /
+intersection routes), and ``gate_complement_basic`` on seeded component
+pairs.  An entry is the sha256 of a canonical text of the automaton, since
+``serialize`` refuses the isolated states some untrimmed results have.
+
 Regenerate the files only when an output change is intended and explained:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -25,16 +33,19 @@ from unittest import mock
 import pytest
 
 import helpers
-from nfacomp import cli
+from nfacomp import cli, gate
 from nfacomp.errors import NfacompError
 from nfacomp.families import FAMILY_KINDS, generate_family
 
 BUDGET = 4096
 SEED = 20250703
 PORT_SEED = 20250704
+GATE_SEED = 8
+BASIC_SEED = 20250705
 DIGESTS = pathlib.Path(__file__).with_name("golden_digests.json")
 POSTPASS_DIGESTS = pathlib.Path(__file__).with_name("golden_postpass_digests.json")
 PORT_DIGESTS = pathlib.Path(__file__).with_name("golden_port_digests.json")
+GATE_DIGESTS = pathlib.Path(__file__).with_name("golden_gate_digests.json")
 PORT_METHODS = ("forward", "reverse")
 # (method, post-pass flag, whether the port corpus is run too)
 POSTPASSES = (
@@ -57,6 +68,56 @@ def port_corpus():
     rng = random.Random(PORT_SEED)
     for i in range(100):
         yield f"port-{i:03d}", helpers.random_port_nfa(rng, max_states=8)
+
+
+def gate_corpus():
+    yield from corpus()
+    rng = random.Random(GATE_SEED)
+    for i in range(2000):
+        yield f"gate3-{i:04d}", helpers.random_nfa(rng, max_states=8, max_syms=3)
+
+
+def canonical_digest(a):
+    """sha256 of the automaton's states, transitions, ports and names."""
+    text = json.dumps([
+        a.alphabet,
+        a.num_states,
+        sorted(a.transitions),
+        [sorted(e) for e in a.entry_sets],
+        [sorted(x) for x in a.exit_sets],
+        a.state_names,
+    ])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def guarded_digest(build):
+    try:
+        return canonical_digest(build())
+    except NfacompError as exc:
+        return type(exc).__name__
+
+
+def partition_digests():
+    out = {}
+    for key, a in gate_corpus():
+        for p in gate.find_gate_partitions(a.as_port(), check_budget=cli.DEFAULT_ANTICHAIN_BUDGET):
+            front = ",".join(map(str, p.base.front_states))
+            out[f"{key} {front}"] = guarded_digest(lambda: gate.apply_gate_complement(p, budget=BUDGET))
+    return out
+
+
+def basic_digests():
+    rng = random.Random(BASIC_SEED)
+    out = {}
+    for i in range(200):
+        a1, a2 = helpers.random_gate_instance(rng, max_component_states=6)
+        out[f"basic-{i:03d}"] = guarded_digest(
+            lambda: gate.gate_complement_basic(a1, a2, "c", budget=BUDGET)
+        )
+    return out
+
+
+GATE_TABLES = {"partitions": partition_digests, "basic": basic_digests}
 
 
 def outcome(method, a, *flags):
@@ -113,6 +174,11 @@ def test_port_outputs_match_golden_digests(method):
     assert_same(json.loads(PORT_DIGESTS.read_text())[method], port_digests(method))
 
 
+@pytest.mark.parametrize("table", GATE_TABLES)
+def test_gate_constructions_match_golden_digests(table):
+    assert_same(json.loads(GATE_DIGESTS.read_text())[table], GATE_TABLES[table]())
+
+
 if __name__ == "__main__":
     table = {m: digests(m) for m in cli.METHODS}
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
@@ -120,3 +186,5 @@ if __name__ == "__main__":
     POSTPASS_DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     table = {m: port_digests(m) for m in PORT_METHODS}
     PORT_DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    table = {name: build() for name, build in GATE_TABLES.items()}
+    GATE_DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
