@@ -2,9 +2,11 @@
 
 Runs the test suite in-process under a ``sys.settrace`` hook (no coverage
 package needed) and reports the statements of the library that no test
-executes, file by file, then the total.  A statement is an ``ast.stmt``
-node, docstrings excluded; it counts as run when a line event fires on any
-line it spans that no statement nested inside it spans.
+executes, file by file, then the total, and the library's line count (what
+``cat src/nfacomp/*.py src/nfacomp/_kernels/*.py | wc -l`` prints).  A
+statement is an ``ast.stmt`` node, docstrings excluded; it counts as run
+when a line event fires on any line it spans that no statement nested
+inside it spans.
 
     python scripts/coverage_census.py [pytest arguments]
 
@@ -87,6 +89,8 @@ def main(argv: list[str]) -> int:
         if lost:
             print(f"{path.relative_to(ROOT)}: {len(lost)} not run: {', '.join(map(str, lost))}")
     print(f"{missed} of {total} statements in src/nfacomp never run (pytest exit {int(status)})")
+    lines = sum(p.read_bytes().count(b"\n") for p in [*PACKAGE.glob("*.py"), *PACKAGE.glob("_kernels/*.py")])
+    print(f"{lines} lines in src/nfacomp/*.py and src/nfacomp/_kernels/*.py")
     return 0
 
 

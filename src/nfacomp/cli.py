@@ -119,7 +119,9 @@ def _minimize(a: Nfa) -> Nfa:
         if (q, sym) not in defined
     }
     names = None if a.state_names is None else core._uniquify(a.state_names + ("sink",))
-    completed = Nfa(a.alphabet, sink + 1, a.transitions | fill, a.initial, a.final, state_names=names)
+    completed = dataclasses.replace(
+        a, num_states=sink + 1, transitions=a.transitions | fill, state_names=names
+    )
     return core.trim(reduction.hopcroft_minimize(completed))
 
 

@@ -7,13 +7,18 @@ bitmasks; everything user-facing stays as frozensets of state ids.
 
 A plain NFA is the port NFA with one entry set and one exit set: its
 read-only port view ``entry_sets``/``exit_sets`` is ``(initial,)`` and
-``(final,)``.  Every structural operation (``reverse``, ``union``,
-``induced``, ``trim``, ``product_intersection``) is written once against that
-view; it takes either class and returns an automaton of its input's class.
+``(final,)``.  The two classes share one body, written against that view:
+validation, ``build``, ``symbol_ids``, ``succ_masks``, the counts,
+``state_name`` and ``slice``; each dataclass adds only its fields, and
+``Nfa`` its plain-only members.  Every structural operation (``reverse``,
+``union``, ``induced``, ``trim``, ``product_intersection``) is written once
+against the same view; it takes either class and returns an automaton of its
+input's class, built through ``_rebuild``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,21 +28,6 @@ from . import _kernels
 from .errors import BudgetExceededError
 
 Transition = tuple[int, int, int]  # (src, symbol index, dst)
-
-
-def _check_alphabet(alphabet: tuple[str, ...]) -> None:
-    if not alphabet:
-        raise ValueError("alphabet must be nonempty")
-    if len(set(alphabet)) != len(alphabet):
-        raise ValueError("alphabet has duplicate symbols")
-
-
-def _check_transitions(num_states, alphabet, transitions) -> None:
-    for (src, sym, dst) in transitions:
-        if not (0 <= src < num_states and 0 <= dst < num_states):
-            raise ValueError(f"transition ({src},{sym},{dst}) leaves the state range")
-        if not (0 <= sym < len(alphabet)):
-            raise ValueError(f"transition ({src},{sym},{dst}) uses an unknown symbol index")
 
 
 def _check_states(num_states, states: Iterable[int], what: str) -> None:
@@ -58,14 +48,6 @@ def _resolve_transitions(transitions, symbol_ids) -> frozenset[Transition]:
     return frozenset(out)
 
 
-def _succ_masks(num_states: int, num_syms: int, transitions) -> list[int]:
-    """Flat successor table for the kernels: index sym*num_states+q -> bitmask."""
-    table = [0] * (num_syms * num_states)
-    for (src, sym, dst) in transitions:
-        table[sym * num_states + src] |= 1 << dst
-    return table
-
-
 def _mask_of(states: Iterable[int]) -> int:
     m = 0
     for q in states:
@@ -80,8 +62,102 @@ def _bits(mask: int):
         yield low.bit_length() - 1
 
 
+class _Automaton:
+    """The body ``Nfa`` and ``PortNfa`` share, written against the port view.
+
+    Each dataclass normalizes its own port fields in ``__post_init__`` and
+    then calls ``_normalize_and_check`` with the names its error messages
+    give an entry and an exit set, formatted with the set's index.
+    """
+
+    def _normalize_and_check(self, entry_what: str, exit_what: str) -> None:
+        object.__setattr__(self, "alphabet", tuple(self.alphabet))
+        object.__setattr__(self, "transitions", frozenset(map(tuple, self.transitions)))
+        if not self.alphabet:
+            raise ValueError("alphabet must be nonempty")
+        if len(set(self.alphabet)) != len(self.alphabet):
+            raise ValueError("alphabet has duplicate symbols")
+        n, nsyms = self.num_states, len(self.alphabet)
+        for (src, sym, dst) in self.transitions:
+            if not (0 <= src < n and 0 <= dst < n):
+                raise ValueError(f"transition ({src},{sym},{dst}) leaves the state range")
+            if not (0 <= sym < nsyms):
+                raise ValueError(f"transition ({src},{sym},{dst}) uses an unknown symbol index")
+        entry_sets, exit_sets = self.entry_sets, self.exit_sets
+        if not entry_sets or not exit_sets:
+            raise ValueError("port NFA needs at least one entry and one exit port set")
+        for sets, what in ((entry_sets, entry_what), (exit_sets, exit_what)):
+            for i, s in enumerate(sets):
+                _check_states(n, s, what.format(i))
+        if self.state_names is not None:
+            object.__setattr__(self, "state_names", tuple(self.state_names))
+            if len(self.state_names) != n:
+                raise ValueError("state_names length must match num_states")
+
+    @classmethod
+    def build(cls, alphabet, num_states, transitions, entries, exits, /, *, state_names=None, name=None):
+        """Like the constructor, but transition symbols may be given as strings.
+
+        ``entries``/``exits`` are the class's port fields: I and F for ``Nfa``,
+        the entry and exit set families for ``PortNfa``.
+        """
+        alphabet = tuple(alphabet)
+        ids = {s: i for i, s in enumerate(alphabet)}
+        return cls(
+            alphabet,
+            num_states,
+            _resolve_transitions(transitions, ids),
+            entries,
+            exits,
+            state_names=state_names,
+            name=name,
+        )
+
+    @cached_property
+    def symbol_ids(self) -> dict:
+        return {s: i for i, s in enumerate(self.alphabet)}
+
+    @cached_property
+    def succ_masks(self) -> list[int]:
+        """Flat successor table for the kernels: index sym*num_states+q -> bitmask."""
+        table = [0] * (len(self.alphabet) * self.num_states)
+        for (src, sym, dst) in self.transitions:
+            table[sym * self.num_states + src] |= 1 << dst
+        return table
+
+    @property
+    def num_transitions(self) -> int:
+        return len(self.transitions)
+
+    @property
+    def num_entry(self) -> int:
+        return len(self.entry_sets)
+
+    @property
+    def num_exit(self) -> int:
+        return len(self.exit_sets)
+
+    def state_name(self, q: int) -> str:
+        return self.state_names[q] if self.state_names is not None else str(q)
+
+    def slice(self, i: int, j: int) -> "Nfa":
+        """The plain NFA with initial = entry_sets[i] and final = exit_sets[j]."""
+        if not (0 <= i < self.num_entry):
+            raise IndexError(f"entry port index {i} out of range")
+        if not (0 <= j < self.num_exit):
+            raise IndexError(f"exit port index {j} out of range")
+        return Nfa(
+            self.alphabet,
+            self.num_states,
+            self.transitions,
+            self.entry_sets[i],
+            self.exit_sets[j],
+            state_names=self.state_names,
+        )
+
+
 @dataclass(frozen=True)
-class Nfa:
+class Nfa(_Automaton):
     """A nondeterministic finite automaton (Q, Sigma, delta, I, F)."""
 
     alphabet: tuple[str, ...]
@@ -93,41 +169,9 @@ class Nfa:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "transitions", frozenset(map(tuple, self.transitions)))
         object.__setattr__(self, "initial", frozenset(self.initial))
         object.__setattr__(self, "final", frozenset(self.final))
-        _check_alphabet(self.alphabet)
-        _check_transitions(self.num_states, self.alphabet, self.transitions)
-        _check_states(self.num_states, self.initial, "initial")
-        _check_states(self.num_states, self.final, "final")
-        if self.state_names is not None:
-            object.__setattr__(self, "state_names", tuple(self.state_names))
-            if len(self.state_names) != self.num_states:
-                raise ValueError("state_names length must match num_states")
-
-    @classmethod
-    def build(cls, alphabet, num_states, transitions, initial, final, *, state_names=None, name=None):
-        """Like the constructor, but transition symbols may be given as strings."""
-        alphabet = tuple(alphabet)
-        ids = {s: i for i, s in enumerate(alphabet)}
-        return cls(
-            alphabet,
-            num_states,
-            _resolve_transitions(transitions, ids),
-            frozenset(initial),
-            frozenset(final),
-            state_names=state_names,
-            name=name,
-        )
-
-    @cached_property
-    def symbol_ids(self) -> dict:
-        return {s: i for i, s in enumerate(self.alphabet)}
-
-    @cached_property
-    def succ_masks(self) -> list[int]:
-        return _succ_masks(self.num_states, len(self.alphabet), self.transitions)
+        self._normalize_and_check("initial", "final")
 
     @cached_property
     def initial_mask(self) -> int:
@@ -136,16 +180,6 @@ class Nfa:
     @cached_property
     def final_mask(self) -> int:
         return _mask_of(self.final)
-
-    @property
-    def num_transitions(self) -> int:
-        return len(self.transitions)
-
-    def successors(self, q: int, sym: int) -> frozenset[int]:
-        return frozenset(_bits(self.succ_masks[sym * self.num_states + q]))
-
-    def state_name(self, q: int) -> str:
-        return self.state_names[q] if self.state_names is not None else str(q)
 
     @property
     def entry_sets(self) -> tuple[frozenset[int], ...]:
@@ -171,7 +205,7 @@ class Nfa:
 
 
 @dataclass(frozen=True)
-class PortNfa:
+class PortNfa(_Automaton):
     """An NFA with ordered families of entry and exit port sets.
 
     The pair (entry_sets[i], exit_sets[j]) induces the slice(i, j) automaton;
@@ -187,62 +221,9 @@ class PortNfa:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "transitions", frozenset(map(tuple, self.transitions)))
         object.__setattr__(self, "entry_sets", tuple(frozenset(s) for s in self.entry_sets))
         object.__setattr__(self, "exit_sets", tuple(frozenset(s) for s in self.exit_sets))
-        _check_alphabet(self.alphabet)
-        _check_transitions(self.num_states, self.alphabet, self.transitions)
-        if not self.entry_sets or not self.exit_sets:
-            raise ValueError("port NFA needs at least one entry and one exit port set")
-        for i, s in enumerate(self.entry_sets):
-            _check_states(self.num_states, s, f"entry set {i}")
-        for j, s in enumerate(self.exit_sets):
-            _check_states(self.num_states, s, f"exit set {j}")
-        if self.state_names is not None:
-            object.__setattr__(self, "state_names", tuple(self.state_names))
-            if len(self.state_names) != self.num_states:
-                raise ValueError("state_names length must match num_states")
-
-    @classmethod
-    def build(cls, alphabet, num_states, transitions, entry_sets, exit_sets, *, state_names=None, name=None):
-        alphabet = tuple(alphabet)
-        ids = {s: i for i, s in enumerate(alphabet)}
-        return cls(
-            alphabet,
-            num_states,
-            _resolve_transitions(transitions, ids),
-            tuple(frozenset(s) for s in entry_sets),
-            tuple(frozenset(s) for s in exit_sets),
-            state_names=state_names,
-            name=name,
-        )
-
-    @cached_property
-    def symbol_ids(self) -> dict:
-        return {s: i for i, s in enumerate(self.alphabet)}
-
-    @cached_property
-    def succ_masks(self) -> list[int]:
-        return _succ_masks(self.num_states, len(self.alphabet), self.transitions)
-
-    @property
-    def num_transitions(self) -> int:
-        return len(self.transitions)
-
-    @property
-    def num_entry(self) -> int:
-        return len(self.entry_sets)
-
-    @property
-    def num_exit(self) -> int:
-        return len(self.exit_sets)
-
-    def state_name(self, q: int) -> str:
-        return self.state_names[q] if self.state_names is not None else str(q)
-
-    def slice(self, i: int, j: int) -> Nfa:
-        return slice_port(self, i, j)
+        self._normalize_and_check("entry set {}", "exit set {}")
 
 
 Automaton = Union[Nfa, PortNfa]
@@ -331,22 +312,6 @@ def union(a: Automaton, b: Automaton) -> Automaton:
         [ea | frozenset(q + off for q in eb) for ea, eb in zip(a.entry_sets, b.entry_sets)],
         [fa | frozenset(q + off for q in fb) for fa, fb in zip(a.exit_sets, b.exit_sets)],
         _merged_names(a, b),
-    )
-
-
-def slice_port(a: PortNfa, i: int, j: int) -> Nfa:
-    """The plain NFA with initial = entry_sets[i] and final = exit_sets[j]."""
-    if not (0 <= i < a.num_entry):
-        raise IndexError(f"entry port index {i} out of range")
-    if not (0 <= j < a.num_exit):
-        raise IndexError(f"exit port index {j} out of range")
-    return Nfa(
-        a.alphabet,
-        a.num_states,
-        a.transitions,
-        a.entry_sets[i],
-        a.exit_sets[j],
-        state_names=a.state_names,
     )
 
 
@@ -677,59 +642,23 @@ class SequentialPartition:
         return tuple(sorted({dst for (_s, _sym, dst) in self.transfer}))
 
     @cached_property
-    def gate_sources_by_symbol(self) -> dict:
-        out: dict[int, set[int]] = {sym: set() for sym in self.gate_symbols}
-        for (src, sym, _dst) in self.transfer:
-            out[sym].add(src)
-        return {sym: frozenset(s) for sym, s in out.items()}
-
-    @cached_property
-    def gate_targets_by_symbol(self) -> dict:
-        out: dict[int, set[int]] = {sym: set() for sym in self.gate_symbols}
-        for (_src, sym, dst) in self.transfer:
-            out[sym].add(dst)
-        return {sym: frozenset(s) for sym, s in out.items()}
-
-    @cached_property
     def inner_exit_ports_front(self) -> tuple[frozenset[int], ...]:
         """Per gate symbol (sorted): the front-local sources of that symbol's gates."""
         fi = self.front_index
         return tuple(
-            frozenset(fi[q] for q in self.gate_sources_by_symbol[sym])
-            for sym in self.gate_symbols
+            frozenset(fi[x] for (x, s, _t) in self.transfer if s == sym) for sym in self.gate_symbols
         )
-
-    @cached_property
-    def inner_entry_ports_rear(self) -> tuple[frozenset[int], ...]:
-        """Per gate target (sorted): the singleton rear-local entry port."""
-        ri = self.rear_index
-        return tuple(frozenset({ri[p]}) for p in self.gate_targets)
 
     def rear_for_targets(self) -> PortNfa:
         """Rear with one singleton inner entry port per gate target."""
-        r = self.rear
-        return PortNfa(
-            r.alphabet,
-            r.num_states,
-            r.transitions,
-            r.entry_sets + self.inner_entry_ports_rear,
-            r.exit_sets,
-            state_names=r.state_names,
-        )
+        ri = self.rear_index
+        extra = tuple(frozenset({ri[t]}) for t in self.gate_targets)
+        return dataclasses.replace(self.rear, entry_sets=self.rear.entry_sets + extra)
 
     def rear_for_equal(self) -> PortNfa:
         """Rear with one inner entry port per gate symbol (all that symbol's targets)."""
-        r = self.rear
         ri = self.rear_index
         extra = tuple(
-            frozenset(ri[p] for p in self.gate_targets_by_symbol[sym])
-            for sym in self.gate_symbols
+            frozenset(ri[t] for (_x, s, t) in self.transfer if s == sym) for sym in self.gate_symbols
         )
-        return PortNfa(
-            r.alphabet,
-            r.num_states,
-            r.transitions,
-            r.entry_sets + extra,
-            r.exit_sets,
-            state_names=r.state_names,
-        )
+        return dataclasses.replace(self.rear, entry_sets=self.rear.entry_sets + extra)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels
-from .core import Nfa, _mask_of
+from .core import Nfa
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ def _signature(a: Nfa, max_len: int) -> bytes:
         a.num_states,
         len(a.alphabet),
         a.succ_masks,
-        _mask_of(a.initial),
-        _mask_of(a.final),
+        a.initial_mask,
+        a.final_mask,
         max_len,
     )
 

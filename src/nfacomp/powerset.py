@@ -11,6 +11,7 @@ acts as the rejecting sink that keeps the result complete.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,7 +19,7 @@ from itertools import cycle
 
 from . import _kernels, core
 from ._kernels.pure import _byte_keys
-from .core import Automaton, Nfa, PortNfa
+from .core import Automaton, Nfa
 from .errors import BudgetExceededError
 
 
@@ -120,15 +121,7 @@ def complement_dfa(d: MacrostateDfa | Nfa) -> Nfa:
     dfa = d.nfa if isinstance(d, MacrostateDfa) else d
     if not core.is_deterministic(dfa) or not core.is_complete(dfa):
         raise ValueError("complement_dfa needs a deterministic, complete automaton")
-    return Nfa(
-        dfa.alphabet,
-        dfa.num_states,
-        dfa.transitions,
-        dfa.initial,
-        frozenset(range(dfa.num_states)) - dfa.final,
-        state_names=dfa.state_names,
-        name=dfa.name,
-    )
+    return dataclasses.replace(dfa, final=frozenset(range(dfa.num_states)) - dfa.final)
 
 
 def forward_complement(a: Automaton, *, trim: bool = True, budget: int | None = None) -> Automaton:
@@ -150,18 +143,6 @@ def _complement(a: Automaton, direction: Direction, budget: int | None) -> tuple
         return core.trim(raw), raw.num_states
     raw = forward_complement(core.reverse(a), trim=False, budget=budget)
     return core.trim(core.reverse(raw)), raw.num_states
-
-
-def port_determinize(p: PortNfa, *, budget: int | None = None) -> PortNfa:
-    """Port powerset construction: one start macro per entry set, shared state space."""
-    det, _ = _port_powerset(p, budget)
-    return det
-
-
-def port_determinize_mapped(p: PortNfa, *, budget: int | None = None):
-    """port_determinize plus the macrostate -> original-subset back-map."""
-    det, macros = _port_powerset(p, budget)
-    return det, tuple(frozenset(core._bits(m)) for m in macros)
 
 
 port_forward_complement = forward_complement

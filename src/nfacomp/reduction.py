@@ -81,14 +81,29 @@ def _simulation_masks(n: int, nsyms: int, succ, initial_candidates: list[int]) -
     return sim
 
 
+def _simulation(a: core.Automaton) -> list[int]:
+    """Maximal direct simulation as bitmasks, ``sim[p]`` the states simulating p.
+
+    q may simulate p only if q is in every exit set that p is in; for a
+    plain NFA, a final state is simulated by final states only.
+    """
+    n = a.num_states
+    exit_masks = [core._mask_of(s) for s in a.exit_sets]
+    candidates = []
+    for p in range(n):
+        cand = (1 << n) - 1
+        for em in exit_masks:
+            if (em >> p) & 1:
+                cand &= em
+        candidates.append(cand)
+    return _simulation_masks(n, len(a.alphabet), a.succ_masks, candidates)
+
+
 def compute_simulation(a: Nfa) -> SimulationPreorder:
     """Maximal direct simulation preorder of a plain NFA."""
-    n = a.num_states
-    full = (1 << n) - 1
-    candidates = [a.final_mask if (a.final_mask >> p) & 1 else full for p in range(n)]
-    sim = _simulation_masks(n, len(a.alphabet), a.succ_masks, candidates)
+    sim = _simulation(a)
     return SimulationPreorder(
-        frozenset((p, q) for p in range(n) for q in core._bits(sim[p]))
+        frozenset((p, q) for p in range(a.num_states) for q in core._bits(sim[p]))
     )
 
 
@@ -169,18 +184,18 @@ def hopcroft_minimize(d: MacrostateDfa | Nfa) -> Nfa:
     )
 
 
-def _quotient_and_prune(
-    n: int,
-    nsyms: int,
-    succ,
-    sim: list[int],
-):
-    """Shared tail of the simulation reductions.
+def _quotient_and_prune(a: core.Automaton):
+    """Shared first half of the simulation reductions.
 
-    Returns (classes, class_of, class_transitions, class_leq) where classes
-    are simulation-equivalence classes (sorted by least member) and
-    transitions into strictly dominated target classes are already gone.
+    Returns (classes, class_of, transitions, leq): the simulation-equivalence
+    classes (sorted by least member) of ``a``'s states, its transitions
+    between classes with those into strictly dominated target classes
+    already gone, and the simulation order on classes.
     """
+    n = a.num_states
+    nsyms = len(a.alphabet)
+    succ = a.succ_masks
+    sim = _simulation(a)
     class_of = [-1] * n
     classes: list[list[int]] = []
     for p in range(n):
@@ -191,7 +206,6 @@ def _quotient_and_prune(
         classes.append(members)
         for q in members:
             class_of[q] = ci
-    k = len(classes)
 
     def leq(ci: int, cj: int) -> bool:
         return bool((sim[classes[ci][0]] >> classes[cj][0]) & 1)
@@ -210,32 +224,26 @@ def _quotient_and_prune(
     return classes, class_of, transitions, leq
 
 
-def simulation_reduce(a: Nfa) -> Nfa:
-    """Merge simulation-equivalent states and prune dominated transitions."""
-    n = a.num_states
-    if n == 0:
-        return a
-    sim_masks = _simulation_masks(
-        n,
-        len(a.alphabet),
-        a.succ_masks,
-        [a.final_mask if (a.final_mask >> p) & 1 else (1 << n) - 1 for p in range(n)],
-    )
-    classes, class_of, transitions, _leq = _quotient_and_prune(
-        n, len(a.alphabet), a.succ_masks, sim_masks
-    )
-    names = tuple(
-        "+".join(a.state_name(q) for q in members) for members in classes
-    )
-    out = Nfa(
-        a.alphabet,
+def _quotient(a, classes, class_of, transitions, entry_sets):
+    """The trimmed automaton of ``a``'s class on the classes, with the given entry sets."""
+    out = core._rebuild(
+        a,
         len(classes),
         frozenset(transitions),
-        frozenset(class_of[q] for q in a.initial),
-        frozenset(class_of[q] for q in a.final),
-        state_names=names,
+        entry_sets,
+        [frozenset(class_of[q] for q in s) for s in a.exit_sets],
+        tuple("+".join(a.state_name(q) for q in members) for members in classes),
     )
     return core.trim(out)
+
+
+def simulation_reduce(a: Nfa) -> Nfa:
+    """Merge simulation-equivalent states and prune dominated transitions."""
+    if a.num_states == 0:
+        return a
+    classes, class_of, transitions, _leq = _quotient_and_prune(a)
+    entry_sets = [frozenset(class_of[q] for q in s) for s in a.entry_sets]
+    return _quotient(a, classes, class_of, transitions, entry_sets)
 
 
 def simulation_reduce_port(a: PortNfa) -> PortNfa:
@@ -246,42 +254,13 @@ def simulation_reduce_port(a: PortNfa) -> PortNfa:
     every slice at once.  Entry sets additionally drop members dominated by
     another member of the same set.
     """
-    n = a.num_states
-    if n == 0:
+    if a.num_states == 0:
         return a
-    full = (1 << n) - 1
-    exit_masks = [core._mask_of(s) for s in a.exit_sets]
-    candidates = []
-    for p in range(n):
-        cand = full
-        for em in exit_masks:
-            if (em >> p) & 1:
-                cand &= em
-        candidates.append(cand)
-    sim_masks = _simulation_masks(n, len(a.alphabet), a.succ_masks, candidates)
-    classes, class_of, transitions, leq = _quotient_and_prune(
-        n, len(a.alphabet), a.succ_masks, sim_masks
-    )
-
+    classes, class_of, transitions, leq = _quotient_and_prune(a)
     entry_sets = []
     for s in a.entry_sets:
         cls = {class_of[q] for q in s}
-        kept = frozenset(
-            ci
-            for ci in cls
-            if not any(cj != ci and leq(ci, cj) and not leq(cj, ci) for cj in cls)
-        )
-        entry_sets.append(kept)
-    exit_sets = [frozenset(class_of[q] for q in s) for s in a.exit_sets]
-    names = tuple(
-        "+".join(a.state_name(q) for q in members) for members in classes
-    )
-    out = PortNfa(
-        a.alphabet,
-        len(classes),
-        frozenset(transitions),
-        tuple(entry_sets),
-        tuple(exit_sets),
-        state_names=names,
-    )
-    return core.trim(out)
+        entry_sets.append(frozenset(
+            ci for ci in cls if not any(cj != ci and leq(ci, cj) and not leq(cj, ci) for cj in cls)
+        ))
+    return _quotient(a, classes, class_of, transitions, entry_sets)

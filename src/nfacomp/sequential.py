@@ -13,6 +13,7 @@ folds them together.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from collections import deque
 from dataclasses import dataclass
@@ -68,29 +69,15 @@ def determinize_front(p: SequentialPartition, *, budget: int | None = None) -> S
         for q in core._bits(mac & sources):
             containing.setdefault(q, []).append(mi)
     for (x, sym, t) in p.transfer:
-        xl = p.front_index[x]
-        tl = p.rear_index[t]
-        for mi in containing.get(xl, ()):
-            trans.add((mi, sym, off + tl))
-    names = None
-    if det.state_names is not None or rear.state_names is not None:
-        names = core._uniquify(
-            [det.state_name(q) for q in range(off)]
-            + [rear.state_name(q) for q in range(rear.num_states)]
-        )
-    combined = PortNfa(
-        det.alphabet,
+        tl = off + p.rear_index[t]
+        trans.update((mi, sym, tl) for mi in containing.get(p.front_index[x], ()))
+    combined = core._rebuild(
+        det,
         off + rear.num_states,
         frozenset(trans),
-        tuple(
-            det.entry_sets[i] | frozenset(q + off for q in rear.entry_sets[i])
-            for i in range(det.num_entry)
-        ),
-        tuple(
-            det.exit_sets[j] | frozenset(q + off for q in rear.exit_sets[j])
-            for j in range(det.num_exit)
-        ),
-        state_names=names,
+        [d | frozenset(q + off for q in r) for d, r in zip(det.entry_sets, rear.entry_sets)],
+        [d | frozenset(q + off for q in r) for d, r in zip(det.exit_sets, rear.exit_sets)],
+        core._merged_names(det, rear),
     )
     return SequentialPartition.of(combined, range(off))
 
@@ -252,13 +239,11 @@ def seq_complement_generalized(
     return out
 
 
-def seq_complement_basic(
-    a1: Nfa, a2: Nfa, c: str, *, c2: Nfa | None = None, budget: int | None = None
-) -> Nfa:
+def seq_complement_basic(a1: Nfa, a2: Nfa, c: str, *, budget: int | None = None) -> Nfa:
     """Complement of L(a1)·{c}·L(a2) for single-final a1 and single-initial a2.
 
-    The rear complement defaults to the reverse powerset construction; a
-    precomputed complement of a2 may be passed instead.
+    The automaton a1 →c→ a2 is split after a1, and its rear is complemented
+    by the reverse powerset construction.
     """
     if a1.alphabet != a2.alphabet:
         raise ValueError("components must share one alphabet")
@@ -269,35 +254,18 @@ def seq_complement_basic(
     sym = a1.symbol_ids.get(c)
     if sym is None:
         raise ValueError(f"symbol {c!r} not in the alphabet")
-    off = a1.num_states
+    u = core.union(a1, a2)
     (qf,) = a1.final
     (qi,) = a2.initial
-    trans = set(a1.transitions)
-    trans.update((src + off, s, dst + off) for (src, s, dst) in a2.transitions)
-    trans.add((qf, sym, qi + off))
-    combined = Nfa(
-        a1.alphabet,
-        off + a2.num_states,
-        frozenset(trans),
-        a1.initial,
-        frozenset(q + off for q in a2.final),
-        state_names=core._merged_names(a1, a2),
+    combined = dataclasses.replace(
+        u,
+        transitions=u.transitions | {(qf, sym, qi + a1.num_states)},
+        initial=a1.initial,
+        final=u.final - a1.final,
     )
-    part = determinize_front(SequentialPartition.of(combined, range(off)), budget=budget)
-    if c2 is None:
-        c2_port = reverse_complement(part.rear_for_targets(), budget=budget)
-    else:
-        if c2.alphabet != a1.alphabet:
-            raise ValueError("c2 alphabet mismatch")
-        c2_port = PortNfa(
-            c2.alphabet,
-            c2.num_states,
-            c2.transitions,
-            (frozenset(), c2.initial),
-            (c2.final,),
-            state_names=c2.state_names,
-        )
-    return seq_complement_generalized(part, c2_port, budget=budget).slice(0, 0)
+    part = determinize_front(SequentialPartition.of(combined, range(a1.num_states)), budget=budget)
+    c2 = reverse_complement(part.rear_for_targets(), budget=budget)
+    return seq_complement_generalized(part, c2, budget=budget).slice(0, 0)
 
 
 # ---------------------------------------------------------------------------

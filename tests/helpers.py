@@ -226,8 +226,8 @@ def explore_port_reference(p, *, budget=None):
     Every entry set is interned first, in port order, then the macrostates
     are expanded breadth-first, one original state at a time.  The budget
     bounds the number of macrostates, entry macrostates included.  The
-    library's ``port_determinize_mapped`` must return exactly this automaton
-    and macrostate -> original-subset back-map.
+    library's ``determinize`` must return exactly this automaton (``.nfa``)
+    and macrostate -> original-subset back-map (``.macrostates``).
     """
     nsyms = len(p.alphabet)
     succ = {}

@@ -262,6 +262,12 @@ def test_budget_zero_cuts_even_one_macrostate(capsys, tmp_path):
     assert code == 0
 
 
+def test_portfolio_with_no_finished_method_exits_4(capsys, a2_file):
+    code, _out, err = run(capsys, "complement", "-m", "portfolio", "-i", a2_file, "--budget", "0")
+    assert code == 4
+    assert "no portfolio method finished within budget" in err
+
+
 def test_port_input_restricted_to_powerset_methods(capsys, tmp_path):
     p = tmp_path / "p.nfa"
     p.write_text("@PortNFA p\n%Alphabet a\n%Entry 0 0\n%Exit 0 1\n0 a 1\n")
@@ -272,6 +278,14 @@ def test_port_input_restricted_to_powerset_methods(capsys, tmp_path):
     code, _out, err = run(capsys, "complement", "-m", "gate", "-i", str(p))
     assert code == 1
     assert "plain @NFA inputs only" in err
+
+
+def test_minimize_refuses_a_port_output(capsys, tmp_path):
+    p = tmp_path / "p.nfa"
+    p.write_text("@PortNFA p\n%Alphabet a\n%Entry 0 0\n%Exit 0 1\n0 a 1\n")
+    code, _out, err = run(capsys, "complement", "-m", "forward", "--minimize", "-i", str(p))
+    assert code == 1
+    assert "--minimize applies to plain automata only" in err
 
 
 def test_negative_budget_is_a_usage_error(capsys, tmp_path, a2_file):

@@ -28,6 +28,68 @@ def test_build_rejects_bad_input():
         core.PortNfa.build(("a",), 1, [], [], [{0}])
 
 
+def _two_states(cls, *, alphabet=("a", "b"), transitions=(), starts=(0,), ends=(1,), names=None):
+    ports = (starts, ends) if cls is core.Nfa else ((starts,), (ends,))
+    return cls(alphabet, 2, transitions, *ports, state_names=names)
+
+
+_GUARDS_OF_BOTH = [
+    ("empty alphabet", dict(alphabet=()), "alphabet must be nonempty", None),
+    ("duplicate symbol", dict(alphabet=("a", "a")), "alphabet has duplicate symbols", None),
+    ("state range", dict(transitions=[(0, 0, 2)]), "transition (0,0,2) leaves the state range", None),
+    ("symbol index", dict(transitions=[(0, 2, 1)]), "transition (0,2,1) uses an unknown symbol index", None),
+    ("entry range", dict(starts=(2,)), "initial contains 2, outside the state range",
+     "entry set 0 contains 2, outside the state range"),
+    ("exit range", dict(ends=(-1,)), "final contains -1, outside the state range",
+     "exit set 0 contains -1, outside the state range"),
+    ("names length", dict(names=("p",)), "state_names length must match num_states", None),
+]
+_PORT = core.PortNfa.build(("a",), 2, [(0, "a", 1)], [{0}, {1}], [{1}])
+_OTHER_ALPHABET = core.Nfa.build(("a", "c"), 1, [], {0}, set())
+
+GUARDS = [
+    pytest.param(
+        lambda cls=cls, kw=kw: _two_states(cls, **kw),
+        ValueError,
+        port_text if port_text and cls is core.PortNfa else text,
+        id=f"{cls.__name__}-{what}",
+    )
+    for what, kw, text, port_text in _GUARDS_OF_BOTH
+    for cls in (core.Nfa, core.PortNfa)
+] + [
+    pytest.param(lambda: core.Nfa.build(("a",), 1, [(0, "b", 0)], {0}, set()), ValueError,
+                 "unknown symbol 'b'", id="Nfa-build unknown symbol"),
+    pytest.param(lambda: core.PortNfa.build(("a",), 1, [(0, "b", 0)], [{0}], [set()]), ValueError,
+                 "unknown symbol 'b'", id="PortNfa-build unknown symbol"),
+    pytest.param(lambda: core.PortNfa(("a",), 1, (), (), ({0},)), ValueError,
+                 "port NFA needs at least one entry and one exit port set", id="PortNfa-no entry sets"),
+    pytest.param(lambda: core.PortNfa(("a",), 1, (), ({0},), ()), ValueError,
+                 "port NFA needs at least one entry and one exit port set", id="PortNfa-no exit sets"),
+    pytest.param(lambda: core.PortNfa(("a",), 2, (), ({0}, {3}), ({1},)), ValueError,
+                 "entry set 1 contains 3, outside the state range", id="PortNfa-second entry range"),
+    pytest.param(lambda: _PORT.slice(2, 0), IndexError, "entry port index 2 out of range", id="slice entry"),
+    pytest.param(lambda: _PORT.slice(0, 1), IndexError, "exit port index 1 out of range", id="slice exit"),
+    pytest.param(lambda: core.accepts(A2, "abc"), ValueError, "symbol 'c' not in the alphabet", id="accepts"),
+    pytest.param(lambda: core.antichain_inclusion(A2, _OTHER_ALPHABET), ValueError,
+                 "inclusion requires matching alphabets", id="antichain_inclusion"),
+    pytest.param(lambda: core.language_disjoint(A2, _OTHER_ALPHABET), ValueError,
+                 "disjointness requires matching alphabets", id="language_disjoint"),
+]
+
+
+@pytest.mark.parametrize("build, error, text", GUARDS)
+def test_guards_raise_their_error_and_text(build, error, text):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == text
+
+
+def test_union_names_skip_every_suffix_already_taken():
+    a = core.Nfa.build(("a",), 2, [], {0}, {1}, state_names=("x", "x_2"))
+    b = core.Nfa.build(("a",), 1, [], {0}, {0}, state_names=("x",))
+    assert core.union(a, b).state_names == ("x", "x_2", "x_3")
+
+
 def test_accepts_on_a2():
     # A_2 accepts exactly the words with an 'a' three letters from the end.
     assert core.accepts(A2, "aaa")
@@ -171,10 +233,7 @@ PLAIN_AND_PORT_OPERATIONS = {
     "induced": _both(lambda a, b: core.induced(a, range(0, a.num_states, 2))),
     "trim": _both(lambda a, b: core.trim(a)),
     "product_intersection": _both(core.product_intersection),
-    "determinize": (
-        lambda a, b: powerset.determinize(a, budget=2048).nfa,
-        lambda a, b: powerset.port_determinize(a, budget=2048),
-    ),
+    "determinize": _both(lambda a, b: powerset.determinize(a, budget=2048).nfa),
     "forward_complement": (
         lambda a, b: powerset.forward_complement(a, budget=2048),
         lambda a, b: powerset.port_forward_complement(a, budget=2048),

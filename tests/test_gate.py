@@ -88,6 +88,31 @@ def test_basic_gate_validation():
         gate.gate_complement_basic(FRONT, REAR, "c")  # alphabet lacks the gate
 
 
+def test_gate_guards_raise_their_error_and_text():
+    base = core.SequentialPartition.of(gate_chain(1), [0, 1, 2])
+    assert base.gate_symbols == (2,)  # the one gate is on "c"
+    with pytest.raises(ValueError) as info:
+        gate.GatePartition(base, frozenset({"a"}), GateDirection.FRONT_CLEAN, GateMethod.EQUAL, False)
+    assert str(info.value) == "gate_symbols must equal the transfer-transition symbols"
+    dirty = core.SequentialPartition.of(
+        core.Nfa.build(("a", "c"), 3, [(0, "c", 1), (1, "c", 2)], {0}, {2}), [0, 1]
+    )
+    with pytest.raises(ValueError) as info:
+        gate.GatePartition(dirty, frozenset({"c"}), GateDirection.FRONT_CLEAN, GateMethod.EQUAL, False)
+    assert str(info.value) == "front-clean partition carries gate symbols ['c']"
+
+    a = core.Nfa.build(("a", "c"), 2, [(0, "c", 1)], {0}, {1})
+    with pytest.raises(ValueError) as info:
+        gate._drop_symbols(a, frozenset({0, 1}))
+    assert str(info.value) == "cannot complement over an empty alphabet"
+    with pytest.raises(ValueError) as info:
+        gate._drop_symbols(a, frozenset({1}))
+    assert str(info.value) == "component still carries the gate symbol 'c'"
+    with pytest.raises(ValueError) as info:
+        gate.gate_complement_basic(FRONT, core.Nfa.build(("a", "b", "c"), 1, [], {0}, {0}), "c")
+    assert str(info.value) == "components must share one alphabet"
+
+
 def test_gate_family_sizes():
     for n in (1, 2, 3):
         st = {}

@@ -18,6 +18,8 @@ NFAs over three symbols (which reach all eight direction / method /
 intersection routes), and ``gate_complement_basic`` on seeded component
 pairs.  An entry is the sha256 of a canonical text of the automaton, since
 ``serialize`` refuses the isolated states some untrimmed results have.
+``golden_sequential_digests.json`` pins ``seq_complement_basic`` the same way
+on seeded component pairs, or the text of the ``ValueError`` it raises.
 
 Regenerate the files only when an output change is intended and explained:
 
@@ -33,7 +35,7 @@ from unittest import mock
 import pytest
 
 import helpers
-from nfacomp import cli, gate
+from nfacomp import cli, gate, sequential
 from nfacomp.errors import NfacompError
 from nfacomp.families import FAMILY_KINDS, generate_family
 
@@ -42,10 +44,12 @@ SEED = 20250703
 PORT_SEED = 20250704
 GATE_SEED = 8
 BASIC_SEED = 20250705
+SEQ_BASIC_SEED = 9
 DIGESTS = pathlib.Path(__file__).with_name("golden_digests.json")
 POSTPASS_DIGESTS = pathlib.Path(__file__).with_name("golden_postpass_digests.json")
 PORT_DIGESTS = pathlib.Path(__file__).with_name("golden_port_digests.json")
 GATE_DIGESTS = pathlib.Path(__file__).with_name("golden_gate_digests.json")
+SEQUENTIAL_DIGESTS = pathlib.Path(__file__).with_name("golden_sequential_digests.json")
 PORT_METHODS = ("forward", "reverse")
 # (method, post-pass flag, whether the port corpus is run too)
 POSTPASSES = (
@@ -120,6 +124,20 @@ def basic_digests():
 GATE_TABLES = {"partitions": partition_digests, "basic": basic_digests}
 
 
+def seq_basic_digests():
+    rng = random.Random(SEQ_BASIC_SEED)
+    out = {}
+    for i in range(300):
+        a1, a2 = helpers.random_gate_instance(rng, max_component_states=6)
+        try:
+            out[f"seq-basic-{i:03d}"] = guarded_digest(
+                lambda: sequential.seq_complement_basic(a1, a2, "c", budget=BUDGET)
+            )
+        except ValueError as exc:  # components that are not single-final / single-initial
+            out[f"seq-basic-{i:03d}"] = f"ValueError: {exc}"
+    return out
+
+
 def outcome(method, a, *flags):
     """sha256 of the complement text the CLI writes, or the exception name.
 
@@ -179,6 +197,10 @@ def test_gate_constructions_match_golden_digests(table):
     assert_same(json.loads(GATE_DIGESTS.read_text())[table], GATE_TABLES[table]())
 
 
+def test_seq_complement_basic_matches_golden_digests():
+    assert_same(json.loads(SEQUENTIAL_DIGESTS.read_text())["basic"], seq_basic_digests())
+
+
 if __name__ == "__main__":
     table = {m: digests(m) for m in cli.METHODS}
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
@@ -188,3 +210,5 @@ if __name__ == "__main__":
     PORT_DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     table = {name: build() for name, build in GATE_TABLES.items()}
     GATE_DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    table = {"basic": seq_basic_digests()}
+    SEQUENTIAL_DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

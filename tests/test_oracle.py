@@ -49,6 +49,12 @@ def test_alphabet_mismatch_is_rejected():
         oracle.oracle_complement_check(A2, other, 3)
 
 
+def test_negative_max_len_is_rejected():
+    with pytest.raises(ValueError) as info:
+        oracle.oracle_complement_check(A2, A2, -1)
+    assert str(info.value) == "max_len must be nonnegative"
+
+
 def test_agrees_with_naive_word_loop():
     rng = random.Random(2718)
     for _ in range(40):

@@ -94,6 +94,11 @@ def test_complement_dfa_requires_deterministic():
         powerset.complement_dfa(A2)
 
 
+def test_complement_dfa_flips_the_final_states_of_the_powerset():
+    d = powerset.determinize(A2)
+    assert powerset.complement_dfa(d) == powerset.forward_complement(A2, trim=False)
+
+
 def test_budget_exceeded():
     a = reverse_friendly(4)
     with pytest.raises(BudgetExceededError):
@@ -108,9 +113,9 @@ def test_budget_counts_the_start_macrostate_at_every_layer():
     with pytest.raises(BudgetExceededError):
         powerset.determinize(a, budget=0)
     with pytest.raises(BudgetExceededError):
-        powerset.port_determinize(a.as_port(), budget=0)
+        powerset.determinize(a.as_port(), budget=0)
     assert powerset.determinize(a, budget=1).nfa.num_states == 1
-    assert powerset.port_determinize(a.as_port(), budget=1).num_states == 1
+    assert powerset.determinize(a.as_port(), budget=1).nfa.num_states == 1
 
 
 # --- port variants ----------------------------------------------------------
@@ -134,7 +139,7 @@ def test_port_determinize_shares_macrostates():
         [{0}, {1}],
         [{2}],
     )
-    d = powerset.port_determinize(p)
+    d = powerset.determinize(p).nfa
     # One exploration covers both entry ports; every slice is deterministic.
     for i in range(d.num_entry):
         s = d.slice(i, 0)
@@ -165,14 +170,19 @@ def _port_cases():
         yield _with_duplicate_and_empty_entries(p)
 
 
+def _mapped(p, budget):
+    d = powerset.determinize(p, budget=budget)
+    return d.nfa, d.macrostates
+
+
 def _same_or_both_cut(p, budget):
     try:
         expected = helpers.explore_port_reference(p, budget=budget)
     except BudgetExceededError:
         with pytest.raises(BudgetExceededError):
-            powerset.port_determinize_mapped(p, budget=budget)
+            _mapped(p, budget)
         return None
-    got = powerset.port_determinize_mapped(p, budget=budget)
+    got = _mapped(p, budget)
     assert got == expected  # state names included: PortNfa compares them
     return got[0]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -149,6 +150,37 @@ def test_seq_complement_basic_validation():
             core.Nfa.build(("b",), 1, [], {0}, {0}),
             "a",
         )
+
+
+def _composition_inputs():
+    p = core.SequentialPartition.of(sequential_chain(1), [0, 1])
+    det_p = sequential.determinize_front(p)
+    return p, det_p, powerset.reverse_complement(det_p.rear_for_targets())
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda p, det_p, c2: sequential.seq_complement_generalized(p, c2),
+     "front must be deterministic and complete (see determinize_front)"),
+    (lambda p, det_p, c2: sequential.seq_complement_generalized(
+        det_p, dataclasses.replace(c2, alphabet=c2.alphabet[::-1])),
+     "c2 alphabet does not match the partition"),
+    (lambda p, det_p, c2: sequential.seq_complement_generalized(
+        det_p, dataclasses.replace(c2, entry_sets=c2.entry_sets[:-1])),
+     "c2 entry ports do not line up with the rear's ports"),
+    (lambda p, det_p, c2: sequential.seq_complement_generalized(
+        det_p, dataclasses.replace(c2, exit_sets=c2.exit_sets * 2)),
+     "c2 exit ports do not line up with the rear's ports"),
+    (lambda p, det_p, c2: sequential.seq_complement_basic(
+        core.Nfa.build(("a",), 1, [], {0}, {0}), core.Nfa.build(("a",), 2, [], {0, 1}, {0}), "a"),
+     "a2 needs exactly one initial state"),
+    (lambda p, det_p, c2: sequential.seq_complement_basic(
+        core.Nfa.build(("a",), 1, [], {0}, {0}), core.Nfa.build(("a",), 1, [], {0}, {0}), "z"),
+     "symbol 'z' not in the alphabet"),
+])
+def test_composition_rejects_inputs_that_do_not_fit(call, text):
+    with pytest.raises(ValueError) as info:
+        call(*_composition_inputs())
+    assert str(info.value) == text
 
 
 def test_generalized_tracks_one_instance_on_chain():
