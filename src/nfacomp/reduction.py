@@ -35,6 +35,17 @@ class SimulationPreorder:
     relation: frozenset[tuple[int, int]]
 
 
+def _predecessor_masks(n: int, succ) -> list[int]:
+    """The predecessor table of a flat successor table over ``n`` states, in the same layout."""
+    pred = [0] * len(succ)
+    for i, row in enumerate(succ):
+        base = i - i % n
+        bit = 1 << (i - base)
+        for q in core._bits(row):
+            pred[base + q] |= bit
+    return pred
+
+
 def _simulation_masks(n: int, nsyms: int, succ, initial_candidates: list[int]) -> list[int]:
     """Greatest fixpoint of the direct-simulation refinement, as bitmasks.
 
@@ -46,12 +57,7 @@ def _simulation_masks(n: int, nsyms: int, succ, initial_candidates: list[int]) -
     state until that state's set shrinks; a state is refined again only when
     the set of one of its successors shrank.
     """
-    pred = [0] * (nsyms * n)
-    for i, row in enumerate(succ):
-        base = i - i % n
-        bit = 1 << (i - base)
-        for q in core._bits(row):
-            pred[base + q] |= bit
+    pred = _predecessor_masks(n, succ)
     tables, keys_of = _image_tables(n, nsyms, pred)
     sim = list(initial_candidates)
     pre: list[list[int] | None] = [None] * n  # per-symbol Pre_a(sim[q]), None when stale

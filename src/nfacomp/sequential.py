@@ -22,7 +22,13 @@ from . import core
 from .core import Nfa, PortNfa, SequentialPartition
 from .errors import BudgetExceededError
 from .powerset import Direction, _complement, _port_powerset, reverse_complement
-from .reduction import simulation_reduce_port
+from .reduction import _predecessor_masks, simulation_reduce_port
+
+# Above this many rear-complement states, or this many pairs per state in the
+# relation, _together_masks gives up and no composite is pruned, which is
+# still sound.
+_TOGETHER_CAP = 16384
+_TOGETHER_PER_STATE = 64
 
 
 @dataclass(frozen=True)
@@ -82,17 +88,54 @@ def determinize_front(p: SequentialPartition, *, budget: int | None = None) -> S
     return SequentialPartition.of(combined, range(off))
 
 
-def _unions_in_product_order(choice_lists, base: int = 0) -> list[int]:
-    """The distinct masks ``base | c1 | ... | ck`` over ``itertools.product(*choice_lists)``.
+def _together_masks(c2: PortNfa) -> list[int] | None:
+    """Per ``c2`` state r, the states s such that some word leads r and s into one exit set.
 
-    Each union appears once, at the place where the product first produces
-    it.  Folding from the innermost list outwards keeps that order: a later
-    duplicate of a partial union can only repeat unions already produced.
+    The least fixpoint of ``m[r] |= Pre_a(m[r'])`` over the moves
+    ``r -a-> r'``, seeded with ``exit_j x exit_j`` for every exit set j.
+    ``Pre_a`` of a set is the union of its states' predecessor rows; each
+    state's new bits are pushed to its predecessors once, from a worklist of
+    the states whose sets grew.  None when ``c2`` has more than
+    ``_TOGETHER_CAP`` states or the relation more than ``_TOGETHER_PER_STATE``
+    pairs per state: the masks take n * n / 8 bytes, and the work grows with
+    the pairs, while a dense relation prunes little.
     """
-    unions = [base]
-    for choices in reversed(choice_lists):
-        unions = list(dict.fromkeys([c | u for c in choices for u in unions]))
-    return unions
+    n = c2.num_states
+    if n > _TOGETHER_CAP:
+        return None
+    nsyms = len(c2.alphabet)
+    pred = _predecessor_masks(n, c2.succ_masks)
+    together = [0] * n
+    for ex in c2.exit_sets:
+        m = core._mask_of(ex)
+        for r in ex:
+            together[r] |= m
+    pairs = sum(m.bit_count() for m in together)
+    most = _TOGETHER_PER_STATE * n
+    fresh = list(together)  # per state, the bits not yet pushed to its predecessors
+    dirty = core._mask_of(r for r in range(n) if fresh[r])
+    while dirty:
+        if pairs > most:
+            return None
+        low = dirty & -dirty
+        dirty ^= low
+        r = low.bit_length() - 1
+        new = list(core._bits(fresh[r]))
+        fresh[r] = 0
+        for sym in range(nsyms):
+            row = sym * n
+            img = 0
+            for s in new:
+                img |= pred[row + s]
+            if img:
+                for q in core._bits(pred[row + r]):
+                    grown = img & ~together[q]
+                    if grown:
+                        together[q] |= grown
+                        fresh[q] |= grown
+                        dirty |= 1 << q
+                        pairs += grown.bit_count()
+    return together
 
 
 def seq_complement_generalized_annotated(
@@ -104,6 +147,26 @@ def seq_complement_generalized_annotated(
     states.  Its successors on a symbol are the unions of one ``c2``
     successor per tracked state and one entry state per gate that fires,
     interned in the order the product of those choices first produces them.
+    """
+    out, decoded, _pruned = _compose(p, c2, budget)
+    tracked_sets = {m: frozenset(core._bits(m)) for m in {tracked for (_q, tracked) in decoded}}
+    return out, tuple(SeqComplementState(q, tracked_sets[tracked]) for (q, tracked) in decoded)
+
+
+def _compose(
+    p: SequentialPartition, c2: PortNfa, budget: int | None
+) -> tuple[PortNfa, list[tuple[int, int]], int]:
+    """The composite exploration behind the two public compositions.
+
+    Returns the automaton, each state's (front state, tracked mask) and the
+    number of successor unions cut off as dead.
+
+    A composite that tracks two ``c2`` states no word leads into one exit
+    set together accepts nothing, and neither does any of its successors,
+    which track a successor of each.  Such a composite is never built: a
+    successor union is cut off as soon as it would hold such a pair.  So the
+    result is the unpruned exploration minus states that trim would drop,
+    with the survivors in the same order.
     """
     f = p.front
     if not core.is_deterministic(f) or not core.is_complete(f):
@@ -124,41 +187,69 @@ def seq_complement_generalized_annotated(
     front_mask = (1 << shift) - 1
     # The front is deterministic and complete: one successor bit per (sym, q).
     front_succ = [m.bit_length() - 1 for m in f.succ_masks]
-    # Per symbol, each c2 state's successors as single-bit masks.
-    rear_succ = [
-        [tuple(1 << (r + shift) for r in core._bits(m)) for m in c2.succ_masks[sym * nc:(sym + 1) * nc]]
-        for sym in range(nsyms)
-    ]
+    # Per symbol, each c2 state's successors as a shifted mask.
+    rear_succ = [[m << shift for m in c2.succ_masks[sym * nc:(sym + 1) * nc]] for sym in range(nsyms)]
     target_port = {t: p.rear.num_entry + k for k, t in enumerate(p.gate_targets)}
     gates: dict[int, set[int]] = {}
     for (x, sym, t) in p.transfer:
         gates.setdefault(sym * nf + p.front_index[x], set()).add(t)
-    # Per (sym, q), the unions of one entry state per gate fired, or None.
-    gate_entries: list[list[int] | None] = [None] * (nsyms * nf)
+    # Per (sym, q), the entry states of each gate that fires, as shifted masks.
+    gate_choices: list[list[int]] = [[] for _ in range(nsyms * nf)]
     for k, ts in gates.items():
-        gate_entries[k] = _unions_in_product_order(
-            [tuple(1 << (r + shift) for r in sorted(c2.entry_sets[target_port[t]])) for t in sorted(ts)]
-        )
-    # Per tracked mask and symbol, the unions of the tracked states' successors.
-    tracked_succ: dict[int, list[list[int]]] = {}
+        gate_choices[k] = [core._mask_of(c2.entry_sets[target_port[t]]) << shift for t in sorted(ts)]
+    # Per c2 state r, the shifted mask of the states that may be tracked beside
+    # it, r included; every state when the pair table is not built.
+    together = _together_masks(c2)
+    companions = [-1] * nc if together is None else [(m | 1 << r) << shift for r, m in enumerate(together)]
+    pruned = [0]  # successor unions cut off, counted by the two helpers below
 
-    def successors_of(tracked: int) -> list[list[int]]:
+    def extend(partials: list[tuple[int, int]], choices: int) -> list[tuple[int, int]]:
+        """Each partial union joined with one state of ``choices``, in product order, without repeats.
+
+        A partial union carries the states that may still join it, so a union
+        that would track two states no word leads into one exit set together
+        is cut off, and with it every union that would contain it.  Dropping
+        a repeat is safe: its own extensions repeat those of the first.
+        """
+        out: dict[int, int] = {}
+        for u, room in partials:
+            fits = choices & room
+            pruned[0] += (choices ^ fits).bit_count()
+            while fits:
+                low = fits & -fits
+                fits ^= low
+                v = u | low
+                if v not in out:
+                    out[v] = room & companions[low.bit_length() - 1 - shift]
+        return list(out.items())
+
+    # Per tracked mask and symbol, the unions of one successor per tracked state.
+    tracked_succ: dict[int, list[list[tuple[int, int]]]] = {}
+
+    def successors_of(tracked: int) -> list[list[tuple[int, int]]]:
         bits = list(core._bits(tracked >> shift))
         rows = []
         for row in rear_succ:
-            fixed = 0  # a tracked state with one successor adds it to every union
-            multi = []
+            fixed, room, multi = 0, -1, []  # a state with one successor adds it to every union
             for r in bits:
-                opts = row[r]
-                if len(opts) == 1:
-                    fixed |= opts[0]
-                elif opts:
-                    multi.append(opts)
+                succ = row[r]
+                if succ & (succ - 1):
+                    multi.append(succ)
+                elif succ:
+                    fixed |= succ
+                    room &= companions[succ.bit_length() - 1 - shift]
                 else:  # this instance dies on the symbol, and with it every union
                     rows.append([])
                     break
             else:
-                rows.append(_unions_in_product_order(multi, fixed))
+                if fixed & ~room:  # two single successors that cannot be tracked together
+                    pruned[0] += 1
+                    partials = []
+                else:
+                    partials = [(fixed, room)]
+                    for choices in multi:
+                        partials = extend(partials, choices)
+                rows.append(partials)
         return rows
 
     index: dict[int, int] = {}
@@ -190,13 +281,12 @@ def seq_complement_generalized_annotated(
         rows = tracked_succ.get(tracked)
         if rows is None:
             rows = tracked_succ[tracked] = successors_of(tracked)
-        for sym, succs in enumerate(rows):
+        for sym, partials in enumerate(rows):
             k = sym * nf + q
-            entries = gate_entries[k]
-            if entries is not None:
-                succs = list(dict.fromkeys([s | e for s in succs for e in entries]))
+            for choices in gate_choices[k]:
+                partials = extend(partials, choices)
             q2 = front_succ[k]
-            for m in succs:
+            for m, _room in partials:
                 i = index.get(m | q2)
                 if i is None:
                     i = intern(m | q2)
@@ -210,9 +300,9 @@ def seq_complement_generalized_annotated(
         exit_ids.append(
             frozenset(i for i, (q, tracked) in enumerate(decoded) if q not in fj and not tracked & outside)
         )
-    tracked_sets = {m: frozenset(core._bits(m)) for m in {tracked for (_q, tracked) in decoded}}
     tracked_names = {
-        m: ":{" + ",".join(c2.state_name(r) for r in sorted(rs)) + "}" for m, rs in tracked_sets.items()
+        m: ":{" + ",".join(c2.state_name(r) for r in core._bits(m)) + "}"
+        for m in {tracked for (_q, tracked) in decoded}
     }
     names = tuple(f.state_name(q) + tracked_names[tracked] for (q, tracked) in decoded)
     out = PortNfa(
@@ -223,8 +313,7 @@ def seq_complement_generalized_annotated(
         tuple(exit_ids),
         state_names=names,
     )
-    annotation = tuple(SeqComplementState(q, tracked_sets[tracked]) for (q, tracked) in decoded)
-    return out, annotation
+    return out, decoded, pruned[0]
 
 
 def seq_complement_generalized(
@@ -235,8 +324,7 @@ def seq_complement_generalized(
     ``c2`` must complement ``p.rear_for_targets()``: its entry ports are the
     rear's outer entries followed by one port per gate target (sorted).
     """
-    out, _ = seq_complement_generalized_annotated(p, c2, budget=budget)
-    return out
+    return _compose(p, c2, budget)[0]
 
 
 def seq_complement_basic(a1: Nfa, a2: Nfa, c: str, *, budget: int | None = None) -> Nfa:
@@ -452,6 +540,7 @@ def _run_pipeline(
         if stats is not None:
             stats["stage_sizes"] = [pre]
             stats["pre_trim"] = pre
+            stats["pruned"] = 0
         return out
 
     w = a.as_port()
@@ -473,8 +562,10 @@ def _run_pipeline(
     if stats is not None:
         stats["stage_sizes"] = [c_cur.num_states]
 
+    pruned = 0
     for k in range(len(chain) - 1, -1, -1):
-        c_cur = seq_complement_generalized(chain[k], c_cur, budget=budget)
+        c_cur, _decoded, dead = _compose(chain[k], c_cur, budget)
+        pruned += dead
         if k > 0:
             c_cur = simulation_reduce_port(c_cur)
         if stats is not None:
@@ -482,6 +573,7 @@ def _run_pipeline(
 
     if stats is not None:
         stats["pre_trim"] = c_cur.num_states
+        stats["pruned"] = pruned
     return core.trim(c_cur.slice(0, 0))
 
 
@@ -497,9 +589,11 @@ def seq_pipeline_best(
     The pipeline depends on the strategy only through its components, so a
     strategy whose partition equals an earlier strategy's is not run again:
     it shares that outcome, a budget cut included.  Ties keep the first
-    strategy in enum order.  When a stats dict is supplied it ends up holding
-    the winner's numbers plus ``attempts``, one entry per strategy with its
-    outcome: ``ok`` (with ``pre_trim`` and trimmed ``states``), ``budget``,
+    strategy in enum order.  Dead composites are never built, and ``budget``
+    counts only the composites that are.  When a stats dict is supplied it
+    ends up holding the winner's numbers plus ``attempts``, one entry per
+    strategy with its outcome: ``ok`` (with ``pre_trim``, ``pruned``, the
+    successor unions cut off as dead, and trimmed ``states``), ``budget``,
     or ``same_partition_as`` an earlier strategy.
     """
     best: tuple[Nfa, PartitionStrategy, dict] | None = None
@@ -522,7 +616,13 @@ def seq_pipeline_best(
             attempts.append({"strategy": strat.value, "outcome": "budget"})
             continue
         attempts.append(
-            {"strategy": strat.value, "outcome": "ok", "pre_trim": local["pre_trim"], "states": cand.num_states}
+            {
+                "strategy": strat.value,
+                "outcome": "ok",
+                "pre_trim": local["pre_trim"],
+                "pruned": local["pruned"],
+                "states": cand.num_states,
+            }
         )
         if best is None or cand.num_states < best[0].num_states:
             best = (cand, strat, local)

@@ -125,15 +125,40 @@ def random_gate_instance(rng, max_component_states=10):
     return component(False, False), component(False, False)
 
 
-def seq_complement_reference(p, c2, *, budget=None):
+def together_pairs_reference(c2):
+    """The pairs (r, s) of ``c2`` states that some word leads into one exit set together.
+
+    A search over pairs backwards from every (r, s) in one exit set, through
+    pairs of predecessors on a common symbol.
+    """
+    preds = {}
+    for (src, sym, dst) in c2.transitions:
+        preds.setdefault((dst, sym), []).append(src)
+    seen = {(r, s) for ex in c2.exit_sets for r in ex for s in ex}
+    queue = deque(seen)
+    while queue:
+        r, s = queue.popleft()
+        for sym in range(len(c2.alphabet)):
+            for r0 in preds.get((r, sym), ()):
+                for s0 in preds.get((s, sym), ()):
+                    if (r0, s0) not in seen:
+                        seen.add((r0, s0))
+                        queue.append((r0, s0))
+    return frozenset(seen)
+
+
+def seq_complement_reference(p, c2, *, budget=None, prune=True):
     """Composite exploration of the sequential complement, spelled out.
 
     Tracked sets are frozensets and every successor is one element of the
     product of the per-instance choice lists, so a successor set reached
-    through several choices is rebuilt once per choice.  The library's
-    ``seq_complement_generalized_annotated`` must return exactly this
+    through several choices is rebuilt once per choice.  With ``prune``, a
+    successor that tracks two states outside ``together_pairs_reference``
+    is dead and never built.  The library's
+    ``seq_complement_generalized_annotated`` must return exactly the pruned
     automaton and annotation (validation of the inputs is left to it).
     """
+    together = together_pairs_reference(c2) if prune else None
     f = p.front
     nsyms = len(f.alphabet)
     nf = f.num_states
@@ -195,7 +220,12 @@ def seq_complement_reference(p, c2, *, budget=None):
             if dead:
                 continue
             for combo in itertools.product(*choice_lists):
-                transitions.add((sid, sym, intern((q2, frozenset(combo)))))
+                tracked2 = frozenset(combo)
+                if prune and any(
+                    r != s and (r, s) not in together for r in tracked2 for s in tracked2
+                ):
+                    continue
+                transitions.add((sid, sym, intern((q2, tracked2))))
 
     exit_ids = []
     for j in range(p.rear.num_exit):

@@ -3,7 +3,9 @@ import io
 import json
 import os
 import random
+import runpy
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -173,9 +175,12 @@ def test_sequential_stats_list_every_strategy(capsys, tmp_path):
             "strategy": "detrev",
             "component_sizes": [5, 6],
             "stage_sizes": [7, 12],
+            "pruned": 0,
+            # det builds only the 13 composites that survive trim: 25 successor
+            # unions are cut off as dead.
             "attempts": [
-                {"strategy": "det", "outcome": "ok", "pre_trim": 70, "states": 13},
-                {"strategy": "detrev", "outcome": "ok", "pre_trim": 12, "states": 12},
+                {"strategy": "det", "outcome": "ok", "pre_trim": 13, "pruned": 25, "states": 13},
+                {"strategy": "detrev", "outcome": "ok", "pre_trim": 12, "pruned": 0, "states": 12},
                 {"strategy": "mincut", "outcome": "same_partition_as", "same_partition_as": "detrev"},
             ],
         }
@@ -250,6 +255,31 @@ def test_exit_codes(capsys, tmp_path, a2_file):
     code, _out, err = run(capsys, "complement", "-m", "forward", "-i", str(tmp_path / "nope"))
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"@NFA x\n\xff\n", "line 1, column 1: file is not valid UTF-8 (invalid start byte)"),
+    (b"@NFA a b\n", "line 1, column 1: @NFA header takes exactly one name"),
+    (b"@NFA x\n%Alphabet\n", "line 2, column 1: %Alphabet needs at least one symbol"),
+    (b"@NFA x\n%Alphabet a\n%Initial 0\n%Final 0\n%Final 0\n", "line 5, column 1: duplicate %Final"),
+    (b"@PortNFA p\n%Alphabet a\n%Entry\n", "line 3, column 1: %Entry needs a port index"),
+    (b"@PortNFA p\n%Alphabet a\n%Exit -1 0\n", "line 3, column 7: port index must be nonnegative"),
+], ids=["utf8", "header-names", "empty-alphabet", "duplicate-final", "port-without-index", "negative-index"])
+def test_parse_errors_exit_2_with_their_text(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.nfa"
+    bad.write_bytes(text)
+    assert run(capsys, "complement", "-m", "forward", "-i", str(bad)) == (2, "", f"error: {message}\n")
+
+
+def test_module_runs_as_a_script(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["nfacomp", "generate", "-f", "reverse", "-n", "1"])
+    with warnings.catch_warnings():
+        # runpy notes that nfacomp.cli is already imported; the fresh copy is what runs.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("nfacomp.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == fileformat.serialize(reverse_friendly(1))
 
 
 def test_budget_zero_cuts_even_one_macrostate(capsys, tmp_path):

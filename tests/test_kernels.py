@@ -121,6 +121,13 @@ def test_word_signature_matches_reference():
             )
 
 
+def test_product_with_a_stateless_automaton_is_empty():
+    loop = core.Nfa.build(("a",), 1, [(0, "a", 0)], {0}, {0})
+    nothing = core.Nfa.build(("a",), 0, [], set(), set())
+    assert core.language_disjoint(loop, nothing) and core.language_disjoint(nothing, loop)
+    assert not core.language_disjoint(loop, loop)
+
+
 def test_antichain_included_matches_reference():
     verdicts = set()
     rng = random.Random(43)

@@ -275,6 +275,82 @@ def test_exploration_budget_edge_matches_naive_reference():
             explore(det_p, c2, budget=n - 1)
 
 
+def pruning_cases():
+    """(name, partition, rear complement): the seeded splits and single splits of the families."""
+    rng = random.Random(9091)
+    for i, (_a, p) in enumerate(seeded_partitions(rng, 60, max_states=8)):
+        det_p = sequential.determinize_front(p)
+        yield f"random-{i} reverse", det_p, powerset.port_reverse_complement(det_p.rear_for_targets())
+        yield f"random-{i} forward", det_p, powerset.port_forward_complement(det_p.rear_for_targets())
+    families = [(f"seq{n}", sequential_chain(n)) for n in range(2, 9)]
+    families += [(f"gate{n}", gate_chain(n)) for n in (2, 3, 4)]
+    for name, a in families:
+        firsts = {}
+        for strat in PartitionStrategy:
+            firsts.setdefault(sequential.partition(a, strat).components[0], strat)
+        for front, strat in firsts.items():
+            det_p = sequential.determinize_front(core.SequentialPartition.of(a.as_port(), front))
+            yield f"{name} {strat.value} reverse", det_p, powerset.port_reverse_complement(det_p.rear_for_targets())
+            yield f"{name} {strat.value} forward", det_p, powerset.port_forward_complement(det_p.rear_for_targets())
+
+
+def test_pruning_drops_only_what_trim_drops():
+    cut = []
+    for name, det_p, c2 in pruning_cases():
+        try:
+            full = helpers.seq_complement_reference(det_p, c2, budget=5000, prune=False)[0]
+        except BudgetExceededError:
+            cut.append(name)
+            continue
+        assert core.trim(full) == core.trim(sequential.seq_complement_generalized(det_p, c2)), name
+    # Unpruned, these two explorations build 67,710 and over 200,000 composites.
+    assert cut == ["gate3 det reverse", "gate4 det reverse"]
+
+
+def sparse_port_nfa(rng, n):
+    """About one successor per state and symbol, two or three small exit sets."""
+    trans = [(q, sym, rng.randrange(n)) for q in range(n) for sym in "ab" for _ in range(rng.choice((0, 1, 1, 2)))]
+    exits = [{rng.randrange(n) for _ in range(rng.randint(0, 3))} for _ in range(rng.randint(2, 3))]
+    return core.PortNfa.build(("a", "b"), n, trans, [{0}], exits)
+
+
+def test_together_masks_match_a_pair_search(monkeypatch):
+    monkeypatch.setattr(sequential, "_TOGETHER_PER_STATE", 130)  # never give up below 131 states
+    rng = random.Random(606)
+    empty_language = 0
+    for _ in range(12):
+        c2 = sparse_port_nfa(rng, rng.randint(65, 130))
+        pairs = helpers.together_pairs_reference(c2)
+        want = [core._mask_of(s for (r2, s) in pairs if r2 == r) for r in range(c2.num_states)]
+        assert sequential._together_masks(c2) == want
+        empty_language += want.count(0)
+    assert empty_language > 0
+
+
+@pytest.mark.parametrize("limit", ["_TOGETHER_CAP", "_TOGETHER_PER_STATE"])
+def test_pair_table_gives_up_above_its_caps(monkeypatch, limit):
+    c2 = sparse_port_nfa(random.Random(7), 80)
+    pairs = sequential._together_masks(c2)
+    assert pairs is not None
+    count = sum(m.bit_count() for m in pairs)
+    # Exactly at the cap the table is built; one below, the rule is off.
+    at_cap = c2.num_states if limit == "_TOGETHER_CAP" else -(-count // c2.num_states)
+    monkeypatch.setattr(sequential, limit, at_cap)
+    assert sequential._together_masks(c2) == pairs
+    monkeypatch.setattr(sequential, limit, at_cap - 1)
+    assert sequential._together_masks(c2) is None
+
+
+def test_with_the_rule_off_the_exploration_is_unpruned(monkeypatch):
+    cases = [case for case in pruning_cases() if case[0].startswith(("random-1", "seq", "gate2"))]
+    pruned = [sequential.seq_complement_generalized(det_p, c2) for _name, det_p, c2 in cases]
+    monkeypatch.setattr(sequential, "_TOGETHER_CAP", 0)
+    for (name, det_p, c2), out in zip(cases, pruned):
+        full = sequential.seq_complement_generalized(det_p, c2)
+        assert full == helpers.seq_complement_reference(det_p, c2, prune=False)[0], name
+        assert core.trim(full) == core.trim(out), name
+
+
 # --- the full pipeline ------------------------------------------------------
 
 
@@ -305,6 +381,7 @@ def test_pipeline_stats_shape():
         "component_sizes": [2, 3],
         "stage_sizes": [4, 6],
         "pre_trim": 6,
+        "pruned": 0,
     }
     assert out.num_states <= stats["pre_trim"]
 
@@ -382,15 +459,35 @@ def test_pipeline_best_runs_each_distinct_partition_once(monkeypatch):
 
 
 def test_pipeline_best_shares_a_budget_cut():
-    # On gate_chain(2), det and mincut give the same partition; det runs over.
+    # On reverse_friendly(3), det and mincut give the same partition; with a
+    # forward rear complement, det runs over a budget that detrev stays within.
+    a = reverse_friendly(3)
     stats = {}
-    out, strat = sequential.seq_pipeline_best(gate_chain(2), budget=64, stats=stats)
+    out, strat = sequential.seq_pipeline_best(a, Direction.FORWARD, budget=16, stats=stats)
     assert strat is PartitionStrategy.DET_PLUS_REVDET_BOTTOM
     assert [(x["strategy"], x["outcome"]) for x in stats["attempts"]] == [
         ("det", "budget"), ("detrev", "ok"), ("mincut", "same_partition_as"),
     ]
     assert stats["attempts"][2]["same_partition_as"] == "det"
-    assert oracle.oracle_complement_check(gate_chain(2), out, 6).ok
+    assert oracle.oracle_complement_check(a, out, 6).ok
+
+
+@pytest.mark.parametrize("a", [sequential_chain(n) for n in range(4, 13)] + [gate_chain(3)],
+                         ids=[f"seq{n}" for n in range(4, 13)] + ["gate3"])
+def test_det_builds_only_composites_that_survive_trim(a):
+    stats = {}
+    out = sequential.seq_pipeline(a, PartitionStrategy.DETERMINISTIC_COMPONENTS, stats=stats)
+    assert stats["pre_trim"] == out.num_states
+    assert stats["pruned"] > 0
+
+
+def test_det_wins_on_gate_chain_4_at_the_default_budget():
+    stats = {}
+    out, strat = sequential.seq_pipeline_best(gate_chain(4), stats=stats)
+    assert (strat, out.num_states) == (PartitionStrategy.DETERMINISTIC_COMPONENTS, 78)
+    assert [(x["strategy"], x.get("states")) for x in stats["attempts"]] == [
+        ("det", 78), ("detrev", 80), ("mincut", None),
+    ]
 
 
 def test_pipeline_random_inputs():
