@@ -8,14 +8,15 @@ and :mod:`nfacomp.powerset` produce once per automaton:
   ``sym * nstates + q`` is the bitmask of successors of ``q`` under ``sym``,
 * state sets (initial, final, macrostates) are plain ints used as bitmasks.
 
-``explore_subsets``, ``word_signature`` and ``antichain_included`` compute
-the subset image of a state set (the union of its states' successors under
-one symbol) one byte of the set at a time: per symbol, a table keyed
-``c * 256 + b`` holds the image of the states ``8c + i`` for the set bits
-``i`` of the byte value ``b``.  The tables are filled on demand, so a call
-pays only for the byte values its state sets actually contain.
+``explore_subsets`` and ``antichain_included`` compute the subset image of a
+state set (the union of its states' successors under one symbol) one byte
+of the set at a time: per symbol, a table keyed ``c * 256 + b`` holds the
+image of the states ``8c + i`` for the set bits ``i`` of the byte value
+``b``.  The tables are filled on demand, so a call pays only for the byte
+values its state sets actually contain.  The pair search of
+:mod:`nfacomp.oracle` uses the same tables through ``_image_tables``.
 
-These four functions are the package's only implementation of the kernels;
+These three functions are the package's only implementation of the kernels;
 :mod:`nfacomp._kernels` re-exports them.
 """
 
@@ -118,31 +119,6 @@ def explore_subsets(nstates, nsyms, succ, seeds, budget=None):
                 macros.append(nxt)
             delta.append(j)
     return macros, delta
-
-
-def word_signature(nstates, nsyms, succ, init, final, max_len):
-    """Acceptance bit per word of length <= max_len, in length-lex order.
-
-    Words are ordered by length, then lexicographically by symbol index; the
-    byte for word ``w`` is 1 iff the subset run from ``init`` over ``w`` ends
-    in a set intersecting ``final``.  Shared prefixes are evaluated once.
-    """
-    tables, keys_of = _image_tables(nstates, nsyms, succ)
-    out = bytearray()
-    level = [init]
-    out.append(1 if init & final else 0)
-    for _ in range(max_len):
-        nxt_level = []
-        for mask in level:
-            keys = keys_of(mask)
-            for table in tables:
-                nxt = 0
-                for key in keys:
-                    nxt |= table[key]
-                nxt_level.append(nxt)
-                out.append(1 if nxt & final else 0)
-        level = nxt_level
-    return bytes(out)
 
 
 def antichain_included(

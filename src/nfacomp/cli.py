@@ -1,14 +1,14 @@
 """Command-line front end.
 
-Subcommands: ``complement`` (one of six methods, optional post-passes and a
-JSON stats report), ``generate`` (witness families), ``check`` (antichain
-language relations), ``oracle`` (bounded brute-force complement check), and
-``stats`` (basic facts about one automaton file).  Automata are read from
-``-i``/``-a``/... files or stdin, and written to ``-o`` or stdout.
+Subcommands: ``complement`` (one of six methods, optional post-passes, an
+exact check of the output and a JSON stats report), ``generate`` (witness
+families), ``check`` (antichain language relations), ``oracle`` (complement
+check over every word up to a length), and ``stats`` (basic facts about one
+automaton file).  Automata are read from ``-i``/``-a``/... files or stdin,
+and written to ``-o`` or stdout.
 
 Exit codes: 0 success, 1 failed check/relation or unusable request, 2 parse
-error or bad command line (argparse), 3 no usable gate partition, 4 budget
-exhausted.
+error or bad command line, 3 no usable gate partition, 4 budget exhausted.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .core import Nfa, PortNfa
 from .errors import BudgetExceededError, NfacompError, NoGatePartitionError, ParseError
 from .families import FAMILY_KINDS, generate_family
 from .fileformat import parse, serialize
-from .oracle import oracle_complement_check
+from .oracle import exact_complement_check, oracle_complement_check
 from .powerset import Direction
 from .report import ComplementReport
 from .sequential import PartitionStrategy
@@ -138,6 +138,30 @@ def _report(method, a, out, pre, extras, elapsed_ms) -> ComplementReport:
     )
 
 
+def _verify(a, out, budget) -> dict:
+    """Exactly check every port slice of ``out`` against the same slice of ``a``.
+
+    Each slice may reach at most ``budget`` pairs; a slice that runs out is
+    left unsettled, so the verdict is ``budget``.  A wrong slice raises.
+    """
+    start = time.perf_counter()
+    pairs = 0
+    verdict = "exact"
+    for i in range(a.num_entry):
+        for j in range(a.num_exit):
+            v = exact_complement_check(a.slice(i, j), out.slice(i, j), budget)
+            if v.ok is False:
+                raise NfacompError(
+                    f'--verify: slice ({i}, {j}) is not the complement, '
+                    f'first counterexample "{v.counterexample}"'
+                )
+            pairs += v.pairs
+            if v.ok is None:
+                verdict = "budget"
+    ms = (time.perf_counter() - start) * 1000.0
+    return {"verdict": verdict, "ms": round(ms, 3), "pairs": pairs}
+
+
 def _skip_outcome(exc: NfacompError) -> str:
     """Why portfolio skipped a method, as its stats report names it."""
     if isinstance(exc, BudgetExceededError):
@@ -191,6 +215,9 @@ def _cmd_complement(args) -> int:
         else:
             out = reduction.simulation_reduce(out)
 
+    if args.verify:
+        stats_doc["verify"] = _verify(a, out, budget)
+
     if out.name is None and a.name is not None:
         out = dataclasses.replace(out, name=f"{a.name}_complement")
     _write_text(args.output, serialize(out))
@@ -203,7 +230,12 @@ def _cmd_complement(args) -> int:
 # the small subcommands
 
 def _cmd_generate(args) -> int:
-    _write_text(args.output, serialize(generate_family(args.family, args.n)))
+    try:
+        a = generate_family(args.family, args.n)
+    except ValueError as e:  # the family has no automaton of that index: a bad command line
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    _write_text(args.output, serialize(a))
     return 0
 
 
@@ -267,8 +299,8 @@ def _cmd_stats(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _budget(text: str) -> int:
-    """The argparse type of ``--budget``: a non-negative integer."""
+def _nonnegative(text: str) -> int:
+    """The argparse type of ``--budget`` and ``--max-len``: a non-negative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -299,7 +331,10 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="sequential partitioning strategy (default: all)")
     comp.add_argument("--rear", choices=("forward", "reverse"), default="reverse",
                       help="powerset direction for the rear component (default: reverse)")
-    comp.add_argument("--budget", type=_budget, default=DEFAULT_MACRO_BUDGET,
+    comp.add_argument("--verify", action="store_true",
+                      help="exactly check every port slice of the output against the input, "
+                           "reaching at most --budget pairs of state sets per slice; exit 1 if one is wrong")
+    comp.add_argument("--budget", type=_nonnegative, default=DEFAULT_MACRO_BUDGET,
                       help=f"macrostate budget per powerset call (default {DEFAULT_MACRO_BUDGET})")
     comp.set_defaults(fn=_cmd_complement)
 
@@ -313,14 +348,17 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--relation", choices=("equiv", "incl", "disjoint"), required=True)
     chk.add_argument("-a", required=True, metavar="FILE")
     chk.add_argument("-b", required=True, metavar="FILE")
-    chk.add_argument("--budget", type=_budget, default=DEFAULT_ANTICHAIN_BUDGET,
+    chk.add_argument("--budget", type=_nonnegative, default=DEFAULT_ANTICHAIN_BUDGET,
                      help=f"antichain expansion budget (default {DEFAULT_ANTICHAIN_BUDGET})")
     chk.set_defaults(fn=_cmd_check)
 
-    orc = sub.add_parser("oracle", help="brute-force complement check up to a word length")
+    orc = sub.add_parser(
+        "oracle", help="check a claimed complement on every word up to a length, by a search over "
+                       "pairs of state sets; print the length-lex least counterexample")
     orc.add_argument("-a", required=True, metavar="FILE", help="original automaton")
     orc.add_argument("-c", required=True, metavar="FILE", help="claimed complement")
-    orc.add_argument("--max-len", type=int, default=6)
+    orc.add_argument("--max-len", type=_nonnegative, default=6,
+                     help="longest word checked (default 6)")
     orc.set_defaults(fn=_cmd_oracle)
 
     st = sub.add_parser("stats", help="print basic facts about an automaton file")

@@ -7,7 +7,7 @@ independent route to every answer the library computes cleverly.
 import itertools
 from collections import deque
 
-from nfacomp import core
+from nfacomp import core, oracle
 from nfacomp.errors import BudgetExceededError
 from nfacomp.sequential import SeqComplementState
 
@@ -341,13 +341,46 @@ def explore_subsets_reference(nstates, nsyms, succ, seeds, budget=None):
     return macros, delta
 
 
-def word_signature_reference(nstates, nsyms, succ, init, final, max_len):
-    out = bytearray([1 if init & final else 0])
-    level = [init]
-    for _ in range(max_len):
-        level = [subset_image_reference(nstates, succ, sym, m) for m in level for sym in range(nsyms)]
-        out += bytes(1 if m & final else 0 for m in level)
-    return bytes(out)
+def _word_at(index, alphabet):
+    """Invert the length-lex enumeration: flat index -> symbol tuple."""
+    s = len(alphabet)
+    length = 0
+    level_size = 1
+    while index >= level_size:
+        index -= level_size
+        level_size *= s
+        length += 1
+    digits = []
+    for _ in range(length):
+        index, d = divmod(index, s)
+        digits.append(alphabet[d])
+    return tuple(reversed(digits))
+
+
+def oracle_reference(a, c, max_len):
+    """The bounded complement check by enumerating every word up to ``max_len``.
+
+    Each automaton's acceptance bit for every word, in length-lex order, is
+    computed level by level; the first index where the two agree is decoded
+    back into its word.  ``oracle.oracle_complement_check`` must give the
+    same verdict, counterexample and word count.
+    """
+
+    def signature(x):
+        n, k, succ, final = x.num_states, len(x.alphabet), x.succ_masks, x.final_mask
+        level = [x.initial_mask]
+        out = bytearray([1 if x.initial_mask & final else 0])
+        for _ in range(max_len):
+            level = [subset_image_reference(n, succ, sym, m) for m in level for sym in range(k)]
+            out += bytes(1 if m & final else 0 for m in level)
+        return bytes(out)
+
+    sig_a, sig_c = signature(a), signature(c)
+    for i, (bit_a, bit_c) in enumerate(zip(sig_a, sig_c)):
+        if bit_a == bit_c:
+            word = _word_at(i, a.alphabet)
+            return oracle.OracleVerdict(False, "".join(word), word, len(sig_a))
+    return oracle.OracleVerdict(True, None, None, len(sig_a))
 
 
 def antichain_included_reference(

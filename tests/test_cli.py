@@ -208,6 +208,49 @@ def test_oracle_command(capsys, tmp_path, a2_file):
     assert (code, out) == (1, 'FAIL: first counterexample ""\n')
 
 
+def test_complement_verify(capsys, tmp_path, a2_file, monkeypatch):
+    stats_path = tmp_path / "s.json"
+    code, out, err = run(capsys, "complement", "-m", "reverse", "-i", a2_file, "--verify",
+                         "--stats", str(stats_path))
+    assert (code, err) == (0, "")
+    assert fileformat.parse(out).num_states == 4
+    verify = json.loads(stats_path.read_text())["verify"]
+    assert (verify["verdict"], verify["pairs"]) == ("exact", 8)
+    assert verify["ms"] >= 0
+
+    # Every slice of a port output is checked, under --budget pairs each.
+    p = tmp_path / "p.nfa"
+    p.write_text(fileformat.serialize(helpers.random_port_nfa(random.Random(3), max_states=5)))
+    code, _out, _err = run(capsys, "complement", "-m", "forward", "-i", str(p), "--verify",
+                           "--stats", str(stats_path))
+    assert code == 0 and json.loads(stats_path.read_text())["verify"]["verdict"] == "exact"
+
+    # The reverse complement of A_7 has 9 states; checking it reaches more
+    # pairs than that.  A budget cut settles nothing and is no error.
+    rev7 = tmp_path / "rev7.nfa"
+    rev7.write_text(fileformat.serialize(reverse_friendly(7)))
+    code, out, err = run(capsys, "complement", "-m", "reverse", "-i", str(rev7), "--verify",
+                         "--budget", "64", "--stats", str(stats_path))
+    assert (code, err) == (0, "") and fileformat.parse(out).num_states == 9
+    assert json.loads(stats_path.read_text())["verify"]["pairs"] == 64
+    assert json.loads(stats_path.read_text())["verify"]["verdict"] == "budget"
+
+    # A complement that also accepts "aaa", a word of A_2: exit 1, no output.
+    reduce = cli.reduction.simulation_reduce
+
+    def broken(a):
+        c = reduce(a)
+        n, aid = c.num_states, c.symbol_ids["a"]
+        extra = {(n, aid, n + 1), (n + 1, aid, n + 2), (n + 2, aid, n + 3)}
+        return core.Nfa(c.alphabet, n + 4, c.transitions | extra, c.initial | {n}, c.final | {n + 3})
+
+    monkeypatch.setattr(cli.reduction, "simulation_reduce", broken)
+    code, out, err = run(capsys, "complement", "-m", "forward", "--reduce", "-i", a2_file, "--verify")
+    assert (code, out) == (1, "")
+    assert err == 'error: --verify: slice (0, 0) is not the complement, first counterexample "aaa"\n'
+    assert run(capsys, "complement", "-m", "forward", "--reduce", "-i", a2_file)[0] == 0
+
+
 def test_stats_command(capsys, a2_file):
     code, out, _ = run(capsys, "stats", "-i", a2_file)
     assert code == 0
@@ -329,6 +372,21 @@ def test_negative_budget_is_a_usage_error(capsys, tmp_path, a2_file):
             cli.main(list(argv))
         assert exc.value.code == 2
         assert "--budget" in capsys.readouterr().err
+
+
+def test_numbers_out_of_range_are_usage_errors(capsys, a2_file):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "-a", a2_file, "-c", a2_file, "--max-len", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "nfacomp oracle: error: argument --max-len: must be non-negative, got -1\n"
+    )
+    assert run(capsys, "generate", "-f", "reverse", "-n", "-1") == (
+        2, "", "error: family index must be nonnegative\n"
+    )
+    assert run(capsys, "generate", "-f", "gate", "-n", "0") == (
+        2, "", "error: family index must be at least 1\n"
+    )
 
 
 def test_portfolio_lists_the_methods_it_skipped(capsys, tmp_path):

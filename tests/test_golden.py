@@ -3,7 +3,8 @@
 ``golden_digests.json`` records, for each method and input, the sha256 of the
 text ``nfacomp complement -m <method> --budget 4096`` writes, or the name of
 the exception the command raises.  The corpus is the three witness families
-at n = 1..6 plus 200 seeded random NFAs.
+at n = 1..6 plus 200 seeded random NFAs.  These runs also check every output
+exactly against its input (``--verify``).
 
 ``golden_postpass_digests.json`` does the same for the post-passes: ``-m
 forward --minimize``, ``-m forward --reduce`` and ``-m reverse --reduce`` on
@@ -138,11 +139,12 @@ def seq_basic_digests():
     return out
 
 
-def outcome(method, a, *flags):
-    """sha256 of the complement text the CLI writes, or the exception name.
+def run_complement(method, a, *flags):
+    """The texts ``complement -m <method>`` writes, by file name, or the exception name.
 
-    The command reads ``a`` and writes its output in memory, so that random
-    automata with isolated states need no round trip through a file.
+    The command reads ``a`` and writes its output (``out``) and any stats
+    (``stats``) in memory, so that random automata with isolated states need
+    no round trip through a file.
     """
     written = {}
     args = cli._build_parser().parse_args(
@@ -154,7 +156,13 @@ def outcome(method, a, *flags):
             args.fn(args)
         except (NfacompError, ValueError) as exc:  # the errors the CLI maps to exit codes
             return type(exc).__name__
-    return hashlib.sha256(written["out"].encode()).hexdigest()
+    return written
+
+
+def outcome(method, a, *flags):
+    """sha256 of the complement text the CLI writes, or the exception name."""
+    written = run_complement(method, a, *flags)
+    return written if isinstance(written, str) else hashlib.sha256(written["out"].encode()).hexdigest()
 
 
 def digests(method):
@@ -178,7 +186,20 @@ def assert_same(expected, got):
 
 @pytest.mark.parametrize("method", cli.METHODS)
 def test_outputs_match_golden_digests(method):
-    assert_same(json.loads(DIGESTS.read_text())[method], digests(method))
+    # Each run also verifies its output exactly (--verify): a wrong
+    # complement fails the run, and the digest with it.  A check that would
+    # reach more than BUDGET pairs is cut and settles nothing; on this corpus
+    # none is.
+    got, cuts = {}, 0
+    for key, a in corpus():
+        written = run_complement(method, a, "--verify", "--stats", "stats")
+        if isinstance(written, str):
+            got[key] = written
+            continue
+        got[key] = hashlib.sha256(written["out"].encode()).hexdigest()
+        cuts += json.loads(written["stats"])["verify"]["verdict"] == "budget"
+    assert_same(json.loads(DIGESTS.read_text())[method], got)
+    assert cuts == 0
 
 
 @pytest.mark.parametrize("method, flag, ports", POSTPASSES)

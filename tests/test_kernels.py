@@ -3,9 +3,6 @@
 import dataclasses
 import random
 
-from hypothesis import given, settings
-import hypothesis.strategies as st
-
 import helpers
 from nfacomp import core, powerset
 from nfacomp._kernels import backend_name
@@ -29,36 +26,6 @@ def test_explore_subsets_frozen():
 def test_explore_subsets_budget_returns_none():
     a = core.Nfa.build(("a", "b"), 3, [(0, "a", 1), (0, "b", 2)], {0}, {2})
     assert pure.explore_subsets(3, 2, a.succ_masks, (1,), 2) is None
-
-
-@given(st.integers(1, 5), st.data())
-def test_word_signature_is_lengthlex_acceptance(n, data):
-    k = data.draw(st.integers(1, 2))
-    succ = [data.draw(st.integers(0, (1 << n) - 1)) for _ in range(k * n)]
-    init = data.draw(st.integers(0, (1 << n) - 1))
-    final = data.draw(st.integers(0, (1 << n) - 1))
-    sig = pure.word_signature(n, k, succ, init, final, 3)
-    # Recompute by explicit BFS over words in the same order.
-    bits = []
-    level = [init]
-    for _ in range(3 + 1):
-        nxt = []
-        for mask in level:
-            bits.append(1 if mask & final else 0)
-            step = []
-            for sym in range(k):
-                out = 0
-                m = mask
-                while m:
-                    q = (m & -m).bit_length() - 1
-                    out |= succ[sym * n + q]
-                    m &= m - 1
-                step.append(out)
-            nxt.extend(step)
-        level = nxt
-    assert sig == bytes(bits[: len(sig)]) and len(sig) == sum(
-        k**i for i in range(4)
-    )
 
 
 # --- the per-byte image tables against the bit-by-bit references ---------------
@@ -110,15 +77,6 @@ def test_explore_subsets_matches_reference_at_the_budget_edges():
         assert pure.explore_subsets(n, k, succ, seeds, 0) is None
         assert pure.explore_subsets(n, k, succ, seeds, len(set(seeds)) - 1) is None
     assert seen_large > 0 and seen_empty_row > 0
-
-
-def test_word_signature_matches_reference():
-    for rng, (n, k, succ) in _kernel_cases(42):
-        init, final = _random_mask(rng, n), _random_mask(rng, n)
-        for max_len in (0, 1, 4):
-            assert pure.word_signature(n, k, succ, init, final, max_len) == (
-                helpers.word_signature_reference(n, k, succ, init, final, max_len)
-            )
 
 
 def test_product_with_a_stateless_automaton_is_empty():

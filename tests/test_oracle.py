@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -72,6 +73,84 @@ def test_agrees_with_naive_word_loop():
             assert v.ok
         else:
             assert not v.ok and v.counterexample == naive
+
+
+def _same_alphabet_nfa(rng, alphabet):
+    while True:
+        u = helpers.random_nfa(rng, max_states=8, max_syms=3)
+        if u.alphabet == alphabet:
+            return u
+
+
+def _candidates(rng, a):
+    """The true complement, ``a`` itself, an unrelated NFA, and the complement with one transition flipped."""
+    c = powerset.forward_complement(a)
+    out = [c, a, _same_alphabet_nfa(rng, a.alphabet)]
+    if c.num_states:
+        flip = (rng.randrange(c.num_states), rng.randrange(len(c.alphabet)), rng.randrange(c.num_states))
+        out.append(dataclasses.replace(c, transitions=c.transitions ^ {flip}))
+    return out
+
+
+def test_pair_search_matches_the_word_enumeration():
+    # The pair search against the length-lex enumeration it replaced: same
+    # verdict, counterexample and word count.  The exact check must agree with
+    # every bounded one: a least counterexample of length L is the bounded
+    # oracle's at every depth >= L, and none shows below L.
+    rng = random.Random(20251018)
+    cases = unary = wrong = 0
+    for _ in range(700):
+        a = helpers.random_nfa(rng, max_states=8, max_syms=3)
+        for c in _candidates(rng, a):
+            exact = oracle.exact_complement_check(a, c)
+            assert exact.ok is not None and exact.pairs >= 1
+            wrong += not exact.ok
+            for max_len in (0, 1, 3, 6):
+                want = helpers.oracle_reference(a, c, max_len)
+                assert oracle.oracle_complement_check(a, c, max_len) == want, (a, c, max_len)
+                if exact.ok or len(exact.counterexample_symbols) > max_len:
+                    assert want.ok
+                else:
+                    assert want.counterexample_symbols == exact.counterexample_symbols
+                cases += 1
+                unary += len(a.alphabet) == 1
+    assert cases >= 10_000 and unary >= 1_000 and wrong >= 1_000
+
+
+def test_exact_check_finds_the_least_counterexample():
+    # Dropping one final state of the complement of A_6 breaks it on words the
+    # bounded oracle sees only from the counterexample's length on.
+    a = reverse_friendly(6)
+    c = powerset.forward_complement(a)
+    broken = dataclasses.replace(c, final=c.final - {max(c.final)})
+    exact = oracle.exact_complement_check(a, c)
+    assert (exact.ok, exact.counterexample, exact.pairs) == (True, None, c.num_states)
+    v = oracle.exact_complement_check(a, broken)
+    assert v.ok is False
+    assert oracle.oracle_complement_check(a, broken, len(v.counterexample)) == oracle.OracleVerdict(
+        False, v.counterexample, v.counterexample_symbols, 2 ** (len(v.counterexample) + 1) - 1
+    )
+    assert oracle.oracle_complement_check(a, broken, len(v.counterexample) - 1).ok
+
+
+def test_a_long_bound_costs_pairs_not_words():
+    # 2^41 - 1 words, but the search stops once no new pair appears.
+    a = reverse_friendly(7)
+    v = oracle.oracle_complement_check(a, powerset.forward_complement(a), 40)
+    assert v == oracle.OracleVerdict(True, None, None, 2**41 - 1)
+
+
+def test_exact_check_budget_counts_pairs():
+    c = powerset.reverse_complement(A2)
+    full = oracle.exact_complement_check(A2, c)
+    assert full.ok and full.pairs > 1
+    assert oracle.exact_complement_check(A2, c, full.pairs) == full
+    assert oracle.exact_complement_check(A2, c, full.pairs - 1) == oracle.ExactVerdict(
+        None, None, None, full.pairs - 1
+    )
+    assert oracle.exact_complement_check(A2, c, 0) == oracle.ExactVerdict(None, None, None, 0)
+    # A wrong start pair is found before the budget is looked at again.
+    assert oracle.exact_complement_check(A2, A2, 1) == oracle.ExactVerdict(False, "", (), 1)
 
 
 def test_max_len_zero_checks_only_the_empty_word():
