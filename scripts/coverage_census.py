@@ -8,6 +8,11 @@ statement is an ``ast.stmt`` node, docstrings excluded; it counts as run
 when a line event fires on any line it spans that no statement nested
 inside it spans.
 
+A statement that starts on a line marked ``# pragma: no cover`` leaves the
+census, and so does every statement of the block such a line opens (an
+``else:  # pragma: no cover`` takes its whole branch); the summary line
+counts them as excluded.
+
     python scripts/coverage_census.py [pytest arguments]
 
 Without arguments it runs every test under ``tests/``.  The census takes
@@ -54,6 +59,24 @@ def statements(path: pathlib.Path) -> dict[int, int]:
     return owner
 
 
+def excluded(path: pathlib.Path) -> set[int]:
+    """Lines that ``# pragma: no cover`` takes out: each marked line and, when
+    it opens a block, every line of that block."""
+    lines = path.read_text().splitlines()
+    out: set[int] = set()
+    for i, text in enumerate(lines):
+        if "# pragma: no cover" not in text:
+            continue
+        out.add(i + 1)
+        if text.split("#", 1)[0].rstrip().endswith(":"):
+            indent = len(text) - len(text.lstrip())
+            for j in range(i + 1, len(lines)):
+                if lines[j].strip() and len(lines[j]) - len(lines[j].lstrip()) <= indent:
+                    break
+                out.add(j + 1)
+    return out
+
+
 def main(argv: list[str]) -> int:
     files = {str(p): p for p in sorted(PACKAGE.rglob("*.py"))}
     hit: dict[str, set[int]] = {name: set() for name in files}
@@ -78,17 +101,22 @@ def main(argv: list[str]) -> int:
     finally:
         sys.settrace(None)
 
-    total = missed = 0
+    total = missed = skipped = 0
     for name, path in files.items():
         owner = statements(path)
-        stmts = set(owner.values())
+        starts, marked = set(owner.values()), excluded(path)
+        stmts = starts - marked
+        skipped += len(starts & marked)
         run = {owner[line] for line in hit[name] if line in owner}
         lost = sorted(stmts - run)
         total += len(stmts)
         missed += len(lost)
         if lost:
             print(f"{path.relative_to(ROOT)}: {len(lost)} not run: {', '.join(map(str, lost))}")
-    print(f"{missed} of {total} statements in src/nfacomp never run (pytest exit {int(status)})")
+    print(
+        f"{missed} of {total} statements in src/nfacomp never run, {skipped} excluded by"
+        f" '# pragma: no cover' (pytest exit {int(status)})"
+    )
     lines = sum(p.read_bytes().count(b"\n") for p in [*PACKAGE.glob("*.py"), *PACKAGE.glob("_kernels/*.py")])
     print(f"{lines} lines in src/nfacomp/*.py and src/nfacomp/_kernels/*.py")
     return 0

@@ -16,6 +16,13 @@ image of the states ``8c + i`` for the set bits ``i`` of the byte value
 values its state sets actually contain.  The pair search of
 :mod:`nfacomp.oracle` uses the same tables through ``_image_tables``.
 
+``antichain_included`` files the subset-minimal macrostates of ``b`` that it
+keeps per state of ``a`` into buckets keyed by each mask's lowest set bit.
+An offered macrostate is compared only with the buckets whose key it
+contains, and swept for kept supersets only when the union of every mask
+that a-state has kept covers it; against a deterministic ``b`` an offer is
+then O(1), not O(|b|).
+
 These three functions are the package's only implementation of the kernels;
 :mod:`nfacomp._kernels` re-exports them.
 """
@@ -140,18 +147,55 @@ def antichain_included(
     can only fail later, so it never needs its own expansion.  Returns 1 when
     the inclusion holds, 0 with certainty when it does not, and -1 when the
     expansion budget runs out first.
+
+    Each a-state's frontier is indexed so that an offer does not scan every
+    kept macrostate.  The kept masks sit in buckets keyed by their lowest set
+    bit, the empty mask under key 0.  A kept subset of ``s`` has its lowest
+    state in ``s``, so the domination test looks only in the buckets whose
+    key lies in ``s``; a kept superset has its lowest state at or below that
+    of ``s``, and the sweep that drops supersets runs only when ``s`` lies
+    inside the OR of every mask the a-state has kept.  Against a
+    deterministic ``b`` every macrostate is a singleton and an offer costs
+    O(1) rather than O(|b|).  The frontier's contents, and so the queue and
+    the expansion count, are those of a plain list scan.
     """
-    frontier = {}  # a-state -> list of minimal b-masks
+    frontier = {}  # a-state -> [kept masks, buckets, OR of bucket keys, OR of masks ever kept]
     queue = deque()
 
     def offer(p, s):
-        kept = frontier.setdefault(p, [])
-        for old in kept:
-            if old & s == old:  # old subseteq s: dominated, skip
-                return None
-        frontier[p] = [old for old in kept if old & s != s] + [s]
+        low = s & -s
+        f = frontier.get(p)
+        if f is None:
+            f = frontier[p] = [set(), {}, 0, 0]
+        kept, buckets, lows, cover = f
+        if s in kept or 0 in kept:  # the empty mask is a subset of every mask
+            return
+        hits = lows & s
+        while hits:
+            key = hits & -hits
+            for old in buckets[key]:
+                if old & s == old:  # old subseteq s: dominated, skip
+                    return
+            hits ^= key
+        if s & cover == s:  # some kept mask may be a superset of s: drop those
+            hits = lows & ((low << 1) - 1)  # every bucket when s is empty
+            while hits:
+                key = hits & -hits
+                bucket = buckets[key]
+                stay = [old for old in bucket if old & s != s]
+                if len(stay) < len(bucket):
+                    kept.difference_update(old for old in bucket if old & s == s)
+                    if stay:
+                        buckets[key] = stay
+                    else:
+                        del buckets[key]
+                        lows ^= key
+                hits ^= key
+        kept.add(s)
+        buckets.setdefault(low, []).append(s)
+        f[2] = lows | low
+        f[3] = cover | s
         queue.append((p, s))
-        return s
 
     for p in _bits(init_a):
         if (final_a >> p) & 1 and not (init_b & final_b):
@@ -162,7 +206,7 @@ def antichain_included(
     expansions = 0
     while queue:
         p, s = queue.popleft()
-        if s not in frontier.get(p, ()):  # superseded by a smaller set
+        if s not in frontier[p][0]:  # superseded by a smaller set
             continue
         expansions += 1
         if budget is not None and expansions > budget:

@@ -255,6 +255,23 @@ def _cmd_check(args) -> int:
     return 0 if holds else 1
 
 
+_CHUNK = 10**600  # 600 digits, under the lowest limit sys.set_int_max_str_digits accepts
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of ``n >= 0``, however many.
+
+    ``str`` of an int refuses more than ``sys.get_int_max_str_digits()`` digits
+    (4,300 by default), and the oracle's word count grows as k^max_len; so
+    the digits are written 600 at a time.
+    """
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0600d}")
+    return str(n) + "".join(reversed(chunks))
+
+
 def _cmd_oracle(args) -> int:
     a = _read_automaton(args.a)
     c = _read_automaton(args.c)
@@ -262,7 +279,7 @@ def _cmd_oracle(args) -> int:
         raise NfacompError("oracle works on plain @NFA inputs only")
     verdict = oracle_complement_check(a, c, args.max_len)
     if verdict.ok:
-        print(f"OK ({verdict.words_checked} words)")
+        print(f"OK ({_decimal(verdict.words_checked)} words)")
         return 0
     print(f'FAIL: first counterexample "{verdict.counterexample}"')
     return 1

@@ -5,7 +5,7 @@ independent route to every answer the library computes cleverly.
 """
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 from nfacomp import core, oracle
 from nfacomp.errors import BudgetExceededError
@@ -384,16 +384,25 @@ def oracle_reference(a, c, max_len):
 
 
 def antichain_included_reference(
-    nsyms, nstates_a, succ_a, init_a, final_a, nstates_b, succ_b, init_b, final_b, budget=None
+    nsyms, nstates_a, succ_a, init_a, final_a, nstates_b, succ_b, init_b, final_b, budget=None,
+    counts=None,
 ):
+    """The antichain inclusion check with each a-state's frontier a plain list,
+    scanned whole on every offer.  ``counts``, when given, is a Counter that
+    receives ``expansions``, ``superseded`` (kept masks dropped for a strictly
+    smaller one) and ``empty`` (kept empty macrostates)."""
     frontier = {}  # a-state -> list of minimal b-masks
     queue = deque()
+    if counts is None:
+        counts = Counter()
 
     def offer(p, s):
         kept = frontier.setdefault(p, [])
         if any(old & s == old for old in kept):
             return
         frontier[p] = [old for old in kept if old & s != s] + [s]
+        counts["superseded"] += len(kept) + 1 - len(frontier[p])
+        counts["empty"] += not s
         queue.append((p, s))
 
     for p in core._bits(init_a):
@@ -406,6 +415,7 @@ def antichain_included_reference(
         if s not in frontier.get(p, ()):
             continue
         expansions += 1
+        counts["expansions"] = expansions
         if budget is not None and expansions > budget:
             return -1
         for sym in range(nsyms):

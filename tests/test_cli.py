@@ -4,6 +4,7 @@ import json
 import os
 import random
 import runpy
+import sys
 import tempfile
 import warnings
 
@@ -206,6 +207,24 @@ def test_oracle_command(capsys, tmp_path, a2_file):
     assert (code, out) == (0, "OK (127 words)\n")
     code, out, _ = run(capsys, "oracle", "-a", a2_file, "-c", a2_file, "--max-len", "3")
     assert (code, out) == (1, 'FAIL: first counterexample ""\n')
+
+
+def test_oracle_prints_a_count_past_the_int_digit_limit(capsys, tmp_path, a2_file):
+    # 2^15001 - 1 words over {a, b}: 4,516 digits, past the 4,300 that str() of an
+    # int allows by default.  int() has the same limit, so the digits are read in chunks.
+    limit = sys.get_int_max_str_digits()
+    c_path = tmp_path / "c.nfa"
+    run(capsys, "complement", "-m", "forward", "-i", a2_file, "-o", str(c_path))
+    code, out, err = run(capsys, "oracle", "-a", a2_file, "-c", str(c_path), "--max-len", "15000")
+    assert (code, err) == (0, "")
+    assert out.startswith("OK (") and out.endswith(" words)\n")
+    digits = out[len("OK ("):-len(" words)\n")]
+    count = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i : i + 1000]
+        count = count * 10 ** len(chunk) + int(chunk)
+    assert count == 2**15001 - 1
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_complement_verify(capsys, tmp_path, a2_file, monkeypatch):

@@ -1,5 +1,6 @@
 """The kernels against fixed answers and brute-force recomputation."""
 
+import collections
 import dataclasses
 import random
 
@@ -103,6 +104,52 @@ def test_antichain_included_matches_reference():
         # Each automaton is included in itself.
         assert pure.antichain_included(k, na, succ_a, args[3], args[4], na, succ_a, args[3], args[4]) == 1
     assert verdicts == {-1, 0, 1}
+
+
+def _random_dfa_succ(rng, n, k, partial):
+    """One successor per state and symbol; ``partial`` leaves about a fifth missing."""
+    return [0 if partial and rng.random() < 0.2 else 1 << rng.randrange(n) for _ in range(k * n)]
+
+
+def test_indexed_frontier_matches_the_list_scan():
+    """The kernel's indexed frontier against the reference's plain list scan.
+
+    Same verdict, and the same expansion count: the kernel answers at exactly
+    the reference's count and runs out one below it.  Half the cases compare
+    against a deterministic b of 64-130 states, complete or partial, whose
+    macrostates are singletons over several bytes or empty; the other half
+    against a small nondeterministic b, where kept masks get superseded.
+    """
+    rng = random.Random(45)
+    seen = collections.Counter()
+    for case in range(240):
+        na, k, succ_a = _random_kernel_input(rng, max_states=9)
+        kind = "dfa" if case % 2 == 0 else "nfa"
+        if kind == "dfa":
+            nb = rng.randint(64, 130)
+            succ_b = _random_dfa_succ(rng, nb, k, partial=case % 4 == 0)
+            init_b = 1 << rng.randrange(nb)
+        else:
+            nb, _k, succ_b = _random_kernel_input(rng, 2, 12, nsyms=k)
+            init_b = _random_mask(rng, nb)
+        # Sparse finals in a and dense ones in b keep many explorations going.
+        final_a = sum(1 << q for q in range(na) if rng.random() < 0.15)
+        final_b = sum(1 << q for q in range(nb) if rng.random() < 0.7)
+        args = (k, na, succ_a, _random_mask(rng, na) or 1, final_a, nb, succ_b, init_b, final_b)
+        counts = collections.Counter()
+        want = helpers.antichain_included_reference(*args, counts=counts)
+        expansions = counts["expansions"]
+        assert pure.antichain_included(*args) == want
+        assert pure.antichain_included(*args, budget=expansions) == want
+        if expansions:
+            assert pure.antichain_included(*args, budget=expansions - 1) == -1
+        seen[kind, want] += 1
+        seen[kind, "empty"] += counts["empty"] > 0
+        # Superseded with no empty mask kept: by a smaller nonempty one.
+        seen[kind, "superseded"] += counts["superseded"] > 0 and not counts["empty"]
+        seen[kind, "long"] += expansions >= 100
+    assert all(seen[kind, key] for kind in ("dfa", "nfa") for key in (0, 1, "empty"))
+    assert seen["dfa", "long"] and seen["nfa", "superseded"]
 
 
 def test_macrostate_names_and_back_map_match_the_spelled_out_forms():
