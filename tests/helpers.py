@@ -5,10 +5,11 @@ independent route to every answer the library computes cleverly.
 """
 
 import itertools
+import re
 from collections import Counter, deque
 
 from nfacomp import core, oracle
-from nfacomp.errors import BudgetExceededError
+from nfacomp.errors import BudgetExceededError, ParseError
 from nfacomp.sequential import SeqComplementState
 
 
@@ -529,4 +530,174 @@ def hopcroft_minimize_reference(dfa):
         frozenset({block_of[start]}),
         frozenset(bi for bi, block in enumerate(blocks) if block <= final),
         state_names=names,
+    )
+
+
+# --- the file parser, one regex match per token --------------------------------
+# The library splits each line with str.split and computes a token's column
+# only for an error; this is the parser as it was before, which tokenizes every
+# line with a regex and keeps each token's column, and must give the same
+# automaton or the same ParseError.
+
+_TOKEN = re.compile(r"\S+")
+
+
+def _tokenize(line: str) -> list[tuple[str, int]]:
+    """Split one line into (token, 1-based column) pairs, dropping comments."""
+    cut = line.find("#")
+    if cut >= 0:
+        line = line[:cut]
+    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+
+
+class _StateTable:
+    def __init__(self):
+        self.ids: dict[str, int] = {}
+        self.names: list[str] = []
+
+    def intern(self, token: str) -> int:
+        q = self.ids.get(token)
+        if q is None:
+            q = len(self.names)
+            self.ids[token] = q
+            self.names.append(token)
+        return q
+
+
+def parse_reference(text):
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"file is not valid UTF-8 ({e.reason})", 1, 1) from None
+
+    kind = None
+    name = None
+    alphabet: list[str] | None = None
+    alphabet_ids: dict[str, int] = {}
+    initial: frozenset[int] | None = None
+    final: frozenset[int] | None = None
+    entries: dict[int, frozenset[int]] = {}
+    exits: dict[int, frozenset[int]] = {}
+    port_lines: dict[tuple[str, int], int] = {}
+    states = _StateTable()
+    transitions: list[tuple[int, int, int]] = []
+
+    def state_list(tokens):
+        return frozenset(states.intern(tok) for tok, _ in tokens)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = _tokenize(raw)
+        if not tokens:
+            continue
+        head, col = tokens[0]
+
+        if kind is None:
+            if head not in ("@NFA", "@PortNFA"):
+                raise ParseError("expected @NFA or @PortNFA header", lineno, col)
+            if len(tokens) != 2:
+                raise ParseError(f"{head} header takes exactly one name", lineno, col)
+            kind = head
+            name = tokens[1][0]
+            continue
+
+        if head in ("@NFA", "@PortNFA"):
+            raise ParseError("duplicate header", lineno, col)
+
+        if head == "%Alphabet":
+            if alphabet is not None:
+                raise ParseError("duplicate %Alphabet", lineno, col)
+            if len(tokens) < 2:
+                raise ParseError("%Alphabet needs at least one symbol", lineno, col)
+            alphabet = []
+            for tok, tcol in tokens[1:]:
+                if tok in alphabet_ids:
+                    raise ParseError(f"duplicate symbol {tok!r} in %Alphabet", lineno, tcol)
+                alphabet_ids[tok] = len(alphabet)
+                alphabet.append(tok)
+            continue
+
+        if head in ("%Initial", "%Final"):
+            if kind != "@NFA":
+                raise ParseError(f"{head} is only valid in an @NFA file", lineno, col)
+            if head == "%Initial":
+                if initial is not None:
+                    raise ParseError("duplicate %Initial", lineno, col)
+                initial = state_list(tokens[1:])
+            else:
+                if final is not None:
+                    raise ParseError("duplicate %Final", lineno, col)
+                final = state_list(tokens[1:])
+            continue
+
+        if head in ("%Entry", "%Exit"):
+            if kind != "@PortNFA":
+                raise ParseError(f"{head} is only valid in a @PortNFA file", lineno, col)
+            if len(tokens) < 2:
+                raise ParseError(f"{head} needs a port index", lineno, col)
+            idx_tok, idx_col = tokens[1]
+            try:
+                idx = int(idx_tok)
+            except ValueError:
+                raise ParseError(f"port index {idx_tok!r} is not an integer", lineno, idx_col) from None
+            if idx < 0:
+                raise ParseError("port index must be nonnegative", lineno, idx_col)
+            table = entries if head == "%Entry" else exits
+            if idx in table:
+                raise ParseError(f"duplicate {head} {idx}", lineno, idx_col)
+            table[idx] = state_list(tokens[2:])
+            port_lines[(head, idx)] = lineno
+            continue
+
+        if head.startswith("%"):
+            raise ParseError(f"unknown directive {head}", lineno, col)
+
+        # Anything else must be a transition line.
+        if len(tokens) != 3:
+            raise ParseError("transition line needs exactly <src> <symbol> <dst>", lineno, col)
+        if alphabet is None:
+            raise ParseError("transition before %Alphabet", lineno, col)
+        (src_tok, _), (sym_tok, sym_col), (dst_tok, _) = tokens
+        sym = alphabet_ids.get(sym_tok)
+        if sym is None:
+            raise ParseError(f"unknown symbol {sym_tok!r}", lineno, sym_col)
+        transitions.append((states.intern(src_tok), sym, states.intern(dst_tok)))
+
+    if kind is None:
+        raise ParseError("empty file: expected @NFA or @PortNFA header", 1, 1)
+    if alphabet is None:
+        raise ParseError("missing %Alphabet", 1, 1)
+
+    if kind == "@NFA":
+        return core.Nfa(
+            tuple(alphabet),
+            len(states.names),
+            frozenset(transitions),
+            initial if initial is not None else frozenset(),
+            final if final is not None else frozenset(),
+            state_names=tuple(states.names) or None,
+            name=name,
+        )
+
+    for label, table in (("%Entry", entries), ("%Exit", exits)):
+        if not table:
+            raise ParseError(f"port automaton needs at least one {label} line", 1, 1)
+        top = max(table)
+        # Distinct nonnegative keys are contiguous iff the largest is len - 1;
+        # otherwise some index below len(table) is missing.
+        if top != len(table) - 1:
+            missing = next(i for i in range(len(table)) if i not in table)
+            raise ParseError(
+                f"{label} indices must be contiguous from 0 (missing {missing})",
+                port_lines[(label, top)],
+                1,
+            )
+    return core.PortNfa(
+        tuple(alphabet),
+        len(states.names),
+        frozenset(transitions),
+        tuple(entries[i] for i in range(len(entries))),
+        tuple(exits[j] for j in range(len(exits))),
+        state_names=tuple(states.names) or None,
+        name=name,
     )

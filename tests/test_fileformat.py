@@ -213,3 +213,87 @@ def test_random_port_round_trips():
                 assert helpers.brute_language(q.slice(i, j), 4) == helpers.brute_language(
                     p.slice(i, j), 4
                 )
+
+
+# --- the split tokenizer against the regex tokenizer ---------------------------
+# Whitespace that str.split and the regex \s both count, line breaks of
+# str.splitlines among them; a mutant must parse the same way under both.
+_ODD_SPACE = ("\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2000", "\u3000")
+
+
+def _mutant(text, rng):
+    for _ in range(rng.randint(1, 3)):
+        lines = text.split("\n")
+        k = rng.randrange(len(lines))
+        edit = rng.choice(("space", "lead", "comment", "crlf", "truncate", "dup", "unknown", "repeat", "index"))
+        if edit == "space":
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + "".join(rng.choices(_ODD_SPACE, k=rng.randint(1, 3))) + text[i:]
+        elif edit == "lead":
+            lines[k] = rng.choice(_ODD_SPACE) + lines[k].replace(" ", rng.choice(_ODD_SPACE), 1)
+            text = "\n".join(lines)
+        elif edit == "comment":
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(("#", " # note", "#\u3000x y", "##")) + text[i:]
+        elif edit == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif edit == "truncate":
+            lines[k] = lines[k][: rng.randrange(len(lines[k]) + 1)]
+            text = "\n".join(lines)
+        elif edit == "dup":
+            text = "\n".join(lines[: k + 1] + lines[k:])
+        elif edit == "repeat":  # a repeated %Alphabet symbol, or one token too many
+            parts = lines[k].split(" ")
+            lines[k] += rng.choice(_ODD_SPACE) + parts[-1]
+            text = "\n".join(lines)
+        else:
+            parts = lines[k].split(" ")
+            if len(parts) < 2:
+                continue
+            if edit == "index":  # a bad %Entry / %Exit index, or a bad transition symbol
+                parts[1] = rng.choice(("-1", "x", "07", "zz"))
+            elif len(parts) == 3 and not parts[0].startswith(("%", "@")):
+                parts[1] = rng.choice(_ODD_SPACE) + "zz" + rng.choice(_ODD_SPACE)
+            text = "\n".join(lines[:k] + [" ".join(parts)] + lines[k + 1:])
+    return text
+
+
+def _parity_texts():
+    from test_golden import corpus, port_corpus
+
+    rng = random.Random(1414)
+    for _key, a in list(corpus()) + list(port_corpus()):
+        try:
+            text = fileformat.serialize(a)
+        except ValueError:  # isolated states do not serialize by design
+            continue
+        yield text
+        yield fileformat.serialize(fileformat.parse(text))
+        yield text.encode()
+        for _ in range(4):
+            yield _mutant(text, rng)
+    yield b"@NFA x\n%Alphabet a\n\xff a q\n"
+
+
+def _parsed(parser, text):
+    try:
+        a = parser(text)
+    except ParseError as e:
+        return str(e), e.line, e.column
+    return a, a.name
+
+
+def test_split_tokenizer_matches_the_regex_tokenizer():
+    errors = []
+    parsed = 0
+    for text in _parity_texts():
+        expected = _parsed(helpers.parse_reference, text)
+        assert _parsed(fileformat.parse, text) == expected, repr(text)
+        if isinstance(expected[0], str):
+            errors.append(expected[0])
+        else:
+            parsed += 1
+    assert len(errors) > 300 and parsed > 1000, (len(errors), parsed)
+    # Errors at a token past the first, whose column the new parser re-scans.
+    for kind in ("unknown symbol", "duplicate symbol", "is not an integer", "must be nonnegative", "UTF-8"):
+        assert any(kind in e for e in errors), kind
