@@ -14,6 +14,7 @@ error or bad command line, 3 no usable gate partition, 4 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import functools
 import json
@@ -38,8 +39,8 @@ PORTFOLIO_ORDER = ("forward", "reverse", "sequential", "gate")
 
 
 def _read_automaton(path: str | None):
-    if path is None:
-        return parse(sys.stdin.read())
+    if path is None:  # bytes, so that parse alone decides what is valid UTF-8
+        return parse(sys.stdin.buffer.read())
     with open(path, "rb") as fh:
         return parse(fh.read())
 
@@ -219,7 +220,8 @@ def _cmd_complement(args) -> int:
         stats_doc["verify"] = _verify(a, out, budget)
 
     if out.name is None and a.name is not None:
-        out = dataclasses.replace(out, name=f"{a.name}_complement")
+        out = copy.copy(out)  # a shallow copy, not a second validation of every transition
+        object.__setattr__(out, "name", f"{a.name}_complement")
     _write_text(args.output, serialize(out))
     if args.stats is not None:
         _write_text(args.stats, json.dumps(stats_doc, indent=2, sort_keys=True) + "\n")

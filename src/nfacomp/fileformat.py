@@ -1,8 +1,8 @@
 """Plain-text automaton files.
 
 The format is line oriented.  ``#`` starts a comment that runs to the end
-of the line, tokens are separated by whitespace, and the first meaningful
-line is a header naming the automaton::
+of the line, a token is a maximal run of non-whitespace as ``str.split``
+defines it, and the first meaningful line is a header naming the automaton::
 
     @NFA ex
     %Alphabet a b
@@ -15,7 +15,9 @@ Port automata use ``@PortNFA`` with one ``%Entry <index> <state>*`` and
 ``%Exit <index> <state>*`` line per port set instead of ``%Initial`` /
 ``%Final``.  Port indices must be contiguous from 0 but may appear in any
 order; the parser normalizes them.  States are declared implicitly by use
-and numbered in first-seen order.
+and numbered in first-seen order.  A ``ParseError`` gives the 1-based line
+and column of the offending token; the column is found only then, by
+scanning that one line again.
 
 ``serialize`` is deterministic: LF line endings, single spaces, fixed
 section order, and transitions sorted by (source, symbol, target).
@@ -35,25 +37,17 @@ from .errors import ParseError
 _TOKEN = re.compile(r"\S+")
 
 
-def _tokenize(line: str) -> list[tuple[str, int]]:
-    """Split one line into (token, 1-based column) pairs, dropping comments."""
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+def _error(message: str, lineno: int, line: str, k: int = 0) -> ParseError:
+    """A ParseError at token ``k`` of ``line``, its column found by a re-scan."""
+    starts = [m.start() for m in _TOKEN.finditer(line.partition("#")[0])]
+    return ParseError(message, lineno, starts[k] + 1)
 
 
-class _StateTable:
-    def __init__(self):
-        self.ids: dict[str, int] = {}
-        self.names: list[str] = []
+class _StateTable(dict):
+    """State name -> id; a name seen for the first time gets the next id."""
 
-    def intern(self, token: str) -> int:
-        q = self.ids.get(token)
-        if q is None:
-            q = len(self.names)
-            self.ids[token] = q
-            self.names.append(token)
+    def __missing__(self, token: str) -> int:
+        q = self[token] = len(self)
         return q
 
 
@@ -78,84 +72,84 @@ def parse(text: Union[str, bytes]) -> Union[Nfa, PortNfa]:
     transitions: list[tuple[int, int, int]] = []
 
     def state_list(tokens):
-        return frozenset(states.intern(tok) for tok, _ in tokens)
+        return frozenset(map(states.__getitem__, tokens))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw)
+        tokens = raw.partition("#")[0].split()
         if not tokens:
             continue
-        head, col = tokens[0]
+        head = tokens[0]
 
         if kind is None:
             if head not in ("@NFA", "@PortNFA"):
-                raise ParseError("expected @NFA or @PortNFA header", lineno, col)
+                raise _error("expected @NFA or @PortNFA header", lineno, raw)
             if len(tokens) != 2:
-                raise ParseError(f"{head} header takes exactly one name", lineno, col)
+                raise _error(f"{head} header takes exactly one name", lineno, raw)
             kind = head
-            name = tokens[1][0]
+            name = tokens[1]
             continue
 
         if head in ("@NFA", "@PortNFA"):
-            raise ParseError("duplicate header", lineno, col)
+            raise _error("duplicate header", lineno, raw)
 
         if head == "%Alphabet":
             if alphabet is not None:
-                raise ParseError("duplicate %Alphabet", lineno, col)
+                raise _error("duplicate %Alphabet", lineno, raw)
             if len(tokens) < 2:
-                raise ParseError("%Alphabet needs at least one symbol", lineno, col)
+                raise _error("%Alphabet needs at least one symbol", lineno, raw)
             alphabet = []
-            for tok, tcol in tokens[1:]:
+            for k, tok in enumerate(tokens[1:], start=1):
                 if tok in alphabet_ids:
-                    raise ParseError(f"duplicate symbol {tok!r} in %Alphabet", lineno, tcol)
+                    raise _error(f"duplicate symbol {tok!r} in %Alphabet", lineno, raw, k)
                 alphabet_ids[tok] = len(alphabet)
                 alphabet.append(tok)
             continue
 
         if head in ("%Initial", "%Final"):
             if kind != "@NFA":
-                raise ParseError(f"{head} is only valid in an @NFA file", lineno, col)
+                raise _error(f"{head} is only valid in an @NFA file", lineno, raw)
             if head == "%Initial":
                 if initial is not None:
-                    raise ParseError("duplicate %Initial", lineno, col)
+                    raise _error("duplicate %Initial", lineno, raw)
                 initial = state_list(tokens[1:])
             else:
                 if final is not None:
-                    raise ParseError("duplicate %Final", lineno, col)
+                    raise _error("duplicate %Final", lineno, raw)
                 final = state_list(tokens[1:])
             continue
 
         if head in ("%Entry", "%Exit"):
             if kind != "@PortNFA":
-                raise ParseError(f"{head} is only valid in a @PortNFA file", lineno, col)
+                raise _error(f"{head} is only valid in a @PortNFA file", lineno, raw)
             if len(tokens) < 2:
-                raise ParseError(f"{head} needs a port index", lineno, col)
-            idx_tok, idx_col = tokens[1]
+                raise _error(f"{head} needs a port index", lineno, raw)
+            idx_tok = tokens[1]
             try:
                 idx = int(idx_tok)
             except ValueError:
-                raise ParseError(f"port index {idx_tok!r} is not an integer", lineno, idx_col) from None
+                raise _error(f"port index {idx_tok!r} is not an integer", lineno, raw, 1) from None
             if idx < 0:
-                raise ParseError("port index must be nonnegative", lineno, idx_col)
+                raise _error("port index must be nonnegative", lineno, raw, 1)
             table = entries if head == "%Entry" else exits
             if idx in table:
-                raise ParseError(f"duplicate {head} {idx}", lineno, idx_col)
+                raise _error(f"duplicate {head} {idx}", lineno, raw, 1)
             table[idx] = state_list(tokens[2:])
             port_lines[(head, idx)] = lineno
             continue
 
         if head.startswith("%"):
-            raise ParseError(f"unknown directive {head}", lineno, col)
+            raise _error(f"unknown directive {head}", lineno, raw)
 
         # Anything else must be a transition line.
         if len(tokens) != 3:
-            raise ParseError("transition line needs exactly <src> <symbol> <dst>", lineno, col)
+            raise _error("transition line needs exactly <src> <symbol> <dst>", lineno, raw)
         if alphabet is None:
-            raise ParseError("transition before %Alphabet", lineno, col)
-        (src_tok, _), (sym_tok, sym_col), (dst_tok, _) = tokens
+            raise _error("transition before %Alphabet", lineno, raw)
+        src_tok, sym_tok, dst_tok = tokens
         sym = alphabet_ids.get(sym_tok)
         if sym is None:
-            raise ParseError(f"unknown symbol {sym_tok!r}", lineno, sym_col)
-        transitions.append((states.intern(src_tok), sym, states.intern(dst_tok)))
+            raise _error(f"unknown symbol {sym_tok!r}", lineno, raw, 1)
+        transitions.append((states[src_tok], sym, states[dst_tok]))
 
     if kind is None:
         raise ParseError("empty file: expected @NFA or @PortNFA header", 1, 1)
@@ -165,11 +159,11 @@ def parse(text: Union[str, bytes]) -> Union[Nfa, PortNfa]:
     if kind == "@NFA":
         return Nfa(
             tuple(alphabet),
-            len(states.names),
+            len(states),
             frozenset(transitions),
             initial if initial is not None else frozenset(),
             final if final is not None else frozenset(),
-            state_names=tuple(states.names) or None,
+            state_names=tuple(states) or None,
             name=name,
         )
 
@@ -188,11 +182,11 @@ def parse(text: Union[str, bytes]) -> Union[Nfa, PortNfa]:
             )
     return PortNfa(
         tuple(alphabet),
-        len(states.names),
+        len(states),
         frozenset(transitions),
         tuple(entries[i] for i in range(len(entries))),
         tuple(exits[j] for j in range(len(exits))),
-        state_names=tuple(states.names) or None,
+        state_names=tuple(states) or None,
         name=name,
     )
 

@@ -15,7 +15,7 @@ import dataclasses
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import cycle
+from itertools import accumulate, cycle
 
 from . import _kernels, core
 from ._kernels.pure import _byte_keys
@@ -72,41 +72,70 @@ def _macro_names(a, macros: list[int]) -> tuple[str, ...]:
     return tuple("{" + ",".join([pieces[key] for key in keys_of(m)]) + "}" for m in macros)
 
 
-def _explore(a, seeds: list[int], budget: int | None):
-    """Subset construction of ``a`` from the macrostates ``seeds``.
+def _live(nsyms: int, delta: list[int], exits: list[int]) -> bytearray:
+    """1 for each macrostate that reaches one in ``exits`` over the flat ``delta``."""
+    preds = [[] for _ in range(len(delta) // nsyms)]
+    for k, j in enumerate(delta):
+        preds[j].append(k // nsyms)
+    live = bytearray(len(preds))
+    for i in exits:
+        live[i] = 1
+    while exits:
+        for i in preds[exits.pop()]:
+            if not live[i]:
+                live[i] = 1
+                exits.append(i)
+    return live
 
-    Returns the macrostate bitmasks in discovery order, the complete
-    transition set over their indices, and their names.
-    """
-    nsyms = len(a.alphabet)
-    res = _kernels.explore_subsets(a.num_states, nsyms, a.succ_masks, seeds, budget)
-    if res is None:
-        raise BudgetExceededError("macrostate budget exceeded", budget=budget)
-    macros, delta = res
-    syms = range(nsyms)
-    transitions = frozenset(zip([i for i in range(len(macros)) for _ in syms], cycle(syms), delta))
-    return macros, transitions, _macro_names(a, macros)
 
-
-def _port_powerset(a: Automaton, budget: int | None, complement: bool = False):
+def _port_powerset(a: Automaton, budget: int | None, complement: bool = False, trim: bool = False):
     """Powerset construction of ``a`` from each of its entry sets.
 
     Returns an automaton of ``a``'s class, one start macrostate per entry
-    set over one shared state space, with each macrostate's bitmask of
-    original states.  Macrostate i is in exit set j when it meets the
-    original exit set j, or, with ``complement``, when it does not: that
-    complements every slice.
+    set over one shared state space, and the bitmask of original states of
+    every macrostate explored.  Macrostate i is in exit set j when it meets
+    the original exit set j, or, with ``complement``, when it does not: that
+    complements every slice.  With ``trim`` the automaton keeps only the
+    macrostates that reach an exit set, in discovery order: exploration has
+    already made every one reachable, so that is ``core.trim`` of the
+    untrimmed automaton, built once and named only for the survivors.
     """
+    nsyms = len(a.alphabet)
     entry_masks = [core._mask_of(s) for s in a.entry_sets]
-    macros, transitions, names = _explore(a, entry_masks, budget)
+    res = _kernels.explore_subsets(a.num_states, nsyms, a.succ_masks, entry_masks, budget)
+    if res is None:
+        raise BudgetExceededError("macrostate budget exceeded", budget=budget)
+    macros, delta = res
     # The kernel interns the distinct entry masks first, in port order.
     index: dict[int, int] = {}
-    entry_ids = [index.setdefault(m, len(index)) for m in entry_masks]
-    exit_sets = [
-        frozenset(i for i, m in enumerate(macros) if bool(m & em) != complement)
+    entries = [index.setdefault(m, len(index)) for m in entry_masks]
+    exits = [
+        [i for i, m in enumerate(macros) if bool(m & em) != complement]
         for em in map(core._mask_of, a.exit_sets)
     ]
-    det = core._rebuild(a, len(macros), transitions, [frozenset({i}) for i in entry_ids], exit_sets, names)
+    syms = range(nsyms)
+    live = _live(nsyms, delta, [i for ids in exits for i in ids]) if trim else None
+    if live is None or all(live):
+        kept = macros
+        transitions = zip([i for i in range(len(macros)) for _ in syms], cycle(syms), delta)
+    else:
+        kept = [m for m, alive in zip(macros, live) if alive]
+        new = list(accumulate(live, initial=-1))  # new[i + 1] is i's index among the survivors
+        transitions = [
+            (new[i + 1], sym, new[j + 1])
+            for i in range(len(macros)) if live[i]
+            for sym, j in zip(syms, delta[i * nsyms : (i + 1) * nsyms]) if live[j]
+        ]
+        entries = [new[e + 1] if live[e] else -1 for e in entries]
+        exits = [[new[i + 1] for i in ids] for ids in exits]
+    det = core._rebuild(
+        a,
+        len(kept),
+        frozenset(transitions),
+        [frozenset({e} if e >= 0 else ()) for e in entries],
+        [frozenset(ids) for ids in exits],
+        _macro_names(a, kept),
+    )
     return det, macros
 
 
@@ -127,8 +156,7 @@ def complement_dfa(d: MacrostateDfa | Nfa) -> Nfa:
 def forward_complement(a: Automaton, *, trim: bool = True, budget: int | None = None) -> Automaton:
     """co(det(a)), every slice complemented.  Trimming drops dead macrostates
     (and may break completeness)."""
-    c, _ = _port_powerset(a, budget, complement=True)
-    return core.trim(c) if trim else c
+    return _port_powerset(a, budget, complement=True, trim=trim)[0]
 
 
 def reverse_complement(a: Automaton, *, budget: int | None = None) -> Automaton:
@@ -139,10 +167,11 @@ def reverse_complement(a: Automaton, *, budget: int | None = None) -> Automaton:
 def _complement(a: Automaton, direction: Direction, budget: int | None) -> tuple[Automaton, int]:
     """The trimmed powerset complement of ``a`` in ``direction``, and its size before trimming."""
     if direction is Direction.FORWARD:
-        raw = forward_complement(a, trim=False, budget=budget)
-        return core.trim(raw), raw.num_states
-    raw = forward_complement(core.reverse(a), trim=False, budget=budget)
-    return core.trim(core.reverse(raw)), raw.num_states
+        c, macros = _port_powerset(a, budget, complement=True, trim=True)
+        return c, len(macros)
+    # A state of rev(raw) survives trim exactly when it reaches an exit of raw.
+    c, macros = _port_powerset(core.reverse(a), budget, complement=True, trim=True)
+    return core.reverse(c), len(macros)
 
 
 port_forward_complement = forward_complement

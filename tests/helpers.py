@@ -8,7 +8,7 @@ import itertools
 import re
 from collections import Counter, deque
 
-from nfacomp import core, oracle
+from nfacomp import core, oracle, powerset
 from nfacomp.errors import BudgetExceededError, ParseError
 from nfacomp.sequential import SeqComplementState
 
@@ -435,6 +435,19 @@ def macro_name_reference(a, mask):
     """A macrostate's name: its states' names in increasing order, in braces."""
     return "{" + ",".join(a.state_name(q) for q in core._bits(mask)) + "}"
 
+
+
+def complement_reference(a, direction, budget=None):
+    """``core.trim`` of the untrimmed powerset complement, and its size before trimming.
+
+    The reverse direction reverses the input and the trimmed result around
+    the forward construction, as ``rev(co(det(rev(a))))`` reads.
+    """
+    if direction is powerset.Direction.FORWARD:
+        raw = powerset.forward_complement(a, trim=False, budget=budget)
+        return core.trim(raw), raw.num_states
+    raw = powerset.forward_complement(core.reverse(a), trim=False, budget=budget)
+    return core.trim(core.reverse(raw)), raw.num_states
 
 # --- the reductions, pair by pair and block by block --------------------------
 # The library refines simulation through cached predecessor images and a

@@ -106,14 +106,30 @@ def test_portfolio_selects_sequential_on_chain(capsys, tmp_path):
     assert fileformat.parse(out_path.read_text()).num_states == 8
 
 
+def _stdin(data: bytes):
+    """A text stdin over ``data``, decoded as under the POSIX locale."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
 def test_complement_stdin_stdout(capsys, monkeypatch, tmp_path):
-    import io
     text = fileformat.serialize(reverse_friendly(1))
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", _stdin(text.encode()))
     code, out, err = run(capsys, "complement", "-m", "forward")
     assert code == 0 and err == ""
     c = fileformat.parse(out)
     assert c.num_states == 4  # 2^(1+1)
+
+
+def test_invalid_utf8_on_stdin_is_a_parse_error(capsys, monkeypatch, tmp_path):
+    data = b"@NFA x\n%Alphabet a\n%Initial p\xff\n%Final q\np\xff a q\n"
+    bad = tmp_path / "bad.nfa"
+    bad.write_bytes(data)
+    message = "error: line 1, column 1: file is not valid UTF-8 (invalid start byte)\n"
+    assert run(capsys, "complement", "-m", "forward", "-i", str(bad)) == (2, "", message)
+    for argv in (["complement", "-m", "forward"], ["complement", "-m", "forward", "-o", str(tmp_path / "c.nfa")],
+                 ["stats"]):
+        monkeypatch.setattr("sys.stdin", _stdin(data))
+        assert run(capsys, *argv) == (2, "", message), argv
 
 
 def test_complement_minimize_and_reduce(capsys, tmp_path, a2_file):

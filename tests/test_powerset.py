@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 import helpers
 from conftest import nfas, port_nfas
-from nfacomp import core, powerset
+from nfacomp import cli, core, fileformat, powerset
 from nfacomp.errors import BudgetExceededError
 from nfacomp.families import reverse_friendly
 
@@ -200,3 +200,77 @@ def test_port_determinize_matches_reference():
         if det.num_states > distinct:
             assert _same_or_both_cut(p, det.num_states - 1) is None
     assert seen_large > 0
+
+
+# --- the complement trimmed in one pass ---------------------------------------
+
+
+def _with_universal_entry(a, rng):
+    """``a`` plus a state that loops on every symbol and lies in every exit set.
+
+    An entry set holding it accepts every word in every slice, so its
+    macrostate is dead in the complement and that entry set comes out empty.
+    """
+    u = a.num_states
+    loops = {(u, sym, u) for sym in range(len(a.alphabet))}
+    p = a.as_port() if isinstance(a, core.Nfa) else a
+    entries = list(p.entry_sets)
+    k = rng.randrange(len(entries))
+    entries[k] = entries[k] | {u}
+    out = core.PortNfa(p.alphabet, u + 1, p.transitions | loops, entries, [s | {u} for s in p.exit_sets])
+    return out.slice(0, 0) if isinstance(a, core.Nfa) else out
+
+
+def _complement_cases():
+    rng = random.Random(1707)
+    for _ in range(150):
+        yield helpers.random_nfa(rng, max_states=9)
+    yield from _port_cases()
+    for _ in range(6):
+        yield helpers.random_nfa(rng, max_states=90, min_states=65, max_syms=2)
+    for _ in range(40):
+        a = helpers.random_nfa(rng, max_states=6) if rng.random() < 0.5 else helpers.random_port_nfa(rng)
+        yield _with_universal_entry(a, rng)
+
+
+def test_one_pass_complement_matches_trim_of_the_construction():
+    seen = {"dropped": 0, "empty_entry": 0, "large": 0}
+    for a in _complement_cases():
+        for direction in powerset.Direction:
+            try:
+                expected = helpers.complement_reference(a, direction, 4096)
+            except BudgetExceededError:
+                with pytest.raises(BudgetExceededError):
+                    powerset._complement(a, direction, 4096)
+                continue
+            got = powerset._complement(a, direction, 4096)
+            assert got == expected  # class, states, transitions, ports and state names
+            c, pre = got
+            seen["dropped"] += c.num_states < pre
+            seen["empty_entry"] += frozenset() in c.entry_sets and frozenset() not in a.entry_sets
+            seen["large"] += a.num_states > 64
+            assert powerset._complement(a, direction, pre) == expected
+            with pytest.raises(BudgetExceededError):
+                powerset._complement(a, direction, pre - 1)
+    assert all(n > 5 for n in seen.values()), seen
+
+
+def test_complement_file_to_file_validates_twice(tmp_path, monkeypatch):
+    # Forward: once for the parsed input and once for the built output;
+    # trimming and naming the output build nothing more.  Reverse adds the
+    # two reversals around the construction.
+    src, dst = tmp_path / "a.nfa", tmp_path / "c.nfa"
+    src.write_text(fileformat.serialize(reverse_friendly(3)))
+    calls = []
+    check = core._Automaton._normalize_and_check
+
+    def counted(self, *args):
+        calls.append(type(self).__name__)
+        check(self, *args)
+
+    monkeypatch.setattr(core._Automaton, "_normalize_and_check", counted)
+    for method, validations in (("forward", 2), ("reverse", 4)):
+        calls.clear()
+        assert cli.main(["complement", "-m", method, "-i", str(src), "-o", str(dst)]) == 0
+        assert len(calls) == validations, (method, calls)
+        assert fileformat.parse(dst.read_text()).name == "A3_complement"
