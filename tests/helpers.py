@@ -449,6 +449,24 @@ def complement_reference(a, direction, budget=None):
     raw = powerset.forward_complement(core.reverse(a), trim=False, budget=budget)
     return core.trim(core.reverse(raw)), raw.num_states
 
+
+def smaller_complement_reference(a, *, budget=None):
+    """Forward and reverse powerset complement, each built in full; the smaller wins, ties forward.
+
+    A direction that runs out of budget is passed over; when both do, the
+    last error is raised.
+    """
+    results = []
+    failure = None
+    for op in (powerset.forward_complement, powerset.reverse_complement):
+        try:
+            results.append(op(a, budget=budget))
+        except BudgetExceededError as exc:
+            failure = exc
+    if not results:
+        raise failure
+    return min(results, key=lambda c: c.num_states)
+
 # --- the reductions, pair by pair and block by block --------------------------
 # The library refines simulation through cached predecessor images and a
 # dirty-state worklist, and Hopcroft through block ids and a splitter queue;

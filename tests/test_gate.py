@@ -268,3 +268,64 @@ def test_partition_search_skips_a_candidate_whose_check_runs_out():
 def test_gate_complement_raises_when_both_directions_run_out():
     with pytest.raises(BudgetExceededError):
         gate.gate_complement_auto(gate_chain(2), budget=1)
+
+
+# --- the smaller complement, explored both ways and built once -----------------
+
+
+def _smaller_cases():
+    rng = random.Random(5417)
+    for _ in range(120):
+        yield helpers.random_nfa(rng, max_states=9)
+    for _ in range(60):
+        yield helpers.random_port_nfa(rng, num_entry=rng.randint(1, 3), num_exit=rng.randint(1, 3))
+    for _ in range(20):
+        p = helpers.random_port_nfa(rng)
+        # A duplicate entry set and an empty one.
+        yield core.PortNfa(
+            p.alphabet, p.num_states, p.transitions,
+            p.entry_sets + (p.entry_sets[0], frozenset()), p.exit_sets,
+        )
+    for _ in range(4):
+        yield helpers.random_nfa(rng, max_states=90, min_states=65, max_syms=2)
+        yield helpers.random_port_nfa(rng, max_states=90, min_states=65, num_entry=3)
+
+
+def _same_or_both_cut(a, budget):
+    """The library's smaller complement equals the build-both reference, or both run out."""
+    try:
+        expected = helpers.smaller_complement_reference(a, budget=budget)
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError):
+            gate._smaller_complement(a, budget=budget)
+        return "cut"
+    got = gate._smaller_complement(a, budget=budget)
+    assert got == expected  # class, states, transitions, ports and state names
+    return got
+
+
+def test_smaller_complement_matches_the_build_both_reference():
+    seen = {"tie": 0, "reverse": 0, "large": 0, "only_forward_cut": 0, "only_reverse_cut": 0, "both_cut": 0}
+    for a in _smaller_cases():
+        got = _same_or_both_cut(a, 4096)
+        seen["large"] += a.num_states > 64
+        try:
+            fwd, pre_f = powerset._complement(a, powerset.Direction.FORWARD, 4096)
+            rev, pre_r = powerset._complement(a, powerset.Direction.REVERSE, 4096)
+        except BudgetExceededError:
+            continue
+        seen["reverse"] += rev.num_states < fwd.num_states
+        if fwd.num_states == rev.num_states and fwd != rev:
+            assert got == fwd  # ties go to forward
+            seen["tie"] += 1
+        if pre_f != pre_r:
+            # Only the larger exploration runs out; the other one is built.
+            side = "only_forward_cut" if pre_f > pre_r else "only_reverse_cut"
+            got = _same_or_both_cut(a, min(pre_f, pre_r))
+            assert got == (rev if pre_f > pre_r else fwd)
+            seen[side] += 1
+        if min(pre_f, pre_r) > 1:
+            assert _same_or_both_cut(a, min(pre_f, pre_r) - 1) == "cut"
+            seen["both_cut"] += 1
+    assert all(n > 3 for n in seen.values()), seen
+
