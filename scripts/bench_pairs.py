@@ -88,6 +88,8 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", action="store_true", help="one traced run per side instead of timed pairs")
     ap.add_argument("--out-dir", type=Path, default=Path("."))
     args = ap.parse_args(argv)
+    if not args.out_dir.is_dir():
+        ap.error(f"--out-dir {args.out_dir}: not an existing directory")
 
     path = args.out_dir / f"BENCH_{args.label}.json"
     doc = json.loads(path.read_text()) if path.exists() else {}
@@ -98,10 +100,10 @@ def main(argv=None) -> int:
     run = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds}
 
     if args.trace:
-        entry = dict(run)
+        entry, headers = dict(run), {}
         for side in SIDES:
             header, line = run_once(checkouts[side], args.workload, args.seed, args.seconds, True)
-            headers = {side: header}
+            headers[side] = header
             result = json.loads(line)
             entry[side] = {
                 "header": header,

@@ -36,7 +36,7 @@ import itertools
 from . import core
 from .core import Nfa, PortNfa, SequentialPartition
 from .errors import BudgetExceededError, NoGatePartitionError
-from .powerset import forward_complement, reverse_complement
+from .powerset import Direction, _build, _explore_port
 
 
 class GateDirection(enum.Enum):
@@ -117,23 +117,36 @@ def _drop_symbol_nfa(a: Nfa, c: str) -> Nfa:
     return _drop_symbols(a, frozenset({a.symbol_ids[c]}))
 
 
-def _smaller_complement(a: core.Automaton, *, budget: int | None = None) -> core.Automaton:
-    """Forward and reverse powerset complement; the smaller wins, ties forward."""
-    results = []
+def _smaller_complement(
+    a: core.Automaton, *, budget: int | None = None, log: list | None = None, side: str = ""
+) -> core.Automaton:
+    """The smaller of the trimmed forward and reverse powerset complements, ties forward.
+
+    Both directions are explored, and only the smaller is built.  A
+    direction that runs out of budget is passed over; when both do, the last
+    error is raised.  With ``log`` one entry is appended: ``side``, each
+    direction's trimmed size (or ``"budget"``) and the direction chosen.
+    """
+    explored = {}
     failure = None
-    for op in (forward_complement, reverse_complement):
+    for direction in Direction:
+        reverse = direction is Direction.REVERSE
         try:
-            results.append(op(a, budget=budget))
+            explored[direction] = _explore_port(a, budget, complement=True, trim=True, reverse=reverse)
         except BudgetExceededError as exc:
             failure = exc
-    if not results:
+    if not explored:
         raise failure
-    return min(results, key=lambda c: c.num_states)
+    chosen = min(explored, key=lambda d: explored[d].size)
+    if log is not None:
+        sizes = {d.value: explored[d].size if d in explored else "budget" for d in Direction}
+        log.append({"side": side, **sizes, "chosen": chosen.value})
+    return _build(a, explored[chosen])
 
 
-def _clean_complement(a: core.Automaton, gamma_ids: frozenset[int], *, budget: int | None):
+def _clean_complement(a: core.Automaton, gamma_ids: frozenset[int], *, budget: int | None, log=None, side=""):
     """The complement of a clean side over Σ∖Γ, lifted back to Σ."""
-    c = _smaller_complement(_drop_symbols(a, gamma_ids), budget=budget)
+    c = _smaller_complement(_drop_symbols(a, gamma_ids), budget=budget, log=log, side=side)
     return _lift_alphabet(c, a.alphabet)
 
 
@@ -241,7 +254,7 @@ def _carried_exits(p: GatePartition) -> tuple[int, ...]:
 
 
 def _component_complements(
-    p: GatePartition, carried: tuple[int, ...], *, budget: int | None = None
+    p: GatePartition, carried: tuple[int, ...], *, budget: int | None = None, log: list | None = None
 ) -> tuple[PortNfa, PortNfa]:
     """(c1, c2): port complements of the front and of the rear.
 
@@ -260,10 +273,10 @@ def _component_complements(
     c2_in = base.rear_for_equal() if p.method is GateMethod.EQUAL else base.rear_for_targets()
     if p.direction is GateDirection.FRONT_CLEAN:
         c2_in = dataclasses.replace(c2_in, entry_sets=c2_in.entry_sets[base.rear.num_entry :])
-        c1 = _clean_complement(c1_in, p.gamma_ids, budget=budget)
-        return c1, _smaller_complement(c2_in, budget=budget)
-    c1 = _smaller_complement(c1_in, budget=budget)
-    return c1, _clean_complement(c2_in, p.gamma_ids, budget=budget)
+        c1 = _clean_complement(c1_in, p.gamma_ids, budget=budget, log=log, side="front")
+        return c1, _smaller_complement(c2_in, budget=budget, log=log, side="rear")
+    c1 = _smaller_complement(c1_in, budget=budget, log=log, side="front")
+    return c1, _clean_complement(c2_in, p.gamma_ids, budget=budget, log=log, side="rear")
 
 
 def apply_gate_complement(p: GatePartition, *, budget: int | None = None) -> PortNfa:
@@ -273,6 +286,11 @@ def apply_gate_complement(p: GatePartition, *, budget: int | None = None) -> Por
     for rear-clean), the gate complement of the source without them is
     intersected with a complement of the component that holds them.
     """
+    return _gate_complement(p, budget, None)
+
+
+def _gate_complement(p: GatePartition, budget: int | None, log: list | None) -> PortNfa:
+    """``apply_gate_complement``, logging each component complement to ``log``."""
     base = p.base
     front_clean = p.direction is GateDirection.FRONT_CLEAN
     if p.needs_intersection:
@@ -283,8 +301,10 @@ def apply_gate_complement(p: GatePartition, *, budget: int | None = None) -> Por
             p.method,
             needs_intersection=False,
         )
-        left = apply_gate_complement(stripped, budget=budget)
-        right = _smaller_complement(base.rear if front_clean else base.front, budget=budget)
+        left = _gate_complement(stripped, budget, log)
+        right = _smaller_complement(
+            base.rear if front_clean else base.front, budget=budget, log=log, side="intersection"
+        )
         return core.product_intersection(left, right)
 
     front = base.front
@@ -292,7 +312,7 @@ def apply_gate_complement(p: GatePartition, *, budget: int | None = None) -> Por
     syms = range(len(base.source.alphabet))
     clean_syms = [sym for sym in syms if sym not in p.gamma_ids]
     carried = _carried_exits(p)
-    c1, c2 = _component_complements(p, carried, budget=budget)
+    c1, c2 = _component_complements(p, carried, budget=budget, log=log)
     # Front-clean: s loops on Σ and t on Σ∖Γ.  Rear-clean reverses the
     # roles, so that the gate is the last Γ symbol of the word.
     c_pre = _sink_half(c1, gamma, carried, front.num_exit, syms if front_clean else clean_syms)
@@ -516,6 +536,7 @@ def gate_complement_auto(
     chosen = select_partition(find_gate_partitions(p0, check_budget=check_budget))
     if chosen is None:
         raise NoGatePartitionError("no usable gate partition")
+    log = None
     if stats is not None:
         stats["direction"] = chosen.direction.value
         stats["method"] = chosen.method.value
@@ -523,4 +544,5 @@ def gate_complement_auto(
         stats["gate_symbols"] = sorted(chosen.gate_symbols)
         stats["front_states"] = len(chosen.base.front_states)
         stats["rear_states"] = len(chosen.base.rear_states)
-    return apply_gate_complement(chosen, budget=budget).slice(0, 0)
+        log = stats["complements"] = []
+    return _gate_complement(chosen, budget, log).slice(0, 0)

@@ -7,6 +7,14 @@ Macrostates are explored breadth-first from the initial set(s) and interned
 in discovery order, so the constructions are byte-for-byte reproducible.
 The empty macrostate appears lazily — on the first missing transition — and
 acts as the rejecting sink that keeps the result complete.
+
+Each construction explores first and builds once.  The exploration runs
+the subset kernel, lists the accepting macrostates and, when trimming,
+marks the live ones, and builds no automaton; its size is known before
+anything is named or validated, so a caller choosing among candidates
+builds only the one it keeps.  The reverse direction explores rev(a) over
+the successor table transposed from ``a.transitions`` and builds the
+result reversed back: one validated construction, no reversed automaton.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, cycle
+from typing import NamedTuple
 
 from . import _kernels, core
 from ._kernels.pure import _byte_keys
@@ -88,55 +97,120 @@ def _live(nsyms: int, delta: list[int], exits: list[int]) -> bytearray:
     return live
 
 
-def _port_powerset(a: Automaton, budget: int | None, complement: bool = False, trim: bool = False):
-    """Powerset construction of ``a`` from each of its entry sets.
+def _transposed_succ(a: Automaton) -> list[int]:
+    """rev(a)'s flat successor table, read off ``a.transitions``: index
+    sym*num_states+q -> bitmask of q's predecessors on sym."""
+    n = a.num_states
+    table = [0] * (len(a.alphabet) * n)
+    for (src, sym, dst) in a.transitions:
+        table[sym * n + dst] |= 1 << src
+    return table
 
-    Returns an automaton of ``a``'s class, one start macrostate per entry
-    set over one shared state space, and the bitmask of original states of
-    every macrostate explored.  Macrostate i is in exit set j when it meets
-    the original exit set j, or, with ``complement``, when it does not: that
-    complements every slice.  With ``trim`` the automaton keeps only the
-    macrostates that reach an exit set, in discovery order: exploration has
-    already made every one reachable, so that is ``core.trim`` of the
-    untrimmed automaton, built once and named only for the survivors.
+
+class _Exploration(NamedTuple):
+    """One powerset exploration of ``a``, or of rev(a), before anything is built.
+
+    ``macros`` are the macrostates as bitmasks of original states in
+    discovery order and ``delta`` the kernel's flat successor list over
+    them; ``entries`` holds the start macrostate of each start set and
+    ``exits`` the accepting macrostates of each accepting set.  ``live``,
+    when trimming, marks the macrostates that reach an accepting one.
+    """
+
+    macros: list[int]
+    delta: list[int]
+    entries: list[int]
+    exits: list[list[int]]
+    live: bytearray | None
+    reverse: bool
+
+    @property
+    def size(self) -> int:
+        """The number of states the built automaton will have."""
+        return len(self.macros) if self.live is None else sum(self.live)
+
+
+def _explore_port(a: Automaton, budget, complement=False, trim=False, reverse=False) -> _Exploration:
+    """Explore the powerset of ``a`` from each of its entry sets, or with
+    ``reverse`` that of rev(a) from each exit set over the transposed table.
+
+    A macrostate is accepting for an accepting set (an exit set of ``a``,
+    or an entry set when reversed) when it meets it, or, with
+    ``complement``, when it does not.  Builds no automaton.
     """
     nsyms = len(a.alphabet)
-    entry_masks = [core._mask_of(s) for s in a.entry_sets]
-    res = _kernels.explore_subsets(a.num_states, nsyms, a.succ_masks, entry_masks, budget)
+    if reverse:
+        succ, starts, accepting = _transposed_succ(a), a.exit_sets, a.entry_sets
+    else:
+        succ, starts, accepting = a.succ_masks, a.entry_sets, a.exit_sets
+    entry_masks = [core._mask_of(s) for s in starts]
+    res = _kernels.explore_subsets(a.num_states, nsyms, succ, entry_masks, budget)
     if res is None:
         raise BudgetExceededError("macrostate budget exceeded", budget=budget)
     macros, delta = res
-    # The kernel interns the distinct entry masks first, in port order.
+    # The kernel interns the distinct start masks first, in port order.
     index: dict[int, int] = {}
     entries = [index.setdefault(m, len(index)) for m in entry_masks]
     exits = [
         [i for i, m in enumerate(macros) if bool(m & em) != complement]
-        for em in map(core._mask_of, a.exit_sets)
+        for em in map(core._mask_of, accepting)
     ]
-    syms = range(nsyms)
     live = _live(nsyms, delta, [i for ids in exits for i in ids]) if trim else None
+    return _Exploration(macros, delta, entries, exits, live, reverse)
+
+
+def _build(a: Automaton, x: _Exploration) -> Automaton:
+    """The automaton of exploration ``x`` of ``a``, of ``a``'s class.
+
+    One start macrostate per start set over one shared state space.  With
+    ``x.live`` only the live macrostates are kept, in discovery order:
+    exploration has already made every one reachable, so that is
+    ``core.trim`` of the untrimmed automaton, built once and named only for
+    the survivors.  A reverse exploration is built reversed back, every
+    transition flipped and the start and accepting sets swapped, which is
+    rev() of the automaton explored.
+    """
+    nsyms = len(a.alphabet)
+    syms = range(nsyms)
+    macros, delta, entries, exits, live = x.macros, x.delta, x.entries, x.exits, x.live
     if live is None or all(live):
         kept = macros
-        transitions = zip([i for i in range(len(macros)) for _ in syms], cycle(syms), delta)
+        sources = [i for i in range(len(macros)) for _ in syms]
+        ends = (delta, sources) if x.reverse else (sources, delta)
+        transitions = zip(ends[0], cycle(syms), ends[1])
     else:
         kept = [m for m, alive in zip(macros, live) if alive]
         new = list(accumulate(live, initial=-1))  # new[i + 1] is i's index among the survivors
-        transitions = [
+        pairs = [
             (new[i + 1], sym, new[j + 1])
             for i in range(len(macros)) if live[i]
             for sym, j in zip(syms, delta[i * nsyms : (i + 1) * nsyms]) if live[j]
         ]
+        transitions = [(dst, sym, src) for (src, sym, dst) in pairs] if x.reverse else pairs
         entries = [new[e + 1] if live[e] else -1 for e in entries]
         exits = [[new[i + 1] for i in ids] for ids in exits]
-    det = core._rebuild(
-        a,
-        len(kept),
-        frozenset(transitions),
-        [frozenset({e} if e >= 0 else ()) for e in entries],
-        [frozenset(ids) for ids in exits],
-        _macro_names(a, kept),
-    )
-    return det, macros
+    starts = [frozenset({e} if e >= 0 else ()) for e in entries]
+    accepting = [frozenset(ids) for ids in exits]
+    if x.reverse:
+        starts, accepting = accepting, starts
+    return core._rebuild(a, len(kept), frozenset(transitions), starts, accepting, _macro_names(a, kept))
+
+
+def _port_powerset(a: Automaton, budget: int | None, complement: bool = False, trim: bool = False,
+                   reverse: bool = False):
+    """Powerset construction of ``a`` from each of its entry sets, explored
+    and then built once (``_explore_port``, ``_build``).
+
+    Returns an automaton of ``a``'s class and the bitmask of original states
+    of every macrostate explored.  Macrostate i is in exit set j when it
+    meets the original exit set j, or, with ``complement``, when it does
+    not: that complements every slice.  With ``trim`` only the macrostates
+    that reach an exit set are built.  With ``reverse`` the construction is
+    rev(·(det(rev(a)))), explored over the transposed successor table and
+    built reversed, with no reversed automaton in between.
+    """
+    x = _explore_port(a, budget, complement, trim, reverse)
+    return _build(a, x), x.macros
 
 
 def determinize(a: Automaton, *, budget: int | None = None) -> MacrostateDfa:
@@ -166,12 +240,10 @@ def reverse_complement(a: Automaton, *, budget: int | None = None) -> Automaton:
 
 def _complement(a: Automaton, direction: Direction, budget: int | None) -> tuple[Automaton, int]:
     """The trimmed powerset complement of ``a`` in ``direction``, and its size before trimming."""
-    if direction is Direction.FORWARD:
-        c, macros = _port_powerset(a, budget, complement=True, trim=True)
-        return c, len(macros)
     # A state of rev(raw) survives trim exactly when it reaches an exit of raw.
-    c, macros = _port_powerset(core.reverse(a), budget, complement=True, trim=True)
-    return core.reverse(c), len(macros)
+    reverse = direction is Direction.REVERSE
+    c, macros = _port_powerset(a, budget, complement=True, trim=True, reverse=reverse)
+    return c, len(macros)
 
 
 port_forward_complement = forward_complement

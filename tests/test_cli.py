@@ -203,6 +203,34 @@ def test_sequential_stats_list_every_strategy(capsys, tmp_path):
         }
 
 
+def test_gate_stats_list_both_complement_candidates(capsys, tmp_path):
+    g = tmp_path / "g4.nfa"
+    g.write_text(fileformat.serialize(gate_chain(4)))
+    stats_path = tmp_path / "s.json"
+    for method in ("gate", "portfolio"):
+        code, _out, _err = run(
+            capsys, "complement", "-m", method, "-i", str(g), "-o", str(tmp_path / "c.nfa"),
+            "--stats", str(stats_path),
+        )
+        assert code == 0
+        doc = json.loads(stats_path.read_text())
+        if method == "portfolio":
+            (doc,) = [r for r in doc["reports"] if r["method"] == "gate"]
+        assert doc["partition_summary"] == {
+            "direction": "front-clean",
+            "method": "equal",
+            "needs_intersection": False,
+            "gate_symbols": ["c"],
+            "front_states": 6,
+            "rear_states": 6,
+            # Each component is explored both ways; only the smaller is built.
+            "complements": [
+                {"side": "front", "forward": 32, "reverse": 6, "chosen": "reverse"},
+                {"side": "rear", "forward": 7, "reverse": 33, "chosen": "forward"},
+            ],
+        }
+
+
 def test_check_relations(capsys, a2_file, tmp_path):
     code, out, _ = run(capsys, "check", "--relation", "equiv", "-a", a2_file, "-b", a2_file)
     assert (code, out) == (0, "equiv: true\n")

@@ -168,6 +168,7 @@ def test_front_clean_with_outer_entry_needs_intersection():
     st = {}
     c = gate.gate_complement_auto(g, stats=st)
     assert st["needs_intersection"] is True
+    assert [e["side"] for e in st["complements"]] == ["front", "rear", "intersection"]
     assert oracle.oracle_complement_check(g, c, 7).ok
 
 
@@ -329,3 +330,28 @@ def test_smaller_complement_matches_the_build_both_reference():
             seen["both_cut"] += 1
     assert all(n > 3 for n in seen.values()), seen
 
+
+def test_smaller_complement_validates_once(monkeypatch):
+    calls = []
+    check = core._Automaton._normalize_and_check
+
+    def counted(self, *args):
+        calls.append(type(self).__name__)
+        check(self, *args)
+
+    rng = random.Random(88)
+    cases = [helpers.random_nfa(rng, max_states=8) for _ in range(20)] + [gate_chain(3).as_port()]
+    monkeypatch.setattr(core._Automaton, "_normalize_and_check", counted)
+    for a in cases:
+        calls.clear()
+        gate._smaller_complement(a, budget=4096)
+        assert len(calls) == 1, calls
+
+
+def test_gate_stats_log_a_direction_that_runs_out():
+    st = {}
+    gate.gate_complement_auto(gate_chain(4), budget=20, stats=st)
+    assert st["complements"] == [
+        {"side": "front", "forward": "budget", "reverse": 6, "chosen": "reverse"},
+        {"side": "rear", "forward": 7, "reverse": "budget", "chosen": "forward"},
+    ]
