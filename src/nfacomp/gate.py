@@ -144,7 +144,9 @@ def _smaller_complement(
     return _build(a, explored[chosen])
 
 
-def _clean_complement(a: core.Automaton, gamma_ids: frozenset[int], *, budget: int | None, log=None, side=""):
+def _clean_complement(
+    a: core.Automaton, gamma_ids: frozenset[int], *, budget: int | None, log: list | None = None, side: str = ""
+):
     """The complement of a clean side over Σ∖Γ, lifted back to Σ."""
     c = _smaller_complement(_drop_symbols(a, gamma_ids), budget=budget, log=log, side=side)
     return _lift_alphabet(c, a.alphabet)

@@ -8,13 +8,11 @@ in discovery order, so the constructions are byte-for-byte reproducible.
 The empty macrostate appears lazily — on the first missing transition — and
 acts as the rejecting sink that keeps the result complete.
 
-Each construction explores first and builds once.  The exploration runs
-the subset kernel, lists the accepting macrostates and, when trimming,
-marks the live ones, and builds no automaton; its size is known before
-anything is named or validated, so a caller choosing among candidates
-builds only the one it keeps.  The reverse direction explores rev(a) over
-the successor table transposed from ``a.transitions`` and builds the
-result reversed back: one validated construction, no reversed automaton.
+Each construction explores, then builds once.  The exploration (subset
+kernel, accepting macrostates, live marks) builds no automaton, so a caller
+choosing among candidates by size builds only the one it keeps.  Reverse
+explores rev(a) over the successor table transposed from ``a.transitions``
+and builds the result reversed back, with no reversed automaton.
 """
 
 from __future__ import annotations
@@ -108,13 +106,9 @@ def _transposed_succ(a: Automaton) -> list[int]:
 
 
 class _Exploration(NamedTuple):
-    """One powerset exploration of ``a``, or of rev(a), before anything is built.
-
-    ``macros`` are the macrostates as bitmasks of original states in
-    discovery order and ``delta`` the kernel's flat successor list over
-    them; ``entries`` holds the start macrostate of each start set and
-    ``exits`` the accepting macrostates of each accepting set.  ``live``,
-    when trimming, marks the macrostates that reach an accepting one.
+    """A powerset exploration: macrostate masks in discovery order, the
+    kernel's flat ``delta``, the start macrostate of each start set, the
+    accepting macrostates of each accepting set, and with trim the live marks.
     """
 
     macros: list[int]
@@ -130,14 +124,13 @@ class _Exploration(NamedTuple):
         return len(self.macros) if self.live is None else sum(self.live)
 
 
-def _explore_port(a: Automaton, budget, complement=False, trim=False, reverse=False) -> _Exploration:
-    """Explore the powerset of ``a`` from each of its entry sets, or with
-    ``reverse`` that of rev(a) from each exit set over the transposed table.
-
-    A macrostate is accepting for an accepting set (an exit set of ``a``,
-    or an entry set when reversed) when it meets it, or, with
-    ``complement``, when it does not.  Builds no automaton.
-    """
+def _explore_port(
+    a: Automaton, budget: int | None, complement: bool = False, trim: bool = False, reverse: bool = False
+) -> _Exploration:
+    """Explore the powerset of ``a`` from each entry set, or with ``reverse``
+    that of rev(a) from each exit set.  A macrostate accepts for an exit set
+    (an entry set when reversed) when it meets it, or with ``complement``
+    when it does not."""
     nsyms = len(a.alphabet)
     if reverse:
         succ, starts, accepting = _transposed_succ(a), a.exit_sets, a.entry_sets
@@ -160,24 +153,21 @@ def _explore_port(a: Automaton, budget, complement=False, trim=False, reverse=Fa
 
 
 def _build(a: Automaton, x: _Exploration) -> Automaton:
-    """The automaton of exploration ``x`` of ``a``, of ``a``'s class.
+    """The automaton of ``a``'s class that exploration ``x`` of ``a`` found.
 
-    One start macrostate per start set over one shared state space.  With
-    ``x.live`` only the live macrostates are kept, in discovery order:
-    exploration has already made every one reachable, so that is
-    ``core.trim`` of the untrimmed automaton, built once and named only for
-    the survivors.  A reverse exploration is built reversed back, every
-    transition flipped and the start and accepting sets swapped, which is
-    rev() of the automaton explored.
+    With live marks only the live macrostates are kept, in discovery order:
+    exploration made every one reachable, so that is ``core.trim`` of the
+    untrimmed automaton, named only for the survivors.  A reverse
+    exploration is built reversed back: transitions flipped, start and
+    accepting sets swapped.
     """
     nsyms = len(a.alphabet)
     syms = range(nsyms)
-    macros, delta, entries, exits, live = x.macros, x.delta, x.entries, x.exits, x.live
+    macros, delta, entries, exits, live, reverse = x
     if live is None or all(live):
         kept = macros
         sources = [i for i in range(len(macros)) for _ in syms]
-        ends = (delta, sources) if x.reverse else (sources, delta)
-        transitions = zip(ends[0], cycle(syms), ends[1])
+        transitions = zip(delta, cycle(syms), sources) if reverse else zip(sources, cycle(syms), delta)
     else:
         kept = [m for m, alive in zip(macros, live) if alive]
         new = list(accumulate(live, initial=-1))  # new[i + 1] is i's index among the survivors
@@ -186,28 +176,28 @@ def _build(a: Automaton, x: _Exploration) -> Automaton:
             for i in range(len(macros)) if live[i]
             for sym, j in zip(syms, delta[i * nsyms : (i + 1) * nsyms]) if live[j]
         ]
-        transitions = [(dst, sym, src) for (src, sym, dst) in pairs] if x.reverse else pairs
+        transitions = [(dst, sym, src) for (src, sym, dst) in pairs] if reverse else pairs
         entries = [new[e + 1] if live[e] else -1 for e in entries]
         exits = [[new[i + 1] for i in ids] for ids in exits]
     starts = [frozenset({e} if e >= 0 else ()) for e in entries]
     accepting = [frozenset(ids) for ids in exits]
-    if x.reverse:
+    if reverse:
         starts, accepting = accepting, starts
     return core._rebuild(a, len(kept), frozenset(transitions), starts, accepting, _macro_names(a, kept))
 
 
-def _port_powerset(a: Automaton, budget: int | None, complement: bool = False, trim: bool = False,
-                   reverse: bool = False):
-    """Powerset construction of ``a`` from each of its entry sets, explored
-    and then built once (``_explore_port``, ``_build``).
+def _port_powerset(
+    a: Automaton, budget: int | None, complement: bool = False, trim: bool = False, reverse: bool = False
+):
+    """Powerset construction of ``a`` from each of its entry sets: explore,
+    then build once.
 
-    Returns an automaton of ``a``'s class and the bitmask of original states
-    of every macrostate explored.  Macrostate i is in exit set j when it
-    meets the original exit set j, or, with ``complement``, when it does
-    not: that complements every slice.  With ``trim`` only the macrostates
-    that reach an exit set are built.  With ``reverse`` the construction is
-    rev(·(det(rev(a)))), explored over the transposed successor table and
-    built reversed, with no reversed automaton in between.
+    Returns an automaton of ``a``'s class, one start macrostate per entry
+    set over one shared state space, and the bitmask of original states of
+    every macrostate explored.  ``complement`` complements every slice;
+    ``trim`` builds only the macrostates that reach an exit set.  With
+    ``reverse`` the construction is rev(·(det(rev(a)))), read off the
+    transposed successor table.
     """
     x = _explore_port(a, budget, complement, trim, reverse)
     return _build(a, x), x.macros
