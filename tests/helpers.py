@@ -5,10 +5,11 @@ independent route to every answer the library computes cleverly.
 """
 
 import itertools
+import random
 import re
 from collections import Counter, deque
 
-from nfacomp import core, oracle, powerset
+from nfacomp import core, oracle, powerset, reduction
 from nfacomp.errors import BudgetExceededError, ParseError
 from nfacomp.sequential import SeqComplementState
 
@@ -498,6 +499,164 @@ def simulation_masks_reference(n, nsyms, succ, initial_candidates):
                     changed = True
             sim[p] = cur
     return sim
+
+
+def quotient_and_prune_reference(a, counts=None):
+    """The classes, class map and pruned class transitions of the simulation pass.
+
+    A target class is dropped when another target class lies strictly above
+    it, found by comparing every pair of target classes; ``counts`` (a
+    Counter, optional) tallies the dropped targets under ``"targets"``.
+    Returns the order on classes as ``leq`` for the entry-set pruning.
+    """
+    n = a.num_states
+    nsyms = len(a.alphabet)
+    succ = a.succ_masks
+    sim = reduction._simulation(a)
+    class_of = [-1] * n
+    classes = []
+    for p in range(n):
+        if class_of[p] != -1:
+            continue
+        members = [p] + [q for q in core._bits(sim[p]) if q > p and (sim[q] >> p) & 1]
+        ci = len(classes)
+        classes.append(members)
+        for q in members:
+            class_of[q] = ci
+
+    def leq(ci, cj):
+        return bool((sim[classes[ci][0]] >> classes[cj][0]) & 1)
+
+    raw = {}
+    for p in range(n):
+        for sym in range(nsyms):
+            for q in core._bits(succ[sym * n + p]):
+                raw.setdefault((class_of[p], sym), set()).add(class_of[q])
+    transitions = set()
+    for (ci, sym), targets in raw.items():
+        for cj in targets:
+            if any(ck != cj and leq(cj, ck) and not leq(ck, cj) for ck in targets):
+                if counts is not None:
+                    counts["targets"] += 1
+                continue
+            transitions.add((ci, sym, cj))
+    return classes, class_of, transitions, leq
+
+
+def _quotient_reference(a, classes, class_of, transitions, entry_sets):
+    out = core._rebuild(
+        a,
+        len(classes),
+        frozenset(transitions),
+        entry_sets,
+        [frozenset(class_of[q] for q in s) for s in a.exit_sets],
+        tuple("+".join(a.state_name(q) for q in members) for members in classes),
+    )
+    return core.trim(out)
+
+
+def simulation_reduce_reference(a, counts=None):
+    if a.num_states == 0:
+        return a
+    classes, class_of, transitions, _leq = quotient_and_prune_reference(a, counts)
+    entry_sets = [frozenset(class_of[q] for q in s) for s in a.entry_sets]
+    return _quotient_reference(a, classes, class_of, transitions, entry_sets)
+
+
+def simulation_reduce_port_reference(a, counts=None):
+    """Also drops an entry-set class that another class of the same set lies strictly
+    above, tallied under ``"entries"``."""
+    if a.num_states == 0:
+        return a
+    classes, class_of, transitions, leq = quotient_and_prune_reference(a, counts)
+    entry_sets = []
+    for s in a.entry_sets:
+        cls = {class_of[q] for q in s}
+        kept = frozenset(
+            ci for ci in cls if not any(cj != ci and leq(ci, cj) and not leq(cj, ci) for cj in cls)
+        )
+        if counts is not None:
+            counts["entries"] += len(cls) - len(kept)
+        entry_sets.append(kept)
+    return _quotient_reference(a, classes, class_of, transitions, entry_sets)
+
+
+def with_duplicate_and_empty_entries(p):
+    return core.PortNfa(
+        p.alphabet, p.num_states, p.transitions, p.entry_sets + (p.entry_sets[0], frozenset()), p.exit_sets
+    )
+
+
+def automata_and_complements(seed, budget=1024):
+    """Seeded plain and port NFAs, each followed by its complements.
+
+    The inputs include port NFAs with a duplicate and an empty entry set and
+    automata of 65-90 states.  After each input come its trimmed forward and
+    reverse complements and its untrimmed (complete) forward complement, all
+    but those that would take more than ``budget`` macrostates.
+    """
+    rng = random.Random(seed)
+    inputs = [random_nfa(rng, max_states=9) for _ in range(60)]
+    inputs += [
+        random_port_nfa(rng, num_entry=rng.randint(1, 3), num_exit=rng.randint(1, 3)) for _ in range(30)
+    ]
+    inputs += [with_duplicate_and_empty_entries(random_port_nfa(rng)) for _ in range(10)]
+    for _ in range(3):
+        inputs.append(random_nfa(rng, max_states=90, min_states=65, max_syms=2))
+        p = random_port_nfa(rng, max_states=90, min_states=65, num_entry=3)
+        inputs.append(with_duplicate_and_empty_entries(p))
+    for a in inputs:
+        yield a
+        for complement in (
+            lambda: powerset._complement(a, powerset.Direction.FORWARD, budget)[0],
+            lambda: powerset._complement(a, powerset.Direction.REVERSE, budget)[0],
+            lambda: powerset.forward_complement(a, trim=False, budget=budget),
+        ):
+            try:
+                yield complement()
+            except BudgetExceededError:
+                pass
+
+
+# --- shape facts, transition by transition --------------------------------------
+
+
+def deterministic_reference(a):
+    """One start state per entry set and no two transitions from one state on one symbol."""
+    if any(len(s) != 1 for s in a.entry_sets):
+        return False
+    seen = set()
+    for (src, sym, _dst) in a.transitions:
+        if (src, sym) in seen:
+            return False
+        seen.add((src, sym))
+    return True
+
+
+def complete_reference(a):
+    return len({(src, sym) for (src, sym, _dst) in a.transitions}) == a.num_states * len(a.alphabet)
+
+
+def induced_deterministic_reference(a, states):
+    seen = set()
+    for (src, sym, dst) in a.transitions:
+        if src in states and dst in states:
+            if (src, sym) in seen:
+                return False
+            seen.add((src, sym))
+    return True
+
+
+def induced_reverse_deterministic_reference(a, states):
+    if len(a.final & states) != 1:
+        return False
+    seen = set()
+    for (src, sym, dst) in a.transitions:
+        if src in states and dst in states:
+            if (dst, sym) in seen:
+                return False
+            seen.add((dst, sym))
+    return True
 
 
 def hopcroft_minimize_reference(dfa):

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -7,7 +8,7 @@ import hypothesis.strategies as st
 
 import helpers
 from conftest import nfa_pairs, nfas, port_nfas
-from nfacomp import core, powerset
+from nfacomp import core, heuristic, powerset, sequential
 from nfacomp.errors import BudgetExceededError
 from nfacomp.families import reverse_friendly
 
@@ -298,3 +299,29 @@ def test_sequential_partition_of():
     assert rt.entry_sets[-1] == frozenset({0})
     with pytest.raises(ValueError):
         core.SequentialPartition.of(b, [1])  # 0 -> 1 would cross backwards
+
+
+def test_shape_facts_match_their_definitions():
+    rng = random.Random(20251019)
+    seen = Counter()
+    for a in helpers.automata_and_complements(20251018):
+        det = helpers.deterministic_reference(a)
+        complete = helpers.complete_reference(a)
+        revdet = helpers.deterministic_reference(core.reverse(a))
+        assert core.is_deterministic(a) == det
+        assert core.is_complete(a) == complete
+        assert core.is_reverse_deterministic(a) == revdet
+        seen.update({f"det={det}": 1, f"complete={complete}": 1, f"revdet={revdet}": 1})
+        if not isinstance(a, core.Nfa):
+            continue
+        score = heuristic.choose_direction(a).score_reverse
+        assert score == heuristic.det_successor_score(core.reverse(a))
+        subsets = [set(), set(range(a.num_states))]
+        subsets += [{q for q in range(a.num_states) if rng.random() < p} for p in (0.3, 0.6, 0.9)]
+        for states in subsets:
+            ind = helpers.induced_deterministic_reference(a, states)
+            ind_rev = helpers.induced_reverse_deterministic_reference(a, states)
+            assert sequential._induced_deterministic(a, states) == ind
+            assert sequential._induced_reverse_deterministic(a, states) == ind_rev
+            seen.update({f"induced={ind}": 1, f"induced_rev={ind_rev}": 1})
+    assert len(seen) == 10 and min(seen.values()) > 10, seen

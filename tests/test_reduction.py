@@ -1,5 +1,5 @@
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -202,3 +202,20 @@ def test_hopcroft_matches_reference():
         d = random_complete_dfa(rng, n)
         want = fileformat.serialize(helpers.hopcroft_minimize_reference(d))
         assert fileformat.serialize(reduction.hopcroft_minimize(d)) == want
+
+
+def test_simulation_reductions_match_the_pairwise_domination_scans():
+    seen = Counter()
+    for a in helpers.automata_and_complements(20251018):
+        reductions = [(reduction.simulation_reduce_port, helpers.simulation_reduce_port_reference)]
+        if isinstance(a, core.Nfa):
+            reductions.append((reduction.simulation_reduce, helpers.simulation_reduce_reference))
+        for library, reference in reductions:
+            counts = Counter()
+            want = fileformat.serialize(reference(a, counts))
+            assert fileformat.serialize(library(a)) == want
+            seen.update(counts)
+            seen["merged"] += library(a).num_states < a.num_states
+            seen["large"] += a.num_states > 64
+    # Targets and entry states were dropped as dominated, and classes merged.
+    assert all(seen[k] > 20 for k in ("targets", "entries", "merged")) and seen["large"] > 5, seen
