@@ -76,6 +76,13 @@ def summarize(pairs):
     return summary, claim
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -84,7 +91,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=positive_int, default=10)
     ap.add_argument("--trace", action="store_true", help="one traced run per side instead of timed pairs")
     ap.add_argument("--out-dir", type=Path, default=Path("."))
     args = ap.parse_args(argv)

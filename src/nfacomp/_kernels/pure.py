@@ -1,11 +1,14 @@
 """Pure-Python kernels over bitmask-encoded automata.
 
-Every kernel works on a flat encoding that the callers in :mod:`nfacomp.core`
-and :mod:`nfacomp.powerset` produce once per automaton:
+Every kernel works on a flat encoding that :mod:`nfacomp.core` builds once
+per automaton and caches on it:
 
 * states are ``0 .. nstates-1``,
 * ``succ`` is a flat list of length ``nsyms * nstates`` where entry
-  ``sym * nstates + q`` is the bitmask of successors of ``q`` under ``sym``,
+  ``sym * nstates + q`` is the bitmask of successors of ``q`` under ``sym``
+  (``succ_masks``); the predecessor table ``pred_masks`` has the same
+  layout, and a kernel given it in place of ``succ`` runs on the reversed
+  automaton (the reverse powerset, and the simulation pass's images),
 * state sets (initial, final, macrostates) are plain ints used as bitmasks.
 
 ``explore_subsets`` and ``antichain_included`` compute the subset image of a

@@ -112,13 +112,9 @@ def _minimize(a: Nfa) -> Nfa:
     if not core.is_deterministic(a) or core.is_complete(a):
         return reduction.hopcroft_minimize(a)
     sink = a.num_states
-    defined = {(src, sym) for (src, sym, _dst) in a.transitions}
-    fill = {
-        (q, sym, sink)
-        for q in range(sink + 1)
-        for sym in range(len(a.alphabet))
-        if (q, sym) not in defined
-    }
+    nsyms = len(a.alphabet)
+    defined = core._moves(a.transitions, nsyms)
+    fill = {(q, sym, sink) for q in range(sink + 1) for sym in range(nsyms) if q * nsyms + sym not in defined}
     names = None if a.state_names is None else core._uniquify(a.state_names + ("sink",))
     completed = dataclasses.replace(
         a, num_states=sink + 1, transitions=a.transitions | fill, state_names=names

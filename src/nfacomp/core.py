@@ -8,12 +8,14 @@ bitmasks; everything user-facing stays as frozensets of state ids.
 A plain NFA is the port NFA with one entry set and one exit set: its
 read-only port view ``entry_sets``/``exit_sets`` is ``(initial,)`` and
 ``(final,)``.  The two classes share one body, written against that view:
-validation, ``build``, ``symbol_ids``, ``succ_masks``, the counts,
-``state_name`` and ``slice``; each dataclass adds only its fields, and
-``Nfa`` its plain-only members.  Every structural operation (``reverse``,
-``union``, ``induced``, ``trim``, ``product_intersection``) is written once
-against the same view; it takes either class and returns an automaton of its
-input's class, built through ``_rebuild``.
+validation, ``build``, ``symbol_ids``, the flat ``succ_masks`` and
+``pred_masks`` tables, the counts, ``state_name`` and ``slice``; each
+dataclass adds only its fields, and ``Nfa`` its plain-only members.  Every
+structural operation (``reverse``, ``union``, ``induced``, ``trim``,
+``product_intersection``) is written once against the same view; it takes
+either class and returns an automaton of its input's class, built through
+``_rebuild``.  Questions about the reversal (the reverse powerset, the
+shape predicates, simulation) read ``pred_masks``, not a reversed copy.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from functools import cached_property
 from typing import Iterable, Union
 
 from . import _kernels
+from ._kernels.pure import _bits
 from .errors import BudgetExceededError
 
 Transition = tuple[int, int, int]  # (src, symbol index, dst)
@@ -53,13 +56,6 @@ def _mask_of(states: Iterable[int]) -> int:
     for q in states:
         m |= 1 << q
     return m
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
 
 
 class _Automaton:
@@ -123,6 +119,15 @@ class _Automaton:
         table = [0] * (len(self.alphabet) * self.num_states)
         for (src, sym, dst) in self.transitions:
             table[sym * self.num_states + src] |= 1 << dst
+        return table
+
+    @cached_property
+    def pred_masks(self) -> list[int]:
+        """Flat predecessor table, the reversal's successor table: index
+        sym*num_states+q -> bitmask of q's predecessors on sym."""
+        table = [0] * (len(self.alphabet) * self.num_states)
+        for (src, sym, dst) in self.transitions:
+            table[sym * self.num_states + dst] |= 1 << src
         return table
 
     @property
@@ -561,26 +566,31 @@ def product_intersection(a: Automaton, b: Automaton) -> Automaton:
 # Shape predicates
 
 
+def _moves(transitions, nsyms: int, by_target: bool = False) -> set[int]:
+    """The distinct (source, symbol) pairs of ``transitions`` as ``source * nsyms + symbol``;
+    with ``by_target``, (target, symbol) pairs."""
+    if by_target:
+        return {dst * nsyms + sym for (_src, sym, dst) in transitions}
+    return {src * nsyms + sym for (src, sym, _dst) in transitions}
+
+
 def is_deterministic(a: Automaton) -> bool:
     """DFA check: single start per entry set, at most one successor per symbol."""
     if any(len(s) != 1 for s in a.entry_sets):
         return False
-    seen = set()
-    for (src, sym, _dst) in a.transitions:
-        if (src, sym) in seen:
-            return False
-        seen.add((src, sym))
-    return True
+    return len(_moves(a.transitions, len(a.alphabet))) == a.num_transitions
 
 
 def is_complete(a: Automaton) -> bool:
     """Every state has at least one successor on every symbol."""
-    pairs = {(src, sym) for (src, sym, _dst) in a.transitions}
-    return len(pairs) == a.num_states * len(a.alphabet)
+    return len(_moves(a.transitions, len(a.alphabet))) == a.num_states * len(a.alphabet)
 
 
 def is_reverse_deterministic(a: Automaton) -> bool:
-    return is_deterministic(reverse(a))
+    """``is_deterministic`` of the reversal, without building it."""
+    if any(len(s) != 1 for s in a.exit_sets):
+        return False
+    return len(_moves(a.transitions, len(a.alphabet), by_target=True)) == a.num_transitions
 
 
 # ---------------------------------------------------------------------------

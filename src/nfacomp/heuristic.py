@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import core
 from .core import Nfa
-from .powerset import Direction, forward_complement, reverse_complement
+from .powerset import Direction, _complement
 
 
 @dataclass(frozen=True)
@@ -27,21 +26,25 @@ class DirectionChoice:
             raise ValueError("choice contradicts the scores")
 
 
-def det_successor_score(a: Nfa) -> int:
-    """|I| plus the summed sizes of each state's distinct successor sets."""
+def _score(a: Nfa, table: list[int], starts: frozenset[int]) -> int:
+    """|starts| plus the summed sizes of each state's distinct rows in the flat ``table``."""
     n = a.num_states
-    score = len(a.initial)
-    for q in range(n):
-        distinct = {a.succ_masks[sym * n + q] for sym in range(len(a.alphabet))}
-        distinct.discard(0)
-        score += sum(m.bit_count() for m in distinct)
+    score = len(starts)
+    for rows in zip(*[table[sym * n : (sym + 1) * n] for sym in range(len(a.alphabet))]):
+        for m in set(rows):  # the empty row counts 0
+            score += m.bit_count()
     return score
 
 
+def det_successor_score(a: Nfa) -> int:
+    """|I| plus the summed sizes of each state's distinct successor sets."""
+    return _score(a, a.succ_masks, a.initial)
+
+
 def choose_direction(a: Nfa) -> DirectionChoice:
-    """Score both directions; ties go to reverse."""
+    """Score both directions, rev(a) on the predecessor table; ties go to reverse."""
     score_forward = det_successor_score(a)
-    score_reverse = det_successor_score(core.reverse(a))
+    score_reverse = _score(a, a.pred_masks, a.final)
     choice = Direction.REVERSE if score_forward >= score_reverse else Direction.FORWARD
     return DirectionChoice(score_forward, score_reverse, choice)
 
@@ -49,6 +52,4 @@ def choose_direction(a: Nfa) -> DirectionChoice:
 def auto_complement(a: Nfa, *, budget: int | None = None) -> tuple[Nfa, DirectionChoice]:
     """Complement via the direction the heuristic picks."""
     decision = choose_direction(a)
-    if decision.choice is Direction.REVERSE:
-        return reverse_complement(a, budget=budget), decision
-    return forward_complement(a, budget=budget), decision
+    return _complement(a, decision.choice, budget)[0], decision

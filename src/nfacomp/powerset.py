@@ -11,8 +11,9 @@ acts as the rejecting sink that keeps the result complete.
 Each construction explores, then builds once.  The exploration (subset
 kernel, accepting macrostates, live marks) builds no automaton, so a caller
 choosing among candidates by size builds only the one it keeps.  Reverse
-explores rev(a) over the successor table transposed from ``a.transitions``
-and builds the result reversed back, with no reversed automaton.
+explores rev(a) over the automaton's cached predecessor table
+(``a.pred_masks``) and builds the result reversed back, with no reversed
+automaton.
 """
 
 from __future__ import annotations
@@ -95,16 +96,6 @@ def _live(nsyms: int, delta: list[int], exits: list[int]) -> bytearray:
     return live
 
 
-def _transposed_succ(a: Automaton) -> list[int]:
-    """rev(a)'s flat successor table, read off ``a.transitions``: index
-    sym*num_states+q -> bitmask of q's predecessors on sym."""
-    n = a.num_states
-    table = [0] * (len(a.alphabet) * n)
-    for (src, sym, dst) in a.transitions:
-        table[sym * n + dst] |= 1 << src
-    return table
-
-
 class _Exploration(NamedTuple):
     """A powerset exploration: macrostate masks in discovery order, the
     kernel's flat ``delta``, the start macrostate of each start set, the
@@ -133,7 +124,7 @@ def _explore_port(
     when it does not."""
     nsyms = len(a.alphabet)
     if reverse:
-        succ, starts, accepting = _transposed_succ(a), a.exit_sets, a.entry_sets
+        succ, starts, accepting = a.pred_masks, a.exit_sets, a.entry_sets
     else:
         succ, starts, accepting = a.succ_masks, a.entry_sets, a.exit_sets
     entry_masks = [core._mask_of(s) for s in starts]
@@ -197,7 +188,7 @@ def _port_powerset(
     every macrostate explored.  ``complement`` complements every slice;
     ``trim`` builds only the macrostates that reach an exit set.  With
     ``reverse`` the construction is rev(·(det(rev(a)))), read off the
-    transposed successor table.
+    predecessor table.
     """
     x = _explore_port(a, budget, complement, trim, reverse)
     return _build(a, x), x.macros

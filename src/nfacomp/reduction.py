@@ -16,6 +16,8 @@ the greatest fixpoint of ``sim[p] &= Pre_a(sim[p'])`` over the moves
 ``p -a-> p'``, refined from a worklist of the states whose successors' sets
 shrank (Henzinger, Henzinger & Kopke, "Computing simulations on finite and
 infinite graphs", FOCS 1995; Ilie, Navarro & Yu, "On NFA reductions", 2004).
+A class is a little brother when the mask of the states strictly above it
+meets its sibling targets (or its entry set): one AND, no scan over pairs.
 """
 
 from __future__ import annotations
@@ -35,29 +37,18 @@ class SimulationPreorder:
     relation: frozenset[tuple[int, int]]
 
 
-def _predecessor_masks(n: int, succ) -> list[int]:
-    """The predecessor table of a flat successor table over ``n`` states, in the same layout."""
-    pred = [0] * len(succ)
-    for i, row in enumerate(succ):
-        base = i - i % n
-        bit = 1 << (i - base)
-        for q in core._bits(row):
-            pred[base + q] |= bit
-    return pred
-
-
-def _simulation_masks(n: int, nsyms: int, succ, initial_candidates: list[int]) -> list[int]:
+def _simulation_masks(n: int, nsyms: int, succ, pred, initial_candidates: list[int]) -> list[int]:
     """Greatest fixpoint of the direct-simulation refinement, as bitmasks.
 
     ``sim[p]`` starts from ``initial_candidates[p]`` (states not ruled out by
     the acceptance condition, p itself included) and keeps only the states
     that can match every move ``p -a-> p'`` into ``sim[p']``, that is
     ``Pre_a(sim[p'])``: the states with an a-successor in ``sim[p']``.
-    ``Pre_a`` is the subset image under the predecessor table, cached per
-    state until that state's set shrinks; a state is refined again only when
-    the set of one of its successors shrank.
+    ``Pre_a`` is the subset image under the predecessor table ``pred`` (the
+    same layout as ``succ``), cached per state until that state's set
+    shrinks; a state is refined again only when the set of one of its
+    successors shrank.
     """
-    pred = _predecessor_masks(n, succ)
     tables, keys_of = _image_tables(n, nsyms, pred)
     sim = list(initial_candidates)
     pre: list[list[int] | None] = [None] * n  # per-symbol Pre_a(sim[q]), None when stale
@@ -102,7 +93,7 @@ def _simulation(a: core.Automaton) -> list[int]:
             if (em >> p) & 1:
                 cand &= em
         candidates.append(cand)
-    return _simulation_masks(n, len(a.alphabet), a.succ_masks, candidates)
+    return _simulation_masks(n, len(a.alphabet), a.succ_masks, a.pred_masks, candidates)
 
 
 def compute_simulation(a: Nfa) -> SimulationPreorder:
@@ -190,48 +181,53 @@ def hopcroft_minimize(d: MacrostateDfa | Nfa) -> Nfa:
     )
 
 
-def _quotient_and_prune(a: core.Automaton):
-    """Shared first half of the simulation reductions.
+def _quotient_and_prune(a: core.Automaton, prune_entries: bool):
+    """The simulation reductions: merge simulation-equivalent states, drop
+    transitions into strictly dominated target classes, and trim.
 
-    Returns (classes, class_of, transitions, leq): the simulation-equivalence
-    classes (sorted by least member) of ``a``'s states, its transitions
-    between classes with those into strictly dominated target classes
-    already gone, and the simulation order on classes.
+    The classes are sorted by least member.  Simulation is closed under
+    equivalence, so ``above[c]``, the states simulating c's least member
+    minus c's own members, is the union of the classes strictly above c.  A
+    target class is strictly dominated exactly when ``above`` meets the
+    union of the successor rows it was reached by.  With ``prune_entries`` an
+    entry set also drops each class that ``above`` finds dominated within it.
     """
     n = a.num_states
+    if n == 0:
+        return a
     nsyms = len(a.alphabet)
     succ = a.succ_masks
     sim = _simulation(a)
     class_of = [-1] * n
     classes: list[list[int]] = []
+    class_mask: list[int] = []
     for p in range(n):
         if class_of[p] != -1:
             continue
         members = [p] + [q for q in core._bits(sim[p]) if q > p and (sim[q] >> p) & 1]
         ci = len(classes)
         classes.append(members)
+        class_mask.append(core._mask_of(members))
         for q in members:
             class_of[q] = ci
+    above = [sim[members[0]] & ~m for members, m in zip(classes, class_mask)]
 
-    def leq(ci: int, cj: int) -> bool:
-        return bool((sim[classes[ci][0]] >> classes[cj][0]) & 1)
-
-    raw: dict[tuple[int, int], set[int]] = {}
-    for p in range(n):
-        for sym in range(nsyms):
-            for q in core._bits(succ[sym * n + p]):
-                raw.setdefault((class_of[p], sym), set()).add(class_of[q])
     transitions = set()
-    for (ci, sym), targets in raw.items():
-        for cj in targets:
-            if any(ck != cj and leq(cj, ck) and not leq(ck, cj) for ck in targets):
-                continue  # strictly dominated target: a bigger brother exists
-            transitions.add((ci, sym, cj))
-    return classes, class_of, transitions, leq
-
-
-def _quotient(a, classes, class_of, transitions, entry_sets):
-    """The trimmed automaton of ``a``'s class on the classes, with the given entry sets."""
+    for ci, members in enumerate(classes):
+        for sym in range(nsyms):
+            row = 0
+            for p in members:
+                row |= succ[sym * n + p]
+            rest = row
+            while rest:
+                cj = class_of[(rest & -rest).bit_length() - 1]
+                rest &= ~class_mask[cj]
+                if not above[cj] & row:  # else a bigger brother exists
+                    transitions.add((ci, sym, cj))
+    entry_sets = []
+    for s in a.entry_sets:
+        m = core._mask_of(s) if prune_entries else 0
+        entry_sets.append(frozenset(class_of[q] for q in s if not above[class_of[q]] & m))
     out = core._rebuild(
         a,
         len(classes),
@@ -245,11 +241,7 @@ def _quotient(a, classes, class_of, transitions, entry_sets):
 
 def simulation_reduce(a: Nfa) -> Nfa:
     """Merge simulation-equivalent states and prune dominated transitions."""
-    if a.num_states == 0:
-        return a
-    classes, class_of, transitions, _leq = _quotient_and_prune(a)
-    entry_sets = [frozenset(class_of[q] for q in s) for s in a.entry_sets]
-    return _quotient(a, classes, class_of, transitions, entry_sets)
+    return _quotient_and_prune(a, prune_entries=False)
 
 
 def simulation_reduce_port(a: PortNfa) -> PortNfa:
@@ -260,13 +252,4 @@ def simulation_reduce_port(a: PortNfa) -> PortNfa:
     every slice at once.  Entry sets additionally drop members dominated by
     another member of the same set.
     """
-    if a.num_states == 0:
-        return a
-    classes, class_of, transitions, leq = _quotient_and_prune(a)
-    entry_sets = []
-    for s in a.entry_sets:
-        cls = {class_of[q] for q in s}
-        entry_sets.append(frozenset(
-            ci for ci in cls if not any(cj != ci and leq(ci, cj) and not leq(cj, ci) for cj in cls)
-        ))
-    return _quotient(a, classes, class_of, transitions, entry_sets)
+    return _quotient_and_prune(a, prune_entries=True)

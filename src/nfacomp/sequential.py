@@ -22,7 +22,7 @@ from . import core
 from .core import Nfa, PortNfa, SequentialPartition
 from .errors import BudgetExceededError
 from .powerset import Direction, _complement, _port_powerset, reverse_complement
-from .reduction import _predecessor_masks, simulation_reduce_port
+from .reduction import simulation_reduce_port
 
 # Above this many rear-complement states, or this many pairs per state in the
 # relation, _together_masks gives up and no composite is pruned, which is
@@ -104,7 +104,7 @@ def _together_masks(c2: PortNfa) -> list[int] | None:
     if n > _TOGETHER_CAP:
         return None
     nsyms = len(c2.alphabet)
-    pred = _predecessor_masks(n, c2.succ_masks)
+    pred = c2.pred_masks
     together = [0] * n
     for ex in c2.exit_sets:
         m = core._mask_of(ex)
@@ -360,26 +360,15 @@ def seq_complement_basic(a1: Nfa, a2: Nfa, c: str, *, budget: int | None = None)
 # Partitioning strategies
 
 
-def _induced_deterministic(a: Nfa, states: frozenset[int] | set[int]) -> bool:
-    seen = set()
-    for (src, sym, dst) in a.transitions:
-        if src in states and dst in states:
-            if (src, sym) in seen:
-                return False
-            seen.add((src, sym))
-    return True
+def _induced_deterministic(a: Nfa, states: frozenset[int] | set[int], by_target: bool = False) -> bool:
+    """No two transitions inside ``states`` leave one state on one symbol
+    (with ``by_target``, enter one state)."""
+    inside = [t for t in a.transitions if t[0] in states and t[2] in states]
+    return len(core._moves(inside, len(a.alphabet), by_target)) == len(inside)
 
 
 def _induced_reverse_deterministic(a: Nfa, states: set[int]) -> bool:
-    if len(a.final & states) != 1:
-        return False
-    seen = set()
-    for (src, sym, dst) in a.transitions:
-        if src in states and dst in states:
-            if (dst, sym) in seen:
-                return False
-            seen.add((dst, sym))
-    return True
+    return len(a.final & states) == 1 and _induced_deterministic(a, states, by_target=True)
 
 
 def _det_component_split(a: Nfa, sccs: list[frozenset[int]]) -> list[set[int]]:
@@ -655,9 +644,7 @@ def single_instance_class(p: SequentialPartition) -> bool:
             return False
     f = p.front
     nf = f.num_states
-    fwd = [[] for _ in range(nf)]
-    for (src, _sym, dst) in f.transitions:
-        fwd[src].append(dst)
+    fwd, _bwd = core._both_adjacency(f)
     sources = {p.front_index[x] for (x, _sym, _t) in p.transfer}
     for (x, sym) in per_source_symbol:
         xl = p.front_index[x]

@@ -29,6 +29,11 @@ def test_out_dir_that_is_not_a_directory_is_a_usage_error(tmp_path, monkeypatch,
                 bench_pairs.main(argv + ["--out-dir", str(out_dir)] + trace)
             assert exit_info.value.code == 2
             assert "not an existing directory" in capsys.readouterr().err
+    for pairs in ("0", "-3"):
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.main(argv + ["--out-dir", str(tmp_path), "--pairs", pairs])
+        assert exit_info.value.code == 2
+        assert f"argument --pairs: must be at least 1, got {pairs}" in capsys.readouterr().err
     (tmp_path / "x.json").write_text("{}")
     with pytest.raises(SystemExit) as exit_info:
         bench_pairs.main(argv + ["--out-dir", str(tmp_path / "x.json")])

@@ -311,6 +311,7 @@ def test_shape_facts_match_their_definitions():
         assert core.is_deterministic(a) == det
         assert core.is_complete(a) == complete
         assert core.is_reverse_deterministic(a) == revdet
+        assert a.pred_masks == core.reverse(a).succ_masks
         seen.update({f"det={det}": 1, f"complete={complete}": 1, f"revdet={revdet}": 1})
         if not isinstance(a, core.Nfa):
             continue

@@ -164,9 +164,14 @@ def test_simulation_masks_match_reference():
     for n in sizes:
         nsyms = rng.randint(1, 3)
         succ = random_successor_table(rng, n, nsyms)
+        pred = [0] * len(succ)
+        for i, row in enumerate(succ):
+            sym, p = divmod(i, n)
+            for q in core._bits(row):
+                pred[sym * n + q] |= 1 << p
         for candidates in (final_candidates(rng, n), exit_candidates(rng, n)):
             want = helpers.simulation_masks_reference(n, nsyms, succ, candidates)
-            assert reduction._simulation_masks(n, nsyms, succ, candidates) == want
+            assert reduction._simulation_masks(n, nsyms, succ, pred, candidates) == want
 
 
 def random_complete_dfa(rng, n):
