@@ -114,7 +114,9 @@ def _minimize(a: Nfa) -> Nfa:
     sink = a.num_states
     nsyms = len(a.alphabet)
     defined = core._moves(a.transitions, nsyms)
-    fill = {(q, sym, sink) for q in range(sink + 1) for sym in range(nsyms) if q * nsyms + sym not in defined}
+    fill = {
+        (q, sym, sink) for q in range(sink + 1) for sym in range(nsyms) if q * nsyms + sym not in defined
+    }
     names = None if a.state_names is None else core._uniquify(a.state_names + ("sink",))
     completed = dataclasses.replace(
         a, num_states=sink + 1, transitions=a.transitions | fill, state_names=names
