@@ -11,20 +11,25 @@ per automaton and caches on it:
   automaton (the reverse powerset, and the simulation pass's images),
 * state sets (initial, final, macrostates) are plain ints used as bitmasks.
 
-``explore_subsets`` and ``antichain_included`` compute the subset image of a
-state set (the union of its states' successors under one symbol) one byte
-of the set at a time: per symbol, a table keyed ``c * 256 + b`` holds the
-image of the states ``8c + i`` for the set bits ``i`` of the byte value
-``b``.  The tables are filled on demand, so a call pays only for the byte
+``explore_subsets`` and the general path of ``antichain_included`` compute
+the subset image of a state set (the union of its states' successors under
+one symbol) one byte of the set at a time: per symbol, a table keyed
+``c * 256 + b`` holds the image of the states ``8c + i`` for the set bits
+``i`` of the byte value ``b``.  The tables are filled on demand, so a call pays only for the byte
 values its state sets actually contain.  The pair search of
 :mod:`nfacomp.oracle` uses the same tables through ``_image_tables``.
 
-``antichain_included`` files the subset-minimal macrostates of ``b`` that it
-keeps per state of ``a`` into buckets keyed by each mask's lowest set bit.
-An offered macrostate is compared only with the buckets whose key it
-contains, and swept for kept supersets only when the union of every mask
-that a-state has kept covers it; against a deterministic ``b`` an offer is
-then O(1), not O(|b|).
+``antichain_included`` takes one of two paths.  Against a deterministic
+``b`` (at most one initial state, at most one successor per state and
+symbol) every macrostate is one state or none, and ``_included_in_dfa``
+searches the pairs (a-state, b-state or none) directly: a bitmask of kept
+b-states per a-state, and each successor read straight from ``succ``, with
+no byte split.  Otherwise the general search files the subset-minimal
+macrostates of ``b`` that it keeps per state of ``a`` into buckets keyed by
+each mask's lowest set bit; an offered macrostate is compared only with the
+buckets whose key it contains, and swept for kept supersets only when the
+union of every mask that a-state has kept covers it.  Both paths keep the
+same frontier in the same queue order, so verdict and expansion count agree.
 
 These three functions are the package's only implementation of the kernels;
 :mod:`nfacomp._kernels` re-exports them.
@@ -157,11 +162,19 @@ def antichain_included(
     state in ``s``, so the domination test looks only in the buckets whose
     key lies in ``s``; a kept superset has its lowest state at or below that
     of ``s``, and the sweep that drops supersets runs only when ``s`` lies
-    inside the OR of every mask the a-state has kept.  Against a
-    deterministic ``b`` every macrostate is a singleton and an offer costs
-    O(1) rather than O(|b|).  The frontier's contents, and so the queue and
-    the expansion count, are those of a plain list scan.
+    inside the OR of every mask the a-state has kept.  The frontier's
+    contents, and so the queue and the expansion count, are those of a plain
+    list scan.
+
+    When ``b`` is deterministic (``init_b`` and every row of ``succ_b`` hold
+    at most one bit) the search runs in ``_included_in_dfa`` instead, which
+    keeps the same frontier as plain bitmasks and so makes the same
+    expansions in the same order.
     """
+    if not init_b & (init_b - 1) and all(not m & (m - 1) for m in succ_b):
+        return _included_in_dfa(
+            nsyms, nstates_a, succ_a, init_a, final_a, nstates_b, succ_b, init_b, final_b, budget
+        )
     frontier = {}  # a-state -> [kept masks, buckets, OR of bucket keys, OR of masks ever kept]
     queue = deque()
 
@@ -226,6 +239,60 @@ def antichain_included(
                 if (final_a >> p2) & 1 and not (s2 & final_b):
                     return 0
                 offer(p2, s2)
+    return 1
+
+
+def _included_in_dfa(
+    nsyms, nstates_a, succ_a, init_a, final_a, nstates_b, succ_b, init_b, final_b, budget
+):
+    """``antichain_included`` against a deterministic ``b``.
+
+    Every macrostate is a singleton ``{q}`` or empty.  Distinct singletons
+    never dominate each other and the empty set dominates everything, so an
+    a-state's frontier is either the singletons kept so far, held as one
+    bitmask in ``kept``, or the empty set alone once it has been offered
+    (``empty``).  A queued singleton whose a-state has since kept the empty
+    set is superseded and skipped when popped, as in the general search.
+    """
+    # Per a-state, its moves: the offset of the symbol's row in succ_b, and
+    # each successor with whether it is final.
+    moves = [[] for _ in range(nstates_a)]
+    for sym in range(nsyms):
+        for p in range(nstates_a):
+            targets = succ_a[sym * nstates_a + p]
+            if targets:
+                moves[p].append((sym * nstates_b, [(p2, (final_a >> p2) & 1) for p2 in _bits(targets)]))
+    kept = [0] * nstates_a
+    empty = bytearray(nstates_a)
+    queue = deque()
+    for p in _bits(init_a):  # each a-state is offered init_b once, on an empty frontier
+        if (final_a >> p) & 1 and not (init_b & final_b):
+            return 0
+        kept[p] = init_b
+        empty[p] = not init_b
+        queue.append((p, init_b))
+
+    expansions = 0
+    while queue:
+        p, s = queue.popleft()
+        if s and empty[p]:  # superseded by the empty set
+            continue
+        expansions += 1
+        if budget is not None and expansions > budget:
+            return -1
+        q = s.bit_length() - 1
+        for row, targets in moves[p]:
+            s2 = succ_b[row + q] if s else 0
+            for p2, accepting in targets:
+                if accepting and not (s2 & final_b):
+                    return 0
+                if empty[p2] or kept[p2] & s2:
+                    continue
+                if s2:
+                    kept[p2] |= s2
+                else:
+                    empty[p2] = 1
+                queue.append((p2, s2))
     return 1
 
 

@@ -366,7 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("-a", required=True, metavar="FILE")
     chk.add_argument("-b", required=True, metavar="FILE")
     chk.add_argument("--budget", type=_nonnegative, default=DEFAULT_ANTICHAIN_BUDGET,
-                     help=f"antichain expansion budget (default {DEFAULT_ANTICHAIN_BUDGET})")
+                     help=f"antichain expansion budget of equiv and incl; disjoint ignores it "
+                          f"(default {DEFAULT_ANTICHAIN_BUDGET})")
     chk.set_defaults(fn=_cmd_check)
 
     orc = sub.add_parser(

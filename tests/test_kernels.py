@@ -111,27 +111,48 @@ def _random_dfa_succ(rng, n, k, partial):
     return [0 if partial and rng.random() < 0.2 else 1 << rng.randrange(n) for _ in range(k * n)]
 
 
-def test_indexed_frontier_matches_the_list_scan():
-    """The kernel's indexed frontier against the reference's plain list scan.
+def test_indexed_frontier_matches_the_list_scan(monkeypatch):
+    """The kernel's frontiers against the reference's plain list scan.
 
     Same verdict, and the same expansion count: the kernel answers at exactly
-    the reference's count and runs out one below it.  Half the cases compare
-    against a deterministic b of 64-130 states, complete or partial, whose
-    macrostates are singletons over several bytes or empty; the other half
-    against a small nondeterministic b, where kept masks get superseded.
+    the reference's count and runs out one below it.  A third of the cases
+    compare against a deterministic b of 64-130 states, complete or partial,
+    whose macrostates are singletons over several bytes or empty; some of
+    these have no initial state and a few have no states at all.  They, and
+    only they, run through ``_included_in_dfa``.  A third compare against a
+    deterministic b of 9-40 states with two initial states, which takes the
+    general path, and a third against a small nondeterministic b, where kept
+    masks get superseded.
     """
+    helper_calls = []
+    included_in_dfa = pure._included_in_dfa
+
+    def counted(*args):
+        helper_calls.append(args)
+        return included_in_dfa(*args)
+
+    monkeypatch.setattr(pure, "_included_in_dfa", counted)
     rng = random.Random(45)
     seen = collections.Counter()
-    for case in range(240):
+    for case in range(360):
         na, k, succ_a = _random_kernel_input(rng, max_states=9)
-        kind = "dfa" if case % 2 == 0 else "nfa"
-        if kind == "dfa":
-            nb = rng.randint(64, 130)
-            succ_b = _random_dfa_succ(rng, nb, k, partial=case % 4 == 0)
-            init_b = 1 << rng.randrange(nb)
-        else:
+        kind = ("dfa", "nfa", "two-initial")[case % 3]
+        if kind == "nfa":
             nb, _k, succ_b = _random_kernel_input(rng, 2, 12, nsyms=k)
+            succ_b[rng.randrange(k * nb)] |= 3 << rng.randrange(nb - 1)  # one row with two bits
             init_b = _random_mask(rng, nb)
+        else:
+            if case % 60 == 0:
+                nb = 0
+            else:
+                nb = rng.randint(64, 130) if kind == "dfa" else rng.randint(9, 40)
+            succ_b = _random_dfa_succ(rng, nb, k, partial=case % 2 == 0)
+            if kind == "two-initial":
+                init_b = sum(1 << q for q in rng.sample(range(nb), 2))
+            elif nb and case % 12 != 6:
+                init_b = 1 << rng.randrange(nb)
+            else:
+                init_b = 0
         # Sparse finals in a and dense ones in b keep many explorations going.
         final_a = sum(1 << q for q in range(na) if rng.random() < 0.15)
         final_b = sum(1 << q for q in range(nb) if rng.random() < 0.7)
@@ -139,17 +160,21 @@ def test_indexed_frontier_matches_the_list_scan():
         counts = collections.Counter()
         want = helpers.antichain_included_reference(*args, counts=counts)
         expansions = counts["expansions"]
+        helper_calls.clear()
         assert pure.antichain_included(*args) == want
         assert pure.antichain_included(*args, budget=expansions) == want
         if expansions:
             assert pure.antichain_included(*args, budget=expansions - 1) == -1
+        runs = 3 if expansions else 2
+        assert len(helper_calls) == (runs if kind == "dfa" else 0)
         seen[kind, want] += 1
         seen[kind, "empty"] += counts["empty"] > 0
         # Superseded with no empty mask kept: by a smaller nonempty one.
         seen[kind, "superseded"] += counts["superseded"] > 0 and not counts["empty"]
         seen[kind, "long"] += expansions >= 100
-    assert all(seen[kind, key] for kind in ("dfa", "nfa") for key in (0, 1, "empty"))
-    assert seen["dfa", "long"] and seen["nfa", "superseded"]
+        seen[kind, "no initial"] += not init_b
+    assert all(seen[kind, key] for kind in ("dfa", "nfa", "two-initial") for key in (0, 1, "empty"))
+    assert seen["dfa", "long"] and seen["nfa", "superseded"] and seen["dfa", "no initial"]
 
 
 def test_macrostate_names_and_back_map_match_the_spelled_out_forms():
