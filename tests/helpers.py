@@ -4,12 +4,13 @@ Everything here is deliberately naive: the point is to have a second,
 independent route to every answer the library computes cleverly.
 """
 
+import dataclasses
 import itertools
 import random
 import re
 from collections import Counter, deque
 
-from nfacomp import core, oracle, powerset, reduction
+from nfacomp import core, gate, oracle, powerset, reduction
 from nfacomp.errors import BudgetExceededError, ParseError
 from nfacomp.sequential import SeqComplementState
 
@@ -721,6 +722,55 @@ def hopcroft_minimize_reference(dfa):
         frozenset(bi for bi, block in enumerate(blocks) if block <= final),
         state_names=names,
     )
+
+
+# --- the clean gate side and --minimize, through explicit copies ----------------
+# Gate complements a clean side over Σ∖Γ by skipping the gate symbols' rows,
+# and Hopcroft refines a partial DFA against a virtual sink; these are the
+# routes through throwaway automata that they replace, which must give the
+# same automata.
+
+
+def drop_symbols_reference(a, gamma_ids):
+    """A copy of ``a`` over Σ∖Γ; ``a`` must not use the symbols of Γ."""
+    keep = [k for k in range(len(a.alphabet)) if k not in gamma_ids]
+    assert keep and all(sym not in gamma_ids for (_src, sym, _dst) in a.transitions)
+    remap = {old: new for new, old in enumerate(keep)}
+    return dataclasses.replace(
+        a,
+        alphabet=tuple(a.alphabet[k] for k in keep),
+        transitions=frozenset((src, remap[sym], dst) for (src, sym, dst) in a.transitions),
+    )
+
+
+def clean_complement_reference(a, gamma_ids, *, budget=None, log=None, side=""):
+    """The clean side's smaller complement: drop Γ, complement over Σ∖Γ, lift back to Σ."""
+    keep = [k for k in range(len(a.alphabet)) if k not in gamma_ids]
+    dropped = drop_symbols_reference(a, gamma_ids)
+    c = gate._smaller_complement(dropped, budget=budget, log=log, side=side)
+    return dataclasses.replace(
+        c,
+        alphabet=a.alphabet,
+        transitions=frozenset((src, keep[sym], dst) for (src, sym, dst) in c.transitions),
+    )
+
+
+def minimize_by_completion_reference(a):
+    """``--minimize`` by an explicit sink: a partial DFA is completed with
+    one sink state, minimized, and trimmed; a complete DFA is minimized as it
+    is, and an empty one is kept."""
+    assert core.is_deterministic(a) or a.num_states == 0
+    if a.num_states == 0:
+        return a
+    if core.is_complete(a):
+        return hopcroft_minimize_reference(a)
+    sink = a.num_states
+    nsyms = len(a.alphabet)
+    defined = {(src, sym) for (src, sym, _dst) in a.transitions}
+    fill = {(q, sym, sink) for q in range(sink + 1) for sym in range(nsyms) if (q, sym) not in defined}
+    names = None if a.state_names is None else core._uniquify(a.state_names + ("sink",))
+    completed = dataclasses.replace(a, num_states=sink + 1, transitions=a.transitions | fill, state_names=names)
+    return core.trim(hopcroft_minimize_reference(completed))
 
 
 # --- the file parser, one regex match per token --------------------------------

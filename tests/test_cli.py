@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -7,13 +8,15 @@ import runpy
 import sys
 import tempfile
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import helpers
-from nfacomp import cli, core, fileformat
+from nfacomp import cli, core, fileformat, powerset
+from nfacomp.errors import BudgetExceededError
 from nfacomp.families import gate_chain, reverse_friendly, sequential_chain
 
 
@@ -173,6 +176,35 @@ def test_minimize_partial_forward_complement(capsys, tmp_path, lang, n, trans, f
     assert want == 0 or core.is_deterministic(c)
     code, out, _err = run(capsys, "oracle", "-a", str(src), "-c", str(out_path), "--max-len", "8")
     assert code == 0 and out.startswith("OK")
+
+
+def test_minimize_matches_completion_by_an_explicit_sink():
+    rng = random.Random(18_2027)
+    inputs = [helpers.random_nfa(rng, max_states=8) for _ in range(300)]
+    inputs += [helpers.random_nfa(rng, max_states=40, min_states=20, max_syms=2) for _ in range(10)]
+    # The complement of the empty language is universal, that of (a|b)* is empty.
+    inputs += [
+        core.Nfa.build(("a", "b"), 1, [(0, "a", 0)], {0}, ()),
+        core.Nfa.build(("a", "b"), 1, [(0, "a", 0), (0, "b", 0)], {0}, {0}),
+    ]
+    seen = Counter()
+    for i, a in enumerate(inputs):
+        try:
+            c = powerset.forward_complement(a, budget=4096)
+        except BudgetExceededError:
+            continue
+        if i % 2:
+            c = dataclasses.replace(c, state_names=None)
+        want = helpers.minimize_by_completion_reference(c)
+        assert fileformat.serialize(cli._minimize(c)) == fileformat.serialize(want)
+        if c.num_states == 0:
+            seen["empty"] += 1
+        elif not core.is_complete(c):
+            seen["partial"] += 1
+        else:
+            seen["universal" if want.num_states == 1 and want.final else "complete"] += 1
+        seen["merged"] += want.num_states < c.num_states
+    assert all(seen[k] > 3 for k in ("empty", "partial", "universal", "complete", "merged")), seen
 
 
 def test_sequential_stats_list_every_strategy(capsys, tmp_path):

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -346,6 +348,84 @@ def test_smaller_complement_validates_once(monkeypatch):
         calls.clear()
         gate._smaller_complement(a, budget=4096)
         assert len(calls) == 1, calls
+
+
+def _clean_sides():
+    """(kind, clean side, gate symbol ids), the clean side as gate complements it.
+
+    Seeded partitions, up to 25 of each direction and method, give the front
+    (front-clean, with its carried and gate exits) or the rear with its gate
+    entries (rear-clean).  Basic-gate fronts follow, then 65-90-state port
+    NFAs whose gate symbol comes first, in the middle or last, so that
+    macrostate masks span several bytes.
+    """
+    rng = random.Random(18_2026)
+    per_kind = Counter()
+    for _ in range(1000):
+        a = helpers.random_nfa(rng, max_states=10, max_syms=3)
+        for p in gate.find_gate_partitions(a.as_port(), check_budget=10**5):
+            kind = f"{p.direction.value} {p.method.value}"
+            per_kind[kind] += 1
+            if per_kind[kind] > 25:
+                continue
+            base = p.base
+            if p.direction is GateDirection.FRONT_CLEAN:
+                exits = tuple(base.front.exit_sets[j] for j in gate._carried_exits(p))
+                side = dataclasses.replace(base.front, exit_sets=exits + base.inner_exit_ports_front)
+            else:
+                side = base.rear_for_equal() if p.method is GateMethod.EQUAL else base.rear_for_targets()
+            yield kind, side, p.gamma_ids
+    for _ in range(20):
+        a1, _a2 = helpers.random_gate_instance(rng, max_component_states=8)
+        yield "basic", a1, frozenset({2})
+    for _ in range(12):
+        p = helpers.random_port_nfa(rng, max_states=90, min_states=65, num_entry=2, max_syms=2)
+        gamma = rng.randrange(3)
+        clean = [sym for sym in range(3) if sym != gamma]
+        trans = frozenset((src, clean[sym], dst) for (src, sym, dst) in p.transitions)
+        yield "large", dataclasses.replace(p, alphabet=("a", "b", "c"), transitions=trans), frozenset({gamma})
+
+
+def _clean_complement(a, gamma_ids, **kwargs):
+    """The library's complement of a clean side over Σ∖Γ, as an automaton over Σ."""
+    return gate._clean_complement(a, gamma_ids, **kwargs)
+
+
+def _clean_same_or_both_cut(a, gamma_ids, budget):
+    """The library's clean complement and log entry equal the drop-and-lift
+    reference's, or both run out and log nothing; the entry, or None."""
+    want_log, got_log = [], []
+    try:
+        want = helpers.clean_complement_reference(a, gamma_ids, budget=budget, log=want_log, side="clean")
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError):
+            _clean_complement(a, gamma_ids, budget=budget, log=got_log, side="clean")
+        assert got_log == want_log == []
+        return None
+    got = _clean_complement(a, gamma_ids, budget=budget, log=got_log, side="clean")
+    assert type(got) is type(want) and got == want  # states, transitions, ports and state names
+    assert got_log == want_log
+    return want_log[0]
+
+
+def test_clean_complement_matches_drop_complement_lift():
+    seen = Counter()
+    for kind, a, gamma_ids in _clean_sides():
+        seen[kind] += 1
+        entry = _clean_same_or_both_cut(a, gamma_ids, 4096)
+        if entry is None:
+            seen["cut"] += 1
+            continue
+        seen[entry["chosen"]] += 1
+        dropped = helpers.drop_symbols_reference(a, gamma_ids)
+        pre = sorted(powerset._complement(dropped, d, None)[1] for d in powerset.Direction)
+        # At the budget edges one direction or both run out.
+        for budget in (pre[0] - 1, pre[0], pre[1] - 1, pre[1]):
+            entry = _clean_same_or_both_cut(a, gamma_ids, budget)
+            seen["edge cut" if entry is None else "edge one" if "budget" in entry.values() else "edge"] += 1
+    kinds = ["front-clean equal", "front-clean disjoint", "rear-clean equal", "rear-clean disjoint"]
+    assert all(seen[k] > 3 for k in kinds + ["basic", "forward", "reverse", "edge cut", "edge one", "edge"]), seen
+    assert seen["large"] == 12 and seen["large"] > seen["cut"], seen
 
 
 def test_gate_stats_log_a_direction_that_runs_out():
