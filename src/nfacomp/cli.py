@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import functools
 import json
 import sys
@@ -101,27 +100,12 @@ def _run_method(method: str, a, budget, strategy: str, rear: str):
 
 
 def _minimize(a: Nfa) -> Nfa:
-    """Hopcroft-minimize a DFA output that trimming may have left partial.
-
-    A partial DFA is completed with one sink state, minimized, and trimmed,
-    which drops the dead class again.  A complete DFA is minimized as it is,
-    and an empty one (the complement of a universal language) is kept.
-    """
+    """Hopcroft-minimize a DFA output that trimming may have left partial,
+    and trim, which drops a dead class; an empty DFA (the complement of a
+    universal language) is kept."""
     if a.num_states == 0:
         return a
-    if not core.is_deterministic(a) or core.is_complete(a):
-        return reduction.hopcroft_minimize(a)
-    sink = a.num_states
-    nsyms = len(a.alphabet)
-    defined = core._moves(a.transitions, nsyms)
-    fill = {
-        (q, sym, sink) for q in range(sink + 1) for sym in range(nsyms) if q * nsyms + sym not in defined
-    }
-    names = None if a.state_names is None else core._uniquify(a.state_names + ("sink",))
-    completed = dataclasses.replace(
-        a, num_states=sink + 1, transitions=a.transitions | fill, state_names=names
-    )
-    return core.trim(reduction.hopcroft_minimize(completed))
+    return core.trim(reduction.hopcroft_minimize(a))
 
 
 def _report(method, a, out, pre, extras, elapsed_ms) -> ComplementReport:

@@ -3,7 +3,8 @@
 A gate partition is a sequential split whose transfer symbols Γ are absent
 from one side, the clean side.  The complement is the union of two halves,
 built from a complement c1 of the front and a complement c2 of the rear; the
-clean side is complemented over Σ∖Γ and lifted back, the other over Σ.
+clean side is complemented over Σ∖Γ, its powerset explored in place with
+the Γ rows skipped, and the other over Σ.
 
 - C_pre = c1 + s catches the words whose prefix fails the front: c1's gate
   exits enter a fresh sink s on their Γ symbol.
@@ -82,43 +83,13 @@ def _internal_symbols(p: PortNfa) -> set[int]:
     return {sym for (_src, sym, _dst) in p.transitions}
 
 
-# ---------------------------------------------------------------------------
-# Alphabet plumbing
-
-
-def _drop_symbols(a: core.Automaton, gamma_ids: frozenset[int]) -> core.Automaton:
-    """``a`` over its alphabet without the gate symbols, which it must not use."""
-    keep = [k for k in range(len(a.alphabet)) if k not in gamma_ids]
-    if not keep:
-        raise ValueError("cannot complement over an empty alphabet")
-    remap = {old: new for new, old in enumerate(keep)}
-    trans = set()
-    for (src, sym, dst) in a.transitions:
-        if sym in gamma_ids:
-            raise ValueError(f"component still carries the gate symbol {a.alphabet[sym]!r}")
-        trans.add((src, remap[sym], dst))
-    return dataclasses.replace(
-        a, alphabet=tuple(a.alphabet[k] for k in keep), transitions=frozenset(trans)
-    )
-
-
-def _lift_alphabet(a: core.Automaton, full: tuple[str, ...]) -> core.Automaton:
-    """``a`` over the larger alphabet ``full``, with no transition on the new symbols."""
-    pos = {s: i for i, s in enumerate(full)}
-    remap = [pos[s] for s in a.alphabet]
-    return dataclasses.replace(
-        a,
-        alphabet=full,
-        transitions=frozenset((src, remap[sym], dst) for (src, sym, dst) in a.transitions),
-    )
-
-
-def _drop_symbol_nfa(a: Nfa, c: str) -> Nfa:
-    return _drop_symbols(a, frozenset({a.symbol_ids[c]}))
-
-
 def _smaller_complement(
-    a: core.Automaton, *, budget: int | None = None, log: list | None = None, side: str = ""
+    a: core.Automaton,
+    *,
+    budget: int | None = None,
+    log: list | None = None,
+    side: str = "",
+    skip: frozenset[int] = frozenset(),
 ) -> core.Automaton:
     """The smaller of the trimmed forward and reverse powerset complements, ties forward.
 
@@ -126,13 +97,15 @@ def _smaller_complement(
     direction that runs out of budget is passed over; when both do, the last
     error is raised.  With ``log`` one entry is appended: ``side``, each
     direction's trimmed size (or ``"budget"``) and the direction chosen.
+    A clean side passes its gate symbols as ``skip``: it is complemented
+    over Σ∖Γ, with no transition on Γ, but comes out over Σ.
     """
     explored = {}
     failure = None
     for direction in Direction:
         reverse = direction is Direction.REVERSE
         try:
-            explored[direction] = _explore_port(a, budget, complement=True, trim=True, reverse=reverse)
+            explored[direction] = _explore_port(a, budget, complement=True, trim=True, reverse=reverse, skip=skip)
         except BudgetExceededError as exc:
             failure = exc
     if not explored:
@@ -142,14 +115,6 @@ def _smaller_complement(
         sizes = {d.value: explored[d].size if d in explored else "budget" for d in Direction}
         log.append({"side": side, **sizes, "chosen": chosen.value})
     return _build(a, explored[chosen])
-
-
-def _clean_complement(
-    a: core.Automaton, gamma_ids: frozenset[int], *, budget: int | None, log: list | None = None, side: str = ""
-):
-    """The complement of a clean side over Σ∖Γ, lifted back to Σ."""
-    c = _smaller_complement(_drop_symbols(a, gamma_ids), budget=budget, log=log, side=side)
-    return _lift_alphabet(c, a.alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +195,7 @@ def gate_complement_basic(a1: Nfa, a2: Nfa, c: str, *, budget: int | None = None
     if c not in a1.symbol_ids:
         raise ValueError(f"symbol {c!r} not in the alphabet")
     cid = a1.symbol_ids[c]
-    c1 = _clean_complement(a1, frozenset({cid}), budget=budget)
+    c1 = _smaller_complement(a1, budget=budget, skip=frozenset({cid}))
     c2 = _smaller_complement(a2, budget=budget)
     syms = range(len(a1.alphabet))
     c_pre = _sink_half(c1, [cid], (), 1, syms)
@@ -275,10 +240,10 @@ def _component_complements(
     c2_in = base.rear_for_equal() if p.method is GateMethod.EQUAL else base.rear_for_targets()
     if p.direction is GateDirection.FRONT_CLEAN:
         c2_in = dataclasses.replace(c2_in, entry_sets=c2_in.entry_sets[base.rear.num_entry :])
-        c1 = _clean_complement(c1_in, p.gamma_ids, budget=budget, log=log, side="front")
+        c1 = _smaller_complement(c1_in, budget=budget, log=log, side="front", skip=p.gamma_ids)
         return c1, _smaller_complement(c2_in, budget=budget, log=log, side="rear")
     c1 = _smaller_complement(c1_in, budget=budget, log=log, side="front")
-    return c1, _clean_complement(c2_in, p.gamma_ids, budget=budget, log=log, side="rear")
+    return c1, _smaller_complement(c2_in, budget=budget, log=log, side="rear", skip=p.gamma_ids)
 
 
 def apply_gate_complement(p: GatePartition, *, budget: int | None = None) -> PortNfa:

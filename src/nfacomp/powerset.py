@@ -99,7 +99,8 @@ def _live(nsyms: int, delta: list[int], exits: list[int]) -> bytearray:
 class _Exploration(NamedTuple):
     """A powerset exploration: macrostate masks in discovery order, the
     kernel's flat ``delta``, the start macrostate of each start set, the
-    accepting macrostates of each accepting set, and with trim the live marks.
+    accepting macrostates of each accepting set, with trim the live marks,
+    and the symbol id of each position of a ``delta`` row.
     """
 
     macros: list[int]
@@ -108,6 +109,7 @@ class _Exploration(NamedTuple):
     exits: list[list[int]]
     live: bytearray | None
     reverse: bool
+    syms: list[int]
 
     @property
     def size(self) -> int:
@@ -116,19 +118,35 @@ class _Exploration(NamedTuple):
 
 
 def _explore_port(
-    a: Automaton, budget: int | None, complement: bool = False, trim: bool = False, reverse: bool = False
+    a: Automaton,
+    budget: int | None,
+    complement: bool = False,
+    trim: bool = False,
+    reverse: bool = False,
+    skip: frozenset[int] = frozenset(),
 ) -> _Exploration:
     """Explore the powerset of ``a`` from each entry set, or with ``reverse``
     that of rev(a) from each exit set.  A macrostate accepts for an exit set
     (an entry set when reversed) when it meets it, or with ``complement``
-    when it does not."""
-    nsyms = len(a.alphabet)
+    when it does not.  The symbols in ``skip``, which ``a`` must not use,
+    are left out: the kernel gets the table rows of the others, in order.
+    """
+    n = a.num_states
     if reverse:
         succ, starts, accepting = a.pred_masks, a.exit_sets, a.entry_sets
     else:
         succ, starts, accepting = a.succ_masks, a.entry_sets, a.exit_sets
+    syms = [sym for sym in range(len(a.alphabet)) if sym not in skip]
+    if skip:
+        if not syms:
+            raise ValueError("cannot complement over an empty alphabet")
+        for sym in sorted(skip):
+            if any(succ[sym * n : (sym + 1) * n]):
+                raise ValueError(f"component still carries the gate symbol {a.alphabet[sym]!r}")
+        succ = [row for sym in syms for row in succ[sym * n : (sym + 1) * n]]
+    nsyms = len(syms)
     entry_masks = [core._mask_of(s) for s in starts]
-    res = _kernels.explore_subsets(a.num_states, nsyms, succ, entry_masks, budget)
+    res = _kernels.explore_subsets(n, nsyms, succ, entry_masks, budget)
     if res is None:
         raise BudgetExceededError("macrostate budget exceeded", budget=budget)
     macros, delta = res
@@ -140,7 +158,7 @@ def _explore_port(
         for em in map(core._mask_of, accepting)
     ]
     live = _live(nsyms, delta, [i for ids in exits for i in ids]) if trim else None
-    return _Exploration(macros, delta, entries, exits, live, reverse)
+    return _Exploration(macros, delta, entries, exits, live, reverse, syms)
 
 
 def _build(a: Automaton, x: _Exploration) -> Automaton:
@@ -150,11 +168,11 @@ def _build(a: Automaton, x: _Exploration) -> Automaton:
     exploration made every one reachable, so that is ``core.trim`` of the
     untrimmed automaton, named only for the survivors.  A reverse
     exploration is built reversed back: transitions flipped, start and
-    accepting sets swapped.
+    accepting sets swapped.  A ``delta`` row holds ``x.syms`` in order, and
+    the result is over ``a``'s whole alphabet.
     """
-    nsyms = len(a.alphabet)
-    syms = range(nsyms)
-    macros, delta, entries, exits, live, reverse = x
+    macros, delta, entries, exits, live, reverse, syms = x
+    nsyms = len(syms)
     if live is None or all(live):
         kept = macros
         sources = [i for i in range(len(macros)) for _ in syms]

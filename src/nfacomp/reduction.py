@@ -1,13 +1,14 @@
 """Size reduction: Hopcroft DFA minimization and simulation-based NFA pruning.
 
-Hopcroft applies to deterministic complete automata only and yields the
-unique minimal DFA.  It refines the final/non-final split with a queue of
+Hopcroft applies to deterministic automata, complete or partial, and yields
+the minimal DFA.  It refines the final/non-final split with a queue of
 (block, symbol) splitters, keeping the smaller half of each split (Hopcroft,
 "An n log n algorithm for minimizing states in a finite automaton", 1971),
 on a block id per state, a member set per block and per-symbol predecessor
 lists, so that a splitter costs time in the number of transitions into it,
-not in the number of blocks (Valmari & Lehtinen, "Efficient minimization of
-DFAs with partial transition functions", STACS 2008).
+not in the number of blocks; missing moves go to a virtual sink (Valmari &
+Lehtinen, "Efficient minimization of DFAs with partial transition
+functions", STACS 2008).  Its quotient is the simulation pass's, unpruned.
 
 The simulation pass works on arbitrary NFAs: it merges simulation-equivalent
 states, drops transitions into dominated targets ("little brothers"), and
@@ -105,23 +106,31 @@ def compute_simulation(a: Nfa) -> SimulationPreorder:
 
 
 def hopcroft_minimize(d: MacrostateDfa | Nfa) -> Nfa:
-    """Minimal complete DFA via partition refinement (smaller-half splitters)."""
+    """Minimal DFA via partition refinement (smaller-half splitters).
+
+    Missing moves go to a virtual non-final sink looping on every symbol,
+    which is then dropped from the classes: a class of dead states it
+    joined is kept, and a class whose members all miss a move misses it.
+    """
     dfa = d.nfa if isinstance(d, MacrostateDfa) else d
-    if not core.is_deterministic(dfa) or not core.is_complete(dfa):
-        raise ValueError("hopcroft_minimize needs a deterministic, complete automaton")
+    if not core.is_deterministic(dfa):
+        raise ValueError("hopcroft_minimize needs a deterministic automaton")
     n = dfa.num_states
     nsyms = len(dfa.alphabet)
     succ = dfa.succ_masks
-    preds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(nsyms)]
+    sink = n
+    preds: list[list[list[int]]] = [[[] for _ in range(n + 1)] for _ in range(nsyms)]
     for (p, sym, q) in dfa.transitions:
         preds[sym][q].append(p)
+    for sym in range(nsyms):
+        preds[sym][sink] += [p for p in range(n) if not succ[sym * n + p]] + [sink]
 
     final = dfa.final_mask
     blocks = [m for m in (
         {q for q in range(n) if (final >> q) & 1},
-        {q for q in range(n) if not (final >> q) & 1},
+        {q for q in range(n + 1) if not (final >> q) & 1},
     ) if m]
-    block_of = [0] * n
+    block_of = [0] * (n + 1)
     for bi, members in enumerate(blocks):
         for q in members:
             block_of[q] = bi
@@ -160,57 +169,45 @@ def hopcroft_minimize(d: MacrostateDfa | Nfa) -> Nfa:
                 pending.add(split)
                 queue.append(split)
 
-    blocks = sorted(sorted(members) for members in blocks)  # canonical order by least member
-    for bi, members in enumerate(blocks):
-        for q in members:
-            block_of[q] = bi
-    transitions = set()
-    for bi, members in enumerate(blocks):
-        for sym in range(nsyms):
-            target = succ[sym * n + members[0]].bit_length() - 1
-            transitions.add((bi, sym, block_of[target]))
-    names = tuple("+".join(dfa.state_name(q) for q in members) for members in blocks)
-    (start,) = dfa.initial
-    return Nfa(
-        dfa.alphabet,
-        len(blocks),
-        frozenset(transitions),
-        frozenset({block_of[start]}),
-        frozenset(bi for bi, members in enumerate(blocks) if (final >> members[0]) & 1),
-        state_names=names,
-    )
+    classes = sorted(sorted(members - {sink}) for members in blocks if members != {sink})
+    return _quotient(dfa, classes, [0] * len(classes), prune_entries=False)
 
 
-def _quotient_and_prune(a: core.Automaton, prune_entries: bool):
-    """The simulation reductions: merge simulation-equivalent states, drop
-    transitions into strictly dominated target classes, and trim.
-
-    The classes are sorted by least member.  Simulation is closed under
-    equivalence, so ``above[c]``, the states simulating c's least member
-    minus c's own members, is the union of the classes strictly above c.  A
-    target class is strictly dominated exactly when ``above`` meets the
-    union of the successor rows it was reached by.  With ``prune_entries`` an
-    entry set also drops each class that ``above`` finds dominated within it.
-    """
-    n = a.num_states
-    if n == 0:
-        return a
-    nsyms = len(a.alphabet)
-    succ = a.succ_masks
+def _simulation_classes(a: core.Automaton) -> tuple[list[list[int]], list[int]]:
+    """The simulation-equivalence classes of ``a``, sorted by least member,
+    and per class ``above``: the states simulating its least member minus its
+    own members, which (simulation being closed under equivalence) is the
+    union of the classes strictly above it."""
     sim = _simulation(a)
-    class_of = [-1] * n
-    classes: list[list[int]] = []
-    class_mask: list[int] = []
-    for p in range(n):
-        if class_of[p] != -1:
+    claimed = bytearray(a.num_states)
+    classes, above = [], []
+    for p in range(a.num_states):
+        if claimed[p]:
             continue
         members = [p] + [q for q in core._bits(sim[p]) if q > p and (sim[q] >> p) & 1]
-        ci = len(classes)
+        for q in members:
+            claimed[q] = 1
         classes.append(members)
+        above.append(sim[p] & ~core._mask_of(members))
+    return classes, above
+
+
+def _quotient(a: core.Automaton, classes: list[list[int]], above: list[int], prune_entries: bool):
+    """The quotient of ``a`` by ``classes``, without transitions into dominated classes.
+
+    A target class c is dominated when ``above[c]`` meets the union of the
+    successor rows it was reached by; with ``prune_entries`` an entry set
+    also drops each class that ``above`` finds dominated within it.
+    """
+    n = a.num_states
+    nsyms = len(a.alphabet)
+    succ = a.succ_masks
+    class_of = [-1] * n
+    class_mask = []
+    for ci, members in enumerate(classes):
         class_mask.append(core._mask_of(members))
         for q in members:
             class_of[q] = ci
-    above = [sim[members[0]] & ~m for members, m in zip(classes, class_mask)]
 
     transitions = set()
     for ci, members in enumerate(classes):
@@ -228,7 +225,7 @@ def _quotient_and_prune(a: core.Automaton, prune_entries: bool):
     for s in a.entry_sets:
         m = core._mask_of(s) if prune_entries else 0
         entry_sets.append(frozenset(class_of[q] for q in s if not above[class_of[q]] & m))
-    out = core._rebuild(
+    return core._rebuild(
         a,
         len(classes),
         frozenset(transitions),
@@ -236,7 +233,14 @@ def _quotient_and_prune(a: core.Automaton, prune_entries: bool):
         [frozenset(class_of[q] for q in s) for s in a.exit_sets],
         tuple("+".join(a.state_name(q) for q in members) for members in classes),
     )
-    return core.trim(out)
+
+
+def _quotient_and_prune(a: core.Automaton, prune_entries: bool):
+    """The simulation reductions: merge simulation-equivalent states, drop
+    transitions into strictly dominated target classes, and trim."""
+    if a.num_states == 0:
+        return a
+    return core.trim(_quotient(a, *_simulation_classes(a), prune_entries))
 
 
 def simulation_reduce(a: Nfa) -> Nfa:

@@ -456,6 +456,18 @@ def test_minimize_refuses_a_port_output(capsys, tmp_path):
     assert "--minimize applies to plain automata only" in err
 
 
+def test_minimize_refuses_a_nondeterministic_output(capsys, tmp_path):
+    src = tmp_path / "a3.nfa"
+    src.write_text(fileformat.serialize(reverse_friendly(3)))
+    out_path = tmp_path / "c.nfa"
+    code, out, err = run(
+        capsys, "complement", "-m", "reverse", "--minimize", "-i", str(src), "-o", str(out_path)
+    )
+    assert (code, out) == (1, "")
+    assert "hopcroft_minimize needs a deterministic automaton" in err
+    assert not out_path.exists()
+
+
 def test_negative_budget_is_a_usage_error(capsys, tmp_path, a2_file):
     # argparse refuses it before any construction runs: exit 2, not 4.
     for argv in (

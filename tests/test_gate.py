@@ -76,9 +76,7 @@ def test_basic_gate_size_identity_random():
     for _ in range(30):
         a1, a2 = helpers.random_gate_instance(rng, max_component_states=6)
         c = gate.gate_complement_basic(a1, a2, "c")
-        c1 = gate._lift_alphabet(
-            gate._smaller_complement(gate._drop_symbol_nfa(a1, "c")), a1.alphabet
-        )
+        c1 = gate._smaller_complement(a1, skip=frozenset({a1.symbol_ids["c"]}))
         c2 = gate._smaller_complement(a2)
         assert c.num_states == c1.num_states + c2.num_states + 2
         composed = helpers.concat_with_gate(a1, a2, "c")
@@ -105,10 +103,10 @@ def test_gate_guards_raise_their_error_and_text():
 
     a = core.Nfa.build(("a", "c"), 2, [(0, "c", 1)], {0}, {1})
     with pytest.raises(ValueError) as info:
-        gate._drop_symbols(a, frozenset({0, 1}))
+        gate._smaller_complement(a, skip=frozenset({0, 1}))
     assert str(info.value) == "cannot complement over an empty alphabet"
     with pytest.raises(ValueError) as info:
-        gate._drop_symbols(a, frozenset({1}))
+        gate._smaller_complement(a, skip=frozenset({1}))
     assert str(info.value) == "component still carries the gate symbol 'c'"
     with pytest.raises(ValueError) as info:
         gate.gate_complement_basic(FRONT, core.Nfa.build(("a", "b", "c"), 1, [], {0}, {0}), "c")
@@ -388,7 +386,7 @@ def _clean_sides():
 
 def _clean_complement(a, gamma_ids, **kwargs):
     """The library's complement of a clean side over Σ∖Γ, as an automaton over Σ."""
-    return gate._clean_complement(a, gamma_ids, **kwargs)
+    return gate._smaller_complement(a, skip=gamma_ids, **kwargs)
 
 
 def _clean_same_or_both_cut(a, gamma_ids, budget):

@@ -209,6 +209,58 @@ def test_hopcroft_matches_reference():
         assert fileformat.serialize(reduction.hopcroft_minimize(d)) == want
 
 
+def random_partial_dfa(rng, n, dead):
+    """A partial DFA on n states, each reachable from state 0 by a spanning
+    tree; the last ``dead`` states are non-final and move only among
+    themselves.  In about half the draws a third of the other moves are
+    left out; in the others none is, and the DFA is complete."""
+    nsyms = rng.randint(1, 3)
+    drawn = rng.choice([0.65, 1.0])
+    live = n - dead
+    free = []  # the (state, symbol) moves not drawn yet
+    trans = set()
+    for q in range(n):
+        if q:
+            slots = [k for k, (p, _sym) in enumerate(free) if q >= live or p < live]
+            p, sym = free.pop(rng.choice(slots))
+            trans.add((p, sym, q))
+        free += [(q, sym) for sym in range(nsyms)]
+    for (p, sym) in free:
+        if rng.random() < drawn:
+            trans.add((p, sym, rng.randrange(live if p >= live else 0, n)))
+    return core.Nfa(
+        tuple("abc"[:nsyms]),
+        n,
+        frozenset(trans),
+        frozenset({0}),
+        frozenset(q for q in range(live) if rng.random() < 0.4),
+        state_names=[f"s{q}" for q in range(n)],
+    )
+
+
+def test_hopcroft_refines_a_partial_dfa_against_a_virtual_sink():
+    rng = random.Random(18_2028)
+    seen = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        d = random_partial_dfa(rng, n, rng.choice([0, 0, rng.randint(0, n - 1)]))
+        nsyms = len(d.alphabet)
+        defined = {(p, sym) for (p, sym, _q) in d.transitions}
+        fill = {(q, sym, n) for q in range(n + 1) for sym in range(nsyms) if (q, sym) not in defined}
+        completed = core.Nfa(d.alphabet, n + 1, d.transitions | fill, d.initial, d.final)
+        classes = dfa_equivalence_classes(completed)
+        m = reduction.hopcroft_minimize(d)
+        assert core.is_deterministic(m)
+        assert m.num_states == len(classes) - ({n} in classes)
+        assert helpers.brute_language(m, 5) == helpers.brute_language(completed, 5)
+        if not core.is_complete(d):
+            seen["sink alone" if {n} in classes else "sink joined"] += 1
+            seen["partial result"] += not core.is_complete(m)
+        else:
+            seen["complete"] += 1
+    assert all(seen[k] > 5 for k in ("sink alone", "sink joined", "partial result", "complete")), seen
+
+
 def test_simulation_reductions_match_the_pairwise_domination_scans():
     seen = Counter()
     for a in helpers.automata_and_complements(20251018):
