@@ -217,7 +217,7 @@ def _quotient(a: core.Automaton, classes: list[list[int]], above: list[int], pru
                 row |= succ[sym * n + p]
             rest = row
             while rest:
-                cj = class_of[(rest & -rest).bit_length() - 1]
+                cj = class_of[rest.bit_length() - 1]
                 rest &= ~class_mask[cj]
                 if not above[cj] & row:  # else a bigger brother exists
                     transitions.add((ci, sym, cj))

@@ -384,11 +384,6 @@ def _clean_sides():
         yield "large", dataclasses.replace(p, alphabet=("a", "b", "c"), transitions=trans), frozenset({gamma})
 
 
-def _clean_complement(a, gamma_ids, **kwargs):
-    """The library's complement of a clean side over Σ∖Γ, as an automaton over Σ."""
-    return gate._smaller_complement(a, skip=gamma_ids, **kwargs)
-
-
 def _clean_same_or_both_cut(a, gamma_ids, budget):
     """The library's clean complement and log entry equal the drop-and-lift
     reference's, or both run out and log nothing; the entry, or None."""
@@ -397,10 +392,10 @@ def _clean_same_or_both_cut(a, gamma_ids, budget):
         want = helpers.clean_complement_reference(a, gamma_ids, budget=budget, log=want_log, side="clean")
     except BudgetExceededError:
         with pytest.raises(BudgetExceededError):
-            _clean_complement(a, gamma_ids, budget=budget, log=got_log, side="clean")
+            gate._smaller_complement(a, budget=budget, log=got_log, side="clean", skip=gamma_ids)
         assert got_log == want_log == []
         return None
-    got = _clean_complement(a, gamma_ids, budget=budget, log=got_log, side="clean")
+    got = gate._smaller_complement(a, budget=budget, log=got_log, side="clean", skip=gamma_ids)
     assert type(got) is type(want) and got == want  # states, transitions, ports and state names
     assert got_log == want_log
     return want_log[0]
