@@ -773,6 +773,165 @@ def minimize_by_completion_reference(a):
     return core.trim(hopcroft_minimize_reference(completed))
 
 
+# --- splits and gate complements, combined and split again ----------------------
+# determinize_front, gate's mirrored and stripped splits and gate's complement
+# build each part once; these are the routes they replace, which first build
+# the whole automaton and then split it (or union its halves), and must give
+# the same parts.
+
+# Names that clash with gate's sink s and dispatcher t, with macrostate names
+# and with the renamed copies _uniquify makes.
+CLASHING_NAMES = ("s", "t", "{0}", "{1}", "{}", "0", "1", "s_2", "{0}_2", "{}_2")
+
+
+def name_variants(a, rng):
+    """``a`` unnamed, with distinct names, and with names that repeat, drawn
+    from ``CLASHING_NAMES`` (the distinct ones padded with ``q<k>``)."""
+    yield a
+    pool = list(CLASHING_NAMES) + [f"q{k}" for k in range(max(0, a.num_states - len(CLASHING_NAMES)))]
+    yield dataclasses.replace(a, state_names=rng.sample(pool, a.num_states))
+    yield dataclasses.replace(a, state_names=[rng.choice(CLASHING_NAMES) for _ in range(a.num_states)])
+
+
+def split_parts(p):
+    """Everything a split holds: its state ids, its two parts and its transfer."""
+    return (p.front_states, p.rear_states, p.front, p.rear, p.transfer)
+
+
+def determinize_front_reference(p):
+    """The determinized front and the rear combined into one automaton, split again."""
+    det, macros = powerset._port_powerset(p.front, None)
+    rear = p.rear
+    off = det.num_states
+    trans = set(det.transitions)
+    trans.update((src + off, sym, dst + off) for (src, sym, dst) in rear.transitions)
+    for (x, sym, t) in p.transfer:
+        x_local = p.front_index[x]
+        trans.update(
+            (mi, sym, off + p.rear_index[t]) for mi, mac in enumerate(macros) if mac >> x_local & 1
+        )
+    combined = core._rebuild(
+        det,
+        off + rear.num_states,
+        frozenset(trans),
+        [d | frozenset(q + off for q in r) for d, r in zip(det.entry_sets, rear.entry_sets)],
+        [d | frozenset(q + off for q in r) for d, r in zip(det.exit_sets, rear.exit_sets)],
+        core._merged_names(det, rear),
+    )
+    return core.SequentialPartition.of(combined, range(off))
+
+
+def front_clean_view_reference(a, p):
+    """(source, split): the split of ``a`` that ``p`` mirrors to front-clean,
+    cut from ``a``'s reversal when ``p`` is rear-clean."""
+    if p.direction is gate.GateDirection.FRONT_CLEAN:
+        return a, p.base
+    rev = core.reverse(a)
+    return rev, core.SequentialPartition.of(rev, p.base.rear_states)
+
+
+def strip_outer_reference(a, base, *, entries_to_front):
+    """(source, split): ``a`` without its rear entries (or front exits), split again."""
+    front_set = frozenset(base.front_states)
+    if entries_to_front:
+        stripped = dataclasses.replace(a, entry_sets=tuple(e & front_set for e in a.entry_sets))
+    else:
+        stripped = dataclasses.replace(a, exit_sets=tuple(f - front_set for f in a.exit_sets))
+    return stripped, core.SequentialPartition.of(stripped, base.front_states)
+
+
+def _sink_half_reference(c1, gamma, carried, num_exit, loops):
+    """C_pre: c1 plus a sink s entered by c1's gate exits."""
+    s = c1.num_states
+    trans = set(c1.transitions)
+    for k, cid in enumerate(gamma):
+        trans.update((q, cid, s) for q in c1.exit_sets[len(carried) + k])
+    trans.update((s, sym, s) for sym in loops)
+    exit_of = dict(zip(carried, c1.exit_sets))
+    return core._rebuild(
+        c1,
+        s + 1,
+        frozenset(trans),
+        c1.entry_sets,
+        [exit_of.get(j, frozenset()) | {s} for j in range(num_exit)],
+        core._uniquify([c1.state_name(q) for q in range(s)] + ["s"]),
+    )
+
+
+def _suffix_half_reference(head, c2, dispatch, gate_start=0):
+    """C_suf: the head's states, then c2's, the head entering c2 on ``dispatch``."""
+    h = head.num_states
+    trans = set(head.transitions)
+    trans.update((src + h, sym, dst + h) for (src, sym, dst) in c2.transitions)
+    for (x, sym, k) in dispatch:
+        trans.update((x, sym, q + h) for q in c2.entry_sets[gate_start + k])
+
+    def shifted(states):
+        return frozenset(q + h for q in states)
+
+    entries = [e | shifted(c2.entry_sets[i]) if i < gate_start else e for i, e in enumerate(head.entry_sets)]
+    names = [head.state_name(q) for q in range(h)] + [c2.state_name(q) for q in range(c2.num_states)]
+    return core._rebuild(
+        c2,
+        h + c2.num_states,
+        frozenset(trans),
+        entries,
+        [e | shifted(f) for e, f in zip(head.exit_sets, c2.exit_sets)],
+        core._uniquify(names),
+    )
+
+
+def _dispatcher_reference(like, loops, entry_sets, exit_sets):
+    return core._rebuild(like, 1, frozenset((0, sym, 0) for sym in loops), entry_sets, exit_sets, ("t",))
+
+
+def gate_complement_reference(a, p, *, budget=None):
+    """``apply_gate_complement(p)`` for a split ``p`` of ``a``: the stripped
+    source split again, and C_pre and C_suf built as two automata and joined
+    by ``core.union``."""
+    base = p.base
+    front_clean = p.direction is gate.GateDirection.FRONT_CLEAN
+    if p.needs_intersection:
+        stripped_a, stripped = strip_outer_reference(a, base, entries_to_front=front_clean)
+        left = gate_complement_reference(
+            stripped_a, gate.GatePartition(stripped, p.gate_symbols, p.direction, p.method, False), budget=budget
+        )
+        right = gate._smaller_complement(base.rear if front_clean else base.front, budget=budget)
+        return core.product_intersection(left, right)
+    front = base.front
+    gamma = list(base.gate_symbols)
+    syms = range(len(a.alphabet))
+    clean_syms = [sym for sym in syms if sym not in p.gamma_ids]
+    carried = gate._carried_exits(p)
+    c1, c2 = gate._component_complements(p, carried, budget=budget)
+    c_pre = _sink_half_reference(c1, gamma, carried, front.num_exit, syms if front_clean else clean_syms)
+    gate_start = 0 if front_clean else base.rear.num_entry
+    if p.method is gate.GateMethod.EQUAL:
+        head = _dispatcher_reference(
+            c2,
+            clean_syms if front_clean else syms,
+            [{0}] * front.num_entry,
+            [{0} if front_clean and not e else frozenset() for e in front.exit_sets],
+        )
+        dispatch = [(0, cid, k) for k, cid in enumerate(gamma)]
+    else:
+        head = dataclasses.replace(front, exit_sets=(frozenset(),) * front.num_exit)
+        port = {t: k for k, t in enumerate(base.gate_targets)}
+        dispatch = [(base.front_index[x], sym, port[t]) for (x, sym, t) in base.transfer]
+    return core.union(c_pre, _suffix_half_reference(head, c2, dispatch, gate_start))
+
+
+def gate_complement_basic_reference(a1, a2, c, *, budget=None):
+    """``gate_complement_basic`` through its two halves and ``core.union``."""
+    cid = a1.symbol_ids[c]
+    c1 = gate._smaller_complement(a1, budget=budget, skip=frozenset({cid}))
+    c2 = gate._smaller_complement(a2, budget=budget)
+    syms = range(len(a1.alphabet))
+    c_pre = _sink_half_reference(c1, [cid], (), 1, syms)
+    t = _dispatcher_reference(c2, [sym for sym in syms if sym != cid], [{0}], [{0}])
+    return core.union(c_pre, _suffix_half_reference(t, c2, [(0, cid, 0)]))
+
+
 # --- the file parser, one regex match per token --------------------------------
 # The library splits each line with str.split and computes a token's column
 # only for an error; this is the parser as it was before, which tokenizes every

@@ -428,3 +428,66 @@ def test_gate_stats_log_a_direction_that_runs_out():
         {"side": "front", "forward": "budget", "reverse": 6, "chosen": "reverse"},
         {"side": "rear", "forward": 7, "reverse": "budget", "chosen": "forward"},
     ]
+
+
+# --- splits built from their parts, the complement in one build -----------------
+
+
+def _route(p):
+    return f"{p.direction.value} {p.method.value}" + (" intersection" if p.needs_intersection else "")
+
+
+def _built_or_error(build):
+    try:
+        return build()
+    except BudgetExceededError as exc:
+        return type(exc).__name__
+
+
+def _named_partitions(per_route=10):
+    """(source, partition) over seeded NFAs on three symbols until each of
+    the eight routes is seen ``per_route`` times; each source unnamed, with
+    distinct names and with repeated names that clash with s, t and
+    macrostate names."""
+    rng, names = random.Random(19_2026), random.Random(19)
+    seen = Counter()
+    for _ in range(1300):
+        a = helpers.random_nfa(rng, max_states=7, max_syms=3)
+        routes = {_route(p) for p in gate.find_gate_partitions(a.as_port(), check_budget=10**5)}
+        if all(seen[r] >= per_route for r in routes):
+            continue
+        seen.update(routes)
+        for named in helpers.name_variants(a, names):
+            port = named.as_port()
+            for p in gate.find_gate_partitions(port, check_budget=10**5):
+                yield port, p
+
+
+def test_split_views_and_complements_match_the_re_split_source():
+    seen = Counter()
+    for a, p in _named_partitions():
+        seen[_route(p)] += 1
+        seen["named" if a.state_names else "unnamed"] += 1
+        _rev, want = helpers.front_clean_view_reference(a, p)
+        view = gate._front_clean_view(p)
+        assert view.direction is GateDirection.FRONT_CLEAN
+        assert helpers.split_parts(view.base) == helpers.split_parts(want)
+        for entries_to_front in (True, False):
+            _stripped, want = helpers.strip_outer_reference(a, p.base, entries_to_front=entries_to_front)
+            got = gate._strip_outer(p.base, entries_to_front=entries_to_front)
+            assert helpers.split_parts(got) == helpers.split_parts(want)
+        got = _built_or_error(lambda: gate.apply_gate_complement(p, budget=512))
+        want = _built_or_error(lambda: helpers.gate_complement_reference(a, p, budget=512))
+        assert type(got) is type(want) and got == want  # states, transitions, ports and state names
+    routes = [f"{d.value} {m.value}{i}" for d in GateDirection for m in GateMethod for i in ("", " intersection")]
+    assert all(seen[r] > 0 for r in routes) and seen["named"] > seen["unnamed"] > 50, seen
+
+
+def test_basic_gate_matches_the_union_of_its_halves():
+    rng = random.Random(19_2027)
+    for _ in range(40):
+        a1, a2 = helpers.random_gate_instance(rng, max_component_states=6)
+        for n1, n2 in zip(helpers.name_variants(a1, rng), helpers.name_variants(a2, rng)):
+            got = gate.gate_complement_basic(n1, n2, "c")
+            want = helpers.gate_complement_basic_reference(n1, n2, "c")
+            assert type(got) is type(want) and got == want

@@ -195,6 +195,52 @@ def test_generalized_tracks_one_instance_on_chain():
     assert oracle.oracle_complement_check(b1, out, 7).ok
 
 
+def test_determinize_front_renames_repeated_macrostate_names():
+    # Front states 0 and 1 are both named x, so macrostates {0} and {1} are
+    # both named {x}: the later becomes {x}_2, and the rear's {x} after them
+    # becomes {x}_3.
+    a = core.Nfa.build(
+        ("a", "b"), 4, [(0, "a", 1), (1, "b", 2), (2, "a", 3)], {0}, {3}, state_names=("x", "x", "{x}", "y")
+    )
+    det_p = sequential.determinize_front(core.SequentialPartition.of(a, [0, 1]))
+    assert det_p.front.state_names == ("{x}", "{x}_2", "{}")
+    assert det_p.rear.state_names == ("{x}_3", "y")
+    assert (det_p.front_states, det_p.rear_states, det_p.transfer) == ((0, 1, 2), (3, 4), ((1, 1, 3),))
+
+
+def _named_splits():
+    """Seeded port NFAs, each unnamed, with distinct names and with repeated
+    names that clash with macrostate names, cut at every topological prefix
+    of their condensation; after each split, the splits of its determinized
+    rear with the gate-target ports, as the pipeline makes them."""
+    rng, names = random.Random(19_2030), random.Random(21)
+    for _ in range(120):
+        a = helpers.random_port_nfa(rng, max_states=7, num_entry=rng.randint(1, 3), num_exit=rng.randint(1, 3))
+        for named in helpers.name_variants(a, names):
+            comps = core.scc_condensation(named).components
+            for k in range(1, len(comps)):
+                p = core.SequentialPartition.of(named, [q for c in comps[:k] for q in c])
+                yield p
+                rear = helpers.determinize_front_reference(p).rear_for_targets()
+                rear_comps = core.scc_condensation(rear).components
+                if len(rear_comps) > 1:
+                    yield core.SequentialPartition.of(rear, rear_comps[0])
+
+
+def test_determinize_front_matches_the_combined_re_split():
+    seen = {"front renamed": 0, "rear renamed": 0, "rear unnamed": 0, "rear kept": 0}
+    for p in _named_splits():
+        got = sequential.determinize_front(p)
+        assert helpers.split_parts(got) == helpers.split_parts(helpers.determinize_front_reference(p))
+        det = powerset.determinize(p.front).nfa
+        seen["front renamed"] += got.front.state_names != det.state_names
+        if p.rear.state_names is None:
+            seen["rear unnamed"] += 1
+        else:
+            seen["rear renamed" if got.rear.state_names != p.rear.state_names else "rear kept"] += 1
+    assert all(n > 5 for n in seen.values()), seen
+
+
 def seeded_partitions(rng, count, max_states=6):
     """Random automata with a random downward-closed front split."""
     made = 0
