@@ -601,13 +601,13 @@ def is_reverse_deterministic(a: Automaton) -> bool:
 class SequentialPartition:
     """A split of an automaton into a front and a rear part.
 
-    All transitions between the parts (the transfer transitions) lead from
-    front to rear.  ``front`` and ``rear`` are the induced subautomata with
-    dense local state ids and the *outer* port sets restricted to each side;
-    ``transfer`` keeps the crossing transitions in the source automaton's ids.
+    The split numbers its states: ``front_states`` and ``rear_states`` are
+    disjoint, sorted, and together the split's state ids.  ``front`` and
+    ``rear`` are the two parts, with dense local ids in that order and the
+    *outer* port sets of each side; ``transfer`` holds the crossing
+    transitions, all from front to rear, in the split's ids.
     """
 
-    source: PortNfa
     front_states: tuple[int, ...]
     rear_states: tuple[int, ...]
     front: PortNfa
@@ -627,7 +627,6 @@ class SequentialPartition:
             if src in fset and dst in rset:
                 transfer.append((src, sym, dst))
         return cls(
-            port,
             tuple(sorted(fset)),
             tuple(sorted(rset)),
             induced(port, fset),

@@ -4,7 +4,8 @@ A gate partition is a sequential split whose transfer symbols Γ are absent
 from one side, the clean side.  The complement is the union of two halves,
 built from a complement c1 of the front and a complement c2 of the rear; the
 clean side is complemented over Σ∖Γ, its powerset explored in place with
-the Γ rows skipped, and the other over Σ.
+the Γ rows skipped, and the other over Σ.  Both halves are laid out in one
+automaton, in the order c1, s, head, c2.
 
 - C_pre = c1 + s catches the words whose prefix fails the front: c1's gate
   exits enter a fresh sink s on their Γ symbol.
@@ -20,7 +21,8 @@ loops (the gate is then the last Γ symbol of the word), c2 keeps its outer
 entries, which join C_suf's entry sets, and t is in no exit set.  When the
 offending outer ports exist (rear entries for front-clean, front exits for
 rear-clean), the complement without them is intersected with a complement of
-the component that holds them.
+the component that holds them.  A rear-clean split is checked through its
+mirror, built from the reversed parts, never from a reversed whole.
 
 The constructions need a side condition to be sound; ``check_equal`` and
 ``check_disjoint`` decide the two published variants, ``find_gate_partitions``
@@ -61,11 +63,11 @@ class GatePartition:
     needs_intersection: bool
 
     def __post_init__(self):
-        alphabet = self.base.source.alphabet
+        alphabet = self.base.front.alphabet
         transfer_syms = frozenset(alphabet[sym] for (_x, sym, _t) in self.base.transfer)
         if self.gate_symbols != transfer_syms:
             raise ValueError("gate_symbols must equal the transfer-transition symbols")
-        gamma_ids = {self.base.source.symbol_ids[s] for s in self.gate_symbols}
+        gamma_ids = {self.base.front.symbol_ids[s] for s in self.gate_symbols}
         if self.direction is GateDirection.FRONT_CLEAN:
             dirty = _internal_symbols(self.base.front) & gamma_ids
         else:
@@ -76,7 +78,7 @@ class GatePartition:
 
     @property
     def gamma_ids(self) -> frozenset[int]:
-        return frozenset(self.base.source.symbol_ids[s] for s in self.gate_symbols)
+        return frozenset(self.base.front.symbol_ids[s] for s in self.gate_symbols)
 
 
 def _internal_symbols(p: PortNfa) -> set[int]:
@@ -118,66 +120,49 @@ def _smaller_complement(
 
 
 # ---------------------------------------------------------------------------
-# The two halves
+# The two halves, laid out in one automaton
 
 
-def _sink_half(c1, gamma: list[int], carried: tuple[int, ...], num_exit: int, loops):
-    """C_pre: c1 plus a sink s.
+def _assemble(c1, c2, gamma: list[int], carried: tuple[int, ...], sink_loops, head, dispatch, gate_start: int = 0):
+    """C_pre ∪ C_suf in one automaton: c1, a sink s, the head, then c2.
 
     c1's exit ports are the outer exits listed in ``carried``, then one per
-    gate symbol in ``gamma``; each of those enters s on its symbol.  s loops
-    on ``loops`` and lies in all ``num_exit`` exit sets.
+    gate symbol in ``gamma``, which enters s on its symbol.  s loops on
+    ``sink_loops`` and lies in every exit set.  ``head`` is the (names,
+    transitions, entry sets, exit sets) of the dispatcher t or of the front;
+    each (x, sym, k) of ``dispatch`` leads from head state x on sym into c2's
+    entry port ``gate_start + k``.  c2's entry ports before ``gate_start``
+    are outer entries and join the entry sets of the same index.
     """
+    names, head_transitions, head_entries, head_exits = head
     s = c1.num_states
+    h = s + 1  # the head's first state
+    r = h + len(names)  # c2's first state
     trans = set(c1.transitions)
     for k, cid in enumerate(gamma):
         trans.update((q, cid, s) for q in c1.exit_sets[len(carried) + k])
-    trans.update((s, sym, s) for sym in loops)
-    exit_of = dict(zip(carried, c1.exit_sets))
-    return core._rebuild(
-        c1,
-        s + 1,
-        frozenset(trans),
-        c1.entry_sets,
-        [exit_of.get(j, frozenset()) | {s} for j in range(num_exit)],
-        core._uniquify([c1.state_name(q) for q in range(s)] + ["s"]),
-    )
-
-
-def _suffix_half(head, c2, dispatch, gate_start: int = 0):
-    """C_suf: the head's states, then c2's.
-
-    Each (x, sym, k) of ``dispatch`` leads from head state x on sym into c2's
-    entry port ``gate_start + k``.  c2's entry ports before ``gate_start`` are
-    outer entries and join the head's entry sets of the same index.
-    """
-    h = head.num_states
-    trans = set(head.transitions)
-    trans.update((src + h, sym, dst + h) for (src, sym, dst) in c2.transitions)
+    trans.update((s, sym, s) for sym in sink_loops)
+    trans.update((src + h, sym, dst + h) for (src, sym, dst) in head_transitions)
+    trans.update((src + r, sym, dst + r) for (src, sym, dst) in c2.transitions)
     for (x, sym, k) in dispatch:
-        trans.update((x, sym, q + h) for q in c2.entry_sets[gate_start + k])
+        trans.update((x + h, sym, q + r) for q in c2.entry_sets[gate_start + k])
 
-    def shifted(states):
-        return frozenset(q + h for q in states)
+    def shifted(states, by):
+        return frozenset(q + by for q in states)
 
-    entries = [e | shifted(c2.entry_sets[i]) if i < gate_start else e
-               for i, e in enumerate(head.entry_sets)]
-    names = [head.state_name(q) for q in range(h)] + [c2.state_name(q) for q in range(c2.num_states)]
-    return core._rebuild(
-        c2,
-        h + c2.num_states,
-        frozenset(trans),
-        entries,
-        [e | shifted(f) for e, f in zip(head.exit_sets, c2.exit_sets)],
-        core._uniquify(names),
-    )
-
-
-def _dispatcher(like, loops, entry_sets, exit_sets):
-    """The one-state head t of ``like``'s class, looping on ``loops``."""
-    return core._rebuild(
-        like, 1, frozenset((0, sym, 0) for sym in loops), entry_sets, exit_sets, ("t",)
-    )
+    entries = [
+        c1.entry_sets[i] | shifted(e, h) | (shifted(c2.entry_sets[i], r) if i < gate_start else frozenset())
+        for i, e in enumerate(head_entries)
+    ]
+    exit_of = dict(zip(carried, c1.exit_sets))
+    exits = [
+        exit_of.get(j, frozenset()) | {s} | shifted(e, h) | shifted(f, r)
+        for j, (e, f) in enumerate(zip(head_exits, c2.exit_sets))
+    ]
+    # Names are made unique within each half first, then across the two.
+    pre = core._uniquify([c1.state_name(q) for q in range(s)] + ["s"])
+    suf = core._uniquify(names + [c2.state_name(q) for q in range(c2.num_states)])
+    return core._rebuild(c1, r + c2.num_states, frozenset(trans), entries, exits, core._uniquify(pre + suf))
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +183,8 @@ def gate_complement_basic(a1: Nfa, a2: Nfa, c: str, *, budget: int | None = None
     c1 = _smaller_complement(a1, budget=budget, skip=frozenset({cid}))
     c2 = _smaller_complement(a2, budget=budget)
     syms = range(len(a1.alphabet))
-    c_pre = _sink_half(c1, [cid], (), 1, syms)
-    t = _dispatcher(c2, [sym for sym in syms if sym != cid], [{0}], [{0}])
-    return core.union(c_pre, _suffix_half(t, c2, [(0, cid, 0)]))
+    t = (["t"], [(0, sym, 0) for sym in syms if sym != cid], [{0}], [{0}])
+    return _assemble(c1, c2, [cid], (), syms, t, [(0, cid, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +231,10 @@ def _component_complements(
 
 
 def apply_gate_complement(p: GatePartition, *, budget: int | None = None) -> PortNfa:
-    """The gate complement of ``p.base.source``, port set by port set.
+    """The gate complement of the automaton ``p.base`` splits, port set by port set.
 
     With offending outer ports (rear entries for front-clean, front exits
-    for rear-clean), the gate complement of the source without them is
+    for rear-clean), the gate complement of the split without them is
     intersected with a complement of the component that holds them.
     """
     return _gate_complement(p, budget, None)
@@ -261,14 +245,8 @@ def _gate_complement(p: GatePartition, budget: int | None, log: list | None) -> 
     base = p.base
     front_clean = p.direction is GateDirection.FRONT_CLEAN
     if p.needs_intersection:
-        stripped = GatePartition(
-            _strip_outer(base, entries_to_front=front_clean),
-            p.gate_symbols,
-            p.direction,
-            p.method,
-            needs_intersection=False,
-        )
-        left = _gate_complement(stripped, budget, log)
+        stripped = _strip_outer(base, entries_to_front=front_clean)
+        left = _gate_complement(dataclasses.replace(p, base=stripped, needs_intersection=False), budget, log)
         right = _smaller_complement(
             base.rear if front_clean else base.front, budget=budget, log=log, side="intersection"
         )
@@ -276,38 +254,37 @@ def _gate_complement(p: GatePartition, budget: int | None, log: list | None) -> 
 
     front = base.front
     gamma = list(base.gate_symbols)
-    syms = range(len(base.source.alphabet))
+    syms = range(len(front.alphabet))
     clean_syms = [sym for sym in syms if sym not in p.gamma_ids]
     carried = _carried_exits(p)
     c1, c2 = _component_complements(p, carried, budget=budget, log=log)
     # Front-clean: s loops on Σ and t on Σ∖Γ.  Rear-clean reverses the
     # roles, so that the gate is the last Γ symbol of the word.
-    c_pre = _sink_half(c1, gamma, carried, front.num_exit, syms if front_clean else clean_syms)
-    gate_start = 0 if front_clean else base.rear.num_entry
     if p.method is GateMethod.EQUAL:
-        head = _dispatcher(
-            c2,
-            clean_syms if front_clean else syms,
+        head = (
+            ["t"],
+            [(0, sym, 0) for sym in (clean_syms if front_clean else syms)],
             [{0}] * front.num_entry,
             [{0} if front_clean and not e else frozenset() for e in front.exit_sets],
         )
         dispatch = [(0, cid, k) for k, cid in enumerate(gamma)]
     else:
-        head = dataclasses.replace(front, exit_sets=(frozenset(),) * front.num_exit)
+        names = [front.state_name(q) for q in range(front.num_states)]
+        head = (names, front.transitions, front.entry_sets, [frozenset()] * front.num_exit)
         port = {t: k for k, t in enumerate(base.gate_targets)}
         dispatch = [(base.front_index[x], sym, port[t]) for (x, sym, t) in base.transfer]
-    return core.union(c_pre, _suffix_half(head, c2, dispatch, gate_start))
+    gate_start = 0 if front_clean else base.rear.num_entry
+    return _assemble(c1, c2, gamma, carried, syms if front_clean else clean_syms, head, dispatch, gate_start)
 
 
 def _strip_outer(base: SequentialPartition, *, entries_to_front: bool) -> SequentialPartition:
-    """Remove the offending outer ports (rear entries, or front exits) from the source."""
-    src = base.source
-    front_set = frozenset(base.front_states)
+    """``base`` without its offending outer ports: the rear's entry sets, or
+    the front's exit sets, emptied on the one part that holds them."""
     if entries_to_front:
-        stripped = dataclasses.replace(src, entry_sets=tuple(e & front_set for e in src.entry_sets))
-    else:
-        stripped = dataclasses.replace(src, exit_sets=tuple(f - front_set for f in src.exit_sets))
-    return SequentialPartition.of(stripped, base.front_states)
+        rear = base.rear
+        return dataclasses.replace(base, rear=dataclasses.replace(rear, entry_sets=(frozenset(),) * rear.num_entry))
+    front = base.front
+    return dataclasses.replace(base, front=dataclasses.replace(front, exit_sets=(frozenset(),) * front.num_exit))
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +292,17 @@ def _strip_outer(base: SequentialPartition, *, entries_to_front: bool) -> Sequen
 
 
 def _front_clean_view(p: GatePartition) -> GatePartition:
-    """p itself, or its reversal when p is rear-clean (conditions mirror)."""
+    """p itself, or its mirror when p is rear-clean (the conditions mirror).
+
+    The mirror's front is the reversed rear, its rear the reversed front and
+    its transfer the flipped gates, in the same state ids.
+    """
     if p.direction is GateDirection.FRONT_CLEAN:
         return p
-    rev = core.reverse(p.base.source)
-    base = SequentialPartition.of(rev, p.base.rear_states)
-    return GatePartition(
-        base, p.gate_symbols, GateDirection.FRONT_CLEAN, p.method, p.needs_intersection
-    )
+    b = p.base
+    flipped = tuple(sorted((t, sym, x) for (x, sym, t) in b.transfer))
+    base = SequentialPartition(b.rear_states, b.front_states, core.reverse(b.rear), core.reverse(b.front), flipped)
+    return dataclasses.replace(p, base=base, direction=GateDirection.FRONT_CLEAN)
 
 
 def _prefix_language(base: SequentialPartition, i: int, finals: frozenset[int]) -> Nfa:
@@ -430,6 +410,7 @@ def find_gate_partitions(a: PortNfa, *, check_budget: int | None = None) -> list
     (topological prefixes when there are more than ``_CUT_CAP`` of them);
     candidates whose gate symbols appear inside both components are dropped,
     as are those failing both input conditions or blowing the check budget.
+    A cut is split only once its symbols qualify.
     """
     dag = core.scc_condensation(a)
     m = len(dag.components)
@@ -438,25 +419,30 @@ def find_gate_partitions(a: PortNfa, *, check_budget: int | None = None) -> list
     cuts = _downward_closed_cuts(dag)
     if cuts is None:
         cuts = [tuple(range(k + 1)) for k in range(m - 1)]
+    comp_of = {q: k for k, comp in enumerate(dag.components) for q in comp}
+    moves = {(comp_of[src], sym, comp_of[dst]) for (src, sym, dst) in a.transitions}
     out = []
     for cut in cuts:
-        front_states = sorted(q for k in cut for q in dag.components[k])
-        base = SequentialPartition.of(a, front_states)
-        if not base.transfer:
-            continue
-        gamma_ids = {sym for (_x, sym, _t) in base.transfer}
-        if len(gamma_ids) == len(a.alphabet):
-            continue  # nothing left to complement the clean side over
-        front_clean = not (_internal_symbols(base.front) & gamma_ids)
-        rear_clean = not (_internal_symbols(base.rear) & gamma_ids)
-        if front_clean:
+        in_front = set(cut)
+        gamma_ids, front_syms, rear_syms = set(), set(), set()
+        for (i, sym, j) in moves:
+            if i not in in_front:
+                rear_syms.add(sym)  # no move enters a cut, which is closed under predecessors
+            elif j in in_front:
+                front_syms.add(sym)
+            else:
+                gamma_ids.add(sym)
+        if not gamma_ids or len(gamma_ids) == len(a.alphabet):
+            continue  # no gate, or nothing left to complement the clean side over
+        if not front_syms & gamma_ids:
             direction = GateDirection.FRONT_CLEAN
-            needs = any(base.rear.entry_sets)
-        elif rear_clean:
+        elif not rear_syms & gamma_ids:
             direction = GateDirection.REAR_CLEAN
-            needs = any(base.front.exit_sets)
         else:
             continue
+        base = SequentialPartition.of(a, sorted(q for k in cut for q in dag.components[k]))
+        front_clean = direction is GateDirection.FRONT_CLEAN
+        needs = any(base.rear.entry_sets) if front_clean else any(base.front.exit_sets)
         gate_symbols = frozenset(a.alphabet[sym] for sym in gamma_ids)
         candidate = GatePartition(base, gate_symbols, direction, GateMethod.EQUAL, needs)
         try:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass(frozen=True)
@@ -30,4 +30,5 @@ class ComplementReport:
             raise ValueError("trimming cannot add states")
 
     def as_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        """The set fields by name; the summaries are shared, not copied."""
+        return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}

@@ -60,32 +60,30 @@ class ComponentPartition:
 def determinize_front(p: SequentialPartition, *, budget: int | None = None) -> SequentialPartition:
     """Replace the front with its port determinization, lifting the gates.
 
-    A gate (x, a, t) fires from every front macrostate containing x; the rear
-    part is kept untouched, so the rear-local ids (and with them the inner
-    entry ports) are stable across this step.
+    A gate (x, a, t) fires from every front macrostate containing x.  The
+    split is renumbered: the k macrostates take ids 0..k-1 and rear state r
+    takes k + r.  The rear part is kept untouched but for its names, which
+    are uniquified after the macrostates' (the later copy of a name is
+    renamed), so the rear-local ids (and with them the inner entry ports)
+    are stable across this step.
     """
     det, macros = _port_powerset(p.front, budget)
     rear = p.rear
     off = det.num_states
-    trans = set(det.transitions)
-    trans.update((src + off, sym, dst + off) for (src, sym, dst) in rear.transitions)
     sources = core._mask_of(p.front_index[x] for (x, _sym, _t) in p.transfer)
     containing: dict[int, list[int]] = {}
     for mi, mac in enumerate(macros):
         for q in core._bits(mac & sources):
             containing.setdefault(q, []).append(mi)
-    for (x, sym, t) in p.transfer:
-        tl = off + p.rear_index[t]
-        trans.update((mi, sym, tl) for mi in containing.get(p.front_index[x], ()))
-    combined = core._rebuild(
-        det,
-        off + rear.num_states,
-        frozenset(trans),
-        [d | frozenset(q + off for q in r) for d, r in zip(det.entry_sets, rear.entry_sets)],
-        [d | frozenset(q + off for q in r) for d, r in zip(det.exit_sets, rear.exit_sets)],
-        core._merged_names(det, rear),
+    lifted = sorted(
+        {(mi, sym, off + p.rear_index[t]) for (x, sym, t) in p.transfer for mi in containing.get(p.front_index[x], ())}
     )
-    return SequentialPartition.of(combined, range(off))
+    names = core._merged_names(det, rear)
+    if names[:off] != det.state_names:
+        det = dataclasses.replace(det, state_names=names[:off])
+    if names[off:] != rear.state_names:
+        rear = dataclasses.replace(rear, state_names=names[off:])
+    return SequentialPartition(tuple(range(off)), tuple(range(off, off + rear.num_states)), det, rear, tuple(lifted))
 
 
 def _together_masks(c2: PortNfa) -> list[int] | None:

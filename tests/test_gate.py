@@ -491,3 +491,67 @@ def test_basic_gate_matches_the_union_of_its_halves():
             got = gate.gate_complement_basic(n1, n2, "c")
             want = helpers.gate_complement_basic_reference(n1, n2, "c")
             assert type(got) is type(want) and got == want
+
+
+def test_partition_search_splits_only_the_cuts_that_qualify(monkeypatch):
+    """``SequentialPartition.of`` runs once per cut whose symbols qualify: some
+    transition crosses it, its gate symbols leave a symbol over, and they
+    occur inside the front or inside the rear but not in both."""
+    of = core.SequentialPartition.__dict__["of"].__func__
+    split = []
+
+    def counted(cls, a, front_states):
+        split.append(tuple(sorted(front_states)))
+        return of(cls, a, front_states)
+
+    monkeypatch.setattr(core.SequentialPartition, "of", classmethod(counted))
+    rng = random.Random(19_2028)
+    seen = Counter()
+    for _ in range(200):
+        a = helpers.random_nfa(rng, max_states=7, max_syms=3).as_port()
+        dag = core.scc_condensation(a)
+        cuts = gate._downward_closed_cuts(dag) if len(dag.components) > 1 else []
+        qualifying = []
+        for cut in cuts:
+            front = {q for k in cut for q in dag.components[k]}
+            gamma = {sym for (x, sym, t) in a.transitions if x in front and t not in front}
+            inside_front = {sym for (x, sym, t) in a.transitions if x in front and t in front}
+            inside_rear = {sym for (x, sym, t) in a.transitions if x not in front and t not in front}
+            ok = gamma and len(gamma) < len(a.alphabet) and not (gamma & inside_front and gamma & inside_rear)
+            qualifying += [tuple(sorted(front))] if ok else []
+            seen["qualifying" if ok else "rejected"] += 1
+        split.clear()
+        gate.find_gate_partitions(a, check_budget=10**5)
+        assert split == qualifying
+    assert seen["qualifying"] > 50 and seen["rejected"] > 50, seen
+
+
+def test_gate_complement_builds_once_after_its_components(monkeypatch):
+    built = []
+    check = core._Automaton._normalize_and_check
+    smaller = gate._smaller_complement
+
+    def counted(self, *args):
+        built.append(type(self).__name__)
+        check(self, *args)
+
+    def component(*args, **kwargs):
+        out = smaller(*args, **kwargs)
+        built.clear()
+        return out
+
+    monkeypatch.setattr(core._Automaton, "_normalize_and_check", counted)
+    monkeypatch.setattr(gate, "_smaller_complement", component)
+    seen = Counter()
+    for _a, p in _named_partitions():
+        if p.needs_intersection or seen[_route(p)] >= 5:
+            continue
+        seen[_route(p)] += 1
+        gate.apply_gate_complement(p, budget=512)
+        assert built == ["PortNfa"], (_route(p), built)
+    assert len(seen) == 4, seen
+    rng = random.Random(19_2029)
+    for _ in range(5):
+        a1, a2 = helpers.random_gate_instance(rng, max_component_states=6)
+        gate.gate_complement_basic(a1, a2, "c")
+        assert built == ["Nfa"]
