@@ -62,10 +62,10 @@ def determinize_front(p: SequentialPartition, *, budget: int | None = None) -> S
 
     A gate (x, a, t) fires from every front macrostate containing x.  The
     split is renumbered: the k macrostates take ids 0..k-1 and rear state r
-    takes k + r.  The rear part is kept untouched but for its names, which
-    are uniquified after the macrostates' (the later copy of a name is
-    renamed), so the rear-local ids (and with them the inner entry ports)
-    are stable across this step.
+    takes k + r.  Names are made unique across both parts, the later copy
+    of a name renamed; otherwise the rear part is kept untouched, so the
+    rear-local ids (and with them the inner entry ports) are stable across
+    this step.
     """
     det, macros = _port_powerset(p.front, budget)
     rear = p.rear
