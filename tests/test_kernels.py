@@ -177,6 +177,42 @@ def test_indexed_frontier_matches_the_list_scan(monkeypatch):
     assert seen["dfa", "long"] and seen["nfa", "superseded"] and seen["dfa", "no initial"]
 
 
+def test_general_search_matches_the_list_scan_on_multi_limb_masks():
+    """The general search against the reference on a nondeterministic b of
+    65-130 states, whose macrostates span several 64-bit limbs.
+
+    b is a partial DFA with a few rows given two or more bits, and it starts
+    from two to five states, so it never takes the deterministic path.  Same
+    verdict as the reference, the answer at exactly its expansion count and
+    ``-1`` one below; among the cases some keep an empty mask, some drop a
+    kept mask for a smaller nonempty one, and some expand more than 100 pairs.
+    """
+    rng = random.Random(46)
+    seen = collections.Counter()
+    for case in range(150):
+        na, k, succ_a = _random_kernel_input(rng, max_states=9 if case % 2 else 16)
+        nb = rng.randint(65, 130)
+        succ_b = _random_dfa_succ(rng, nb, k, partial=True)
+        for _ in range(rng.randint(2, 6)):
+            succ_b[rng.randrange(k * nb)] |= sum(1 << q for q in rng.sample(range(nb), rng.randint(1, 3)))
+        init_b = sum(1 << q for q in rng.sample(range(nb), rng.randint(2, 5)))
+        final_a = sum(1 << q for q in range(na) if rng.random() < 0.15)
+        final_b = sum(1 << q for q in range(nb) if rng.random() < 0.7)
+        args = (k, na, succ_a, _random_mask(rng, na) or 1, final_a, nb, succ_b, init_b, final_b)
+        counts = collections.Counter()
+        want = helpers.antichain_included_reference(*args, counts=counts)
+        expansions = counts["expansions"]
+        assert pure.antichain_included(*args) == want
+        assert pure.antichain_included(*args, budget=expansions) == want
+        if expansions:
+            assert pure.antichain_included(*args, budget=expansions - 1) == -1
+        seen[want] += 1
+        seen["empty"] += counts["empty"] > 0
+        seen["superseded"] += counts["superseded"] > 0 and not counts["empty"]
+        seen["long"] += expansions > 100
+    assert seen[0] and seen[1] and seen["empty"] and seen["superseded"] and seen["long"]
+
+
 def test_macrostate_names_and_back_map_match_the_spelled_out_forms():
     rng = random.Random(44)
     cases = [helpers.random_nfa(rng, max_states=20) for _ in range(30)]
