@@ -24,12 +24,11 @@ values its state sets actually contain.  The pair search of
 symbol) every macrostate is one state or none, and ``_included_in_dfa``
 searches the pairs (a-state, b-state or none) directly: a bitmask of kept
 b-states per a-state, and each successor read straight from ``succ``, with
-no byte split.  Otherwise the general search files the subset-minimal
-macrostates of ``b`` that it keeps per state of ``a`` into buckets keyed by
-each mask's lowest set bit; an offered macrostate is compared only with the
-buckets whose key it contains, and swept for kept supersets only when the
-union of every mask that a-state has kept covers it.  Both paths keep the
-same frontier in the same queue order, so verdict and expansion count agree.
+no byte split.  Otherwise the general search keeps one plain list of
+subset-minimal macrostates of ``b`` per state of ``a`` and scans it whole on
+each offer; the long frontiers that once called for an index over these lists
+were those of a deterministic ``b``, which now take the first path.  Both paths keep the same frontier in the same queue order, so
+verdict and expansion count agree.
 
 These three functions are the package's only implementation of the kernels;
 :mod:`nfacomp._kernels` re-exports them.
@@ -156,15 +155,12 @@ def antichain_included(
     the inclusion holds, 0 with certainty when it does not, and -1 when the
     expansion budget runs out first.
 
-    Each a-state's frontier is indexed so that an offer does not scan every
-    kept macrostate.  The kept masks sit in buckets keyed by their lowest set
-    bit, the empty mask under key 0.  A kept subset of ``s`` has its lowest
-    state in ``s``, so the domination test looks only in the buckets whose
-    key lies in ``s``; a kept superset has its lowest state at or below that
-    of ``s``, and the sweep that drops supersets runs only when ``s`` lies
-    inside the OR of every mask the a-state has kept.  The frontier's
-    contents, and so the queue and the expansion count, are those of a plain
-    list scan.
+    Each a-state's frontier is one list of kept masks, scanned whole on every
+    offer: first for a kept subset of the offered mask, which rejects it, then
+    for kept supersets, which it replaces.  The lists stay short on the
+    general path's own traffic, because a deterministic ``b``, where long
+    frontiers of one-state masks build up, goes to ``_included_in_dfa``; an
+    index over the masks did not pay for itself there.
 
     When ``b`` is deterministic (``init_b`` and every row of ``succ_b`` hold
     at most one bit) the search runs in ``_included_in_dfa`` instead, which
@@ -175,42 +171,19 @@ def antichain_included(
         return _included_in_dfa(
             nsyms, nstates_a, succ_a, init_a, final_a, nstates_b, succ_b, init_b, final_b, budget
         )
-    frontier = {}  # a-state -> [kept masks, buckets, OR of bucket keys, OR of masks ever kept]
+    frontier = {}  # a-state -> its subset-minimal b-masks
     queue = deque()
 
     def offer(p, s):
-        low = s & -s
-        f = frontier.get(p)
-        if f is None:
-            f = frontier[p] = [set(), {}, 0, 0]
-        kept, buckets, lows, cover = f
-        if s in kept or 0 in kept:  # the empty mask is a subset of every mask
-            return
-        hits = lows & s
-        while hits:
-            key = hits & -hits
-            for old in buckets[key]:
-                if old & s == old:  # old subseteq s: dominated, skip
-                    return
-            hits ^= key
-        if s & cover == s:  # some kept mask may be a superset of s: drop those
-            hits = lows & ((low << 1) - 1)  # every bucket when s is empty
-            while hits:
-                key = hits & -hits
-                bucket = buckets[key]
-                stay = [old for old in bucket if old & s != s]
-                if len(stay) < len(bucket):
-                    kept.difference_update(old for old in bucket if old & s == s)
-                    if stay:
-                        buckets[key] = stay
-                    else:
-                        del buckets[key]
-                        lows ^= key
-                hits ^= key
-        kept.add(s)
-        buckets.setdefault(low, []).append(s)
-        f[2] = lows | low
-        f[3] = cover | s
+        kept = frontier.setdefault(p, [])
+        for old in kept:
+            if old & s == old:  # old subseteq s: dominated, skip
+                return
+        for old in kept:
+            if old & s == s:  # a kept superset of s: drop every one
+                kept[:] = [old for old in kept if old & s != s]
+                break
+        kept.append(s)
         queue.append((p, s))
 
     for p in _bits(init_a):
@@ -222,7 +195,7 @@ def antichain_included(
     expansions = 0
     while queue:
         p, s = queue.popleft()
-        if s not in frontier[p][0]:  # superseded by a smaller set
+        if s not in frontier[p]:  # superseded by a smaller set
             continue
         expansions += 1
         if budget is not None and expansions > budget:

@@ -112,9 +112,10 @@ def _random_dfa_succ(rng, n, k, partial):
 
 
 def test_indexed_frontier_matches_the_list_scan(monkeypatch):
-    """The kernel's frontiers against the reference's plain list scan.
+    """Both paths of the kernel against the reference's plain list scan.
 
-    Same verdict, and the same expansion count: the kernel answers at exactly
+    The name is historical: the general path once indexed its frontier, and
+    now keeps a plain list per a-state like the reference.  Same verdict, and the same expansion count: the kernel answers at exactly
     the reference's count and runs out one below it.  A third of the cases
     compare against a deterministic b of 64-130 states, complete or partial,
     whose macrostates are singletons over several bytes or empty; some of
