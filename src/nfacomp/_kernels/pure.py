@@ -24,11 +24,10 @@ values its state sets actually contain.  The pair search of
 symbol) every macrostate is one state or none, and ``_included_in_dfa``
 searches the pairs (a-state, b-state or none) directly: a bitmask of kept
 b-states per a-state, and each successor read straight from ``succ``, with
-no byte split.  Otherwise the general search keeps one plain list of
-subset-minimal macrostates of ``b`` per state of ``a`` and scans it whole on
-each offer; the long frontiers that once called for an index over these lists
-were those of a deterministic ``b``, which now take the first path.  Both paths keep the same frontier in the same queue order, so
-verdict and expansion count agree.
+no byte split.  Otherwise the general search keeps a plain list of the
+subset-minimal macrostates of ``b`` per a-state: the long frontiers that an
+index over it once served are a deterministic ``b``'s.  Both paths keep the
+same frontier in the same queue order, so verdict and expansion count agree.
 
 These three functions are the package's only implementation of the kernels;
 :mod:`nfacomp._kernels` re-exports them.
@@ -155,17 +154,12 @@ def antichain_included(
     the inclusion holds, 0 with certainty when it does not, and -1 when the
     expansion budget runs out first.
 
-    Each a-state's frontier is one list of kept masks, scanned whole on every
-    offer: first for a kept subset of the offered mask, which rejects it, then
-    for kept supersets, which it replaces.  The lists stay short on the
-    general path's own traffic, because a deterministic ``b``, where long
-    frontiers of one-state masks build up, goes to ``_included_in_dfa``; an
-    index over the masks did not pay for itself there.
-
-    When ``b`` is deterministic (``init_b`` and every row of ``succ_b`` hold
-    at most one bit) the search runs in ``_included_in_dfa`` instead, which
-    keeps the same frontier as plain bitmasks and so makes the same
-    expansions in the same order.
+    Each a-state's kept masks are one list, scanned whole on every offer: a
+    kept subset rejects the offered mask, and kept supersets give way to it.
+    A deterministic ``b`` (``init_b`` and every row of ``succ_b`` hold at
+    most one bit), whose long one-state frontiers once called for an index
+    over that list, runs in ``_included_in_dfa`` instead, with the same
+    frontier as plain bitmasks and so the same expansions in the same order.
     """
     if not init_b & (init_b - 1) and all(not m & (m - 1) for m in succ_b):
         return _included_in_dfa(

@@ -328,8 +328,8 @@ def seq_complement_generalized(
 def seq_complement_basic(a1: Nfa, a2: Nfa, c: str, *, budget: int | None = None) -> Nfa:
     """Complement of L(a1)·{c}·L(a2) for single-final a1 and single-initial a2.
 
-    The automaton a1 →c→ a2 is split after a1, and its rear is complemented
-    by the reverse powerset construction.
+    The split of a1 →c→ a2 after a1 is laid out from a1, a2 and the one
+    transfer; its rear is complemented by the reverse powerset construction.
     """
     if a1.alphabet != a2.alphabet:
         raise ValueError("components must share one alphabet")
@@ -340,16 +340,14 @@ def seq_complement_basic(a1: Nfa, a2: Nfa, c: str, *, budget: int | None = None)
     sym = a1.symbol_ids.get(c)
     if sym is None:
         raise ValueError(f"symbol {c!r} not in the alphabet")
-    u = core.union(a1, a2)
+    n1, n2 = a1.num_states, a2.num_states
     (qf,) = a1.final
     (qi,) = a2.initial
-    combined = dataclasses.replace(
-        u,
-        transitions=u.transitions | {(qf, sym, qi + a1.num_states)},
-        initial=a1.initial,
-        final=u.final - a1.final,
-    )
-    part = determinize_front(SequentialPartition.of(combined, range(a1.num_states)), budget=budget)
+    names = core._merged_names(a1, a2)  # None, or a nonempty tuple
+    front = PortNfa(a1.alphabet, n1, a1.transitions, (a1.initial,), (frozenset(),), state_names=names and names[:n1])
+    rear = PortNfa(a2.alphabet, n2, a2.transitions, (frozenset(),), (a2.final,), state_names=names and names[n1:])
+    split = SequentialPartition(tuple(range(n1)), tuple(range(n1, n1 + n2)), front, rear, ((qf, sym, n1 + qi),))
+    part = determinize_front(split, budget=budget)
     c2 = reverse_complement(part.rear_for_targets(), budget=budget)
     return seq_complement_generalized(part, c2, budget=budget).slice(0, 0)
 

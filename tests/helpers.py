@@ -10,7 +10,7 @@ import random
 import re
 from collections import Counter, deque
 
-from nfacomp import core, gate, oracle, powerset, reduction
+from nfacomp import core, gate, oracle, powerset, reduction, sequential
 from nfacomp.errors import BudgetExceededError, ParseError
 from nfacomp.sequential import SeqComplementState
 
@@ -930,6 +930,32 @@ def gate_complement_basic_reference(a1, a2, c, *, budget=None):
     c_pre = _sink_half_reference(c1, [cid], (), 1, syms)
     t = _dispatcher_reference(c2, [sym for sym in syms if sym != cid], [{0}], [{0}])
     return core.union(c_pre, _suffix_half_reference(t, c2, [(0, cid, 0)]))
+
+
+def seq_complement_basic_reference(a1, a2, c, *, budget=None):
+    """``seq_complement_basic`` through ``core.union``: a1 →c→ a2 built as one
+    automaton, split after a1 with ``SequentialPartition.of``."""
+    if a1.alphabet != a2.alphabet:
+        raise ValueError("components must share one alphabet")
+    if len(a1.final) != 1:
+        raise ValueError("a1 needs exactly one final state")
+    if len(a2.initial) != 1:
+        raise ValueError("a2 needs exactly one initial state")
+    sym = a1.symbol_ids.get(c)
+    if sym is None:
+        raise ValueError(f"symbol {c!r} not in the alphabet")
+    u = core.union(a1, a2)
+    (qf,) = a1.final
+    (qi,) = a2.initial
+    combined = dataclasses.replace(
+        u,
+        transitions=u.transitions | {(qf, sym, qi + a1.num_states)},
+        initial=a1.initial,
+        final=u.final - a1.final,
+    )
+    part = sequential.determinize_front(core.SequentialPartition.of(combined, range(a1.num_states)), budget=budget)
+    c2 = powerset.reverse_complement(part.rear_for_targets(), budget=budget)
+    return sequential.seq_complement_generalized(part, c2, budget=budget).slice(0, 0)
 
 
 # --- the file parser, one regex match per token --------------------------------

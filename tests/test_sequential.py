@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -150,6 +151,59 @@ def test_seq_complement_basic_validation():
             core.Nfa.build(("b",), 1, [], {0}, {0}),
             "a",
         )
+
+
+def _basic_or_error(build):
+    try:
+        out = build()
+    except (ValueError, BudgetExceededError) as exc:
+        return type(exc).__name__, str(exc)
+    return out, out.state_names, out.name
+
+
+def test_seq_complement_basic_matches_the_union_route():
+    """The split laid out from a1 and a2 against a1 →c→ a2 built by
+    ``core.union`` and split again: same automaton, names and errors.
+
+    Each component pair runs unnamed, with distinct names and with clashing
+    ones (``helpers.name_variants``, every combination of the two sides);
+    most pairs are cut to one final state in a1 and one initial state in a2,
+    the rest raise.  The gate symbol is ``c``, which neither side uses, or
+    ``a``, which both may; a small budget sometimes cuts the construction.
+    """
+    rng = random.Random(20_2026)
+    seen = collections.Counter()
+    for case in range(60):
+        a1, a2 = helpers.random_gate_instance(rng, max_component_states=5)
+        if case % 4:
+            a1 = dataclasses.replace(a1, final=frozenset({max(a1.final)}))
+            a2 = dataclasses.replace(a2, initial=frozenset({min(a2.initial)}))
+        c = "ac"[case % 3 != 0]
+        budget = 6 if case % 5 == 0 else None
+        for v1, v2 in itertools.product(list(helpers.name_variants(a1, rng)), list(helpers.name_variants(a2, rng))):
+            got = _basic_or_error(lambda: sequential.seq_complement_basic(v1, v2, c, budget=budget))
+            want = _basic_or_error(lambda: helpers.seq_complement_basic_reference(v1, v2, c, budget=budget))
+            assert got == want
+            seen[got[0] if isinstance(got[0], str) else "built"] += 1
+    assert seen["built"] and seen["ValueError"] and seen["BudgetExceededError"], seen
+
+
+def test_seq_complement_basic_builds_the_split_from_its_parts(monkeypatch):
+    """Eight validated builds on a 2 + 2-state input: the two parts, then
+    the determinized front, the rear with its gate entries, the rear
+    complement, the composition and its slice."""
+    calls = []
+    check = core._Automaton._normalize_and_check
+
+    def counted(self, *args):
+        calls.append(type(self).__name__)
+        check(self, *args)
+
+    a1 = core.Nfa.build(("a", "b"), 2, [(0, "a", 1), (1, "b", 1)], {0}, {1})
+    a2 = core.Nfa.build(("a", "b"), 2, [(0, "b", 1), (1, "a", 0)], {0}, {1})
+    monkeypatch.setattr(core._Automaton, "_normalize_and_check", counted)
+    sequential.seq_complement_basic(a1, a2, "a")
+    assert len(calls) == 8, calls
 
 
 def _composition_inputs():
