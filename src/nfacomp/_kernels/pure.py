@@ -25,9 +25,9 @@ symbol) every macrostate is one state or none, and ``_included_in_dfa``
 searches the pairs (a-state, b-state or none) directly: a bitmask of kept
 b-states per a-state, and each successor read straight from ``succ``, with
 no byte split.  Otherwise the general search keeps a plain list of the
-subset-minimal macrostates of ``b`` per a-state: the long frontiers that an
-index over it once served are a deterministic ``b``'s.  Both paths keep the
-same frontier in the same queue order, so verdict and expansion count agree.
+subset-minimal macrostates of ``b`` per a-state, with no index: the long
+frontiers, where one would pay, are a deterministic ``b``'s.  Both paths keep
+the same frontier in the same queue order, so verdict and expansion count agree.
 
 These three functions are the package's only implementation of the kernels;
 :mod:`nfacomp._kernels` re-exports them.
@@ -157,9 +157,9 @@ def antichain_included(
     Each a-state's kept masks are one list, scanned whole on every offer: a
     kept subset rejects the offered mask, and kept supersets give way to it.
     A deterministic ``b`` (``init_b`` and every row of ``succ_b`` hold at
-    most one bit), whose long one-state frontiers once called for an index
-    over that list, runs in ``_included_in_dfa`` instead, with the same
-    frontier as plain bitmasks and so the same expansions in the same order.
+    most one bit), whose long frontiers of one-state masks are where an index
+    would pay, runs in ``_included_in_dfa`` instead, with the same frontier
+    as plain bitmasks and so the same expansions in the same order.
     """
     if not init_b & (init_b - 1) and all(not m & (m - 1) for m in succ_b):
         return _included_in_dfa(
