@@ -115,15 +115,15 @@ def test_indexed_frontier_matches_the_list_scan(monkeypatch):
     """Both paths of the kernel against the reference's plain list scan.
 
     The name is historical: the general path once indexed its frontier, and
-    now keeps a plain list per a-state like the reference.  Same verdict, and the same expansion count: the kernel answers at exactly
-    the reference's count and runs out one below it.  A third of the cases
-    compare against a deterministic b of 64-130 states, complete or partial,
-    whose macrostates are singletons over several bytes or empty; some of
-    these have no initial state and a few have no states at all.  They, and
-    only they, run through ``_included_in_dfa``.  A third compare against a
-    deterministic b of 9-40 states with two initial states, which takes the
-    general path, and a third against a small nondeterministic b, where kept
-    masks get superseded.
+    now keeps a plain list per a-state like the reference.  Same verdict, and
+    the same expansion count: the kernel answers at exactly the reference's
+    count and runs out one below it.  A third of the cases compare against a
+    deterministic b of 64-130 states, complete or partial, whose macrostates
+    are singletons over several bytes or empty; some of these have no initial
+    state and a few have no states at all.  They, and only they, run through
+    ``_included_in_dfa``.  A third compare against a deterministic b of 9-40
+    states with two initial states, which takes the general path, and a third
+    against a small nondeterministic b, where kept masks get superseded.
     """
     helper_calls = []
     included_in_dfa = pure._included_in_dfa
