@@ -1126,3 +1126,63 @@ def parse_reference(text):
         state_names=tuple(states.names) or None,
         name=name,
     )
+
+
+# --- the file writer, one sort over every transition ---------------------------
+# ``fileformat.serialize`` writes each state's row in name-rank order and checks
+# the display names on their joined text; this is the writer as it was before,
+# which sorts all transitions on their name keys and checks each name with a
+# regex, and must give the same text or the same ValueError.
+
+
+def _safe_token_reference(tok: str) -> bool:
+    return bool(tok) and not tok[0] in "@%" and "#" not in tok and _TOKEN.fullmatch(tok) is not None
+
+
+def _display_names_reference(a) -> list[str]:
+    names = a.state_names
+    if names is not None and len(set(names)) == len(names) and all(map(_safe_token_reference, names)):
+        return list(names)
+    return [str(q) for q in range(a.num_states)]
+
+
+def serialize_reference(a) -> str:
+    for sym in a.alphabet:
+        if not _safe_token_reference(sym):
+            raise ValueError(f"alphabet symbol {sym!r} cannot be written to a file")
+    mentioned = set()
+    for src, _sym, dst in a.transitions:
+        mentioned.add(src)
+        mentioned.add(dst)
+    if isinstance(a, core.Nfa):
+        mentioned |= a.initial | a.final
+    else:
+        for s in a.entry_sets + a.exit_sets:
+            mentioned |= s
+    if len(mentioned) != a.num_states:
+        raise ValueError(
+            "automaton has states that appear in no transition or state set; "
+            "trim it before serializing"
+        )
+    names = _display_names_reference(a)
+    title = a.name if a.name is not None and _safe_token_reference(a.name) else "a"
+
+    def state_set(s):
+        return " ".join(sorted(names[q] for q in s))
+
+    lines = []
+    if isinstance(a, core.Nfa):
+        lines.append(f"@NFA {title}")
+        lines.append("%Alphabet " + " ".join(a.alphabet))
+        lines.append(("%Initial " + state_set(a.initial)).rstrip())
+        lines.append(("%Final " + state_set(a.final)).rstrip())
+    else:
+        lines.append(f"@PortNFA {title}")
+        lines.append("%Alphabet " + " ".join(a.alphabet))
+        for i, s in enumerate(a.entry_sets):
+            lines.append((f"%Entry {i} " + state_set(s)).rstrip())
+        for j, s in enumerate(a.exit_sets):
+            lines.append((f"%Exit {j} " + state_set(s)).rstrip())
+    for src, sym, dst in sorted(a.transitions, key=lambda t: (names[t[0]], t[1], names[t[2]])):
+        lines.append(f"{names[src]} {a.alphabet[sym]} {names[dst]}")
+    return "\n".join(lines) + "\n"

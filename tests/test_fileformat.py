@@ -1,13 +1,15 @@
+import dataclasses
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given
 
 import helpers
 from conftest import nfas
-from nfacomp import core, fileformat
-from nfacomp.errors import ParseError
+from nfacomp import core, fileformat, powerset
+from nfacomp.errors import BudgetExceededError, ParseError
 from nfacomp.families import reverse_friendly
 
 
@@ -297,3 +299,76 @@ def test_split_tokenizer_matches_the_regex_tokenizer():
     # Errors at a token past the first, whose column the new parser re-scans.
     for kind in ("unknown symbol", "duplicate symbol", "is not an integer", "must be nonnegative", "UTF-8"):
         assert any(kind in e for e in errors), kind
+
+
+# --- the writer against the one-sort writer ------------------------------------
+# Names the display-name rule must refuse (a repeat, "#", a leading "@" or "%",
+# whitespace of both tokenizers, the empty name) or accept ("@" and "%" inside).
+_ODD_NAMES = ("q#1", "#", "@q", "%q", "q r", " q", "q ", "q\u3000r", "q\x1c", "\x85", "", "a@b", "a%b", "{x}")
+_TITLES = (None, "t", "t u", "#t", "@t", "%t", "")
+
+
+def _written(writer, a):
+    try:
+        return writer(a)
+    except ValueError as e:
+        return str(e)
+
+
+def _renamed(a, rng):
+    """``a`` under distinct names whose order is not the id order, with one
+    of them odd, or repeated; and under a random title."""
+    n = a.num_states
+    names = rng.sample([f"n{k}" for k in range(3 * n)], n)
+    kind = rng.choice(("distinct", "odd", "repeat"))
+    if kind == "odd" and n:
+        names[rng.randrange(n)] = rng.choice(_ODD_NAMES)
+    elif kind == "repeat" and n > 1:
+        names[0] = names[rng.randrange(1, n)]
+    return dataclasses.replace(a, state_names=names, name=rng.choice(_TITLES))
+
+
+def _writer_cases():
+    """Inputs of the golden and port corpora, their variants, and their
+    trimmed forward and reverse complements (some with dropped moves); the
+    plain and port NFAs of ``helpers.automata_and_complements`` with their
+    complements, 65-90-state ones among them; the 128-state complements of
+    ``reverse_friendly(6)``; an isolated state and an unwritable symbol."""
+    from test_golden import BUDGET, corpus, port_corpus
+
+    rng = random.Random(2121)
+    for _key, a in list(corpus()) + list(port_corpus()):
+        for v in (a, _renamed(a, rng)):
+            yield v
+            for reverse in (False, True):
+                try:
+                    x = powerset._explore_port(v, BUDGET, complement=True, trim=True, reverse=reverse)
+                except BudgetExceededError:
+                    continue
+                yield powerset._build(v, x), not all(x.live)
+    for a in helpers.automata_and_complements(2122):
+        yield a
+        yield _renamed(a, rng)
+    a = reverse_friendly(6)
+    yield powerset.forward_complement(a)
+    yield powerset.reverse_complement(_renamed(a, rng))
+    yield core.Nfa.build(("a",), 2, [], {0}, set())
+    yield core.Nfa.build(("a b",), 1, [(0, "a b", 0)], {0}, {0})
+
+
+def test_serialize_matches_the_one_sort_writer():
+    seen = Counter()
+    for case in _writer_cases():
+        a, dropped = case if isinstance(case, tuple) else (case, False)
+        expected = _written(helpers.serialize_reference, a)
+        assert _written(fileformat.serialize, a) == expected, a
+        if not expected.startswith(("@NFA", "@PortNFA")):
+            seen["rejected"] += 1
+            continue
+        seen["port" if isinstance(a, core.PortNfa) else "plain"] += 1
+        seen["dropped"] += dropped
+        seen["large"] += a.num_states > 64
+        if a.state_names is not None:
+            fallback = helpers._display_names_reference(a) != list(a.state_names)
+            seen["fallback" if fallback else "named"] += 1
+    assert all(seen[k] > 20 for k in ("rejected", "port", "plain", "dropped", "large", "fallback", "named")), seen
