@@ -62,11 +62,11 @@ class _Automaton:
     """The body ``Nfa`` and ``PortNfa`` share, written against the port view.
 
     Each dataclass normalizes its own port fields in ``__post_init__`` and
-    then calls ``_normalize_and_check`` with the names its error messages
-    give an entry and an exit set, formatted with the set's index.
+    then calls ``_normalize_and_check``; ``_port_what`` names an entry and an
+    exit set in its error messages, formatted with the set's index.
     """
 
-    def _normalize_and_check(self, entry_what: str, exit_what: str) -> None:
+    def _normalize_and_check(self) -> None:
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "transitions", frozenset(map(tuple, self.transitions)))
         if not self.alphabet:
@@ -79,16 +79,46 @@ class _Automaton:
                 raise ValueError(f"transition ({src},{sym},{dst}) leaves the state range")
             if not (0 <= sym < nsyms):
                 raise ValueError(f"transition ({src},{sym},{dst}) uses an unknown symbol index")
+        self._check_ports_and_names()
+
+    def _check_table(self) -> None:
+        """``_normalize_and_check`` for ``_from_table``: the table is checked whole."""
+        table, syms, _reverse = self._table
+        if len(table) != self.num_states * len(syms):
+            raise ValueError("transition table length must be num_states * len(syms)")
+        if table and not (-1 <= min(table) and max(table) < self.num_states):
+            raise ValueError("transition table leaves the state range")
+        if not all(0 <= sym < len(self.alphabet) for sym in syms):
+            raise ValueError("transition table uses an unknown symbol index")
+        self._check_ports_and_names()
+
+    def _check_ports_and_names(self) -> None:
         entry_sets, exit_sets = self.entry_sets, self.exit_sets
         if not entry_sets or not exit_sets:
             raise ValueError("port NFA needs at least one entry and one exit port set")
-        for sets, what in ((entry_sets, entry_what), (exit_sets, exit_what)):
+        for sets, what in zip((entry_sets, exit_sets), self._port_what):
             for i, s in enumerate(sets):
-                _check_states(n, s, what.format(i))
+                _check_states(self.num_states, s, what.format(i))
         if self.state_names is not None:
             object.__setattr__(self, "state_names", tuple(self.state_names))
-            if len(self.state_names) != n:
+            if len(self.state_names) != self.num_states:
                 raise ValueError("state_names length must match num_states")
+
+    def __getattr__(self, attr):
+        # Only a table-built automaton lacks ``transitions``; it is spelled out on first use.
+        if attr != "transitions" or "_table" not in self.__dict__:
+            return object.__getattribute__(self, attr)
+        object.__setattr__(self, "transitions", frozenset(self._edges()))
+        return self.transitions
+
+    def _edges(self):
+        """The transitions as (src, symbol index, dst), read off the table if there is one."""
+        if "_table" not in self.__dict__:
+            return self.transitions
+        table, syms, reverse = self._table
+        k = len(syms)
+        edges = [(i // k, syms[i % k], j) for i, j in enumerate(table) if j >= 0]
+        return [(dst, sym, src) for (src, sym, dst) in edges] if reverse else edges
 
     @classmethod
     def build(cls, alphabet, num_states, transitions, entries, exits, /, *, state_names=None, name=None):
@@ -117,7 +147,7 @@ class _Automaton:
     def succ_masks(self) -> list[int]:
         """Flat successor table for the kernels: index sym*num_states+q -> bitmask."""
         table = [0] * (len(self.alphabet) * self.num_states)
-        for (src, sym, dst) in self.transitions:
+        for (src, sym, dst) in self._edges():
             table[sym * self.num_states + src] |= 1 << dst
         return table
 
@@ -126,13 +156,14 @@ class _Automaton:
         """Flat predecessor table, the reversal's successor table: index
         sym*num_states+q -> bitmask of q's predecessors on sym."""
         table = [0] * (len(self.alphabet) * self.num_states)
-        for (src, sym, dst) in self.transitions:
+        for (src, sym, dst) in self._edges():
             table[sym * self.num_states + dst] |= 1 << src
         return table
 
     @property
     def num_transitions(self) -> int:
-        return len(self.transitions)
+        table = self.__dict__.get("_table")
+        return len(self.transitions) if table is None else len(table[0]) - table[0].count(-1)
 
     @property
     def num_entry(self) -> int:
@@ -172,11 +203,12 @@ class Nfa(_Automaton):
     final: frozenset[int]
     state_names: tuple[str, ...] | None = None
     name: str | None = field(default=None, compare=False)
+    _port_what = ("initial", "final")  # how error messages name the entry and exit sets
 
     def __post_init__(self):
         object.__setattr__(self, "initial", frozenset(self.initial))
         object.__setattr__(self, "final", frozenset(self.final))
-        self._normalize_and_check("initial", "final")
+        self._normalize_and_check()
 
     @cached_property
     def initial_mask(self) -> int:
@@ -224,11 +256,12 @@ class PortNfa(_Automaton):
     exit_sets: tuple[frozenset[int], ...]
     state_names: tuple[str, ...] | None = None
     name: str | None = field(default=None, compare=False)
+    _port_what = ("entry set {}", "exit set {}")
 
     def __post_init__(self):
         object.__setattr__(self, "entry_sets", tuple(frozenset(s) for s in self.entry_sets))
         object.__setattr__(self, "exit_sets", tuple(frozenset(s) for s in self.exit_sets))
-        self._normalize_and_check("entry set {}", "exit set {}")
+        self._normalize_and_check()
 
 
 Automaton = Union[Nfa, PortNfa]
@@ -261,6 +294,21 @@ def _rebuild(a: Automaton, num_states, transitions, entry_sets, exit_sets, state
         (initial,), (final,) = entry_sets, exit_sets
         return Nfa(a.alphabet, num_states, transitions, initial, final, state_names=state_names, name=name)
     return PortNfa(a.alphabet, num_states, transitions, entry_sets, exit_sets, state_names=state_names, name=name)
+
+
+def _from_table(a: Automaton, num_states, table, syms, reverse, entry_sets, exit_sets, state_names):
+    """``_rebuild`` from a flat table, port sets given as frozensets: entry ``q * len(syms) + k``
+    is q's successor on ``syms[k]`` (with ``reverse``, its predecessor), or -1 for none."""
+    out = type(a).__new__(type(a))
+    if isinstance(a, Nfa):
+        (initial,), (final,) = entry_sets, exit_sets
+        ports = {"initial": initial, "final": final}
+    else:
+        ports = {"entry_sets": tuple(entry_sets), "exit_sets": tuple(exit_sets)}
+    out.__dict__.update(ports, alphabet=a.alphabet, num_states=num_states, state_names=state_names,
+                        name=None, _table=(table, tuple(syms), reverse))
+    out._check_table()
+    return out
 
 
 def _check_compatible(a: Automaton, b: Automaton, what: str) -> None:
@@ -578,19 +626,19 @@ def is_deterministic(a: Automaton) -> bool:
     """DFA check: single start per entry set, at most one successor per symbol."""
     if any(len(s) != 1 for s in a.entry_sets):
         return False
-    return len(_moves(a.transitions, len(a.alphabet))) == a.num_transitions
+    return len(_moves(a._edges(), len(a.alphabet))) == a.num_transitions
 
 
 def is_complete(a: Automaton) -> bool:
     """Every state has at least one successor on every symbol."""
-    return len(_moves(a.transitions, len(a.alphabet))) == a.num_states * len(a.alphabet)
+    return len(_moves(a._edges(), len(a.alphabet))) == a.num_states * len(a.alphabet)
 
 
 def is_reverse_deterministic(a: Automaton) -> bool:
     """``is_deterministic`` of the reversal, without building it."""
     if any(len(s) != 1 for s in a.exit_sets):
         return False
-    return len(_moves(a.transitions, len(a.alphabet), by_target=True)) == a.num_transitions
+    return len(_moves(a._edges(), len(a.alphabet), by_target=True)) == a.num_transitions
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ the same bytes.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Union
 
 from .core import Nfa, PortNfa
@@ -191,13 +192,16 @@ def parse(text: Union[str, bytes]) -> Union[Nfa, PortNfa]:
     )
 
 
-def _safe_token(tok: str) -> bool:
-    return bool(tok) and not tok[0] in "@%" and "#" not in tok and _TOKEN.fullmatch(tok) is not None
+def _safe_tokens(tokens) -> bool:
+    """Whether each token is nonempty, holds no whitespace or ``#`` and does not start with
+    ``@`` or ``%``, checked on their joined text: a token with whitespace does not split back."""
+    joined = " " + " ".join(tokens)
+    return joined.split() == list(tokens) and "#" not in joined and " @" not in joined and " %" not in joined
 
 
 def _display_names(a: Union[Nfa, PortNfa]) -> list[str]:
     names = a.state_names
-    if names is not None and len(set(names)) == len(names) and all(map(_safe_token, names)):
+    if names is not None and len(set(names)) == len(names) and _safe_tokens(names):
         return list(names)
     return [str(q) for q in range(a.num_states)]
 
@@ -210,28 +214,29 @@ def serialize(a: Union[Nfa, PortNfa]) -> str:
     rendering and is rejected rather than silently shrunk.
     """
     for sym in a.alphabet:
-        if not _safe_token(sym):
+        if not _safe_tokens([sym]):
             raise ValueError(f"alphabet symbol {sym!r} cannot be written to a file")
-    mentioned = set()
-    for src, _sym, dst in a.transitions:
-        mentioned.add(src)
-        mentioned.add(dst)
-    if isinstance(a, Nfa):
-        mentioned |= a.initial | a.final
-    else:
-        for s in a.entry_sets + a.exit_sets:
-            mentioned |= s
-    if len(mentioned) != a.num_states:
+    n = a.num_states
+    edges = a._edges()
+    mentioned = set(map(itemgetter(0), edges)).union(map(itemgetter(2), edges), *a.entry_sets, *a.exit_sets)
+    if len(mentioned) != n:
         raise ValueError(
             "automaton has states that appear in no transition or state set; "
             "trim it before serializing"
         )
     names = _display_names(a)
-    title = a.name if a.name is not None and _safe_token(a.name) else "a"
+    title = a.name if a.name is not None and _safe_tokens([a.name]) else "a"
 
     # Order everything by display name rather than internal id: re-parsing
     # renumbers states in first-seen order, so only name-based ordering makes
-    # serialize(parse(f)) reproduce a canonical file f byte for byte.
+    # serialize(parse(f)) reproduce a canonical file f byte for byte.  Names
+    # are unique: a transition's key is (source rank, symbol, target rank).
+    ranked = sorted(names)
+    rank_of = {name: r for r, name in enumerate(ranked)}
+    rank = [rank_of[name] for name in names]
+    nsyms = len(a.alphabet)
+    keys = sorted((rank[src] * nsyms + sym) * n + rank[dst] for src, sym, dst in edges)
+
     def state_set(s):
         return " ".join(sorted(names[q] for q in s))
 
@@ -248,6 +253,6 @@ def serialize(a: Union[Nfa, PortNfa]) -> str:
             lines.append((f"%Entry {i} " + state_set(s)).rstrip())
         for j, s in enumerate(a.exit_sets):
             lines.append((f"%Exit {j} " + state_set(s)).rstrip())
-    for src, sym, dst in sorted(a.transitions, key=lambda t: (names[t[0]], t[1], names[t[2]])):
-        lines.append(f"{names[src]} {a.alphabet[sym]} {names[dst]}")
+    labels = [f" {sym} " for sym in a.alphabet]
+    lines += [ranked[key // n // nsyms] + labels[key // n % nsyms] + ranked[key % n] for key in keys]
     return "\n".join(lines) + "\n"

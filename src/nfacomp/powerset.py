@@ -22,7 +22,7 @@ import dataclasses
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, cycle
+from itertools import accumulate
 from typing import NamedTuple
 
 from . import _kernels, core
@@ -166,33 +166,25 @@ def _build(a: Automaton, x: _Exploration) -> Automaton:
 
     With live marks only the live macrostates are kept, in discovery order:
     exploration made every one reachable, so that is ``core.trim`` of the
-    untrimmed automaton, named only for the survivors.  A reverse
-    exploration is built reversed back: transitions flipped, start and
-    accepting sets swapped.  A ``delta`` row holds ``x.syms`` in order, and
-    the result is over ``a``'s whole alphabet.
+    untrimmed automaton, named only for the survivors; a move into a dropped
+    one becomes -1.  A reverse exploration's table gives predecessors, its
+    start and accepting sets swapped.  A ``delta`` row holds ``x.syms`` in
+    order, and the result is over ``a``'s whole alphabet.
     """
     macros, delta, entries, exits, live, reverse, syms = x
     nsyms = len(syms)
-    if live is None or all(live):
-        kept = macros
-        sources = [i for i in range(len(macros)) for _ in syms]
-        transitions = zip(delta, cycle(syms), sources) if reverse else zip(sources, cycle(syms), delta)
-    else:
+    kept = macros
+    if live is not None and not all(live):
         kept = [m for m, alive in zip(macros, live) if alive]
-        new = list(accumulate(live, initial=-1))  # new[i + 1] is i's index among the survivors
-        pairs = [
-            (new[i + 1], sym, new[j + 1])
-            for i in range(len(macros)) if live[i]
-            for sym, j in zip(syms, delta[i * nsyms : (i + 1) * nsyms]) if live[j]
-        ]
-        transitions = [(dst, sym, src) for (src, sym, dst) in pairs] if reverse else pairs
-        entries = [new[e + 1] if live[e] else -1 for e in entries]
-        exits = [[new[i + 1] for i in ids] for ids in exits]
+        new = [k - 1 if alive else -1 for k, alive in zip(accumulate(live), live)]
+        delta = [new[j] for i, alive in enumerate(live) if alive for j in delta[i * nsyms : (i + 1) * nsyms]]
+        entries = [new[e] for e in entries]
+        exits = [[new[i] for i in ids] for ids in exits]
     starts = [frozenset({e} if e >= 0 else ()) for e in entries]
     accepting = [frozenset(ids) for ids in exits]
     if reverse:
         starts, accepting = accepting, starts
-    return core._rebuild(a, len(kept), frozenset(transitions), starts, accepting, _macro_names(a, kept))
+    return core._from_table(a, len(kept), delta, syms, reverse, starts, accepting, _macro_names(a, kept))
 
 
 def _port_powerset(

@@ -1186,3 +1186,17 @@ def serialize_reference(a) -> str:
     for src, sym, dst in sorted(a.transitions, key=lambda t: (names[t[0]], t[1], names[t[2]])):
         lines.append(f"{names[src]} {a.alphabet[sym]} {names[dst]}")
     return "\n".join(lines) + "\n"
+
+
+def count_validations(monkeypatch) -> list[str]:
+    """Log the class name of every automaton validated from now on, by the
+    constructor (``_normalize_and_check``) or by ``core._from_table``
+    (``_check_table``): each build is validated once, by one of the two."""
+    calls = []
+    for name in ("_normalize_and_check", "_check_table"):
+        def counted(self, check=getattr(core._Automaton, name)):
+            calls.append(type(self).__name__)
+            check(self)
+
+        monkeypatch.setattr(core._Automaton, name, counted)
+    return calls

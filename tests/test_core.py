@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import itertools
 import random
 from collections import Counter
 
@@ -75,6 +77,33 @@ GUARDS = [
                  "inclusion requires matching alphabets", id="antichain_inclusion"),
     pytest.param(lambda: core.language_disjoint(A2, _OTHER_ALPHABET), ValueError,
                  "disjointness requires matching alphabets", id="language_disjoint"),
+]
+
+
+
+def _table_built(cls, *, table=(1, -1, 0, 1), syms=(0, 1), starts=(0,), ends=(1,), names=None):
+    return core._from_table(
+        _two_states(cls), 2, list(table), syms, False, [frozenset(starts)], [frozenset(ends)], names
+    )
+
+
+_TABLE_GUARDS = [
+    ("table length", dict(table=(1, -1, 0)), "transition table length must be num_states * len(syms)", None),
+    ("table above range", dict(table=(1, -1, 0, 2)), "transition table leaves the state range", None),
+    ("table below range", dict(table=(1, -2, 0, 1)), "transition table leaves the state range", None),
+    ("table symbol", dict(syms=(0, 2)), "transition table uses an unknown symbol index", None),
+    ("table negative symbol", dict(syms=(-1, 1)), "transition table uses an unknown symbol index", None),
+] + [guard for guard in _GUARDS_OF_BOTH if guard[0] in ("entry range", "exit range", "names length")]
+
+GUARDS += [
+    pytest.param(
+        lambda cls=cls, kw=kw: _table_built(cls, **kw),
+        ValueError,
+        port_text if port_text and cls is core.PortNfa else text,
+        id=f"{cls.__name__}-from_table {what}",
+    )
+    for what, kw, text, port_text in _TABLE_GUARDS
+    for cls in (core.Nfa, core.PortNfa)
 ]
 
 
@@ -326,3 +355,73 @@ def test_shape_facts_match_their_definitions():
             assert sequential._induced_reverse_deterministic(a, states) == ind_rev
             seen.update({f"induced={ind}": 1, f"induced_rev={ind_rev}": 1})
     assert len(seen) == 10 and min(seen.values()) > 10, seen
+
+
+def _constructor_twin(a, x):
+    """The automaton ``powerset._build(a, x)`` stands for, spelled out
+    transition by transition and built through the constructor."""
+    macros, delta, entries, exits, live, reverse, syms = x
+    keep = [i for i in range(len(macros)) if live is None or live[i]]
+    new = {i: k for k, i in enumerate(keep)}
+    moves = {
+        (new[i], sym, new[j])
+        for i in keep
+        for sym, j in zip(syms, delta[i * len(syms) : (i + 1) * len(syms)])
+        if j in new
+    }
+    starts = [frozenset({new[e]} if e in new else ()) for e in entries]
+    accepting = [frozenset(new[i] for i in ids) for ids in exits]
+    if reverse:
+        moves = {(dst, sym, src) for (src, sym, dst) in moves}
+        starts, accepting = accepting, starts
+    names = tuple(helpers.macro_name_reference(a, macros[i]) for i in keep)
+    return core._rebuild(a, len(keep), frozenset(moves), starts, accepting, names)
+
+
+def _explorations():
+    """Seeded plain and port NFAs (65-90-state ones among them, and port NFAs
+    over an extra symbol they do not use, explored without it), each
+    explored forward and reverse, trimmed or not, complemented or not."""
+    rng = random.Random(3131)
+    inputs = [helpers.random_nfa(rng, max_states=9) for _ in range(40)]
+    inputs += [helpers.random_port_nfa(rng, num_entry=rng.randint(1, 3), num_exit=rng.randint(1, 3)) for _ in range(20)]
+    inputs += [helpers.random_nfa(rng, max_states=90, min_states=65, max_syms=2) for _ in range(2)]
+    inputs += [helpers.random_port_nfa(rng, max_states=90, min_states=65) for _ in range(2)]
+    for a in inputs:
+        for reverse, trim, complement in itertools.product((False, True), repeat=3):
+            try:
+                yield a, powerset._explore_port(a, 2048, complement, trim, reverse)
+            except BudgetExceededError:
+                continue
+    for _ in range(10):
+        p = helpers.random_port_nfa(rng, max_syms=2)
+        shifted = {(src, sym + 1, dst) for (src, sym, dst) in p.transitions}
+        wide = core.PortNfa(("x",) + p.alphabet, p.num_states, shifted, p.entry_sets, p.exit_sets)
+        yield wide, powerset._explore_port(wide, 2048, True, True, rng.random() < 0.5, skip=frozenset({0}))
+
+
+def test_table_built_automata_equal_their_constructor_twins():
+    seen = Counter()
+    for a, x in _explorations():
+        twin = _constructor_twin(a, x)
+
+        def built():  # a fresh one each time, its transitions not spelled out yet
+            return powerset._build(a, x)
+
+        t = built()
+        assert (t.num_transitions, t.succ_masks, t.pred_masks) == (
+            twin.num_transitions, twin.succ_masks, twin.pred_masks)
+        assert "transitions" not in vars(t)  # the views above read the table
+        assert t.transitions == twin.transitions
+        assert t == twin and twin == built() and hash(built()) == hash(twin)
+        assert copy.copy(built()) == twin and copy.copy(built()).transitions == twin.transitions
+        assert dataclasses.replace(built(), name="r") == twin
+        for i in range(t.num_entry):
+            for j in range(t.num_exit):
+                assert built().slice(i, j) == twin.slice(i, j)
+        seen["reverse" if x.reverse else "forward"] += 1
+        seen["port" if isinstance(a, core.PortNfa) else "plain"] += 1
+        seen["dropped"] += x.live is not None and not all(x.live)
+        seen["skip"] += len(x.syms) < len(a.alphabet)
+        seen["large"] += t.num_states > 64
+    assert all(seen[k] > 5 for k in ("forward", "reverse", "port", "plain", "dropped", "skip", "large")), seen

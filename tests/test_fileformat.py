@@ -302,8 +302,9 @@ def test_split_tokenizer_matches_the_regex_tokenizer():
 
 
 # --- the writer against the one-sort writer ------------------------------------
-# Names the display-name rule must refuse (a repeat, "#", a leading "@" or "%",
-# whitespace of both tokenizers, the empty name) or accept ("@" and "%" inside).
+# Tokens the writer must refuse as state names (besides a repeat) or symbols:
+# "#", a leading "@" or "%", whitespace of both tokenizers, the empty token;
+# and ones it must accept ("@" and "%" inside).
 _ODD_NAMES = ("q#1", "#", "@q", "%q", "q r", " q", "q ", "q\u3000r", "q\x1c", "\x85", "", "a@b", "a%b", "{x}")
 _TITLES = (None, "t", "t u", "#t", "@t", "%t", "")
 
@@ -333,7 +334,7 @@ def _writer_cases():
     trimmed forward and reverse complements (some with dropped moves); the
     plain and port NFAs of ``helpers.automata_and_complements`` with their
     complements, 65-90-state ones among them; the 128-state complements of
-    ``reverse_friendly(6)``; an isolated state and an unwritable symbol."""
+    ``reverse_friendly(6)``; an isolated state; odd alphabet symbols."""
     from test_golden import BUDGET, corpus, port_corpus
 
     rng = random.Random(2121)
@@ -353,7 +354,8 @@ def _writer_cases():
     yield powerset.forward_complement(a)
     yield powerset.reverse_complement(_renamed(a, rng))
     yield core.Nfa.build(("a",), 2, [], {0}, set())
-    yield core.Nfa.build(("a b",), 1, [(0, "a b", 0)], {0}, {0})
+    for sym in _ODD_NAMES:
+        yield core.Nfa.build(("b", sym), 1, [(0, sym, 0)], {0}, {0})
 
 
 def test_serialize_matches_the_one_sort_writer():

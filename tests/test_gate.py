@@ -332,16 +332,9 @@ def test_smaller_complement_matches_the_build_both_reference():
 
 
 def test_smaller_complement_validates_once(monkeypatch):
-    calls = []
-    check = core._Automaton._normalize_and_check
-
-    def counted(self, *args):
-        calls.append(type(self).__name__)
-        check(self, *args)
-
     rng = random.Random(88)
     cases = [helpers.random_nfa(rng, max_states=8) for _ in range(20)] + [gate_chain(3).as_port()]
-    monkeypatch.setattr(core._Automaton, "_normalize_and_check", counted)
+    calls = helpers.count_validations(monkeypatch)
     for a in cases:
         calls.clear()
         gate._smaller_complement(a, budget=4096)
@@ -527,20 +520,14 @@ def test_partition_search_splits_only_the_cuts_that_qualify(monkeypatch):
 
 
 def test_gate_complement_builds_once_after_its_components(monkeypatch):
-    built = []
-    check = core._Automaton._normalize_and_check
     smaller = gate._smaller_complement
-
-    def counted(self, *args):
-        built.append(type(self).__name__)
-        check(self, *args)
+    built = helpers.count_validations(monkeypatch)
 
     def component(*args, **kwargs):
         out = smaller(*args, **kwargs)
         built.clear()
         return out
 
-    monkeypatch.setattr(core._Automaton, "_normalize_and_check", counted)
     monkeypatch.setattr(gate, "_smaller_complement", component)
     seen = Counter()
     for _a, p in _named_partitions():

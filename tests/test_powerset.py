@@ -262,14 +262,7 @@ def test_complement_file_to_file_validates_twice(tmp_path, monkeypatch):
     # with no reversed automaton on either side of the construction.
     src, dst = tmp_path / "a.nfa", tmp_path / "c.nfa"
     src.write_text(fileformat.serialize(reverse_friendly(3)))
-    calls = []
-    check = core._Automaton._normalize_and_check
-
-    def counted(self, *args):
-        calls.append(type(self).__name__)
-        check(self, *args)
-
-    monkeypatch.setattr(core._Automaton, "_normalize_and_check", counted)
+    calls = helpers.count_validations(monkeypatch)
     for method, validations in (("forward", 2), ("reverse", 2)):
         calls.clear()
         assert cli.main(["complement", "-m", method, "-i", str(src), "-o", str(dst)]) == 0
