@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
-from nfacomp import core, oracle, powerset, sequential
+from nfacomp import cli, core, fileformat, oracle, powerset, reduction, sequential
 from nfacomp.errors import BudgetExceededError
 from nfacomp.families import gate_chain, reverse_friendly, sequential_chain
 from nfacomp.powerset import Direction
@@ -192,16 +192,9 @@ def test_seq_complement_basic_builds_the_split_from_its_parts(monkeypatch):
     """Eight validated builds on a 2 + 2-state input: the two parts, then
     the determinized front, the rear with its gate entries, the rear
     complement, the composition and its slice."""
-    calls = []
-    check = core._Automaton._normalize_and_check
-
-    def counted(self, *args):
-        calls.append(type(self).__name__)
-        check(self, *args)
-
     a1 = core.Nfa.build(("a", "b"), 2, [(0, "a", 1), (1, "b", 1)], {0}, {1})
     a2 = core.Nfa.build(("a", "b"), 2, [(0, "b", 1), (1, "a", 0)], {0}, {1})
-    monkeypatch.setattr(core._Automaton, "_normalize_and_check", counted)
+    calls = helpers.count_validations(monkeypatch)
     sequential.seq_complement_basic(a1, a2, "a")
     assert len(calls) == 8, calls
 
@@ -588,6 +581,34 @@ def test_det_wins_on_gate_chain_4_at_the_default_budget():
     assert [(x["strategy"], x.get("states")) for x in stats["attempts"]] == [
         ("det", 78), ("detrev", 80), ("mincut", None),
     ]
+
+
+@pytest.mark.parametrize("rear, skipped", [("reverse", True), ("forward", False)])
+def test_rear_simulation_pass_runs_only_where_it_can_merge(tmp_path, monkeypatch, rear, skipped):
+    """``complement -m sequential`` on ``gate_chain(6)``: the reverse rear
+    complement (the default) is reverse-deterministic with singleton exits,
+    so it never reaches the simulation pass; a forward one does."""
+    rears, reduced = [], []
+    complement, quotient = sequential._complement, reduction._quotient_and_prune
+
+    def rear_complement(*args):
+        out = complement(*args)
+        rears.append(out[0])
+        return out
+
+    def counted(a, *args, **kwargs):
+        reduced.append(a)
+        return quotient(a, *args, **kwargs)
+
+    monkeypatch.setattr(sequential, "_complement", rear_complement)
+    monkeypatch.setattr(reduction, "_quotient_and_prune", counted)
+    src = tmp_path / "gate6.nfa"
+    src.write_text(fileformat.serialize(gate_chain(6)))
+    flags = [] if rear == "reverse" else ["--rear", "forward"]
+    assert cli.main(["complement", "-m", "sequential", "-i", str(src), "-o", str(tmp_path / "c.nfa"), *flags]) == 0
+    passed = [any(r is a for a in reduced) for r in rears]
+    assert len(rears) == 2 and reduced, (len(rears), len(reduced))
+    assert not any(passed) if skipped else all(passed)
 
 
 def test_pipeline_random_inputs():
