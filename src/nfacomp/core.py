@@ -16,6 +16,10 @@ structural operation (``reverse``, ``union``, ``induced``, ``trim``,
 either class and returns an automaton of its input's class, built through
 ``_rebuild``.  Questions about the reversal (the reverse powerset, the
 shape predicates, simulation) read ``pred_masks``, not a reversed copy.
+
+There are two construction routes, each validating once: the constructor
+checks a transition set tuple by tuple; ``_from_table`` (the powerset
+constructions) checks a flat table whole, and the set is derived from it.
 """
 
 from __future__ import annotations

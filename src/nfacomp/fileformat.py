@@ -20,10 +20,10 @@ and column of the offending token; the column is found only then, by
 scanning that one line again.
 
 ``serialize`` is deterministic: LF line endings, single spaces, fixed
-section order, and transitions sorted by (source, symbol, target).
-Parsing a serialized automaton yields a semantically identical one (state
-numbering may shift to first-seen order); serializing it again reproduces
-the same bytes.
+section order, and one row of transitions per source state, the rows in
+state-name order, each by symbol, then target name.  Parsing a serialized
+automaton yields a semantically identical one (state numbering may shift to
+first-seen order); serializing it again reproduces the same bytes.
 """
 
 from __future__ import annotations

@@ -544,9 +544,9 @@ def _run_pipeline(
         w = det_p.rear_for_targets()
 
     c_cur = _complement(w, rear_method, budget)[0]
-    # Simulation is the identity on a trimmed, state-named automaton that is reverse-deterministic
-    # with singleton exit sets (no word leads two states into one exit): the reverse rear complement.
-    if c_cur.state_names is None or not core.is_reverse_deterministic(c_cur):
+    # Simulation is the identity, names included, on a trimmed and named complement that is reverse-
+    # deterministic with singleton exits (no word leads two states into one exit), as a reverse rear is.
+    if not core.is_reverse_deterministic(c_cur):
         c_cur = simulation_reduce_port(c_cur)
     if stats is not None:
         stats["stage_sizes"] = [c_cur.num_states]
