@@ -176,7 +176,7 @@ def _build(a: Automaton, x: _Exploration) -> Automaton:
     kept = macros
     if live is not None and not all(live):
         kept = [m for m, alive in zip(macros, live) if alive]
-        new = [k - 1 if alive else -1 for k, alive in zip(accumulate(live), live)]
+        new = [k - 1 if alive else -1 for k, alive in zip(accumulate(live), live)]  # index among the survivors
         delta = [new[j] for i, alive in enumerate(live) if alive for j in delta[i * nsyms : (i + 1) * nsyms]]
         entries = [new[e] for e in entries]
         exits = [[new[i] for i in ids] for ids in exits]
