@@ -80,7 +80,6 @@ GUARDS = [
 ]
 
 
-
 def _table_built(cls, *, table=(1, -1, 0, 1), syms=(0, 1), starts=(0,), ends=(1,), names=None):
     return core._from_table(
         _two_states(cls), 2, list(table), syms, False, [frozenset(starts)], [frozenset(ends)], names
