@@ -438,6 +438,23 @@ def macro_name_reference(a, mask):
     return "{" + ",".join(a.state_name(q) for q in core._bits(mask)) + "}"
 
 
+def live_reference(nsyms, delta, exits):
+    """1 for each macrostate that reaches one in ``exits`` over the flat ``delta``:
+    a backward search over a predecessor list of every edge."""
+    preds = [[] for _ in range(len(delta) // nsyms)]
+    for k, j in enumerate(delta):
+        preds[j].append(k // nsyms)
+    live = bytearray(len(preds))
+    for i in exits:
+        live[i] = 1
+    while exits:
+        for i in preds[exits.pop()]:
+            if not live[i]:
+                live[i] = 1
+                exits.append(i)
+    return live
+
+
 
 def complement_reference(a, direction, budget=None):
     """``core.trim`` of the untrimmed powerset complement, and its size before trimming.

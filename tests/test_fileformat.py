@@ -334,7 +334,10 @@ def _writer_cases():
     trimmed forward and reverse complements (some with dropped moves); the
     plain and port NFAs of ``helpers.automata_and_complements`` with their
     complements, 65-90-state ones among them; the 128-state complements of
-    ``reverse_friendly(6)``; an isolated state; odd alphabet symbols."""
+    ``reverse_friendly(6)``; an isolated state; odd alphabet symbols; the
+    complements of port NFAs explored with ``skip`` (a table over symbols 0
+    and 2); and two table-built automata, one with an isolated state and
+    one with a state that only moves out."""
     from test_golden import BUDGET, corpus, port_corpus
 
     rng = random.Random(2121)
@@ -356,17 +359,38 @@ def _writer_cases():
     yield core.Nfa.build(("a",), 2, [], {0}, set())
     for sym in _ODD_NAMES:
         yield core.Nfa.build(("b", sym), 1, [(0, sym, 0)], {0}, {0})
+    for _ in range(25):  # over a middle symbol they do not use, explored without it
+        p = helpers.random_port_nfa(rng, max_syms=2)
+        shifted = {(src, 2 * sym, dst) for (src, sym, dst) in p.transitions}
+        wide = core.PortNfa(("a", "x", "b"), p.num_states, shifted, p.entry_sets, p.exit_sets)
+        for v in (wide, _renamed(wide, rng)):
+            x = powerset._explore_port(v, BUDGET, True, True, rng.random() < 0.5, skip=frozenset({1}))
+            yield powerset._build(v, x), not all(x.live)
+    # Table-built by hand: state 1 is isolated; then state 1 only moves to state 0 on b.
+    plain = core.Nfa.build(("a", "b"), 1, [], {0}, set())
+    for table in ([-1, -1, -1, -1], [-1, -1, -1, 0]):
+        yield core._from_table(plain, 2, table, (0, 1), False, [frozenset({0})], [frozenset()], None)
 
 
 def test_serialize_matches_the_one_sort_writer():
     seen = Counter()
     for case in _writer_cases():
         a, dropped = case if isinstance(case, tuple) else (case, False)
+        table = vars(a).get("_table")
+        forward_table = table is not None and not table[2]
         expected = _written(helpers.serialize_reference, a)
         assert _written(fileformat.serialize, a) == expected, a
         if not expected.startswith(("@NFA", "@PortNFA")):
             seen["rejected"] += 1
+            seen["table_isolated"] += forward_table and "trim it" in expected
             continue
+        if forward_table:  # one row per state in the table, each in symbol order
+            seen["table_dropped"] += -1 in table[0]
+            seen["table_skip"] += len(table[1]) < len(a.alphabet)
+            seen["table_large"] += a.num_states > 64
+            named = a.state_names is not None
+            seen["table_fallback"] += named and helpers._display_names_reference(a) != list(a.state_names)
+            seen["table_source_only"] += len(set(table[0]).union(*a.entry_sets, *a.exit_sets) - {-1}) < a.num_states
         seen["port" if isinstance(a, core.PortNfa) else "plain"] += 1
         seen["dropped"] += dropped
         seen["large"] += a.num_states > 64
@@ -374,3 +398,5 @@ def test_serialize_matches_the_one_sort_writer():
             fallback = helpers._display_names_reference(a) != list(a.state_names)
             seen["fallback" if fallback else "named"] += 1
     assert all(seen[k] > 20 for k in ("rejected", "port", "plain", "dropped", "large", "fallback", "named")), seen
+    assert all(seen[k] > 20 for k in ("table_dropped", "table_skip", "table_fallback")), seen
+    assert seen["table_large"] > 5 and seen["table_isolated"] == seen["table_source_only"] == 1, seen

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -268,3 +270,77 @@ def test_complement_file_to_file_validates_twice(tmp_path, monkeypatch):
         assert cli.main(["complement", "-m", method, "-i", str(src), "-o", str(dst)]) == 0
         assert len(calls) == validations, (method, calls)
         assert fileformat.parse(dst.read_text()).name == "A3_complement"
+
+
+# --- live marks and macrostate names against their references -------------------
+
+
+def _deltas():
+    """Seeded flat tables of 65-130 macrostates with their exit lists, labelled:
+    random tables, some with no exit; back-edge chains, where liveness runs
+    from the exit at 0 up a chain of 10-60 moves to lower indices (one state
+    per reverse sweep); tables where every state is live; tables of self-loops,
+    where only the exits are."""
+    rng = random.Random(2201)
+    for _ in range(40):
+        n, nsyms = rng.randint(65, 130), rng.randint(1, 3)
+        delta = [rng.randrange(n) for _ in range(n * nsyms)]
+        yield "random", nsyms, delta, rng.sample(range(n), rng.choice((0, 1, 2, n // 4)))
+    for _ in range(20):
+        n, nsyms, length = rng.randint(65, 130), rng.randint(1, 3), rng.randint(10, 60)
+        delta = [rng.randrange(length, n) for _ in range(n * nsyms)]  # above the chain: dead unless it meets it
+        for i in range(1, length):
+            delta[i * nsyms + rng.randrange(nsyms)] = i - 1
+        for _ in range(rng.randint(0, 10)):  # a few states above the chain reach into it
+            delta[rng.randrange(length * nsyms, n * nsyms)] = rng.randrange(length)
+        yield "chain", nsyms, delta, [0]
+    for _ in range(20):
+        n, nsyms = rng.randint(65, 130), rng.randint(1, 3)
+        delta = [rng.randrange(n) for _ in range(n * nsyms)]
+        for i in range(n - 1):  # a forward chain to the last state, the exit
+            delta[i * nsyms + rng.randrange(nsyms)] = i + 1
+        yield "all_live", nsyms, delta, [n - 1] + rng.sample(range(n), rng.randint(0, 5))
+    for _ in range(10):
+        n, nsyms = rng.randint(65, 130), rng.randint(1, 3)
+        delta = [i for i in range(n) for _ in range(nsyms)]
+        yield "exits_only", nsyms, delta, rng.sample(range(n), rng.randint(1, n // 2))
+
+
+def test_live_matches_the_predecessor_search():
+    seen = Counter()
+    for kind, nsyms, delta, exits in _deltas():
+        expected = helpers.live_reference(nsyms, delta, list(exits))
+        assert powerset._live(nsyms, delta, list(exits)) == expected, kind
+        seen[kind] += 1
+        seen["all"] += all(expected)
+        seen["only_exits"] += sum(expected) == len(set(exits))
+        seen["some_dead"] += not all(expected)
+    assert seen["chain"] == 20 and seen["all"] >= 20 and seen["only_exits"] >= 10 and seen["some_dead"] > 25, seen
+
+
+def _named_variants(a, rng):
+    """``a`` unnamed, under names with an empty one and ones holding a comma,
+    and under names that repeat."""
+    n = a.num_states
+    odd = [rng.choice(("", ",", "p,q", "{", f"s{q}", f"s{q}")) for q in range(n)]
+    yield a
+    yield dataclasses.replace(a, state_names=odd)
+    yield dataclasses.replace(a, state_names=[f"q{q % 7}" for q in range(n)])
+
+
+def test_macro_names_match_the_reference():
+    rng = random.Random(2202)
+    seen = Counter()
+    for _ in range(12):
+        a = helpers.random_nfa(rng, max_states=130, min_states=64, max_syms=1)
+        n = a.num_states
+        masks = [0, 1 << (n - 1), (1 << n) - 1]
+        masks += [rng.getrandbits(n) for _ in range(20)]
+        masks += [sum(1 << q for q in rng.sample(range(n), rng.randint(1, 4))) for _ in range(20)]
+        masks += [rng.getrandbits(n) & ~0xFF for _ in range(5)]  # a zero low byte
+        for v in _named_variants(a, rng):
+            assert powerset._macro_names(v, masks) == tuple(helpers.macro_name_reference(v, m) for m in masks)
+            seen["named" if v.state_names is not None else "unnamed"] += 1
+            seen["empty"] += v.state_names is not None and "" in v.state_names
+            seen["large"] += n > 64
+    assert seen["unnamed"] == 12 and seen["named"] == 24 and seen["empty"] >= 10 and seen["large"] >= 10, seen
