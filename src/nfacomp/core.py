@@ -94,6 +94,8 @@ class _Automaton:
             raise ValueError("transition table leaves the state range")
         if not all(0 <= sym < len(self.alphabet) for sym in syms):
             raise ValueError("transition table uses an unknown symbol index")
+        if list(syms) != sorted(set(syms)):
+            raise ValueError("transition table symbols must strictly increase")
         self._check_ports_and_names()
 
     def _check_ports_and_names(self) -> None:

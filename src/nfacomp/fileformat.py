@@ -21,7 +21,9 @@ scanning that one line again.
 
 ``serialize`` is deterministic: LF line endings, single spaces, fixed
 section order, and one row of transitions per source state, the rows in
-state-name order, each by symbol, then target name.  Parsing a serialized
+state-name order, each by symbol, then target name.  A forward powerset
+result is written from its table, one row per state in table order; any
+other automaton through one sort of its transitions.  Parsing a serialized
 automaton yields a semantically identical one (state numbering may shift to
 first-seen order); serializing it again reproduces the same bytes.
 """
@@ -217,8 +219,14 @@ def serialize(a: Union[Nfa, PortNfa]) -> str:
         if not _safe_tokens([sym]):
             raise ValueError(f"alphabet symbol {sym!r} cannot be written to a file")
     n = a.num_states
-    edges = a._edges()
-    mentioned = set(map(itemgetter(0), edges)).union(map(itemgetter(2), edges), *a.entry_sets, *a.exit_sets)
+    table, syms, reverse = vars(a).get("_table", (None, (), True))
+    k = len(syms)
+    if reverse:
+        edges = a._edges()
+        mentioned = set(map(itemgetter(0), edges)).union(map(itemgetter(2), edges), *a.entry_sets, *a.exit_sets)
+    else:  # a target, in a port set, or the source of a row not all -1
+        mentioned = set(table).union(*a.entry_sets, *a.exit_sets) - {-1}
+        mentioned.update(q for q in set(range(n)) - mentioned if table[q * k : (q + 1) * k].count(-1) < k)
     if len(mentioned) != n:
         raise ValueError(
             "automaton has states that appear in no transition or state set; "
@@ -226,16 +234,6 @@ def serialize(a: Union[Nfa, PortNfa]) -> str:
         )
     names = _display_names(a)
     title = a.name if a.name is not None and _safe_tokens([a.name]) else "a"
-
-    # Order everything by display name rather than internal id: re-parsing
-    # renumbers states in first-seen order, so only name-based ordering makes
-    # serialize(parse(f)) reproduce a canonical file f byte for byte.  Names
-    # are unique: a transition's key is (source rank, symbol, target rank).
-    ranked = sorted(names)
-    rank_of = {name: r for r, name in enumerate(ranked)}
-    rank = [rank_of[name] for name in names]
-    nsyms = len(a.alphabet)
-    keys = sorted((rank[src] * nsyms + sym) * n + rank[dst] for src, sym, dst in edges)
 
     def state_set(s):
         return " ".join(sorted(names[q] for q in s))
@@ -253,6 +251,20 @@ def serialize(a: Union[Nfa, PortNfa]) -> str:
             lines.append((f"%Entry {i} " + state_set(s)).rstrip())
         for j, s in enumerate(a.exit_sets):
             lines.append((f"%Exit {j} " + state_set(s)).rstrip())
-    labels = [f" {sym} " for sym in a.alphabet]
-    lines += [ranked[key // n // nsyms] + labels[key // n % nsyms] + ranked[key % n] for key in keys]
+    # Order everything by display name rather than internal id: re-parsing
+    # renumbers states in first-seen order, so only name-based ordering makes
+    # serialize(parse(f)) reproduce a canonical file f byte for byte.  Names
+    # are unique: the order is (source rank, symbol, target rank).
+    if reverse:
+        ranked = sorted(names)
+        rank_of = {name: r for r, name in enumerate(ranked)}
+        rank = [rank_of[name] for name in names]
+        nsyms = len(a.alphabet)
+        keys = sorted((rank[src] * nsyms + sym) * n + rank[dst] for src, sym, dst in edges)
+        labels = [f" {sym} " for sym in a.alphabet]
+        lines += [ranked[key // n // nsyms] + labels[key // n % nsyms] + ranked[key % n] for key in keys]
+    else:  # a forward table's rows: at most one target per symbol, the symbols increasing
+        labels = [f" {a.alphabet[sym]} " for sym in syms]
+        lines += [f"{names[q]}{label}{names[j]}" for q in sorted(range(n), key=names.__getitem__)
+                  for label, j in zip(labels, table[q * k : (q + 1) * k]) if j >= 0]
     return "\n".join(lines) + "\n"

@@ -9,11 +9,12 @@ The empty macrostate appears lazily — on the first missing transition — and
 acts as the rejecting sink that keeps the result complete.
 
 Each construction explores, then builds once.  The exploration (subset
-kernel, accepting macrostates, live marks) builds no automaton, so a caller
-choosing among candidates by size builds only the one it keeps.  Reverse
-explores rev(a) over the automaton's cached predecessor table
-(``a.pred_masks``) and builds the result reversed back, with no reversed
-automaton.
+kernel, accepting macrostates, live marks from reverse sweeps over its
+table) builds no automaton, so a caller choosing among candidates by size
+builds only the one it keeps; a macrostate's name joins one piece per byte
+of its mask, from a table per byte position.  Reverse explores rev(a) over
+the automaton's cached predecessor table (``a.pred_masks``) and builds the
+result reversed back, with no reversed automaton.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ import dataclasses
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 from . import _kernels, core
-from ._kernels.pure import _byte_keys
 from .core import Automaton, Nfa
 from .errors import BudgetExceededError
 
@@ -53,46 +53,61 @@ class MacrostateDfa:
 
 
 class _NamePieces(dict):
-    """``",".join`` of the state names in one byte of a state set, filled on demand.
+    """``",".join`` of the state names in byte ``c`` of a state set, keyed by
+    the byte value ``b`` (the states ``8c + i`` with bit ``i`` set), filled on demand."""
 
-    Key ``c * 256 + b`` stands for the states ``8c + i`` with bit ``i`` set in
-    the byte value ``b``, as in the kernels' subset-image tables.
-    """
+    __slots__ = ("a", "base")
 
-    __slots__ = ("a",)
-
-    def __init__(self, a):
+    def __init__(self, a, c):
         super().__init__()
-        self.a = a
+        self.a, self.base = a, c << 3
 
-    def __missing__(self, key):
-        base = (key >> 8) << 3
-        byte = key & 255
-        piece = ",".join(self.a.state_name(base + i) for i in range(8) if byte >> i & 1)
-        self[key] = piece
+    def __missing__(self, byte):
+        piece = self[byte] = ",".join(self.a.state_name(self.base + i) for i in range(8) if byte >> i & 1)
         return piece
 
 
 def _macro_names(a, macros: list[int]) -> tuple[str, ...]:
-    """``{q1,q2,...}`` for each macrostate, its states' names in increasing order."""
-    keys_of = _byte_keys(a.num_states)
-    pieces = _NamePieces(a)
-    return tuple("{" + ",".join([pieces[key] for key in keys_of(m)]) + "}" for m in macros)
+    """``{q1,q2,...}`` for each macrostate, its states' names in increasing order.
+
+    A zero byte is dropped by its value, not by its piece: a state may be named ``""``.
+    """
+    nbytes = (a.num_states + 7) >> 3
+    pieces = [_NamePieces(a, c) for c in range(nbytes)]
+    return tuple("{" + ",".join(compress(map(dict.__getitem__, pieces, bs), bs)) + "}"
+                 for bs in (m.to_bytes(nbytes, "little") for m in macros))
 
 
 def _live(nsyms: int, delta: list[int], exits: list[int]) -> bytearray:
-    """1 for each macrostate that reaches one in ``exits`` over the flat ``delta``."""
-    preds = [[] for _ in range(len(delta) // nsyms)]
-    for k, j in enumerate(delta):
-        preds[j].append(k // nsyms)
-    live = bytearray(len(preds))
+    """1 for each macrostate that reaches one in ``exits`` over the flat ``delta``.
+
+    Sweeps run in reverse discovery order, where most moves lead to a later
+    macrostate, so one sweep usually settles them; past four sweeps a search
+    over predecessor lists finishes from every macrostate marked so far.
+    """
+    n = len(delta) // nsyms
+    live = bytearray(n)
     for i in exits:
         live[i] = 1
-    while exits:
-        for i in preds[exits.pop()]:
+    dead = [i for i in range(n - 1, -1, -1) if not live[i]]
+    for _ in range(4):
+        for i in dead:
+            for j in delta[i * nsyms : (i + 1) * nsyms]:
+                if live[j]:
+                    live[i] = 1
+                    break
+        before, dead = len(dead), [i for i in dead if not live[i]]
+        if len(dead) == before:
+            return live
+    preds = [[] for _ in range(n)]
+    for k, j in enumerate(delta):
+        preds[j].append(k // nsyms)
+    marked = [i for i in range(n) if live[i]]
+    while marked:
+        for i in preds[marked.pop()]:
             if not live[i]:
                 live[i] = 1
-                exits.append(i)
+                marked.append(i)
     return live
 
 

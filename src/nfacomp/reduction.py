@@ -120,7 +120,7 @@ def hopcroft_minimize(d: MacrostateDfa | Nfa) -> Nfa:
     succ = dfa.succ_masks
     sink = n
     preds: list[list[list[int]]] = [[[] for _ in range(n + 1)] for _ in range(nsyms)]
-    for (p, sym, q) in dfa.transitions:
+    for (p, sym, q) in dfa._edges():
         preds[sym][q].append(p)
     for sym in range(nsyms):
         preds[sym][sink] += [p for p in range(n) if not succ[sym * n + p]] + [sink]

@@ -92,6 +92,8 @@ _TABLE_GUARDS = [
     ("table below range", dict(table=(1, -2, 0, 1)), "transition table leaves the state range", None),
     ("table symbol", dict(syms=(0, 2)), "transition table uses an unknown symbol index", None),
     ("table negative symbol", dict(syms=(-1, 1)), "transition table uses an unknown symbol index", None),
+    ("table symbols repeat", dict(syms=(1, 1)), "transition table symbols must strictly increase", None),
+    ("table symbols decrease", dict(syms=(1, 0)), "transition table symbols must strictly increase", None),
 ] + [guard for guard in _GUARDS_OF_BOTH if guard[0] in ("entry range", "exit range", "names length")]
 
 GUARDS += [

@@ -209,6 +209,17 @@ def test_hopcroft_matches_reference():
         assert fileformat.serialize(reduction.hopcroft_minimize(d)) == want
 
 
+def test_hopcroft_reads_a_table_built_dfa_off_its_table():
+    # A forward complement is built from the exploration's table; minimizing
+    # it reads the moves off that table and leaves the transition set unbuilt.
+    for trim in (False, True):
+        c = powerset.forward_complement(reverse_friendly(7), trim=trim)
+        assert "transitions" not in vars(c)
+        m = reduction.hopcroft_minimize(c)
+        assert "transitions" not in vars(c)
+        assert fileformat.serialize(m) == fileformat.serialize(helpers.hopcroft_minimize_reference(c))
+
+
 def random_partial_dfa(rng, n, dead):
     """A partial DFA on n states, each reachable from state 0 by a spanning
     tree; the last ``dead`` states are non-final and move only among
