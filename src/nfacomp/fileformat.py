@@ -219,7 +219,7 @@ def serialize(a: Union[Nfa, PortNfa]) -> str:
         if not _safe_tokens([sym]):
             raise ValueError(f"alphabet symbol {sym!r} cannot be written to a file")
     n = a.num_states
-    table, syms, reverse = vars(a).get("_table", (None, (), True))
+    table, syms, reverse = vars(a).get("_table", (None, (), True))  # set-built: the sort route
     k = len(syms)
     if reverse:
         edges = a._edges()

@@ -74,8 +74,8 @@ def _macro_names(a, macros: list[int]) -> tuple[str, ...]:
     """
     nbytes = (a.num_states + 7) >> 3
     pieces = [_NamePieces(a, c) for c in range(nbytes)]
-    return tuple("{" + ",".join(compress(map(dict.__getitem__, pieces, bs), bs)) + "}"
-                 for bs in (m.to_bytes(nbytes, "little") for m in macros))
+    return tuple(["{" + ",".join(compress(map(dict.__getitem__, pieces, bs), bs)) + "}"
+                  for bs in [m.to_bytes(nbytes, "little") for m in macros]])
 
 
 def _live(nsyms: int, delta: list[int], exits: list[int]) -> bytearray:
