@@ -322,7 +322,7 @@ def _named_variants(a, rng):
     """``a`` unnamed, under names with an empty one and ones holding a comma,
     and under names that repeat."""
     n = a.num_states
-    odd = [rng.choice(("", ",", "p,q", "{", f"s{q}", f"s{q}")) for q in range(n)]
+    odd = [rng.choice(("", ",", "p,q", "{", f"s{q}")) for q in range(n)]
     yield a
     yield dataclasses.replace(a, state_names=odd)
     yield dataclasses.replace(a, state_names=[f"q{q % 7}" for q in range(n)])
