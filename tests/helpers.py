@@ -761,10 +761,29 @@ def drop_symbols_reference(a, gamma_ids):
 
 
 def clean_complement_reference(a, gamma_ids, *, budget=None, log=None, side=""):
-    """The clean side's smaller complement: drop Γ, complement over Σ∖Γ, lift back to Σ."""
+    """The clean side's smaller complement: drop Γ, build both complements
+    over Σ∖Γ in full, keep the smaller (ties forward) and lift it back to Σ.
+
+    A direction that runs out of budget is passed over; when both do, the
+    last error is raised.  With ``log`` one entry is appended: ``side``,
+    each direction's trimmed size (or ``"budget"``) and the direction chosen.
+    """
     keep = [k for k in range(len(a.alphabet)) if k not in gamma_ids]
     dropped = drop_symbols_reference(a, gamma_ids)
-    c = gate._smaller_complement(dropped, budget=budget, log=log, side=side)
+    built = {}
+    failure = None
+    for direction in powerset.Direction:
+        try:
+            built[direction] = complement_reference(dropped, direction, budget)[0]
+        except BudgetExceededError as exc:
+            failure = exc
+    if not built:
+        raise failure
+    chosen = min(built, key=lambda d: built[d].num_states)
+    if log is not None:
+        sizes = {d.value: built[d].num_states if d in built else "budget" for d in powerset.Direction}
+        log.append({"side": side, **sizes, "chosen": chosen.value})
+    c = built[chosen]
     return dataclasses.replace(
         c,
         alphabet=a.alphabet,

@@ -7,7 +7,7 @@ import pytest
 import helpers
 from nfacomp import core, gate, oracle, powerset
 from nfacomp.errors import BudgetExceededError, NoGatePartitionError
-from nfacomp.families import gate_chain
+from nfacomp.families import gate_chain, reverse_friendly
 from nfacomp.gate import GateDirection, GateMethod
 
 
@@ -274,6 +274,33 @@ def test_gate_complement_raises_when_both_directions_run_out():
 # --- the smaller complement, explored both ways and built once -----------------
 
 
+def _dead_tail(rng, k):
+    """A random NFA joined, on one move, to a universal final state u and to
+    the chain of ``reverse_friendly(k)`` with no final state.  The forward
+    exploration gains up to 2^(k+1) macrostates after the move; each holds
+    u, so each is dead in the complement, and trim keeps only the random
+    NFA's part.  The reverse exploration never sees the chain."""
+    b = helpers.random_nfa(rng, max_states=5, max_syms=2)
+    n, syms = b.num_states, b.alphabet
+    u, g = n, n + 1
+    trans = {(src, syms[sym], dst) for (src, sym, dst) in b.transitions}
+    trans |= {(q, c, q) for q in (u, g) for c in syms} | {(g, syms[0], g + 1)}
+    trans |= {(g + i, c, g + i + 1) for i in range(1, k) for c in syms}
+    x, c = rng.randrange(n), rng.choice(syms)
+    trans |= {(x, c, u), (x, c, g)}
+    return core.Nfa.build(syms, g + k + 1, trans, b.initial, b.final | {u})
+
+
+def _padded(a, pad):
+    """``a`` behind ``pad`` states it never uses, so that its masks span two limbs."""
+    def shift(states):
+        return frozenset(q + pad for q in states)
+
+    trans = frozenset((src + pad, sym, dst + pad) for (src, sym, dst) in a.transitions)
+    return core._rebuild(a, a.num_states + pad, trans, [shift(e) for e in a.entry_sets],
+                         [shift(e) for e in a.exit_sets], None)
+
+
 def _smaller_cases():
     rng = random.Random(5417)
     for _ in range(120):
@@ -290,25 +317,36 @@ def _smaller_cases():
     for _ in range(4):
         yield helpers.random_nfa(rng, max_states=90, min_states=65, max_syms=2)
         yield helpers.random_port_nfa(rng, max_states=90, min_states=65, num_entry=3)
+    # One direction explores far more than the other: a dead tail (ties
+    # among them), reverse_friendly as a plain NFA, as a port NFA with three
+    # exit sets and behind 60-odd unused states; each also mirrored.
+    for _ in range(30):
+        a = _dead_tail(rng, rng.randint(4, 6))
+        yield from (a, core.reverse(a))
+    for k in range(4, 9):
+        rf = reverse_friendly(k)
+        port = dataclasses.replace(rf.as_port(), exit_sets=(frozenset({k + 1}), frozenset({k, k + 1}), frozenset()))
+        for a in (rf, port, _padded(rf, 60 + k)):
+            yield from (a, core.reverse(a))
 
 
-def _same_or_both_cut(a, budget):
+def _same_or_both_out(a, budget, log=None):
     """The library's smaller complement equals the build-both reference, or both run out."""
     try:
         expected = helpers.smaller_complement_reference(a, budget=budget)
     except BudgetExceededError:
         with pytest.raises(BudgetExceededError):
             gate._smaller_complement(a, budget=budget)
-        return "cut"
-    got = gate._smaller_complement(a, budget=budget)
+        return "budget"
+    got = gate._smaller_complement(a, budget=budget, log=log)
     assert got == expected  # class, states, transitions, ports and state names
     return got
 
 
 def test_smaller_complement_matches_the_build_both_reference():
-    seen = {"tie": 0, "reverse": 0, "large": 0, "only_forward_cut": 0, "only_reverse_cut": 0, "both_cut": 0}
+    seen = Counter()
     for a in _smaller_cases():
-        got = _same_or_both_cut(a, 4096)
+        got = _same_or_both_out(a, 4096)
         seen["large"] += a.num_states > 64
         try:
             fwd, pre_f = powerset._complement(a, powerset.Direction.FORWARD, 4096)
@@ -319,16 +357,27 @@ def test_smaller_complement_matches_the_build_both_reference():
         if fwd.num_states == rev.num_states and fwd != rev:
             assert got == fwd  # ties go to forward
             seen["tie"] += 1
+        # The side that explores at least four times more, past 32 macrostates.
+        if max(pre_f, pre_r) >= max(4 * min(pre_f, pre_r), 32):
+            more = "forward" if pre_f > pre_r else "reverse"
+            outcome = "tie" if fwd.num_states == rev.num_states else "loses" if got != (fwd if pre_f > pre_r else rev) else "wins"
+            seen[f"{more} explores more, {outcome}"] += 1
+            sets = len(a.exit_sets if more == "forward" else a.entry_sets)
+            seen[f"{more} explores more, several accepting sets"] += sets > 1
+            seen[f"{more} explores more, large"] += a.num_states > 64
         if pre_f != pre_r:
             # Only the larger exploration runs out; the other one is built.
-            side = "only_forward_cut" if pre_f > pre_r else "only_reverse_cut"
-            got = _same_or_both_cut(a, min(pre_f, pre_r))
+            side = "only_forward_out" if pre_f > pre_r else "only_reverse_out"
+            got = _same_or_both_out(a, min(pre_f, pre_r))
             assert got == (rev if pre_f > pre_r else fwd)
             seen[side] += 1
         if min(pre_f, pre_r) > 1:
-            assert _same_or_both_cut(a, min(pre_f, pre_r) - 1) == "cut"
-            seen["both_cut"] += 1
-    assert all(n > 3 for n in seen.values()), seen
+            assert _same_or_both_out(a, min(pre_f, pre_r) - 1) == "budget"
+            seen["both_out"] += 1
+    wanted = ["tie", "reverse", "large", "only_forward_out", "only_reverse_out", "both_out"]
+    wanted += [f"{d} explores more, {what}" for d in ("forward", "reverse")
+               for what in ("tie", "loses", "several accepting sets", "large")]
+    assert all(seen[k] > 3 for k in wanted), seen
 
 
 def test_smaller_complement_validates_once(monkeypatch):
