@@ -11,13 +11,15 @@ per automaton and caches on it:
   automaton (the reverse powerset, and the simulation pass's images),
 * state sets (initial, final, macrostates) are plain ints used as bitmasks.
 
-``explore_subsets`` and the general path of ``antichain_included`` compute
+The subset exploration is one loop, ``SubsetExploration.advance``, which
+can stop at a count of discovered macrostates and resume; ``explore_subsets``
+runs it whole.  It and the general path of ``antichain_included`` compute
 the subset image of a state set (the union of its states' successors under
 one symbol) one byte of the set at a time: per symbol, a table keyed
 ``c * 256 + b`` holds the image of the states ``8c + i`` for the set bits
-``i`` of the byte value ``b``.  The tables are filled on demand, so a call pays only for the byte
-values its state sets actually contain.  The pair search of
-:mod:`nfacomp.oracle` uses the same tables through ``_image_tables``.
+``i`` of the byte value ``b``.  The tables are filled on demand, so a call
+pays only for the byte values its state sets actually contain.  The pair
+search of :mod:`nfacomp.oracle` uses them through ``_image_tables``.
 
 ``antichain_included`` takes one of two paths.  Against a deterministic
 ``b`` (at most one initial state, at most one successor per state and
@@ -29,12 +31,13 @@ subset-minimal macrostates of ``b`` per a-state, with no index: the long
 frontiers, where one would pay, are a deterministic ``b``'s.  Both paths keep
 the same frontier in the same queue order, so verdict and expansion count agree.
 
-These three functions are the package's only implementation of the kernels;
+These are the package's only implementation of the kernels;
 :mod:`nfacomp._kernels` re-exports them.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 
 
@@ -92,46 +95,66 @@ def _image_tables(nstates, nsyms, succ):
     return tables, _byte_keys(nstates)
 
 
-def explore_subsets(nstates, nsyms, succ, seeds, budget=None):
-    """Breadth-first powerset exploration from the macrostates in ``seeds``.
+class SubsetExploration:
+    """A breadth-first powerset exploration from the macrostates in ``seeds``, run in steps.
 
     The distinct seeds are interned first, in the given order, so the i-th
-    distinct seed gets index i; the breadth-first search then continues from
-    them.  Returns ``(macros, delta)`` where ``macros`` is the list of
-    discovered macrostate bitmasks in that order and ``delta`` is the flat
-    transition table ``delta[i * nsyms + sym] -> macro index``.  The
-    exploration is complete: every macrostate gets a successor for every
-    symbol, so the empty macrostate shows up exactly when some transition is
-    missing in the source.  Returns ``None`` if more than ``budget``
-    macrostates, seeds included, would be materialized.
+    distinct seed gets index i.  ``macros`` lists the discovered macrostate
+    bitmasks in that order, and ``delta`` is the flat transition table
+    ``delta[i * nsyms + sym] -> macro index`` of those expanded so far.  Every
+    macrostate gets a successor for every symbol, so the empty macrostate
+    shows up exactly when some transition is missing in the source.  At most
+    ``budget`` macrostates, seeds included, are ever materialized.
     """
-    index = {}
-    macros = []
-    for seed in seeds:
-        if seed not in index:
-            if budget is not None and len(macros) >= budget:
-                return None
-            index[seed] = len(macros)
-            macros.append(seed)
-    tables, keys_of = _image_tables(nstates, nsyms, succ)
-    delta = []
-    head = 0
-    while head < len(macros):
-        keys = keys_of(macros[head])
-        head += 1
-        for table in tables:
-            nxt = 0
-            for key in keys:
-                nxt |= table[key]
-            j = index.get(nxt)
-            if j is None:
-                if budget is not None and len(macros) >= budget:
-                    return None
-                j = len(macros)
-                index[nxt] = j
-                macros.append(nxt)
-            delta.append(j)
-    return macros, delta
+
+    __slots__ = ("macros", "delta", "_index", "_head", "_room", "_tables", "_keys_of")
+
+    def __init__(self, nstates, nsyms, succ, seeds, budget=None):
+        self._index = {seed: i for i, seed in enumerate(dict.fromkeys(seeds))}
+        self._room = sys.maxsize if budget is None else budget
+        self.macros, self.delta = list(self._index)[: self._room], []
+        self._head = 0 if len(self._index) <= self._room else None  # None once over budget
+        self._tables, self._keys_of = _image_tables(nstates, nsyms, succ)
+
+    def advance(self, limit=None):
+        """Expand macrostates in order until ``limit`` are discovered (one
+        expansion may pass it by fewer than ``nsyms``) or none is left: True
+        once complete, False when stopped at ``limit`` (a later call resumes),
+        None from the moment the budget would be exceeded."""
+        head = self._head
+        if head is None:
+            return None
+        macros, delta, index, room = self.macros, self.delta, self._index, self._room
+        tables, keys_of = self._tables, self._keys_of
+        stop = sys.maxsize if limit is None else limit
+        while head < len(macros):
+            if len(macros) >= stop:
+                self._head = head
+                return False
+            keys = keys_of(macros[head])
+            head += 1
+            for table in tables:
+                nxt = 0
+                for key in keys:
+                    nxt |= table[key]
+                j = index.get(nxt)
+                if j is None:
+                    if len(macros) >= room:
+                        self._head = None
+                        return None
+                    j = len(macros)
+                    index[nxt] = j
+                    macros.append(nxt)
+                delta.append(j)
+        self._head = head
+        return True
+
+
+def explore_subsets(nstates, nsyms, succ, seeds, budget=None):
+    """A whole ``SubsetExploration``: ``(macros, delta)``, or ``None`` if more
+    than ``budget`` macrostates, seeds included, would be materialized."""
+    x = SubsetExploration(nstates, nsyms, succ, seeds, budget)
+    return (x.macros, x.delta) if x.advance() else None
 
 
 def antichain_included(

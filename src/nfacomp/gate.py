@@ -36,10 +36,10 @@ import dataclasses
 import enum
 import itertools
 
-from . import core
+from . import _kernels, core
 from .core import Nfa, PortNfa, SequentialPartition
 from .errors import BudgetExceededError, NoGatePartitionError
-from .powerset import Direction, _build, _explore_port
+from .powerset import Direction, _build, _port_rows
 
 
 class GateDirection(enum.Enum):
@@ -85,6 +85,9 @@ def _internal_symbols(p: PortNfa) -> set[int]:
     return {sym for (_src, sym, _dst) in p.transitions}
 
 
+_LOCKSTEP_START = 16  # macrostates each direction discovers before the first comparison
+
+
 def _smaller_complement(
     a: core.Automaton,
     *,
@@ -95,28 +98,43 @@ def _smaller_complement(
 ) -> core.Automaton:
     """The smaller of the trimmed forward and reverse powerset complements, ties forward.
 
-    Both directions are explored, and only the smaller is built.  A
-    direction that runs out of budget is passed over; when both do, the last
-    error is raised.  With ``log`` one entry is appended: ``side``, each
-    direction's trimmed size (or ``"budget"``) and the direction chosen.
+    Both directions are explored in lockstep, to the same number of
+    discovered macrostates, doubling from ``_LOCKSTEP_START``.  Once one is
+    complete with trimmed size s, the other is cut when it cannot win: its
+    discovered macrostates that accept for some accepting set are reachable
+    and accepting, so trim keeps them, and their count bounds its size from
+    below; reverse is cut at s, forward (which wins ties) at s + 1.  Only the
+    smaller is built.  A direction that runs out of budget is passed over;
+    when both do, the error is raised.  With ``log`` one entry is appended:
+    ``side``, each direction's trimmed size (or ``"budget"``, or ``"cut"``),
+    the direction chosen, and the macrostates each direction ``explored``.
     A clean side passes its gate symbols as ``skip``: it is complemented
     over Σ∖Γ, with no transition on Γ, but comes out over Σ.
     """
-    explored = {}
-    failure = None
-    for direction in Direction:
-        reverse = direction is Direction.REVERSE
-        try:
-            explored[direction] = _explore_port(a, budget, complement=True, trim=True, reverse=reverse, skip=skip)
-        except BudgetExceededError as exc:
-            failure = exc
-    if not explored:
-        raise failure
-    chosen = min(explored, key=lambda d: explored[d].size)
+    rows = {d: _port_rows(a, d is Direction.REVERSE, skip) for d in Direction}
+    runs = {d: _kernels.SubsetExploration(r.nstates, len(r.syms), r.succ, r.starts, budget) for d, r in rows.items()}
+    outcome = {}  # direction -> its _Exploration, "budget" or "cut"
+    limit = _LOCKSTEP_START
+    while len(outcome) < len(runs):
+        for d, x in runs.items():
+            if d not in outcome and (status := x.advance(limit)) is not False:
+                outcome[d] = rows[d].finish(x.macros, x.delta, True, True) if status else "budget"
+        done = [d for d in Direction if not isinstance(outcome.get(d, ""), str)]
+        if done:
+            s = min(outcome[d].size for d in done)
+            for d in runs.keys() - outcome.keys():
+                kept = sum(1 for m in runs[d].macros if not all(m & em for em in rows[d].accepting))
+                if kept >= s + (d is Direction.FORWARD):
+                    outcome[d] = "cut"
+        limit *= 2
+    if not done:
+        raise BudgetExceededError("macrostate budget exceeded", budget=budget)
+    chosen = min(done, key=lambda d: outcome[d].size)
     if log is not None:
-        sizes = {d.value: explored[d].size if d in explored else "budget" for d in Direction}
-        log.append({"side": side, **sizes, "chosen": chosen.value})
-    return _build(a, explored[chosen])
+        sizes = {d.value: outcome[d] if d not in done else outcome[d].size for d in Direction}
+        explored = {d.value: len(x.macros) for d, x in runs.items()}
+        log.append({"side": side, **sizes, "chosen": chosen.value, "explored": explored})
+    return _build(a, outcome[chosen])
 
 
 # ---------------------------------------------------------------------------

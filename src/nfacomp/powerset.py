@@ -8,11 +8,12 @@ in discovery order, so the constructions are byte-for-byte reproducible.
 The empty macrostate appears lazily — on the first missing transition — and
 acts as the rejecting sink that keeps the result complete.
 
-Each construction explores, then builds once.  The exploration (subset
-kernel, accepting macrostates, live marks from reverse sweeps over its
-table) builds no automaton, so a caller choosing among candidates by size
-builds only the one it keeps; a macrostate's name joins one piece per byte
-of its mask, from a table per byte position.  Reverse explores rev(a) over
+Each construction explores, then builds once.  The exploration (the rows
+of the kernel's table, the subset kernel, then accepting macrostates and
+live marks from reverse sweeps over its table) builds no automaton, so a
+caller choosing among candidates by size, as gate does in lockstep, builds
+only the one it keeps; a macrostate's name joins one piece per byte of its
+mask, from a table per byte position.  Reverse explores rev(a) over
 the automaton's cached predecessor table (``a.pred_masks``) and builds the
 result reversed back, with no reversed automaton.
 """
@@ -132,20 +133,30 @@ class _Exploration(NamedTuple):
         return len(self.macros) if self.live is None else sum(self.live)
 
 
-def _explore_port(
-    a: Automaton,
-    budget: int | None,
-    complement: bool = False,
-    trim: bool = False,
-    reverse: bool = False,
-    skip: frozenset[int] = frozenset(),
-) -> _Exploration:
-    """Explore the powerset of ``a`` from each entry set, or with ``reverse``
-    that of rev(a) from each exit set.  A macrostate accepts for an exit set
-    (an entry set when reversed) when it meets it, or with ``complement``
-    when it does not.  The symbols in ``skip``, which ``a`` must not use,
-    are left out: the kernel gets the table rows of the others, in order.
-    """
+class _Rows(NamedTuple):
+    """What a powerset exploration of an automaton runs on: the kernel's
+    table rows of the symbols ``syms``, in order, the start masks and the
+    accepting sets' masks, and whether the table gives predecessors."""
+
+    nstates: int
+    syms: list[int]
+    succ: list[int]
+    starts: list[int]
+    accepting: list[int]
+    reverse: bool
+
+    def finish(self, macros: list[int], delta: list[int], complement: bool, trim: bool) -> _Exploration:
+        """The exploration whose kernel run gave ``macros`` and ``delta``; the
+        kernel interns the distinct start masks first, in port order."""
+        index: dict[int, int] = {}
+        entries = [index.setdefault(m, len(index)) for m in self.starts]
+        exits = [[i for i, m in enumerate(macros) if bool(m & em) != complement] for em in self.accepting]
+        live = _live(len(self.syms), delta, [i for ids in exits for i in ids]) if trim else None
+        return _Exploration(macros, delta, entries, exits, live, self.reverse, self.syms)
+
+
+def _port_rows(a: Automaton, reverse: bool = False, skip: frozenset[int] = frozenset()) -> _Rows:
+    """The rows ``_explore_port`` explores, its guards on ``skip`` checked."""
     n = a.num_states
     if reverse:
         succ, starts, accepting = a.pred_masks, a.exit_sets, a.entry_sets
@@ -159,21 +170,28 @@ def _explore_port(
             if any(succ[sym * n : (sym + 1) * n]):
                 raise ValueError(f"component still carries the gate symbol {a.alphabet[sym]!r}")
         succ = [row for sym in syms for row in succ[sym * n : (sym + 1) * n]]
-    nsyms = len(syms)
-    entry_masks = [core._mask_of(s) for s in starts]
-    res = _kernels.explore_subsets(n, nsyms, succ, entry_masks, budget)
+    return _Rows(n, syms, succ, [core._mask_of(s) for s in starts], [core._mask_of(s) for s in accepting], reverse)
+
+
+def _explore_port(
+    a: Automaton,
+    budget: int | None,
+    complement: bool = False,
+    trim: bool = False,
+    reverse: bool = False,
+    skip: frozenset[int] = frozenset(),
+) -> _Exploration:
+    """Explore the powerset of ``a`` from each entry set, or with ``reverse``
+    that of rev(a) from each exit set, in one kernel call.  A macrostate
+    accepts for an exit set (an entry set when reversed) when it meets it,
+    or with ``complement`` when it does not.  The symbols in ``skip``, which
+    ``a`` must not use, are left out: the kernel gets the table rows of the
+    others, in order.  ``gate`` runs the same rows and finish in steps."""
+    rows = _port_rows(a, reverse, skip)
+    res = _kernels.explore_subsets(rows.nstates, len(rows.syms), rows.succ, rows.starts, budget)
     if res is None:
         raise BudgetExceededError("macrostate budget exceeded", budget=budget)
-    macros, delta = res
-    # The kernel interns the distinct start masks first, in port order.
-    index: dict[int, int] = {}
-    entries = [index.setdefault(m, len(index)) for m in entry_masks]
-    exits = [
-        [i for i, m in enumerate(macros) if bool(m & em) != complement]
-        for em in map(core._mask_of, accepting)
-    ]
-    live = _live(nsyms, delta, [i for ids in exits for i in ids]) if trim else None
-    return _Exploration(macros, delta, entries, exits, live, reverse, syms)
+    return rows.finish(*res, complement, trim)
 
 
 def _build(a: Automaton, x: _Exploration) -> Automaton:

@@ -255,10 +255,13 @@ def test_gate_stats_list_both_complement_candidates(capsys, tmp_path):
             "gate_symbols": ["c"],
             "front_states": 6,
             "rear_states": 6,
-            # Each component is explored both ways; only the smaller is built.
+            # Each component is explored both ways in lockstep, until the
+            # loser is cut; only the smaller is built.
             "complements": [
-                {"side": "front", "forward": 32, "reverse": 6, "chosen": "reverse"},
-                {"side": "rear", "forward": 7, "reverse": 33, "chosen": "forward"},
+                {"side": "front", "forward": "cut", "reverse": 6, "chosen": "reverse",
+                 "explored": {"forward": 16, "reverse": 7}},
+                {"side": "rear", "forward": 7, "reverse": "cut", "chosen": "forward",
+                 "explored": {"forward": 7, "reverse": 17}},
             ],
         }
 

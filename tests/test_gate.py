@@ -346,13 +346,15 @@ def _same_or_both_out(a, budget, log=None):
 def test_smaller_complement_matches_the_build_both_reference():
     seen = Counter()
     for a in _smaller_cases():
-        got = _same_or_both_out(a, 4096)
+        log = []
+        got = _same_or_both_out(a, 4096, log)
         seen["large"] += a.num_states > 64
         try:
             fwd, pre_f = powerset._complement(a, powerset.Direction.FORWARD, 4096)
             rev, pre_r = powerset._complement(a, powerset.Direction.REVERSE, 4096)
         except BudgetExceededError:
             continue
+        _check_cut_or_full(log[0], a, {"forward": (fwd.num_states, pre_f), "reverse": (rev.num_states, pre_r)}, seen, 4096)
         seen["reverse"] += rev.num_states < fwd.num_states
         if fwd.num_states == rev.num_states and fwd != rev:
             assert got == fwd  # ties go to forward
@@ -375,9 +377,36 @@ def test_smaller_complement_matches_the_build_both_reference():
             assert _same_or_both_out(a, min(pre_f, pre_r) - 1) == "budget"
             seen["both_out"] += 1
     wanted = ["tie", "reverse", "large", "only_forward_out", "only_reverse_out", "both_out"]
-    wanted += [f"{d} explores more, {what}" for d in ("forward", "reverse")
-               for what in ("tie", "loses", "several accepting sets", "large")]
+    wanted += [f"{d} {what}" for d in ("forward", "reverse")
+               for what in ("explores more, tie", "explores more, loses", "explores more, several accepting sets",
+                            "explores more, large", "cut", "cut, several accepting sets", "cut, large")]
+    # Bound == s: the reverse loser is cut at a tie, the forward one is
+    # built and wins it, however much more it explores.
+    wanted += ["reverse cut at a tie", "forward explores more, built at a tie"]
     assert all(seen[k] > 3 for k in wanted), seen
+    assert seen["forward cut at a tie"] == 0, seen
+
+
+def _check_cut_or_full(entry, a, full, seen, budget):
+    """A log entry against each direction's (trimmed size, macrostates) built
+    in full: a cut direction is one that cannot win, reverse at the chosen
+    size s and forward past it, and explored no more; one that ran out
+    explored the whole budget; any other one is logged with its size,
+    having explored all of it."""
+    s = full[entry["chosen"]][0]
+    for d, (size, pre) in full.items():
+        if entry[d] == "cut":
+            assert size >= s + (d == "forward") and entry["explored"][d] <= pre
+            seen[f"{d} cut"] += 1
+            seen[f"{d} cut, several accepting sets"] += len(a.exit_sets if d == "forward" else a.entry_sets) > 1
+            seen[f"{d} cut, large"] += a.num_states > 64
+            seen[f"{d} cut at a tie"] += size == s
+        elif entry[d] == "budget":
+            assert entry["explored"][d] == budget < pre
+        else:
+            assert (entry[d], entry["explored"][d]) == (size, pre)
+            other = full["reverse" if d == "forward" else "forward"]
+            seen[f"{d} explores more, built at a tie"] += size == other[0] and pre >= 4 * other[1]
 
 
 def test_smaller_complement_validates_once(monkeypatch):
@@ -390,13 +419,24 @@ def test_smaller_complement_validates_once(monkeypatch):
         assert len(calls) == 1, calls
 
 
+def _clean_side(p):
+    """The clean side of ``p`` as gate complements it, and ``p``'s gate symbol ids."""
+    base = p.base
+    if p.direction is GateDirection.FRONT_CLEAN:
+        exits = tuple(base.front.exit_sets[j] for j in gate._carried_exits(p))
+        return dataclasses.replace(base.front, exit_sets=exits + base.inner_exit_ports_front), p.gamma_ids
+    side = base.rear_for_equal() if p.method is GateMethod.EQUAL else base.rear_for_targets()
+    return side, p.gamma_ids
+
+
 def _clean_sides():
     """(kind, clean side, gate symbol ids), the clean side as gate complements it.
 
     Seeded partitions, up to 25 of each direction and method, give the front
     (front-clean, with its carried and gate exits) or the rear with its gate
-    entries (rear-clean).  Basic-gate fronts follow, then 65-90-state port
-    NFAs whose gate symbol comes first, in the middle or last, so that
+    entries (rear-clean).  Basic-gate fronts follow, then the gate family's
+    clean sides and their mirrors, where one direction is cut, then 65-90-state
+    port NFAs whose gate symbol comes first, in the middle or last, so that
     macrostate masks span several bytes.
     """
     rng = random.Random(18_2026)
@@ -408,16 +448,16 @@ def _clean_sides():
             per_kind[kind] += 1
             if per_kind[kind] > 25:
                 continue
-            base = p.base
-            if p.direction is GateDirection.FRONT_CLEAN:
-                exits = tuple(base.front.exit_sets[j] for j in gate._carried_exits(p))
-                side = dataclasses.replace(base.front, exit_sets=exits + base.inner_exit_ports_front)
-            else:
-                side = base.rear_for_equal() if p.method is GateMethod.EQUAL else base.rear_for_targets()
-            yield kind, side, p.gamma_ids
+            yield kind, *_clean_side(p)
     for _ in range(20):
         a1, _a2 = helpers.random_gate_instance(rng, max_component_states=8)
         yield "basic", a1, frozenset({2})
+    for k in range(4, 8):
+        # The gate family's clean side, which forward powerset blows up, and its mirror.
+        (p,) = gate.find_gate_partitions(gate_chain(k).as_port())
+        side, gamma_ids = _clean_side(p)
+        yield "chain", side, gamma_ids
+        yield "chain", core.reverse(side), gamma_ids
     for _ in range(12):
         p = helpers.random_port_nfa(rng, max_states=90, min_states=65, num_entry=2, max_syms=2)
         gamma = rng.randrange(3)
@@ -426,9 +466,13 @@ def _clean_sides():
         yield "large", dataclasses.replace(p, alphabet=("a", "b", "c"), transitions=trans), frozenset({gamma})
 
 
-def _clean_same_or_both_cut(a, gamma_ids, budget):
-    """The library's clean complement and log entry equal the drop-and-lift
-    reference's, or both run out and log nothing; the entry, or None."""
+def _clean_same_or_both_out(a, gamma_ids, budget):
+    """The library's clean complement equals the drop-and-lift reference's,
+    or both run out and log nothing; the library's log entry, or None.
+
+    The entries agree but where the library cut a direction, which the
+    reference, building both, logs with its size or ``"budget"``.
+    """
     want_log, got_log = [], []
     try:
         want = helpers.clean_complement_reference(a, gamma_ids, budget=budget, log=want_log, side="clean")
@@ -439,37 +483,71 @@ def _clean_same_or_both_cut(a, gamma_ids, budget):
         return None
     got = gate._smaller_complement(a, budget=budget, log=got_log, side="clean", skip=gamma_ids)
     assert type(got) is type(want) and got == want  # states, transitions, ports and state names
-    assert got_log == want_log
-    return want_log[0]
+    (entry,), (want_entry,) = got_log, want_log
+    assert {k: v for k, v in entry.items() if k != "explored"} == {
+        k: "cut" if entry[k] == "cut" else v for k, v in want_entry.items()
+    }
+    return entry
 
 
 def test_clean_complement_matches_drop_complement_lift():
     seen = Counter()
     for kind, a, gamma_ids in _clean_sides():
         seen[kind] += 1
-        entry = _clean_same_or_both_cut(a, gamma_ids, 4096)
+        entry = _clean_same_or_both_out(a, gamma_ids, 4096)
         if entry is None:
-            seen["cut"] += 1
+            seen["out"] += 1
             continue
         seen[entry["chosen"]] += 1
         dropped = helpers.drop_symbols_reference(a, gamma_ids)
-        pre = sorted(powerset._complement(dropped, d, None)[1] for d in powerset.Direction)
+        full = {d.value: helpers.complement_reference(dropped, d) for d in powerset.Direction}
+        full = {d: (c.num_states, pre) for d, (c, pre) in full.items()}
+        _check_cut_or_full(entry, a, full, seen, 4096)
+        pre = sorted(p for _size, p in full.values())
         # At the budget edges one direction or both run out.
         for budget in (pre[0] - 1, pre[0], pre[1] - 1, pre[1]):
-            entry = _clean_same_or_both_cut(a, gamma_ids, budget)
-            seen["edge cut" if entry is None else "edge one" if "budget" in entry.values() else "edge"] += 1
+            entry = _clean_same_or_both_out(a, gamma_ids, budget)
+            if entry is not None:
+                _check_cut_or_full(entry, a, full, seen, budget)
+            seen["edge out" if entry is None else "edge one" if "budget" in entry.values() else "edge"] += 1
     kinds = ["front-clean equal", "front-clean disjoint", "rear-clean equal", "rear-clean disjoint"]
-    assert all(seen[k] > 3 for k in kinds + ["basic", "forward", "reverse", "edge cut", "edge one", "edge"]), seen
-    assert seen["large"] == 12 and seen["large"] > seen["cut"], seen
+    wanted = kinds + ["basic", "chain", "forward", "reverse", "edge out", "edge one", "edge", "forward cut", "reverse cut"]
+    assert all(seen[k] > 3 for k in wanted), seen
+    assert seen["large"] == 12 and seen["large"] > seen["out"], seen
 
 
 def test_gate_stats_log_a_direction_that_runs_out():
+    # Below the 16 macrostates of the first lockstep step, the losers run out
+    # of budget before they can be cut.
     st = {}
-    gate.gate_complement_auto(gate_chain(4), budget=20, stats=st)
+    gate.gate_complement_auto(gate_chain(4), budget=12, stats=st)
     assert st["complements"] == [
-        {"side": "front", "forward": "budget", "reverse": 6, "chosen": "reverse"},
-        {"side": "rear", "forward": 7, "reverse": "budget", "chosen": "forward"},
+        {"side": "front", "forward": "budget", "reverse": 6, "chosen": "reverse",
+         "explored": {"forward": 12, "reverse": 7}},
+        {"side": "rear", "forward": 7, "reverse": "budget", "chosen": "forward",
+         "explored": {"forward": 7, "reverse": 12}},
     ]
+
+
+def test_gate_stats_log_a_direction_that_is_cut():
+    # At 16 the front's forward exploration stops within budget, and is cut;
+    # the rear's reverse one passes 16 in its last expansion and runs out.
+    st = {}
+    gate.gate_complement_auto(gate_chain(4), budget=16, stats=st)
+    assert st["complements"] == [
+        {"side": "front", "forward": "cut", "reverse": 6, "chosen": "reverse",
+         "explored": {"forward": 16, "reverse": 7}},
+        {"side": "rear", "forward": 7, "reverse": "budget", "chosen": "forward",
+         "explored": {"forward": 7, "reverse": 16}},
+    ]
+
+
+def test_gate_explores_little_of_the_losing_direction():
+    st = {}
+    gate.gate_complement_auto(gate_chain(12), budget=4096, stats=st)
+    assert [(e["forward"], e["reverse"]) for e in st["complements"]] == [("cut", 14), (15, "cut")]
+    # Run to the end, both directions explored 8,222 macrostates.
+    assert sum(n for e in st["complements"] for n in e["explored"].values()) <= 128
 
 
 # --- splits built from their parts, the complement in one build -----------------

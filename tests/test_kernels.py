@@ -80,6 +80,42 @@ def test_explore_subsets_matches_reference_at_the_budget_edges():
     assert seen_large > 0 and seen_empty_row > 0
 
 
+def test_resumable_exploration_matches_the_reference_in_any_steps():
+    """``SubsetExploration`` advanced in seeded random steps, now and then
+    with no limit, gives the reference's macrostates and table, and at each
+    stop a prefix of them; at the budget edges it runs out for good, having
+    materialized exactly the budget."""
+    rng = random.Random(59)
+    cases = list(_kernel_cases(57)) + [(rng, _random_kernel_input(rng, 91, 130)) for _ in range(8)]
+    seen = collections.Counter()
+    for rng, (n, k, succ) in cases:
+        seeds = [_random_mask(rng, n) for _ in range(rng.randint(1, 3))]
+        seeds += [seeds[0]] if rng.random() < 0.5 else [0]  # a duplicate, or the empty set
+        full = helpers.explore_subsets_reference(n, k, succ, seeds, 4096)
+        if full is None:
+            continue
+        count, distinct = len(full[0]), len(set(seeds))
+        seen["large"] += n > 64
+        seen["over 90"] += n > 90
+        for budget in (None, count, count - 1, 0, distinct - 1):
+            x = pure.SubsetExploration(n, k, succ, seeds, budget)
+            limit = 0
+            while (status := x.advance(limit)) is False:
+                seen["stopped"] += 1
+                assert len(x.macros) >= limit and (not x.delta or len(x.macros) < limit + k)
+                assert len(x.delta) % k == 0
+                assert (x.macros, x.delta) == (full[0][: len(x.macros)], full[1][: len(x.delta)])
+                limit = None if rng.random() < 0.1 else limit + rng.randint(1, 40)
+            if budget is not None and budget < count:
+                ran_out = (list(x.macros), list(x.delta))
+                assert status is None and x.advance() is None and x.advance(limit) is None
+                assert (x.macros, x.delta) == ran_out and len(x.macros) == budget
+                seen["budget"] += 1
+            else:
+                assert status is True and (x.macros, x.delta) == full and x.advance(0) is True
+    assert seen["large"] > 10 and seen["over 90"] > 3 and seen["stopped"] > 500 and seen["budget"] > 300, seen
+
+
 def test_product_with_a_stateless_automaton_is_empty():
     loop = core.Nfa.build(("a",), 1, [(0, "a", 0)], {0}, {0})
     nothing = core.Nfa.build(("a",), 0, [], set(), set())
