@@ -11,15 +11,13 @@ per automaton and caches on it:
   automaton (the reverse powerset, and the simulation pass's images),
 * state sets (initial, final, macrostates) are plain ints used as bitmasks.
 
-The subset exploration is one loop, ``SubsetExploration.advance``, which
-can stop at a count of discovered macrostates and resume; ``explore_subsets``
-runs it whole.  It and the general path of ``antichain_included`` compute
-the subset image of a state set (the union of its states' successors under
-one symbol) one byte of the set at a time: per symbol, a table keyed
-``c * 256 + b`` holds the image of the states ``8c + i`` for the set bits
-``i`` of the byte value ``b``.  The tables are filled on demand, so a call
-pays only for the byte values its state sets actually contain.  The pair
-search of :mod:`nfacomp.oracle` uses them through ``_image_tables``.
+``SubsetExploration`` (run in steps, or whole by ``explore_subsets``) and the
+general path of ``antichain_included`` compute the subset image of a state
+set (the union of its states' successors under one symbol) one byte of the
+set at a time: per symbol, a table keyed ``c * 256 + b`` holds the image of
+the states ``8c + i`` for the set bits ``i`` of the byte value ``b``.  The tables
+are filled on demand, so a call pays only for the byte values its state sets
+actually contain.  The pair search of :mod:`nfacomp.oracle` uses them too.
 
 ``antichain_included`` takes one of two paths.  Against a deterministic
 ``b`` (at most one initial state, at most one successor per state and
@@ -110,10 +108,15 @@ class SubsetExploration:
     __slots__ = ("macros", "delta", "_index", "_head", "_room", "_tables", "_keys_of")
 
     def __init__(self, nstates, nsyms, succ, seeds, budget=None):
-        self._index = {seed: i for i, seed in enumerate(dict.fromkeys(seeds))}
-        self._room = sys.maxsize if budget is None else budget
-        self.macros, self.delta = list(self._index)[: self._room], []
-        self._head = 0 if len(self._index) <= self._room else None  # None once over budget
+        macros, index, room, head = [], {}, sys.maxsize if budget is None else budget, 0
+        for seed in seeds:
+            if seed not in index:
+                if len(macros) >= room:
+                    head = None  # over budget, for good
+                    break
+                index[seed] = len(macros)
+                macros.append(seed)
+        self.macros, self.delta, self._index, self._room, self._head = macros, [], index, room, head
         self._tables, self._keys_of = _image_tables(nstates, nsyms, succ)
 
     def advance(self, limit=None):
@@ -127,10 +130,7 @@ class SubsetExploration:
         macros, delta, index, room = self.macros, self.delta, self._index, self._room
         tables, keys_of = self._tables, self._keys_of
         stop = sys.maxsize if limit is None else limit
-        while head < len(macros):
-            if len(macros) >= stop:
-                self._head = head
-                return False
+        while head < len(macros) < stop:
             keys = keys_of(macros[head])
             head += 1
             for table in tables:
@@ -139,15 +139,15 @@ class SubsetExploration:
                     nxt |= table[key]
                 j = index.get(nxt)
                 if j is None:
-                    if len(macros) >= room:
+                    j = len(macros)
+                    if j >= room:
                         self._head = None
                         return None
-                    j = len(macros)
                     index[nxt] = j
                     macros.append(nxt)
                 delta.append(j)
         self._head = head
-        return True
+        return head == len(macros)
 
 
 def explore_subsets(nstates, nsyms, succ, seeds, budget=None):

@@ -8,12 +8,11 @@ in discovery order, so the constructions are byte-for-byte reproducible.
 The empty macrostate appears lazily — on the first missing transition — and
 acts as the rejecting sink that keeps the result complete.
 
-Each construction explores, then builds once.  The exploration (the rows
-of the kernel's table, the subset kernel, then accepting macrostates and
-live marks from reverse sweeps over its table) builds no automaton, so a
-caller choosing among candidates by size, as gate does in lockstep, builds
-only the one it keeps; a macrostate's name joins one piece per byte of its
-mask, from a table per byte position.  Reverse explores rev(a) over
+Each construction explores, then builds once.  The exploration (kernel
+rows, subset kernel, accepting macrostates, live marks from reverse sweeps
+over its table) builds no automaton, so a caller choosing among candidates
+by size, as gate does in lockstep, builds only the one it keeps; a
+macrostate's name joins one piece per byte of its mask, from a table per byte position.  Reverse explores rev(a) over
 the automaton's cached predecessor table (``a.pred_masks``) and builds the
 result reversed back, with no reversed automaton.
 """
@@ -134,9 +133,8 @@ class _Exploration(NamedTuple):
 
 
 class _Rows(NamedTuple):
-    """What a powerset exploration of an automaton runs on: the kernel's
-    table rows of the symbols ``syms``, in order, the start masks and the
-    accepting sets' masks, and whether the table gives predecessors."""
+    """What a powerset exploration runs on: the kernel's table rows of ``syms``, in
+    order, the start and accepting sets' masks, and whether rows give predecessors."""
 
     nstates: int
     syms: list[int]
