@@ -8,13 +8,14 @@ in discovery order, so the constructions are byte-for-byte reproducible.
 The empty macrostate appears lazily — on the first missing transition — and
 acts as the rejecting sink that keeps the result complete.
 
-Each construction explores, then builds once.  The exploration (kernel
-rows, subset kernel, accepting macrostates, live marks from reverse sweeps
-over its table) builds no automaton, so a caller choosing among candidates
-by size, as gate does in lockstep, builds only the one it keeps; a
-macrostate's name joins one piece per byte of its mask, from a table per byte position.  Reverse explores rev(a) over
-the automaton's cached predecessor table (``a.pred_masks``) and builds the
-result reversed back, with no reversed automaton.
+Each construction explores, then builds once.  The exploration (kernel rows,
+subset kernel, accepting macrostates, live marks from reverse sweeps over
+its table) builds no automaton, so a caller choosing among candidates by
+size, as gate does in lockstep, builds only the one it keeps; a macrostate's
+name joins one piece per byte of its mask, from a table per byte position.
+Reverse explores rev(a) over the automaton's cached predecessor table
+(``a.pred_masks``) and builds the result reversed back, with no reversed
+automaton.
 """
 
 from __future__ import annotations
