@@ -10,7 +10,7 @@ import random
 import re
 from collections import Counter, deque
 
-from nfacomp import core, gate, oracle, powerset, reduction, sequential
+from nfacomp import _kernels, core, gate, oracle, powerset, reduction, sequential
 from nfacomp.errors import BudgetExceededError, ParseError
 from nfacomp.sequential import SeqComplementState
 
@@ -300,6 +300,17 @@ def explore_port_reference(p, *, budget=None):
         state_names=names,
     )
     return det, tuple(macros)
+
+
+def one_shot_explore_port_reference(a, budget, complement=False, trim=False, reverse=False, skip=frozenset()):
+    """``powerset._explore_port`` as it was before the lockstep loop drove
+    every exploration: one direction, its rows explored in one
+    ``explore_subsets`` call, then finished."""
+    rows = powerset._port_rows(a, reverse, skip)
+    res = _kernels.explore_subsets(rows.nstates, len(rows.syms), rows.succ, rows.starts, budget)
+    if res is None:
+        raise BudgetExceededError("macrostate budget exceeded", budget=budget)
+    return rows.finish(*res, complement, trim)
 
 
 # --- the kernels, one state at a time -----------------------------------------

@@ -257,6 +257,56 @@ def test_one_pass_complement_matches_trim_of_the_construction():
     assert all(n > 5 for n in seen.values()), seen
 
 
+def _one_direction_cases():
+    """65-130-state plain and port NFAs, each also with one of its symbols
+    unused, to be skipped."""
+    rng = random.Random(53)
+    for k in range(10):
+        if k % 2:
+            a = helpers.random_nfa(rng, max_states=130, min_states=65, max_syms=3)
+        else:
+            a = helpers.random_port_nfa(rng, max_states=130, min_states=65, num_entry=3, max_syms=3)
+        yield a, frozenset()
+        if len(a.alphabet) > 1:
+            sym = rng.randrange(len(a.alphabet))
+            unused = dataclasses.replace(a, transitions=frozenset(t for t in a.transitions if t[1] != sym))
+            yield unused, frozenset({sym})
+
+
+def _explore_one_direction(a, budget, complement, trim, direction, skip):
+    return powerset._explore_port(a, budget, complement, trim, direction is powerset.Direction.REVERSE, skip)
+
+
+def test_explore_port_matches_the_one_shot_reference():
+    """One direction explores exactly what the one-shot exploration did: all
+    seven fields, over budget the same error, and the exact macrostate count
+    as budget passes while one fewer does not."""
+    seen = Counter()
+    for a, skip in _one_direction_cases():
+        for d in powerset.Direction:
+            for complement, trim in ((False, False), (True, False), (True, True)):
+                args = (complement, trim, d is powerset.Direction.REVERSE, skip)
+                try:
+                    expected = helpers.one_shot_explore_port_reference(a, 4096, *args)
+                except BudgetExceededError:
+                    with pytest.raises(BudgetExceededError, match="^macrostate budget exceeded$"):
+                        _explore_one_direction(a, 4096, complement, trim, d, skip)
+                    seen["over"] += 1
+                    continue
+                count = len(expected.macros)
+                for budget in (4096, count):
+                    got = _explore_one_direction(a, budget, complement, trim, d, skip)
+                    assert type(got) is powerset._Exploration
+                    assert got._asdict() == expected._asdict()
+                with pytest.raises(BudgetExceededError, match="^macrostate budget exceeded$") as err:
+                    _explore_one_direction(a, count - 1, complement, trim, d, skip)
+                assert err.value.budget == count - 1
+                seen[d.value, bool(skip), type(a).__name__] += 1
+                seen["dropped"] += trim and not all(expected.live)
+    assert seen["over"] > 0 and seen["dropped"] > 0
+    assert len(seen) == 2 + 2 * 2 * 2, seen
+
+
 def test_complement_file_to_file_validates_twice(tmp_path, monkeypatch):
     # Once for the parsed input and once for the built output, in either
     # direction: trimming and naming the output build nothing more, and
