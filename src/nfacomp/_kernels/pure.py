@@ -11,13 +11,14 @@ per automaton and caches on it:
   automaton (the reverse powerset, and the simulation pass's images),
 * state sets (initial, final, macrostates) are plain ints used as bitmasks.
 
-``SubsetExploration`` (run in steps, or whole by ``explore_subsets``) and the
-general path of ``antichain_included`` compute the subset image of a state
-set (the union of its states' successors under one symbol) one byte of the
-set at a time: per symbol, a table keyed ``c * 256 + b`` holds the image of
-the states ``8c + i`` for the set bits ``i`` of the byte value ``b``.  The tables
-are filled on demand, so a call pays only for the byte values its state sets
-actually contain.  The pair search of :mod:`nfacomp.oracle` uses them too.
+``SubsetExploration`` (run in steps by ``powerset._explore_port``, or whole
+by ``explore_subsets``, which no construction calls) and the general path of
+``antichain_included`` compute the subset image of a state set (the union of
+its states' successors under one symbol) one byte of the set at a time: per
+symbol, a table keyed ``c * 256 + b`` holds the image of the states ``8c + i``
+for the set bits ``i`` of the byte value ``b``.  The tables are filled on
+demand, so a call pays only for the byte values its state sets actually
+contain.  The pair search of :mod:`nfacomp.oracle` uses them too.
 
 ``antichain_included`` takes one of two paths.  Against a deterministic
 ``b`` (at most one initial state, at most one successor per state and
@@ -147,6 +148,8 @@ class SubsetExploration:
                     macros.append(nxt)
                 delta.append(j)
         self._head = head
+        if head == len(macros):
+            self._index = self._tables = None  # only expansion reads them: free them before the caller builds
         return head == len(macros)
 
 

@@ -2,10 +2,11 @@
 
 A gate partition is a sequential split whose transfer symbols Γ are absent
 from one side, the clean side.  The complement is the union of two halves,
-built from a complement c1 of the front and a complement c2 of the rear; the
-clean side is complemented over Σ∖Γ, its powerset explored in place with
-the Γ rows skipped, and the other over Σ.  Both halves are laid out in one
-automaton, in the order c1, s, head, c2.
+built from c1 and c2, the smaller of the forward and reverse powerset
+complements of the front and of the rear, which ``powerset`` explores in
+lockstep.  The clean side is complemented over Σ∖Γ, its powerset explored
+in place with the Γ rows skipped, the other over Σ.  Both halves are laid
+out in one automaton, in the order c1, s, head, c2.
 
 - C_pre = c1 + s catches the words whose prefix fails the front: c1's gate
   exits enter a fresh sink s on their Γ symbol.
@@ -34,12 +35,13 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import itertools
 
-from . import _kernels, core
+from . import core
 from .core import Nfa, PortNfa, SequentialPartition
 from .errors import BudgetExceededError, NoGatePartitionError
-from .powerset import Direction, _build, _port_rows
+from .powerset import Direction, _build, _explore_port
 
 
 class GateDirection(enum.Enum):
@@ -67,25 +69,21 @@ class GatePartition:
         transfer_syms = frozenset(alphabet[sym] for (_x, sym, _t) in self.base.transfer)
         if self.gate_symbols != transfer_syms:
             raise ValueError("gate_symbols must equal the transfer-transition symbols")
-        gamma_ids = {self.base.front.symbol_ids[s] for s in self.gate_symbols}
         if self.direction is GateDirection.FRONT_CLEAN:
-            dirty = _internal_symbols(self.base.front) & gamma_ids
+            dirty = _internal_symbols(self.base.front) & self.gamma_ids
         else:
-            dirty = _internal_symbols(self.base.rear) & gamma_ids
+            dirty = _internal_symbols(self.base.rear) & self.gamma_ids
         if dirty:
             names = sorted(alphabet[s] for s in dirty)
             raise ValueError(f"{self.direction.value} partition carries gate symbols {names}")
 
-    @property
+    @functools.cached_property
     def gamma_ids(self) -> frozenset[int]:
         return frozenset(self.base.front.symbol_ids[s] for s in self.gate_symbols)
 
 
 def _internal_symbols(p: PortNfa) -> set[int]:
     return {sym for (_src, sym, _dst) in p.transitions}
-
-
-_LOCKSTEP_START = 16  # macrostates each direction discovers before the first comparison
 
 
 def _smaller_complement(
@@ -96,45 +94,10 @@ def _smaller_complement(
     side: str = "",
     skip: frozenset[int] = frozenset(),
 ) -> core.Automaton:
-    """The smaller of the trimmed forward and reverse powerset complements, ties forward.
-
-    Both directions are explored in lockstep, to the same number of
-    discovered macrostates, doubling from ``_LOCKSTEP_START``.  Once one is
-    complete with trimmed size s, the other is cut when it cannot win: its
-    discovered macrostates that accept for some accepting set are reachable
-    and accepting, so trim keeps them, and their count bounds its size from
-    below; reverse is cut at s, forward (which wins ties) at s + 1.  Only the
-    smaller is built.  A direction that runs out of budget is passed over;
-    when both do, the error is raised.  With ``log`` one entry is appended:
-    ``side``, each direction's trimmed size (or ``"budget"``, or ``"cut"``),
-    the direction chosen, and the macrostates each direction ``explored``.
-    A clean side passes its gate symbols as ``skip``: it is complemented
-    over Σ∖Γ, with no transition on Γ, but comes out over Σ.
-    """
-    rows = {d: _port_rows(a, d is Direction.REVERSE, skip) for d in Direction}
-    runs = {d: _kernels.SubsetExploration(r.nstates, len(r.syms), r.succ, r.starts, budget) for d, r in rows.items()}
-    outcome = {}  # direction -> its _Exploration, "budget" or "cut"
-    limit = _LOCKSTEP_START
-    while len(outcome) < len(runs):
-        for d, x in runs.items():
-            if d not in outcome and (status := x.advance(limit)) is not False:
-                outcome[d] = rows[d].finish(x.macros, x.delta, True, True) if status else "budget"
-        done = [d for d in Direction if not isinstance(outcome.get(d, ""), str)]
-        if done:
-            s = min(outcome[d].size for d in done)
-            for d in runs.keys() - outcome.keys():
-                kept = sum(1 for m in runs[d].macros if not all(m & em for em in rows[d].accepting))
-                if kept >= s + (d is Direction.FORWARD):
-                    outcome[d] = "cut"
-        limit *= 2
-    if not done:
-        raise BudgetExceededError("macrostate budget exceeded", budget=budget)
-    chosen = min(done, key=lambda d: outcome[d].size)
-    if log is not None:
-        sizes = {d.value: outcome[d] if d not in done else outcome[d].size for d in Direction}
-        explored = {d.value: len(x.macros) for d, x in runs.items()}
-        log.append({"side": side, **sizes, "chosen": chosen.value, "explored": explored})
-    return _build(a, outcome[chosen])
+    """The smaller of the trimmed forward and reverse powerset complements
+    (``powerset._explore_port``), built once.  A clean side passes its gate
+    symbols as ``skip``: complemented over Σ∖Γ, it comes out over Σ."""
+    return _build(a, _explore_port(a, budget, True, True, tuple(Direction), skip, log, side))
 
 
 # ---------------------------------------------------------------------------

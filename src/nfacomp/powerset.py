@@ -10,9 +10,10 @@ acts as the rejecting sink that keeps the result complete.
 
 Each construction explores, then builds once.  The exploration (kernel rows,
 subset kernel, accepting macrostates, live marks from reverse sweeps over
-its table) builds no automaton, so a caller choosing among candidates by
-size, as gate does in lockstep, builds only the one it keeps; a macrostate's
-name joins one piece per byte of its mask, from a table per byte position.
+its table) builds no automaton; ``_explore_port`` drives it in one
+direction, or in both in lockstep, returning the smaller, so only the one
+kept is built.  A macrostate's name joins one piece per byte of its mask,
+from a table per byte position.
 Reverse explores rev(a) over the automaton's cached predecessor table
 (``a.pred_masks``) and builds the result reversed back, with no reversed
 automaton.
@@ -172,25 +173,61 @@ def _port_rows(a: Automaton, reverse: bool = False, skip: frozenset[int] = froze
     return _Rows(n, syms, succ, [core._mask_of(s) for s in starts], [core._mask_of(s) for s in accepting], reverse)
 
 
+_LOCKSTEP_START = 16  # macrostates each direction discovers before the first comparison
+
+
 def _explore_port(
     a: Automaton,
     budget: int | None,
     complement: bool = False,
     trim: bool = False,
-    reverse: bool = False,
+    directions: tuple[Direction, ...] = (Direction.FORWARD,),
     skip: frozenset[int] = frozenset(),
+    log: list | None = None,
+    side: str = "",
 ) -> _Exploration:
-    """Explore the powerset of ``a`` from each entry set, or with ``reverse``
-    that of rev(a) from each exit set, in one kernel call.  A macrostate
-    accepts for an exit set (an entry set when reversed) when it meets it,
-    or with ``complement`` when it does not.  The symbols in ``skip``, which
-    ``a`` must not use, are left out: the kernel gets the table rows of the
-    others, in order.  ``gate`` runs the same rows and finish in steps."""
-    rows = _port_rows(a, reverse, skip)
-    res = _kernels.explore_subsets(rows.nstates, len(rows.syms), rows.succ, rows.starts, budget)
-    if res is None:
+    """The exploration of the powerset of ``a`` from each entry set, or
+    reversed of rev(a) from each exit set, chosen among ``directions``.  A
+    macrostate accepts for an exit set (an entry set when reversed) when it
+    meets it, or with ``complement`` when it does not.  The symbols in
+    ``skip``, which ``a`` must not use, are left out: the kernel gets the
+    table rows of the others, in order.
+
+    One direction is explored whole.  Two run in lockstep, to the same number
+    of discovered macrostates, doubling from ``_LOCKSTEP_START``; the smaller
+    is chosen, ties forward.  Once one is complete with size s, the other is
+    cut when it cannot win: its discovered macrostates that accept for some
+    accepting set are reachable and accepting, so trim keeps them, and their
+    count bounds its size from below; reverse is cut at s, forward at s + 1.
+    A direction out of budget is passed over; when every one is, the error
+    is raised.  With ``log`` one entry is appended: ``side``, each direction's
+    size (or ``"budget"``, or ``"cut"``), the one chosen, and the macrostates
+    each ``explored``."""
+    rows = [_port_rows(a, d is Direction.REVERSE, skip) for d in directions]
+    runs = [_kernels.SubsetExploration(r.nstates, len(r.syms), r.succ, r.starts, budget) for r in rows]
+    outcome: list = [None] * len(runs)  # each direction's _Exploration, "budget" or "cut"
+    limit = _LOCKSTEP_START if len(runs) > 1 else None
+    while None in outcome:
+        for i, x in enumerate(runs):
+            if outcome[i] is None and (status := x.advance(limit)) is not False:
+                outcome[i] = rows[i].finish(x.macros, x.delta, complement, trim) if status else "budget"
+        if None in outcome:  # two directions, one still running
+            sizes = [x.size for x in outcome if isinstance(x, _Exploration)]
+            for i, x in enumerate(runs):
+                if sizes and outcome[i] is None:
+                    kept = sum(1 for m in x.macros if any(bool(m & em) != complement for em in rows[i].accepting))
+                    if kept >= min(sizes) + (directions[i] is Direction.FORWARD):
+                        outcome[i] = "cut"
+            limit *= 2
+    done = [i for i, x in enumerate(outcome) if isinstance(x, _Exploration)]
+    if not done:
         raise BudgetExceededError("macrostate budget exceeded", budget=budget)
-    return rows.finish(*res, complement, trim)
+    chosen = min(done, key=lambda i: (outcome[i].size, directions[i] is Direction.REVERSE))
+    if log is not None:
+        sizes = {d.value: x if isinstance(x, str) else x.size for d, x in zip(directions, outcome)}
+        explored = {d.value: len(x.macros) for d, x in zip(directions, runs)}
+        log.append({"side": side, **sizes, "chosen": directions[chosen].value, "explored": explored})
+    return outcome[chosen]
 
 
 def _build(a: Automaton, x: _Exploration) -> Automaton:
@@ -219,27 +256,10 @@ def _build(a: Automaton, x: _Exploration) -> Automaton:
     return core._from_table(a, len(kept), delta, syms, reverse, starts, accepting, _macro_names(a, kept))
 
 
-def _port_powerset(
-    a: Automaton, budget: int | None, complement: bool = False, trim: bool = False, reverse: bool = False
-):
-    """Powerset construction of ``a`` from each of its entry sets: explore,
-    then build once.
-
-    Returns an automaton of ``a``'s class, one start macrostate per entry
-    set over one shared state space, and the bitmask of original states of
-    every macrostate explored.  ``complement`` complements every slice;
-    ``trim`` builds only the macrostates that reach an exit set.  With
-    ``reverse`` the construction is rev(·(det(rev(a)))), read off the
-    predecessor table.
-    """
-    x = _explore_port(a, budget, complement, trim, reverse)
-    return _build(a, x), x.macros
-
-
 def determinize(a: Automaton, *, budget: int | None = None) -> MacrostateDfa:
     """Reachable powerset construction; the result is deterministic and complete."""
-    det, macros = _port_powerset(a, budget)
-    return MacrostateDfa(det, tuple(macros))
+    x = _explore_port(a, budget)
+    return MacrostateDfa(_build(a, x), tuple(x.macros))
 
 
 def complement_dfa(d: MacrostateDfa | Nfa) -> Nfa:
@@ -253,7 +273,7 @@ def complement_dfa(d: MacrostateDfa | Nfa) -> Nfa:
 def forward_complement(a: Automaton, *, trim: bool = True, budget: int | None = None) -> Automaton:
     """co(det(a)), every slice complemented.  Trimming drops dead macrostates
     (and may break completeness)."""
-    return _port_powerset(a, budget, complement=True, trim=trim)[0]
+    return _build(a, _explore_port(a, budget, complement=True, trim=trim))
 
 
 def reverse_complement(a: Automaton, *, budget: int | None = None) -> Automaton:
@@ -264,9 +284,8 @@ def reverse_complement(a: Automaton, *, budget: int | None = None) -> Automaton:
 def _complement(a: Automaton, direction: Direction, budget: int | None) -> tuple[Automaton, int]:
     """The trimmed powerset complement of ``a`` in ``direction``, and its size before trimming."""
     # A state of rev(raw) survives trim exactly when it reaches an exit of raw.
-    reverse = direction is Direction.REVERSE
-    c, macros = _port_powerset(a, budget, complement=True, trim=True, reverse=reverse)
-    return c, len(macros)
+    x = _explore_port(a, budget, complement=True, trim=True, directions=(direction,))
+    return _build(a, x), len(x.macros)
 
 
 port_forward_complement = forward_complement

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import core
 from .core import Nfa, PortNfa, SequentialPartition
 from .errors import BudgetExceededError
-from .powerset import Direction, _complement, _port_powerset, reverse_complement
+from .powerset import Direction, _build, _complement, _explore_port, reverse_complement
 from .reduction import simulation_reduce_port
 
 # Above this many rear-complement states, or this many pairs per state in the
@@ -49,7 +49,6 @@ class PartitionStrategy(enum.Enum):
 class ComponentPartition:
     """Ordered components (topological, original state ids) of one automaton."""
 
-    source: Nfa
     components: tuple[tuple[int, ...], ...]
 
 
@@ -67,7 +66,8 @@ def determinize_front(p: SequentialPartition, *, budget: int | None = None) -> S
     rear-local ids (and with them the inner entry ports) are stable across
     this step.
     """
-    det, macros = _port_powerset(p.front, budget)
+    ex = _explore_port(p.front, budget)
+    det, macros = _build(p.front, ex), ex.macros
     rear = p.rear
     off = det.num_states
     sources = core._mask_of(p.front_index[x] for (x, _sym, _t) in p.transfer)
@@ -387,7 +387,7 @@ def partition(a: Nfa, strategy: PartitionStrategy) -> ComponentPartition:
     dag = core.scc_condensation(a)
     sccs = list(dag.components)
     if len(sccs) <= 1:
-        return ComponentPartition(a, (tuple(range(a.num_states)),) if a.num_states else ())
+        return ComponentPartition((tuple(range(a.num_states)),) if a.num_states else ())
 
     if strategy is PartitionStrategy.DETERMINISTIC_COMPONENTS:
         groups = _det_component_split(a, sccs)
@@ -412,7 +412,7 @@ def partition(a: Nfa, strategy: PartitionStrategy) -> ComponentPartition:
         groups = _min_cut_split(a, dag)
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown strategy {strategy!r}")
-    return ComponentPartition(a, tuple(tuple(sorted(g)) for g in groups))
+    return ComponentPartition(tuple(tuple(sorted(g)) for g in groups))
 
 
 def _min_cut_split(a: Nfa, dag: core.SccDag) -> list[set[int]]:

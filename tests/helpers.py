@@ -847,7 +847,8 @@ def split_parts(p):
 
 def determinize_front_reference(p):
     """The determinized front and the rear combined into one automaton, split again."""
-    det, macros = powerset._port_powerset(p.front, None)
+    x = powerset._explore_port(p.front, None, directions=(powerset.Direction.FORWARD,))
+    det, macros = powerset._build(p.front, x), x.macros
     rear = p.rear
     off = det.num_states
     trans = set(det.transitions)

@@ -389,16 +389,17 @@ def _explorations():
     inputs += [helpers.random_nfa(rng, max_states=90, min_states=65, max_syms=2) for _ in range(2)]
     inputs += [helpers.random_port_nfa(rng, max_states=90, min_states=65) for _ in range(2)]
     for a in inputs:
-        for reverse, trim, complement in itertools.product((False, True), repeat=3):
+        for direction, trim, complement in itertools.product(powerset.Direction, (False, True), (False, True)):
             try:
-                yield a, powerset._explore_port(a, 2048, complement, trim, reverse)
+                yield a, powerset._explore_port(a, 2048, complement, trim, (direction,))
             except BudgetExceededError:
                 continue
     for _ in range(10):
         p = helpers.random_port_nfa(rng, max_syms=2)
         shifted = {(src, sym + 1, dst) for (src, sym, dst) in p.transitions}
         wide = core.PortNfa(("x",) + p.alphabet, p.num_states, shifted, p.entry_sets, p.exit_sets)
-        yield wide, powerset._explore_port(wide, 2048, True, True, rng.random() < 0.5, skip=frozenset({0}))
+        direction = powerset.Direction.REVERSE if rng.random() < 0.5 else powerset.Direction.FORWARD
+        yield wide, powerset._explore_port(wide, 2048, True, True, (direction,), skip=frozenset({0}))
 
 
 def test_table_built_automata_equal_their_constructor_twins():

@@ -344,9 +344,9 @@ def _writer_cases():
     for _key, a in list(corpus()) + list(port_corpus()):
         for v in (a, _renamed(a, rng)):
             yield v
-            for reverse in (False, True):
+            for direction in powerset.Direction:
                 try:
-                    x = powerset._explore_port(v, BUDGET, complement=True, trim=True, reverse=reverse)
+                    x = powerset._explore_port(v, BUDGET, complement=True, trim=True, directions=(direction,))
                 except BudgetExceededError:
                     continue
                 yield powerset._build(v, x), not all(x.live)
@@ -364,7 +364,8 @@ def _writer_cases():
         shifted = {(src, 2 * sym, dst) for (src, sym, dst) in p.transitions}
         wide = core.PortNfa(("a", "x", "b"), p.num_states, shifted, p.entry_sets, p.exit_sets)
         for v in (wide, _renamed(wide, rng)):
-            x = powerset._explore_port(v, BUDGET, True, True, rng.random() < 0.5, skip=frozenset({1}))
+            direction = powerset.Direction.REVERSE if rng.random() < 0.5 else powerset.Direction.FORWARD
+            x = powerset._explore_port(v, BUDGET, True, True, (direction,), skip=frozenset({1}))
             yield powerset._build(v, x), not all(x.live)
     # Table-built by hand: state 1 is isolated; then state 1 only moves to state 0 on b.
     plain = core.Nfa.build(("a", "b"), 1, [], {0}, set())

@@ -273,10 +273,6 @@ def _one_direction_cases():
             yield unused, frozenset({sym})
 
 
-def _explore_one_direction(a, budget, complement, trim, direction, skip):
-    return powerset._explore_port(a, budget, complement, trim, direction is powerset.Direction.REVERSE, skip)
-
-
 def test_explore_port_matches_the_one_shot_reference():
     """One direction explores exactly what the one-shot exploration did: all
     seven fields, over budget the same error, and the exact macrostate count
@@ -290,16 +286,16 @@ def test_explore_port_matches_the_one_shot_reference():
                     expected = helpers.one_shot_explore_port_reference(a, 4096, *args)
                 except BudgetExceededError:
                     with pytest.raises(BudgetExceededError, match="^macrostate budget exceeded$"):
-                        _explore_one_direction(a, 4096, complement, trim, d, skip)
+                        powerset._explore_port(a, 4096, complement, trim, (d,), skip)
                     seen["over"] += 1
                     continue
                 count = len(expected.macros)
                 for budget in (4096, count):
-                    got = _explore_one_direction(a, budget, complement, trim, d, skip)
+                    got = powerset._explore_port(a, budget, complement, trim, (d,), skip)
                     assert type(got) is powerset._Exploration
                     assert got._asdict() == expected._asdict()
                 with pytest.raises(BudgetExceededError, match="^macrostate budget exceeded$") as err:
-                    _explore_one_direction(a, count - 1, complement, trim, d, skip)
+                    powerset._explore_port(a, count - 1, complement, trim, (d,), skip)
                 assert err.value.budget == count - 1
                 seen[d.value, bool(skip), type(a).__name__] += 1
                 seen["dropped"] += trim and not all(expected.live)
