@@ -193,16 +193,16 @@ def _explore_port(
     ``skip``, which ``a`` must not use, are left out: the kernel gets the
     table rows of the others, in order.
 
-    One direction is explored whole.  Two run in lockstep, to the same number
-    of discovered macrostates, doubling from ``_LOCKSTEP_START``; the smaller
-    is chosen, ties forward.  Once one is complete with size s, the other is
-    cut when it cannot win: its discovered macrostates that accept for some
-    accepting set are reachable and accepting, so trim keeps them, and their
-    count bounds its size from below; reverse is cut at s, forward at s + 1.
-    A direction out of budget is passed over; when every one is, the error
-    is raised.  With ``log`` one entry is appended: ``side``, each direction's
-    size (or ``"budget"``, or ``"cut"``), the one chosen, and the macrostates
-    each ``explored``."""
+    One direction is explored whole.  Two, forward first, run in lockstep, to
+    the same number of discovered macrostates, doubling from
+    ``_LOCKSTEP_START``; the smaller is chosen, ties forward.  Once one is
+    complete with size s, the other is cut when it cannot win: its discovered
+    macrostates that accept for some accepting set are reachable and accepting,
+    so trim keeps them, and their count bounds its size from below; reverse is
+    cut at s, forward at s + 1.  A direction out of budget is passed over; when
+    every one is, the error is raised.  With ``log`` one entry is appended:
+    ``side``, each direction's size (or ``"budget"``, or ``"cut"``), the one
+    chosen, and the macrostates each ``explored``."""
     rows = [_port_rows(a, d is Direction.REVERSE, skip) for d in directions]
     runs = [_kernels.SubsetExploration(r.nstates, len(r.syms), r.succ, r.starts, budget) for r in rows]
     outcome: list = [None] * len(runs)  # each direction's _Exploration, "budget" or "cut"
@@ -219,14 +219,14 @@ def _explore_port(
                     if kept >= min(sizes) + (directions[i] is Direction.FORWARD):
                         outcome[i] = "cut"
             limit *= 2
-    done = [i for i, x in enumerate(outcome) if isinstance(x, _Exploration)]
+    done = [i for i, x in enumerate(outcome) if not isinstance(x, str)]
     if not done:
         raise BudgetExceededError("macrostate budget exceeded", budget=budget)
-    chosen = min(done, key=lambda i: (outcome[i].size, directions[i] is Direction.REVERSE))
+    chosen = min(done, key=lambda i: outcome[i].size) if len(done) > 1 else done[0]
     if log is not None:
-        sizes = {d.value: x if isinstance(x, str) else x.size for d, x in zip(directions, outcome)}
+        results = {d.value: x if isinstance(x, str) else x.size for d, x in zip(directions, outcome)}
         explored = {d.value: len(x.macros) for d, x in zip(directions, runs)}
-        log.append({"side": side, **sizes, "chosen": directions[chosen].value, "explored": explored})
+        log.append({"side": side, **results, "chosen": directions[chosen].value, "explored": explored})
     return outcome[chosen]
 
 
