@@ -117,6 +117,74 @@ def test_pair_search_matches_the_word_enumeration():
     assert cases >= 10_000 and unary >= 1_000 and wrong >= 1_000
 
 
+def _large_nfa(rng, alphabet, shape):
+    """An NFA of 65-130 states over ``alphabet`` whose state sets span several bytes.
+
+    ``"dfa"`` is a complete DFA.  ``"nfa"`` starts from one to three states
+    and has up to three successors per move.  ``"classes"`` is such an NFA
+    whose moves map each class ``q % m`` to one class per symbol and whose
+    initial states share a class, so every set it reaches lies in one class
+    and is all final or all not: flipping its final states complements it.
+    """
+    n = rng.randint(65, 130)
+    if shape == "dfa":
+        trans = [(q, sym, rng.randrange(n)) for q in range(n) for sym in alphabet]
+        initial = {rng.randrange(n)}
+        final = {q for q in range(n) if rng.random() < 0.4}
+    elif shape == "nfa":
+        trans = [(q, sym, r) for q in range(n) for sym in alphabet
+                 for r in rng.sample(range(n), rng.randint(0, 3))]
+        initial = set(rng.sample(range(n), rng.randint(1, 3)))
+        final = {q for q in range(n) if rng.random() < 0.4}
+    else:
+        m = rng.randint(2, 4)
+        to = {sym: [rng.randrange(m) for _ in range(m)] for sym in alphabet}
+        members = [range(i, n, m) for i in range(m)]
+        trans = [(q, sym, r) for q in range(n) for sym in alphabet
+                 for r in rng.sample(members[to[sym][q % m]], rng.randint(1, 3))]
+        initial = set(rng.sample(members[0], rng.randint(1, 3)))
+        final_classes = {i for i in range(m) if rng.random() < 0.5}
+        final = {q for q in range(n) if q % m in final_classes}
+    return core.Nfa.build(alphabet, n, trans, initial, final)
+
+
+def test_pair_search_matches_the_word_enumeration_on_multi_byte_sets():
+    # As above, on automata a and c of 65-130 states.  c is a with its final
+    # states flipped (the complement unless a is of the "nfa" shape), that
+    # with one transition flipped, and an unrelated NFA.  The exact check runs
+    # under a pair budget; where it finishes it must agree with every bounded
+    # one.
+    rng = random.Random(20261019)
+    seen = dict(cases=0, unary=0, wrong=0, finished=0, passed=0, deep=0, dense=0)
+    for case in range(120):
+        alphabet = tuple(helpers.LETTERS[: rng.randint(1, 3)])
+        shape = ("dfa", "nfa", "classes")[case % 3]
+        a = _large_nfa(rng, alphabet, shape)
+        flipped = dataclasses.replace(a, final=frozenset(range(a.num_states)) - a.final)
+        move = (rng.randrange(a.num_states), rng.randrange(len(alphabet)), rng.randrange(a.num_states))
+        broken = dataclasses.replace(flipped, transitions=flipped.transitions ^ {move})
+        for c in (flipped, broken, _large_nfa(rng, alphabet, "nfa")):
+            assert 65 <= c.num_states <= 130
+            exact = oracle.exact_complement_check(a, c, 5000)
+            seen["finished"] += exact.ok is not None
+            seen["passed"] += exact.ok is True
+            for max_len in (0, 1, 2, 3):
+                want = helpers.oracle_reference(a, c, max_len)
+                assert oracle.oracle_complement_check(a, c, max_len) == want, (case, max_len)
+                if exact.ok is False and len(exact.counterexample_symbols) <= max_len:
+                    assert want.counterexample_symbols == exact.counterexample_symbols
+                elif exact.ok is not None:
+                    assert want.ok
+                seen["cases"] += 1
+                seen["unary"] += len(alphabet) == 1
+                seen["wrong"] += not want.ok
+                seen["deep"] += not want.ok and len(want.counterexample_symbols) >= 2
+                seen["dense"] += want.ok and max_len == 3 and shape == "classes"
+    assert seen["cases"] == 1440 and seen["unary"] >= 300 and seen["wrong"] >= 300, seen
+    assert seen["finished"] >= 300 and seen["passed"] >= 80, seen
+    assert seen["deep"] >= 20 and seen["dense"] >= 40, seen
+
+
 def test_exact_check_finds_the_least_counterexample():
     # Dropping one final state of the complement of A_6 breaks it on words the
     # bounded oracle sees only from the counterexample's length on.

@@ -158,20 +158,25 @@ def exit_candidates(rng, n):
     return candidates
 
 
+def _check_simulation_masks(rng, n, nsyms):
+    succ = random_successor_table(rng, n, nsyms)
+    pred = [0] * len(succ)
+    for i, row in enumerate(succ):
+        sym, p = divmod(i, n)
+        for q in core._bits(row):
+            pred[sym * n + q] |= 1 << p
+    for candidates in (final_candidates(rng, n), exit_candidates(rng, n)):
+        want = helpers.simulation_masks_reference(n, nsyms, succ, candidates)
+        assert reduction._simulation_masks(n, nsyms, succ, pred, candidates) == want
+
+
 def test_simulation_masks_match_reference():
     rng = random.Random(20250706)
     sizes = [rng.randint(1, 64) for _ in range(50)] + [rng.randint(65, 90) for _ in range(10)]
     for n in sizes:
-        nsyms = rng.randint(1, 3)
-        succ = random_successor_table(rng, n, nsyms)
-        pred = [0] * len(succ)
-        for i, row in enumerate(succ):
-            sym, p = divmod(i, n)
-            for q in core._bits(row):
-                pred[sym * n + q] |= 1 << p
-        for candidates in (final_candidates(rng, n), exit_candidates(rng, n)):
-            want = helpers.simulation_masks_reference(n, nsyms, succ, candidates)
-            assert reduction._simulation_masks(n, nsyms, succ, pred, candidates) == want
+        _check_simulation_masks(rng, n, rng.randint(1, 3))
+    for _ in range(10):  # 3 symbols over 91-130 states: images of all symbols span up to 390 bits
+        _check_simulation_masks(rng, rng.randint(91, 130), 3)
 
 
 def random_complete_dfa(rng, n):
