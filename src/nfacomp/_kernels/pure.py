@@ -13,12 +13,15 @@ per automaton and caches on it:
 
 ``SubsetExploration`` (run in steps by ``powerset._explore_port``, or whole
 by ``explore_subsets``, which no construction calls) and the general path of
-``antichain_included`` compute the subset image of a state set (the union of
-its states' successors under one symbol) one byte of the set at a time: per
-symbol, a table keyed ``c * 256 + b`` holds the image of the states ``8c + i``
-for the set bits ``i`` of the byte value ``b``.  The tables are filled on
-demand, so a call pays only for the byte values its state sets actually
-contain.  The pair search of :mod:`nfacomp.oracle` uses them too.
+``antichain_included`` compute a state set's subset images (the union of its
+states' successors under each symbol) one byte of the set at a time, for
+every symbol at once: the table of byte position ``c`` holds, for the byte
+value ``b``, the images of the states ``8c + i`` over the set bits ``i`` of
+``b`` under all symbols, packed into one int with the image under ``sym`` at
+bit ``sym * nstates`` (``_packed_tables``).  The tables are filled on demand,
+so a call pays only for the byte values its state sets actually contain.
+The pair search of :mod:`nfacomp.oracle` and the simulation fixpoint of
+:mod:`nfacomp.reduction` use them too.
 
 ``antichain_included`` takes one of two paths.  Against a deterministic
 ``b`` (at most one initial state, at most one successor per state and
@@ -47,51 +50,52 @@ def _bits(mask: int):
         mask ^= low
 
 
-class _ByteImages(dict):
-    """Subset images under one symbol, per byte of the state set, filled on demand."""
+class _PackedImages(dict):
+    """One byte position's images under every symbol at once, per byte value, filled on demand."""
 
-    __slots__ = ("row",)
+    __slots__ = ("rows",)
 
-    def __init__(self, row):
+    def __init__(self, rows):
         super().__init__()
-        self.row = row
+        self.rows = rows
 
-    def __missing__(self, key):
-        base = (key >> 8) << 3
-        byte = key & 255
-        row = self.row
+    def __missing__(self, byte):
+        rows = self.rows
         img = 0
-        while byte:
-            low = byte & -byte
-            img |= row[base + low.bit_length() - 1]
-            byte ^= low
-        self[key] = img
+        bits = byte
+        while bits:
+            low = bits & -bits
+            img |= rows[low.bit_length() - 1]
+            bits ^= low
+        self[byte] = img
         return img
 
 
-def _byte_keys(nstates):
-    """A function from a mask over ``nstates`` states to its byte keys.
+def _packed_tables(nstates, nsyms, succ):
+    """The packed image tables of ``succ``, one per byte position of a state set.
 
-    Byte ``c`` of the mask with the nonzero value ``b`` gives the key
-    ``c * 256 + b``; zero bytes give none.
+    The packed row of state ``q`` holds its successors under every symbol,
+    those under ``sym`` shifted up by ``sym * nstates``.  Entry ``b`` of table
+    ``c`` is the union of the rows of the states ``8c + i`` over the set bits
+    ``i`` of ``b``.  A set's packed image is the union of its nonzero bytes'
+    entries (``_packed_image``), and its image under ``sym`` is the packed
+    image shifted down by ``sym * nstates``, masked to ``nstates`` bits.
     """
-    nbytes = (nstates + 7) >> 3
-    chunks = range(0, nbytes << 8, 256)
+    packed = [0] * nstates
+    for sym in range(nsyms):
+        shift = sym * nstates
+        for q in range(nstates):
+            packed[q] |= succ[shift + q] << shift
+    return [_PackedImages(packed[c : c + 8]) for c in range(0, nstates, 8)]
 
-    def keys_of(mask):
-        return [c + b for c, b in zip(chunks, mask.to_bytes(nbytes, "little")) if b]
 
-    return keys_of
-
-
-def _image_tables(nstates, nsyms, succ):
-    """The per-symbol subset-image tables, and the key function for their masks.
-
-    The image of a mask under a symbol is the union of that symbol's table
-    entries over the mask's keys.
-    """
-    tables = [_ByteImages(succ[sym * nstates : (sym + 1) * nstates]) for sym in range(nsyms)]
-    return tables, _byte_keys(nstates)
+def _packed_image(tables, mask):
+    """The packed image of the state set ``mask`` under the tables of ``_packed_tables``."""
+    img = 0
+    for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
+        if byte:
+            img |= table[byte]
+    return img
 
 
 class SubsetExploration:
@@ -106,7 +110,7 @@ class SubsetExploration:
     ``budget`` macrostates, seeds included, are ever materialized.
     """
 
-    __slots__ = ("macros", "delta", "_index", "_head", "_room", "_tables", "_keys_of")
+    __slots__ = ("macros", "delta", "_index", "_head", "_room", "_tables", "_split")
 
     def __init__(self, nstates, nsyms, succ, seeds, budget=None):
         macros, index, room, head = [], {}, sys.maxsize if budget is None else budget, 0
@@ -118,7 +122,9 @@ class SubsetExploration:
                 index[seed] = len(macros)
                 macros.append(seed)
         self.macros, self.delta, self._index, self._room, self._head = macros, [], index, room, head
-        self._tables, self._keys_of = _image_tables(nstates, nsyms, succ)
+        self._tables = _packed_tables(nstates, nsyms, succ)
+        # how a macrostate splits into bytes, and its packed image into one per symbol
+        self._split = ((nstates + 7) >> 3, [sym * nstates for sym in range(nsyms)], (1 << nstates) - 1)
 
     def advance(self, limit=None):
         """Expand macrostates in order until ``limit`` are discovered (one
@@ -129,15 +135,16 @@ class SubsetExploration:
         if head is None:
             return None
         macros, delta, index, room = self.macros, self.delta, self._index, self._room
-        tables, keys_of = self._tables, self._keys_of
+        tables, (nbytes, shifts, full) = self._tables, self._split
         stop = sys.maxsize if limit is None else limit
         while head < len(macros) < stop:
-            keys = keys_of(macros[head])
+            img = 0
+            for table, byte in zip(tables, macros[head].to_bytes(nbytes, "little")):
+                if byte:
+                    img |= table[byte]
             head += 1
-            for table in tables:
-                nxt = 0
-                for key in keys:
-                    nxt |= table[key]
+            for shift in shifts:
+                nxt = img >> shift & full
                 j = index.get(nxt)
                 if j is None:
                     j = len(macros)
@@ -211,7 +218,7 @@ def antichain_included(
             return 0
         offer(p, init_b)
 
-    tables_b, keys_of = _image_tables(nstates_b, nsyms, succ_b)
+    tables_b, full_b = _packed_tables(nstates_b, nsyms, succ_b), (1 << nstates_b) - 1
     expansions = 0
     while queue:
         p, s = queue.popleft()
@@ -220,14 +227,12 @@ def antichain_included(
         expansions += 1
         if budget is not None and expansions > budget:
             return -1
-        keys = keys_of(s)
-        for sym, table in enumerate(tables_b):
+        img = _packed_image(tables_b, s)
+        for sym in range(nsyms):
             targets_a = succ_a[sym * nstates_a + p]
             if not targets_a:
                 continue
-            s2 = 0
-            for key in keys:
-                s2 |= table[key]
+            s2 = img >> sym * nstates_b & full_b
             for p2 in _bits(targets_a):
                 if (final_a >> p2) & 1 and not (s2 & final_b):
                     return 0

@@ -12,14 +12,15 @@ With a depth bound this is the bounded oracle: the same verdict and
 counterexample as running both automata over every word up to the bound.
 Without one it is an exact check, C = co-L(A) iff no reachable pair is bad,
 kept finite by a budget on the pairs it may reach.  The search shares only
-the per-byte subset-image tables with the constructions it checks.
+the packed subset-image tables (one lookup per byte of a state set gives its
+images under every symbol) with the constructions it checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._kernels.pure import _image_tables
+from ._kernels.pure import _packed_image, _packed_tables
 from .core import Nfa
 
 
@@ -79,9 +80,10 @@ def _first_agreement(a: Nfa, c: Nfa, max_len: int | None, budget: int | None):
         raise ValueError("oracle requires both automata to share one alphabet")
     if budget is not None and budget < 1:
         return None, 0, False
-    tables_a, keys_a = _image_tables(a.num_states, len(a.alphabet), a.succ_masks)
-    tables_c, keys_c = _image_tables(c.num_states, len(c.alphabet), c.succ_masks)
-    tables = list(enumerate(zip(tables_a, tables_c)))
+    n_a, n_c = a.num_states, c.num_states
+    tables_a = _packed_tables(n_a, len(a.alphabet), a.succ_masks)
+    tables_c = _packed_tables(n_c, len(c.alphabet), c.succ_masks)
+    full_a, full_c = (1 << n_a) - 1, (1 << n_c) - 1
     final_a, final_c = a.final_mask, c.final_mask
     start = (a.initial_mask, c.initial_mask)
     parent = {start: None}
@@ -93,14 +95,9 @@ def _first_agreement(a: Nfa, c: Nfa, max_len: int | None, budget: int | None):
         depth += 1
         reached = []
         for pair in level:
-            ka, kc = keys_a(pair[0]), keys_c(pair[1])
-            for sym, (table_a, table_c) in tables:
-                img_a = 0
-                for key in ka:
-                    img_a |= table_a[key]
-                img_c = 0
-                for key in kc:
-                    img_c |= table_c[key]
+            packed_a, packed_c = _packed_image(tables_a, pair[0]), _packed_image(tables_c, pair[1])
+            for sym in range(len(a.alphabet)):
+                img_a, img_c = packed_a >> sym * n_a & full_a, packed_c >> sym * n_c & full_c
                 nxt = (img_a, img_c)
                 if nxt in parent:
                     continue

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import core
-from ._kernels.pure import _image_tables
+from ._kernels.pure import _packed_image, _packed_tables
 from .core import Nfa, PortNfa
 from .powerset import MacrostateDfa
 
@@ -46,13 +46,14 @@ def _simulation_masks(n: int, nsyms: int, succ, pred, initial_candidates: list[i
     that can match every move ``p -a-> p'`` into ``sim[p']``, that is
     ``Pre_a(sim[p'])``: the states with an a-successor in ``sim[p']``.
     ``Pre_a`` is the subset image under the predecessor table ``pred`` (the
-    same layout as ``succ``), cached per state until that state's set
-    shrinks; a state is refined again only when the set of one of its
-    successors shrank.
+    same layout as ``succ``).  The images of ``sim[q]`` under every symbol
+    are one packed int from the kernels' packed tables, cached per state
+    until that state's set shrinks; a state is refined again only when the
+    set of one of its successors shrank.
     """
-    tables, keys_of = _image_tables(n, nsyms, pred)
+    tables = _packed_tables(n, nsyms, pred)
     sim = list(initial_candidates)
-    pre: list[list[int] | None] = [None] * n  # per-symbol Pre_a(sim[q]), None when stale
+    pre: list[int | None] = [None] * n  # Pre_a(sim[q]) of every symbol a, packed; None when stale
     dirty = (1 << n) - 1
     while dirty:
         low = dirty & -dirty
@@ -61,16 +62,10 @@ def _simulation_masks(n: int, nsyms: int, succ, pred, initial_candidates: list[i
         cur = sim[p]
         for sym in range(nsyms):
             for p2 in core._bits(succ[sym * n + p]):
-                images = pre[p2]
-                if images is None:
-                    keys = keys_of(sim[p2])
-                    images = pre[p2] = []
-                    for table in tables:
-                        img = 0
-                        for key in keys:
-                            img |= table[key]
-                        images.append(img)
-                cur &= images[sym]
+                packed = pre[p2]
+                if packed is None:
+                    packed = pre[p2] = _packed_image(tables, sim[p2])
+                cur &= packed >> sym * n  # cur has n bits: the other symbols' images fall away
         if cur != sim[p]:
             sim[p] = cur
             pre[p] = None

@@ -315,8 +315,9 @@ def one_shot_explore_port_reference(a, budget, complement=False, trim=False, rev
 
 # --- the kernels, one state at a time -----------------------------------------
 # The library's kernels compute subset images one byte of the state set at a
-# time through lazily filled tables; these walk the set bit by bit instead and
-# must give exactly the same answers.
+# time, under every symbol at once, through lazily filled packed tables; these
+# walk the set bit by bit, one symbol at a time, and must give exactly the same
+# answers.
 
 
 def subset_image_reference(nstates, succ, sym, mask):

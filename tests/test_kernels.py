@@ -29,7 +29,7 @@ def test_explore_subsets_budget_returns_none():
     assert pure.explore_subsets(3, 2, a.succ_masks, (1,), 2) is None
 
 
-# --- the per-byte image tables against the bit-by-bit references ---------------
+# --- the packed image tables against the bit-by-bit references -----------------
 
 
 def _random_kernel_input(rng, min_states=1, max_states=12, nsyms=None):
@@ -58,6 +58,29 @@ def _kernel_cases(seed):
     # A one-state automaton without transitions, and one with no states.
     yield rng, (1, 2, [0, 0])
     yield rng, (0, 1, [])
+
+
+def test_packed_image_splits_into_every_symbols_subset_image():
+    # Every state count from 0 to 130, most not a multiple of 8, each with
+    # 1-3 symbols; the masks 0, all states, the top state alone and random
+    # ones, some dense.  Each table entry is filled on its first lookup, so a
+    # second read of a mask must give the same answer from the filled tables.
+    rng = random.Random(2510)
+    for n in range(131):
+        if n:
+            _, k, succ = _random_kernel_input(rng, min_states=n, max_states=n)
+            masks = [_random_mask(rng, n), rng.getrandbits(n), rng.getrandbits(n)]
+        else:
+            k, succ, masks = 2, [], []
+        full = (1 << n) - 1
+        masks += [0, full, 1 << n >> 1]
+        tables = pure._packed_tables(n, k, succ)
+        assert len(tables) == (n + 7) // 8
+        for mask in masks + masks:
+            packed = pure._packed_image(tables, mask)
+            assert packed >> k * n == 0
+            for sym in range(k):
+                assert packed >> sym * n & full == helpers.subset_image_reference(n, succ, sym, mask)
 
 
 def test_explore_subsets_matches_reference_at_the_budget_edges():
