@@ -8,11 +8,13 @@
 
 Each pair runs ``python3 nfaperf/run.py`` once in each checkout, from that
 checkout's own directory; even pairs run the parent first, odd pairs the
-change.  The file keeps every raw result line, and per end-to-end metric each
-side's median and quartiles and the number of pairs in which the change is
-lower; for ``round_s`` also the difference of the medians against the
-parent's interquartile spread.  With ``--trace`` one ``--trace 1`` run per
-side is kept instead, with its per-layer split.  Runs of further workloads
+change.  The file keeps every raw result line and each pair's uncalibrated
+``round_s`` (from the run's ``# raw`` header line), and per end-to-end metric,
+and for the uncalibrated ``raw_round_s``, each side's median and quartiles
+and the number of pairs in which the change is lower; for ``round_s`` also
+the difference of the medians against the parent's interquartile spread.
+With ``--trace`` one ``--trace 1`` run per side is kept instead, with its
+per-layer split.  Runs of further workloads
 are merged into the same file, keyed by workload; fields the script does
 not write (such as a ``what`` or ``claim`` text) are kept.  Quartiles are
 ``statistics.quantiles(..., method="inclusive")``.
@@ -53,17 +55,26 @@ def quartiles(values):
     return [round(med, 5), round(q1, 5), round(q3, 5)]
 
 
+def raw_round_s(header):
+    """The uncalibrated ``round_s`` of a run's ``# raw {...}`` header line."""
+    return next(json.loads(line[len("# raw "):])["round_s"] for line in header if line.startswith("# raw "))
+
+
+def compare(per_side):
+    lower = sum(c < p for p, c in zip(per_side["parent"], per_side["change"]))
+    return {
+        "parent_median_q1_q3": quartiles(per_side["parent"]),
+        "change_median_q1_q3": quartiles(per_side["change"]),
+        "change_lower_in": f"{lower}/{len(per_side['parent'])}",
+    }
+
+
 def summarize(pairs):
     results = [{side: json.loads(p[side]) for side in SIDES} for p in pairs]
     summary = {}
     for name in results[0]["parent"]["metrics"]:
-        per_side = {side: [r[side]["metrics"][name]["value"] for r in results] for side in SIDES}
-        lower = sum(c < p for p, c in zip(per_side["parent"], per_side["change"]))
-        summary[name] = {
-            "parent_median_q1_q3": quartiles(per_side["parent"]),
-            "change_median_q1_q3": quartiles(per_side["change"]),
-            "change_lower_in": f"{lower}/{len(results)}",
-        }
+        summary[name] = compare({side: [r[side]["metrics"][name]["value"] for r in results] for side in SIDES})
+    summary["raw_round_s"] = compare({side: [p["raw_round_s"][side] for p in pairs] for side in SIDES})
     summary["correct"] = [[r[side]["correct"] for side in SIDES] for r in results]
     summary["failed"] = [[r[side]["failed"] for side in SIDES] for r in results]
     parent, change = summary["round_s"]["parent_median_q1_q3"], summary["round_s"]["change_median_q1_q3"]
@@ -126,6 +137,7 @@ def main(argv=None) -> int:
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
                 headers[side], pair[side] = run_once(checkouts[side], args.workload, args.seed,
                                                      args.seconds, False)
+            pair["raw_round_s"] = {side: raw_round_s(headers[side]) for side in SIDES}
             pairs.append(pair)
             print(f"{args.workload} pair {k}: done", file=sys.stderr)
         summary, claim = summarize(pairs)
