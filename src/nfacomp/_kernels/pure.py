@@ -14,14 +14,12 @@ per automaton and caches on it:
 ``SubsetExploration`` (run in steps by ``powerset._explore_port``, or whole
 by ``explore_subsets``, which no construction calls) and the general path of
 ``antichain_included`` compute a state set's subset images (the union of its
-states' successors under each symbol) one byte of the set at a time, for
-every symbol at once: the table of byte position ``c`` holds, for the byte
-value ``b``, the images of the states ``8c + i`` over the set bits ``i`` of
-``b`` under all symbols, packed into one int with the image under ``sym`` at
-bit ``sym * nstates`` (``_packed_tables``).  The tables are filled on demand,
-so a call pays only for the byte values its state sets actually contain.
-The pair search of :mod:`nfacomp.oracle` and the simulation fixpoint of
-:mod:`nfacomp.reduction` use them too.
+states' successors under each symbol) one byte of the set at a time, under
+every symbol at once: one table per byte position, whose entry for a byte
+value packs the images under all symbols into one int (``_packed_tables``).
+The tables are filled on demand, so a call pays only for the byte values its
+state sets actually contain.  The pair search of :mod:`nfacomp.oracle` and
+the simulation fixpoint of :mod:`nfacomp.reduction` use them too.
 
 ``antichain_included`` takes one of two paths.  Against a deterministic
 ``b`` (at most one initial state, at most one successor per state and
