@@ -10,7 +10,7 @@ import random
 import re
 from collections import Counter, deque
 
-from nfacomp import _kernels, core, gate, oracle, powerset, reduction, sequential
+from nfacomp import core, fileformat, gate, oracle, powerset, reduction, sequential
 from nfacomp.errors import BudgetExceededError, ParseError
 from nfacomp.sequential import SeqComplementState
 
@@ -304,10 +304,10 @@ def explore_port_reference(p, *, budget=None):
 
 def one_shot_explore_port_reference(a, budget, complement=False, trim=False, reverse=False, skip=frozenset()):
     """``powerset._explore_port`` as it was before the lockstep loop drove
-    every exploration: one direction, its rows explored in one
-    ``explore_subsets`` call, then finished."""
+    every exploration: one direction, its rows explored whole (by the plain
+    subset exploration below), then finished."""
     rows = powerset._port_rows(a, reverse, skip)
-    res = _kernels.explore_subsets(rows.nstates, len(rows.syms), rows.succ, rows.starts, budget)
+    res = explore_subsets_reference(rows.nstates, len(rows.syms), rows.succ, rows.starts, budget)
     if res is None:
         raise BudgetExceededError("macrostate budget exceeded", budget=budget)
     return rows.finish(*res, complement, trim)
@@ -1235,6 +1235,92 @@ def serialize_reference(a) -> str:
     for src, sym, dst in sorted(a.transitions, key=lambda t: (names[t[0]], t[1], names[t[2]])):
         lines.append(f"{names[src]} {a.alphabet[sym]} {names[dst]}")
     return "\n".join(lines) + "\n"
+
+
+# --- derived automata, each a full build ----------------------------------------
+# Slices, port variants and renames of an automaton were once built through a
+# constructor or a dataclasses.replace copy, which validates every transition
+# again and drops the cached tables; these are those routes.  The library's
+# derivations must build the same automata.
+
+
+def slice_reference(a, i, j):
+    """``a.slice(i, j)`` through the ``Nfa`` constructor."""
+    if not (0 <= i < a.num_entry):
+        raise IndexError(f"entry port index {i} out of range")
+    if not (0 <= j < a.num_exit):
+        raise IndexError(f"exit port index {j} out of range")
+    return core.Nfa(
+        a.alphabet, a.num_states, a.transitions, a.entry_sets[i], a.exit_sets[j], state_names=a.state_names
+    )
+
+
+def as_port_reference(a):
+    """``a.as_port()`` through the ``PortNfa`` constructor."""
+    return core.PortNfa(
+        a.alphabet, a.num_states, a.transitions, (a.initial,), (a.final,), state_names=a.state_names, name=a.name
+    )
+
+
+def rear_for_targets_reference(p):
+    ri = p.rear_index
+    extra = tuple(frozenset({ri[t]}) for t in p.gate_targets)
+    return dataclasses.replace(p.rear, entry_sets=p.rear.entry_sets + extra)
+
+
+def rear_for_equal_reference(p):
+    ri = p.rear_index
+    extra = tuple(frozenset(ri[t] for (_x, s, t) in p.transfer if s == sym) for sym in p.gate_symbols)
+    return dataclasses.replace(p.rear, entry_sets=p.rear.entry_sets + extra)
+
+
+def complement_dfa_reference(d):
+    dfa = d.nfa if isinstance(d, powerset.MacrostateDfa) else d
+    if not core.is_deterministic(dfa) or not core.is_complete(dfa):
+        raise ValueError("complement_dfa needs a deterministic, complete automaton")
+    return dataclasses.replace(dfa, final=frozenset(range(dfa.num_states)) - dfa.final)
+
+
+def component_inputs_reference(p, carried):
+    """(c1_in, c2_in): the front and the rear that ``gate._component_complements`` complements."""
+    base = p.base
+    front = base.front
+    c1_in = dataclasses.replace(
+        front,
+        exit_sets=tuple(front.exit_sets[j] for j in carried) + base.inner_exit_ports_front,
+    )
+    if p.method is gate.GateMethod.EQUAL:
+        c2_in = rear_for_equal_reference(base)
+    else:
+        c2_in = rear_for_targets_reference(base)
+    if p.direction is gate.GateDirection.FRONT_CLEAN:
+        c2_in = dataclasses.replace(c2_in, entry_sets=c2_in.entry_sets[base.rear.num_entry :])
+    return c1_in, c2_in
+
+
+def prefix_language_reference(base, i, finals):
+    return dataclasses.replace(slice_reference(base.front, i, 0), final=finals)
+
+
+def suffix_language_reference(base, starts, j):
+    return dataclasses.replace(slice_reference(base.rear, 0, j), initial=starts)
+
+
+def _written(a):
+    """``serialize(a)``, or the text of the ``ValueError`` it raises."""
+    try:
+        return fileformat.serialize(a)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_same_build(got, want):
+    """``got`` is the automaton ``want`` is: class, fields, the written file (or
+    the error writing it) and the name."""
+    assert type(got) is type(want)
+    assert got == want
+    assert _written(got) == _written(want)
+    assert got.name == want.name
 
 
 def count_validations(monkeypatch) -> list[str]:

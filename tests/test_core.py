@@ -427,3 +427,80 @@ def test_table_built_automata_equal_their_constructor_twins():
         seen["skip"] += len(x.syms) < len(a.alphabet)
         seen["large"] += t.num_states > 64
     assert all(seen[k] > 5 for k in ("forward", "reverse", "port", "plain", "dropped", "skip", "large")), seen
+
+
+# --- derived automata against the full builds they replace -----------------------
+
+
+def _view_sources():
+    """(kind, build) over seeded plain and port automata of 0-130 states:
+    set-built by the constructor, named or not, and table-built by the
+    forward powerset (determinized, or complemented) and by the reverse one.
+    ``build`` makes a fresh automaton, nothing cached, no table spelled out."""
+    rng = random.Random(2626)
+    inputs = [core.Nfa(("a",), 0, (), (), ()), core.PortNfa(("a", "b"), 0, (), ((),), ((), ()))]
+    for k in range(30):
+        lo, hi = (65, 130) if k % 5 == 0 else (1, 9)
+        if k % 2:
+            inputs.append(helpers.random_nfa(rng, max_states=hi, min_states=lo, max_syms=2))
+        else:
+            ports = rng.randint(1, 3), rng.randint(1, 3)
+            inputs.append(helpers.random_port_nfa(rng, max_states=hi, min_states=lo, num_entry=ports[0], num_exit=ports[1]))
+    for a in inputs:
+        names = tuple(f"q{q}" for q in range(a.num_states))
+        yield "set", lambda a=a: dataclasses.replace(a)
+        yield "set", lambda a=a, names=names: dataclasses.replace(a, state_names=names, name="A")
+        for kind, build in (
+            ("determinized", lambda a=a: powerset.determinize(a, budget=2048).nfa),
+            ("forward", lambda a=a: powerset.forward_complement(a, budget=2048)),
+            ("reverse", lambda a=a: powerset.reverse_complement(a, budget=2048)),
+        ):
+            try:
+                build()
+            except BudgetExceededError:
+                continue
+            yield kind, build
+
+
+def _split_with_rear(rear, rng):
+    """A split whose rear is ``rear`` behind a one-state front, with up to four
+    gates into it on random symbols."""
+    n, nsyms = rear.num_states, len(rear.alphabet)
+    front = core.PortNfa(rear.alphabet, 1, (), ({0},) * rear.num_entry, ({0},) * rear.num_exit)
+    transfer = {(0, rng.randrange(nsyms), 1 + rng.randrange(n)) for _ in range(rng.randint(1, 4) if n else 0)}
+    return core.SequentialPartition((0,), tuple(range(1, n + 1)), front, rear, tuple(sorted(transfer)))
+
+
+def test_views_match_the_derivations_they_replace():
+    """Every slice, port variant and complement of a complete DFA equals the
+    constructor or dataclasses.replace build it replaces: class, fields,
+    written file and name."""
+    rng = random.Random(2627)
+    seen = Counter()
+    for kind, build in _view_sources():
+        a, b = build(), build()  # views come from a, references from b
+        views, wants = [], []
+        for i in range(a.num_entry):
+            for j in range(a.num_exit):
+                views.append(a.slice(i, j))
+                wants.append(helpers.slice_reference(b, i, j))
+        if isinstance(a, core.Nfa):
+            views.append(a.as_port())
+            wants.append(helpers.as_port_reference(b))
+            if core.is_deterministic(a) and core.is_complete(a):
+                views.append(powerset.complement_dfa(a))
+                wants.append(helpers.complement_dfa_reference(b))
+                seen["complete dfa"] += 1
+        seed = rng.random()
+        split = _split_with_rear(a if isinstance(a, core.PortNfa) else a.as_port(), random.Random(seed))
+        twin = _split_with_rear(b if isinstance(b, core.PortNfa) else helpers.as_port_reference(b), random.Random(seed))
+        views += [split.rear_for_targets(), split.rear_for_equal()]
+        wants += [helpers.rear_for_targets_reference(twin), helpers.rear_for_equal_reference(twin)]
+        for view, want in zip(views, wants):
+            helpers.assert_same_build(view, want)
+        seen[kind, type(a).__name__] += 1
+        seen["large"] += a.num_states > 64
+        seen["empty"] += a.num_states == 0
+    kinds = ("set", "determinized", "forward", "reverse")
+    assert all(seen[k, c] > 3 for k in kinds for c in ("Nfa", "PortNfa")), seen
+    assert seen["large"] > 10 and seen["empty"] >= 2 and seen["complete dfa"] > 10, seen

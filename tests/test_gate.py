@@ -605,6 +605,42 @@ def test_split_views_and_complements_match_the_re_split_source():
     assert all(seen[r] > 0 for r in routes) and seen["named"] > seen["unnamed"] > 50, seen
 
 
+def test_gate_views_match_the_derivations_they_replace(monkeypatch):
+    """The two component inputs that gate complements, and the prefix and
+    suffix languages its checks compare, equal the dataclasses.replace
+    builds they replace."""
+    inputs = []
+    smaller = gate._smaller_complement
+
+    def capture(a, **kwargs):
+        inputs.append(a)
+        return smaller(a, **kwargs)
+
+    monkeypatch.setattr(gate, "_smaller_complement", capture)
+    rng = random.Random(19_2030)
+    seen = Counter()
+    for _a, p in _named_partitions(per_route=4):
+        inputs.clear()
+        carried = gate._carried_exits(p)
+        _built_or_error(lambda: gate._component_complements(p, carried, budget=512))
+        wants = helpers.component_inputs_reference(p, carried)
+        assert len(inputs) in (1, 2)
+        for got, want in zip(inputs, wants):
+            helpers.assert_same_build(got, want)
+        base = gate._front_clean_view(p).base
+        fronts, rears = base.front.num_states, base.rear.num_states
+        for i in range(base.front.num_entry):
+            finals = frozenset(q for q in range(fronts) if rng.random() < 0.4)
+            want = helpers.prefix_language_reference(base, i, finals)
+            helpers.assert_same_build(gate._prefix_language(base, i, finals), want)
+        for j in range(base.rear.num_exit):
+            starts = frozenset(q for q in range(rears) if rng.random() < 0.4)
+            want = helpers.suffix_language_reference(base, starts, j)
+            helpers.assert_same_build(gate._suffix_language(base, starts, j), want)
+        seen[_route(p)] += 1
+    assert len(seen) == 8, seen
+
+
 def test_basic_gate_matches_the_union_of_its_halves():
     rng = random.Random(19_2027)
     for _ in range(40):

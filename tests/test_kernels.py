@@ -15,18 +15,26 @@ def test_backend_name():
     assert backend_name() == "pure"
 
 
+def _explored(nstates, nsyms, succ, seeds, budget=None):
+    """A ``SubsetExploration`` advanced to the end: ``(macros, delta)``, or
+    None when it runs out of budget, as ``helpers.explore_subsets_reference``
+    answers."""
+    x = pure.SubsetExploration(nstates, nsyms, succ, seeds, budget)
+    return (x.macros, x.delta) if x.advance() else None
+
+
 def test_explore_subsets_frozen():
     # One state with an 'a' self-loop: the only reachable subset is {0}.
-    assert pure.explore_subsets(1, 1, [1], (1,)) == ([1], [0])
+    assert _explored(1, 1, [1], (1,)) == ([1], [0])
     # Chain 0 -a-> 1: macrostates {0}, {1}, then {} as the sink.
-    macros, delta = pure.explore_subsets(2, 1, [2, 0], (1,))
+    macros, delta = _explored(2, 1, [2, 0], (1,))
     assert macros == [1, 2, 0]
     assert delta == [1, 2, 2]
 
 
 def test_explore_subsets_budget_returns_none():
     a = core.Nfa.build(("a", "b"), 3, [(0, "a", 1), (0, "b", 2)], {0}, {2})
-    assert pure.explore_subsets(3, 2, a.succ_masks, (1,), 2) is None
+    assert _explored(3, 2, a.succ_masks, (1,), 2) is None
 
 
 # --- the packed image tables against the bit-by-bit references -----------------
@@ -89,17 +97,17 @@ def test_explore_subsets_matches_reference_at_the_budget_edges():
         seeds = [_random_mask(rng, n) for _ in range(rng.randint(1, 3))]
         seeds += [seeds[0]] if rng.random() < 0.5 else [0]  # a duplicate, or the empty set
         expected = helpers.explore_subsets_reference(n, k, succ, seeds, 4096)
-        assert pure.explore_subsets(n, k, succ, seeds, 4096) == expected
+        assert _explored(n, k, succ, seeds, 4096) == expected
         if expected is None:
             continue
         seen_large += n > 64
         seen_empty_row += any(not any(succ[s * n : (s + 1) * n]) for s in range(k))
         count = len(expected[0])
-        assert pure.explore_subsets(n, k, succ, seeds) == expected
-        assert pure.explore_subsets(n, k, succ, seeds, count) == expected
-        assert pure.explore_subsets(n, k, succ, seeds, count - 1) is None
-        assert pure.explore_subsets(n, k, succ, seeds, 0) is None
-        assert pure.explore_subsets(n, k, succ, seeds, len(set(seeds)) - 1) is None
+        assert _explored(n, k, succ, seeds) == expected
+        assert _explored(n, k, succ, seeds, count) == expected
+        assert _explored(n, k, succ, seeds, count - 1) is None
+        assert _explored(n, k, succ, seeds, 0) is None
+        assert _explored(n, k, succ, seeds, len(set(seeds)) - 1) is None
     assert seen_large > 0 and seen_empty_row > 0
 
 
