@@ -1,6 +1,6 @@
 """Hot-loop kernels over bitmask-encoded automata, in pure Python."""
 
-from .pure import SubsetExploration, antichain_included, explore_subsets, product_nonempty
+from .pure import SubsetExploration, antichain_included, product_nonempty
 
 
 def backend_name():

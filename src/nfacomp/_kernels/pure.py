@@ -11,15 +11,15 @@ per automaton and caches on it:
   automaton (the reverse powerset, and the simulation pass's images),
 * state sets (initial, final, macrostates) are plain ints used as bitmasks.
 
-``SubsetExploration`` (run in steps by ``powerset._explore_port``, or whole
-by ``explore_subsets``, which no construction calls) and the general path of
-``antichain_included`` compute a state set's subset images (the union of its
-states' successors under each symbol) one byte of the set at a time, under
-every symbol at once: one table per byte position, whose entry for a byte
-value packs the images under all symbols into one int (``_packed_tables``).
-The tables are filled on demand, so a call pays only for the byte values its
-state sets actually contain.  The pair search of :mod:`nfacomp.oracle` and
-the simulation fixpoint of :mod:`nfacomp.reduction` use them too.
+``SubsetExploration`` (run in steps by ``powerset._explore_port``) and the
+general path of ``antichain_included`` compute a state set's subset images
+(the union of its states' successors under each symbol) one byte of the set
+at a time, under every symbol at once: one table per byte position, whose
+entry for a byte value packs the images under all symbols into one int
+(``_packed_tables``).  The tables are filled on demand, so a call pays only
+for the byte values its state sets actually contain.  The pair search of
+:mod:`nfacomp.oracle` and the simulation fixpoint of :mod:`nfacomp.reduction`
+use them too.
 
 ``antichain_included`` takes one of two paths.  Against a deterministic
 ``b`` (at most one initial state, at most one successor per state and
@@ -156,13 +156,6 @@ class SubsetExploration:
         if head == len(macros):
             self._index = self._tables = None  # only expansion reads them: free them before the caller builds
         return head == len(macros)
-
-
-def explore_subsets(nstates, nsyms, succ, seeds, budget=None):
-    """A whole ``SubsetExploration``: ``(macros, delta)``, or ``None`` if more
-    than ``budget`` macrostates, seeds included, would be materialized."""
-    x = SubsetExploration(nstates, nsyms, succ, seeds, budget)
-    return (x.macros, x.delta) if x.advance() else None
 
 
 def antichain_included(

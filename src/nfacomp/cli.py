@@ -14,7 +14,6 @@ error or bad command line, 3 no usable gate partition, 4 budget exhausted.
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import json
 import sys
@@ -202,8 +201,7 @@ def _cmd_complement(args) -> int:
         stats_doc["verify"] = _verify(a, out, budget)
 
     if out.name is None and a.name is not None:
-        out = copy.copy(out)  # a shallow copy, not a second validation of every transition
-        object.__setattr__(out, "name", f"{a.name}_complement")
+        out = core._view(out, name=f"{a.name}_complement")
     _write_text(args.output, serialize(out))
     if args.stats is not None:
         _write_text(args.stats, json.dumps(stats_doc, indent=2, sort_keys=True) + "\n")

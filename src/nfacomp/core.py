@@ -17,14 +17,19 @@ either class and returns an automaton of its input's class, built through
 ``_rebuild``.  Questions about the reversal (the reverse powerset, the
 shape predicates, simulation) read ``pred_masks``, not a reversed copy.
 
-There are two construction routes, each validating once: the constructor
-checks a transition set tuple by tuple; ``_from_table`` (the powerset
-constructions) checks a flat table whole, and the set is derived from it.
+There are three ways to build an automaton.  The constructor takes what
+comes from outside the library (``parse``, the families, users) and checks
+its transition set tuple by tuple.  ``_new`` builds for the library, putting
+port sets into the class's fields; ``_rebuild`` then checks the set as the
+constructor does, and ``_from_table`` (the powerset constructions) checks a
+flat table whole, the set derived from it on first use.  ``_view`` makes a
+slice, port variant or rename: it shares the automaton's moves and the
+tables derived from them (``succ_masks``, ``pred_masks``, the SCC
+condensation), and checks only its port sets and names.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -134,16 +139,8 @@ class _Automaton:
         the entry and exit set families for ``PortNfa``.
         """
         alphabet = tuple(alphabet)
-        ids = {s: i for i, s in enumerate(alphabet)}
-        return cls(
-            alphabet,
-            num_states,
-            _resolve_transitions(transitions, ids),
-            entries,
-            exits,
-            state_names=state_names,
-            name=name,
-        )
+        transitions = _resolve_transitions(transitions, {s: i for i, s in enumerate(alphabet)})
+        return cls(alphabet, num_states, transitions, entries, exits, state_names=state_names, name=name)
 
     @cached_property
     def symbol_ids(self) -> dict:
@@ -165,6 +162,10 @@ class _Automaton:
         for (src, sym, dst) in self._edges():
             table[sym * self.num_states + dst] |= 1 << src
         return table
+
+    @cached_property
+    def _scc(self) -> "SccDag":
+        return _condense(self)
 
     @property
     def num_transitions(self) -> int:
@@ -188,14 +189,7 @@ class _Automaton:
             raise IndexError(f"entry port index {i} out of range")
         if not (0 <= j < self.num_exit):
             raise IndexError(f"exit port index {j} out of range")
-        return Nfa(
-            self.alphabet,
-            self.num_states,
-            self.transitions,
-            self.entry_sets[i],
-            self.exit_sets[j],
-            state_names=self.state_names,
-        )
+        return _view(self, Nfa, entry_sets=self.entry_sets[i : i + 1], exit_sets=self.exit_sets[j : j + 1], name=None)
 
 
 @dataclass(frozen=True)
@@ -236,15 +230,7 @@ class Nfa(_Automaton):
 
     def as_port(self) -> "PortNfa":
         """The same automaton with one entry port set (I) and one exit port set (F)."""
-        return PortNfa(
-            self.alphabet,
-            self.num_states,
-            self.transitions,
-            (self.initial,),
-            (self.final,),
-            state_names=self.state_names,
-            name=self.name,
-        )
+        return _view(self, PortNfa)
 
 
 @dataclass(frozen=True)
@@ -290,30 +276,49 @@ class SccDag:
 # Structural operations
 
 
-def _rebuild(a: Automaton, num_states, transitions, entry_sets, exit_sets, state_names, name=None):
-    """An automaton of ``a``'s class over ``a``'s alphabet.
-
-    A plain NFA takes its initial and final states from the one entry set
-    and the one exit set given.
-    """
-    if isinstance(a, Nfa):
+def _new(cls, alphabet, num_states, entry_sets, exit_sets, state_names, name, **moves):
+    """An automaton of class ``cls``, unchecked: a plain NFA takes its initial
+    and final states from the one entry set and the one exit set given.
+    ``moves`` holds ``transitions`` or ``_table``, and what a view shares."""
+    out = cls.__new__(cls)
+    if issubclass(cls, Nfa):
         (initial,), (final,) = entry_sets, exit_sets
-        return Nfa(a.alphabet, num_states, transitions, initial, final, state_names=state_names, name=name)
-    return PortNfa(a.alphabet, num_states, transitions, entry_sets, exit_sets, state_names=state_names, name=name)
+        ports = {"initial": frozenset(initial), "final": frozenset(final)}
+    else:
+        ports = {"entry_sets": tuple(map(frozenset, entry_sets)), "exit_sets": tuple(map(frozenset, exit_sets))}
+    out.__dict__.update(ports, alphabet=alphabet, num_states=num_states, state_names=state_names, name=name, **moves)
+    return out
+
+
+def _rebuild(a: Automaton, num_states, transitions, entry_sets, exit_sets, state_names, name=None):
+    """An automaton of ``a``'s class over ``a``'s alphabet, validated as the constructor does."""
+    out = _new(type(a), a.alphabet, num_states, entry_sets, exit_sets, state_names, name, transitions=transitions)
+    out._normalize_and_check()
+    return out
 
 
 def _from_table(a: Automaton, num_states, table, syms, reverse, entry_sets, exit_sets, state_names):
-    """``_rebuild`` from a flat table, port sets given as frozensets: entry ``q * len(syms) + k``
-    is q's successor on ``syms[k]`` (with ``reverse``, its predecessor), or -1 for none."""
-    out = type(a).__new__(type(a))
-    if isinstance(a, Nfa):
-        (initial,), (final,) = entry_sets, exit_sets
-        ports = {"initial": initial, "final": final}
-    else:
-        ports = {"entry_sets": tuple(entry_sets), "exit_sets": tuple(exit_sets)}
-    out.__dict__.update(ports, alphabet=a.alphabet, num_states=num_states, state_names=state_names,
-                        name=None, _table=(table, tuple(syms), reverse))
+    """``_rebuild`` from a flat table: entry ``q * len(syms) + k`` is q's successor
+    on ``syms[k]`` (with ``reverse``, its predecessor), or -1 for none."""
+    out = _new(type(a), a.alphabet, num_states, entry_sets, exit_sets, state_names, None,
+               _table=(table, tuple(syms), reverse))
     out._check_table()
+    return out
+
+
+_SHARED = ("transitions", "_table", "symbol_ids", "succ_masks", "pred_masks", "_scc")
+
+
+def _view(a: Automaton, cls=None, *, entry_sets=None, exit_sets=None, state_names=..., name=...):
+    """``a`` as an automaton of class ``cls`` (``a``'s by default) with the port
+    sets, state names and name given, the others ``a``'s.  It shares ``a``'s
+    moves and the tables derived from them that ``a`` has built (``_SHARED``);
+    only its port sets and names are checked."""
+    out = _new(cls or type(a), a.alphabet, a.num_states,
+               a.entry_sets if entry_sets is None else entry_sets, a.exit_sets if exit_sets is None else exit_sets,
+               a.state_names if state_names is ... else state_names, a.name if name is ... else name,
+               **{k: v for k, v in a.__dict__.items() if k in _SHARED})
+    out._check_ports_and_names()
     return out
 
 
@@ -375,10 +380,16 @@ def union(a: Automaton, b: Automaton) -> Automaton:
 
 
 def scc_condensation(a: Automaton) -> SccDag:
-    """Tarjan decomposition; components come out in topological order."""
+    """Tarjan decomposition; components come out in topological order.
+    Computed once per automaton and shared with its views."""
+    return a._scc
+
+
+def _condense(a: Automaton) -> SccDag:
     n = a.num_states
+    edges = a._edges()
     adj = [[] for _ in range(n)]
-    for (src, _sym, dst) in a.transitions:
+    for (src, _sym, dst) in edges:
         adj[src].append(dst)
     adj = [sorted(set(vs)) for vs in adj]
 
@@ -431,7 +442,7 @@ def scc_condensation(a: Automaton) -> SccDag:
         for q in comp:
             comp_of[q] = ci
     caps: dict[tuple[int, int], int] = {}
-    for (src, _sym, dst) in a.transitions:
+    for (src, _sym, dst) in edges:
         ci, cj = comp_of[src], comp_of[dst]
         if ci != cj:
             caps[(ci, cj)] = caps.get((ci, cj), 0) + 1
@@ -714,14 +725,11 @@ class SequentialPartition:
 
     def rear_for_targets(self) -> PortNfa:
         """Rear with one singleton inner entry port per gate target."""
-        ri = self.rear_index
-        extra = tuple(frozenset({ri[t]}) for t in self.gate_targets)
-        return dataclasses.replace(self.rear, entry_sets=self.rear.entry_sets + extra)
+        extra = tuple(frozenset({self.rear_index[t]}) for t in self.gate_targets)
+        return _view(self.rear, entry_sets=self.rear.entry_sets + extra)
 
     def rear_for_equal(self) -> PortNfa:
         """Rear with one inner entry port per gate symbol (all that symbol's targets)."""
         ri = self.rear_index
-        extra = tuple(
-            frozenset(ri[t] for (_x, s, t) in self.transfer if s == sym) for sym in self.gate_symbols
-        )
-        return dataclasses.replace(self.rear, entry_sets=self.rear.entry_sets + extra)
+        extra = tuple(frozenset(ri[t] for (_x, s, t) in self.transfer if s == sym) for sym in self.gate_symbols)
+        return _view(self.rear, entry_sets=self.rear.entry_sets + extra)

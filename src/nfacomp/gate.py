@@ -97,7 +97,7 @@ def _smaller_complement(
     """The smaller of the trimmed forward and reverse powerset complements
     (``powerset._explore_port``), built once.  A clean side passes its gate
     symbols as ``skip``: complemented over Σ∖Γ, it comes out over Σ."""
-    return _build(a, _explore_port(a, budget, True, True, tuple(Direction), skip, log, side))
+    return _build(a, _explore_port(a, budget, True, tuple(Direction), skip, log, side))
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +198,10 @@ def _component_complements(
     """
     base = p.base
     front = base.front
-    c1_in = dataclasses.replace(
-        front,
-        exit_sets=tuple(front.exit_sets[j] for j in carried) + base.inner_exit_ports_front,
-    )
+    c1_in = core._view(front, exit_sets=tuple(front.exit_sets[j] for j in carried) + base.inner_exit_ports_front)
     c2_in = base.rear_for_equal() if p.method is GateMethod.EQUAL else base.rear_for_targets()
     if p.direction is GateDirection.FRONT_CLEAN:
-        c2_in = dataclasses.replace(c2_in, entry_sets=c2_in.entry_sets[base.rear.num_entry :])
+        c2_in = core._view(c2_in, entry_sets=c2_in.entry_sets[base.rear.num_entry :])
         c1 = _smaller_complement(c1_in, budget=budget, log=log, side="front", skip=p.gamma_ids)
         return c1, _smaller_complement(c2_in, budget=budget, log=log, side="rear")
     c1 = _smaller_complement(c1_in, budget=budget, log=log, side="front")
@@ -263,9 +260,9 @@ def _strip_outer(base: SequentialPartition, *, entries_to_front: bool) -> Sequen
     the front's exit sets, emptied on the one part that holds them."""
     if entries_to_front:
         rear = base.rear
-        return dataclasses.replace(base, rear=dataclasses.replace(rear, entry_sets=(frozenset(),) * rear.num_entry))
+        return dataclasses.replace(base, rear=core._view(rear, entry_sets=(frozenset(),) * rear.num_entry))
     front = base.front
-    return dataclasses.replace(base, front=dataclasses.replace(front, exit_sets=(frozenset(),) * front.num_exit))
+    return dataclasses.replace(base, front=core._view(front, exit_sets=(frozenset(),) * front.num_exit))
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +284,11 @@ def _front_clean_view(p: GatePartition) -> GatePartition:
 
 
 def _prefix_language(base: SequentialPartition, i: int, finals: frozenset[int]) -> Nfa:
-    return dataclasses.replace(base.front.slice(i, 0), final=finals)
+    return core._view(base.front.slice(i, 0), exit_sets=(finals,))
 
 
 def _suffix_language(base: SequentialPartition, starts: frozenset[int], j: int) -> Nfa:
-    return dataclasses.replace(base.rear.slice(0, j), initial=starts)
+    return core._view(base.rear.slice(0, j), entry_sets=(starts,))
 
 
 def check_equal(p: GatePartition, *, budget: int | None = None) -> bool:

@@ -21,7 +21,6 @@ automaton.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 from functools import cached_property
@@ -116,8 +115,8 @@ def _live(nsyms: int, delta: list[int], exits: list[int]) -> bytearray:
 class _Exploration(NamedTuple):
     """A powerset exploration: macrostate masks in discovery order, the
     kernel's flat ``delta``, the start macrostate of each start set, the
-    accepting macrostates of each accepting set, with trim the live marks,
-    and the symbol id of each position of a ``delta`` row.
+    accepting macrostates of each accepting set, for a complement the live
+    marks, and the symbol id of each position of a ``delta`` row.
     """
 
     macros: list[int]
@@ -145,13 +144,14 @@ class _Rows(NamedTuple):
     accepting: list[int]
     reverse: bool
 
-    def finish(self, macros: list[int], delta: list[int], complement: bool, trim: bool) -> _Exploration:
-        """The exploration whose kernel run gave ``macros`` and ``delta``; the
-        kernel interns the distinct start masks first, in port order."""
+    def finish(self, macros: list[int], delta: list[int], complement: bool) -> _Exploration:
+        """The exploration whose kernel run gave ``macros`` and ``delta``, with
+        live marks for a complement; the kernel interns the distinct start
+        masks first, in port order."""
         index: dict[int, int] = {}
         entries = [index.setdefault(m, len(index)) for m in self.starts]
         exits = [[i for i, m in enumerate(macros) if bool(m & em) != complement] for em in self.accepting]
-        live = _live(len(self.syms), delta, [i for ids in exits for i in ids]) if trim else None
+        live = _live(len(self.syms), delta, [i for ids in exits for i in ids]) if complement else None
         return _Exploration(macros, delta, entries, exits, live, self.reverse, self.syms)
 
 
@@ -180,7 +180,6 @@ def _explore_port(
     a: Automaton,
     budget: int | None,
     complement: bool = False,
-    trim: bool = False,
     directions: tuple[Direction, ...] = (Direction.FORWARD,),
     skip: frozenset[int] = frozenset(),
     log: list | None = None,
@@ -189,7 +188,8 @@ def _explore_port(
     """The exploration of the powerset of ``a`` from each entry set, or
     reversed of rev(a) from each exit set, chosen among ``directions``.  A
     macrostate accepts for an exit set (an entry set when reversed) when it
-    meets it, or with ``complement`` when it does not.  The symbols in
+    meets it, or with ``complement`` when it does not; a complement is
+    trimmed, its macrostates marked live or dead.  The symbols in
     ``skip``, which ``a`` must not use, are left out: the kernel gets the
     table rows of the others, in order.
 
@@ -210,7 +210,7 @@ def _explore_port(
     while None in outcome:
         for i, x in enumerate(runs):
             if outcome[i] is None and (status := x.advance(limit)) is not False:
-                outcome[i] = rows[i].finish(x.macros, x.delta, complement, trim) if status else "budget"
+                outcome[i] = rows[i].finish(x.macros, x.delta, complement) if status else "budget"
         if None in outcome:  # two directions, one still running
             sizes = [x.size for x in outcome if isinstance(x, _Exploration)]
             for i, x in enumerate(runs):
@@ -262,18 +262,20 @@ def determinize(a: Automaton, *, budget: int | None = None) -> MacrostateDfa:
     return MacrostateDfa(_build(a, x), tuple(x.macros))
 
 
-def complement_dfa(d: MacrostateDfa | Nfa) -> Nfa:
-    """Complement a complete DFA by flipping its final states."""
+def complement_dfa(d: MacrostateDfa | Automaton) -> Automaton:
+    """Complement a complete DFA by flipping its final states (of a port DFA,
+    each exit set), as a view that keeps the DFA's moves."""
     dfa = d.nfa if isinstance(d, MacrostateDfa) else d
     if not core.is_deterministic(dfa) or not core.is_complete(dfa):
         raise ValueError("complement_dfa needs a deterministic, complete automaton")
-    return dataclasses.replace(dfa, final=frozenset(range(dfa.num_states)) - dfa.final)
+    everything = frozenset(range(dfa.num_states))
+    return core._view(dfa, exit_sets=[everything - f for f in dfa.exit_sets])
 
 
-def forward_complement(a: Automaton, *, trim: bool = True, budget: int | None = None) -> Automaton:
-    """co(det(a)), every slice complemented.  Trimming drops dead macrostates
-    (and may break completeness)."""
-    return _build(a, _explore_port(a, budget, complement=True, trim=trim))
+def forward_complement(a: Automaton, *, budget: int | None = None) -> Automaton:
+    """co(det(a)), every slice complemented; dead macrostates are trimmed, which
+    may break completeness (``complement_dfa(determinize(a))`` keeps them)."""
+    return _complement(a, Direction.FORWARD, budget)[0]
 
 
 def reverse_complement(a: Automaton, *, budget: int | None = None) -> Automaton:
@@ -284,7 +286,7 @@ def reverse_complement(a: Automaton, *, budget: int | None = None) -> Automaton:
 def _complement(a: Automaton, direction: Direction, budget: int | None) -> tuple[Automaton, int]:
     """The trimmed powerset complement of ``a`` in ``direction``, and its size before trimming."""
     # A state of rev(raw) survives trim exactly when it reaches an exit of raw.
-    x = _explore_port(a, budget, complement=True, trim=True, directions=(direction,))
+    x = _explore_port(a, budget, complement=True, directions=(direction,))
     return _build(a, x), len(x.macros)
 
 

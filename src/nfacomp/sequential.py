@@ -13,7 +13,6 @@ folds them together.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from collections import deque
 from dataclasses import dataclass
@@ -79,10 +78,7 @@ def determinize_front(p: SequentialPartition, *, budget: int | None = None) -> S
         {(mi, sym, off + p.rear_index[t]) for (x, sym, t) in p.transfer for mi in containing.get(p.front_index[x], ())}
     )
     names = core._merged_names(det, rear)
-    if names[:off] != det.state_names:
-        det = dataclasses.replace(det, state_names=names[:off])
-    if names[off:] != rear.state_names:
-        rear = dataclasses.replace(rear, state_names=names[off:])
+    det, rear = core._view(det, state_names=names[:off]), core._view(rear, state_names=names[off:])
     return SequentialPartition(tuple(range(off)), tuple(range(off, off + rear.num_states)), det, rear, tuple(lifted))
 
 
@@ -303,15 +299,7 @@ def _compose(
         for m in {tracked for (_q, tracked) in decoded}
     }
     names = tuple(f.state_name(q) + tracked_names[tracked] for (q, tracked) in decoded)
-    out = PortNfa(
-        f.alphabet,
-        len(states),
-        frozenset(transitions),
-        tuple(entry_ids),
-        tuple(exit_ids),
-        state_names=names,
-    )
-    return out, decoded, pruned[0]
+    return core._rebuild(f, len(states), frozenset(transitions), entry_ids, exit_ids, names), decoded, pruned[0]
 
 
 def seq_complement_generalized(
@@ -344,8 +332,8 @@ def seq_complement_basic(a1: Nfa, a2: Nfa, c: str, *, budget: int | None = None)
     (qf,) = a1.final
     (qi,) = a2.initial
     names = core._merged_names(a1, a2)  # None, or a nonempty tuple
-    front = PortNfa(a1.alphabet, n1, a1.transitions, (a1.initial,), (frozenset(),), state_names=names and names[:n1])
-    rear = PortNfa(a2.alphabet, n2, a2.transitions, (frozenset(),), (a2.final,), state_names=names and names[n1:])
+    front = core._view(a1, PortNfa, exit_sets=(frozenset(),), state_names=names and names[:n1], name=None)
+    rear = core._view(a2, PortNfa, entry_sets=(frozenset(),), state_names=names and names[n1:], name=None)
     split = SequentialPartition(tuple(range(n1)), tuple(range(n1, n1 + n2)), front, rear, ((qf, sym, n1 + qi),))
     part = determinize_front(split, budget=budget)
     c2 = reverse_complement(part.rear_for_targets(), budget=budget)

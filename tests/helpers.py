@@ -4,6 +4,7 @@ Everything here is deliberately naive: the point is to have a second,
 independent route to every answer the library computes cleverly.
 """
 
+import copy
 import dataclasses
 import itertools
 import random
@@ -305,12 +306,14 @@ def explore_port_reference(p, *, budget=None):
 def one_shot_explore_port_reference(a, budget, complement=False, trim=False, reverse=False, skip=frozenset()):
     """``powerset._explore_port`` as it was before the lockstep loop drove
     every exploration: one direction, its rows explored whole (by the plain
-    subset exploration below), then finished."""
+    subset exploration below), then finished.  Without ``trim`` a complement
+    keeps no live marks: it is the untrimmed complement."""
     rows = powerset._port_rows(a, reverse, skip)
     res = explore_subsets_reference(rows.nstates, len(rows.syms), rows.succ, rows.starts, budget)
     if res is None:
         raise BudgetExceededError("macrostate budget exceeded", budget=budget)
-    return rows.finish(*res, complement, trim)
+    x = rows.finish(*res, complement)
+    return x if trim else x._replace(live=None)
 
 
 # --- the kernels, one state at a time -----------------------------------------
@@ -475,9 +478,9 @@ def complement_reference(a, direction, budget=None):
     the forward construction, as ``rev(co(det(rev(a))))`` reads.
     """
     if direction is powerset.Direction.FORWARD:
-        raw = powerset.forward_complement(a, trim=False, budget=budget)
+        raw = powerset.complement_dfa(powerset.determinize(a, budget=budget))
         return core.trim(raw), raw.num_states
-    raw = powerset.forward_complement(core.reverse(a), trim=False, budget=budget)
+    raw = powerset.complement_dfa(powerset.determinize(core.reverse(a), budget=budget))
     return core.trim(core.reverse(raw)), raw.num_states
 
 
@@ -640,7 +643,7 @@ def automata_and_complements(seed, budget=1024):
         for complement in (
             lambda: powerset._complement(a, powerset.Direction.FORWARD, budget)[0],
             lambda: powerset._complement(a, powerset.Direction.REVERSE, budget)[0],
-            lambda: powerset.forward_complement(a, trim=False, budget=budget),
+            lambda: powerset.complement_dfa(powerset.determinize(a, budget=budget)),
         ):
             try:
                 yield complement()
@@ -1306,6 +1309,13 @@ def suffix_language_reference(base, starts, j):
     return dataclasses.replace(slice_reference(base.rear, 0, j), initial=starts)
 
 
+def renamed_reference(a, name):
+    """``a`` under another name, as a shallow copy with its name set."""
+    out = copy.copy(a)
+    object.__setattr__(out, "name", name)
+    return out
+
+
 def _written(a):
     """``serialize(a)``, or the text of the ``ValueError`` it raises."""
     try:
@@ -1324,9 +1334,13 @@ def assert_same_build(got, want):
 
 
 def count_validations(monkeypatch) -> list[str]:
-    """Log the class name of every automaton validated from now on, by the
-    constructor (``_normalize_and_check``) or by ``core._from_table``
-    (``_check_table``): each build is validated once, by one of the two."""
+    """Log the class name of every automaton validated from now on.
+
+    A full validation, by the constructor or ``core._rebuild``
+    (``_normalize_and_check``) or by ``core._from_table`` (``_check_table``),
+    logs ``"Nfa"`` or ``"PortNfa"``: each build is validated once, by one of
+    the two.  A view (``core._view``), which checks only its port sets and
+    names, logs ``"view:Nfa"`` or ``"view:PortNfa"``."""
     calls = []
     for name in ("_normalize_and_check", "_check_table"):
         def counted(self, check=getattr(core._Automaton, name)):
@@ -1334,4 +1348,12 @@ def count_validations(monkeypatch) -> list[str]:
             check(self)
 
         monkeypatch.setattr(core._Automaton, name, counted)
+    view = core._view
+
+    def counted_view(*args, **kwargs):
+        out = view(*args, **kwargs)
+        calls.append(f"view:{type(out).__name__}")
+        return out
+
+    monkeypatch.setattr(core, "_view", counted_view)
     return calls

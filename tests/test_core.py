@@ -382,24 +382,27 @@ def _constructor_twin(a, x):
 def _explorations():
     """Seeded plain and port NFAs (65-90-state ones among them, and port NFAs
     over an extra symbol they do not use, explored without it), each
-    explored forward and reverse, trimmed or not, complemented or not."""
+    explored forward and reverse, complemented (trimmed or not) or not."""
     rng = random.Random(3131)
     inputs = [helpers.random_nfa(rng, max_states=9) for _ in range(40)]
     inputs += [helpers.random_port_nfa(rng, num_entry=rng.randint(1, 3), num_exit=rng.randint(1, 3)) for _ in range(20)]
     inputs += [helpers.random_nfa(rng, max_states=90, min_states=65, max_syms=2) for _ in range(2)]
     inputs += [helpers.random_port_nfa(rng, max_states=90, min_states=65) for _ in range(2)]
     for a in inputs:
-        for direction, trim, complement in itertools.product(powerset.Direction, (False, True), (False, True)):
+        for direction, complement in itertools.product(powerset.Direction, (False, True)):
             try:
-                yield a, powerset._explore_port(a, 2048, complement, trim, (direction,))
+                x = powerset._explore_port(a, 2048, complement, (direction,))
             except BudgetExceededError:
                 continue
+            yield a, x
+            if complement:
+                yield a, x._replace(live=None)  # the complement untrimmed
     for _ in range(10):
         p = helpers.random_port_nfa(rng, max_syms=2)
         shifted = {(src, sym + 1, dst) for (src, sym, dst) in p.transitions}
         wide = core.PortNfa(("x",) + p.alphabet, p.num_states, shifted, p.entry_sets, p.exit_sets)
         direction = powerset.Direction.REVERSE if rng.random() < 0.5 else powerset.Direction.FORWARD
-        yield wide, powerset._explore_port(wide, 2048, True, True, (direction,), skip=frozenset({0}))
+        yield wide, powerset._explore_port(wide, 2048, True, (direction,), skip=frozenset({0}))
 
 
 def test_table_built_automata_equal_their_constructor_twins():
@@ -471,15 +474,29 @@ def _split_with_rear(rear, rng):
     return core.SequentialPartition((0,), tuple(range(1, n + 1)), front, rear, tuple(sorted(transfer)))
 
 
+def _port_fields(a, entry_sets, exit_sets):
+    """The constructor fields of ``a``'s class that hold these port sets."""
+    if isinstance(a, core.Nfa):
+        (initial,), (final,) = entry_sets, exit_sets
+        return {"initial": initial, "final": final}
+    return {"entry_sets": entry_sets, "exit_sets": exit_sets}
+
+
 def test_views_match_the_derivations_they_replace():
-    """Every slice, port variant and complement of a complete DFA equals the
-    constructor or dataclasses.replace build it replaces: class, fields,
-    written file and name."""
+    """Every slice, port variant, rename and complement of a complete DFA
+    equals the constructor, dataclasses.replace or copy build it replaces:
+    class, fields, written file and name.  It shares the source's moves (a
+    table stays unspelled) and the tables built from them, and it rejects
+    port sets and names with the constructor's texts."""
     rng = random.Random(2627)
     seen = Counter()
     for kind, build in _view_sources():
         a, b = build(), build()  # views come from a, references from b
-        views, wants = [], []
+        derived = (a.succ_masks, a.pred_masks, core.scc_condensation(a))
+        n = a.num_states
+        names = tuple(f"r{q}" for q in range(n))
+        views = [core._view(a, name="renamed"), core._view(a, state_names=names)]
+        wants = [helpers.renamed_reference(b, "renamed"), dataclasses.replace(b, state_names=names)]
         for i in range(a.num_entry):
             for j in range(a.num_exit):
                 views.append(a.slice(i, j))
@@ -496,8 +513,26 @@ def test_views_match_the_derivations_they_replace():
         twin = _split_with_rear(b if isinstance(b, core.PortNfa) else helpers.as_port_reference(b), random.Random(seed))
         views += [split.rear_for_targets(), split.rear_for_equal()]
         wants += [helpers.rear_for_targets_reference(twin), helpers.rear_for_equal_reference(twin)]
+        for view in views:
+            shared = (view.succ_masks, view.pred_masks, core.scc_condensation(view))
+            assert all(x is y for x, y in zip(shared, derived))
+            if kind == "set":
+                assert vars(view)["transitions"] is a.transitions
+            else:
+                assert "transitions" not in vars(view) and vars(view)["_table"] is vars(a)["_table"]
+        assert kind == "set" or "transitions" not in vars(a)
         for view, want in zip(views, wants):
             helpers.assert_same_build(view, want)
+        bad = [dict(state_names=("x",) * (n + 1))]
+        bad.append(dict(entry_sets=a.entry_sets[:-1] + (frozenset({n}),)))
+        bad.append(dict(exit_sets=a.exit_sets[:-1] + (frozenset({rng.choice((-1, n + 1))}),)))
+        for kw in bad:
+            with pytest.raises(ValueError) as got:
+                core._view(a, **kw)
+            ports = _port_fields(b, kw.get("entry_sets", b.entry_sets), kw.get("exit_sets", b.exit_sets))
+            with pytest.raises(ValueError) as want:
+                dataclasses.replace(b, **ports, **{k: v for k, v in kw.items() if k == "state_names"})
+            assert str(got.value) == str(want.value)
         seen[kind, type(a).__name__] += 1
         seen["large"] += a.num_states > 64
         seen["empty"] += a.num_states == 0

@@ -346,7 +346,7 @@ def _writer_cases():
             yield v
             for direction in powerset.Direction:
                 try:
-                    x = powerset._explore_port(v, BUDGET, complement=True, trim=True, directions=(direction,))
+                    x = powerset._explore_port(v, BUDGET, complement=True, directions=(direction,))
                 except BudgetExceededError:
                     continue
                 yield powerset._build(v, x), not all(x.live)
@@ -365,7 +365,7 @@ def _writer_cases():
         wide = core.PortNfa(("a", "x", "b"), p.num_states, shifted, p.entry_sets, p.exit_sets)
         for v in (wide, _renamed(wide, rng)):
             direction = powerset.Direction.REVERSE if rng.random() < 0.5 else powerset.Direction.FORWARD
-            x = powerset._explore_port(v, BUDGET, True, True, (direction,), skip=frozenset({1}))
+            x = powerset._explore_port(v, BUDGET, True, (direction,), skip=frozenset({1}))
             yield powerset._build(v, x), not all(x.live)
     # Table-built by hand: state 1 is isolated; then state 1 only moves to state 0 on b.
     plain = core.Nfa.build(("a", "b"), 1, [], {0}, set())

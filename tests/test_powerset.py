@@ -40,7 +40,7 @@ def test_determinize_language(a):
 def test_forward_complement_a2():
     c = powerset.forward_complement(A2)
     assert c.num_states == 8
-    assert powerset.forward_complement(A2, trim=False).num_states == 8
+    assert powerset.complement_dfa(powerset.determinize(A2)).num_states == 8
     assert helpers.brute_complement_ok(A2, c, 6)
 
 
@@ -98,7 +98,8 @@ def test_complement_dfa_requires_deterministic():
 
 def test_complement_dfa_flips_the_final_states_of_the_powerset():
     d = powerset.determinize(A2)
-    assert powerset.complement_dfa(d) == powerset.forward_complement(A2, trim=False)
+    untrimmed = helpers.one_shot_explore_port_reference(A2, None, complement=True, trim=False)
+    assert powerset.complement_dfa(d) == powerset._build(A2, untrimmed)
 
 
 def test_budget_exceeded():
@@ -280,41 +281,41 @@ def test_explore_port_matches_the_one_shot_reference():
     seen = Counter()
     for a, skip in _one_direction_cases():
         for d in powerset.Direction:
-            for complement, trim in ((False, False), (True, False), (True, True)):
-                args = (complement, trim, d is powerset.Direction.REVERSE, skip)
+            for complement in (False, True):
+                args = (complement, complement, d is powerset.Direction.REVERSE, skip)
                 try:
                     expected = helpers.one_shot_explore_port_reference(a, 4096, *args)
                 except BudgetExceededError:
                     with pytest.raises(BudgetExceededError, match="^macrostate budget exceeded$"):
-                        powerset._explore_port(a, 4096, complement, trim, (d,), skip)
+                        powerset._explore_port(a, 4096, complement, (d,), skip)
                     seen["over"] += 1
                     continue
                 count = len(expected.macros)
                 for budget in (4096, count):
-                    got = powerset._explore_port(a, budget, complement, trim, (d,), skip)
+                    got = powerset._explore_port(a, budget, complement, (d,), skip)
                     assert type(got) is powerset._Exploration
                     assert got._asdict() == expected._asdict()
                 with pytest.raises(BudgetExceededError, match="^macrostate budget exceeded$") as err:
-                    powerset._explore_port(a, count - 1, complement, trim, (d,), skip)
+                    powerset._explore_port(a, count - 1, complement, (d,), skip)
                 assert err.value.budget == count - 1
                 seen[d.value, bool(skip), type(a).__name__] += 1
-                seen["dropped"] += trim and not all(expected.live)
+                seen["dropped"] += complement and not all(expected.live)
     assert seen["over"] > 0 and seen["dropped"] > 0
     assert len(seen) == 2 + 2 * 2 * 2, seen
 
 
 def test_complement_file_to_file_validates_twice(tmp_path, monkeypatch):
     # Once for the parsed input and once for the built output, in either
-    # direction: trimming and naming the output build nothing more, and
-    # reverse explores the transposed table and builds the result reversed,
+    # direction: trimming builds nothing more, naming the output makes a view,
+    # and reverse explores the transposed table and builds the result reversed,
     # with no reversed automaton on either side of the construction.
     src, dst = tmp_path / "a.nfa", tmp_path / "c.nfa"
     src.write_text(fileformat.serialize(reverse_friendly(3)))
     calls = helpers.count_validations(monkeypatch)
-    for method, validations in (("forward", 2), ("reverse", 2)):
+    for method in ("forward", "reverse"):
         calls.clear()
         assert cli.main(["complement", "-m", method, "-i", str(src), "-o", str(dst)]) == 0
-        assert len(calls) == validations, (method, calls)
+        assert calls == ["Nfa", "Nfa", "view:Nfa"], (method, calls)
         assert fileformat.parse(dst.read_text()).name == "A3_complement"
 
 

@@ -215,10 +215,11 @@ def test_hopcroft_matches_reference():
 
 
 def test_hopcroft_reads_a_table_built_dfa_off_its_table():
-    # A forward complement is built from the exploration's table; minimizing
-    # it reads the moves off that table and leaves the transition set unbuilt.
-    for trim in (False, True):
-        c = powerset.forward_complement(reverse_friendly(7), trim=trim)
+    # A forward complement is built from the exploration's table, and the
+    # untrimmed one is a view of the determinization's table; minimizing reads
+    # the moves off that table and leaves the transition set unbuilt.
+    a = reverse_friendly(7)
+    for c in (powerset.complement_dfa(powerset.determinize(a)), powerset.forward_complement(a)):
         assert "transitions" not in vars(c)
         m = reduction.hopcroft_minimize(c)
         assert "transitions" not in vars(c)

@@ -189,14 +189,41 @@ def test_seq_complement_basic_matches_the_union_route():
 
 
 def test_seq_complement_basic_builds_the_split_from_its_parts(monkeypatch):
-    """Eight validated builds on a 2 + 2-state input: the two parts, then
-    the determinized front, the rear with its gate entries, the rear
-    complement, the composition and its slice."""
+    """Three full validations on a 2 + 2-state input: the determinized front,
+    the rear complement and the composition.  The rest are views, which
+    check only their port sets and names: the two parts, the renamed
+    determinized front and rear, the rear with its gate entries and the
+    composition's slice."""
     a1 = core.Nfa.build(("a", "b"), 2, [(0, "a", 1), (1, "b", 1)], {0}, {1})
     a2 = core.Nfa.build(("a", "b"), 2, [(0, "b", 1), (1, "a", 0)], {0}, {1})
     calls = helpers.count_validations(monkeypatch)
     sequential.seq_complement_basic(a1, a2, "a")
-    assert len(calls) == 8, calls
+    assert calls == ["view:PortNfa"] * 2 + ["PortNfa"] + ["view:PortNfa"] * 3 + ["PortNfa"] * 2 + ["view:Nfa"]
+
+
+def test_each_input_is_condensed_once(monkeypatch, tmp_path):
+    """``seq_pipeline_best`` condenses its input once for all its strategies,
+    and ``-m portfolio`` once for sequential and gate: the condensation is
+    cached on the automaton and shared with its port view."""
+    condensed = []
+    condense = core._condense
+    monkeypatch.setattr(core, "_condense", lambda a: condensed.append(a) or condense(a))
+    rng = random.Random(2631)
+    inputs = [gate_chain(4), sequential_chain(4), reverse_friendly(3)]
+    inputs += [helpers.random_nfa(rng, max_states=9) for _ in range(20)]
+    for a in inputs:
+        condensed.clear()
+        try:
+            sequential.seq_pipeline_best(a, budget=4096)
+        except BudgetExceededError:
+            pass
+        assert len(condensed) == 1
+    src, dst = tmp_path / "a.nfa", tmp_path / "c.nfa"
+    for a in inputs[:3]:
+        src.write_text(fileformat.serialize(a))
+        condensed.clear()
+        assert cli.main(["complement", "-m", "portfolio", "--budget", "4096", "-i", str(src), "-o", str(dst)]) == 0
+        assert len(condensed) == 1
 
 
 def _composition_inputs():
