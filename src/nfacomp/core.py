@@ -681,7 +681,7 @@ class SequentialPartition:
 
     @classmethod
     def of(cls, a: Automaton, front_states: Iterable[int]) -> "SequentialPartition":
-        port = a.as_port() if isinstance(a, Nfa) else a
+        port = _view(a, PortNfa)
         fset = frozenset(front_states)
         _check_states(port.num_states, fset, "front_states")
         rset = frozenset(range(port.num_states)) - fset

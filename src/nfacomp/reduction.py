@@ -48,9 +48,9 @@ def _simulation_masks(n: int, nsyms: int, succ, pred, initial_candidates: list[i
     ``Pre_a`` is the subset image under the predecessor table ``pred`` (the
     same layout as ``succ``).  The images of ``sim[q]`` under every symbol
     are one packed int from the kernels' packed tables, cached per state
-    until that state's set shrinks; the packed ints of one symbol's
-    successors are ANDed and shifted once.  A state is refined again only
-    when the set of one of its successors shrank.
+    until that state's set shrinks, and ANDed per symbol with ``sim[p]``
+    shifted to that symbol's place; a state is refined again only when the
+    set of one of its successors shrank.
     """
     tables = _packed_tables(n, nsyms, pred)
     sim = list(initial_candidates)
@@ -62,13 +62,13 @@ def _simulation_masks(n: int, nsyms: int, succ, pred, initial_candidates: list[i
         p = low.bit_length() - 1
         cur = sim[p]
         for sym in range(nsyms):
-            both = -1  # the packed images of every sym-successor, ANDed, then shifted once
+            placed = cur << sym * n  # at sym's place in a packed int: the other symbols' images fall away
             for p2 in core._bits(succ[sym * n + p]):
                 packed = pre[p2]
                 if packed is None:
                     packed = pre[p2] = _packed_image(tables, sim[p2])
-                both &= packed
-            cur &= both >> sym * n  # cur has n bits: the other symbols' images fall away
+                placed &= packed
+            cur = placed >> sym * n
         if cur != sim[p]:
             sim[p] = cur
             pre[p] = None
