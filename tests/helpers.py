@@ -12,7 +12,7 @@ import re
 from collections import Counter, deque
 
 from nfacomp import core, fileformat, gate, oracle, powerset, reduction, sequential
-from nfacomp.errors import BudgetExceededError, ParseError
+from nfacomp.errors import BudgetExceededError, NfacompError, NoGatePartitionError, ParseError
 from nfacomp.sequential import SeqComplementState
 
 
@@ -500,6 +500,104 @@ def smaller_complement_reference(a, *, budget=None):
     if not results:
         raise failure
     return min(results, key=lambda c: c.num_states)
+
+
+# --- best-of choices, every candidate built in full ---------------------------
+# The library stops a candidate once it cannot beat one that finished; these
+# build every candidate to its end and then keep the smallest, and the library
+# must choose exactly what they choose.
+
+
+def seq_pipeline_best_reference(a, rear_method=powerset.Direction.REVERSE, *, budget=None, stats=None):
+    """``sequential.seq_pipeline_best`` as it was before its strategies raced:
+    the pipeline of every distinct partition runs to its end, the smallest
+    complement wins and ties keep the first strategy in enum order."""
+    best = None
+    failure = None
+    first_with = {}
+    attempts = []
+    for strat in sequential.PartitionStrategy:
+        comps = sequential.partition(a, strat).components
+        earlier = first_with.setdefault(comps, strat)
+        if earlier is not strat:
+            attempts.append(
+                {"strategy": strat.value, "outcome": "same_partition_as", "same_partition_as": earlier.value}
+            )
+            continue
+        local = {"strategy": strat.value}
+        try:
+            cand = sequential._run_pipeline(a, comps, rear_method, budget, local)
+        except BudgetExceededError as exc:
+            failure = exc
+            attempts.append({"strategy": strat.value, "outcome": "budget"})
+            continue
+        attempts.append(
+            {
+                "strategy": strat.value,
+                "outcome": "ok",
+                "pre_trim": local["pre_trim"],
+                "pruned": local["pruned"],
+                "states": cand.num_states,
+            }
+        )
+        if best is None or cand.num_states < best[0].num_states:
+            best = (cand, strat, local)
+    if best is None:
+        raise failure if failure is not None else BudgetExceededError()
+    if stats is not None:
+        stats.update(best[2])
+        stats["attempts"] = attempts
+    return best[0], best[1]
+
+
+PORTFOLIO_ORDER = ("forward", "reverse", "sequential", "gate")
+
+
+def _portfolio_candidate(method, a, budget, rear):
+    """(output, pre-trim size, partition summary) of one portfolio method, built in full."""
+    if isinstance(a, core.PortNfa) and method not in ("forward", "reverse"):
+        raise NfacompError(f"method {method!r} works on plain @NFA inputs only")
+    if method in ("forward", "reverse"):
+        out, pre = powerset._complement(a, powerset.Direction(method), budget)
+        return out, pre, None
+    stats = {}
+    if method == "sequential":
+        out, chosen = seq_pipeline_best_reference(a, powerset.Direction(rear), budget=budget, stats=stats)
+        stats["strategy"] = chosen.value
+        return out, stats.pop("pre_trim"), stats
+    out = gate.gate_complement_auto(a, budget=budget, check_budget=10**7, stats=stats)
+    return out, out.num_states, stats
+
+
+def portfolio_reference(a, budget, rear="reverse"):
+    """``complement -m portfolio`` as it was before its candidates raced: every
+    method of ``PORTFOLIO_ORDER`` built in full, in that order; the smallest
+    wins, ties the earlier.
+
+    Returns the chosen output (None when no method finished), its method,
+    per finished method its (states, pre-trim states, transitions, partition
+    summary), and per other method its outcome: ``budget``,
+    ``no_partition`` or ``unsupported``."""
+    finished, skipped = {}, {}
+    best = None
+    for method in PORTFOLIO_ORDER:
+        try:
+            out, pre, summary = _portfolio_candidate(method, a, budget, rear)
+        except BudgetExceededError:
+            skipped[method] = "budget"
+            continue
+        except NoGatePartitionError:
+            skipped[method] = "no_partition"
+            continue
+        except NfacompError:
+            skipped[method] = "unsupported"
+            continue
+        finished[method] = (out.num_states, pre, out.num_transitions, summary)
+        if best is None or out.num_states < best[0].num_states:
+            best = (out, method)
+    if best is None:
+        return None, None, finished, skipped
+    return best[0], best[1], finished, skipped
 
 # --- the reductions, pair by pair and block by block --------------------------
 # The library refines simulation through cached predecessor images and a
