@@ -13,6 +13,9 @@ change.  The file keeps every raw result line and each pair's uncalibrated
 and for the uncalibrated ``raw_round_s``, each side's median and quartiles
 and the number of pairs in which the change is lower; for ``round_s`` also
 the difference of the medians against the parent's interquartile spread.
+``claim_check.holds`` is true only when the change is lower in at least 9 of
+10 pairs, the median difference exceeds the parent's interquartile spread,
+and the uncalibrated median is lower too.
 With ``--trace`` one ``--trace 1`` run per side is kept instead, with its
 per-layer split.  Runs of further workloads
 are merged into the same file, keyed by workload; fields the script does
@@ -77,14 +80,29 @@ def summarize(pairs):
     summary["raw_round_s"] = compare({side: [p["raw_round_s"][side] for p in pairs] for side in SIDES})
     summary["correct"] = [[r[side]["correct"] for side in SIDES] for r in results]
     summary["failed"] = [[r[side]["failed"] for side in SIDES] for r in results]
-    parent, change = summary["round_s"]["parent_median_q1_q3"], summary["round_s"]["change_median_q1_q3"]
+    return summary, claim_check(summary)
+
+
+def claim_check(summary):
+    """The figures a claim that the change lowers ``round_s`` rests on, and
+    whether it ``holds``: lower in at least 9 of 10 pairs, a median difference
+    above the parent's interquartile spread, and a lower uncalibrated median."""
+    cal, raw = summary["round_s"], summary["raw_round_s"]
     claim = {
         "metric": "round_s",
-        "change_lower_in": summary["round_s"]["change_lower_in"],
-        "median_difference_s": round(parent[0] - change[0], 5),
-        "parent_iqr_s": round(parent[2] - parent[1], 5),
+        "change_lower_in": cal["change_lower_in"],
+        "median_difference_s": round(cal["parent_median_q1_q3"][0] - cal["change_median_q1_q3"][0], 5),
+        "parent_iqr_s": round(cal["parent_median_q1_q3"][2] - cal["parent_median_q1_q3"][1], 5),
+        "raw_change_lower_in": raw["change_lower_in"],
+        "raw_median_difference_s": round(raw["parent_median_q1_q3"][0] - raw["change_median_q1_q3"][0], 5),
     }
-    return summary, claim
+    lower, pairs = map(int, cal["change_lower_in"].split("/"))
+    claim["holds"] = (
+        10 * lower >= 9 * pairs
+        and claim["median_difference_s"] > claim["parent_iqr_s"]
+        and claim["raw_median_difference_s"] > 0
+    )
+    return claim
 
 
 def positive_int(text: str) -> int:

@@ -15,7 +15,7 @@ from .core import (
     language_disjoint,
     language_equivalent,
 )
-from .errors import BudgetExceededError, NfacompError, NoGatePartitionError, ParseError
+from .errors import BudgetExceededError, CutError, NfacompError, NoGatePartitionError, ParseError
 from .families import gate_chain, generate_family, reverse_friendly, sequential_chain
 from .fileformat import parse, serialize
 from .gate import GateDirection, GateMethod, GatePartition, gate_complement_auto, gate_complement_basic
@@ -46,7 +46,7 @@ __all__ = [
     "Nfa", "PortNfa", "SequentialPartition", "Direction", "PartitionStrategy",
     "GateDirection", "GateMethod", "GatePartition", "DirectionChoice",
     "ComplementReport", "OracleVerdict",
-    "NfacompError", "ParseError", "BudgetExceededError", "NoGatePartitionError",
+    "NfacompError", "ParseError", "BudgetExceededError", "NoGatePartitionError", "CutError",
     "accepts", "antichain_inclusion", "language_equivalent", "language_disjoint",
     "determinize", "forward_complement", "reverse_complement",
     "port_forward_complement", "port_reverse_complement",

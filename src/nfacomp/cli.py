@@ -21,7 +21,7 @@ import time
 
 from . import core, gate, heuristic, powerset, reduction, sequential
 from .core import Nfa, PortNfa
-from .errors import BudgetExceededError, NfacompError, NoGatePartitionError, ParseError
+from .errors import BudgetExceededError, CutError, NfacompError, NoGatePartitionError, ParseError
 from .families import FAMILY_KINDS, generate_family
 from .fileformat import parse, serialize
 from .oracle import exact_complement_check, oracle_complement_check
@@ -33,7 +33,10 @@ DEFAULT_MACRO_BUDGET = 10**6
 DEFAULT_ANTICHAIN_BUDGET = 10**7
 
 METHODS = ("forward", "reverse", "auto", "sequential", "gate", "portfolio")
-PORTFOLIO_ORDER = ("forward", "reverse", "sequential", "gate")
+PORTFOLIO_ORDER = ("forward", "reverse", "sequential", "gate")  # the tie order
+# Gate first, whose output is no trimmed exploration and so has no bar,
+# then sequential; the powerset directions are most often cut.
+PORTFOLIO_RUN_ORDER = ("gate", "sequential", "forward", "reverse")
 
 
 def _read_automaton(path: str | None):
@@ -66,11 +69,11 @@ def _run_auto(a, budget):
     }
 
 
-def _run_sequential(a, budget, strategy: str, rear: str):
+def _run_sequential(a, budget, strategy: str, rear: str, bar=None):
     rear_method = Direction(rear)
     stats: dict = {}
     if strategy == "all":
-        out, chosen = sequential.seq_pipeline_best(a, rear_method, budget=budget, stats=stats)
+        out, chosen = sequential.seq_pipeline_best(a, rear_method, budget=budget, stats=stats, bar=bar)
         stats["strategy"] = chosen.value
     else:
         out = sequential.seq_pipeline(a, PartitionStrategy(strategy), rear_method, budget=budget, stats=stats)
@@ -84,17 +87,19 @@ def _run_gate(a, budget):
     return out, out.num_states, {"partition_summary": stats}
 
 
-def _run_method(method: str, a, budget, strategy: str, rear: str):
-    """Returns (output automaton, pre-trim size, report extras)."""
+def _run_method(method: str, a, budget, strategy: str, rear: str, bar=None):
+    """Returns (output automaton, pre-trim size, report extras).  A ``bar``
+    (portfolio's, for the powerset and sequential methods) raises
+    ``CutError`` once the output cannot stay below it."""
     if isinstance(a, PortNfa) and method not in ("forward", "reverse"):
         raise NfacompError(f"method {method!r} works on plain @NFA inputs only")
     if method in ("forward", "reverse"):
-        out, pre = powerset._complement(a, Direction(method), budget)
+        out, pre = powerset._complement(a, Direction(method), budget, bar)
         return out, pre, {}
     if method == "auto":
         return _run_auto(a, budget)
     if method == "sequential":
-        return _run_sequential(a, budget, strategy, rear)
+        return _run_sequential(a, budget, strategy, rear, bar)
     return _run_gate(a, budget)
 
 
@@ -150,6 +155,8 @@ def _skip_outcome(exc: NfacompError) -> str:
         return "budget"
     if isinstance(exc, NoGatePartitionError):
         return "no_partition"
+    if isinstance(exc, CutError):
+        return "cut"
     return "unsupported"
 
 
@@ -158,28 +165,29 @@ def _cmd_complement(args) -> int:
     budget = args.budget
 
     if args.method == "portfolio":
-        reports = []
-        skipped = []
-        best = None  # (output, method name)
-        for method in PORTFOLIO_ORDER:
+        # Each method is cut once it cannot beat the methods finished before it.
+        rank = PORTFOLIO_ORDER.index
+        finished = {}  # method -> (output, report)
+        skipped = {}
+        for method in PORTFOLIO_RUN_ORDER:
+            bar = powerset._bar((c.num_states, rank(method) < rank(m)) for m, (c, _r) in finished.items())
             start = time.perf_counter()
             try:
-                out, pre, extras = _run_method(method, a, budget, "all", args.rear)
+                out, pre, extras = _run_method(method, a, budget, "all", args.rear, bar)
             except NfacompError as exc:
-                skipped.append({"method": method, "outcome": _skip_outcome(exc)})
+                skipped[method] = {"method": method, "outcome": _skip_outcome(exc)}
                 continue
             elapsed = (time.perf_counter() - start) * 1000.0
-            reports.append(_report(method, a, out, pre, extras, elapsed))
-            if best is None or out.num_states < best[0].num_states:
-                best = (out, method)
-        if best is None:
+            finished[method] = (out, _report(method, a, out, pre, extras, elapsed))
+        if not finished:
             raise BudgetExceededError("no portfolio method finished within budget")
-        out, selected = best
+        selected = min(finished, key=lambda m: (finished[m][0].num_states, rank(m)))
+        out = finished[selected][0]
         stats_doc: object = {
             "method": "portfolio",
             "selected": selected,
-            "reports": [r.as_dict() for r in reports],
-            "skipped": skipped,
+            "reports": [finished[m][1].as_dict() for m in PORTFOLIO_ORDER if m in finished],
+            "skipped": [skipped[m] for m in PORTFOLIO_ORDER if m in skipped],
         }
     else:
         start = time.perf_counter()

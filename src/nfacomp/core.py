@@ -115,12 +115,16 @@ class _Automaton:
             if len(self.state_names) != self.num_states:
                 raise ValueError("state_names length must match num_states")
 
+    _source = None  # for a view, the automaton it was made from, whose moves it shares
+
     def __getattr__(self, attr):
-        # Only a table-built automaton lacks ``transitions``; it is spelled out on first use.
+        # Only a table-built automaton lacks ``transitions``; it is spelled out on first use, once for
+        # the automaton and its views.
         if attr != "transitions" or "_table" not in self.__dict__:
             return object.__getattribute__(self, attr)
-        object.__setattr__(self, "transitions", frozenset(self._edges()))
-        return self.transitions
+        edges = frozenset(self._edges()) if self._source is None else self._source.transitions
+        object.__setattr__(self, "transitions", edges)
+        return edges
 
     def _edges(self):
         """The transitions as (src, symbol index, dst), read off the table if there is one."""
@@ -149,6 +153,8 @@ class _Automaton:
     @cached_property
     def succ_masks(self) -> list[int]:
         """Flat successor table for the kernels: index sym*num_states+q -> bitmask."""
+        if self._source is not None:
+            return self._source.succ_masks
         table = [0] * (len(self.alphabet) * self.num_states)
         for (src, sym, dst) in self._edges():
             table[sym * self.num_states + src] |= 1 << dst
@@ -158,6 +164,8 @@ class _Automaton:
     def pred_masks(self) -> list[int]:
         """Flat predecessor table, the reversal's successor table: index
         sym*num_states+q -> bitmask of q's predecessors on sym."""
+        if self._source is not None:
+            return self._source.pred_masks
         table = [0] * (len(self.alphabet) * self.num_states)
         for (src, sym, dst) in self._edges():
             table[sym * self.num_states + dst] |= 1 << src
@@ -165,7 +173,7 @@ class _Automaton:
 
     @cached_property
     def _scc(self) -> "SccDag":
-        return _condense(self)
+        return _condense(self) if self._source is None else self._source._scc
 
     @property
     def num_transitions(self) -> int:
@@ -306,18 +314,19 @@ def _from_table(a: Automaton, num_states, table, syms, reverse, entry_sets, exit
     return out
 
 
-_SHARED = ("transitions", "_table", "symbol_ids", "succ_masks", "pred_masks", "_scc")
+_SHARED = ("transitions", "_table", "symbol_ids")
 
 
 def _view(a: Automaton, cls=None, *, entry_sets=None, exit_sets=None, state_names=..., name=...):
     """``a`` as an automaton of class ``cls`` (``a``'s by default) with the port
     sets, state names and name given, the others ``a``'s.  It shares ``a``'s
-    moves and the tables derived from them that ``a`` has built (``_SHARED``);
-    only its port sets and names are checked."""
+    moves (``_SHARED``), and through ``_source`` the tables derived from them,
+    built once for the automaton at the root of a chain of views and for all
+    of them; only its port sets and names are checked."""
     out = _new(cls or type(a), a.alphabet, a.num_states,
                a.entry_sets if entry_sets is None else entry_sets, a.exit_sets if exit_sets is None else exit_sets,
                a.state_names if state_names is ... else state_names, a.name if name is ... else name,
-               **{k: v for k, v in a.__dict__.items() if k in _SHARED})
+               _source=a if a._source is None else a._source, **{k: v for k, v in a.__dict__.items() if k in _SHARED})
     out._check_ports_and_names()
     return out
 
@@ -640,9 +649,14 @@ def _moves(transitions, nsyms: int, by_target: bool = False) -> set[int]:
 
 
 def is_deterministic(a: Automaton) -> bool:
-    """DFA check: single start per entry set, at most one successor per symbol."""
+    """DFA check: single start per entry set, at most one successor per symbol.
+    A forward table (``_from_table``, shared by its views) has that shape by
+    construction, so only its entry sets are checked."""
     if any(len(s) != 1 for s in a.entry_sets):
         return False
+    table = a.__dict__.get("_table")
+    if table is not None and not table[2]:
+        return True
     return len(_moves(a._edges(), len(a.alphabet))) == a.num_transitions
 
 
@@ -652,9 +666,13 @@ def is_complete(a: Automaton) -> bool:
 
 
 def is_reverse_deterministic(a: Automaton) -> bool:
-    """``is_deterministic`` of the reversal, without building it."""
+    """``is_deterministic`` of the reversal, without building it; on a reverse
+    table, only the exit sets are checked."""
     if any(len(s) != 1 for s in a.exit_sets):
         return False
+    table = a.__dict__.get("_table")
+    if table is not None and table[2]:
+        return True
     return len(_moves(a._edges(), len(a.alphabet), by_target=True)) == a.num_transitions
 
 

@@ -32,3 +32,7 @@ class BudgetExceededError(NfacompError):
 
 class NoGatePartitionError(NfacompError):
     """The input automaton admits no usable gate partition."""
+
+
+class CutError(NfacompError):
+    """A candidate of a best-of choice was stopped: it cannot beat one that finished."""

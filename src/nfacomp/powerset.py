@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from . import _kernels, core
 from .core import Automaton, Nfa
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, CutError
 
 
 class Direction(enum.Enum):
@@ -173,7 +173,18 @@ def _port_rows(a: Automaton, reverse: bool = False, skip: frozenset[int] = froze
     return _Rows(n, syms, succ, [core._mask_of(s) for s in starts], [core._mask_of(s) for s in accepting], reverse)
 
 
-_LOCKSTEP_START = 16  # macrostates each direction discovers before the first comparison
+_LOCKSTEP_START = 16  # macrostates each raced exploration discovers before the first comparison
+
+
+def _bar(finished, bar: int | None = None) -> int | None:
+    """The size at which a candidate of a best-of choice can no longer win,
+    or None.  ``finished`` holds, per finished candidate, its size and whether
+    the candidate comes before it in the tie order: it must stay below the
+    size, or reach it only when it wins the tie.  ``bar`` is the caller's."""
+    sizes = [size + first for size, first in finished]
+    if bar is not None:
+        sizes.append(bar)
+    return min(sizes, default=None)
 
 
 def _explore_port(
@@ -184,6 +195,7 @@ def _explore_port(
     skip: frozenset[int] = frozenset(),
     log: list | None = None,
     side: str = "",
+    bar: int | None = None,
 ) -> _Exploration:
     """The exploration of the powerset of ``a`` from each entry set, or
     reversed of rev(a) from each exit set, chosen among ``directions``.  A
@@ -193,34 +205,43 @@ def _explore_port(
     ``skip``, which ``a`` must not use, are left out: the kernel gets the
     table rows of the others, in order.
 
-    One direction is explored whole.  Two, forward first, run in lockstep, to
-    the same number of discovered macrostates, doubling from
-    ``_LOCKSTEP_START``; the smaller is chosen, ties forward.  Once one is
-    complete with size s, the other is cut when it cannot win: its discovered
-    macrostates that accept for some accepting set are reachable and accepting,
-    so trim keeps them, and their count bounds its size from below; reverse is
-    cut at s, forward at s + 1.  A direction out of budget is passed over; when
-    every one is, the error is raised.  With ``log`` one entry is appended:
-    ``side``, each direction's size (or ``"budget"``, or ``"cut"``), the one
-    chosen, and the macrostates each ``explored``."""
+    A complement is a candidate of a best-of choice: its discovered
+    macrostates that accept for some accepting set are reachable and
+    accepting, so trim keeps them, and their count bounds its size from
+    below.  It is cut, and never built, once that count reaches its bar
+    (``_bar``): the caller's ``bar``, and among two directions, forward first
+    in the tie order, the other's size once it is complete.  Raced
+    directions run in lockstep, to the same number of discovered
+    macrostates, doubling from ``_LOCKSTEP_START``; the count is compared at
+    each step.  One direction without a bar is explored whole.  The smaller
+    finished direction is chosen, ties forward; one out of budget is passed
+    over.  When none finishes, ``CutError`` is raised if one was cut, else
+    ``BudgetExceededError``.  With ``log`` one entry is appended: ``side``,
+    each direction's size (or ``"budget"``, or ``"cut"``), the one chosen,
+    and the macrostates each ``explored``."""
     rows = [_port_rows(a, d is Direction.REVERSE, skip) for d in directions]
     runs = [_kernels.SubsetExploration(r.nstates, len(r.syms), r.succ, r.starts, budget) for r in rows]
     outcome: list = [None] * len(runs)  # each direction's _Exploration, "budget" or "cut"
-    limit = _LOCKSTEP_START if len(runs) > 1 else None
-    while None in outcome:
+    limit = _LOCKSTEP_START if len(runs) > 1 or bar is not None else None
+    while True:
         for i, x in enumerate(runs):
             if outcome[i] is None and (status := x.advance(limit)) is not False:
                 outcome[i] = rows[i].finish(x.macros, x.delta, complement) if status else "budget"
-        if None in outcome:  # two directions, one still running
-            sizes = [x.size for x in outcome if isinstance(x, _Exploration)]
-            for i, x in enumerate(runs):
-                if sizes and outcome[i] is None:
-                    kept = sum(1 for m in x.macros if any(bool(m & em) != complement for em in rows[i].accepting))
-                    if kept >= min(sizes) + (directions[i] is Direction.FORWARD):
-                        outcome[i] = "cut"
-            limit *= 2
+        for i, x in enumerate(runs):
+            if outcome[i] is not None:
+                continue
+            cut_at = _bar([(y.size, i < j) for j, y in enumerate(outcome) if isinstance(y, _Exploration)], bar)
+            if cut_at is not None:
+                accepting = rows[i].accepting
+                if sum(1 for m in x.macros if any(bool(m & em) != complement for em in accepting)) >= cut_at:
+                    outcome[i] = "cut"
+        if None not in outcome:
+            break
+        limit *= 2
     done = [i for i, x in enumerate(outcome) if not isinstance(x, str)]
     if not done:
+        if "cut" in outcome:
+            raise CutError("cut: the complement cannot beat a finished candidate")
         raise BudgetExceededError("macrostate budget exceeded", budget=budget)
     chosen = min(done, key=lambda i: outcome[i].size) if len(done) > 1 else done[0]
     if log is not None:
@@ -283,10 +304,13 @@ def reverse_complement(a: Automaton, *, budget: int | None = None) -> Automaton:
     return _complement(a, Direction.REVERSE, budget)[0]
 
 
-def _complement(a: Automaton, direction: Direction, budget: int | None) -> tuple[Automaton, int]:
-    """The trimmed powerset complement of ``a`` in ``direction``, and its size before trimming."""
+def _complement(
+    a: Automaton, direction: Direction, budget: int | None, bar: int | None = None
+) -> tuple[Automaton, int]:
+    """The trimmed powerset complement of ``a`` in ``direction``, and its size
+    before trimming; with a ``bar``, ``CutError`` once it cannot stay below it."""
     # A state of rev(raw) survives trim exactly when it reaches an exit of raw.
-    x = _explore_port(a, budget, complement=True, directions=(direction,))
+    x = _explore_port(a, budget, complement=True, directions=(direction,), bar=bar)
     return _build(a, x), len(x.macros)
 
 

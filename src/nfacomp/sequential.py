@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from . import core
 from .core import Nfa, PortNfa, SequentialPartition
-from .errors import BudgetExceededError
-from .powerset import Direction, _build, _complement, _explore_port, reverse_complement
+from .errors import BudgetExceededError, CutError
+from .powerset import Direction, _bar, _build, _complement, _explore_port, reverse_complement
 from .reduction import simulation_reduce_port
 
 # Above this many rear-complement states, or this many pairs per state in the
@@ -148,7 +148,7 @@ def seq_complement_generalized_annotated(
 
 
 def _compose(
-    p: SequentialPartition, c2: PortNfa, budget: int | None
+    p: SequentialPartition, c2: PortNfa, budget: int | None, bar: int | None = None, identity: bool = False
 ) -> tuple[PortNfa, list[tuple[int, int]], int]:
     """The composite exploration behind the two public compositions.
 
@@ -160,7 +160,14 @@ def _compose(
     which track a successor of each.  Such a composite is never built: a
     successor union is cut off as soon as it would hold such a pair.  So the
     result is the unpruned exploration minus states that trim would drop,
-    with the survivors in the same order.
+    with the survivors in the same order.  With ``identity`` the caller
+    knows ``c2`` is reverse-deterministic with singleton exit sets, where no
+    two distinct states can be tracked together, and the pair table is not
+    computed.
+
+    With a ``bar`` the split has one entry port, so every composite is
+    reachable from it, and trim of slice (0, 0) keeps each one that accepts
+    for exit 0: ``CutError`` is raised once as many as ``bar`` are interned.
     """
     f = p.front
     if not core.is_deterministic(f) or not core.is_complete(f):
@@ -193,7 +200,7 @@ def _compose(
         gate_choices[k] = [core._mask_of(c2.entry_sets[target_port[t]]) << shift for t in sorted(ts)]
     # Per c2 state r, the shifted mask of the states that may be tracked beside
     # it, r included; every state when the pair table is not built.
-    together = _together_masks(c2)
+    together = [0] * nc if identity else _together_masks(c2)
     companions = [-1] * nc if together is None else [(m | 1 << r) << shift for r, m in enumerate(together)]
     pruned = [0]  # successor unions cut off, counted by the two helpers below
 
@@ -248,6 +255,11 @@ def _compose(
 
     index: dict[int, int] = {}
     states: list[int] = []
+    # A composite accepts for exit 0 when its front state is not in the front's
+    # exit 0 and every state it tracks is in c2's.
+    front_rejects = f.exit_sets[0]
+    rear_rejects = ~core._mask_of(c2.exit_sets[0]) << shift
+    accepting = [0]  # composites interned that accept for exit 0, counted under a bar
 
     def intern(key: int) -> int:
         i = index.get(key)
@@ -257,6 +269,10 @@ def _compose(
             i = len(states)
             index[key] = i
             states.append(key)
+            if bar is not None and not (key & rear_rejects) and (key & front_mask) not in front_rejects:
+                accepting[0] += 1
+                if accepting[0] >= bar:
+                    raise CutError("cut: the composition cannot beat a finished candidate")
         return i
 
     entry_ids: list[frozenset[int]] = []
@@ -504,12 +520,14 @@ def _run_pipeline(
     rear_method: Direction,
     budget: int | None,
     stats: dict | None,
+    bar: int | None = None,
 ) -> Nfa:
-    """seq_pipeline on the given components, in topological order."""
+    """seq_pipeline on the given components, in topological order.  A ``bar``
+    goes to the last stage, whose output is trimmed to the result."""
     if stats is not None:
         stats["component_sizes"] = [len(c) for c in comps]
     if len(comps) <= 1:
-        out, pre = _complement(a, rear_method, budget)
+        out, pre = _complement(a, rear_method, budget, bar)
         if stats is not None:
             stats["stage_sizes"] = [pre]
             stats["pre_trim"] = pre
@@ -533,15 +551,18 @@ def _run_pipeline(
 
     c_cur = _complement(w, rear_method, budget)[0]
     # Simulation is the identity, names included, on a trimmed and named complement that is reverse-
-    # deterministic with singleton exits (no word leads two states into one exit), as a reverse rear is.
-    if not core.is_reverse_deterministic(c_cur):
+    # deterministic with singleton exits (no word leads two states into one exit), as a reverse rear is;
+    # there the pair relation of the first composition is the identity too.
+    codet = core.is_reverse_deterministic(c_cur)
+    if not codet:
         c_cur = simulation_reduce_port(c_cur)
     if stats is not None:
         stats["stage_sizes"] = [c_cur.num_states]
 
     pruned = 0
     for k in range(len(chain) - 1, -1, -1):
-        c_cur, _decoded, dead = _compose(chain[k], c_cur, budget)
+        c_cur, _decoded, dead = _compose(chain[k], c_cur, budget, bar if k == 0 else None, codet)
+        codet = False
         pruned += dead
         if k > 0:
             c_cur = simulation_reduce_port(c_cur)
@@ -560,18 +581,25 @@ def seq_pipeline_best(
     *,
     budget: int | None = None,
     stats: dict | None = None,
+    bar: int | None = None,
 ) -> tuple[Nfa, PartitionStrategy]:
     """Run every partitioning strategy and keep the smallest complement.
 
     The pipeline depends on the strategy only through its components, so a
     strategy whose partition equals an earlier strategy's is not run again:
     it shares that outcome, a budget cut included.  Ties keep the first
-    strategy in enum order.  Dead composites are never built, and ``budget``
-    counts only the composites that are.  When a stats dict is supplied it
-    ends up holding the winner's numbers plus ``attempts``, one entry per
-    strategy with its outcome: ``ok`` (with ``pre_trim``, ``pruned``, the
-    successor unions cut off as dead, and trimmed ``states``), ``budget``,
-    or ``same_partition_as`` an earlier strategy.
+    strategy in enum order, so a later strategy is cut, and never built,
+    once its last composition shows that it cannot be smaller than the best
+    so far (``powerset._bar``); ``bar`` is the caller's, which cuts
+    every strategy that cannot stay below it.  When no strategy below
+    ``bar`` finishes and one was cut, the smallest is unknown and cannot
+    beat the caller's, and ``CutError`` is raised.  Dead composites are
+    never built, and ``budget`` counts only the composites that are.  When
+    a stats dict is supplied it ends up holding the winner's numbers plus
+    ``attempts``, one entry per strategy with its outcome: ``ok`` (with
+    ``pre_trim``, ``pruned``, the successor unions cut off as dead, and
+    trimmed ``states``), ``budget``, ``cut``, or ``same_partition_as`` an
+    earlier strategy.
     """
     best: tuple[Nfa, PartitionStrategy, dict] | None = None
     failure: BudgetExceededError | None = None
@@ -586,11 +614,15 @@ def seq_pipeline_best(
             )
             continue
         local: dict = {"strategy": strat.value}
+        cut_at = _bar([] if best is None else [(best[0].num_states, False)], bar)
         try:
-            cand = _run_pipeline(a, comps, rear_method, budget, local)
+            cand = _run_pipeline(a, comps, rear_method, budget, local, cut_at)
         except BudgetExceededError as exc:
             failure = exc
             attempts.append({"strategy": strat.value, "outcome": "budget"})
+            continue
+        except CutError:
+            attempts.append({"strategy": strat.value, "outcome": "cut"})
             continue
         attempts.append(
             {
@@ -603,6 +635,9 @@ def seq_pipeline_best(
         )
         if best is None or cand.num_states < best[0].num_states:
             best = (cand, strat, local)
+    cut = any(x["outcome"] == "cut" for x in attempts)
+    if cut and (best is None or bar is not None and best[0].num_states >= bar):
+        raise CutError("cut: no strategy can beat a finished candidate")
     if best is None:
         raise failure if failure is not None else BudgetExceededError()
     if stats is not None:

@@ -41,14 +41,12 @@ def test_out_dir_that_is_not_a_directory_is_a_usage_error(tmp_path, monkeypatch,
     assert exit_info.value.code == 2
 
 
-def test_every_pairs_raw_round_s_is_kept_and_summarized(tmp_path, monkeypatch):
-    # A stubbed run prints a header with its uncalibrated times and a result
-    # line.  The calibrated and raw figures disagree on purpose: the change
-    # reads higher calibrated in every pair but lower raw in two of three.
+def _stubbed_pairs(tmp_path, monkeypatch, calibrated, raw):
+    """Run the script on stubbed runs: run k of a side prints a header with the
+    uncalibrated ``raw[side][k]`` and a result line with ``calibrated[side][k]``.
+    Returns the order the sides ran in and the workload's entry of the file."""
     bench_pairs = _load()
     calls = []
-    calibrated = {"parent": [0.20, 0.21, 0.22], "change": [0.23, 0.24, 0.25]}
-    raw = {"parent": [0.30, 0.31, 0.32], "change": [0.29, 0.33, 0.28]}
 
     def fake_run(argv, cwd, capture_output, text):
         side = Path(cwd).name
@@ -61,13 +59,21 @@ def test_every_pairs_raw_round_s_is_kept_and_summarized(tmp_path, monkeypatch):
         return subprocess.CompletedProcess(argv, 0, "\n".join(header + [json.dumps(result)]) + "\n", "")
 
     monkeypatch.setattr(subprocess, "run", fake_run)
-    (tmp_path / "parent").mkdir()
-    (tmp_path / "change").mkdir()
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir(exist_ok=True)
     assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--label", "x",
                              "--workload", "powerset", "--seed", "1", "--seconds", "1",
-                             "--pairs", "3", "--out-dir", str(tmp_path)]) == 0
+                             "--pairs", str(len(raw["parent"])), "--out-dir", str(tmp_path)]) == 0
+    return calls, json.loads((tmp_path / "BENCH_x.json").read_text())["workloads"]["powerset"]
+
+
+def test_every_pairs_raw_round_s_is_kept_and_summarized(tmp_path, monkeypatch):
+    # The calibrated and raw figures disagree on purpose: the change reads
+    # higher calibrated in every pair but lower raw in two of three.
+    calibrated = {"parent": [0.20, 0.21, 0.22], "change": [0.23, 0.24, 0.25]}
+    raw = {"parent": [0.30, 0.31, 0.32], "change": [0.29, 0.33, 0.28]}
+    calls, entry = _stubbed_pairs(tmp_path, monkeypatch, calibrated, raw)
     assert calls == ["parent", "change", "change", "parent", "parent", "change"]
-    entry = json.loads((tmp_path / "BENCH_x.json").read_text())["workloads"]["powerset"]
     assert [p["raw_round_s"] for p in entry["pairs"]] == [
         {"parent": r_p, "change": r_c} for r_p, r_c in zip(raw["parent"], raw["change"])]
     summary = entry["summary"]
@@ -78,3 +84,23 @@ def test_every_pairs_raw_round_s_is_kept_and_summarized(tmp_path, monkeypatch):
         "change_lower_in": "2/3",
     }
     assert entry["header"]["change"][-1].startswith("# raw ")
+
+
+PARENT = [0.200, 0.201, 0.202, 0.203, 0.204, 0.205, 0.206, 0.207, 0.208, 0.209]  # quartiles 0.20225, 0.20675
+
+
+@pytest.mark.parametrize("case, change, raw_change, holds", [
+    ("lower in 10 of 10, by more than the spread", [p - 0.02 for p in PARENT], [0.29] * 10, True),
+    ("lower in 9 of 10", [p - 0.02 for p in PARENT[:9]] + [0.3], [0.29] * 10, True),
+    ("lower in only 8 of 10", [p - 0.02 for p in PARENT[:8]] + [0.3, 0.3], [0.29] * 10, False),
+    ("a median difference within the parent's spread", [p - 0.003 for p in PARENT], [0.29] * 10, False),
+    ("the raw median moves the other way", [p - 0.02 for p in PARENT], [0.31] * 10, False),
+])
+def test_a_claim_holds_only_when_all_three_tests_pass(tmp_path, monkeypatch, case, change, raw_change, holds):
+    calibrated = {"parent": PARENT, "change": change}
+    raw = {"parent": [0.30] * 10, "change": raw_change}
+    _calls, entry = _stubbed_pairs(tmp_path, monkeypatch, calibrated, raw)
+    claim = entry["claim_check"]
+    assert claim["holds"] is holds, (case, claim)
+    assert claim["raw_change_lower_in"] == ("10/10" if raw_change[0] < 0.30 else "0/10")
+    assert claim["raw_median_difference_s"] == round(0.30 - raw_change[0], 5)

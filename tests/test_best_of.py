@@ -10,7 +10,7 @@ import pytest
 
 import helpers
 from nfacomp import cli, core, fileformat, sequential
-from nfacomp.errors import BudgetExceededError
+from nfacomp.errors import BudgetExceededError, CutError
 from nfacomp.families import gate_chain, reverse_friendly, sequential_chain
 from nfacomp.powerset import Direction
 
@@ -104,6 +104,7 @@ def test_portfolio_matches_the_build_every_candidate_reference(tmp_path, budget)
     assert seen["tie"] > 5, seen
     for method in RUN_ORDER[1:]:
         assert seen[f"{method} beaten by an earlier run"] > 0, seen
+        assert seen[f"{method} cut"] > 0, seen
     assert seen["no_partition"] > 0 and seen["unsupported"] > 0, seen
     if budget == 40:
         assert seen["budget"] > 0, seen
@@ -148,4 +149,39 @@ def test_seq_pipeline_best_matches_the_build_every_strategy_reference(rear):
         for name, a in corpus():
             if not isinstance(a, core.PortNfa):
                 check_seq_best(name, a, rear, budget, seen)
-    assert seen["tie"] > 0 and seen["later loses"] > 0 and seen["budget"] > 0, seen
+    assert seen["tie"] > 0 and seen["later loses"] > 0 and seen["budget"] > 0 and seen["cut"] > 0, seen
+
+
+def check_seq_bar(name, a, rear, bar, seen):
+    """``seq_pipeline_best`` under a caller's ``bar``: the reference's choice
+    whenever that is below the bar; a cut only when it is not."""
+    try:
+        want = helpers.seq_pipeline_best_reference(a, rear, budget=4096)
+    except BudgetExceededError:
+        want = None
+    try:
+        out, strat = sequential.seq_pipeline_best(a, rear, budget=4096, bar=bar)
+    except CutError:
+        assert want is None or want[0].num_states >= bar, name
+        seen["cut"] += 1
+        return
+    except BudgetExceededError:
+        assert want is None, name
+        return
+    assert (strat, fileformat.serialize(out)) == (want[1], fileformat.serialize(want[0])), name
+    seen["below" if out.num_states < bar else "not below"] += 1
+
+
+@pytest.mark.parametrize("rear", list(Direction))
+def test_seq_pipeline_best_under_a_bar_keeps_every_result_below_it(rear):
+    seen = collections.Counter()
+    for name, a in corpus():
+        if isinstance(a, core.PortNfa):
+            continue
+        try:
+            size = helpers.seq_pipeline_best_reference(a, rear, budget=4096)[0].num_states
+        except BudgetExceededError:
+            size = 8
+        for bar in (0, 1, size // 2, size, size + 1):
+            check_seq_bar(name, a, rear, bar, seen)
+    assert min(seen[k] for k in ("cut", "below", "not below")) > 5, seen

@@ -512,9 +512,22 @@ def test_portfolio_lists_the_methods_it_skipped(capsys, tmp_path):
         doc = json.loads(stats_path.read_text())
         return [r["method"] for r in doc["reports"]], doc["skipped"]
 
+    # Gate runs first and finishes with 15 states; every other method is cut
+    # once it cannot beat that, or runs out of budget first.
     ran, skipped = portfolio(fileformat.serialize(gate_chain(4)), "--budget", "64")
-    assert ran == ["forward", "reverse", "gate"]
-    assert skipped == [{"method": "sequential", "outcome": "budget"}]
+    assert ran == ["gate"]
+    assert skipped == [
+        {"method": "forward", "outcome": "cut"},
+        {"method": "reverse", "outcome": "cut"},
+        {"method": "sequential", "outcome": "cut"},
+    ]
+    ran, skipped = portfolio(fileformat.serialize(gate_chain(4)), "--budget", "16")
+    assert ran == ["gate"]
+    assert skipped == [
+        {"method": "forward", "outcome": "budget"},
+        {"method": "reverse", "outcome": "budget"},
+        {"method": "sequential", "outcome": "cut"},
+    ]
 
     ran, skipped = portfolio(fileformat.serialize(sequential_chain(2)))
     assert ran == ["forward", "reverse", "sequential"]

@@ -432,6 +432,31 @@ def test_table_built_automata_equal_their_constructor_twins():
     assert all(seen[k] > 5 for k in ("forward", "reverse", "port", "plain", "dropped", "skip", "large")), seen
 
 
+def test_shape_facts_of_table_built_automata_match_the_scan():
+    """A forward table has at most one successor per state and symbol, a
+    reverse one at most one predecessor, so the shape predicates check only
+    the port sets there; on the tables (trimmed, with -1 moves, untrimmed,
+    over skipped symbols) and on views of them with other port sets, they
+    answer as the scan over the moves does."""
+    rng = random.Random(4242)
+    seen = Counter()
+    for a, x in _explorations():
+        t = powerset._build(a, x)
+        n = t.num_states
+        views = [t, t.slice(0, 0)]
+        if n:
+            singletons = [{rng.randrange(n)} for _ in t.entry_sets]
+            views.append(core._view(t, entry_sets=singletons))
+            views.append(core._view(t, entry_sets=singletons, exit_sets=[{rng.randrange(n)} for _ in t.exit_sets]))
+            views.append(core._view(t, entry_sets=[set(range(n))] * t.num_entry))
+        for v in views:
+            det = helpers.deterministic_reference(v)
+            revdet = helpers.deterministic_reference(core.reverse(v))
+            assert (core.is_deterministic(v), core.is_reverse_deterministic(v)) == (det, revdet)
+            seen[f"reverse revdet={revdet}" if x.reverse else f"forward det={det}"] += 1
+    assert len(seen) == 4 and min(seen.values()) > 20, seen
+
+
 # --- derived automata against the full builds they replace -----------------------
 
 

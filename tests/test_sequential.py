@@ -447,6 +447,52 @@ def test_together_masks_match_a_pair_search(monkeypatch):
     assert empty_language > 0
 
 
+def codeterministic_cases():
+    """(name, partition, rear complement) whose rear complement is reverse-deterministic
+    with singleton exit sets: the reverse ones of ``pruning_cases`` and the first
+    splits of ``gate_chain(5..7)`` under the det strategy (71-265 states)."""
+    cases = [case for case in pruning_cases() if core.is_reverse_deterministic(case[2])]
+    for n in (5, 6, 7):
+        a = gate_chain(n)
+        front = sequential.partition(a, PartitionStrategy.DETERMINISTIC_COMPONENTS).components[0]
+        det_p = sequential.determinize_front(core.SequentialPartition.of(a.as_port(), front))
+        cases.append((f"gate{n} det reverse", det_p, powerset.reverse_complement(det_p.rear_for_targets())))
+    return cases
+
+
+def test_pair_relation_of_a_codeterministic_rear_is_the_identity():
+    """No word leads two states of a reverse-deterministic automaton with
+    singleton exit sets into one exit: the fixpoint relates each state that
+    reaches an exit to itself alone, on plain and port rears."""
+    rng = random.Random(1919)
+    rears = [powerset.reverse_complement(helpers.random_nfa(rng, max_states=9)) for _ in range(60)]
+    rears += [powerset.reverse_complement(helpers.random_port_nfa(rng, num_exit=rng.randint(1, 3))) for _ in range(60)]
+    rears += [c2 for _name, _p, c2 in codeterministic_cases()]
+    seen = collections.Counter()
+    for c2 in rears:
+        if not core.is_reverse_deterministic(c2):
+            continue
+        pairs = helpers.together_pairs_reference(c2)
+        assert all(r == s for (r, s) in pairs)
+        assert sequential._together_masks(c2) == [1 << r if (r, r) in pairs else 0 for r in range(c2.num_states)]
+        seen["port" if isinstance(c2, core.PortNfa) else "plain"] += 1
+        seen["large"] += c2.num_states > 64
+    assert seen["plain"] > 20 and seen["port"] > 20 and seen["large"] >= 3, seen
+
+
+def test_identity_companions_compose_as_the_fixpoint_does(monkeypatch):
+    """Told that the rear is co-deterministic, the composition skips the pair
+    table, so the cap no longer decides whether it prunes."""
+    cases = codeterministic_cases()
+    want = [sequential._compose(det_p, c2, None) for _name, det_p, c2 in cases]
+    monkeypatch.setattr(sequential, "_TOGETHER_CAP", 0)
+    for (name, det_p, c2), (out, decoded, pruned) in zip(cases, want):
+        got = sequential._compose(det_p, c2, None, identity=True)
+        assert (got[0], got[1], got[2]) == (out, decoded, pruned), name
+        helpers.assert_same_build(got[0], out)
+    assert sum(w[2] > 0 for w in want) > 10
+
+
 @pytest.mark.parametrize("limit", ["_TOGETHER_CAP", "_TOGETHER_PER_STATE"])
 def test_pair_table_gives_up_above_its_caps(monkeypatch, limit):
     c2 = sparse_port_nfa(random.Random(7), 80)
@@ -605,8 +651,9 @@ def test_det_wins_on_gate_chain_4_at_the_default_budget():
     stats = {}
     out, strat = sequential.seq_pipeline_best(gate_chain(4), stats=stats)
     assert (strat, out.num_states) == (PartitionStrategy.DETERMINISTIC_COMPONENTS, 78)
-    assert [(x["strategy"], x.get("states")) for x in stats["attempts"]] == [
-        ("det", 78), ("detrev", 80), ("mincut", None),
+    # detrev (80 states when built in full) is cut once it cannot beat det.
+    assert [(x["strategy"], x["outcome"], x.get("states")) for x in stats["attempts"]] == [
+        ("det", "ok", 78), ("detrev", "cut", None), ("mincut", "same_partition_as", None),
     ]
 
 
