@@ -165,9 +165,10 @@ def _compose(
     two distinct states can be tracked together, and the pair table is not
     computed.
 
-    With a ``bar`` the split has one entry port, so every composite is
-    reachable from it, and trim of slice (0, 0) keeps each one that accepts
-    for exit 0: ``CutError`` is raised once as many as ``bar`` are interned.
+    A ``bar`` comes only with a split of one entry port, where every
+    composite is reachable, so trim of slice (0, 0) keeps each one that
+    accepts for exit 0: ``CutError`` is raised once ``bar`` of them are
+    interned.
     """
     f = p.front
     if not core.is_deterministic(f) or not core.is_complete(f):
@@ -561,8 +562,8 @@ def _run_pipeline(
 
     pruned = 0
     for k in range(len(chain) - 1, -1, -1):
-        c_cur, _decoded, dead = _compose(chain[k], c_cur, budget, bar if k == 0 else None, codet)
-        codet = False
+        first = k == len(chain) - 1
+        c_cur, _decoded, dead = _compose(chain[k], c_cur, budget, bar if k == 0 else None, codet and first)
         pruned += dead
         if k > 0:
             c_cur = simulation_reduce_port(c_cur)
