@@ -1363,6 +1363,37 @@ def as_port_reference(a):
     )
 
 
+def induced_reference(a, keep):
+    """``core.induced`` through ``core._rebuild``: the renumbered moves of the
+    spelled-out transition set, validated again."""
+    keep = sorted(set(keep))
+    remap = {q: i for i, q in enumerate(keep)}
+    return core._rebuild(
+        a,
+        len(keep),
+        frozenset(
+            (remap[src], sym, remap[dst])
+            for (src, sym, dst) in a.transitions
+            if src in remap and dst in remap
+        ),
+        [frozenset(remap[q] for q in s if q in remap) for s in a.entry_sets],
+        [frozenset(remap[q] for q in s if q in remap) for s in a.exit_sets],
+        tuple(a.state_name(q) for q in keep) if a.state_names is not None else None,
+        name=a.name,
+    )
+
+
+def trim_reference(a):
+    """``core.trim`` over the spelled-out transition set, through ``induced_reference``."""
+    fwd = [[] for _ in range(a.num_states)]
+    bwd = [[] for _ in range(a.num_states)]
+    for (src, _sym, dst) in a.transitions:
+        fwd[src].append(dst)
+        bwd[dst].append(src)
+    keep = core._closure(frozenset().union(*a.entry_sets), fwd) & core._closure(frozenset().union(*a.exit_sets), bwd)
+    return a if len(keep) == a.num_states else induced_reference(a, keep)
+
+
 def rear_for_targets_reference(p):
     ri = p.rear_index
     extra = tuple(frozenset({ri[t]}) for t in p.gate_targets)

@@ -564,3 +564,27 @@ def test_views_match_the_derivations_they_replace():
     kinds = ("set", "determinized", "forward", "reverse")
     assert all(seen[k, c] > 3 for k in kinds for c in ("Nfa", "PortNfa")), seen
     assert seen["large"] > 10 and seen["empty"] >= 2 and seen["complete dfa"] > 10, seen
+
+
+def test_induced_and_trim_match_the_full_builds_they_replace():
+    """``induced`` on every kept set (none, all, random ones, the trimmed one)
+    and ``trim`` build what the full builds over the spelled-out transition
+    set build: class, fields, written file and name."""
+    rng = random.Random(2628)
+    seen = Counter()
+    for kind, build in _view_sources():
+        a, b = build(), build()  # the library's builds come from a, the references' from b
+        n = a.num_states
+        keeps = [set(), set(range(n))] + [{q for q in range(n) if rng.random() < p} for p in (0.3, 0.7, 0.95)]
+        for keep in keeps:
+            helpers.assert_same_build(core.induced(a, keep), helpers.induced_reference(b, keep))
+        trimmed, want = core.trim(a), helpers.trim_reference(b)
+        helpers.assert_same_build(trimmed, want)
+        assert (trimmed is a) == (want is b)
+        seen[kind, type(a).__name__] += 1
+        seen["large"] += n > 64
+        seen["empty"] += n == 0
+        seen["trimmed"] += want is not b
+    kinds = ("set", "determinized", "forward", "reverse")
+    assert all(seen[k, c] > 3 for k in kinds for c in ("Nfa", "PortNfa")), seen
+    assert seen["large"] > 10 and seen["empty"] >= 2 and seen["trimmed"] > 10, seen

@@ -707,3 +707,17 @@ def test_gate_complement_builds_once_after_its_components(monkeypatch):
         a1, a2 = helpers.random_gate_instance(rng, max_component_states=6)
         gate.gate_complement_basic(a1, a2, "c")
         assert built == ["Nfa"]
+
+
+def test_gate_partition_reads_its_facts_off_the_split():
+    """Every partition found on seeded NFAs over 3 symbols gives a complement
+    that the exact check accepts, on all eight routes."""
+    rng = random.Random(1)
+    seen = Counter()
+    for _ in range(2000):
+        a = helpers.random_nfa(rng, max_states=7, max_syms=3)
+        for p in gate.find_gate_partitions(a.as_port(), check_budget=10**5):
+            c = gate.apply_gate_complement(p).slice(0, 0)
+            assert oracle.exact_complement_check(a, c).ok, (a, _route(p))
+            seen[_route(p)] += 1
+    assert len(seen) == 8, seen

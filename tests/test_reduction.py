@@ -278,9 +278,26 @@ def test_hopcroft_refines_a_partial_dfa_against_a_virtual_sink():
     assert all(seen[k] > 5 for k in ("sink alone", "sink joined", "partial result", "complete")), seen
 
 
+def _with_codeterministic_variants(seed):
+    """``helpers.automata_and_complements(seed)``, each reverse complement
+    followed by an unnamed view of it, and each untrimmed forward complement
+    (``complement_dfa``'s view of a forward table) by its reversal, which is
+    co-deterministic and keeps the states no entry reaches."""
+    for a in helpers.automata_and_complements(seed):
+        yield a
+        table = a.__dict__.get("_table")
+        if table is not None and table[2]:
+            yield core._view(a, state_names=None)
+        elif table is not None and a._source is not None:
+            yield core.reverse(a)
+
+
 def test_simulation_reductions_match_the_pairwise_domination_scans():
     seen = Counter()
-    for a in helpers.automata_and_complements(20251018):
+    for a in _with_codeterministic_variants(20251018):
+        if core.is_reverse_deterministic(a):
+            seen["codeterministic"] += 1
+            seen["large codeterministic"] += a.num_states > 64
         reductions = [(reduction.simulation_reduce_port, helpers.simulation_reduce_port_reference)]
         if isinstance(a, core.Nfa):
             reductions.append((reduction.simulation_reduce, helpers.simulation_reduce_reference))
@@ -293,3 +310,5 @@ def test_simulation_reductions_match_the_pairwise_domination_scans():
             seen["large"] += a.num_states > 64
     # Targets and entry states were dropped as dominated, and classes merged.
     assert all(seen[k] > 20 for k in ("targets", "entries", "merged")) and seen["large"] > 5, seen
+    # Co-deterministic inputs, named and unnamed, trimmed and with unreachable states.
+    assert seen["codeterministic"] > 20 and seen["large codeterministic"] > 5, seen
