@@ -25,7 +25,9 @@ constructor does, and ``_from_table`` (the powerset constructions) checks a
 flat table whole, the set derived from it on first use.  ``_view`` makes a
 slice, port variant or rename: it shares the automaton's moves and the
 tables derived from them (``succ_masks``, ``pred_masks``, the SCC
-condensation), and checks only its port sets and names.
+condensation), and checks only its port sets and names; so does
+``induced`` (and ``trim`` through it), whose moves are renumbered moves of
+an automaton already checked, read off its table if it has one.
 """
 
 from __future__ import annotations
@@ -474,7 +476,7 @@ def _closure(seed: Iterable[int], adj: list[list[int]]) -> set[int]:
 def _both_adjacency(a: Automaton):
     fwd = [[] for _ in range(a.num_states)]
     bwd = [[] for _ in range(a.num_states)]
-    for (src, _sym, dst) in a.transitions:
+    for (src, _sym, dst) in a._edges():
         fwd[src].append(dst)
         bwd[dst].append(src)
     return fwd, bwd
@@ -483,23 +485,18 @@ def _both_adjacency(a: Automaton):
 def induced(a: Automaton, keep: Iterable[int]) -> Automaton:
     """Subautomaton on ``keep`` (relabeled densely, order-preserving).
 
-    Every port set is restricted to ``keep``; the arities stay.
+    Every port set is restricted to ``keep``; the arities stay.  Each move
+    kept is a renumbered move of ``a``, read off its table if it has one,
+    so only the port sets and names are checked, as for a view.
     """
     keep = sorted(set(keep))
     remap = {q: i for i, q in enumerate(keep)}
-    return _rebuild(
-        a,
-        len(keep),
-        frozenset(
-            (remap[src], sym, remap[dst])
-            for (src, sym, dst) in a.transitions
-            if src in remap and dst in remap
-        ),
-        [frozenset(remap[q] for q in s if q in remap) for s in a.entry_sets],
-        [frozenset(remap[q] for q in s if q in remap) for s in a.exit_sets],
-        tuple(a.state_name(q) for q in keep) if a.state_names is not None else None,
-        name=a.name,
-    )
+    moves = frozenset((remap[src], sym, remap[dst]) for (src, sym, dst) in a._edges() if src in remap and dst in remap)
+    ports = [[frozenset(remap[q] for q in s if q in remap) for s in sets] for sets in (a.entry_sets, a.exit_sets)]
+    names = tuple(a.state_name(q) for q in keep) if a.state_names is not None else None
+    out = _new(type(a), a.alphabet, len(keep), *ports, names, a.name, transitions=moves)
+    out._check_ports_and_names()
+    return out
 
 
 def trim(a: Automaton) -> Automaton:

@@ -56,34 +56,35 @@ class GateMethod(enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class GatePartition:
-    """A sequential split qualified for gate complementation."""
+    """A sequential split qualified for gate complementation.  Its gate
+    symbols are those of its transfer, and it needs an intersection when
+    the offending outer ports exist (rear entries for front-clean, front
+    exits for rear-clean)."""
 
     base: SequentialPartition
-    gate_symbols: frozenset[str]
     direction: GateDirection
     method: GateMethod
-    needs_intersection: bool
 
     def __post_init__(self):
-        alphabet = self.base.front.alphabet
-        transfer_syms = frozenset(alphabet[sym] for (_x, sym, _t) in self.base.transfer)
-        if self.gate_symbols != transfer_syms:
-            raise ValueError("gate_symbols must equal the transfer-transition symbols")
-        if self.direction is GateDirection.FRONT_CLEAN:
-            dirty = _internal_symbols(self.base.front) & self.gamma_ids
-        else:
-            dirty = _internal_symbols(self.base.rear) & self.gamma_ids
+        side = self.base.front if self.direction is GateDirection.FRONT_CLEAN else self.base.rear
+        dirty = {sym for (_src, sym, _dst) in side.transitions} & self.gamma_ids
         if dirty:
-            names = sorted(alphabet[s] for s in dirty)
+            names = sorted(side.alphabet[s] for s in dirty)
             raise ValueError(f"{self.direction.value} partition carries gate symbols {names}")
 
     @functools.cached_property
     def gamma_ids(self) -> frozenset[int]:
-        return frozenset(self.base.front.symbol_ids[s] for s in self.gate_symbols)
+        return frozenset(self.base.gate_symbols)
 
+    @property
+    def gate_symbols(self) -> frozenset[str]:
+        return frozenset(self.base.front.alphabet[sym] for sym in self.base.gate_symbols)
 
-def _internal_symbols(p: PortNfa) -> set[int]:
-    return {sym for (_src, sym, _dst) in p.transitions}
+    @property
+    def needs_intersection(self) -> bool:
+        if self.direction is GateDirection.FRONT_CLEAN:
+            return any(self.base.rear.entry_sets)
+        return any(self.base.front.exit_sets)
 
 
 def _smaller_complement(
@@ -224,7 +225,7 @@ def _gate_complement(p: GatePartition, budget: int | None, log: list | None) -> 
     front_clean = p.direction is GateDirection.FRONT_CLEAN
     if p.needs_intersection:
         stripped = _strip_outer(base, entries_to_front=front_clean)
-        left = _gate_complement(dataclasses.replace(p, base=stripped, needs_intersection=False), budget, log)
+        left = _gate_complement(dataclasses.replace(p, base=stripped), budget, log)
         right = _smaller_complement(
             base.rear if front_clean else base.front, budget=budget, log=log, side="intersection"
         )
@@ -419,15 +420,12 @@ def find_gate_partitions(a: PortNfa, *, check_budget: int | None = None) -> list
         else:
             continue
         base = SequentialPartition.of(a, sorted(q for k in cut for q in dag.components[k]))
-        front_clean = direction is GateDirection.FRONT_CLEAN
-        needs = any(base.rear.entry_sets) if front_clean else any(base.front.exit_sets)
-        gate_symbols = frozenset(a.alphabet[sym] for sym in gamma_ids)
-        candidate = GatePartition(base, gate_symbols, direction, GateMethod.EQUAL, needs)
+        candidate = GatePartition(base, direction, GateMethod.EQUAL)
         try:
             if check_equal(candidate, budget=check_budget):
                 out.append(candidate)
                 continue
-            candidate = GatePartition(base, gate_symbols, direction, GateMethod.DISJOINT, needs)
+            candidate = GatePartition(base, direction, GateMethod.DISJOINT)
             if check_disjoint(candidate, budget=check_budget):
                 out.append(candidate)
         except BudgetExceededError:

@@ -16,14 +16,14 @@ from .powerset import Direction, _complement
 
 @dataclass(frozen=True)
 class DirectionChoice:
+    """The two scores; ``choice`` is the lower-scoring direction, ties going to reverse."""
+
     score_forward: int
     score_reverse: int
-    choice: Direction
 
-    def __post_init__(self):
-        expected = Direction.REVERSE if self.score_forward >= self.score_reverse else Direction.FORWARD
-        if self.choice is not expected:
-            raise ValueError("choice contradicts the scores")
+    @property
+    def choice(self) -> Direction:
+        return Direction.REVERSE if self.score_forward >= self.score_reverse else Direction.FORWARD
 
 
 def _score(a: Nfa, table: list[int], starts: frozenset[int]) -> int:
@@ -43,10 +43,7 @@ def det_successor_score(a: Nfa) -> int:
 
 def choose_direction(a: Nfa) -> DirectionChoice:
     """Score both directions, rev(a) on the predecessor table; ties go to reverse."""
-    score_forward = det_successor_score(a)
-    score_reverse = _score(a, a.pred_masks, a.final)
-    choice = Direction.REVERSE if score_forward >= score_reverse else Direction.FORWARD
-    return DirectionChoice(score_forward, score_reverse, choice)
+    return DirectionChoice(det_successor_score(a), _score(a, a.pred_masks, a.final))
 
 
 def auto_complement(a: Nfa, *, budget: int | None = None) -> tuple[Nfa, DirectionChoice]:

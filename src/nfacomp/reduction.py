@@ -235,9 +235,15 @@ def _quotient(a: core.Automaton, classes: list[list[int]], above: list[int], pru
 
 def _quotient_and_prune(a: core.Automaton, prune_entries: bool):
     """The simulation reductions: merge simulation-equivalent states, drop
-    transitions into strictly dominated target classes, and trim."""
+    transitions into strictly dominated target classes, and trim.  A named
+    automaton that is reverse-deterministic with singleton exit sets, as a
+    reverse powerset complement is, is only trimmed: no word leads two states
+    into one exit, so no live state simulates another (unnamed, it would
+    come out named)."""
     if a.num_states == 0:
         return a
+    if a.state_names is not None and core.is_reverse_deterministic(a):
+        return core.trim(a)
     return core.trim(_quotient(a, *_simulation_classes(a), prune_entries))
 
 

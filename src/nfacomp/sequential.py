@@ -148,7 +148,7 @@ def seq_complement_generalized_annotated(
 
 
 def _compose(
-    p: SequentialPartition, c2: PortNfa, budget: int | None, bar: int | None = None, identity: bool = False
+    p: SequentialPartition, c2: PortNfa, budget: int | None, bar: int | None = None
 ) -> tuple[PortNfa, list[tuple[int, int]], int]:
     """The composite exploration behind the two public compositions.
 
@@ -160,10 +160,11 @@ def _compose(
     which track a successor of each.  Such a composite is never built: a
     successor union is cut off as soon as it would hold such a pair.  So the
     result is the unpruned exploration minus states that trim would drop,
-    with the survivors in the same order.  With ``identity`` the caller
-    knows ``c2`` is reverse-deterministic with singleton exit sets, where no
-    two distinct states can be tracked together, and the pair table is not
-    computed.
+    with the survivors in the same order.  When ``c2`` is
+    reverse-deterministic with singleton exit sets, as a reverse powerset
+    complement is, no word leads two distinct states into one exit: each
+    state's only companion is itself, at any size, and the pair table is
+    not computed.
 
     A ``bar`` comes only with a split of one entry port, where every
     composite is reachable, so trim of slice (0, 0) keeps each one that
@@ -201,7 +202,7 @@ def _compose(
         gate_choices[k] = [core._mask_of(c2.entry_sets[target_port[t]]) << shift for t in sorted(ts)]
     # Per c2 state r, the shifted mask of the states that may be tracked beside
     # it, r included; every state when the pair table is not built.
-    together = [0] * nc if identity else _together_masks(c2)
+    together = [0] * nc if core.is_reverse_deterministic(c2) else _together_masks(c2)
     companions = [-1] * nc if together is None else [(m | 1 << r) << shift for r, m in enumerate(together)]
     pruned = [0]  # successor unions cut off, counted by the two helpers below
 
@@ -507,8 +508,8 @@ def seq_pipeline(
 ) -> Nfa:
     """Partition, complement the bottom component, and fold front components in.
 
-    Intermediate composites are reduced with the port-aware simulation pass;
-    the final result is only trimmed.
+    The rear complement and the intermediate composites are reduced with the
+    port-aware simulation pass; the final result is only trimmed.
     """
     if stats is not None:
         stats["strategy"] = strategy.value
@@ -550,20 +551,13 @@ def _run_pipeline(
         current = {orig: rank[wid] for orig, wid in current.items() if wid in rank}
         w = det_p.rear_for_targets()
 
-    c_cur = _complement(w, rear_method, budget)[0]
-    # Simulation is the identity, names included, on a trimmed and named complement that is reverse-
-    # deterministic with singleton exits (no word leads two states into one exit), as a reverse rear is;
-    # there the pair relation of the first composition is the identity too.
-    codet = core.is_reverse_deterministic(c_cur)
-    if not codet:
-        c_cur = simulation_reduce_port(c_cur)
+    c_cur = simulation_reduce_port(_complement(w, rear_method, budget)[0])
     if stats is not None:
         stats["stage_sizes"] = [c_cur.num_states]
 
     pruned = 0
     for k in range(len(chain) - 1, -1, -1):
-        first = k == len(chain) - 1
-        c_cur, _decoded, dead = _compose(chain[k], c_cur, budget, bar if k == 0 else None, codet and first)
+        c_cur, _decoded, dead = _compose(chain[k], c_cur, budget, bar if k == 0 else None)
         pruned += dead
         if k > 0:
             c_cur = simulation_reduce_port(c_cur)

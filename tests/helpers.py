@@ -1044,7 +1044,7 @@ def gate_complement_reference(a, p, *, budget=None):
     if p.needs_intersection:
         stripped_a, stripped = strip_outer_reference(a, base, entries_to_front=front_clean)
         left = gate_complement_reference(
-            stripped_a, gate.GatePartition(stripped, p.gate_symbols, p.direction, p.method, False), budget=budget
+            stripped_a, gate.GatePartition(stripped, p.direction, p.method), budget=budget
         )
         right = gate._smaller_complement(base.rear if front_clean else base.front, budget=budget)
         return core.product_intersection(left, right)
@@ -1469,7 +1469,9 @@ def count_validations(monkeypatch) -> list[str]:
     (``_normalize_and_check``) or by ``core._from_table`` (``_check_table``),
     logs ``"Nfa"`` or ``"PortNfa"``: each build is validated once, by one of
     the two.  A view (``core._view``), which checks only its port sets and
-    names, logs ``"view:Nfa"`` or ``"view:PortNfa"``."""
+    names, logs ``"view:Nfa"`` or ``"view:PortNfa"``, and so does a derived
+    build (``core.induced``, also under ``core.trim``), as ``"derived:Nfa"``
+    or ``"derived:PortNfa"``."""
     calls = []
     for name in ("_normalize_and_check", "_check_table"):
         def counted(self, check=getattr(core._Automaton, name)):
@@ -1477,12 +1479,11 @@ def count_validations(monkeypatch) -> list[str]:
             check(self)
 
         monkeypatch.setattr(core._Automaton, name, counted)
-    view = core._view
+    for name, tag in (("_view", "view"), ("induced", "derived")):
+        def counted_build(*args, build=getattr(core, name), tag=tag, **kwargs):
+            out = build(*args, **kwargs)
+            calls.append(f"{tag}:{type(out).__name__}")
+            return out
 
-    def counted_view(*args, **kwargs):
-        out = view(*args, **kwargs)
-        calls.append(f"view:{type(out).__name__}")
-        return out
-
-    monkeypatch.setattr(core, "_view", counted_view)
+        monkeypatch.setattr(core, name, counted_build)
     return calls

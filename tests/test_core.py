@@ -569,16 +569,19 @@ def test_views_match_the_derivations_they_replace():
 def test_induced_and_trim_match_the_full_builds_they_replace():
     """``induced`` on every kept set (none, all, random ones, the trimmed one)
     and ``trim`` build what the full builds over the spelled-out transition
-    set build: class, fields, written file and name."""
+    set build: class, fields, written file and name.  They read a table-built
+    automaton's moves off its table, which stays unspelled."""
     rng = random.Random(2628)
     seen = Counter()
     for kind, build in _view_sources():
         a, b = build(), build()  # the library's builds come from a, the references' from b
         n = a.num_states
         keeps = [set(), set(range(n))] + [{q for q in range(n) if rng.random() < p} for p in (0.3, 0.7, 0.95)]
-        for keep in keeps:
-            helpers.assert_same_build(core.induced(a, keep), helpers.induced_reference(b, keep))
+        subs = [core.induced(a, keep) for keep in keeps]
         trimmed, want = core.trim(a), helpers.trim_reference(b)
+        assert kind == "set" or "transitions" not in vars(a)
+        for sub, keep in zip(subs, keeps):
+            helpers.assert_same_build(sub, helpers.induced_reference(b, keep))
         helpers.assert_same_build(trimmed, want)
         assert (trimmed is a) == (want is b)
         seen[kind, type(a).__name__] += 1

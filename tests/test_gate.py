@@ -89,16 +89,11 @@ def test_basic_gate_validation():
 
 
 def test_gate_guards_raise_their_error_and_text():
-    base = core.SequentialPartition.of(gate_chain(1), [0, 1, 2])
-    assert base.gate_symbols == (2,)  # the one gate is on "c"
-    with pytest.raises(ValueError) as info:
-        gate.GatePartition(base, frozenset({"a"}), GateDirection.FRONT_CLEAN, GateMethod.EQUAL, False)
-    assert str(info.value) == "gate_symbols must equal the transfer-transition symbols"
     dirty = core.SequentialPartition.of(
         core.Nfa.build(("a", "c"), 3, [(0, "c", 1), (1, "c", 2)], {0}, {2}), [0, 1]
     )
     with pytest.raises(ValueError) as info:
-        gate.GatePartition(dirty, frozenset({"c"}), GateDirection.FRONT_CLEAN, GateMethod.EQUAL, False)
+        gate.GatePartition(dirty, GateDirection.FRONT_CLEAN, GateMethod.EQUAL)
     assert str(info.value) == "front-clean partition carries gate symbols ['c']"
 
     a = core.Nfa.build(("a", "c"), 2, [(0, "c", 1)], {0}, {1})
@@ -710,13 +705,15 @@ def test_gate_complement_builds_once_after_its_components(monkeypatch):
 
 
 def test_gate_partition_reads_its_facts_off_the_split():
-    """Every partition found on seeded NFAs over 3 symbols gives a complement
-    that the exact check accepts, on all eight routes."""
+    """Every partition found on seeded NFAs over 3 symbols is the partition
+    its split, direction and method make, and gives a complement that the
+    exact check accepts, on all eight routes."""
     rng = random.Random(1)
     seen = Counter()
     for _ in range(2000):
         a = helpers.random_nfa(rng, max_states=7, max_syms=3)
         for p in gate.find_gate_partitions(a.as_port(), check_budget=10**5):
+            assert gate.GatePartition(p.base, p.direction, p.method) == p
             c = gate.apply_gate_complement(p).slice(0, 0)
             assert oracle.exact_complement_check(a, c).ok, (a, _route(p))
             seen[_route(p)] += 1

@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given
 
 import helpers
@@ -31,11 +30,10 @@ def test_tie_goes_reverse():
     assert ch.choice is Direction.REVERSE
 
 
-def test_direction_choice_validates_consistency():
-    with pytest.raises(ValueError):
-        heuristic.DirectionChoice(3, 5, Direction.REVERSE)
-    with pytest.raises(ValueError):
-        heuristic.DirectionChoice(5, 3, Direction.FORWARD)
+def test_direction_choice_follows_the_scores():
+    assert heuristic.DirectionChoice(3, 5).choice is Direction.FORWARD
+    assert heuristic.DirectionChoice(5, 3).choice is Direction.REVERSE
+    assert heuristic.DirectionChoice(4, 4).choice is Direction.REVERSE
 
 
 def test_score_counts_distinct_successor_sets():

@@ -481,13 +481,16 @@ def test_pair_relation_of_a_codeterministic_rear_is_the_identity():
 
 
 def test_identity_companions_compose_as_the_fixpoint_does(monkeypatch):
-    """Told that the rear is co-deterministic, the composition skips the pair
-    table, so the cap no longer decides whether it prunes."""
+    """On a co-deterministic rear the composition skips the pair table, so
+    the cap no longer decides whether it prunes: with the cap at 0 it builds
+    what the fixpoint path builds."""
     cases = codeterministic_cases()
-    want = [sequential._compose(det_p, c2, None) for _name, det_p, c2 in cases]
+    with monkeypatch.context() as m:
+        m.setattr(core, "is_reverse_deterministic", lambda a: False)
+        want = [sequential._compose(det_p, c2, None) for _name, det_p, c2 in cases]
     monkeypatch.setattr(sequential, "_TOGETHER_CAP", 0)
     for (name, det_p, c2), (out, decoded, pruned) in zip(cases, want):
-        got = sequential._compose(det_p, c2, None, identity=True)
+        got = sequential._compose(det_p, c2, None)
         assert (got[0], got[1], got[2]) == (out, decoded, pruned), name
         helpers.assert_same_build(got[0], out)
     assert sum(w[2] > 0 for w in want) > 10
@@ -511,6 +514,7 @@ def test_with_the_rule_off_the_exploration_is_unpruned(monkeypatch):
     cases = [case for case in pruning_cases() if case[0].startswith(("random-1", "seq", "gate2"))]
     pruned = [sequential.seq_complement_generalized(det_p, c2) for _name, det_p, c2 in cases]
     monkeypatch.setattr(sequential, "_TOGETHER_CAP", 0)
+    monkeypatch.setattr(core, "is_reverse_deterministic", lambda a: False)
     for (name, det_p, c2), out in zip(cases, pruned):
         full = sequential.seq_complement_generalized(det_p, c2)
         assert full == helpers.seq_complement_reference(det_p, c2, prune=False)[0], name
@@ -661,21 +665,22 @@ def test_det_wins_on_gate_chain_4_at_the_default_budget():
 def test_rear_simulation_pass_runs_only_where_it_can_merge(tmp_path, monkeypatch, rear, skipped):
     """``complement -m sequential`` on ``gate_chain(6)``: the reverse rear
     complement (the default) is reverse-deterministic with singleton exits,
-    so it never reaches the simulation pass; a forward one does."""
+    so the simulation pass returns it trimmed without running the fixpoint;
+    a forward one runs it."""
     rears, reduced = [], []
-    complement, quotient = sequential._complement, reduction._quotient_and_prune
+    complement, classes = sequential._complement, reduction._simulation_classes
 
     def rear_complement(*args):
         out = complement(*args)
         rears.append(out[0])
         return out
 
-    def counted(a, *args, **kwargs):
+    def counted(a):
         reduced.append(a)
-        return quotient(a, *args, **kwargs)
+        return classes(a)
 
     monkeypatch.setattr(sequential, "_complement", rear_complement)
-    monkeypatch.setattr(reduction, "_quotient_and_prune", counted)
+    monkeypatch.setattr(reduction, "_simulation_classes", counted)
     src = tmp_path / "gate6.nfa"
     src.write_text(fileformat.serialize(gate_chain(6)))
     flags = [] if rear == "reverse" else ["--rear", "forward"]
