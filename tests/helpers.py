@@ -712,6 +712,129 @@ def simulation_reduce_port_reference(a, counts=None):
     return _quotient_reference(a, classes, class_of, transitions, entry_sets)
 
 
+# --- the post-passes as they ran every step ------------------------------------
+# ``--minimize`` and the simulation pass return an input that is minimal or
+# reduced by construction unchanged, and reduce a DFA with Hopcroft's classes;
+# these are the passes before those shortcuts (``cli._minimize``,
+# ``reduction._quotient_and_prune`` and the Hopcroft and quotient code they
+# ran), which must give the same automata.
+
+
+def _hopcroft_minimize_pinned(d):
+    dfa = d.nfa if isinstance(d, powerset.MacrostateDfa) else d
+    if not core.is_deterministic(dfa):
+        raise ValueError("hopcroft_minimize needs a deterministic automaton")
+    n = dfa.num_states
+    nsyms = len(dfa.alphabet)
+    succ = dfa.succ_masks
+    sink = n
+    preds = [[[] for _ in range(n + 1)] for _ in range(nsyms)]
+    for (p, sym, q) in dfa._edges():
+        preds[sym][q].append(p)
+    for sym in range(nsyms):
+        preds[sym][sink] += [p for p in range(n) if not succ[sym * n + p]] + [sink]
+
+    final = dfa.final_mask
+    blocks = [m for m in (
+        {q for q in range(n) if (final >> q) & 1},
+        {q for q in range(n + 1) if not (final >> q) & 1},
+    ) if m]
+    block_of = [0] * (n + 1)
+    for bi, members in enumerate(blocks):
+        for q in members:
+            block_of[q] = bi
+    queue = []
+    if len(blocks) == 2:
+        smaller = 0 if len(blocks[0]) <= len(blocks[1]) else 1
+        queue = [(smaller, sym) for sym in range(nsyms)]
+    pending = set(queue)
+    while queue:
+        splitter = queue.pop()
+        pending.discard(splitter)
+        b, sym = splitter
+        row = preds[sym]
+        touched = {}
+        for q in blocks[b]:
+            for p in row[q]:
+                c = block_of[p]
+                moved = touched.get(c)
+                if moved is None:
+                    touched[c] = [p]
+                else:
+                    moved.append(p)
+        for c, moved in touched.items():
+            members = blocks[c]
+            if len(moved) == len(members):
+                continue
+            members.difference_update(moved)
+            new = len(blocks)
+            blocks.append(set(moved))
+            for p in moved:
+                block_of[p] = new
+            smaller = new if len(moved) <= len(members) else c
+            for sym2 in range(nsyms):
+                split = (new, sym2) if (c, sym2) in pending else (smaller, sym2)
+                pending.add(split)
+                queue.append(split)
+
+    classes = sorted(sorted(members - {sink}) for members in blocks if members != {sink})
+    return _quotient_pinned(dfa, classes, [0] * len(classes), prune_entries=False)
+
+
+def _quotient_pinned(a, classes, above, prune_entries):
+    n = a.num_states
+    nsyms = len(a.alphabet)
+    succ = a.succ_masks
+    class_of = [-1] * n
+    class_mask = []
+    for ci, members in enumerate(classes):
+        class_mask.append(core._mask_of(members))
+        for q in members:
+            class_of[q] = ci
+
+    transitions = set()
+    for ci, members in enumerate(classes):
+        for sym in range(nsyms):
+            row = 0
+            for p in members:
+                row |= succ[sym * n + p]
+            rest = row
+            while rest:
+                cj = class_of[rest.bit_length() - 1]
+                rest &= ~class_mask[cj]
+                if not above[cj] & row:
+                    transitions.add((ci, sym, cj))
+    entry_sets = []
+    for s in a.entry_sets:
+        m = core._mask_of(s) if prune_entries else 0
+        entry_sets.append(frozenset(class_of[q] for q in s if not above[class_of[q]] & m))
+    return core._rebuild(
+        a,
+        len(classes),
+        frozenset(transitions),
+        entry_sets,
+        [frozenset(class_of[q] for q in s) for s in a.exit_sets],
+        tuple("+".join(a.state_name(q) for q in members) for members in classes),
+    )
+
+
+def quotient_and_prune_pinned(a, prune_entries):
+    """``reduction._quotient_and_prune``: the simulation fixpoint on every
+    input but a named co-deterministic one with singleton exits."""
+    if a.num_states == 0:
+        return a
+    if a.state_names is not None and core.is_reverse_deterministic(a):
+        return core.trim(a)
+    return core.trim(_quotient_pinned(a, *reduction._simulation_classes(a), prune_entries))
+
+
+def minimize_pinned(a):
+    """``cli._minimize``: Hopcroft on every nonempty input, then trim."""
+    if a.num_states == 0:
+        return a
+    return core.trim(_hopcroft_minimize_pinned(a))
+
+
 def with_duplicate_and_empty_entries(p):
     return core.PortNfa(
         p.alphabet, p.num_states, p.transitions, p.entry_sets + (p.entry_sets[0], frozenset()), p.exit_sets
