@@ -17,19 +17,39 @@ counts them as excluded.
 
 Without arguments it runs every test under ``tests/``.  The census takes
 several times as long as the plain suite.  It exits 1 when some statement
-is never run and 0 otherwise; pytest's own exit status is printed, not
-judged, since the suite holds tests that are known to fail.
+is never run, when a test fails other than the three acceptance criteria
+pinned as failing (``PINNED_FAILURES``), or when pytest stops short of
+running the tests (an exit status other than 0 and 1); it exits 0
+otherwise.  Each unexpected failure is listed by its node id.
 """
 
 from __future__ import annotations
 
 import ast
+import fnmatch
 import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "nfacomp"
+# Acceptance criteria 3, 4 and 8 pin figures the constructions cannot meet (see the README).
+PINNED_FAILURES = tuple(f"tests/test_acceptance.py::test_criterion_0{n}_*" for n in (3, 4, 8))
+
+
+class _Failures:
+    """A pytest plugin that keeps the node id of every failed test and collection."""
+
+    def __init__(self):
+        self.ids: list[str] = []
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            self.ids.append(report.nodeid)
+
+    def pytest_collectreport(self, report):
+        if report.failed:
+            self.ids.append(report.nodeid)
 
 
 def _is_docstring(node: ast.stmt, parent: ast.AST) -> bool:
@@ -97,12 +117,14 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(SRC))
     import pytest  # imported before tracing starts; nfacomp is imported by the tests
 
+    failures = _Failures()
     previous = sys.gettrace()  # a census of the census's own test runs inside another
     sys.settrace(global_)
     try:
-        status = pytest.main(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        status = pytest.main(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")], plugins=[failures])
     finally:
         sys.settrace(previous)
+    unexpected = [i for i in failures.ids if not any(fnmatch.fnmatchcase(i, p) for p in PINNED_FAILURES)]
 
     total = missed = skipped = 0
     for name, path in files.items():
@@ -122,7 +144,9 @@ def main(argv: list[str]) -> int:
     )
     lines = sum(p.read_bytes().count(b"\n") for p in [*PACKAGE.glob("*.py"), *PACKAGE.glob("_kernels/*.py")])
     print(f"{lines} lines in src/nfacomp/*.py and src/nfacomp/_kernels/*.py")
-    return 1 if missed else 0
+    for i in unexpected:
+        print(f"failed, not pinned: {i}")
+    return 1 if missed or unexpected or int(status) not in (0, 1) else 0
 
 
 if __name__ == "__main__":

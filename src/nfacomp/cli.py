@@ -103,13 +103,17 @@ def _run_method(method: str, a, budget, strategy: str, rear: str, bar=None):
     return _run_gate(a, budget)
 
 
-def _minimize(a: Nfa) -> Nfa:
+def _minimize(a: Nfa, stats: dict | None = None) -> Nfa:
     """Hopcroft-minimize a DFA output that trimming may have left partial,
-    and trim, which drops a dead class; an empty DFA (the complement of a
-    universal language) is kept."""
-    if a.num_states == 0:
-        return a
-    return core.trim(reduction.hopcroft_minimize(a))
+    and trim, which drops a dead class (the quotient of a trim output is
+    returned at once).  An empty DFA (the complement of a universal
+    language) and a minimal one by construction are kept.  With ``stats``
+    the route is recorded under ``"minimize"``: ``construction`` or
+    ``hopcroft``."""
+    kept = a.num_states == 0 or a._minimal
+    if stats is not None:
+        stats["minimize"] = "construction" if kept else "hopcroft"
+    return a if kept else core.trim(reduction.hopcroft_minimize(a))
 
 
 def _report(method, a, out, pre, extras, elapsed_ms) -> ComplementReport:
@@ -195,15 +199,18 @@ def _cmd_complement(args) -> int:
         elapsed = (time.perf_counter() - start) * 1000.0
         stats_doc = _report(args.method, a, out, pre, extras, elapsed).as_dict()
 
+    postpass: dict = {}  # how each post-pass ran
     if args.minimize:
         if isinstance(out, PortNfa):
             raise NfacompError("--minimize applies to plain automata only")
-        out = _minimize(out)
+        out = _minimize(out, postpass)
     if args.reduce:
         if isinstance(out, PortNfa):
-            out = reduction.simulation_reduce_port(out)
+            out = reduction.simulation_reduce_port(out, stats=postpass)
         else:
-            out = reduction.simulation_reduce(out)
+            out = reduction.simulation_reduce(out, stats=postpass)
+    if postpass:
+        stats_doc["postpass"] = postpass
 
     if args.verify:
         stats_doc["verify"] = _verify(a, out, budget)

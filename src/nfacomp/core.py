@@ -28,6 +28,12 @@ tables derived from them (``succ_masks``, ``pred_masks``, the SCC
 condensation), and checks only its port sets and names; so does
 ``induced`` (and ``trim`` through it), whose moves are renumbered moves of
 an automaton already checked, read off its table if it has one.
+
+A construction may record facts about what it built: ``_trim`` (no state to
+trim: ``trim`` returns the automaton at once) and ``_minimal`` (a minimal
+trim DFA: ``--minimize`` and the simulation pass return it unchanged).
+They hold for the port sets it was built with, so a view, which may have
+other port sets, does not inherit them.
 """
 
 from __future__ import annotations
@@ -118,6 +124,7 @@ class _Automaton:
                 raise ValueError("state_names length must match num_states")
 
     _source = None  # for a view, the automaton it was made from, whose moves it shares
+    _trim = _minimal = False  # facts a construction recorded, never shared with a view
 
     def __getattr__(self, attr):
         # Only a table-built automaton lacks ``transitions``; it is spelled out on first use, once for
@@ -289,7 +296,8 @@ class SccDag:
 def _new(cls, alphabet, num_states, entry_sets, exit_sets, state_names, name, **moves):
     """An automaton of class ``cls``, unchecked: a plain NFA takes its initial
     and final states from the one entry set and the one exit set given.
-    ``moves`` holds ``transitions`` or ``_table``, and what a view shares."""
+    ``moves`` holds ``transitions`` or ``_table``, what a view shares, and
+    the facts a construction records (``_trim``, ``_minimal``)."""
     out = cls.__new__(cls)
     if issubclass(cls, Nfa):
         (initial,), (final,) = entry_sets, exit_sets
@@ -300,18 +308,19 @@ def _new(cls, alphabet, num_states, entry_sets, exit_sets, state_names, name, **
     return out
 
 
-def _rebuild(a: Automaton, num_states, transitions, entry_sets, exit_sets, state_names, name=None):
+def _rebuild(a: Automaton, num_states, transitions, entry_sets, exit_sets, state_names, name=None, **facts):
     """An automaton of ``a``'s class over ``a``'s alphabet, validated as the constructor does."""
-    out = _new(type(a), a.alphabet, num_states, entry_sets, exit_sets, state_names, name, transitions=transitions)
+    out = _new(type(a), a.alphabet, num_states, entry_sets, exit_sets, state_names, name, transitions=transitions,
+               **facts)
     out._normalize_and_check()
     return out
 
 
-def _from_table(a: Automaton, num_states, table, syms, reverse, entry_sets, exit_sets, state_names):
+def _from_table(a: Automaton, num_states, table, syms, reverse, entry_sets, exit_sets, state_names, **facts):
     """``_rebuild`` from a flat table: entry ``q * len(syms) + k`` is q's successor
     on ``syms[k]`` (with ``reverse``, its predecessor), or -1 for none."""
     out = _new(type(a), a.alphabet, num_states, entry_sets, exit_sets, state_names, None,
-               _table=(table, tuple(syms), reverse))
+               _table=(table, tuple(syms), reverse), **facts)
     out._check_table()
     return out
 
@@ -502,8 +511,11 @@ def induced(a: Automaton, keep: Iterable[int]) -> Automaton:
 def trim(a: Automaton) -> Automaton:
     """Drop states unreachable from every entry set or dead for every exit set.
 
-    Every slice's language is preserved.
+    Every slice's language is preserved.  An automaton built trim is
+    returned at once.
     """
+    if a._trim:
+        return a
     fwd, bwd = _both_adjacency(a)
     keep = _closure(frozenset().union(*a.entry_sets), fwd) & _closure(frozenset().union(*a.exit_sets), bwd)
     if len(keep) == a.num_states:
@@ -646,11 +658,13 @@ def _moves(transitions, nsyms: int, by_target: bool = False) -> set[int]:
 
 
 def is_deterministic(a: Automaton) -> bool:
-    """DFA check: single start per entry set, at most one successor per symbol.
-    A forward table (``_from_table``, shared by its views) has that shape by
-    construction, so only its entry sets are checked."""
-    if any(len(s) != 1 for s in a.entry_sets):
-        return False
+    """DFA check: single start per entry set, at most one successor per symbol."""
+    return all(len(s) == 1 for s in a.entry_sets) and _deterministic_moves(a)
+
+
+def _deterministic_moves(a: Automaton) -> bool:
+    """At most one successor per state and symbol.  A forward table
+    (``_from_table``, shared by its views) has that shape by construction."""
     table = a.__dict__.get("_table")
     if table is not None and not table[2]:
         return True
@@ -660,6 +674,11 @@ def is_deterministic(a: Automaton) -> bool:
 def is_complete(a: Automaton) -> bool:
     """Every state has at least one successor on every symbol."""
     return len(_moves(a._edges(), len(a.alphabet))) == a.num_states * len(a.alphabet)
+
+
+def _coreachable(a: Automaton) -> set[int]:
+    """The states that reach some exit set."""
+    return _closure(frozenset().union(*a.exit_sets), _both_adjacency(a)[1])
 
 
 def is_reverse_deterministic(a: Automaton) -> bool:

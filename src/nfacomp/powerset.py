@@ -251,13 +251,14 @@ def _explore_port(
     return outcome[chosen]
 
 
-def _build(a: Automaton, x: _Exploration) -> Automaton:
+def _build(a: Automaton, x: _Exploration, minimal: bool = False) -> Automaton:
     """The automaton of ``a``'s class that exploration ``x`` of ``a`` found.
 
     With live marks only the live macrostates are kept, in discovery order:
     exploration made every one reachable, so that is ``core.trim`` of the
-    untrimmed automaton, named only for the survivors; a move into a dropped
-    one becomes -1.  A reverse exploration's table gives predecessors, its
+    untrimmed automaton, named only for the survivors, and it is recorded
+    trim; a move into a dropped one becomes -1.  ``minimal`` records that
+    the result is a minimal trim DFA.  A reverse exploration's table gives predecessors, its
     start and accepting sets swapped.  A ``delta`` row holds ``x.syms`` in
     order, and the result is over ``a``'s whole alphabet.
     """
@@ -274,7 +275,8 @@ def _build(a: Automaton, x: _Exploration) -> Automaton:
     accepting = [frozenset(ids) for ids in exits]
     if reverse:
         starts, accepting = accepting, starts
-    return core._from_table(a, len(kept), delta, syms, reverse, starts, accepting, _macro_names(a, kept))
+    return core._from_table(a, len(kept), delta, syms, reverse, starts, accepting, _macro_names(a, kept),
+                            _trim=live is not None, _minimal=minimal)
 
 
 def determinize(a: Automaton, *, budget: int | None = None) -> MacrostateDfa:
@@ -308,10 +310,19 @@ def _complement(
     a: Automaton, direction: Direction, budget: int | None, bar: int | None = None
 ) -> tuple[Automaton, int]:
     """The trimmed powerset complement of ``a`` in ``direction``, and its size
-    before trimming; with a ``bar``, ``CutError`` once it cannot stay below it."""
+    before trimming; with a ``bar``, ``CutError`` once it cannot stay below it.
+
+    A forward complement is recorded minimal when ``a`` is a plain NFA that
+    is reverse-deterministic (one final state) and whose every state reaches
+    that final state: then rev(a) is an accessible DFA, so det(a) is the
+    minimal DFA of L(a) (Brzozowski, "Canonical regular expressions and
+    minimal state graphs for definite events", 1962), and its complement,
+    trimmed, the minimal trim DFA of the complement."""
     # A state of rev(raw) survives trim exactly when it reaches an exit of raw.
     x = _explore_port(a, budget, complement=True, directions=(direction,), bar=bar)
-    return _build(a, x), len(x.macros)
+    minimal = (direction is Direction.FORWARD and isinstance(a, Nfa) and core.is_reverse_deterministic(a)
+               and len(core._coreachable(a)) == a.num_states)
+    return _build(a, x, minimal), len(x.macros)
 
 
 port_forward_complement = forward_complement

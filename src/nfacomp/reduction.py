@@ -8,7 +8,10 @@ on a block id per state, a member set per block and per-symbol predecessor
 lists, so that a splitter costs time in the number of transitions into it,
 not in the number of blocks; missing moves go to a virtual sink (Valmari &
 Lehtinen, "Efficient minimization of DFAs with partial transition
-functions", STACS 2008).  Its quotient is the simulation pass's, unpruned.
+functions", STACS 2008).  The initial partition splits the states by
+exit-set membership, so the refinement serves port DFAs too.  Its
+quotient is the simulation pass's, unpruned, reading one member's row
+per class.
 
 The simulation pass works on arbitrary NFAs: it merges simulation-equivalent
 states, drops transitions into dominated targets ("little brothers"), and
@@ -19,6 +22,18 @@ shrank (Henzinger, Henzinger & Kopke, "Computing simulations on finite and
 infinite graphs", FOCS 1995; Ilie, Navarro & Yu, "On NFA reductions", 2004).
 A class is a little brother when the mask of the states strictly above it
 meets its sibling targets (or its entry set): one AND, no scan over pairs.
+
+The pass runs only where it can change its input, on the first route that
+applies (``_quotient_and_prune``).  A forward complement that the powerset
+construction recorded as a minimal trim DFA is returned unchanged: its
+input was a plain NFA, reverse-deterministic with one final state that
+every state reaches, so by Brzozowski ("Canonical regular expressions and
+minimal state graphs for definite events", 1962) determinizing it gave the
+minimal DFA.  A named co-deterministic automaton with singleton exits is
+only trimmed.  On an automaton with at most one move per state and symbol
+that is complete or co-trim, simulation equivalence is language
+equivalence and no target is dominated, so the classes are Hopcroft's.
+Every other input takes the fixpoint.
 """
 
 from __future__ import annotations
@@ -103,39 +118,39 @@ def compute_simulation(a: Nfa) -> SimulationPreorder:
     )
 
 
-def hopcroft_minimize(d: MacrostateDfa | Nfa) -> Nfa:
-    """Minimal DFA via partition refinement (smaller-half splitters).
+def _hopcroft_classes(a: core.Automaton) -> tuple[list[list[int]], bool]:
+    """Hopcroft's classes of ``a``, which has at most one move per state and
+    symbol, sorted by least member; and whether the members of each class
+    have the same moves.
 
-    Missing moves go to a virtual non-final sink looping on every symbol,
-    which is then dropped from the classes: a class of dead states it
-    joined is kept, and a class whose members all miss a move misses it.
+    The initial partition splits the states by exit-set membership; missing
+    moves go to a virtual sink in no exit set, which is then dropped from
+    the classes.  A class of dead states that the sink joined is kept; its
+    members, and the members of a class whose moves lead into it, may
+    differ in which moves they miss, which the second answer reports.
     """
-    dfa = d.nfa if isinstance(d, MacrostateDfa) else d
-    if not core.is_deterministic(dfa):
-        raise ValueError("hopcroft_minimize needs a deterministic automaton")
-    n = dfa.num_states
-    nsyms = len(dfa.alphabet)
-    succ = dfa.succ_masks
+    n = a.num_states
+    nsyms = len(a.alphabet)
+    succ = a.succ_masks
     sink = n
     preds: list[list[list[int]]] = [[[] for _ in range(n + 1)] for _ in range(nsyms)]
-    for (p, sym, q) in dfa._edges():
+    for (p, sym, q) in a._edges():
         preds[sym][q].append(p)
+    missing = False
     for sym in range(nsyms):
-        preds[sym][sink] += [p for p in range(n) if not succ[sym * n + p]] + [sink]
+        lacking = [p for p in range(n) if not succ[sym * n + p]]
+        missing = missing or bool(lacking)
+        preds[sym][sink] += lacking + [sink]
 
-    final = dfa.final_mask
-    blocks = [m for m in (
-        {q for q in range(n) if (final >> q) & 1},
-        {q for q in range(n + 1) if not (final >> q) & 1},
-    ) if m]
+    blocks = [set(range(n + 1))]
+    for s in a.exit_sets:
+        blocks = [part for members in blocks for part in (members & s, members - s) if part]
     block_of = [0] * (n + 1)
     for bi, members in enumerate(blocks):
         for q in members:
             block_of[q] = bi
-    queue: list[tuple[int, int]] = []
-    if len(blocks) == 2:
-        smaller = 0 if len(blocks[0]) <= len(blocks[1]) else 1
-        queue = [(smaller, sym) for sym in range(nsyms)]
+    largest = max(range(len(blocks)), key=lambda bi: len(blocks[bi]))
+    queue = [(bi, sym) for bi in range(len(blocks)) if bi != largest for sym in range(nsyms)]
     pending = set(queue)
     while queue:
         splitter = queue.pop()
@@ -168,7 +183,21 @@ def hopcroft_minimize(d: MacrostateDfa | Nfa) -> Nfa:
                 queue.append(split)
 
     classes = sorted(sorted(members - {sink}) for members in blocks if members != {sink})
-    return _quotient(dfa, classes, [0] * len(classes), prune_entries=False)
+    return classes, not missing or blocks[block_of[sink]] == {sink}
+
+
+def hopcroft_minimize(d: MacrostateDfa | Nfa) -> Nfa:
+    """Minimal DFA via partition refinement (smaller-half splitters).
+
+    Missing moves go to a virtual non-final sink looping on every symbol,
+    which is then dropped from the classes: a class of dead states it
+    joined is kept, and a class whose members all miss a move misses it.
+    """
+    dfa = d.nfa if isinstance(d, MacrostateDfa) else d
+    if not core.is_deterministic(dfa):
+        raise ValueError("hopcroft_minimize needs a deterministic automaton")
+    classes, agree = _hopcroft_classes(dfa)
+    return _quotient(dfa, classes, None if agree else [0] * len(classes), prune_entries=False)
 
 
 def _simulation_classes(a: core.Automaton) -> tuple[list[list[int]], list[int]]:
@@ -190,23 +219,59 @@ def _simulation_classes(a: core.Automaton) -> tuple[list[list[int]], list[int]]:
     return classes, above
 
 
-def _quotient(a: core.Automaton, classes: list[list[int]], above: list[int], prune_entries: bool):
+def _quotient(a: core.Automaton, classes: list[list[int]], above: list[int] | None, prune_entries: bool):
     """The quotient of ``a`` by ``classes``, without transitions into dominated classes.
 
     A target class c is dominated when ``above[c]`` meets the union of the
     successor rows it was reached by; with ``prune_entries`` an entry set
-    also drops each class that ``above`` finds dominated within it.
+    also drops each class that ``above`` finds dominated within it.  With
+    ``above`` None no class is dominated and the members of each class have
+    the same moves (Hopcroft's classes, ``_hopcroft_classes``), so a
+    class's row is its least member's.  Where nothing is dominated, the
+    quotient of a trim ``a`` is trim.
     """
     n = a.num_states
     nsyms = len(a.alphabet)
     succ = a.succ_masks
     class_of = [-1] * n
-    class_mask = []
     for ci, members in enumerate(classes):
-        class_mask.append(core._mask_of(members))
         for q in members:
             class_of[q] = ci
 
+    transitions = set()
+    if above is None:
+        for ci, members in enumerate(classes):
+            p = members[0]
+            for sym in range(nsyms):
+                row = succ[sym * n + p]
+                if row:
+                    transitions.add((ci, sym, class_of[row.bit_length() - 1]))
+        above = [0] * len(classes)
+    else:
+        transitions = _pruned_moves(a, classes, class_of, above)
+    entry_sets = []
+    for s in a.entry_sets:
+        m = core._mask_of(s) if prune_entries else 0
+        entry_sets.append(frozenset(class_of[q] for q in s if not above[class_of[q]] & m))
+    return core._rebuild(
+        a,
+        len(classes),
+        frozenset(transitions),
+        entry_sets,
+        [frozenset(class_of[q] for q in s) for s in a.exit_sets],
+        tuple("+".join(a.state_name(q) for q in members) for members in classes),
+        _trim=a._trim and not any(above),
+    )
+
+
+def _pruned_moves(a: core.Automaton, classes: list[list[int]], class_of: list[int], above: list[int]):
+    """The moves between ``classes``: each class's row is the union of its
+    members' rows, and a target class that ``above`` finds dominated in that
+    row is dropped."""
+    n = a.num_states
+    nsyms = len(a.alphabet)
+    succ = a.succ_masks
+    class_mask = [core._mask_of(members) for members in classes]
     transitions = set()
     for ci, members in enumerate(classes):
         for sym in range(nsyms):
@@ -219,45 +284,79 @@ def _quotient(a: core.Automaton, classes: list[list[int]], above: list[int], pru
                 rest &= ~class_mask[cj]
                 if not above[cj] & row:  # else a bigger brother exists
                     transitions.add((ci, sym, cj))
-    entry_sets = []
-    for s in a.entry_sets:
-        m = core._mask_of(s) if prune_entries else 0
-        entry_sets.append(frozenset(class_of[q] for q in s if not above[class_of[q]] & m))
-    return core._rebuild(
-        a,
-        len(classes),
-        frozenset(transitions),
-        entry_sets,
-        [frozenset(class_of[q] for q in s) for s in a.exit_sets],
-        tuple("+".join(a.state_name(q) for q in members) for members in classes),
-    )
+    return transitions
 
 
-def _quotient_and_prune(a: core.Automaton, prune_entries: bool):
+def _quotient_and_prune(a: core.Automaton, prune_entries: bool, stats: dict | None = None):
     """The simulation reductions: merge simulation-equivalent states, drop
-    transitions into strictly dominated target classes, and trim.  A named
-    automaton that is reverse-deterministic with singleton exit sets, as a
-    reverse powerset complement is, is only trimmed: no word leads two states
-    into one exit, so no live state simulates another (unnamed, it would
-    come out named)."""
-    if a.num_states == 0:
-        return a
-    if a.state_names is not None and core.is_reverse_deterministic(a):
-        return core.trim(a)
-    return core.trim(_quotient(a, *_simulation_classes(a), prune_entries))
+    transitions into strictly dominated target classes, and trim.  The
+    first route that applies runs; with ``stats`` it is recorded under
+    ``"reduce"``:
+
+    - ``construction``: ``a`` is empty or a minimal trim DFA by construction,
+      and is returned unchanged.
+    - ``codeterministic``: a named ``a`` that is reverse-deterministic with
+      singleton exit sets, as a reverse powerset complement is, is only
+      trimmed: no word leads two states into one exit, so no live state
+      simulates another (unnamed, it would come out named).
+    - ``hopcroft``: Hopcroft's classes (``_dfa_classes``), no target pruned.
+    - ``simulation``: the fixpoint, on every other input.
+    """
+    if a.num_states == 0 or a._minimal:
+        route, out = "construction", a
+    elif a.state_names is not None and core.is_reverse_deterministic(a):
+        route, out = "codeterministic", core.trim(a)
+    elif (classes := _dfa_classes(a, prune_entries)) is not None:
+        route, out = "hopcroft", core.trim(_quotient(a, classes, None, prune_entries))
+    else:
+        route, out = "simulation", core.trim(_quotient(a, *_simulation_classes(a), prune_entries))
+    if stats is not None:
+        stats["reduce"] = route
+    return out
 
 
-def simulation_reduce(a: Nfa) -> Nfa:
-    """Merge simulation-equivalent states and prune dominated transitions."""
-    return _quotient_and_prune(a, prune_entries=False)
+def _dfa_classes(a: core.Automaton, prune_entries: bool) -> list[list[int]] | None:
+    """Hopcroft's classes of ``a`` when they are its simulation classes and
+    nothing is pruned, else None.
+
+    That holds when ``a`` has at most one move per state and symbol and is
+    complete or co-trim: there q simulates p iff every word p reads leads
+    both, p's move by move, into the same exit sets or more, so simulation
+    equivalence is language equivalence, and each class has one target per
+    symbol, which no other target dominates.  With ``prune_entries`` every
+    entry set must also meet at most one class, or a dominated entry could
+    be dropped.  On a partial DFA with dead states simulation is stricter
+    than language inclusion, so it is not taken there.
+    """
+    n = a.num_states
+    if not core._deterministic_moves(a):
+        return None
+    if not (a._trim or core.is_complete(a) or len(core._coreachable(a)) == n):
+        return None
+    classes, _agree = _hopcroft_classes(a)  # complete or without dead states, so the members agree
+    if prune_entries and any(len(s) > 1 for s in a.entry_sets):
+        class_of = [0] * n
+        for ci, members in enumerate(classes):
+            for q in members:
+                class_of[q] = ci
+        if any(len({class_of[q] for q in s}) > 1 for s in a.entry_sets):
+            return None
+    return classes
 
 
-def simulation_reduce_port(a: PortNfa) -> PortNfa:
+def simulation_reduce(a: Nfa, *, stats: dict | None = None) -> Nfa:
+    """Merge simulation-equivalent states and prune dominated transitions.
+    With ``stats`` the route taken is recorded under ``"reduce"``."""
+    return _quotient_and_prune(a, False, stats)
+
+
+def simulation_reduce_port(a: PortNfa, *, stats: dict | None = None) -> PortNfa:
     """Port-aware simulation reduction: respects every exit set separately.
 
     A state q may simulate p only if q belongs to every exit set p belongs
     to, which makes the quotient and the little-brother pruning sound for
     every slice at once.  Entry sets additionally drop members dominated by
-    another member of the same set.
+    another member of the same set.  With ``stats`` the route taken is
+    recorded under ``"reduce"``.
     """
-    return _quotient_and_prune(a, prune_entries=True)
+    return _quotient_and_prune(a, True, stats)

@@ -207,6 +207,30 @@ def test_minimize_matches_completion_by_an_explicit_sink():
     assert all(seen[k] > 3 for k in ("empty", "partial", "universal", "complete", "merged")), seen
 
 
+def test_stats_say_how_each_post_pass_ran(capsys, tmp_path):
+    """``postpass`` in ``--stats`` names each post-pass's route: on the forward
+    complement of ``reverse_friendly(5)``, minimal by construction, neither
+    pass runs; on an input with two final states Hopcroft runs for both;
+    the reverse complement is co-deterministic, gate's output takes the
+    fixpoint, and a run without post-passes reports none."""
+    a = helpers.random_nfa(random.Random(16), max_states=6)  # its forward complement has 5 states, 3 minimal
+    assert len(a.final) == 2
+    runs = [
+        (reverse_friendly(5), ["-m", "forward", "--minimize", "--reduce"],
+         {"minimize": "construction", "reduce": "construction"}),
+        (a, ["-m", "forward", "--minimize", "--reduce"], {"minimize": "hopcroft", "reduce": "hopcroft"}),
+        (reverse_friendly(5), ["-m", "reverse", "--reduce"], {"reduce": "codeterministic"}),
+        (gate_chain(2), ["-m", "gate", "--reduce"], {"reduce": "simulation"}),
+        (reverse_friendly(5), ["-m", "forward"], None),
+    ]
+    src, out, stats = tmp_path / "a.nfa", tmp_path / "c.nfa", tmp_path / "s.json"
+    for automaton, argv, want in runs:
+        src.write_text(fileformat.serialize(automaton))
+        code, _out, err = run(capsys, "complement", *argv, "-i", str(src), "-o", str(out), "--stats", str(stats))
+        assert (code, err) == (0, "")
+        assert json.loads(stats.read_text()).get("postpass") == want, argv
+
+
 def test_sequential_stats_list_every_strategy(capsys, tmp_path):
     b = tmp_path / "b4.nfa"
     b.write_text(fileformat.serialize(sequential_chain(4)))
@@ -336,8 +360,8 @@ def test_complement_verify(capsys, tmp_path, a2_file, monkeypatch):
     # A complement that also accepts "aaa", a word of A_2: exit 1, no output.
     reduce = cli.reduction.simulation_reduce
 
-    def broken(a):
-        c = reduce(a)
+    def broken(a, **kwargs):
+        c = reduce(a, **kwargs)
         n, aid = c.num_states, c.symbol_ids["a"]
         extra = {(n, aid, n + 1), (n + 1, aid, n + 2), (n + 2, aid, n + 3)}
         return core.Nfa(c.alphabet, n + 4, c.transitions | extra, c.initial | {n}, c.final | {n + 3})

@@ -12,7 +12,7 @@ from collections import Counter
 import helpers
 from nfacomp import cli, core, fileformat, powerset, reduction
 from nfacomp.errors import BudgetExceededError
-from nfacomp.families import reverse_friendly
+from nfacomp.families import gate_chain, reverse_friendly, sequential_chain
 
 FORWARD = powerset.Direction.FORWARD
 
@@ -119,12 +119,20 @@ def test_post_passes_match_their_pinned_copies():
         plain = isinstance(a, core.Nfa)
         for prune_entries in (False, True) if plain else (True,):
             want = fileformat.serialize(helpers.quotient_and_prune_pinned(a, prune_entries))
-            assert fileformat.serialize(reduction._quotient_and_prune(a, prune_entries)) == want, kind
+            stats = {}
+            assert fileformat.serialize(reduction._quotient_and_prune(a, prune_entries, stats)) == want, kind
+            seen[stats["reduce"]] += 1
         if plain and (a.num_states == 0 or core.is_deterministic(a)):
             want = helpers.minimize_pinned(a)
-            assert fileformat.serialize(cli._minimize(a)) == fileformat.serialize(want), kind
+            stats = {}
+            assert fileformat.serialize(cli._minimize(a, stats)) == fileformat.serialize(want), kind
             seen["minimized"] += 1
             seen["merged"] += want.num_states < a.num_states
+            seen[f"minimize {stats['minimize']}"] += 1
+        # The facts hold where they are recorded, and are recorded on exactly
+        # the forward complements that Brzozowski's condition covers.
+        assert a._minimal == (kind in ("codeterministic complement", "empty")), kind
+        assert not a._trim or helpers.trim_reference(a) is a, kind
         seen[kind] += 1
         seen["port"] += not plain
         seen["large"] += a.num_states > 64
@@ -132,6 +140,20 @@ def test_post_passes_match_their_pinned_copies():
         if core.is_deterministic(a):
             seen["complete" if core.is_complete(a) else "partial"] += 1
     kinds = ("dfa", "codeterministic", "codeterministic complement", "finals complement", "dead complement",
-             "flipped", "minimized", "merged", "port", "large", "complete", "partial")
+             "flipped", "minimized", "merged", "port", "large", "complete", "partial",
+             "construction", "codeterministic", "hopcroft", "simulation", "minimize construction", "minimize hopcroft")
     assert all(seen[k] > 10 for k in kinds) and seen["empty"] == 1, seen
     assert seen["large codeterministic complement"] >= 2 and seen["large flipped"] >= 2, seen
+
+
+def test_witness_complements_are_minimal():
+    """The README's reading of criteria 3 and 4: for n = 1..6, the forward
+    complement of each witness family, and the reversal of its reverse
+    complement, have as many states as ``hopcroft_minimize`` gives, so
+    no deterministic (or co-deterministic) complement is smaller."""
+    for family in (sequential_chain, gate_chain):
+        for n in range(1, 7):
+            b = family(n)
+            for c in (powerset.forward_complement(b), core.reverse(powerset.reverse_complement(b))):
+                assert core.is_deterministic(c)
+                assert reduction.hopcroft_minimize(c).num_states == c.num_states, (family.__name__, n)

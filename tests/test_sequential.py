@@ -661,33 +661,40 @@ def test_det_wins_on_gate_chain_4_at_the_default_budget():
     ]
 
 
-@pytest.mark.parametrize("rear, skipped", [("reverse", True), ("forward", False)])
-def test_rear_simulation_pass_runs_only_where_it_can_merge(tmp_path, monkeypatch, rear, skipped):
+@pytest.mark.parametrize("rear, route", [("reverse", "codeterministic"), ("forward", "hopcroft")])
+def test_rear_simulation_pass_takes_the_route_its_shape_allows(tmp_path, monkeypatch, rear, route):
     """``complement -m sequential`` on ``gate_chain(6)``: the reverse rear
     complement (the default) is reverse-deterministic with singleton exits,
-    so the simulation pass returns it trimmed without running the fixpoint;
-    a forward one runs it."""
-    rears, reduced = [], []
-    complement, classes = sequential._complement, reduction._simulation_classes
+    so the simulation pass returns it trimmed; a forward one is a trim DFA,
+    so the pass takes Hopcroft's classes.  Neither runs the fixpoint."""
+    rears, routes, fixpoints = [], [], []
+    complement, reduce, classes = sequential._complement, sequential.simulation_reduce_port, reduction._simulation_classes
 
     def rear_complement(*args):
         out = complement(*args)
         rears.append(out[0])
         return out
 
+    def reduced(a):
+        stats = {}
+        out = reduce(a, stats=stats)
+        routes.append((a, stats["reduce"]))
+        return out
+
     def counted(a):
-        reduced.append(a)
+        fixpoints.append(a)
         return classes(a)
 
     monkeypatch.setattr(sequential, "_complement", rear_complement)
+    monkeypatch.setattr(sequential, "simulation_reduce_port", reduced)
     monkeypatch.setattr(reduction, "_simulation_classes", counted)
     src = tmp_path / "gate6.nfa"
     src.write_text(fileformat.serialize(gate_chain(6)))
     flags = [] if rear == "reverse" else ["--rear", "forward"]
     assert cli.main(["complement", "-m", "sequential", "-i", str(src), "-o", str(tmp_path / "c.nfa"), *flags]) == 0
-    passed = [any(r is a for a in reduced) for r in rears]
-    assert len(rears) == 2 and reduced, (len(rears), len(reduced))
-    assert not any(passed) if skipped else all(passed)
+    assert len(rears) == 2, len(rears)
+    assert [[r for (a, r) in routes if a is c] for c in rears] == [[route], [route]]
+    assert not any(a is c for a in fixpoints for c in rears)
 
 
 def test_pipeline_random_inputs():
