@@ -258,9 +258,9 @@ def _build(a: Automaton, x: _Exploration, minimal: bool = False) -> Automaton:
     exploration made every one reachable, so that is ``core.trim`` of the
     untrimmed automaton, named only for the survivors, and it is recorded
     trim; a move into a dropped one becomes -1.  ``minimal`` records that
-    the result is a minimal trim DFA.  A reverse exploration's table gives predecessors, its
-    start and accepting sets swapped.  A ``delta`` row holds ``x.syms`` in
-    order, and the result is over ``a``'s whole alphabet.
+    the result is a minimal trim DFA.  A reverse exploration's table gives
+    predecessors, its start and accepting sets swapped.  A ``delta`` row
+    holds ``x.syms`` in order, and the result is over ``a``'s whole alphabet.
     """
     macros, delta, entries, exits, live, reverse, syms = x
     nsyms = len(syms)

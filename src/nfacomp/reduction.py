@@ -10,8 +10,7 @@ not in the number of blocks; missing moves go to a virtual sink (Valmari &
 Lehtinen, "Efficient minimization of DFAs with partial transition
 functions", STACS 2008).  The initial partition splits the states by
 exit-set membership, so the refinement serves port DFAs too.  Its
-quotient is the simulation pass's, unpruned, reading one member's row
-per class.
+quotient is the simulation pass's, unpruned.
 
 The simulation pass works on arbitrary NFAs: it merges simulation-equivalent
 states, drops transitions into dominated targets ("little brothers"), and
@@ -23,17 +22,20 @@ infinite graphs", FOCS 1995; Ilie, Navarro & Yu, "On NFA reductions", 2004).
 A class is a little brother when the mask of the states strictly above it
 meets its sibling targets (or its entry set): one AND, no scan over pairs.
 
-The pass runs only where it can change its input, on the first route that
-applies (``_quotient_and_prune``).  A forward complement that the powerset
+The pass runs the fixpoint only where no cheaper route gives the same
+result (``_quotient_and_prune``).  A forward complement that the powerset
 construction recorded as a minimal trim DFA is returned unchanged: its
 input was a plain NFA, reverse-deterministic with one final state that
 every state reaches, so by Brzozowski ("Canonical regular expressions and
 minimal state graphs for definite events", 1962) determinizing it gave the
 minimal DFA.  A named co-deterministic automaton with singleton exits is
 only trimmed.  On an automaton with at most one move per state and symbol
-that is complete or co-trim, simulation equivalence is language
-equivalence and no target is dominated, so the classes are Hopcroft's.
-Every other input takes the fixpoint.
+that is complete or co-trim, q simulates p iff every word p reads leads
+both into the same exit sets or more, so simulation equivalence is
+language equivalence, and each class has one target per symbol, which no
+other target dominates: the classes are Hopcroft's, and nothing is pruned.
+On a partial DFA with dead states simulation is stricter than language
+inclusion, so there the fixpoint runs.
 """
 
 from __future__ import annotations
@@ -118,17 +120,11 @@ def compute_simulation(a: Nfa) -> SimulationPreorder:
     )
 
 
-def _hopcroft_classes(a: core.Automaton) -> tuple[list[list[int]], bool]:
+def _hopcroft_classes(a: core.Automaton) -> list[list[int]]:
     """Hopcroft's classes of ``a``, which has at most one move per state and
-    symbol, sorted by least member; and whether the members of each class
-    have the same moves.
-
-    The initial partition splits the states by exit-set membership; missing
-    moves go to a virtual sink in no exit set, which is then dropped from
-    the classes.  A class of dead states that the sink joined is kept; its
-    members, and the members of a class whose moves lead into it, may
-    differ in which moves they miss, which the second answer reports.
-    """
+    symbol, sorted by least member.  The initial partition splits the
+    states by exit-set membership; missing moves go to a virtual sink in no
+    exit set, which is then dropped from the classes."""
     n = a.num_states
     nsyms = len(a.alphabet)
     succ = a.succ_masks
@@ -136,11 +132,8 @@ def _hopcroft_classes(a: core.Automaton) -> tuple[list[list[int]], bool]:
     preds: list[list[list[int]]] = [[[] for _ in range(n + 1)] for _ in range(nsyms)]
     for (p, sym, q) in a._edges():
         preds[sym][q].append(p)
-    missing = False
     for sym in range(nsyms):
-        lacking = [p for p in range(n) if not succ[sym * n + p]]
-        missing = missing or bool(lacking)
-        preds[sym][sink] += lacking + [sink]
+        preds[sym][sink] += [p for p in range(n) if not succ[sym * n + p]] + [sink]
 
     blocks = [set(range(n + 1))]
     for s in a.exit_sets:
@@ -182,8 +175,7 @@ def _hopcroft_classes(a: core.Automaton) -> tuple[list[list[int]], bool]:
                 pending.add(split)
                 queue.append(split)
 
-    classes = sorted(sorted(members - {sink}) for members in blocks if members != {sink})
-    return classes, not missing or blocks[block_of[sink]] == {sink}
+    return sorted(sorted(members - {sink}) for members in blocks if members != {sink})
 
 
 def hopcroft_minimize(d: MacrostateDfa | Nfa) -> Nfa:
@@ -192,12 +184,18 @@ def hopcroft_minimize(d: MacrostateDfa | Nfa) -> Nfa:
     Missing moves go to a virtual non-final sink looping on every symbol,
     which is then dropped from the classes: a class of dead states it
     joined is kept, and a class whose members all miss a move misses it.
+    The members of a class have the same moves unless the DFA is partial
+    and has dead states.
     """
     dfa = d.nfa if isinstance(d, MacrostateDfa) else d
     if not core.is_deterministic(dfa):
         raise ValueError("hopcroft_minimize needs a deterministic automaton")
-    classes, agree = _hopcroft_classes(dfa)
-    return _quotient(dfa, classes, None if agree else [0] * len(classes), prune_entries=False)
+    classes = _hopcroft_classes(dfa)
+    return _quotient(dfa, classes, None if _complete_or_cotrim(dfa) else [0] * len(classes), prune_entries=False)
+
+
+def _complete_or_cotrim(a: core.Automaton) -> bool:
+    return a._trim or core.is_complete(a) or len(core._coreachable(a)) == a.num_states
 
 
 def _simulation_classes(a: core.Automaton) -> tuple[list[list[int]], list[int]]:
@@ -248,7 +246,18 @@ def _quotient(a: core.Automaton, classes: list[list[int]], above: list[int] | No
                     transitions.add((ci, sym, class_of[row.bit_length() - 1]))
         above = [0] * len(classes)
     else:
-        transitions = _pruned_moves(a, classes, class_of, above)
+        class_mask = [core._mask_of(members) for members in classes]
+        for ci, members in enumerate(classes):
+            for sym in range(nsyms):
+                row = 0
+                for p in members:
+                    row |= succ[sym * n + p]
+                rest = row
+                while rest:
+                    cj = class_of[rest.bit_length() - 1]
+                    rest &= ~class_mask[cj]
+                    if not above[cj] & row:  # else a bigger brother exists
+                        transitions.add((ci, sym, cj))
     entry_sets = []
     for s in a.entry_sets:
         m = core._mask_of(s) if prune_entries else 0
@@ -264,34 +273,11 @@ def _quotient(a: core.Automaton, classes: list[list[int]], above: list[int] | No
     )
 
 
-def _pruned_moves(a: core.Automaton, classes: list[list[int]], class_of: list[int], above: list[int]):
-    """The moves between ``classes``: each class's row is the union of its
-    members' rows, and a target class that ``above`` finds dominated in that
-    row is dropped."""
-    n = a.num_states
-    nsyms = len(a.alphabet)
-    succ = a.succ_masks
-    class_mask = [core._mask_of(members) for members in classes]
-    transitions = set()
-    for ci, members in enumerate(classes):
-        for sym in range(nsyms):
-            row = 0
-            for p in members:
-                row |= succ[sym * n + p]
-            rest = row
-            while rest:
-                cj = class_of[rest.bit_length() - 1]
-                rest &= ~class_mask[cj]
-                if not above[cj] & row:  # else a bigger brother exists
-                    transitions.add((ci, sym, cj))
-    return transitions
-
-
 def _quotient_and_prune(a: core.Automaton, prune_entries: bool, stats: dict | None = None):
     """The simulation reductions: merge simulation-equivalent states, drop
     transitions into strictly dominated target classes, and trim.  The
-    first route that applies runs; with ``stats`` it is recorded under
-    ``"reduce"``:
+    first route that applies runs (see the module docstring); with
+    ``stats`` it is recorded under ``"reduce"``:
 
     - ``construction``: ``a`` is empty or a minimal trim DFA by construction,
       and is returned unchanged.
@@ -300,7 +286,7 @@ def _quotient_and_prune(a: core.Automaton, prune_entries: bool, stats: dict | No
       trimmed: no word leads two states into one exit, so no live state
       simulates another (unnamed, it would come out named).
     - ``hopcroft``: Hopcroft's classes (``_dfa_classes``), no target pruned.
-    - ``simulation``: the fixpoint, on every other input.
+    - ``simulation``: the fixpoint.
     """
     if a.num_states == 0 or a._minimal:
         route, out = "construction", a
@@ -317,23 +303,14 @@ def _quotient_and_prune(a: core.Automaton, prune_entries: bool, stats: dict | No
 
 def _dfa_classes(a: core.Automaton, prune_entries: bool) -> list[list[int]] | None:
     """Hopcroft's classes of ``a`` when they are its simulation classes and
-    nothing is pruned, else None.
-
-    That holds when ``a`` has at most one move per state and symbol and is
-    complete or co-trim: there q simulates p iff every word p reads leads
-    both, p's move by move, into the same exit sets or more, so simulation
-    equivalence is language equivalence, and each class has one target per
-    symbol, which no other target dominates.  With ``prune_entries`` every
-    entry set must also meet at most one class, or a dominated entry could
-    be dropped.  On a partial DFA with dead states simulation is stricter
-    than language inclusion, so it is not taken there.
+    nothing is pruned, else None: ``a`` has at most one move per state and
+    symbol and is complete or co-trim, and with ``prune_entries`` every
+    entry set meets at most one class, or a dominated entry could be dropped.
     """
     n = a.num_states
-    if not core._deterministic_moves(a):
+    if not (core._deterministic_moves(a) and _complete_or_cotrim(a)):
         return None
-    if not (a._trim or core.is_complete(a) or len(core._coreachable(a)) == n):
-        return None
-    classes, _agree = _hopcroft_classes(a)  # complete or without dead states, so the members agree
+    classes = _hopcroft_classes(a)
     if prune_entries and any(len(s) > 1 for s in a.entry_sets):
         class_of = [0] * n
         for ci, members in enumerate(classes):
