@@ -276,17 +276,14 @@ def _quotient(a: core.Automaton, classes: list[list[int]], above: list[int] | No
 def _quotient_and_prune(a: core.Automaton, prune_entries: bool, stats: dict | None = None):
     """The simulation reductions: merge simulation-equivalent states, drop
     transitions into strictly dominated target classes, and trim.  The
-    first route that applies runs (see the module docstring); with
-    ``stats`` it is recorded under ``"reduce"``:
-
-    - ``construction``: ``a`` is empty or a minimal trim DFA by construction,
-      and is returned unchanged.
-    - ``codeterministic``: a named ``a`` that is reverse-deterministic with
-      singleton exit sets, as a reverse powerset complement is, is only
-      trimmed: no word leads two states into one exit, so no live state
-      simulates another (unnamed, it would come out named).
-    - ``hopcroft``: Hopcroft's classes (``_dfa_classes``), no target pruned.
-    - ``simulation``: the fixpoint.
+    first route that applies runs, recorded under ``"reduce"`` in ``stats``:
+    ``construction`` returns an empty ``a``, or a minimal trim DFA by
+    construction, unchanged; ``codeterministic`` only trims a named ``a``
+    that is reverse-deterministic with singleton exit sets, as a reverse
+    powerset complement is, since no word leads two states into one exit,
+    so no live state simulates another (unnamed, it would come out named);
+    ``hopcroft`` quotients by ``_dfa_classes``; ``simulation`` runs the
+    fixpoint.
     """
     if a.num_states == 0 or a._minimal:
         route, out = "construction", a
