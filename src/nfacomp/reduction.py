@@ -184,18 +184,11 @@ def hopcroft_minimize(d: MacrostateDfa | Nfa) -> Nfa:
     Missing moves go to a virtual non-final sink looping on every symbol,
     which is then dropped from the classes: a class of dead states it
     joined is kept, and a class whose members all miss a move misses it.
-    The members of a class have the same moves unless the DFA is partial
-    and has dead states.
     """
     dfa = d.nfa if isinstance(d, MacrostateDfa) else d
     if not core.is_deterministic(dfa):
         raise ValueError("hopcroft_minimize needs a deterministic automaton")
-    classes = _hopcroft_classes(dfa)
-    return _quotient(dfa, classes, None if _complete_or_cotrim(dfa) else [0] * len(classes), prune_entries=False)
-
-
-def _complete_or_cotrim(a: core.Automaton) -> bool:
-    return a._trim or core.is_complete(a) or len(core._coreachable(a)) == a.num_states
+    return _quotient(dfa, _hopcroft_classes(dfa), None, prune_entries=False)
 
 
 def _simulation_classes(a: core.Automaton) -> tuple[list[list[int]], list[int]]:
@@ -223,10 +216,11 @@ def _quotient(a: core.Automaton, classes: list[list[int]], above: list[int] | No
     A target class c is dominated when ``above[c]`` meets the union of the
     successor rows it was reached by; with ``prune_entries`` an entry set
     also drops each class that ``above`` finds dominated within it.  With
-    ``above`` None no class is dominated and the members of each class have
-    the same moves (Hopcroft's classes, ``_hopcroft_classes``), so a
-    class's row is its least member's.  Where nothing is dominated, the
-    quotient of a trim ``a`` is trim.
+    ``above`` None no class is dominated and the classes are Hopcroft's
+    (``_hopcroft_classes``): on each symbol every member moves into one
+    class or into the virtual sink, so a class's row is that of its first
+    member with the move.  Where nothing is dominated, the quotient of a
+    trim ``a`` is trim.
     """
     n = a.num_states
     nsyms = len(a.alphabet)
@@ -239,11 +233,12 @@ def _quotient(a: core.Automaton, classes: list[list[int]], above: list[int] | No
     transitions = set()
     if above is None:
         for ci, members in enumerate(classes):
-            p = members[0]
             for sym in range(nsyms):
-                row = succ[sym * n + p]
-                if row:
-                    transitions.add((ci, sym, class_of[row.bit_length() - 1]))
+                for p in members:  # a member that misses the move joined a dead class with the sink
+                    row = succ[sym * n + p]
+                    if row:
+                        transitions.add((ci, sym, class_of[row.bit_length() - 1]))
+                        break
         above = [0] * len(classes)
     else:
         class_mask = [core._mask_of(members) for members in classes]
@@ -305,7 +300,9 @@ def _dfa_classes(a: core.Automaton, prune_entries: bool) -> list[list[int]] | No
     entry set meets at most one class, or a dominated entry could be dropped.
     """
     n = a.num_states
-    if not (core._deterministic_moves(a) and _complete_or_cotrim(a)):
+    if not core._deterministic_moves(a):
+        return None
+    if not (a._trim or core.is_complete(a) or len(core._coreachable(a)) == n):
         return None
     classes = _hopcroft_classes(a)
     if prune_entries and any(len(s) > 1 for s in a.entry_sets):

@@ -270,12 +270,22 @@ def test_hopcroft_refines_a_partial_dfa_against_a_virtual_sink():
         assert core.is_deterministic(m)
         assert m.num_states == len(classes) - ({n} in classes)
         assert helpers.brute_language(m, 5) == helpers.brute_language(completed, 5)
+        # Every member's move is its class's move, also where the class's
+        # first member misses a move that another member has.
+        class_of = {int(name[1:]): ci for ci, names in enumerate(m.state_names) for name in names.split("+")}
+        assert m.transitions == {(class_of[p], sym, class_of[q]) for (p, sym, q) in d.transitions}
+        seen["first member misses a move"] += any(
+            (members[0], sym) not in defined and any((p, sym) in defined for p in members)
+            for members in (sorted(q for q in range(n) if class_of[q] == ci) for ci in range(m.num_states))
+            for sym in range(nsyms)
+        )
         if not core.is_complete(d):
             seen["sink alone" if {n} in classes else "sink joined"] += 1
             seen["partial result"] += not core.is_complete(m)
         else:
             seen["complete"] += 1
     assert all(seen[k] > 5 for k in ("sink alone", "sink joined", "partial result", "complete")), seen
+    assert seen["first member misses a move"], seen
 
 
 def _with_codeterministic_variants(seed):
