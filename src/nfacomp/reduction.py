@@ -234,7 +234,7 @@ def _quotient(a: core.Automaton, classes: list[list[int]], above: list[int] | No
     if above is None:
         for ci, members in enumerate(classes):
             for sym in range(nsyms):
-                for p in members:  # a member that misses the move joined a dead class with the sink
+                for p in members:  # some may miss the move the others make into the sink's dead class
                     row = succ[sym * n + p]
                     if row:
                         transitions.add((ci, sym, class_of[row.bit_length() - 1]))
