@@ -6,8 +6,8 @@ from hypothesis import given, settings
 
 import helpers
 from conftest import nfas, port_nfas
-from nfacomp import core, fileformat, powerset, reduction
-from nfacomp.families import reverse_friendly
+from nfacomp import core, fileformat, powerset, reduction, sequential
+from nfacomp.families import gate_chain, reverse_friendly
 
 
 A2 = reverse_friendly(2)
@@ -146,28 +146,75 @@ def final_candidates(rng, n):
     return [final if (final >> p) & 1 else (1 << n) - 1 for p in range(n)]
 
 
-def exit_candidates(rng, n):
-    exits = [sum(1 << q for q in range(n) if rng.random() < 0.4) for _ in range(rng.randint(1, 3))]
+def candidates_of(n, exit_masks):
+    """The candidates ``reduction._simulation`` starts from for these exit sets."""
     candidates = []
     for p in range(n):
         cand = (1 << n) - 1
-        for em in exits:
+        for em in exit_masks:
             if (em >> p) & 1:
                 cand &= em
         candidates.append(cand)
     return candidates
 
 
-def _check_simulation_masks(rng, n, nsyms):
-    succ = random_successor_table(rng, n, nsyms)
+def exit_candidates(rng, n):
+    return candidates_of(n, [sum(1 << q for q in range(n) if rng.random() < 0.4) for _ in range(rng.randint(1, 3))])
+
+
+def _predecessor_table(n, succ):
     pred = [0] * len(succ)
     for i, row in enumerate(succ):
         sym, p = divmod(i, n)
         for q in core._bits(row):
             pred[sym * n + q] |= 1 << p
+    return pred
+
+
+def _assert_masks_match(n, nsyms, succ, candidates):
+    want = helpers.simulation_masks_reference(n, nsyms, succ, candidates)
+    assert reduction._simulation_masks(n, nsyms, succ, _predecessor_table(n, succ), candidates) == want
+
+
+def _check_simulation_masks(rng, n, nsyms):
+    succ = random_successor_table(rng, n, nsyms)
     for candidates in (final_candidates(rng, n), exit_candidates(rng, n)):
-        want = helpers.simulation_masks_reference(n, nsyms, succ, candidates)
-        assert reduction._simulation_masks(n, nsyms, succ, pred, candidates) == want
+        _assert_masks_match(n, nsyms, succ, candidates)
+
+
+def hub_successor_table(rng, n, nsyms):
+    """A sparse random table plus one hub state that moves to, and is reached
+    from, about two thirds of the states on every symbol."""
+    succ = random_successor_table(rng, n, nsyms)
+    hub = rng.randrange(n)
+    for sym in range(nsyms):
+        for q in range(n):
+            if rng.random() < 0.67:
+                succ[sym * n + hub] |= 1 << q
+            if rng.random() < 0.67:
+                succ[sym * n + q] |= 1 << hub
+    return succ
+
+
+def bisimilar_copies_table(rng, n, nsyms):
+    """A random NFA of k states blown up to n states: each base state gets one
+    or more copies, and each base move p -a-> q becomes, for every copy of p,
+    moves to a nonempty subset of q's copies.  The copies of a state are
+    bisimilar, and the table returns with the copy classes."""
+    k = rng.randint(n // 5, n // 2)
+    base = random_successor_table(rng, k, nsyms)
+    cls = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+    rng.shuffle(cls)
+    copies = [[q for q in range(n) if cls[q] == c] for c in range(k)]
+    succ = []
+    for sym in range(nsyms):
+        for p in range(n):
+            row = 0
+            for c in core._bits(base[sym * k + cls[p]]):
+                chosen = [q for q in copies[c] if rng.random() < 0.5] or [rng.choice(copies[c])]
+                row |= core._mask_of(chosen)
+            succ.append(row)
+    return succ, copies
 
 
 def test_simulation_masks_match_reference():
@@ -177,6 +224,43 @@ def test_simulation_masks_match_reference():
         _check_simulation_masks(rng, n, rng.randint(1, 3))
     for _ in range(10):  # 3 symbols over 91-130 states: images of all symbols span up to 390 bits
         _check_simulation_masks(rng, rng.randint(91, 130), 3)
+
+
+def test_simulation_masks_match_reference_around_a_hub():
+    """One state with hundreds of successors and predecessors: each shrink
+    among its successors used to re-AND all of them."""
+    rng = random.Random(313)
+    for n in (65, 130, 260, 400):
+        nsyms = rng.randint(1, 2)
+        succ = hub_successor_table(rng, n, nsyms)
+        for candidates in (final_candidates(rng, n), exit_candidates(rng, n)):
+            _assert_masks_match(n, nsyms, succ, candidates)
+
+
+def test_simulation_masks_match_reference_on_chain_outputs():
+    """The sequential complements of ``gate_chain(n)``, plain and as port
+    automata whose final states are split into two exit sets."""
+    rng = random.Random(7)
+    for n in range(1, 8):
+        out, _ = sequential.seq_pipeline_best(gate_chain(n), budget=10**6)
+        k, nsyms = out.num_states, len(out.alphabet)
+        final = out.final_mask
+        some = sum(1 << q for q in core._bits(final) if rng.random() < 0.5)
+        for exits in ([final], [some, final & ~some], [some, final]):
+            _assert_masks_match(k, nsyms, out.succ_masks, candidates_of(k, exits))
+
+
+def test_simulation_masks_match_reference_on_bisimilar_copies():
+    """Nondeterministic automata of 65-130 states made of bisimilar copies,
+    plain and port, whose exit sets keep the copy classes or split them."""
+    rng = random.Random(29)
+    for _ in range(8):
+        n, nsyms = rng.randint(65, 130), rng.randint(1, 3)
+        succ, copies = bisimilar_copies_table(rng, n, nsyms)
+        whole = core._mask_of(q for c in copies if rng.random() < 0.4 for q in c)
+        split = sum(1 << q for q in range(n) if rng.random() < 0.3)
+        for exits in ([whole], [whole | split], [whole, split], [split, whole & ~split]):
+            _assert_masks_match(n, nsyms, succ, candidates_of(n, exits))
 
 
 def random_complete_dfa(rng, n):
