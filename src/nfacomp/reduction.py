@@ -16,9 +16,10 @@ The simulation pass works on arbitrary NFAs: it merges simulation-equivalent
 states, drops transitions into dominated targets ("little brothers"), and
 trims, all of which preserve the language.  The maximal direct simulation is
 the greatest fixpoint of ``sim[p] &= Pre_a(sim[p'])`` over the moves
-``p -a-> p'``, refined from a worklist of the states whose successors' sets
-shrank (Henzinger, Henzinger & Kopke, "Computing simulations on finite and
-infinite graphs", FOCS 1995; Ilie, Navarro & Yu, "On NFA reductions", 2004).
+``p -a-> p'``, refined by propagation: each time ``sim[p']`` shrinks, its
+new image is ANDed into its predecessors' sets (Henzinger, Henzinger &
+Kopke, "Computing simulations on finite and infinite graphs", FOCS 1995;
+Ilie, Navarro & Yu, "On NFA reductions", 2004).
 A class is a little brother when the mask of the states strictly above it
 meets its sibling targets (or its entry set): one AND, no scan over pairs.
 
@@ -55,42 +56,36 @@ class SimulationPreorder:
     relation: frozenset[tuple[int, int]]
 
 
-def _simulation_masks(n: int, nsyms: int, succ, pred, initial_candidates: list[int]) -> list[int]:
+def _simulation_masks(n: int, nsyms: int, pred, initial_candidates: list[int]) -> list[int]:
     """Greatest fixpoint of the direct-simulation refinement, as bitmasks.
 
     ``sim[p]`` starts from ``initial_candidates[p]`` (states not ruled out by
     the acceptance condition, p itself included) and keeps only the states
-    that can match every move ``p -a-> p'`` into ``sim[p']``, that is
-    ``Pre_a(sim[p'])``: the states with an a-successor in ``sim[p']``.
-    ``Pre_a`` is the subset image under the predecessor table ``pred`` (the
-    same layout as ``succ``).  The images of ``sim[q]`` under every symbol
-    are one packed int from the kernels' packed tables, cached per state
-    until that state's set shrinks, and ANDed per symbol with ``sim[p]``
-    shifted to that symbol's place; a state is refined again only when the
-    set of one of its successors shrank.
+    that can match every move ``p -a-> x`` into ``sim[x]``, that is
+    ``Pre_a(sim[x])``: the states with an a-successor in ``sim[x]``.  The
+    fixpoint is thus one constraint ``sim[p] <= Pre_a(sim[x])`` per move,
+    applied again whenever its right side shrinks: every state x is taken
+    once, lowest first, and again each time ``sim[x]`` shrinks, and a take
+    ANDs ``Pre_a(sim[x])`` into the set of each a-predecessor of x.  The
+    images of ``sim[x]`` under every symbol are one packed int from the
+    kernels' packed tables of the predecessor table ``pred``.
     """
     tables = _packed_tables(n, nsyms, pred)
+    full = (1 << n) - 1
     sim = list(initial_candidates)
-    pre: list[int | None] = [None] * n  # Pre_a(sim[q]) of every symbol a, packed; None when stale
-    dirty = (1 << n) - 1
-    while dirty:
-        low = dirty & -dirty
-        dirty ^= low
-        p = low.bit_length() - 1
-        cur = sim[p]
+    todo = full
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        x = low.bit_length() - 1
+        packed = _packed_image(tables, sim[x])
         for sym in range(nsyms):
-            placed = cur << sym * n  # at sym's place in a packed int: the other symbols' images fall away
-            for p2 in core._bits(succ[sym * n + p]):
-                packed = pre[p2]
-                if packed is None:
-                    packed = pre[p2] = _packed_image(tables, sim[p2])
-                placed &= packed
-            cur = placed >> sym * n
-        if cur != sim[p]:
-            sim[p] = cur
-            pre[p] = None
-            for sym in range(nsyms):
-                dirty |= pred[sym * n + p]
+            image = (packed >> sym * n) & full
+            for r in core._bits(pred[sym * n + x]):
+                cur = sim[r]
+                if cur & image != cur:
+                    sim[r] = cur & image
+                    todo |= 1 << r
     return sim
 
 
@@ -109,7 +104,7 @@ def _simulation(a: core.Automaton) -> list[int]:
             if (em >> p) & 1:
                 cand &= em
         candidates.append(cand)
-    return _simulation_masks(n, len(a.alphabet), a.succ_masks, a.pred_masks, candidates)
+    return _simulation_masks(n, len(a.alphabet), a.pred_masks, candidates)
 
 
 def compute_simulation(a: Nfa) -> SimulationPreorder:

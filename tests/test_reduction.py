@@ -173,7 +173,7 @@ def _predecessor_table(n, succ):
 
 def _assert_masks_match(n, nsyms, succ, candidates):
     want = helpers.simulation_masks_reference(n, nsyms, succ, candidates)
-    assert reduction._simulation_masks(n, nsyms, succ, _predecessor_table(n, succ), candidates) == want
+    assert reduction._simulation_masks(n, nsyms, _predecessor_table(n, succ), candidates) == want
 
 
 def _check_simulation_masks(rng, n, nsyms):
