@@ -3,10 +3,13 @@
 Runs the test suite in-process under a ``sys.settrace`` hook (no coverage
 package needed) and reports the statements of the library that no test
 executes, file by file, then the total, and the library's line count (what
-``cat src/nfacomp/*.py src/nfacomp/_kernels/*.py | wc -l`` prints).  A
-statement is an ``ast.stmt`` node, docstrings excluded; it counts as run
-when a line event fires on any line it spans that no statement nested
-inside it spans.
+``cat src/nfacomp/*.py src/nfacomp/_kernels/*.py | wc -l`` prints), split
+into code, docstring, comment and blank lines.  A statement is an
+``ast.stmt`` node, docstrings excluded; it counts as run when a line event
+fires on any line it spans that no statement nested inside it spans.  Every
+line a docstring spans is a docstring line, blank or not, and every line
+another string spans is code; of the others, an empty line is blank, one
+that starts with ``#`` is a comment, and the rest are code.
 
 A statement that starts on a line marked ``# pragma: no cover`` leaves the
 census, and so does every statement of the block such a line opens (an
@@ -29,6 +32,7 @@ import ast
 import fnmatch
 import pathlib
 import sys
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -62,6 +66,24 @@ def _is_docstring(node: ast.stmt, parent: ast.AST) -> bool:
         and isinstance(node.value, ast.Constant)
         and isinstance(node.value.value, str)
     )
+
+
+def line_split(path: pathlib.Path) -> Counter:
+    """The lines of ``path`` counted as code, docstring, comment and blank."""
+    text = path.read_text()
+    strings: dict[int, str] = {}  # line -> "docstring", or "code" inside any other string
+    for parent in ast.walk(ast.parse(text, str(path))):
+        for node in ast.iter_child_nodes(parent):
+            if isinstance(node, ast.stmt) and _is_docstring(node, parent):
+                strings.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), "docstring"))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for line in range(node.lineno, node.end_lineno + 1):
+                    strings.setdefault(line, "code")  # a docstring's own constant comes after it
+    split = Counter()
+    for number, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        split[strings.get(number) or ("comment" if line.startswith("#") else "code" if line else "blank")] += 1
+    return split
 
 
 def statements(path: pathlib.Path) -> dict[int, int]:
@@ -142,8 +164,13 @@ def main(argv: list[str]) -> int:
         f"{missed} of {total} statements in src/nfacomp never run, {skipped} excluded by"
         f" '# pragma: no cover' (pytest exit {int(status)})"
     )
-    lines = sum(p.read_bytes().count(b"\n") for p in [*PACKAGE.glob("*.py"), *PACKAGE.glob("_kernels/*.py")])
-    print(f"{lines} lines in src/nfacomp/*.py and src/nfacomp/_kernels/*.py")
+    split = Counter(code=0, docstring=0, comment=0, blank=0)
+    for p in [*PACKAGE.glob("*.py"), *PACKAGE.glob("_kernels/*.py")]:
+        split.update(line_split(p))
+    print(
+        f"{sum(split.values())} lines in src/nfacomp/*.py and src/nfacomp/_kernels/*.py: "
+        + ", ".join(f"{count} {kind}" for kind, count in split.items())
+    )
     for i in unexpected:
         print(f"failed, not pinned: {i}")
     return 1 if missed or unexpected or int(status) not in (0, 1) else 0

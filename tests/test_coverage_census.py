@@ -55,7 +55,33 @@ def test_census_fails_when_a_statement_is_unrun(tmp_path, monkeypatch, capsys, c
     out = capsys.readouterr().out
     assert f"{unrun} of 4 statements in src/nfacomp never run" in out and "(pytest exit 1)" in out
     assert ("pkg/mod.py: 1 not run: 4" in out) == bool(unrun)
-    assert "4 lines in src/nfacomp/*.py" in out
+    assert "4 lines in src/nfacomp/*.py and src/nfacomp/_kernels/*.py: 4 code, 0 docstring, 0 comment, 0 blank" in out
+
+
+SPLIT_MODULE = '''\
+"""A module docstring
+
+over three lines."""
+
+# a comment
+X = 1  # code, with a comment after it
+
+
+def f():
+    """One line."""
+    # another comment
+    return """a string
+
+that is no docstring"""
+'''
+
+
+def test_census_splits_lines_into_code_docstring_comment_and_blank(tmp_path):
+    """Every line a docstring spans is a docstring line, its blank one too; a
+    blank line inside another string is code."""
+    path = tmp_path / "split.py"
+    path.write_text(SPLIT_MODULE)
+    assert _load().line_split(path) == {"code": 5, "docstring": 4, "comment": 2, "blank": 3}
 
 
 PINNED = [f"tests/test_acceptance.py::test_criterion_0{n}_some_family" for n in (3, 4, 8)]
