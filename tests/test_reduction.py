@@ -141,45 +141,10 @@ def random_successor_table(rng, n, nsyms):
     return table
 
 
-def final_candidates(rng, n):
+def random_exit_sets(rng, n):
+    """A plain final set, and one to three port exit sets."""
     final = sum(1 << q for q in range(n) if rng.random() < 0.3)
-    return [final if (final >> p) & 1 else (1 << n) - 1 for p in range(n)]
-
-
-def candidates_of(n, exit_masks):
-    """The candidates ``reduction._simulation`` starts from for these exit sets."""
-    candidates = []
-    for p in range(n):
-        cand = (1 << n) - 1
-        for em in exit_masks:
-            if (em >> p) & 1:
-                cand &= em
-        candidates.append(cand)
-    return candidates
-
-
-def exit_candidates(rng, n):
-    return candidates_of(n, [sum(1 << q for q in range(n) if rng.random() < 0.4) for _ in range(rng.randint(1, 3))])
-
-
-def _predecessor_table(n, succ):
-    pred = [0] * len(succ)
-    for i, row in enumerate(succ):
-        sym, p = divmod(i, n)
-        for q in core._bits(row):
-            pred[sym * n + q] |= 1 << p
-    return pred
-
-
-def _assert_masks_match(n, nsyms, succ, candidates):
-    want = helpers.simulation_masks_reference(n, nsyms, succ, candidates)
-    assert reduction._simulation_masks(n, nsyms, _predecessor_table(n, succ), candidates) == want
-
-
-def _check_simulation_masks(rng, n, nsyms):
-    succ = random_successor_table(rng, n, nsyms)
-    for candidates in (final_candidates(rng, n), exit_candidates(rng, n)):
-        _assert_masks_match(n, nsyms, succ, candidates)
+    return [final], [sum(1 << q for q in range(n) if rng.random() < 0.4) for _ in range(rng.randint(1, 3))]
 
 
 def hub_successor_table(rng, n, nsyms):
@@ -217,50 +182,56 @@ def bisimilar_copies_table(rng, n, nsyms):
     return succ, copies
 
 
+def _assert_masks_match(n, nsyms, succ, *exit_sets):
+    """``_simulation_masks`` equals the reference under each list of exit
+    sets, from the candidates ``reduction._simulation`` starts from."""
+    pred = [0] * len(succ)
+    for i, row in enumerate(succ):
+        sym, p = divmod(i, n)
+        for q in core._bits(row):
+            pred[sym * n + q] |= 1 << p
+    for exits in exit_sets:
+        candidates = []
+        for p in range(n):
+            cand = (1 << n) - 1
+            for em in exits:
+                if (em >> p) & 1:
+                    cand &= em
+            candidates.append(cand)
+        want = helpers.simulation_masks_reference(n, nsyms, succ, candidates)
+        assert reduction._simulation_masks(n, nsyms, pred, candidates) == want
+
+
 def test_simulation_masks_match_reference():
+    """On random tables; around a hub state with hundreds of successors and
+    predecessors, each shrink among which made the dirty-state loop re-AND
+    them all; on the sequential complements of ``gate_chain(n)``, with their
+    final states also split into two exit sets; and on nondeterministic
+    automata made of bisimilar copies, with exit sets that keep the copy
+    classes and exit sets that split them."""
     rng = random.Random(20250706)
     sizes = [rng.randint(1, 64) for _ in range(50)] + [rng.randint(65, 90) for _ in range(10)]
     for n in sizes:
-        _check_simulation_masks(rng, n, rng.randint(1, 3))
+        nsyms = rng.randint(1, 3)
+        _assert_masks_match(n, nsyms, random_successor_table(rng, n, nsyms), *random_exit_sets(rng, n))
     for _ in range(10):  # 3 symbols over 91-130 states: images of all symbols span up to 390 bits
-        _check_simulation_masks(rng, rng.randint(91, 130), 3)
-
-
-def test_simulation_masks_match_reference_around_a_hub():
-    """One state with hundreds of successors and predecessors: each shrink
-    among its successors used to re-AND all of them."""
-    rng = random.Random(313)
+        n = rng.randint(91, 130)
+        _assert_masks_match(n, 3, random_successor_table(rng, n, 3), *random_exit_sets(rng, n))
     for n in (65, 130, 260, 400):
         nsyms = rng.randint(1, 2)
-        succ = hub_successor_table(rng, n, nsyms)
-        for candidates in (final_candidates(rng, n), exit_candidates(rng, n)):
-            _assert_masks_match(n, nsyms, succ, candidates)
-
-
-def test_simulation_masks_match_reference_on_chain_outputs():
-    """The sequential complements of ``gate_chain(n)``, plain and as port
-    automata whose final states are split into two exit sets."""
-    rng = random.Random(7)
+        _assert_masks_match(n, nsyms, hub_successor_table(rng, n, nsyms), *random_exit_sets(rng, n))
     for n in range(1, 8):
         out, _ = sequential.seq_pipeline_best(gate_chain(n), budget=10**6)
-        k, nsyms = out.num_states, len(out.alphabet)
         final = out.final_mask
         some = sum(1 << q for q in core._bits(final) if rng.random() < 0.5)
-        for exits in ([final], [some, final & ~some], [some, final]):
-            _assert_masks_match(k, nsyms, out.succ_masks, candidates_of(k, exits))
-
-
-def test_simulation_masks_match_reference_on_bisimilar_copies():
-    """Nondeterministic automata of 65-130 states made of bisimilar copies,
-    plain and port, whose exit sets keep the copy classes or split them."""
-    rng = random.Random(29)
-    for _ in range(8):
+        exit_sets = ([final], [some, final & ~some], [some, final])
+        _assert_masks_match(out.num_states, len(out.alphabet), out.succ_masks, *exit_sets)
+    for _ in range(8):  # 65-130 states
         n, nsyms = rng.randint(65, 130), rng.randint(1, 3)
         succ, copies = bisimilar_copies_table(rng, n, nsyms)
         whole = core._mask_of(q for c in copies if rng.random() < 0.4 for q in c)
         split = sum(1 << q for q in range(n) if rng.random() < 0.3)
-        for exits in ([whole], [whole | split], [whole, split], [split, whole & ~split]):
-            _assert_masks_match(n, nsyms, succ, candidates_of(n, exits))
+        _assert_masks_match(n, nsyms, succ, [whole], [whole | split], [whole, split], [split, whole & ~split])
 
 
 def random_complete_dfa(rng, n):
