@@ -71,14 +71,17 @@ def _is_docstring(node: ast.stmt, parent: ast.AST) -> bool:
 def line_split(path: pathlib.Path) -> Counter:
     """The lines of ``path`` counted as code, docstring, comment and blank."""
     text = path.read_text()
-    strings: dict[int, str] = {}  # line -> "docstring", or "code" inside any other string
+    strings: dict[int, str] = {}  # the kind of each line a string spans
     for parent in ast.walk(ast.parse(text, str(path))):
         for node in ast.iter_child_nodes(parent):
             if isinstance(node, ast.stmt) and _is_docstring(node, parent):
-                strings.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), "docstring"))
+                kind = "docstring"
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                for line in range(node.lineno, node.end_lineno + 1):
-                    strings.setdefault(line, "code")  # a docstring's own constant comes after it
+                kind = "code"  # a docstring's own constant is reached after its statement
+            else:
+                continue
+            for line in range(node.lineno, node.end_lineno + 1):
+                strings.setdefault(line, kind)
     split = Counter()
     for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()

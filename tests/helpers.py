@@ -600,10 +600,10 @@ def portfolio_reference(a, budget, rear="reverse"):
     return best[0], best[1], finished, skipped
 
 # --- the reductions, pair by pair and block by block --------------------------
-# The library refines simulation through cached predecessor images and a
-# dirty-state worklist, and Hopcroft through block ids and a splitter queue;
-# these are the earlier sweeps over every pair and every block, which must
-# give exactly the same answers.
+# The library refines simulation by ANDing each shrink into the predecessors'
+# sets, and Hopcroft through block ids and a splitter queue; these are the
+# earlier sweeps over every pair and every block, which must give exactly the
+# same answers.
 
 
 def simulation_masks_reference(n, nsyms, succ, initial_candidates):
