@@ -204,11 +204,10 @@ def _assert_masks_match(n, nsyms, succ, *exit_sets):
 
 def test_simulation_masks_match_reference():
     """On random tables; around a hub state with hundreds of successors and
-    predecessors, each shrink among which made the dirty-state loop re-AND
-    them all; on the sequential complements of ``gate_chain(n)``, with their
-    final states also split into two exit sets; and on nondeterministic
-    automata made of bisimilar copies, with exit sets that keep the copy
-    classes and exit sets that split them."""
+    predecessors; on the sequential complements of ``gate_chain(n)``, with
+    their final states also split into two exit sets; and on
+    nondeterministic automata made of bisimilar copies, with exit sets that
+    keep the copy classes and exit sets that split them."""
     rng = random.Random(20250706)
     sizes = [rng.randint(1, 64) for _ in range(50)] + [rng.randint(65, 90) for _ in range(10)]
     for n in sizes:
