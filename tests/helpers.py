@@ -12,7 +12,7 @@ import re
 from collections import Counter, deque
 
 from nfacomp import core, fileformat, gate, oracle, powerset, reduction, sequential
-from nfacomp.errors import BudgetExceededError, NfacompError, NoGatePartitionError, ParseError
+from nfacomp.errors import BudgetExceededError, CutError, NfacompError, NoGatePartitionError, ParseError
 from nfacomp.sequential import SeqComplementState
 
 
@@ -252,6 +252,212 @@ def seq_complement_reference(p, c2, *, budget=None, prune=True):
     )
     annotation = tuple(SeqComplementState(q, tracked) for (q, tracked) in states)
     return out, annotation
+
+
+def compose_pinned(p, c2, budget, bar=None):
+    """``sequential._compose`` as it was before it ran on the keyed
+    exploration driver, verbatim: an intern closure that checks the budget
+    and the bar, a list of transitions and a full validation through
+    ``core._rebuild``."""
+    f = p.front
+    if not core.is_deterministic(f) or not core.is_complete(f):
+        raise ValueError("front must be deterministic and complete (see determinize_front)")
+    if c2.alphabet != f.alphabet:
+        raise ValueError("c2 alphabet does not match the partition")
+    if c2.num_entry != p.rear.num_entry + len(p.gate_targets):
+        raise ValueError("c2 entry ports do not line up with the rear's ports")
+    if c2.num_exit != p.rear.num_exit:
+        raise ValueError("c2 exit ports do not line up with the rear's ports")
+
+    nsyms = len(f.alphabet)
+    nf = f.num_states
+    nc = c2.num_states
+    # A composite state is interned as one int: the tracked mask shifted past
+    # the bits of the front state.  Every c2 state r stands for bit r + shift.
+    shift = nf.bit_length()
+    front_mask = (1 << shift) - 1
+    # The front is deterministic and complete: one successor bit per (sym, q).
+    front_succ = [m.bit_length() - 1 for m in f.succ_masks]
+    # Per symbol, each c2 state's successors as a shifted mask.
+    rear_succ = [[m << shift for m in c2.succ_masks[sym * nc:(sym + 1) * nc]] for sym in range(nsyms)]
+    target_port = {t: p.rear.num_entry + k for k, t in enumerate(p.gate_targets)}
+    gates: dict[int, set[int]] = {}
+    for (x, sym, t) in p.transfer:
+        gates.setdefault(sym * nf + p.front_index[x], set()).add(t)
+    # Per (sym, q), the entry states of each gate that fires, as shifted masks.
+    gate_choices: list[list[int]] = [[] for _ in range(nsyms * nf)]
+    for k, ts in gates.items():
+        gate_choices[k] = [core._mask_of(c2.entry_sets[target_port[t]]) << shift for t in sorted(ts)]
+    # Per c2 state r, the shifted mask of the states that may be tracked beside
+    # it, r included; every state when the pair table is not built.
+    together = [0] * nc if core.is_reverse_deterministic(c2) else sequential._together_masks(c2)
+    companions = [-1] * nc if together is None else [(m | 1 << r) << shift for r, m in enumerate(together)]
+    pruned = [0]  # successor unions cut off, counted by the two helpers below
+
+    def extend(partials: list[tuple[int, int]], choices: int) -> list[tuple[int, int]]:
+        """Each partial union joined with one state of ``choices``, in product order, without repeats.
+
+        A partial union carries the states that may still join it, so a union
+        that would track two states no word leads into one exit set together
+        is cut off, and with it every union that would contain it.  Dropping
+        a repeat is safe: its own extensions repeat those of the first.
+        """
+        out: dict[int, int] = {}
+        for u, room in partials:
+            fits = choices & room
+            pruned[0] += (choices ^ fits).bit_count()
+            while fits:
+                low = fits & -fits
+                fits ^= low
+                v = u | low
+                if v not in out:
+                    out[v] = room & companions[low.bit_length() - 1 - shift]
+        return list(out.items())
+
+    # Per tracked mask and symbol, the unions of one successor per tracked state.
+    tracked_succ: dict[int, list[list[tuple[int, int]]]] = {}
+
+    def successors_of(tracked: int) -> list[list[tuple[int, int]]]:
+        bits = list(core._bits(tracked >> shift))
+        rows = []
+        for row in rear_succ:
+            fixed, room, multi = 0, -1, []  # a state with one successor adds it to every union
+            for r in bits:
+                succ = row[r]
+                if succ & (succ - 1):
+                    multi.append(succ)
+                elif succ:
+                    fixed |= succ
+                    room &= companions[succ.bit_length() - 1 - shift]
+                else:  # this instance dies on the symbol, and with it every union
+                    rows.append([])
+                    break
+            else:
+                if fixed & ~room:  # two single successors that cannot be tracked together
+                    pruned[0] += 1
+                    partials = []
+                else:
+                    partials = [(fixed, room)]
+                    for choices in multi:
+                        partials = extend(partials, choices)
+                rows.append(partials)
+        return rows
+
+    index: dict[int, int] = {}
+    states: list[int] = []
+    # A composite accepts for exit 0 when its front state is not in the front's
+    # exit 0 and every state it tracks is in c2's.
+    front_rejects = f.exit_sets[0]
+    rear_rejects = ~core._mask_of(c2.exit_sets[0]) << shift
+    accepting = [0]  # composites interned that accept for exit 0, counted under a bar
+
+    def intern(key: int) -> int:
+        i = index.get(key)
+        if i is None:
+            if budget is not None and len(states) >= budget:
+                raise BudgetExceededError("composite state budget exceeded", budget=budget)
+            i = len(states)
+            index[key] = i
+            states.append(key)
+            if bar is not None and not (key & rear_rejects) and (key & front_mask) not in front_rejects:
+                accepting[0] += 1
+                if accepting[0] >= bar:
+                    raise CutError("cut: the composition cannot beat a finished candidate")
+        return i
+
+    entry_ids: list[frozenset[int]] = []
+    for i in range(p.rear.num_entry):
+        (q0,) = f.entry_sets[i]
+        if p.rear.entry_sets[i]:
+            ids = frozenset(intern(1 << (r0 + shift) | q0) for r0 in sorted(c2.entry_sets[i]))
+        else:
+            ids = frozenset({intern(q0)})
+        entry_ids.append(ids)
+
+    transitions = []  # each (state, symbol, successor) is produced once
+    for sid, key in enumerate(states):  # states grows while this runs
+        q = key & front_mask
+        tracked = key ^ q
+        rows = tracked_succ.get(tracked)
+        if rows is None:
+            rows = tracked_succ[tracked] = successors_of(tracked)
+        for sym, partials in enumerate(rows):
+            k = sym * nf + q
+            for choices in gate_choices[k]:
+                partials = extend(partials, choices)
+            q2 = front_succ[k]
+            for m, _room in partials:
+                i = index.get(m | q2)
+                if i is None:
+                    i = intern(m | q2)
+                transitions.append((sid, sym, i))
+
+    decoded = [(key & front_mask, key >> shift) for key in states]
+    exit_ids = []
+    for j in range(p.rear.num_exit):
+        fj = f.exit_sets[j]
+        outside = ~core._mask_of(c2.exit_sets[j])
+        exit_ids.append(
+            frozenset(i for i, (q, tracked) in enumerate(decoded) if q not in fj and not tracked & outside)
+        )
+    tracked_names = {
+        m: ":{" + ",".join(c2.state_name(r) for r in core._bits(m)) + "}"
+        for m in {tracked for (_q, tracked) in decoded}
+    }
+    names = tuple(f.state_name(q) + tracked_names[tracked] for (q, tracked) in decoded)
+    return core._rebuild(f, len(states), frozenset(transitions), entry_ids, exit_ids, names), decoded, pruned[0]
+
+
+def product_intersection_reference(a, b):
+    """``core.product_intersection`` as it was before it ran on the keyed
+    exploration driver, verbatim: pairs interned as tuples, a set of
+    transitions and a full validation through ``core._rebuild``."""
+    core._check_compatible(a, b, "product")
+    index: dict[tuple[int, int], int] = {}
+    pairs: list[tuple[int, int]] = []
+
+    def intern(pair):
+        i = index.get(pair)
+        if i is None:
+            i = len(pairs)
+            index[pair] = i
+            pairs.append(pair)
+        return i
+
+    seeds = set()
+    for ea, eb in zip(a.entry_sets, b.entry_sets):
+        seeds.update((pa, pb) for pa in ea for pb in eb)
+    for pair in sorted(seeds):
+        intern(pair)
+    transitions = set()
+    head = 0
+    na, nb = a.num_states, b.num_states
+    while head < len(pairs):
+        pa, pb = pairs[head]
+        cur = head
+        head += 1
+        for sym in range(len(a.alphabet)):
+            ta = a.succ_masks[sym * na + pa]
+            tb = b.succ_masks[sym * nb + pb]
+            if not ta or not tb:
+                continue
+            for qa in core._bits(ta):
+                for qb in core._bits(tb):
+                    transitions.add((cur, sym, intern((qa, qb))))
+    return core._rebuild(
+        a,
+        len(pairs),
+        frozenset(transitions),
+        [
+            frozenset(i for i, (pa, pb) in enumerate(pairs) if pa in ea and pb in eb)
+            for ea, eb in zip(a.entry_sets, b.entry_sets)
+        ],
+        [
+            frozenset(i for i, (pa, pb) in enumerate(pairs) if pa in fa and pb in fb)
+            for fa, fb in zip(a.exit_sets, b.exit_sets)
+        ],
+        tuple(f"{a.state_name(pa)}|{b.state_name(pb)}" for (pa, pb) in pairs),
+    )
 
 
 def explore_port_reference(p, *, budget=None):

@@ -166,6 +166,48 @@ def test_product_intersection_language(pair):
         assert core.accepts(x, w) == (core.accepts(a, w) and core.accepts(b, w))
 
 
+def _product_operand(rng, like, n, ports):
+    """A seeded automaton of ``like``'s class over ``like``'s alphabet with ``n``
+    states (0 too) and ``ports`` entry and exit sets of up to four states:
+    set-built by the constructor, or table-built by ``core._from_table`` from a
+    forward table or a reverse one (a nondeterministic automaton)."""
+    k = len(like.alphabet)
+
+    def port_set():
+        return frozenset(rng.sample(range(n), min(n, rng.randint(0, 4))))
+
+    entry_sets, exit_sets = [port_set() for _ in range(ports)], [port_set() for _ in range(ports)]
+    names = [f"q{q}" for q in range(n)] if rng.random() < 0.5 else None
+    if rng.random() < 0.5:
+        table = [rng.randrange(-1, n) if n else -1 for _ in range(n * k)]
+        return core._from_table(like, n, table, range(k), rng.random() < 0.5, entry_sets, exit_sets, names)
+    moves = {(q, sym, rng.randrange(n)) for q in range(n) for sym in range(k) for _ in range(rng.choice((0, 1, 1, 2)))}
+    if isinstance(like, core.Nfa):
+        return core.Nfa(like.alphabet, n, moves, *entry_sets, *exit_sets, state_names=names)
+    return core.PortNfa(like.alphabet, n, moves, entry_sets, exit_sets, state_names=names)
+
+
+def test_product_matches_the_pinned_copy():
+    """``product_intersection`` builds what ``helpers.product_intersection_reference``
+    (the product before it ran on the keyed driver) builds, on seeded plain and
+    port pairs of 0-130 states, set-built and table-built, whose port sets hold
+    up to four states."""
+    rng = random.Random(3203)
+    seen = Counter()
+    for i in range(112):
+        ports = 1 if i % 2 else rng.randint(2, 3)
+        like = core.Nfa(("a", "b"), 0, (), (), ()) if ports == 1 else core.PortNfa(("a", "b"), 0, (), [()], [()])
+        most = 130 if i % 8 == 0 else 12
+        a, b = (_product_operand(rng, like, rng.randint(0, most), ports) for _ in range(2))
+        got = core.product_intersection(a, b)
+        helpers.assert_same_build(got, helpers.product_intersection_reference(a, b))
+        seen["table"] += "_table" in a.__dict__ or "_table" in b.__dict__
+        seen["large"] += got.num_states > 64
+        seen["wide entry"] += max(map(len, got.entry_sets)) > 1
+        seen["empty"] += got.num_states == 0
+    assert min(seen.values()) > 5, seen
+
+
 @given(nfa_pairs(max_states=5))
 def test_antichain_inclusion_matches_enumeration(pair):
     a, b = pair

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 import helpers
 from nfacomp import cli, core, fileformat, oracle, powerset, reduction, sequential
-from nfacomp.errors import BudgetExceededError
+from nfacomp.errors import BudgetExceededError, CutError
 from nfacomp.families import gate_chain, reverse_friendly, sequential_chain
 from nfacomp.powerset import Direction
 from nfacomp.sequential import PartitionStrategy
@@ -519,6 +519,50 @@ def test_with_the_rule_off_the_exploration_is_unpruned(monkeypatch):
         full = sequential.seq_complement_generalized(det_p, c2)
         assert full == helpers.seq_complement_reference(det_p, c2, prune=False)[0], name
         assert core.trim(full) == core.trim(out), name
+
+
+def composition_cases():
+    """(partition, rear complement) pairs of every composition case: ``exploration_cases``,
+    the family splits of ``pruning_cases`` (its random ones are the same draws) and the
+    ``gate_chain(5..7)`` splits of ``codeterministic_cases``, rears of up to 513 states."""
+    cases = list(exploration_cases())
+    cases += [(det_p, c2) for name, det_p, c2 in pruning_cases() if not name.startswith("random")]
+    cases += [(det_p, c2) for name, det_p, c2 in codeterministic_cases() if name.startswith(("gate5", "gate6", "gate7"))]
+    return cases
+
+
+def composed(compose, det_p, c2, budget, bar):
+    """``compose``'s automaton, decoded states and ``pruned``, or the class name of its error."""
+    try:
+        return compose(det_p, c2, budget, bar)
+    except (BudgetExceededError, CutError) as exc:
+        return type(exc).__name__
+
+
+def assert_same_composition(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        helpers.assert_same_build(got[0], want[0])
+        assert (got[1], got[2]) == (want[1], want[2])
+
+
+def test_compose_matches_the_pinned_copy():
+    """``_compose`` gives what ``helpers.compose_pinned`` (the composition
+    before it ran on the keyed driver) gives, or raises the same error, at
+    budgets 0, count - 1 and count and without one, under no bar and bars
+    of 1, the accepting count and one more."""
+    seen = collections.Counter()
+    for det_p, c2 in composition_cases():
+        out = helpers.compose_pinned(det_p, c2, None)[0]
+        count, accepting = out.num_states, len(out.exit_sets[0])
+        seen["large"] += c2.num_states > 64
+        for budget in (None, 0, count - 1, count):
+            for bar in (None, 1, accepting, accepting + 1):
+                want = composed(helpers.compose_pinned, det_p, c2, budget, bar)
+                assert_same_composition(composed(sequential._compose, det_p, c2, budget, bar), want)
+                seen[want if isinstance(want, str) else "built"] += 1
+    assert seen["large"] > 8 and min(seen[k] for k in ("built", "BudgetExceededError", "CutError")) > 500, seen
 
 
 # --- the full pipeline ------------------------------------------------------
