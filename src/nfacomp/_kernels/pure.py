@@ -158,6 +158,50 @@ class SubsetExploration:
         return head == len(macros)
 
 
+class KeyedExploration:
+    """A breadth-first exploration of int keys from ``seeds``, run in steps.
+
+    ``expand(key)`` gives, per symbol, the successor keys of ``key``.  The
+    distinct seeds are interned first, in the given order, then every key in
+    discovery order: ``keys`` lists them, ``index`` maps each to its id, and
+    ``moves`` holds the (id, symbol, successor id) of every key expanded so
+    far.  At most ``budget`` keys, seeds included, are ever interned.
+    """
+
+    __slots__ = ("keys", "index", "moves", "_expand", "_head", "_room")
+
+    def __init__(self, expand, seeds, budget=None):
+        keys, room = list(dict.fromkeys(seeds)), sys.maxsize if budget is None else max(budget, 0)
+        self._head = None if len(keys) > room else 0  # over budget, for good
+        self.keys = keys = keys[:room]
+        self.index, self.moves, self._expand, self._room = {key: i for i, key in enumerate(keys)}, [], expand, room
+
+    def advance(self, limit=None):
+        """Expand keys in order until ``limit`` are interned (one expansion
+        may pass it) or none is left: ``SubsetExploration.advance``'s True,
+        False and None."""
+        head = self._head
+        if head is None:
+            return None
+        keys, index, moves, expand, room = self.keys, self.index, self.moves, self._expand, self._room
+        stop = sys.maxsize if limit is None else limit
+        while head < len(keys) < stop:
+            for sym, successors in enumerate(expand(keys[head])):
+                for key in successors:
+                    j = index.get(key)
+                    if j is None:
+                        j = len(keys)
+                        if j >= room:
+                            self._head = None
+                            return None
+                        index[key] = j
+                        keys.append(key)
+                    moves.append((head, sym, j))
+            head += 1
+        self._head = head
+        return head == len(keys)
+
+
 def antichain_included(
     nsyms,
     nstates_a,

@@ -316,6 +316,15 @@ def _rebuild(a: Automaton, num_states, transitions, entry_sets, exit_sets, state
     return out
 
 
+def _derived(a: Automaton, num_states, moves, entry_sets, exit_sets, state_names, name=None):
+    """An automaton of ``a``'s class over ``a``'s alphabet whose ``moves`` the
+    library made from ids it numbered itself: only its port sets and names
+    are checked, as for a view."""
+    out = _new(type(a), a.alphabet, num_states, entry_sets, exit_sets, state_names, name, transitions=moves)
+    out._check_ports_and_names()
+    return out
+
+
 def _from_table(a: Automaton, num_states, table, syms, reverse, entry_sets, exit_sets, state_names, **facts):
     """``_rebuild`` from a flat table: entry ``q * len(syms) + k`` is q's successor
     on ``syms[k]`` (with ``reverse``, its predecessor), or -1 for none."""
@@ -503,9 +512,7 @@ def induced(a: Automaton, keep: Iterable[int]) -> Automaton:
     moves = frozenset((remap[src], sym, remap[dst]) for (src, sym, dst) in a._edges() if src in remap and dst in remap)
     ports = [[frozenset(remap[q] for q in s if q in remap) for s in sets] for sets in (a.entry_sets, a.exit_sets)]
     names = tuple(a.state_name(q) for q in keep) if a.state_names is not None else None
-    out = _new(type(a), a.alphabet, len(keep), *ports, names, a.name, transitions=moves)
-    out._check_ports_and_names()
-    return out
+    return _derived(a, len(keep), moves, *ports, names, a.name)
 
 
 def trim(a: Automaton) -> Automaton:
@@ -595,54 +602,25 @@ def product_intersection(a: Automaton, b: Automaton) -> Automaton:
     """Reachable synchronized product, port set by port set.
 
     Slice (i, j) accepts the intersection of the two slices (i, j); for
-    plain NFAs that is L(a) & L(b).
+    plain NFAs that is L(a) & L(b).  The pair (pa, pb) is explored as the
+    key ``pa * nb + pb``, so the entry pairs come first in sorted order.
     """
     _check_compatible(a, b, "product")
-    index: dict[tuple[int, int], int] = {}
-    pairs: list[tuple[int, int]] = []
+    na, nb, succ_a, succ_b = a.num_states, b.num_states, a.succ_masks, b.succ_masks
 
-    def intern(pair):
-        i = index.get(pair)
-        if i is None:
-            i = len(pairs)
-            index[pair] = i
-            pairs.append(pair)
-        return i
+    def expand(key):
+        pa, pb = divmod(key, nb)
+        return [[qa * nb + qb for qa in _bits(succ_a[sym * na + pa]) for qb in _bits(succ_b[sym * nb + pb])]
+                for sym in range(len(a.alphabet))]
 
-    seeds = set()
-    for ea, eb in zip(a.entry_sets, b.entry_sets):
-        seeds.update((pa, pb) for pa in ea for pb in eb)
-    for pair in sorted(seeds):
-        intern(pair)
-    transitions = set()
-    head = 0
-    na, nb = a.num_states, b.num_states
-    while head < len(pairs):
-        pa, pb = pairs[head]
-        cur = head
-        head += 1
-        for sym in range(len(a.alphabet)):
-            ta = a.succ_masks[sym * na + pa]
-            tb = b.succ_masks[sym * nb + pb]
-            if not ta or not tb:
-                continue
-            for qa in _bits(ta):
-                for qb in _bits(tb):
-                    transitions.add((cur, sym, intern((qa, qb))))
-    return _rebuild(
-        a,
-        len(pairs),
-        frozenset(transitions),
-        [
-            frozenset(i for i, (pa, pb) in enumerate(pairs) if pa in ea and pb in eb)
-            for ea, eb in zip(a.entry_sets, b.entry_sets)
-        ],
-        [
-            frozenset(i for i, (pa, pb) in enumerate(pairs) if pa in fa and pb in fb)
-            for fa, fb in zip(a.exit_sets, b.exit_sets)
-        ],
-        tuple(f"{a.state_name(pa)}|{b.state_name(pb)}" for (pa, pb) in pairs),
-    )
+    x = _kernels.KeyedExploration(expand, sorted({pa * nb + pb for ea, eb in zip(a.entry_sets, b.entry_sets)
+                                                   for pa in ea for pb in eb}))
+    x.advance()
+    pairs = [divmod(key, nb) for key in x.keys]
+    ports = [[frozenset(i for i, (pa, pb) in enumerate(pairs) if pa in sa and pb in sb) for sa, sb in zip(*sets)]
+             for sets in ((a.entry_sets, b.entry_sets), (a.exit_sets, b.exit_sets))]
+    names = tuple(f"{a.state_name(pa)}|{b.state_name(pb)}" for (pa, pb) in pairs)
+    return _derived(a, len(pairs), frozenset(x.moves), *ports, names)
 
 
 # ---------------------------------------------------------------------------

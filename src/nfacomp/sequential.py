@@ -17,7 +17,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 
-from . import core
+from . import _kernels, core
 from .core import Nfa, PortNfa, SequentialPartition
 from .errors import BudgetExceededError, CutError
 from .powerset import Direction, _bar, _build, _complement, _explore_port, reverse_complement
@@ -166,10 +166,15 @@ def _compose(
     state's only companion is itself, at any size, and the pair table is
     not computed.
 
-    A ``bar`` comes only with a split of one entry port, where every
-    composite is reachable, so trim of slice (0, 0) keeps each one that
-    accepts for exit 0: ``CutError`` is raised once ``bar`` of them are
-    interned.
+    The composites are explored by ``_kernels.KeyedExploration``, each
+    interned as one int key, and built once from its moves.  A ``bar`` comes
+    only with a split of one entry port, where every composite is reachable,
+    so trim of slice (0, 0) keeps each one that accepts for exit 0.  Under a
+    bar the exploration runs in steps, each stopping at the fewest composites
+    that could reach it; the new composites are counted after each step, one
+    that ran out of budget too, and ``CutError`` is raised once ``bar`` of
+    them (at least one) accept.  So a composition whose first ``budget``
+    composites reach its bar is cut, not out of budget, whatever the steps.
     """
     f = p.front
     if not core.is_deterministic(f) or not core.is_complete(f):
@@ -255,56 +260,45 @@ def _compose(
                 rows.append(partials)
         return rows
 
-    index: dict[int, int] = {}
-    states: list[int] = []
-    # A composite accepts for exit 0 when its front state is not in the front's
-    # exit 0 and every state it tracks is in c2's.
-    front_rejects = f.exit_sets[0]
-    rear_rejects = ~core._mask_of(c2.exit_sets[0]) << shift
-    accepting = [0]  # composites interned that accept for exit 0, counted under a bar
-
-    def intern(key: int) -> int:
-        i = index.get(key)
-        if i is None:
-            if budget is not None and len(states) >= budget:
-                raise BudgetExceededError("composite state budget exceeded", budget=budget)
-            i = len(states)
-            index[key] = i
-            states.append(key)
-            if bar is not None and not (key & rear_rejects) and (key & front_mask) not in front_rejects:
-                accepting[0] += 1
-                if accepting[0] >= bar:
-                    raise CutError("cut: the composition cannot beat a finished candidate")
-        return i
-
-    entry_ids: list[frozenset[int]] = []
-    for i in range(p.rear.num_entry):
-        (q0,) = f.entry_sets[i]
-        if p.rear.entry_sets[i]:
-            ids = frozenset(intern(1 << (r0 + shift) | q0) for r0 in sorted(c2.entry_sets[i]))
-        else:
-            ids = frozenset({intern(q0)})
-        entry_ids.append(ids)
-
-    transitions = []  # each (state, symbol, successor) is produced once
-    for sid, key in enumerate(states):  # states grows while this runs
+    def expand(key: int) -> list[list[int]]:
         q = key & front_mask
         tracked = key ^ q
         rows = tracked_succ.get(tracked)
         if rows is None:
             rows = tracked_succ[tracked] = successors_of(tracked)
+        out = []
         for sym, partials in enumerate(rows):
             k = sym * nf + q
             for choices in gate_choices[k]:
                 partials = extend(partials, choices)
             q2 = front_succ[k]
+            keys = []  # a loop: a comprehension would be one more call per symbol
             for m, _room in partials:
-                i = index.get(m | q2)
-                if i is None:
-                    i = intern(m | q2)
-                transitions.append((sid, sym, i))
+                keys.append(m | q2)
+            out.append(keys)
+        return out
 
-    decoded = [(key & front_mask, key >> shift) for key in states]
+    seeds = [[1 << (r0 + shift) | q0 for r0 in sorted(c2.entry_sets[i])] if p.rear.entry_sets[i] else [q0]
+             for i, (q0,) in zip(range(p.rear.num_entry), f.entry_sets)]
+    x = _kernels.KeyedExploration(expand, [key for keys in seeds for key in keys], budget)
+    # A composite accepts for exit 0 when its front state is not in the front's
+    # exit 0 and every state it tracks is in c2's.
+    front_rejects = f.exit_sets[0]
+    rear_rejects = ~core._mask_of(c2.exit_sets[0]) << shift
+    bar = None if bar is None else max(bar, 1)  # the cut comes with an accepting composite
+    accepting = counted = 0
+    status = False
+    while status is False:  # under a bar, in steps that stop at the fewest composites that could reach it
+        status = x.advance(None if bar is None else len(x.keys) + bar - accepting)
+        if bar is not None:
+            accepting += sum(not key & rear_rejects and key & front_mask not in front_rejects for key in x.keys[counted:])
+            counted = len(x.keys)
+            if accepting >= bar:
+                raise CutError("cut: the composition cannot beat a finished candidate")
+    if status is None:
+        raise BudgetExceededError("composite state budget exceeded", budget=budget)
+    entry_ids = [frozenset(x.index[key] for key in keys) for keys in seeds]
+    decoded = [(key & front_mask, key >> shift) for key in x.keys]
     exit_ids = []
     for j in range(p.rear.num_exit):
         fj = f.exit_sets[j]
@@ -317,7 +311,7 @@ def _compose(
         for m in {tracked for (_q, tracked) in decoded}
     }
     names = tuple(f.state_name(q) + tracked_names[tracked] for (q, tracked) in decoded)
-    return core._rebuild(f, len(states), frozenset(transitions), entry_ids, exit_ids, names), decoded, pruned[0]
+    return core._derived(f, len(x.keys), frozenset(x.moves), entry_ids, exit_ids, names), decoded, pruned[0]
 
 
 def seq_complement_generalized(

@@ -522,6 +522,35 @@ def one_shot_explore_port_reference(a, budget, complement=False, trim=False, rev
     return x if trim else x._replace(live=None)
 
 
+def keyed_exploration_reference(expand, seeds, budget=None):
+    """``KeyedExploration`` spelled out: ``(keys, moves)``, or None once more
+    than ``budget`` keys, seeds included, would be interned."""
+    index = {}
+    keys = []
+
+    def intern(key):
+        j = index.get(key)
+        if j is None:
+            if budget is not None and len(keys) >= budget:
+                return None
+            j = index[key] = len(keys)
+            keys.append(key)
+        return j
+
+    for seed in seeds:
+        if intern(seed) is None:
+            return None
+    moves = []
+    for i, key in enumerate(keys):  # keys grows while this runs
+        for sym, successors in enumerate(expand(key)):
+            for successor in successors:
+                j = intern(successor)
+                if j is None:
+                    return None
+                moves.append((i, sym, j))
+    return keys, moves
+
+
 # --- the kernels, one state at a time -----------------------------------------
 # The library's kernels compute subset images one byte of the state set at a
 # time, under every symbol at once, through lazily filled packed tables; these
@@ -1799,8 +1828,8 @@ def count_validations(monkeypatch) -> list[str]:
     logs ``"Nfa"`` or ``"PortNfa"``: each build is validated once, by one of
     the two.  A view (``core._view``), which checks only its port sets and
     names, logs ``"view:Nfa"`` or ``"view:PortNfa"``, and so does a derived
-    build (``core.induced``, also under ``core.trim``), as ``"derived:Nfa"``
-    or ``"derived:PortNfa"``."""
+    build (``core._derived``: ``induced``, also under ``trim``, compositions
+    and products), as ``"derived:Nfa"`` or ``"derived:PortNfa"``."""
     calls = []
     for name in ("_normalize_and_check", "_check_table"):
         def counted(self, check=getattr(core._Automaton, name)):
@@ -1808,7 +1837,7 @@ def count_validations(monkeypatch) -> list[str]:
             check(self)
 
         monkeypatch.setattr(core._Automaton, name, counted)
-    for name, tag in (("_view", "view"), ("induced", "derived")):
+    for name, tag in (("_view", "view"), ("_derived", "derived")):
         def counted_build(*args, build=getattr(core, name), tag=tag, **kwargs):
             out = build(*args, **kwargs)
             calls.append(f"{tag}:{type(out).__name__}")

@@ -147,6 +147,53 @@ def test_resumable_exploration_matches_the_reference_in_any_steps():
     assert seen["large"] > 10 and seen["over 90"] > 3 and seen["stopped"] > 500 and seen["budget"] > 300, seen
 
 
+def _subset_successors(n, k, succ):
+    """An ``expand`` over state sets: per symbol, none for an empty image,
+    else the image and the image without its lowest state."""
+
+    def expand(mask):
+        images = (helpers.subset_image_reference(n, succ, sym, mask) for sym in range(k))
+        return [[img, img & (img - 1)] if img else [] for img in images]
+
+    return expand
+
+
+def test_keyed_exploration_matches_the_reference_in_any_steps():
+    """``KeyedExploration`` advanced in seeded random steps, now and then with
+    no limit, gives the reference's keys and moves, and at each stop a prefix
+    of them; at the budget edges (the count, one less, 0 and one below the
+    distinct seeds, some of them repeated) it runs out for good, having
+    interned exactly the budget."""
+    seen = collections.Counter()
+    for rng, (n, k, succ) in _kernel_cases(61):
+        expand = _subset_successors(n, k, succ)
+        seeds = [_random_mask(rng, n) for _ in range(rng.randint(1, 3))]
+        seeds += [seeds[0]] if rng.random() < 0.5 else [0]  # a duplicate, or the empty set
+        full = helpers.keyed_exploration_reference(expand, seeds, 4096)
+        if full is None:
+            continue
+        count, distinct = len(full[0]), len(set(seeds))
+        seen["large"] += n > 64
+        for budget in (None, count, count - 1, 0, distinct - 1):
+            x = pure.KeyedExploration(expand, seeds, budget)
+            limit = 0
+            while (status := x.advance(limit)) is False:
+                seen["stopped"] += 1
+                assert len(x.keys) >= limit
+                assert (x.keys, x.moves) == (full[0][: len(x.keys)], full[1][: len(x.moves)])
+                assert all(x.index[key] == i for i, key in enumerate(x.keys)) and len(x.index) == len(x.keys)
+                limit = None if rng.random() < 0.1 else limit + rng.randint(1, 40)
+            if budget is not None and budget < count:
+                ran_out = (list(x.keys), list(x.moves))
+                assert status is None and x.advance() is None and x.advance(limit) is None
+                assert (x.keys, x.moves) == ran_out and len(x.keys) == budget
+                assert helpers.keyed_exploration_reference(expand, seeds, budget) is None
+                seen["budget"] += 1
+            else:
+                assert status is True and (x.keys, x.moves) == full and x.advance(0) is True
+    assert seen["large"] > 10 and seen["stopped"] > 300 and seen["budget"] > 300, seen
+
+
 def test_product_with_a_stateless_automaton_is_empty():
     loop = core.Nfa.build(("a",), 1, [(0, "a", 0)], {0}, {0})
     nothing = core.Nfa.build(("a",), 0, [], set(), set())

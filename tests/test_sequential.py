@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
-from nfacomp import cli, core, fileformat, oracle, powerset, reduction, sequential
+from nfacomp import _kernels, cli, core, fileformat, oracle, powerset, reduction, sequential
 from nfacomp.errors import BudgetExceededError, CutError
 from nfacomp.families import gate_chain, reverse_friendly, sequential_chain
 from nfacomp.powerset import Direction
@@ -189,16 +189,18 @@ def test_seq_complement_basic_matches_the_union_route():
 
 
 def test_seq_complement_basic_builds_the_split_from_its_parts(monkeypatch):
-    """Three full validations on a 2 + 2-state input: the determinized front,
-    the rear complement and the composition.  The rest are views, which
-    check only their port sets and names: the two parts, the renamed
-    determinized front and rear, the rear with its gate entries and the
-    composition's slice."""
+    """Two full validations on a 2 + 2-state input: the determinized front
+    and the rear complement.  The composition is derived from ids the
+    library numbered, and the rest are views; both check only their port
+    sets and names.  The views are the two parts, the renamed determinized
+    front and rear, the rear with its gate entries and the composition's
+    slice."""
     a1 = core.Nfa.build(("a", "b"), 2, [(0, "a", 1), (1, "b", 1)], {0}, {1})
     a2 = core.Nfa.build(("a", "b"), 2, [(0, "b", 1), (1, "a", 0)], {0}, {1})
     calls = helpers.count_validations(monkeypatch)
     sequential.seq_complement_basic(a1, a2, "a")
-    assert calls == ["view:PortNfa"] * 2 + ["PortNfa"] + ["view:PortNfa"] * 3 + ["PortNfa"] * 2 + ["view:Nfa"]
+    assert calls == (["view:PortNfa"] * 2 + ["PortNfa"] + ["view:PortNfa"] * 3 + ["PortNfa", "derived:PortNfa"]
+                     + ["view:Nfa"])
 
 
 def test_each_input_is_condensed_once(monkeypatch, tmp_path):
@@ -563,6 +565,38 @@ def test_compose_matches_the_pinned_copy():
                 assert_same_composition(composed(sequential._compose, det_p, c2, budget, bar), want)
                 seen[want if isinstance(want, str) else "built"] += 1
     assert seen["large"] > 8 and min(seen[k] for k in ("built", "BudgetExceededError", "CutError")) > 500, seen
+
+
+@pytest.mark.parametrize("step", [1, 7, 64])
+def test_compositions_and_products_stop_and_resume_at_any_count(monkeypatch, step):
+    """With ``KeyedExploration.advance`` run in steps of ``step`` keys,
+    ``_compose`` (at the budget edges and under bars) and ``product_intersection``
+    return what one run returns."""
+    cases = composition_cases()[::3]
+    runs = []
+    for det_p, c2 in cases:
+        out = sequential._compose(det_p, c2, None)[0]
+        count, accepting = out.num_states, len(out.exit_sets[0])
+        for budget, bar in [(None, None), (count - 1, None), (None, accepting), (count, accepting + 1)]:
+            runs.append((det_p, c2, budget, bar, composed(sequential._compose, det_p, c2, budget, bar)))
+    products = [(c2, det_p.rear_for_targets()) for det_p, c2 in cases]
+    whole = [core.product_intersection(a, b) for a, b in products]
+    advance, calls = _kernels.KeyedExploration.advance, collections.Counter()
+
+    def stepped(self, limit=None):
+        while True:
+            calls["step"] += 1
+            status = advance(self, len(self.keys) + step if limit is None else min(len(self.keys) + step, limit))
+            if status is not False or limit is not None and len(self.keys) >= limit:
+                return status
+
+    monkeypatch.setattr(_kernels.KeyedExploration, "advance", stepped)
+    for det_p, c2, budget, bar, want in runs:
+        assert_same_composition(composed(sequential._compose, det_p, c2, budget, bar), want)
+    for (a, b), want in zip(products, whole):
+        helpers.assert_same_build(core.product_intersection(a, b), want)
+    assert calls["step"] > 2 * (len(runs) + len(products))
+    assert sum(w.num_states > 64 for w in whole) > 2, [w.num_states for w in whole]
 
 
 # --- the full pipeline ------------------------------------------------------
