@@ -213,7 +213,9 @@ def _explore_port(
     in the tie order, the other's size once it is complete.  Raced
     directions run in lockstep, to the same number of discovered
     macrostates, doubling from ``_LOCKSTEP_START``; the count is compared at
-    each step.  One direction without a bar is explored whole.  The smaller
+    each step, and also when a direction runs out of budget: one whose
+    discovered macrostates reach its bar is cut, as a composition is (cut
+    before budget).  One direction without a bar is explored whole.  The smaller
     finished direction is chosen, ties forward; one out of budget is passed
     over.  When none finishes, ``CutError`` is raised if one was cut, else
     ``BudgetExceededError``.  With ``log`` one entry is appended: ``side``,
@@ -228,7 +230,7 @@ def _explore_port(
             if outcome[i] is None and (status := x.advance(limit)) is not False:
                 outcome[i] = rows[i].finish(x.macros, x.delta, complement) if status else "budget"
         for i, x in enumerate(runs):
-            if outcome[i] is not None:
+            if outcome[i] is not None and outcome[i] != "budget":  # one out of budget may reach its bar
                 continue
             cut_at = _bar([(y.size, i < j) for j, y in enumerate(outcome) if isinstance(y, _Exploration)], bar)
             if cut_at is not None:

@@ -3,13 +3,15 @@ references that build every candidate in full: the same choice, the same
 output and the same reported sizes."""
 
 import collections
+import itertools
 import json
 import random
 
 import pytest
 
 import helpers
-from nfacomp import cli, core, fileformat, sequential
+import test_sequential
+from nfacomp import cli, core, fileformat, powerset, sequential
 from nfacomp.errors import BudgetExceededError, CutError
 from nfacomp.families import gate_chain, reverse_friendly, sequential_chain
 from nfacomp.powerset import Direction
@@ -185,3 +187,44 @@ def test_seq_pipeline_best_under_a_bar_keeps_every_result_below_it(rear):
         for bar in (0, 1, size // 2, size, size + 1):
             check_seq_bar(name, a, rear, bar, seen)
     assert min(seen[k] for k in ("cut", "below", "not below")) > 5, seen
+
+
+def _error_or_built(run):
+    try:
+        run()
+    except (BudgetExceededError, CutError) as exc:
+        return "cut" if isinstance(exc, CutError) else "budget"
+    return "built"
+
+
+def test_a_candidate_that_runs_out_of_budget_is_cut_once_its_bar_is_reached():
+    """One rule for both bars, cut before budget: a powerset direction or a
+    composition that runs out of budget is cut when the accepting states it
+    discovered within the budget reach its bar, and runs out otherwise.  A
+    composition that finishes is cut by the same count."""
+    # All 15 macrostates the budget admits accept, and the bar is 1.
+    with pytest.raises(CutError):
+        powerset._explore_port(reverse_friendly(6), 15, complement=True, bar=1)
+    seen = collections.Counter()
+    rng = random.Random(3211)
+    inputs = [reverse_friendly(6), gate_chain(3), sequential_chain(3)] + [helpers.random_nfa(rng) for _ in range(20)]
+    for a, direction in itertools.product(inputs, Direction):
+        rows = powerset._port_rows(a, direction is Direction.REVERSE)
+        x = powerset._explore_port(a, None, complement=True, directions=(direction,))
+        accepts = [any(m & em == 0 for em in rows.accepting) for m in x.macros]
+        for budget in range(len(x.macros)):
+            for bar in {1, 2, sum(accepts[:budget]), sum(accepts[:budget]) + 1} - {0}:
+                want = "cut" if sum(accepts[:budget]) >= bar else "budget"
+                run = lambda: powerset._explore_port(a, budget, complement=True, directions=(direction,), bar=bar)
+                assert _error_or_built(run) == want, (a, direction, budget, bar)
+                seen[f"direction {want}"] += 1
+    for det_p, c2 in test_sequential.composition_cases()[::2]:
+        out = sequential._compose(det_p, c2, None)[0]
+        count, accepting = out.num_states, sorted(out.exit_sets[0])
+        for budget in sorted({0, 1, count // 2, max(count - 1, 0), count, count + 1}):
+            within = sum(i < budget for i in accepting)
+            for bar in {1, 2, within, within + 1} - {0}:
+                want = "cut" if within >= bar else "budget" if budget < count else "built"
+                assert _error_or_built(lambda: sequential._compose(det_p, c2, budget, bar)) == want
+                seen[f"composition {want}"] += 1
+    assert min(seen.values()) > 100 and len(seen) == 5, seen

@@ -545,12 +545,23 @@ def test_portfolio_lists_the_methods_it_skipped(capsys, tmp_path):
         {"method": "reverse", "outcome": "cut"},
         {"method": "sequential", "outcome": "cut"},
     ]
+    # At budget 16 forward and reverse run out, but the 16 macrostates each
+    # discovered all accept, which reaches their bar of 16 (gate's 15, plus one
+    # for coming first in the tie order): cut before budget.  At 15, below
+    # that bar, every one runs out.
     ran, skipped = portfolio(fileformat.serialize(gate_chain(4)), "--budget", "16")
+    assert ran == ["gate"]
+    assert skipped == [
+        {"method": "forward", "outcome": "cut"},
+        {"method": "reverse", "outcome": "cut"},
+        {"method": "sequential", "outcome": "cut"},
+    ]
+    ran, skipped = portfolio(fileformat.serialize(gate_chain(4)), "--budget", "15")
     assert ran == ["gate"]
     assert skipped == [
         {"method": "forward", "outcome": "budget"},
         {"method": "reverse", "outcome": "budget"},
-        {"method": "sequential", "outcome": "cut"},
+        {"method": "sequential", "outcome": "budget"},
     ]
 
     ran, skipped = portfolio(fileformat.serialize(sequential_chain(2)))

@@ -514,29 +514,36 @@ def test_clean_complement_matches_drop_complement_lift():
 
 
 def test_gate_stats_log_a_direction_that_runs_out():
-    # Below the 16 macrostates of the first lockstep step, the losers run out
-    # of budget before they can be cut.
+    # A direction that runs out of budget is passed over, unless the accepting
+    # macrostates it discovered reach its bar.  The front's forward exploration
+    # runs out with 4 of its 5 accepting, below its bar of 5 (reverse's 4, plus
+    # one for coming first in the tie order).  The rear's reverse one runs out
+    # with all 5 accepting, at its bar of forward's 5, and is cut.
     st = {}
-    gate.gate_complement_auto(gate_chain(4), budget=12, stats=st)
+    gate.gate_complement_auto(gate_chain(2), budget=5, stats=st)
     assert st["complements"] == [
-        {"side": "front", "forward": "budget", "reverse": 6, "chosen": "reverse",
-         "explored": {"forward": 12, "reverse": 7}},
-        {"side": "rear", "forward": 7, "reverse": "budget", "chosen": "forward",
-         "explored": {"forward": 7, "reverse": 12}},
+        {"side": "front", "forward": "budget", "reverse": 4, "chosen": "reverse",
+         "explored": {"forward": 5, "reverse": 5}},
+        {"side": "rear", "forward": 5, "reverse": "cut", "chosen": "forward",
+         "explored": {"forward": 5, "reverse": 5}},
     ]
 
 
 def test_gate_stats_log_a_direction_that_is_cut():
     # At 16 the front's forward exploration stops within budget, and is cut;
-    # the rear's reverse one passes 16 in its last expansion and runs out.
-    st = {}
-    gate.gate_complement_auto(gate_chain(4), budget=16, stats=st)
-    assert st["complements"] == [
-        {"side": "front", "forward": "cut", "reverse": 6, "chosen": "reverse",
-         "explored": {"forward": 16, "reverse": 7}},
-        {"side": "rear", "forward": 7, "reverse": "budget", "chosen": "forward",
-         "explored": {"forward": 7, "reverse": 16}},
-    ]
+    # the rear's reverse one passes 16 in its last expansion and runs out,
+    # with its 16 discovered macrostates all accepting, past its bar of 7: cut
+    # before budget.  At 12 both run out inside the first lockstep step, and
+    # are cut the same way.
+    for budget in (12, 16):
+        st = {}
+        gate.gate_complement_auto(gate_chain(4), budget=budget, stats=st)
+        assert st["complements"] == [
+            {"side": "front", "forward": "cut", "reverse": 6, "chosen": "reverse",
+             "explored": {"forward": budget, "reverse": 7}},
+            {"side": "rear", "forward": 7, "reverse": "cut", "chosen": "forward",
+             "explored": {"forward": 7, "reverse": budget}},
+        ]
 
 
 def test_gate_explores_little_of_the_losing_direction():
