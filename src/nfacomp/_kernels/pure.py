@@ -21,6 +21,12 @@ for the byte values its state sets actually contain.  The pair search of
 :mod:`nfacomp.oracle` and the simulation fixpoint of :mod:`nfacomp.reduction`
 use them too.
 
+``KeyedExploration`` is the same resumable breadth-first driver over
+states that are not state sets: it interns whatever int keys its caller's
+``expand`` gives per symbol, and lists the moves between their ids.  The
+sequential compositions (a front state and the tracked rear states, packed
+into one int) and the product (a pair as ``pa * nb + pb``) run on it.
+
 ``antichain_included`` takes one of two paths.  Against a deterministic
 ``b`` (at most one initial state, at most one successor per state and
 symbol) every macrostate is one state or none, and ``_included_in_dfa``

@@ -13,21 +13,26 @@ validation, ``build``, ``symbol_ids``, the flat ``succ_masks`` and
 dataclass adds only its fields, and ``Nfa`` its plain-only members.  Every
 structural operation (``reverse``, ``union``, ``induced``, ``trim``,
 ``product_intersection``) is written once against the same view; it takes
-either class and returns an automaton of its input's class, built through
-``_rebuild``.  Questions about the reversal (the reverse powerset, the
-shape predicates, simulation) read ``pred_masks``, not a reversed copy.
+either class and returns an automaton of its input's class.  Questions
+about the reversal (the reverse powerset, the shape predicates, simulation)
+read ``pred_masks``, not a reversed copy.
 
-There are three ways to build an automaton.  The constructor takes what
-comes from outside the library (``parse``, the families, users) and checks
-its transition set tuple by tuple.  ``_new`` builds for the library, putting
-port sets into the class's fields; ``_rebuild`` then checks the set as the
-constructor does, and ``_from_table`` (the powerset constructions) checks a
-flat table whole, the set derived from it on first use.  ``_view`` makes a
-slice, port variant or rename: it shares the automaton's moves and the
-tables derived from them (``succ_masks``, ``pred_masks``, the SCC
-condensation), and checks only its port sets and names; so does
-``induced`` (and ``trim`` through it), whose moves are renumbered moves of
-an automaton already checked, read off its table if it has one.
+The constructor takes what comes from outside the library (``parse``, the
+families, users) and checks its transition set tuple by tuple.  For the
+library, ``_new`` puts port sets into the class's fields, and four routes
+build on it:
+
+* ``_rebuild`` (``reverse``, ``union``, gate's assembly, the quotients)
+  checks the transition set as the constructor does;
+* ``_from_table`` (the powerset constructions) checks a flat table whole,
+  the set derived from it on first use;
+* ``_derived`` (``induced`` and ``trim``, the sequential compositions and
+  products) takes moves made of ids the library numbered itself, renumbered
+  moves of a checked automaton or those of a keyed exploration, and checks
+  only its port sets and names;
+* ``_view`` (a slice, port variant or rename) shares the automaton's moves
+  and the tables derived from them (``succ_masks``, ``pred_masks``, the SCC
+  condensation), and checks only its port sets and names.
 
 A construction may record facts about what it built: ``_trim`` (no state to
 trim: ``trim`` returns the automaton at once) and ``_minimal`` (a minimal

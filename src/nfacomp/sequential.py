@@ -291,7 +291,8 @@ def _compose(
     while status is False:  # under a bar, in steps that stop at the fewest composites that could reach it
         status = x.advance(None if bar is None else len(x.keys) + bar - accepting)
         if bar is not None:
-            accepting += sum(not key & rear_rejects and key & front_mask not in front_rejects for key in x.keys[counted:])
+            accepting += sum(not key & rear_rejects and key & front_mask not in front_rejects
+                             for key in x.keys[counted:])
             counted = len(x.keys)
             if accepting >= bar:
                 raise CutError("cut: the composition cannot beat a finished candidate")
