@@ -4,7 +4,8 @@ Runs the test suite in-process under a ``sys.settrace`` hook (no coverage
 package needed) and reports the statements of the library that no test
 executes, file by file, then the total, and the library's line count (what
 ``cat src/nfacomp/*.py src/nfacomp/_kernels/*.py | wc -l`` prints), split
-into code, docstring, comment and blank lines.  A statement is an
+into code, docstring, comment and blank lines, with each module's code
+lines under it, so that a change shows where its lines went.  A statement is an
 ``ast.stmt`` node, docstrings excluded; it counts as run when a line event
 fires on any line it spans that no statement nested inside it spans.  Every
 line a docstring spans is a docstring line, blank or not, and every line
@@ -167,13 +168,16 @@ def main(argv: list[str]) -> int:
         f"{missed} of {total} statements in src/nfacomp never run, {skipped} excluded by"
         f" '# pragma: no cover' (pytest exit {int(status)})"
     )
-    split = Counter(code=0, docstring=0, comment=0, blank=0)
+    split, modules = Counter(code=0, docstring=0, comment=0, blank=0), {}
     for p in [*PACKAGE.glob("*.py"), *PACKAGE.glob("_kernels/*.py")]:
-        split.update(line_split(p))
+        modules[p] = line_split(p)
+        split.update(modules[p])
     print(
         f"{sum(split.values())} lines in src/nfacomp/*.py and src/nfacomp/_kernels/*.py: "
         + ", ".join(f"{count} {kind}" for kind, count in split.items())
     )
+    for p, counts in sorted(modules.items()):
+        print(f"  {p.relative_to(ROOT)}: {counts['code']} code")
     for i in unexpected:
         print(f"failed, not pinned: {i}")
     return 1 if missed or unexpected or int(status) not in (0, 1) else 0

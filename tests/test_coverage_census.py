@@ -84,6 +84,27 @@ def test_census_splits_lines_into_code_docstring_comment_and_blank(tmp_path):
     assert _load().line_split(path) == {"code": 5, "docstring": 4, "comment": 2, "blank": 3}
 
 
+def test_census_lists_each_modules_code_lines_under_the_total(tmp_path, monkeypatch, capsys):
+    """Under the line-count line, one line per module, ``_kernels`` included,
+    gives its code lines, and they sum to the total's code count."""
+    census, mod = _stub_package(tmp_path, monkeypatch)
+    (tmp_path / "pkg" / "_kernels").mkdir()
+    (tmp_path / "pkg" / "_kernels" / "pure.py").write_text(SPLIT_MODULE)
+
+    def fake_main(argv, plugins=()):
+        mod.covered(True)
+        mod.covered(False)
+        return 0
+
+    monkeypatch.setattr(pytest, "main", fake_main)
+    census.main([])
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(lines) if " lines in src/nfacomp/*.py" in line)
+    assert lines[at] == "18 lines in src/nfacomp/*.py and src/nfacomp/_kernels/*.py: 9 code, 4 docstring, 2 comment, 3 blank"
+    assert lines[at + 1 :] == ["  pkg/_kernels/pure.py: 5 code", "  pkg/mod.py: 4 code"]
+    assert sum(int(line.split(": ")[1].split()[0]) for line in lines[at + 1 :]) == 9
+
+
 PINNED = [f"tests/test_acceptance.py::test_criterion_0{n}_some_family" for n in (3, 4, 8)]
 
 
