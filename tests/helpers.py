@@ -16,6 +16,16 @@ from nfacomp.errors import BudgetExceededError, CutError, NfacompError, NoGatePa
 from nfacomp.sequential import SeqComplementState
 
 
+def rebuild_reference(a, num_states, transitions, entry_sets, exit_sets, state_names, name=None, **facts):
+    """An automaton of ``a``'s class over ``a``'s alphabet, validated as the
+    constructor does: the library's ``core._rebuild`` before every build it
+    numbers itself went through ``core._derived``, verbatim."""
+    out = core._new(type(a), a.alphabet, num_states, entry_sets, exit_sets, state_names, name, transitions=transitions,
+                    **facts)
+    out._normalize_and_check()
+    return out
+
+
 LETTERS = "abc"
 
 
@@ -258,7 +268,7 @@ def compose_pinned(p, c2, budget, bar=None):
     """``sequential._compose`` as it was before it ran on the keyed
     exploration driver, verbatim: an intern closure that checks the budget
     and the bar, a list of transitions and a full validation through
-    ``core._rebuild``."""
+    ``rebuild_reference``."""
     f = p.front
     if not core.is_deterministic(f) or not core.is_complete(f):
         raise ValueError("front must be deterministic and complete (see determinize_front)")
@@ -405,13 +415,13 @@ def compose_pinned(p, c2, budget, bar=None):
         for m in {tracked for (_q, tracked) in decoded}
     }
     names = tuple(f.state_name(q) + tracked_names[tracked] for (q, tracked) in decoded)
-    return core._rebuild(f, len(states), frozenset(transitions), entry_ids, exit_ids, names), decoded, pruned[0]
+    return rebuild_reference(f, len(states), frozenset(transitions), entry_ids, exit_ids, names), decoded, pruned[0]
 
 
 def product_intersection_reference(a, b):
     """``core.product_intersection`` as it was before it ran on the keyed
     exploration driver, verbatim: pairs interned as tuples, a set of
-    transitions and a full validation through ``core._rebuild``."""
+    transitions and a full validation through ``rebuild_reference``."""
     core._check_compatible(a, b, "product")
     index: dict[tuple[int, int], int] = {}
     pairs: list[tuple[int, int]] = []
@@ -444,7 +454,7 @@ def product_intersection_reference(a, b):
             for qa in core._bits(ta):
                 for qb in core._bits(tb):
                     transitions.add((cur, sym, intern((qa, qb))))
-    return core._rebuild(
+    return rebuild_reference(
         a,
         len(pairs),
         frozenset(transitions),
@@ -910,7 +920,7 @@ def quotient_and_prune_reference(a, counts=None):
 
 
 def _quotient_reference(a, classes, class_of, transitions, entry_sets):
-    out = core._rebuild(
+    out = rebuild_reference(
         a,
         len(classes),
         frozenset(transitions),
@@ -1043,7 +1053,7 @@ def _quotient_pinned(a, classes, above, prune_entries):
     for s in a.entry_sets:
         m = core._mask_of(s) if prune_entries else 0
         entry_sets.append(frozenset(class_of[q] for q in s if not above[class_of[q]] & m))
-    return core._rebuild(
+    return rebuild_reference(
         a,
         len(classes),
         frozenset(transitions),
@@ -1318,7 +1328,7 @@ def determinize_front_reference(p):
         trans.update(
             (mi, sym, off + p.rear_index[t]) for mi, mac in enumerate(macros) if mac >> x_local & 1
         )
-    combined = core._rebuild(
+    combined = rebuild_reference(
         det,
         off + rear.num_states,
         frozenset(trans),
@@ -1356,7 +1366,7 @@ def _sink_half_reference(c1, gamma, carried, num_exit, loops):
         trans.update((q, cid, s) for q in c1.exit_sets[len(carried) + k])
     trans.update((s, sym, s) for sym in loops)
     exit_of = dict(zip(carried, c1.exit_sets))
-    return core._rebuild(
+    return rebuild_reference(
         c1,
         s + 1,
         frozenset(trans),
@@ -1379,7 +1389,7 @@ def _suffix_half_reference(head, c2, dispatch, gate_start=0):
 
     entries = [e | shifted(c2.entry_sets[i]) if i < gate_start else e for i, e in enumerate(head.entry_sets)]
     names = [head.state_name(q) for q in range(h)] + [c2.state_name(q) for q in range(c2.num_states)]
-    return core._rebuild(
+    return rebuild_reference(
         c2,
         h + c2.num_states,
         frozenset(trans),
@@ -1390,7 +1400,7 @@ def _suffix_half_reference(head, c2, dispatch, gate_start=0):
 
 
 def _dispatcher_reference(like, loops, entry_sets, exit_sets):
-    return core._rebuild(like, 1, frozenset((0, sym, 0) for sym in loops), entry_sets, exit_sets, ("t",))
+    return rebuild_reference(like, 1, frozenset((0, sym, 0) for sym in loops), entry_sets, exit_sets, ("t",))
 
 
 def gate_complement_reference(a, p, *, budget=None):
@@ -1722,11 +1732,11 @@ def as_port_reference(a):
 
 
 def induced_reference(a, keep):
-    """``core.induced`` through ``core._rebuild``: the renumbered moves of the
+    """``core.induced`` through ``rebuild_reference``: the renumbered moves of the
     spelled-out transition set, validated again."""
     keep = sorted(set(keep))
     remap = {q: i for i, q in enumerate(keep)}
-    return core._rebuild(
+    return rebuild_reference(
         a,
         len(keep),
         frozenset(

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 
 import helpers
 from conftest import nfa_pairs, nfas, port_nfas
-from nfacomp import core, heuristic, powerset, sequential
+from nfacomp import core, gate, heuristic, powerset, reduction, sequential
 from nfacomp.errors import BudgetExceededError
 from nfacomp.families import reverse_friendly
 
@@ -418,7 +418,7 @@ def _constructor_twin(a, x):
         moves = {(dst, sym, src) for (src, sym, dst) in moves}
         starts, accepting = accepting, starts
     names = tuple(helpers.macro_name_reference(a, macros[i]) for i in keep)
-    return core._rebuild(a, len(keep), frozenset(moves), starts, accepting, names)
+    return helpers.rebuild_reference(a, len(keep), frozenset(moves), starts, accepting, names)
 
 
 def _explorations():
@@ -633,3 +633,112 @@ def test_induced_and_trim_match_the_full_builds_they_replace():
     kinds = ("set", "determinized", "forward", "reverse")
     assert all(seen[k, c] > 3 for k in kinds for c in ("Nfa", "PortNfa")), seen
     assert seen["large"] > 10 and seen["empty"] >= 2 and seen["trimmed"] > 10, seen
+
+
+# --- every library build against the constructor -----------------------------------
+
+
+def _constructor_build(a):
+    """``a`` built again through the public constructor from its moves
+    (``_edges()``), port sets, names and name: the full check of every
+    transition that the library's own builds skip."""
+    ports = (a.initial, a.final) if isinstance(a, core.Nfa) else (a.entry_sets, a.exit_sets)
+    return type(a)(a.alphabet, a.num_states, frozenset(a._edges()), *ports, state_names=a.state_names, name=a.name)
+
+
+def _gate_partitions():
+    """Up to three gate partitions per route (two methods, two directions,
+    with an intersection or without) of seeded NFAs on three symbols, until
+    each of the eight routes is seen; the disjoint ones are rare."""
+    rng, seen = random.Random(3304), Counter()
+    for _ in range(2000):
+        if len(seen) == 8:
+            return
+        a = helpers.random_nfa(rng, max_states=9, max_syms=3)
+        for p in gate.find_gate_partitions(a.as_port(), check_budget=10**5):
+            route = p.direction, p.method, p.needs_intersection
+            if seen[route] < 3:
+                seen[route] += 1
+                yield p
+
+
+def _library_builds():
+    """(kind, automaton) for each build the library numbers itself, over
+    seeded plain and port NFAs of up to 130 states: forward and reverse
+    complements (some over a symbol skipped as a gate symbol), determinize,
+    reverse and union of a set-built and a table-built automaton, Hopcroft's
+    minimization, the simulation pass on both of its quotient routes, the
+    gate complement on every route, the sequential composition and the
+    product."""
+    rng = random.Random(3303)
+    inputs = [helpers.random_nfa(rng, max_states=9) for _ in range(24)]
+    inputs += [helpers.random_port_nfa(rng, num_entry=rng.randint(1, 3), num_exit=rng.randint(1, 3)) for _ in range(12)]
+    inputs += [helpers.random_nfa(rng, max_states=130, min_states=65, max_syms=2) for _ in range(3)]
+    inputs += [helpers.random_port_nfa(rng, max_states=130, min_states=65) for _ in range(3)]
+    for a in inputs:
+        plain = isinstance(a, core.Nfa)
+        skip = frozenset()
+        if rng.random() < 0.5:  # over a first symbol it does not use, complemented without it
+            shifted = {(src, sym + 1, dst) for (src, sym, dst) in a.transitions}
+            a = type(a)(("x",) + a.alphabet, a.num_states, shifted, *(a.initial, a.final) if plain else
+                        (a.entry_sets, a.exit_sets))
+            skip = frozenset({0})
+        complements = []
+        for direction in powerset.Direction:
+            try:
+                x = powerset._explore_port(a, 2048, True, (direction,), skip=skip)
+            except BudgetExceededError:
+                continue
+            complements.append(powerset._build(a, x))
+            yield f"{direction.value} complement" + (" skip" if skip else ""), complements[-1]
+        try:
+            det = powerset.determinize(a, budget=2048).nfa
+        except BudgetExceededError:
+            det = None
+        if det is not None:
+            yield "determinize", det
+            if plain:
+                yield "hopcroft_minimize", reduction.hopcroft_minimize(det)
+        yield "reverse", core.reverse(a)
+        for c in complements:
+            yield "reverse", core.reverse(c)
+            yield "union", core.union(a, c)
+            yield "union", core.union(c, a)
+        for b in [a] + complements + ([det] if det is not None else []):
+            stats = {}
+            reduced = reduction.simulation_reduce(b, stats=stats) if plain else reduction.simulation_reduce_port(b, stats=stats)
+            yield f"simulation route {stats['reduce']}", reduced
+        if complements:
+            yield "product_intersection", core.product_intersection(a, complements[0])
+    for p in _gate_partitions():
+        yield f"gate {p.direction.value} {p.method.value}" + (" intersection" if p.needs_intersection else ""), \
+            gate.apply_gate_complement(p, budget=4096)
+    for _ in range(30):
+        a1, a2 = helpers.random_gate_instance(rng, max_component_states=8)
+        split = core.SequentialPartition.of(helpers.concat_with_gate(a1, a2, "c"), range(a1.num_states))
+        try:
+            det_p = sequential.determinize_front(split, budget=2048)
+            c2 = powerset.port_reverse_complement(det_p.rear_for_targets(), budget=2048)
+        except BudgetExceededError:
+            continue
+        yield "_compose", sequential._compose(det_p, c2, None)[0]
+
+
+def test_library_builds_pass_the_constructors_check():
+    """Every automaton the library numbers itself is one the public
+    constructor accepts, equal to that build: class, fields, written file
+    and name.  A build recorded trim has no state to trim."""
+    seen = Counter()
+    for kind, a in _library_builds():
+        helpers.assert_same_build(a, _constructor_build(a))
+        if a._trim:
+            assert helpers.trim_reference(_constructor_build(a)).num_states == a.num_states, kind
+        seen[kind] += 1
+        seen["large"] += a.num_states > 64
+        seen["table"] += "_table" in vars(a)
+    wanted = ["forward complement", "reverse complement", "forward complement skip", "reverse complement skip",
+              "determinize", "reverse", "union", "hopcroft_minimize", "simulation route hopcroft",
+              "simulation route simulation", "product_intersection", "_compose", "large", "table"]
+    assert all(seen[k] >= 3 for k in wanted), seen
+    assert all(seen[f"gate {d.value} {m.value}{i}"] for d in gate.GateDirection for m in gate.GateMethod
+               for i in ("", " intersection")), seen

@@ -292,8 +292,8 @@ def _padded(a, pad):
         return frozenset(q + pad for q in states)
 
     trans = frozenset((src + pad, sym, dst + pad) for (src, sym, dst) in a.transitions)
-    return core._rebuild(a, a.num_states + pad, trans, [shift(e) for e in a.entry_sets],
-                         [shift(e) for e in a.exit_sets], None)
+    return helpers.rebuild_reference(a, a.num_states + pad, trans, [shift(e) for e in a.entry_sets],
+                                     [shift(e) for e in a.exit_sets], None)
 
 
 def _smaller_cases():
