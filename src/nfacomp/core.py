@@ -17,22 +17,23 @@ either class and returns an automaton of its input's class.  Questions
 about the reversal (the reverse powerset, the shape predicates, simulation)
 read ``pred_masks``, not a reversed copy.
 
-The constructor takes what comes from outside the library (``parse``, the
-families, users) and checks its transition set tuple by tuple.  For the
-library, ``_new`` puts port sets into the class's fields, and four routes
-build on it:
+A transition set is checked once, where it enters the library.  There are
+three routes to an automaton:
 
-* ``_rebuild`` (``reverse``, ``union``, gate's assembly, the quotients)
-  checks the transition set as the constructor does;
-* ``_from_table`` (the powerset constructions) checks a flat table whole,
-  the set derived from it on first use;
-* ``_derived`` (``induced`` and ``trim``, the sequential compositions and
-  products) takes moves made of ids the library numbered itself, renumbered
-  moves of a checked automaton or those of a keyed exploration, and checks
-  only its port sets and names;
+* the constructor takes what comes from outside the library (``parse``,
+  the families, ``build``, users) and checks its transition set tuple by
+  tuple;
+* ``_derived`` takes moves made of ids the library numbered itself, as a
+  set (``reverse``, ``union``, ``induced`` and ``trim``, gate's assembly,
+  the quotients, the sequential compositions and products) or as a flat
+  table (the powerset constructions), the set derived from it on first
+  use, and checks only its port sets and names;
 * ``_view`` (a slice, port variant or rename) shares the automaton's moves
   and the tables derived from them (``succ_masks``, ``pred_masks``, the SCC
   condensation), and checks only its port sets and names.
+
+Both library routes put the port sets into the class's fields through
+``_new``.
 
 A construction may record facts about what it built: ``_trim`` (no state to
 trim: ``trim`` returns the automaton at once) and ``_minimal`` (a minimal
@@ -101,19 +102,6 @@ class _Automaton:
                 raise ValueError(f"transition ({src},{sym},{dst}) leaves the state range")
             if not (0 <= sym < nsyms):
                 raise ValueError(f"transition ({src},{sym},{dst}) uses an unknown symbol index")
-        self._check_ports_and_names()
-
-    def _check_table(self) -> None:
-        """``_normalize_and_check`` for ``_from_table``: the table is checked whole."""
-        table, syms, _reverse = self._table
-        if len(table) != self.num_states * len(syms):
-            raise ValueError("transition table length must be num_states * len(syms)")
-        if table and not (-1 <= min(table) and max(table) < self.num_states):
-            raise ValueError("transition table leaves the state range")
-        if not all(0 <= sym < len(self.alphabet) for sym in syms):
-            raise ValueError("transition table uses an unknown symbol index")
-        if list(syms) != sorted(set(syms)):
-            raise ValueError("transition table symbols must strictly increase")
         self._check_ports_and_names()
 
     def _check_ports_and_names(self) -> None:
@@ -313,29 +301,16 @@ def _new(cls, alphabet, num_states, entry_sets, exit_sets, state_names, name, **
     return out
 
 
-def _rebuild(a: Automaton, num_states, transitions, entry_sets, exit_sets, state_names, name=None, **facts):
-    """An automaton of ``a``'s class over ``a``'s alphabet, validated as the constructor does."""
-    out = _new(type(a), a.alphabet, num_states, entry_sets, exit_sets, state_names, name, transitions=transitions,
-               **facts)
-    out._normalize_and_check()
-    return out
-
-
-def _derived(a: Automaton, num_states, moves, entry_sets, exit_sets, state_names, name=None):
-    """An automaton of ``a``'s class over ``a``'s alphabet whose ``moves`` the
+def _derived(a: Automaton, num_states, entry_sets, exit_sets, state_names, name=None, **moves):
+    """An automaton of ``a``'s class over ``a``'s alphabet whose moves the
     library made from ids it numbered itself: only its port sets and names
-    are checked, as for a view."""
-    out = _new(type(a), a.alphabet, num_states, entry_sets, exit_sets, state_names, name, transitions=moves)
+    are checked, as for a view.  ``moves`` holds ``transitions``, a frozenset
+    of (src, symbol index, dst), or ``_table=(table, syms, reverse)``, a flat
+    table whose entry ``q * len(syms) + k`` is q's successor on ``syms[k]``
+    (with ``reverse``, its predecessor) or -1 for none; and the facts the
+    construction records (``_trim``, ``_minimal``)."""
+    out = _new(type(a), a.alphabet, num_states, entry_sets, exit_sets, state_names, name, **moves)
     out._check_ports_and_names()
-    return out
-
-
-def _from_table(a: Automaton, num_states, table, syms, reverse, entry_sets, exit_sets, state_names, **facts):
-    """``_rebuild`` from a flat table: entry ``q * len(syms) + k`` is q's successor
-    on ``syms[k]`` (with ``reverse``, its predecessor), or -1 for none."""
-    out = _new(type(a), a.alphabet, num_states, entry_sets, exit_sets, state_names, None,
-               _table=(table, tuple(syms), reverse), **facts)
-    out._check_table()
     return out
 
 
@@ -365,14 +340,8 @@ def _check_compatible(a: Automaton, b: Automaton, what: str) -> None:
 
 def reverse(a: Automaton) -> Automaton:
     """Flip every transition and swap the entry and exit sets (I and F)."""
-    return _rebuild(
-        a,
-        a.num_states,
-        frozenset((dst, sym, src) for (src, sym, dst) in a.transitions),
-        a.exit_sets,
-        a.entry_sets,
-        a.state_names,
-    )
+    return _derived(a, a.num_states, a.exit_sets, a.entry_sets, a.state_names,
+                    transitions=frozenset((dst, sym, src) for (src, sym, dst) in a._edges()))
 
 
 def _merged_names(a, b):
@@ -401,15 +370,15 @@ def union(a: Automaton, b: Automaton) -> Automaton:
     """Disjoint union, port set by port set; b's states are relabeled past a's."""
     _check_compatible(a, b, "union")
     off = a.num_states
-    trans = set(a.transitions)
-    trans.update((src + off, sym, dst + off) for (src, sym, dst) in b.transitions)
-    return _rebuild(
+    trans = set(a._edges())
+    trans.update((src + off, sym, dst + off) for (src, sym, dst) in b._edges())
+    return _derived(
         a,
         off + b.num_states,
-        frozenset(trans),
         [ea | frozenset(q + off for q in eb) for ea, eb in zip(a.entry_sets, b.entry_sets)],
         [fa | frozenset(q + off for q in fb) for fa, fb in zip(a.exit_sets, b.exit_sets)],
         _merged_names(a, b),
+        transitions=frozenset(trans),
     )
 
 
@@ -517,7 +486,7 @@ def induced(a: Automaton, keep: Iterable[int]) -> Automaton:
     moves = frozenset((remap[src], sym, remap[dst]) for (src, sym, dst) in a._edges() if src in remap and dst in remap)
     ports = [[frozenset(remap[q] for q in s if q in remap) for s in sets] for sets in (a.entry_sets, a.exit_sets)]
     names = tuple(a.state_name(q) for q in keep) if a.state_names is not None else None
-    return _derived(a, len(keep), moves, *ports, names, a.name)
+    return _derived(a, len(keep), *ports, names, a.name, transitions=moves)
 
 
 def trim(a: Automaton) -> Automaton:
@@ -625,7 +594,7 @@ def product_intersection(a: Automaton, b: Automaton) -> Automaton:
     ports = [[frozenset(i for i, (pa, pb) in enumerate(pairs) if pa in sa and pb in sb) for sa, sb in zip(*sets)]
              for sets in ((a.entry_sets, b.entry_sets), (a.exit_sets, b.exit_sets))]
     names = tuple(f"{a.state_name(pa)}|{b.state_name(pb)}" for (pa, pb) in pairs)
-    return _derived(a, len(pairs), frozenset(x.moves), *ports, names)
+    return _derived(a, len(pairs), *ports, names, transitions=frozenset(x.moves))
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +615,8 @@ def is_deterministic(a: Automaton) -> bool:
 
 
 def _deterministic_moves(a: Automaton) -> bool:
-    """At most one successor per state and symbol.  A forward table
-    (``_from_table``, shared by its views) has that shape by construction."""
+    """At most one successor per state and symbol.  A forward table (a
+    ``_derived`` one, shared by its views) has that shape by construction."""
     table = a.__dict__.get("_table")
     if table is not None and not table[2]:
         return True

@@ -120,12 +120,12 @@ def _assemble(c1, c2, gamma: list[int], carried: tuple[int, ...], sink_loops, he
     s = c1.num_states
     h = s + 1  # the head's first state
     r = h + len(names)  # c2's first state
-    trans = set(c1.transitions)
+    trans = set(c1._edges())
     for k, cid in enumerate(gamma):
         trans.update((q, cid, s) for q in c1.exit_sets[len(carried) + k])
     trans.update((s, sym, s) for sym in sink_loops)
     trans.update((src + h, sym, dst + h) for (src, sym, dst) in head_transitions)
-    trans.update((src + r, sym, dst + r) for (src, sym, dst) in c2.transitions)
+    trans.update((src + r, sym, dst + r) for (src, sym, dst) in c2._edges())
     for (x, sym, k) in dispatch:
         trans.update((x + h, sym, q + r) for q in c2.entry_sets[gate_start + k])
 
@@ -144,7 +144,7 @@ def _assemble(c1, c2, gamma: list[int], carried: tuple[int, ...], sink_loops, he
     # Names are made unique within each half first, then across the two.
     pre = core._uniquify([c1.state_name(q) for q in range(s)] + ["s"])
     suf = core._uniquify(names + [c2.state_name(q) for q in range(c2.num_states)])
-    return core._rebuild(c1, r + c2.num_states, frozenset(trans), entries, exits, core._uniquify(pre + suf))
+    return core._derived(c1, r + c2.num_states, entries, exits, core._uniquify(pre + suf), transitions=frozenset(trans))
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,8 @@ def _build(a: Automaton, x: _Exploration, minimal: bool = False) -> Automaton:
     the result is a minimal trim DFA.  A reverse exploration's table gives
     predecessors, its start and accepting sets swapped.  A ``delta`` row
     holds ``x.syms`` in order, and the result is over ``a``'s whole alphabet.
+    The table holds only ids the exploration numbered, so it is built through
+    ``core._derived``, which checks the port sets and names, not the moves.
     """
     macros, delta, entries, exits, live, reverse, syms = x
     nsyms = len(syms)
@@ -277,8 +279,8 @@ def _build(a: Automaton, x: _Exploration, minimal: bool = False) -> Automaton:
     accepting = [frozenset(ids) for ids in exits]
     if reverse:
         starts, accepting = accepting, starts
-    return core._from_table(a, len(kept), delta, syms, reverse, starts, accepting, _macro_names(a, kept),
-                            _trim=live is not None, _minimal=minimal)
+    return core._derived(a, len(kept), starts, accepting, _macro_names(a, kept), _table=(delta, tuple(syms), reverse),
+                         _trim=live is not None, _minimal=minimal)
 
 
 def determinize(a: Automaton, *, budget: int | None = None) -> MacrostateDfa:

@@ -252,13 +252,13 @@ def _quotient(a: core.Automaton, classes: list[list[int]], above: list[int] | No
     for s in a.entry_sets:
         m = core._mask_of(s) if prune_entries else 0
         entry_sets.append(frozenset(class_of[q] for q in s if not above[class_of[q]] & m))
-    return core._rebuild(
+    return core._derived(
         a,
         len(classes),
-        frozenset(transitions),
         entry_sets,
         [frozenset(class_of[q] for q in s) for s in a.exit_sets],
         tuple("+".join(a.state_name(q) for q in members) for members in classes),
+        transitions=frozenset(transitions),
         _trim=a._trim and not any(above),
     )
 

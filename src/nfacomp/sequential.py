@@ -312,7 +312,7 @@ def _compose(
         for m in {tracked for (_q, tracked) in decoded}
     }
     names = tuple(f.state_name(q) + tracked_names[tracked] for (q, tracked) in decoded)
-    return core._derived(f, len(x.keys), frozenset(x.moves), entry_ids, exit_ids, names), decoded, pruned[0]
+    return core._derived(f, len(x.keys), entry_ids, exit_ids, names, transitions=frozenset(x.moves)), decoded, pruned[0]
 
 
 def seq_complement_generalized(

@@ -1,8 +1,10 @@
+import ast
 import copy
 import dataclasses
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -80,21 +82,15 @@ GUARDS = [
 ]
 
 
-def _table_built(cls, *, table=(1, -1, 0, 1), syms=(0, 1), starts=(0,), ends=(1,), names=None):
-    return core._from_table(
-        _two_states(cls), 2, list(table), syms, False, [frozenset(starts)], [frozenset(ends)], names
-    )
+def _table_built(cls, *, starts=(0,), ends=(1,), names=None):
+    """A table-built automaton: the table is the library's own and goes
+    unchecked (``test_library_builds_pass_the_constructors_check`` checks
+    what the library builds); its port sets and names are checked."""
+    table = ([1, -1, 0, 1], (0, 1), False)
+    return core._derived(_two_states(cls), 2, [frozenset(starts)], [frozenset(ends)], names, _table=table)
 
 
-_TABLE_GUARDS = [
-    ("table length", dict(table=(1, -1, 0)), "transition table length must be num_states * len(syms)", None),
-    ("table above range", dict(table=(1, -1, 0, 2)), "transition table leaves the state range", None),
-    ("table below range", dict(table=(1, -2, 0, 1)), "transition table leaves the state range", None),
-    ("table symbol", dict(syms=(0, 2)), "transition table uses an unknown symbol index", None),
-    ("table negative symbol", dict(syms=(-1, 1)), "transition table uses an unknown symbol index", None),
-    ("table symbols repeat", dict(syms=(1, 1)), "transition table symbols must strictly increase", None),
-    ("table symbols decrease", dict(syms=(1, 0)), "transition table symbols must strictly increase", None),
-] + [guard for guard in _GUARDS_OF_BOTH if guard[0] in ("entry range", "exit range", "names length")]
+_TABLE_GUARDS = [guard for guard in _GUARDS_OF_BOTH if guard[0] in ("entry range", "exit range", "names length")]
 
 GUARDS += [
     pytest.param(
@@ -169,7 +165,7 @@ def test_product_intersection_language(pair):
 def _product_operand(rng, like, n, ports):
     """A seeded automaton of ``like``'s class over ``like``'s alphabet with ``n``
     states (0 too) and ``ports`` entry and exit sets of up to four states:
-    set-built by the constructor, or table-built by ``core._from_table`` from a
+    set-built by the constructor, or table-built by ``core._derived`` from a
     forward table or a reverse one (a nondeterministic automaton)."""
     k = len(like.alphabet)
 
@@ -180,7 +176,7 @@ def _product_operand(rng, like, n, ports):
     names = [f"q{q}" for q in range(n)] if rng.random() < 0.5 else None
     if rng.random() < 0.5:
         table = [rng.randrange(-1, n) if n else -1 for _ in range(n * k)]
-        return core._from_table(like, n, table, range(k), rng.random() < 0.5, entry_sets, exit_sets, names)
+        return core._derived(like, n, entry_sets, exit_sets, names, _table=(table, tuple(range(k)), rng.random() < 0.5))
     moves = {(q, sym, rng.randrange(n)) for q in range(n) for sym in range(k) for _ in range(rng.choice((0, 1, 1, 2)))}
     if isinstance(like, core.Nfa):
         return core.Nfa(like.alphabet, n, moves, *entry_sets, *exit_sets, state_names=names)
@@ -706,7 +702,8 @@ def _library_builds():
             yield "union", core.union(c, a)
         for b in [a] + complements + ([det] if det is not None else []):
             stats = {}
-            reduced = reduction.simulation_reduce(b, stats=stats) if plain else reduction.simulation_reduce_port(b, stats=stats)
+            reduce = reduction.simulation_reduce if plain else reduction.simulation_reduce_port
+            reduced = reduce(b, stats=stats)
             yield f"simulation route {stats['reduce']}", reduced
         if complements:
             yield "product_intersection", core.product_intersection(a, complements[0])
@@ -742,3 +739,45 @@ def test_library_builds_pass_the_constructors_check():
     assert all(seen[k] >= 3 for k in wanted), seen
     assert all(seen[f"gate {d.value} {m.value}{i}"] for d in gate.GateDirection for m in gate.GateMethod
                for i in ("", " intersection")), seen
+
+
+def _call_sites(names):
+    """(module, class, function) of every call in ``src/nfacomp`` to a
+    function or method named in ``names``, by name."""
+    sites = {name: set() for name in names}
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.cls, self.func = module, None, None
+
+        def visit_ClassDef(self, node):
+            outer, self.cls = self.cls, node.name
+            self.generic_visit(node)
+            self.cls = outer
+
+        def visit_FunctionDef(self, node):
+            outer, self.func = self.func, node.name
+            self.generic_visit(node)
+            self.func = outer
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name in sites:
+                sites[name].add((self.module, self.cls, self.func))
+            self.generic_visit(node)
+
+    for path in sorted(Path(core.__file__).parent.rglob("*.py")):
+        Calls(path.name).visit(ast.parse(path.read_text()))
+    return sites
+
+
+def test_transition_sets_are_checked_only_where_they_enter():
+    """The constructors' ``__post_init__`` are the only callers of the full
+    check, ``_normalize_and_check``; every other build goes through
+    ``_derived`` or ``_view``, the only callers of ``_new``."""
+    sites = _call_sites(("_normalize_and_check", "_new"))
+    assert sites["_normalize_and_check"] == {("core.py", cls, "__post_init__") for cls in ("Nfa", "PortNfa")}
+    assert sites["_new"] == {("core.py", None, "_derived"), ("core.py", None, "_view")}

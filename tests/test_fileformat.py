@@ -370,7 +370,7 @@ def _writer_cases():
     # Table-built by hand: state 1 is isolated; then state 1 only moves to state 0 on b.
     plain = core.Nfa.build(("a", "b"), 1, [], {0}, set())
     for table in ([-1, -1, -1, -1], [-1, -1, -1, 0]):
-        yield core._from_table(plain, 2, table, (0, 1), False, [frozenset({0})], [frozenset()], None)
+        yield core._derived(plain, 2, [frozenset({0})], [frozenset()], None, _table=(table, (0, 1), False))
 
 
 def test_serialize_matches_the_one_sort_writer():

@@ -412,7 +412,7 @@ def test_smaller_complement_validates_once(monkeypatch):
     for a in cases:
         calls.clear()
         gate._smaller_complement(a, budget=4096)
-        assert len(calls) == 1, calls
+        assert calls == ["derived:" + type(a).__name__], calls
 
 
 def _clean_side(p):
@@ -702,13 +702,13 @@ def test_gate_complement_builds_once_after_its_components(monkeypatch):
             continue
         seen[_route(p)] += 1
         gate.apply_gate_complement(p, budget=512)
-        assert built == ["PortNfa"], (_route(p), built)
+        assert built == ["derived:PortNfa"], (_route(p), built)
     assert len(seen) == 4, seen
     rng = random.Random(19_2029)
     for _ in range(5):
         a1, a2 = helpers.random_gate_instance(rng, max_component_states=6)
         gate.gate_complement_basic(a1, a2, "c")
-        assert built == ["Nfa"]
+        assert built == ["derived:Nfa"]
 
 
 def test_gate_partition_reads_its_facts_off_the_split():

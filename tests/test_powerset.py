@@ -305,17 +305,19 @@ def test_explore_port_matches_the_one_shot_reference():
 
 
 def test_complement_file_to_file_validates_twice(tmp_path, monkeypatch):
-    # Once for the parsed input and once for the built output, in either
-    # direction: trimming builds nothing more, naming the output makes a view,
-    # and reverse explores the transposed table and builds the result reversed,
-    # with no reversed automaton on either side of the construction.
+    # A full validation for the parsed input and a check of the built
+    # output's port sets and names, in either direction: its table holds ids
+    # the construction numbered itself, trimming builds nothing more, naming
+    # the output makes a view, and reverse explores the transposed table and
+    # builds the result reversed, with no reversed automaton on either side
+    # of the construction.
     src, dst = tmp_path / "a.nfa", tmp_path / "c.nfa"
     src.write_text(fileformat.serialize(reverse_friendly(3)))
     calls = helpers.count_validations(monkeypatch)
     for method in ("forward", "reverse"):
         calls.clear()
         assert cli.main(["complement", "-m", method, "-i", str(src), "-o", str(dst)]) == 0
-        assert calls == ["Nfa", "Nfa", "view:Nfa"], (method, calls)
+        assert calls == ["Nfa", "derived:Nfa", "view:Nfa"], (method, calls)
         assert fileformat.parse(dst.read_text()).name == "A3_complement"
 
 
