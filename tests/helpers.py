@@ -18,8 +18,9 @@ from nfacomp.sequential import SeqComplementState
 
 def rebuild_reference(a, num_states, transitions, entry_sets, exit_sets, state_names, name=None, **facts):
     """An automaton of ``a``'s class over ``a``'s alphabet, validated as the
-    constructor does: the library's ``core._rebuild`` before every build it
-    numbers itself went through ``core._derived``, verbatim."""
+    constructor does: a verbatim copy of ``core._rebuild``, which the library
+    dropped when its own builds moved to ``core._derived``, so that the
+    references keep its full check."""
     out = core._new(type(a), a.alphabet, num_states, entry_sets, exit_sets, state_names, name, transitions=transitions,
                     **facts)
     out._normalize_and_check()
