@@ -12,6 +12,7 @@ import re
 from collections import Counter, deque
 
 from nfacomp import core, fileformat, gate, oracle, powerset, reduction, sequential
+from nfacomp._kernels import pure
 from nfacomp.errors import BudgetExceededError, CutError, NfacompError, NoGatePartitionError, ParseError
 from nfacomp.sequential import SeqComplementState
 
@@ -645,6 +646,81 @@ def oracle_reference(a, c, max_len):
             word = _word_at(i, a.alphabet)
             return oracle.OracleVerdict(False, "".join(word), word, len(sig_a))
     return oracle.OracleVerdict(True, None, None, len(sig_a))
+
+
+def first_agreement_reference(a, c, max_len, budget):
+    """The oracle's pair search as it was before deterministic sides were
+    walked as single states: a verbatim copy of ``oracle._first_agreement``,
+    which cuts every state set of both sides into bytes through the packed
+    image tables.  ``(word, pairs, finished)``, as the search answers."""
+    if a.alphabet != c.alphabet:
+        raise ValueError("oracle requires both automata to share one alphabet")
+    if budget is not None and budget < 1:
+        return None, 0, False
+    n_a, n_c = a.num_states, c.num_states
+    tables_a = pure._packed_tables(n_a, len(a.alphabet), a.succ_masks)
+    tables_c = pure._packed_tables(n_c, len(c.alphabet), c.succ_masks)
+    full_a, full_c = (1 << n_a) - 1, (1 << n_c) - 1
+    final_a, final_c = a.final_mask, c.final_mask
+    start = (a.initial_mask, c.initial_mask)
+    parent = {start: None}
+    if bool(start[0] & final_a) == bool(start[1] & final_c):
+        return (), 1, True
+    level = [start]
+    depth = 0
+    while level and (max_len is None or depth < max_len):
+        depth += 1
+        reached = []
+        for pair in level:
+            packed_a, packed_c = pure._packed_image(tables_a, pair[0]), pure._packed_image(tables_c, pair[1])
+            for sym in range(len(a.alphabet)):
+                img_a, img_c = packed_a >> sym * n_a & full_a, packed_c >> sym * n_c & full_c
+                nxt = (img_a, img_c)
+                if nxt in parent:
+                    continue
+                if budget is not None and len(parent) >= budget:
+                    return None, len(parent), False
+                parent[nxt] = (pair, sym)
+                if bool(img_a & final_a) == bool(img_c & final_c):
+                    return oracle._word_to(nxt, parent, a.alphabet), len(parent), True
+                reached.append(nxt)
+        level = reached
+    return None, len(parent), True
+
+
+def product_nonempty_reference(nsyms, nstates_a, succ_a, init_a, final_a, nstates_b, succ_b, init_b, final_b):
+    """Product emptiness as it was before it went bit-parallel: a verbatim
+    copy of ``_kernels.pure.product_nonempty``, a breadth-first search over
+    pairs of states, one pair at a time."""
+    if nstates_a == 0 or nstates_b == 0:
+        return False
+    seen = bytearray(nstates_a * nstates_b)
+    queue = deque()
+    for pa in core._bits(init_a):
+        for pb in core._bits(init_b):
+            if (final_a >> pa) & 1 and (final_b >> pb) & 1:
+                return True
+            seen[pa * nstates_b + pb] = 1
+            queue.append((pa, pb))
+    while queue:
+        pa, pb = queue.popleft()
+        for sym in range(nsyms):
+            ta = succ_a[sym * nstates_a + pa]
+            if not ta:
+                continue
+            tb = succ_b[sym * nstates_b + pb]
+            if not tb:
+                continue
+            for qa in core._bits(ta):
+                qa_final = (final_a >> qa) & 1
+                for qb in core._bits(tb):
+                    if seen[qa * nstates_b + qb]:
+                        continue
+                    if qa_final and (final_b >> qb) & 1:
+                        return True
+                    seen[qa * nstates_b + qb] = 1
+                    queue.append((qa, qb))
+    return False
 
 
 def antichain_included_reference(

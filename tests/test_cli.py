@@ -373,6 +373,26 @@ def test_complement_verify(capsys, tmp_path, a2_file, monkeypatch):
     assert run(capsys, "complement", "-m", "forward", "--reduce", "-i", a2_file)[0] == 0
 
 
+@pytest.mark.parametrize("n", [6, 9])
+def test_verify_and_oracle_match_the_set_pair_search(capsys, tmp_path, n):
+    # --verify's verdict and pair count on the forward complement of A_n, a
+    # DFA checked against an NFA, are those of helpers.first_agreement_reference,
+    # the pair search that walks both sides as state sets; the oracle's line
+    # is the one that search gave.
+    src, out, stats = tmp_path / "a.nfa", tmp_path / "c.nfa", tmp_path / "s.json"
+    code, text, _err = run(capsys, "generate", "-f", "reverse", "-n", str(n))
+    src.write_text(text)
+    code, _out, err = run(capsys, "complement", "-m", "forward", "-i", str(src), "-o", str(out), "--verify",
+                          "--stats", str(stats))
+    assert (code, err) == (0, "")
+    a, c = fileformat.parse(src.read_text()), fileformat.parse(out.read_text())
+    word, pairs, finished = helpers.first_agreement_reference(a, c, None, cli.DEFAULT_MACRO_BUDGET)
+    assert (word, finished) == (None, True)
+    verify = json.loads(stats.read_text())["verify"]
+    assert (verify["verdict"], verify["pairs"]) == ("exact", pairs) == ("exact", 2 ** (n + 1))
+    assert run(capsys, "oracle", "-a", str(src), "-c", str(out), "--max-len", "12") == (0, "OK (8191 words)\n", "")
+
+
 def test_stats_command(capsys, a2_file):
     code, out, _ = run(capsys, "stats", "-i", a2_file)
     assert code == 0

@@ -201,6 +201,71 @@ def test_product_with_a_stateless_automaton_is_empty():
     assert not core.language_disjoint(loop, loop)
 
 
+def _product_side(rng, n, k, shape):
+    """(succ, init, final) of one side of a product over ``n`` states and ``k`` symbols.
+
+    ``"dfa"`` is a partial DFA, ``"nfa"`` has up to three successors per move;
+    the initial set is empty in about one case in eight, and the final set is
+    empty, one or two states, or dense.
+    """
+    if shape == "dfa":
+        succ = _random_dfa_succ(rng, n, k, partial=True)
+        init = 1 << rng.randrange(n) if n else 0
+    else:
+        succ = [sum(1 << q for q in rng.sample(range(n), min(n, rng.randint(0, 3)))) for _ in range(k * n)]
+        init = sum(1 << q for q in rng.sample(range(n), min(n, rng.randint(1, 3))))
+    if rng.random() < 0.125:
+        init = 0
+    final = rng.choice((0, 1, 2, n))
+    final = sum(1 << q for q in range(n) if rng.random() < 0.4) if final == n else \
+        sum(1 << q for q in rng.sample(range(n), min(n, final)))
+    return succ, init, final
+
+
+def test_product_matches_the_pair_search_it_replaced():
+    """Product emptiness against ``helpers.product_nonempty_reference``, the
+    breadth-first search over single pairs.
+
+    Seeded random pairs of 0-130 states over 1-3 symbols, in both size orders
+    and of equal size, each side a partial DFA or an NFA, some with an empty
+    initial or final set and some with no states.  A fifth of the cases pair a
+    complete DFA with itself under the complemented final set, which is empty
+    only after the whole product has been searched, or with one move moved.
+    """
+    rng = random.Random(47)
+    seen = collections.Counter()
+    for case in range(400):
+        k = rng.randint(1, 3)
+        sizes = [rng.choice((0, rng.randint(1, 12), rng.randint(13, 64), rng.randint(65, 130))) for _ in "ab"]
+        if case % 5 == 0:
+            n = max(sizes[0], 1)
+            succ = [1 << rng.randrange(n) for _ in range(k * n)]
+            init, final = 1 << rng.randrange(n), sum(1 << q for q in range(n) if rng.random() < 0.5)
+            other = list(succ)
+            if case % 10 == 0:
+                other[rng.randrange(k * n)] = 1 << rng.randrange(n)
+            args = (k, n, succ, init, final, n, other, init, (1 << n) - 1 ^ final)
+        else:
+            if case % 7 == 0:
+                sizes[1] = sizes[0]
+            (na, nb), shapes = sizes, [rng.choice(("dfa", "nfa")) for _ in "ab"]
+            args = (k, na, *_product_side(rng, na, k, shapes[0]), nb, *_product_side(rng, nb, k, shapes[1]))
+        want = helpers.product_nonempty_reference(*args)
+        assert pure.product_nonempty(*args) == want, case
+        na, nb = args[1], args[5]
+        order = "a<b" if na < nb else "a>b" if na > nb else "a=b"
+        seen[order, want] += 1
+        seen["multi-limb", want] += max(na, nb) > 64
+        seen["stateless"] += not na or not nb
+        seen["no initial"] += bool(na and nb) and not (args[3] and args[7])
+        seen["no final"] += bool(na and nb) and not (args[4] and args[8])
+        seen["searched", want] += case % 5 == 0
+    assert all(seen[order, want] >= 10 for order in ("a<b", "a>b", "a=b") for want in (True, False)), seen
+    assert seen["multi-limb", True] >= 30 and seen["multi-limb", False] >= 30, seen
+    assert seen["stateless"] and seen["no initial"] and seen["no final"], seen
+    assert seen["searched", True] and seen["searched", False] >= 30, seen
+
+
 def test_antichain_included_matches_reference():
     verdicts = set()
     rng = random.Random(43)

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -183,6 +185,75 @@ def test_pair_search_matches_the_word_enumeration_on_multi_byte_sets():
     assert seen["cases"] == 1440 and seen["unary"] >= 300 and seen["wrong"] >= 300, seen
     assert seen["finished"] >= 300 and seen["passed"] >= 80, seen
     assert seen["deep"] >= 20 and seen["dense"] >= 40, seen
+
+
+def _deterministic(x):
+    """At most one initial state and at most one successor per state and symbol."""
+    return not x.initial_mask & (x.initial_mask - 1) and all(not m & (m - 1) for m in x.succ_masks)
+
+
+def _moved(rng, d):
+    """The DFA ``d`` with one move sent to another state, so still deterministic."""
+    if not d.num_states:
+        return d
+    q, sym = rng.randrange(d.num_states), rng.randrange(len(d.alphabet))
+    trans = {t for t in d.transitions if t[:2] != (q, sym)} | {(q, sym, rng.randrange(d.num_states))}
+    return dataclasses.replace(d, transitions=frozenset(trans))
+
+
+def _pair_search_cases(rng):
+    """Pairs (a, c) over one to three symbols in which either side, both or
+    neither is deterministic.  Every fourth starts from an automaton of 65-130
+    states; c is then its flipped, moved or forward complement, a DFA of up to
+    131 states, when a is one, and else a with its final states flipped or a
+    random DFA of 65-130 states.  Some deterministic sides have no initial
+    state."""
+    for case in range(240):
+        alphabet = tuple(helpers.LETTERS[: 1 + case % 3])
+        if case % 4 == 0:
+            a = _large_nfa(rng, alphabet, ("dfa", "nfa", "classes")[case // 4 % 3])
+            flipped = dataclasses.replace(a, final=frozenset(range(a.num_states)) - a.final)
+            if _deterministic(a):
+                comp = powerset.forward_complement(a)
+                pairs = [(a, flipped), (a, comp), (a, _moved(rng, comp)), (comp, a)]
+            else:
+                comp = _large_nfa(rng, alphabet, "dfa")
+                pairs = [(a, flipped), (a, comp), (comp, a), (flipped, _moved(rng, comp))]
+        else:
+            a = _same_alphabet_nfa(rng, alphabet)
+            comp = powerset.forward_complement(a)
+            pairs = [(a, comp), (comp, a), (comp, _moved(rng, comp)), (a, _same_alphabet_nfa(rng, alphabet))]
+        if case % 8 == 1:
+            pairs.append((a, dataclasses.replace(comp, initial=frozenset())))
+            pairs.append((dataclasses.replace(comp, initial=frozenset()), a))
+        yield from pairs
+
+
+def test_pair_search_matches_the_set_pair_search_it_replaced():
+    # The pair search against helpers.first_agreement_reference, which walks
+    # every side as state sets: the same word, pair count and finished flag
+    # without bounds, at the budget edges and at depths 0-4.  A search that
+    # would reach more than 4,000 pairs is compared up to that many.
+    rng = random.Random(20261020)
+    seen = collections.Counter()
+    for a, c in _pair_search_cases(rng):
+        word, pairs, finished = helpers.first_agreement_reference(a, c, None, 4000)
+        assert pairs >= 1
+        for budget in (None, pairs, pairs - 1, 1, 0)[not finished:]:
+            want = helpers.first_agreement_reference(a, c, None, budget)
+            assert oracle._first_agreement(a, c, None, budget) == want, (a, c, budget)
+        for max_len in range(5):
+            assert oracle._first_agreement(a, c, max_len, None) == helpers.first_agreement_reference(a, c, max_len, None)
+        sides = (_deterministic(a), _deterministic(c))
+        seen[sides, word is None] += finished
+        seen["cut"] += not finished
+        seen["large", sides] += max(a.num_states, c.num_states) > 64
+        seen["no initial"] += not (a.initial and c.initial)
+        seen["unary"] += len(a.alphabet) == 1
+        seen["deep"] += word is not None and len(word) >= 3 or word is None and pairs >= 50
+    assert all(seen[sides, ok] >= 15 for sides in itertools.product((True, False), repeat=2) for ok in (True, False)), seen
+    assert all(seen["large", sides] >= 10 for sides in ((True, True), (True, False), (False, True))), seen
+    assert seen["no initial"] >= 40 and seen["unary"] >= 300 and seen["deep"] >= 30 and seen["cut"], seen
 
 
 def test_exact_check_finds_the_least_counterexample():
