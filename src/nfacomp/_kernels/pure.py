@@ -17,9 +17,9 @@ general path of ``antichain_included`` compute a state set's subset images
 at a time, under every symbol at once: one table per byte position, whose
 entry for a byte value packs the images under all symbols into one int
 (``_packed_tables``).  The tables are filled on demand, so a call pays only
-for the byte values its state sets actually contain.  The pair search of
-:mod:`nfacomp.oracle` and the simulation fixpoint of :mod:`nfacomp.reduction`
-use them too.
+for the byte values its state sets actually contain.  ``product_nonempty``,
+the pair search of :mod:`nfacomp.oracle` (on a nondeterministic side) and
+the simulation fixpoint of :mod:`nfacomp.reduction` use them too.
 
 ``KeyedExploration`` is the same resumable breadth-first driver over
 states that are not state sets: it interns whatever int keys its caller's
@@ -36,6 +36,10 @@ no byte split.  Otherwise the general search keeps a plain list of the
 subset-minimal macrostates of ``b`` per a-state, with no index: the long
 frontiers, where one would pay, are a deterministic ``b``'s.  Both paths keep
 the same frontier in the same queue order, so verdict and expansion count agree.
+
+``product_nonempty`` is bit-parallel: per state of the larger automaton a
+bitmask of the smaller one's states reached with it, the new ones stepped
+together through the smaller side's packed tables.
 
 These are the package's only implementation of the kernels;
 :mod:`nfacomp._kernels` re-exports them.
@@ -346,33 +350,43 @@ def product_nonempty(
     init_b,
     final_b,
 ):
-    """True iff the synchronized product of the two automata accepts a word."""
-    if nstates_a == 0 or nstates_b == 0:
+    """True iff the synchronized product of the two automata accepts a word.
+
+    The search is bit-parallel: ``a`` is made the side with more states, and
+    each a-state keeps the bitmask of b-states reached with it (``seen``) and
+    of those not yet expanded (``todo``).  Expanding an a-state takes one
+    packed image of its new b-states over ``b``'s tables and passes on, for
+    each symbol and each successor, only the b-states that successor has not
+    yet seen.  Each pair of states still enters at most once.
+    """
+    if nstates_a < nstates_b:
+        nstates_a, succ_a, init_a, final_a, nstates_b, succ_b, init_b, final_b = (
+            nstates_b, succ_b, init_b, final_b, nstates_a, succ_a, init_a, final_a)
+    if nstates_b == 0 or not init_b:
         return False
-    seen = bytearray(nstates_a * nstates_b)
-    queue = deque()
-    for pa in _bits(init_a):
-        for pb in _bits(init_b):
-            if (final_a >> pa) & 1 and (final_b >> pb) & 1:
-                return True
-            seen[pa * nstates_b + pb] = 1
-            queue.append((pa, pb))
-    while queue:
-        pa, pb = queue.popleft()
-        for sym in range(nsyms):
-            ta = succ_a[sym * nstates_a + pa]
-            if not ta:
+    tables, full = _packed_tables(nstates_b, nsyms, succ_b), (1 << nstates_b) - 1
+    rows = [(sym * nstates_a, sym * nstates_b) for sym in range(nsyms)]
+    seen, todo, stack = [0] * nstates_a, [0] * nstates_a, []
+    for p in _bits(init_a):
+        if (final_a >> p) & 1 and init_b & final_b:
+            return True
+        seen[p] = todo[p] = init_b
+        stack.append(p)
+    while stack:
+        p = stack.pop()
+        img, todo[p] = _packed_image(tables, todo[p]), 0
+        for row_a, shift in rows:
+            targets = succ_a[row_a + p]
+            s2 = img >> shift & full if targets else 0
+            if not s2:
                 continue
-            tb = succ_b[sym * nstates_b + pb]
-            if not tb:
-                continue
-            for qa in _bits(ta):
-                qa_final = (final_a >> qa) & 1
-                for qb in _bits(tb):
-                    if seen[qa * nstates_b + qb]:
-                        continue
-                    if qa_final and (final_b >> qb) & 1:
+            for p2 in _bits(targets):
+                fresh = s2 & ~seen[p2]
+                if fresh:
+                    if fresh & final_b and (final_a >> p2) & 1:
                         return True
-                    seen[qa * nstates_b + qb] = 1
-                    queue.append((qa, qb))
+                    seen[p2] |= fresh
+                    if not todo[p2]:
+                        stack.append(p2)
+                    todo[p2] |= fresh
     return False

@@ -133,7 +133,9 @@ def _verify(a, out, budget) -> dict:
     """Exactly check every port slice of ``out`` against the same slice of ``a``.
 
     Each slice may reach at most ``budget`` pairs; a slice that runs out is
-    left unsettled, so the verdict is ``budget``.  A wrong slice raises.
+    left unsettled, so the verdict is ``budget``.  A wrong slice raises.  A
+    deterministic slice, such as a forward complement's, is walked one state
+    at a time (``oracle._first_agreement``), so its size costs nothing per pair.
     """
     start = time.perf_counter()
     pairs = 0

@@ -551,7 +551,13 @@ def language_equivalent(a: Nfa, b: Nfa, *, budget: int | None = None) -> bool:
 
 
 def language_disjoint(a: Nfa, b: Nfa) -> bool:
-    """True iff the synchronized product of a and b accepts nothing."""
+    """True iff the synchronized product of a and b accepts nothing.
+
+    ``_kernels.product_nonempty`` searches the product bit-parallel: per
+    state of the larger automaton it keeps the set of the smaller one's
+    states reached with it, and steps a whole set of new ones through one
+    packed image instead of one pair at a time.
+    """
     if a.alphabet != b.alphabet:
         raise ValueError("disjointness requires matching alphabets")
     return not _kernels.product_nonempty(

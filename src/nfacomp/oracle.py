@@ -11,13 +11,22 @@ of a least counterexample is the least word reaching its own pair.
 With a depth bound this is the bounded oracle: the same verdict and
 counterexample as running both automata over every word up to the bound.
 Without one it is an exact check, C = co-L(A) iff no reachable pair is bad,
-kept finite by a budget on the pairs it may reach.  The search shares only
-the packed subset-image tables (one lookup per byte of a state set gives its
-images under every symbol) with the constructions it checks.
+kept finite by a budget on the pairs it may reach.
+
+A deterministic side (at most one initial state, at most one successor per
+state and symbol) only ever reaches single states or the empty set, so it
+is walked one state at a time (``_StateRows``), each successor read
+straight from ``succ_masks``: a step costs the same whatever that side's
+size.  A nondeterministic side is walked as state sets through the packed
+subset-image tables it shares with the constructions it checks (one lookup
+per byte of a state set gives its images under every symbol).  A state and
+its singleton set stand for each other one to one, so the pairs, their
+order and the budget are those of walking both sides as sets.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from ._kernels.pure import _packed_image, _packed_tables
@@ -69,6 +78,54 @@ def _word_to(pair, parent, alphabet) -> tuple[str, ...]:
     return tuple(reversed(word))
 
 
+class _StateRows(dict):
+    """A deterministic automaton's packed successor rows, per position, filled on demand.
+
+    A position is 0 for no state, or ``(q + 1) << 1 | f`` for state ``q``,
+    where ``f`` is 1 when ``q`` is final.  Its row packs the successor
+    position under each symbol, shifted up by that symbol's field, each read
+    straight from ``succ_masks``.
+    """
+
+    __slots__ = ("n", "succ", "final", "shifts")
+
+    def __init__(self, n, succ, final, shifts):
+        super().__init__()
+        self.n, self.succ, self.final, self.shifts = n, succ, final, shifts
+
+    def __missing__(self, pos):
+        row = 0
+        if pos:
+            final = self.final
+            for m, shift in zip(self.succ[(pos >> 1) - 1 :: self.n], self.shifts):
+                if m:
+                    q = m.bit_length() - 1
+                    row |= ((q + 1) << 1 | final >> q & 1) << shift
+        self[pos] = row
+        return row
+
+
+def _side(x: Nfa):
+    """How the pair search walks ``x``: ``(start, rows, shifts, field, accepting)``.
+
+    ``rows(pos)`` packs the successor positions of ``pos`` under every
+    symbol; the one under ``sym`` is ``rows(pos) >> shifts[sym] & field``.  A
+    position accepts when it shares a bit with ``accepting``.  A deterministic
+    ``x`` (at most one initial state, at most one successor per state and
+    symbol) is walked one state at a time, as ``_StateRows`` positions, with
+    no byte split; any other as state sets, through the packed image tables.
+    """
+    n, k, succ, final, init = x.num_states, len(x.alphabet), x.succ_masks, x.final_mask, x.initial_mask
+    if not init & (init - 1) and all(not m & (m - 1) for m in succ):
+        width = (2 * n + 1).bit_length()
+        shifts = [sym * width for sym in range(k)]
+        q = init.bit_length() - 1
+        start = (q + 1) << 1 | final >> q & 1 if init else 0
+        return start, _StateRows(n, succ, final, shifts).__getitem__, shifts, (1 << width) - 1, 1
+    tables = _packed_tables(n, k, succ)
+    return init, functools.partial(_packed_image, tables), [sym * n for sym in range(k)], (1 << n) - 1, final
+
+
 def _first_agreement(a: Nfa, c: Nfa, max_len: int | None, budget: int | None):
     """The least word on which ``a`` and ``c`` agree, the pairs reached, and whether the search finished.
 
@@ -80,14 +137,11 @@ def _first_agreement(a: Nfa, c: Nfa, max_len: int | None, budget: int | None):
         raise ValueError("oracle requires both automata to share one alphabet")
     if budget is not None and budget < 1:
         return None, 0, False
-    n_a, n_c = a.num_states, c.num_states
-    tables_a = _packed_tables(n_a, len(a.alphabet), a.succ_masks)
-    tables_c = _packed_tables(n_c, len(c.alphabet), c.succ_masks)
-    full_a, full_c = (1 << n_a) - 1, (1 << n_c) - 1
-    final_a, final_c = a.final_mask, c.final_mask
-    start = (a.initial_mask, c.initial_mask)
+    (start_a, rows_a, shifts_a, field_a, acc_a), (start_c, rows_c, shifts_c, field_c, acc_c) = _side(a), _side(c)
+    fields = list(zip(shifts_a, shifts_c))
+    start = (start_a, start_c)
     parent = {start: None}
-    if bool(start[0] & final_a) == bool(start[1] & final_c):
+    if bool(start_a & acc_a) == bool(start_c & acc_c):
         return (), 1, True
     level = [start]
     depth = 0
@@ -95,16 +149,15 @@ def _first_agreement(a: Nfa, c: Nfa, max_len: int | None, budget: int | None):
         depth += 1
         reached = []
         for pair in level:
-            packed_a, packed_c = _packed_image(tables_a, pair[0]), _packed_image(tables_c, pair[1])
-            for sym in range(len(a.alphabet)):
-                img_a, img_c = packed_a >> sym * n_a & full_a, packed_c >> sym * n_c & full_c
-                nxt = (img_a, img_c)
+            row_a, row_c = rows_a(pair[0]), rows_c(pair[1])
+            for sym, (shift_a, shift_c) in enumerate(fields):
+                nxt = (row_a >> shift_a & field_a, row_c >> shift_c & field_c)
                 if nxt in parent:
                     continue
                 if budget is not None and len(parent) >= budget:
                     return None, len(parent), False
                 parent[nxt] = (pair, sym)
-                if bool(img_a & final_a) == bool(img_c & final_c):
+                if bool(nxt[0] & acc_a) == bool(nxt[1] & acc_c):
                     return _word_to(nxt, parent, a.alphabet), len(parent), True
                 reached.append(nxt)
         level = reached
