@@ -239,7 +239,7 @@ def antichain_included(
     would pay, runs in ``_included_in_dfa`` instead, with the same frontier
     as plain bitmasks and so the same expansions in the same order.
     """
-    if not init_b & (init_b - 1) and all(not m & (m - 1) for m in succ_b):
+    if _deterministic(init_b, succ_b):
         return _included_in_dfa(
             nsyms, nstates_a, succ_a, init_a, final_a, nstates_b, succ_b, init_b, final_b, budget
         )
@@ -283,6 +283,11 @@ def antichain_included(
                     return 0
                 offer(p2, s2)
     return 1
+
+
+def _deterministic(init, succ):
+    """At most one state in ``init`` and at most one successor in each row of ``succ``."""
+    return not init & (init - 1) and all(not m & (m - 1) for m in succ)
 
 
 def _included_in_dfa(

@@ -15,9 +15,8 @@ kept finite by a budget on the pairs it may reach.
 
 A deterministic side (at most one initial state, at most one successor per
 state and symbol) only ever reaches single states or the empty set, so it
-is walked one state at a time (``_StateRows``), each successor read
-straight from ``succ_masks``: a step costs the same whatever that side's
-size.  A nondeterministic side is walked as state sets through the packed
+is walked one state at a time, each successor read straight from
+``succ_masks``: a step costs the same whatever that side's size.  A nondeterministic side is walked as state sets through the packed
 subset-image tables it shares with the constructions it checks (one lookup
 per byte of a state set gives its images under every symbol).  A state and
 its singleton set stand for each other one to one, so the pairs, their
@@ -29,7 +28,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from ._kernels.pure import _packed_image, _packed_tables
+from ._kernels.pure import _deterministic, _packed_image, _packed_tables
 from .core import Nfa
 
 
@@ -78,50 +77,36 @@ def _word_to(pair, parent, alphabet) -> tuple[str, ...]:
     return tuple(reversed(word))
 
 
-class _StateRows(dict):
-    """A deterministic automaton's packed successor rows, per position, filled on demand.
-
-    A position is 0 for no state, or ``(q + 1) << 1 | f`` for state ``q``,
-    where ``f`` is 1 when ``q`` is final.  Its row packs the successor
-    position under each symbol, shifted up by that symbol's field, each read
-    straight from ``succ_masks``.
-    """
-
-    __slots__ = ("n", "succ", "final", "shifts")
-
-    def __init__(self, n, succ, final, shifts):
-        super().__init__()
-        self.n, self.succ, self.final, self.shifts = n, succ, final, shifts
-
-    def __missing__(self, pos):
-        row = 0
-        if pos:
-            final = self.final
-            for m, shift in zip(self.succ[(pos >> 1) - 1 :: self.n], self.shifts):
-                if m:
-                    q = m.bit_length() - 1
-                    row |= ((q + 1) << 1 | final >> q & 1) << shift
-        self[pos] = row
-        return row
-
-
 def _side(x: Nfa):
     """How the pair search walks ``x``: ``(start, rows, shifts, field, accepting)``.
 
     ``rows(pos)`` packs the successor positions of ``pos`` under every
     symbol; the one under ``sym`` is ``rows(pos) >> shifts[sym] & field``.  A
-    position accepts when it shares a bit with ``accepting``.  A deterministic
-    ``x`` (at most one initial state, at most one successor per state and
-    symbol) is walked one state at a time, as ``_StateRows`` positions, with
-    no byte split; any other as state sets, through the packed image tables.
+    position accepts when it shares a bit with ``accepting``.
+
+    A deterministic ``x`` (at most one initial state, at most one successor
+    per state and symbol) is walked one state at a time, with no byte split:
+    a position is 0 for no state, or ``(q + 1) << 1 | f`` for state ``q``,
+    ``f`` being 1 when ``q`` is final, so that acceptance is one bit test on
+    either kind of side.  Any other ``x`` is walked as state sets through the
+    packed image tables.
     """
     n, k, succ, final, init = x.num_states, len(x.alphabet), x.succ_masks, x.final_mask, x.initial_mask
-    if not init & (init - 1) and all(not m & (m - 1) for m in succ):
+    if _deterministic(init, succ):
         width = (2 * n + 1).bit_length()
         shifts = [sym * width for sym in range(k)]
+
+        def rows(pos):
+            row = 0
+            if pos:
+                for m, shift in zip(succ[(pos >> 1) - 1 :: n], shifts):
+                    if m:
+                        q = m.bit_length() - 1
+                        row |= ((q + 1) << 1 | final >> q & 1) << shift
+            return row
+
         q = init.bit_length() - 1
-        start = (q + 1) << 1 | final >> q & 1 if init else 0
-        return start, _StateRows(n, succ, final, shifts).__getitem__, shifts, (1 << width) - 1, 1
+        return ((q + 1) << 1 | final >> q & 1 if init else 0), rows, shifts, (1 << width) - 1, 1
     tables = _packed_tables(n, k, succ)
     return init, functools.partial(_packed_image, tables), [sym * n for sym in range(k)], (1 << n) - 1, final
 
