@@ -367,7 +367,7 @@ def product_nonempty(
     if nstates_a < nstates_b:
         nstates_a, succ_a, init_a, final_a, nstates_b, succ_b, init_b, final_b = (
             nstates_b, succ_b, init_b, final_b, nstates_a, succ_a, init_a, final_a)
-    if nstates_b == 0 or not init_b:
+    if not init_b:  # also when either side has no states
         return False
     tables, full = _packed_tables(nstates_b, nsyms, succ_b), (1 << nstates_b) - 1
     rows = [(sym * nstates_a, sym * nstates_b) for sym in range(nsyms)]

@@ -16,7 +16,8 @@ kept finite by a budget on the pairs it may reach.
 A deterministic side (at most one initial state, at most one successor per
 state and symbol) only ever reaches single states or the empty set, so it
 is walked one state at a time, each successor read straight from
-``succ_masks``: a step costs the same whatever that side's size.  A nondeterministic side is walked as state sets through the packed
+``succ_masks``: a step costs the same whatever that side's size.  A
+nondeterministic side is walked as state sets through the packed
 subset-image tables it shares with the constructions it checks (one lookup
 per byte of a state set gives its images under every symbol).  A state and
 its singleton set stand for each other one to one, so the pairs, their
