@@ -1235,6 +1235,174 @@ def induced_reverse_deterministic_reference(a, states):
     return True
 
 
+def condense_reference(a):
+    """A verbatim copy of ``core._condense`` as it was when Tarjan's recursion
+    was written out as resume indices and flags."""
+    n = a.num_states
+    edges = a._edges()
+    adj = [[] for _ in range(n)]
+    for (src, _sym, dst) in edges:
+        adj[src].append(dst)
+    adj = [sorted(set(vs)) for vs in adj]
+
+    index = [-1] * n
+    low = [0] * n
+    on_stack = bytearray(n)
+    stack: list[int] = []
+    emitted: list[frozenset[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = 1
+            descended = False
+            for k in range(pi, len(adj[v])):
+                w = adj[v][k]
+                if index[w] == -1:
+                    work[-1] = (v, k + 1)
+                    work.append((w, 0))
+                    descended = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if descended:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = 0
+                    comp.append(w)
+                    if w == v:
+                        break
+                emitted.append(frozenset(comp))
+            if work:
+                u, _ = work[-1]
+                low[u] = min(low[u], low[v])
+
+    components = tuple(reversed(emitted))  # Tarjan emits in reverse topological order
+    comp_of = {}
+    for ci, comp in enumerate(components):
+        for q in comp:
+            comp_of[q] = ci
+    caps: dict[tuple[int, int], int] = {}
+    for (src, _sym, dst) in edges:
+        ci, cj = comp_of[src], comp_of[dst]
+        if ci != cj:
+            caps[(ci, cj)] = caps.get((ci, cj), 0) + 1
+    edges = tuple(sorted((i, j, c) for (i, j), c in caps.items()))
+    return core.SccDag(components, edges)
+
+
+def min_cut_split_reference(a, dag):
+    """A verbatim copy of ``sequential._min_cut_split`` as it was when it ran a
+    second residual search after the last augmenting one."""
+    m = len(dag.components)
+    sink = m - 1
+    source = m
+    inf = a.num_transitions + 1
+    res: dict[tuple[int, int], int] = {}
+
+    def add(u, v, c):
+        res[(u, v)] = res.get((u, v), 0) + c
+
+    has_pred = set()
+    for (i, j, cap) in dag.edges:
+        add(i, j, cap)
+        add(j, i, inf)
+        has_pred.add(j)
+    for i in range(m):
+        if i not in has_pred and i != sink:
+            add(source, i, inf)
+
+    adj: dict[int, list[int]] = {}
+    for (u, v) in res:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    for vs in adj.values():
+        vs.sort()
+
+    while True:
+        # BFS for a shortest augmenting path
+        prev = {source: source}
+        queue = deque([source])
+        while queue and sink not in prev:
+            u = queue.popleft()
+            for v in adj.get(u, ()):
+                if v not in prev and res.get((u, v), 0) > 0:
+                    prev[v] = u
+                    queue.append(v)
+        if sink not in prev:
+            break
+        bottleneck = inf
+        v = sink
+        while v != source:
+            u = prev[v]
+            bottleneck = min(bottleneck, res[(u, v)])
+            v = u
+        v = sink
+        while v != source:
+            u = prev[v]
+            res[(u, v)] -= bottleneck
+            res[(v, u)] = res.get((v, u), 0) + bottleneck
+            v = u
+
+    reachable = {source}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj.get(u, ()):
+            if v not in reachable and res.get((u, v), 0) > 0:
+                reachable.add(v)
+                queue.append(v)
+    front: set[int] = set()
+    for i in range(m):
+        if i in reachable:
+            front |= dag.components[i]
+    return [front, set(range(a.num_states)) - front]
+
+
+def partition_reference(a, strategy):
+    """``sequential.partition`` as it was, on ``condense_reference`` and
+    ``min_cut_split_reference``, with its three branches on the start of the
+    reverse-deterministic bottom."""
+    dag = condense_reference(a)
+    sccs = list(dag.components)
+    if len(sccs) <= 1:
+        return sequential.ComponentPartition((tuple(range(a.num_states)),) if a.num_states else ())
+
+    if strategy is sequential.PartitionStrategy.DETERMINISTIC_COMPONENTS:
+        groups = sequential._det_component_split(a, sccs)
+    elif strategy is sequential.PartitionStrategy.DET_PLUS_REVDET_BOTTOM:
+        bottom_start = len(sccs)
+        union: set[int] = set()
+        # widen the bottom while the union stays reverse-deterministic
+        for k in range(len(sccs) - 1, -1, -1):
+            candidate = union | sccs[k]
+            if sequential._induced_reverse_deterministic(a, candidate):
+                union = candidate
+                bottom_start = k
+            else:
+                break
+        if bottom_start == 0:
+            groups = [set(range(a.num_states))]
+        elif bottom_start == len(sccs):
+            groups = sequential._det_component_split(a, sccs)
+        else:
+            groups = sequential._det_component_split(a, sccs[:bottom_start]) + [union]
+    else:
+        groups = min_cut_split_reference(a, dag)
+    return sequential.ComponentPartition(tuple(tuple(sorted(g)) for g in groups))
+
+
 def hopcroft_minimize_reference(dfa):
     n = dfa.num_states
     nsyms = len(dfa.alphabet)

@@ -12,9 +12,9 @@ import hypothesis.strategies as st
 
 import helpers
 from conftest import nfa_pairs, nfas, port_nfas
-from nfacomp import core, gate, heuristic, powerset, reduction, sequential
+from nfacomp import core, fileformat, gate, heuristic, powerset, reduction, sequential
 from nfacomp.errors import BudgetExceededError
-from nfacomp.families import reverse_friendly
+from nfacomp.families import gate_chain, reverse_friendly, sequential_chain
 
 
 A2 = reverse_friendly(2)
@@ -268,6 +268,39 @@ def test_scc_condensation_against_networkx(a):
             if s in dag.components[i] and t in dag.components[j]
         )
         assert cap == crossing
+
+
+def _condensation_inputs():
+    """Seeded plain and port NFAs of 0-130 states, some past 64, the
+    sequential chain family, and a sequential complement of a gate chain."""
+    rng = random.Random(35)
+    yield core.Nfa.build(("a",), 0, [], set(), set())
+    yield core.PortNfa.build(("a", "b"), 0, [], [set()], [set(), set()])
+    for k in range(320):
+        top = (3, 10, 40, 130)[k % 4]
+        if k % 3:
+            yield helpers.random_nfa(rng, max_states=top, min_states=top // 2)
+        else:
+            yield helpers.random_port_nfa(rng, max_states=top, max_syms=3, min_states=top // 2)
+    for n in (1, 2, 7, 40):
+        yield sequential_chain(n)
+    out, _ = sequential.seq_pipeline_best(gate_chain(8), budget=10**6)
+    yield fileformat.parse(fileformat.serialize(out))
+
+
+def test_condensation_matches_the_tarjan_it_replaced():
+    """``scc_condensation`` gives the components, in their order, and the
+    capacitated edges of ``helpers.condense_reference``."""
+    seen = Counter()
+    for a in _condensation_inputs():
+        got, want = core.scc_condensation(a), helpers.condense_reference(a)
+        assert got.components == want.components
+        assert got.edges == want.edges
+        seen["large"] += a.num_states > 64
+        seen["port"] += isinstance(a, core.PortNfa)
+        seen["many components"] += len(want.components) >= 40
+        seen["a component over 20 states"] += max(map(len, want.components), default=0) > 20
+    assert min(seen.values()) >= 10, seen
 
 
 def test_slice_and_induced():

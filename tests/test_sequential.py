@@ -108,6 +108,50 @@ def test_min_cut_capacity_equals_networkx_max_flow():
         assert crossing_count(a, front) == flow
 
 
+def _partition_inputs():
+    """Seeded random NFAs of 1-130 states, the three families, and small
+    automata whose condensation has no edges or whose reverse-deterministic
+    bottom is everything."""
+    rng = random.Random(35)
+    for k in range(300):
+        top = (4, 12, 40, 130)[k % 4]
+        yield helpers.random_nfa(rng, max_states=top, max_syms=1 + k % 3, min_states=top // 3 or 1)
+    for n in (1, 2, 5, 40):
+        yield sequential_chain(n)
+    for n in (2, 4, 6):
+        yield gate_chain(n)
+        yield reverse_friendly(n)
+    for n in (2, 3, 9):
+        yield core.Nfa.build(("a", "b"), n, [], {0}, {n - 1})
+        yield core.Nfa.build(("a",), n, [(q, "a", q + 1) for q in range(n - 1)], {0}, {n - 1})
+
+
+def _bottom_kind(a, sccs):
+    """Where the widest reverse-deterministic bottom of ``sccs`` starts."""
+    k = len(sccs)
+    while k and helpers.induced_reverse_deterministic_reference(a, set().union(*sccs[k - 1:])):
+        k -= 1
+    return "empty bottom" if k == len(sccs) else "all bottom" if k == 0 else "suffix bottom"
+
+
+def test_partition_matches_the_splits_it_replaced():
+    """Every strategy's ``partition`` equals ``helpers.partition_reference``,
+    built on the replaced condensation and min cut."""
+    seen = collections.Counter()
+    for a in _partition_inputs():
+        for strategy in PartitionStrategy:
+            assert sequential.partition(a, strategy) == helpers.partition_reference(a, strategy), strategy
+        dag = helpers.condense_reference(a)
+        m = len(dag.components)
+        if m < 2:
+            continue
+        seen[_bottom_kind(a, dag.components)] += 1
+        seen["no edges"] += not dag.edges
+        seen["several sinks"] += len(set(range(m)) - {i for i, _j, _c in dag.edges}) > 1
+        seen["many components"] += m >= 40
+    assert min(seen.values()) >= 5 and len(seen) == 6, seen
+
+
 # --- composition ------------------------------------------------------------
 
 
