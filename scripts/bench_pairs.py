@@ -15,7 +15,14 @@ and the number of pairs in which the change is lower; for ``round_s`` also
 the difference of the medians against the parent's interquartile spread.
 ``claim_check.holds`` is true only when the change is lower in at least 9 of
 10 pairs, the median difference exceeds the parent's interquartile spread,
-and the uncalibrated median is lower too.
+and the uncalibrated median is lower too.  ``no_regression`` is the check a
+change that claims no gain is judged on: per end-to-end metric of the
+parent checkout's ``BENCHMARK.json``, both medians, the metric's ``bound``,
+and ``within``: the change's median is worse than the parent's by no more
+than ``bound`` times the parent's median, in the metric's ``better``
+direction.  A metric is ``unresolved`` when the parent's interquartile
+spread exceeds that allowance and not every change run beats every parent
+run; ``holds`` is true when every metric is within and none is unresolved.
 With ``--trace`` one ``--trace 1`` run per side is kept instead, with its
 per-layer split.  Runs of further workloads
 are merged into the same file, keyed by workload; fields the script does
@@ -72,7 +79,7 @@ def compare(per_side):
     }
 
 
-def summarize(pairs):
+def summarize(pairs, end_to_end):
     results = [{side: json.loads(p[side]) for side in SIDES} for p in pairs]
     summary = {}
     for name in results[0]["parent"]["metrics"]:
@@ -80,7 +87,28 @@ def summarize(pairs):
     summary["raw_round_s"] = compare({side: [p["raw_round_s"][side] for p in pairs] for side in SIDES})
     summary["correct"] = [[r[side]["correct"] for side in SIDES] for r in results]
     summary["failed"] = [[r[side]["failed"] for side in SIDES] for r in results]
-    return summary, claim_check(summary)
+    return summary, claim_check(summary), no_regression(results, end_to_end)
+
+
+def no_regression(results, end_to_end):
+    """Per metric of ``end_to_end`` (the parent's ``BENCHMARK.json`` list), both
+    medians, the bound, ``within`` and ``unresolved``; and whether the check
+    ``holds`` on every metric."""
+    check = {}
+    for metric in end_to_end:
+        name, bound, sign = metric["name"], metric["bound"], 1 if metric["better"] == "lower" else -1
+        values = {side: [sign * r[side]["metrics"][name]["value"] for r in results] for side in SIDES}
+        (parent, q1, q3), change = quartiles(values["parent"]), quartiles(values["change"])[0]
+        allowance = bound * abs(parent)
+        check[name] = {
+            "parent_median": sign * parent,
+            "change_median": sign * change,
+            "bound": bound,
+            "within": change - parent <= allowance,
+            "unresolved": q3 - q1 > allowance and max(values["change"]) >= min(values["parent"]),
+        }
+    check["holds"] = all(m["within"] and not m["unresolved"] for m in check.values())
+    return check
 
 
 def claim_check(summary):
@@ -149,6 +177,7 @@ def main(argv=None) -> int:
             }
         doc[f"traced_{args.workload}"] = entry
     else:
+        end_to_end = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
         headers, pairs = {}, []
         for k in range(args.pairs):
             pair = {"pair": k, "first": SIDES[k % 2]}
@@ -158,9 +187,10 @@ def main(argv=None) -> int:
             pair["raw_round_s"] = {side: raw_round_s(headers[side]) for side in SIDES}
             pairs.append(pair)
             print(f"{args.workload} pair {k}: done", file=sys.stderr)
-        summary, claim = summarize(pairs)
+        summary, claim, check = summarize(pairs, end_to_end)
         doc.setdefault("workloads", {})[args.workload] = {
-            **run, "header": headers, "pairs": pairs, "summary": summary, "claim_check": claim}
+            **run, "header": headers, "pairs": pairs, "summary": summary, "claim_check": claim,
+            "no_regression": check}
     doc["machine"] = {
         "cpu": platform.machine(),
         "nproc": len(os.sched_getaffinity(0)),

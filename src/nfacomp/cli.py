@@ -14,6 +14,7 @@ error or bad command line, 3 no usable gate partition, 4 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import sys
@@ -254,21 +255,14 @@ def _cmd_check(args) -> int:
     return 0 if holds else 1
 
 
-_CHUNK = 10**600  # 600 digits, under the lowest limit sys.set_int_max_str_digits accepts
-
-
 def _decimal(n: int) -> str:
     """The decimal digits of ``n >= 0``, however many.
 
     ``str`` of an int refuses more than ``sys.get_int_max_str_digits()`` digits
-    (4,300 by default), and the oracle's word count grows as k^max_len; so
-    the digits are written 600 at a time.
+    (4,300 by default), and the oracle's word count grows as k^max_len; a
+    ``Decimal`` made from the int is printed under no such limit.
     """
-    chunks = []
-    while n >= _CHUNK:
-        n, low = divmod(n, _CHUNK)
-        chunks.append(f"{low:0600d}")
-    return str(n) + "".join(reversed(chunks))
+    return str(decimal.Decimal(n))
 
 
 def _cmd_oracle(args) -> int:
@@ -389,18 +383,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except NoGatePartitionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except BudgetExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
     except (NfacompError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        codes = ((ParseError, 2), (NoGatePartitionError, 3), (BudgetExceededError, 4))
+        return next((code for cls, code in codes if isinstance(e, cls)), 1)
 
 
 if __name__ == "__main__":

@@ -44,6 +44,7 @@ other port sets, does not inherit them.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -383,7 +384,10 @@ def union(a: Automaton, b: Automaton) -> Automaton:
 
 
 def scc_condensation(a: Automaton) -> SccDag:
-    """Tarjan decomposition; components come out in topological order.
+    """Tarjan decomposition, without recursion: a stack of (state, iterator
+    over its sorted successors) frames.  Roots are taken in increasing order
+    and successors in increasing order, so the components come out in one
+    fixed topological order (the reverse of Tarjan's emission order).
     Computed once per automaton and shared with its views."""
     return a._scc
 
@@ -396,48 +400,40 @@ def _condense(a: Automaton) -> SccDag:
         adj[src].append(dst)
     adj = [sorted(set(vs)) for vs in adj]
 
-    index = [-1] * n
+    index = [-1] * n  # n once the state's component is emitted, so that it lowers no lowlink
     low = [0] * n
-    on_stack = bytearray(n)
     stack: list[int] = []
     emitted: list[frozenset[int]] = []
-    counter = 0
+    visits = itertools.count()
+
+    def enter(v):
+        index[v] = low[v] = next(visits)
+        stack.append(v)
+        return v, iter(adj[v])
+
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [enter(root)]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-            descended = False
-            for k in range(pi, len(adj[v])):
-                w = adj[v][k]
+            v, succ = work[-1]
+            for w in succ:
                 if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    descended = True
+                    work.append(enter(w))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp.append(w)
-                    if w == v:
-                        break
-                emitted.append(frozenset(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        index[w] = n
+                    emitted.append(frozenset(comp))
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
 
     components = tuple(reversed(emitted))  # Tarjan emits in reverse topological order
     comp_of = {}

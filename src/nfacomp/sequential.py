@@ -14,7 +14,6 @@ folds them together.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 from . import _kernels, core
@@ -393,22 +392,12 @@ def partition(a: Nfa, strategy: PartitionStrategy) -> ComponentPartition:
     if strategy is PartitionStrategy.DETERMINISTIC_COMPONENTS:
         groups = _det_component_split(a, sccs)
     elif strategy is PartitionStrategy.DET_PLUS_REVDET_BOTTOM:
-        bottom_start = len(sccs)
-        union: set[int] = set()
+        bottom_start, union = len(sccs), set()
         # widen the bottom while the union stays reverse-deterministic
-        for k in range(len(sccs) - 1, -1, -1):
-            candidate = union | sccs[k]
-            if _induced_reverse_deterministic(a, candidate):
-                union = candidate
-                bottom_start = k
-            else:
-                break
-        if bottom_start == 0:
-            groups = [set(range(a.num_states))]
-        elif bottom_start == len(sccs):
-            groups = _det_component_split(a, sccs)
-        else:
-            groups = _det_component_split(a, sccs[:bottom_start]) + [union]
+        while bottom_start and _induced_reverse_deterministic(a, union | sccs[bottom_start - 1]):
+            bottom_start -= 1
+            union |= sccs[bottom_start]
+        groups = _det_component_split(a, sccs[:bottom_start]) + ([union] if union else [])
     elif strategy is PartitionStrategy.MIN_CUT:
         groups = _min_cut_split(a, dag)
     else:  # pragma: no cover - exhaustive enum
@@ -419,73 +408,47 @@ def partition(a: Nfa, strategy: PartitionStrategy) -> ComponentPartition:
 def _min_cut_split(a: Nfa, dag: core.SccDag) -> list[set[int]]:
     """Two components with the fewest transfer transitions between them.
 
-    Max-flow on the condensation, with an infinite-capacity reverse edge per
-    DAG edge so every minimum cut is closed under predecessors (otherwise the
-    residual cut could include a component with an incoming zero-flow edge
-    from the far side, which is not a sequential split).
+    Max-flow on the condensation (Edmonds-Karp), with an infinite-capacity
+    reverse edge per DAG edge so every minimum cut is closed under
+    predecessors (otherwise the residual cut could include a component with
+    an incoming zero-flow edge from the far side, which is not a sequential
+    split).  The front is what the source reaches in the residual graph once
+    no augmenting path is left: for every maximum flow that is the same set,
+    the smallest source side of a minimum cut (Ford and Fulkerson 1962;
+    Picard and Queyranne 1980), so the order of the searches does not matter.
     """
     m = len(dag.components)
     sink = m - 1
     source = m
     inf = a.num_transitions + 1
-    res: dict[tuple[int, int], int] = {}
-
-    def add(u, v, c):
-        res[(u, v)] = res.get((u, v), 0) + c
-
-    has_pred = set()
+    res: list[dict[int, int]] = [{} for _ in range(m + 1)]  # residual capacities, res[u][v]
     for (i, j, cap) in dag.edges:
-        add(i, j, cap)
-        add(j, i, inf)
-        has_pred.add(j)
-    for i in range(m):
-        if i not in has_pred and i != sink:
-            add(source, i, inf)
-
-    adj: dict[int, list[int]] = {}
-    for (u, v) in res:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for vs in adj.values():
-        vs.sort()
+        res[i][j] = cap
+        res[j][i] = inf
+    for i in set(range(sink)) - {j for (_i, j, _cap) in dag.edges}:
+        res[source][i] = inf
 
     while True:
-        # BFS for a shortest augmenting path
+        # one BFS per round: a shortest augmenting path, or in the last round the source side
         prev = {source: source}
-        queue = deque([source])
-        while queue and sink not in prev:
-            u = queue.popleft()
-            for v in adj.get(u, ()):
-                if v not in prev and res.get((u, v), 0) > 0:
+        queue = [source]
+        for u in queue:
+            for v, c in res[u].items():
+                if c and v not in prev:
                     prev[v] = u
                     queue.append(v)
         if sink not in prev:
             break
-        bottleneck = inf
-        v = sink
-        while v != source:
-            u = prev[v]
-            bottleneck = min(bottleneck, res[(u, v)])
-            v = u
-        v = sink
-        while v != source:
-            u = prev[v]
-            res[(u, v)] -= bottleneck
-            res[(v, u)] = res.get((v, u), 0) + bottleneck
-            v = u
+        path = [sink]
+        while path[-1] != source:
+            path.append(prev[path[-1]])
+        steps = list(zip(path[1:], path))
+        flow = min(res[u][v] for u, v in steps)
+        for u, v in steps:
+            res[u][v] -= flow
+            res[v][u] = res[v].get(u, 0) + flow
 
-    reachable = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj.get(u, ()):
-            if v not in reachable and res.get((u, v), 0) > 0:
-                reachable.add(v)
-                queue.append(v)
-    front: set[int] = set()
-    for i in range(m):
-        if i in reachable:
-            front |= dag.components[i]
+    front = set().union(*(dag.components[i] for i in prev if i != source))
     return [front, set(range(a.num_states)) - front]
 
 
