@@ -22,7 +22,7 @@ import time
 
 from . import core, gate, heuristic, powerset, reduction, sequential
 from .core import Nfa, PortNfa
-from .errors import BudgetExceededError, CutError, NfacompError, NoGatePartitionError, ParseError
+from .errors import BudgetExceededError, NfacompError, NoGatePartitionError, ParseError
 from .families import FAMILY_KINDS, generate_family
 from .fileformat import parse, serialize
 from .oracle import exact_complement_check, oracle_complement_check
@@ -74,8 +74,7 @@ def _run_sequential(a, budget, strategy: str, rear: str, bar=None):
     rear_method = Direction(rear)
     stats: dict = {}
     if strategy == "all":
-        out, chosen = sequential.seq_pipeline_best(a, rear_method, budget=budget, stats=stats, bar=bar)
-        stats["strategy"] = chosen.value
+        out = sequential.seq_pipeline_best(a, rear_method, budget=budget, stats=stats, bar=bar)[0]
     else:
         out = sequential.seq_pipeline(a, PartitionStrategy(strategy), rear_method, budget=budget, stats=stats)
     pre = stats.pop("pre_trim", out.num_states)
@@ -104,6 +103,18 @@ def _run_method(method: str, a, budget, strategy: str, rear: str, bar=None):
     return _run_gate(a, budget)
 
 
+def _timed_run(method: str, a, budget, strategy: str, rear: str, bar=None):
+    """``_run_method`` timed: (output, its report), and the output's size."""
+    start = time.perf_counter()
+    out, pre, extras = _run_method(method, a, budget, strategy, rear, bar)
+    return (out, _report(method, a, out, pre, extras, _ms(start))), out.num_states
+
+
+def _ms(start: float) -> float:
+    """The milliseconds since ``start``, a ``time.perf_counter()`` reading."""
+    return round((time.perf_counter() - start) * 1000.0, 3)
+
+
 def _minimize(a: Nfa, stats: dict | None = None) -> Nfa:
     """Hopcroft-minimize a DFA output that trimming may have left partial,
     and trim, which drops a dead class (the quotient of a trim output is
@@ -124,7 +135,7 @@ def _report(method, a, out, pre, extras, elapsed_ms) -> ComplementReport:
         output_states_pre_trim=pre,
         output_states=out.num_states,
         transitions=out.num_transitions,
-        wall_time_ms=round(elapsed_ms, 3),
+        wall_time_ms=elapsed_ms,
         partition_summary=extras.get("partition_summary"),
         heuristic_scores=extras.get("heuristic_scores"),
     )
@@ -152,19 +163,7 @@ def _verify(a, out, budget) -> dict:
             pairs += v.pairs
             if v.ok is None:
                 verdict = "budget"
-    ms = (time.perf_counter() - start) * 1000.0
-    return {"verdict": verdict, "ms": round(ms, 3), "pairs": pairs}
-
-
-def _skip_outcome(exc: NfacompError) -> str:
-    """Why portfolio skipped a method, as its stats report names it."""
-    if isinstance(exc, BudgetExceededError):
-        return "budget"
-    if isinstance(exc, NoGatePartitionError):
-        return "no_partition"
-    if isinstance(exc, CutError):
-        return "cut"
-    return "unsupported"
+    return {"verdict": verdict, "ms": _ms(start), "pairs": pairs}
 
 
 def _cmd_complement(args) -> int:
@@ -173,47 +172,36 @@ def _cmd_complement(args) -> int:
 
     if args.method == "portfolio":
         # Each method is cut once it cannot beat the methods finished before it.
-        rank = PORTFOLIO_ORDER.index
-        finished = {}  # method -> (output, report)
-        skipped = {}
-        for method in PORTFOLIO_RUN_ORDER:
-            bar = powerset._bar((c.num_states, rank(method) < rank(m)) for m, (c, _r) in finished.items())
-            start = time.perf_counter()
-            try:
-                out, pre, extras = _run_method(method, a, budget, "all", args.rear, bar)
-            except NfacompError as exc:
-                skipped[method] = {"method": method, "outcome": _skip_outcome(exc)}
-                continue
-            elapsed = (time.perf_counter() - start) * 1000.0
-            finished[method] = (out, _report(method, a, out, pre, extras, elapsed))
-        if not finished:
+        selected, finished, failed = powerset._race(
+            (m, PORTFOLIO_ORDER.index(m), functools.partial(_timed_run, m, a, budget, "all", args.rear))
+            for m in PORTFOLIO_RUN_ORDER)
+        if selected is None:
             raise BudgetExceededError("no portfolio method finished within budget")
-        selected = min(finished, key=lambda m: (finished[m][0].num_states, rank(m)))
-        out = finished[selected][0]
+        out = finished[selected][0][0]
         stats_doc: object = {
             "method": "portfolio",
             "selected": selected,
-            "reports": [finished[m][1].as_dict() for m in PORTFOLIO_ORDER if m in finished],
-            "skipped": [skipped[m] for m in PORTFOLIO_ORDER if m in skipped],
+            "reports": [finished[m][0][1].as_dict() for m in PORTFOLIO_ORDER if m in finished],
+            "skipped": [{"method": m, "outcome": powerset._outcome(failed[m])} for m in PORTFOLIO_ORDER if m in failed],
         }
     else:
-        start = time.perf_counter()
-        out, pre, extras = _run_method(args.method, a, budget, args.strategy, args.rear)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        stats_doc = _report(args.method, a, out, pre, extras, elapsed).as_dict()
+        (out, report), _size = _timed_run(args.method, a, budget, args.strategy, args.rear)
+        stats_doc = report.as_dict()
 
-    postpass: dict = {}  # how each post-pass ran
+    postpass: dict = {}  # how each post-pass ran, and what it left
     if args.minimize:
         if isinstance(out, PortNfa):
             raise NfacompError("--minimize applies to plain automata only")
+        start = time.perf_counter()
         out = _minimize(out, postpass)
+        postpass["minimize_ms"] = _ms(start)
     if args.reduce:
-        if isinstance(out, PortNfa):
-            out = reduction.simulation_reduce_port(out, stats=postpass)
-        else:
-            out = reduction.simulation_reduce(out, stats=postpass)
+        start = time.perf_counter()
+        reduce = reduction.simulation_reduce_port if isinstance(out, PortNfa) else reduction.simulation_reduce
+        out = reduce(out, stats=postpass)
+        postpass["reduce_ms"] = _ms(start)
     if postpass:
-        stats_doc["postpass"] = postpass
+        stats_doc["postpass"] = {**postpass, "states": out.num_states, "transitions": out.num_transitions}
 
     if args.verify:
         stats_doc["verify"] = _verify(a, out, budget)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from . import _kernels, core
 from .core import Automaton, Nfa
-from .errors import BudgetExceededError, CutError
+from .errors import BudgetExceededError, CutError, NfacompError, NoGatePartitionError
 
 
 class Direction(enum.Enum):
@@ -185,6 +185,41 @@ def _bar(finished, bar: int | None = None) -> int | None:
     if bar is not None:
         sizes.append(bar)
     return min(sizes, default=None)
+
+
+_OUTCOMES = ((BudgetExceededError, "budget"), (CutError, "cut"), (NoGatePartitionError, "no_partition"))
+
+
+def _outcome(exc: NfacompError) -> str:
+    """The name a best-of choice's stats give the failure of a candidate."""
+    return next((name for cls, name in _OUTCOMES if isinstance(exc, cls)), "unsupported")
+
+
+def _race(candidates, bar: int | None = None) -> tuple:
+    """A best-of choice: run each ``(name, rank, run)`` of ``candidates`` in
+    turn, taking the next one only once the last has run; ``rank`` is the
+    candidate's place in the tie order.  ``run(cut_at)`` returns its result
+    and size, or raises an ``NfacompError``, recorded as its failure.
+    ``cut_at`` is the ``_bar`` of the candidates finished so far and the
+    caller's ``bar``: a candidate may be cut once it cannot win.  The winner
+    is the smallest finished by (size, rank).  When one was cut and none
+    finished below ``bar``, the smallest is unknown and cannot beat the
+    caller's, and ``CutError`` is raised.  Returns the winner's name (None
+    when none finished), ``{name: (result, size)}`` of the finished and
+    ``{name: error}`` of the failed, each in run order."""
+    finished, failed, ranks = {}, {}, {}
+    for name, rank, run in candidates:
+        ranks[name] = rank
+        cut_at = _bar([(size, rank < ranks[m]) for m, (_result, size) in finished.items()], bar)
+        try:
+            finished[name] = run(cut_at)
+        except NfacompError as exc:
+            failed[name] = exc
+    if any(isinstance(e, CutError) for e in failed.values()) and not any(
+            bar is None or size < bar for _result, size in finished.values()):
+        raise CutError("cut: no candidate can beat a finished one")
+    winner = min(finished, key=lambda m: (finished[m][1], ranks[m]), default=None)
+    return winner, finished, failed
 
 
 def _explore_port(

@@ -14,12 +14,13 @@ folds them together.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from . import _kernels, core
 from .core import Nfa, PortNfa, SequentialPartition
 from .errors import BudgetExceededError, CutError
-from .powerset import Direction, _bar, _build, _complement, _explore_port, reverse_complement
+from .powerset import Direction, _build, _complement, _explore_port, _outcome, _race, reverse_complement
 from .reduction import simulation_reduce_port
 
 # Above this many rear-complement states, or this many pairs per state in the
@@ -540,63 +541,54 @@ def seq_pipeline_best(
 
     The pipeline depends on the strategy only through its components, so a
     strategy whose partition equals an earlier strategy's is not run again:
-    it shares that outcome, a budget cut included.  Ties keep the first
-    strategy in enum order, so a later strategy is cut, and never built,
-    once its last composition shows that it cannot be smaller than the best
-    so far (``powerset._bar``); ``bar`` is the caller's, which cuts
-    every strategy that cannot stay below it.  When no strategy below
-    ``bar`` finishes and one was cut, the smallest is unknown and cannot
-    beat the caller's, and ``CutError`` is raised.  Dead composites are
-    never built, and ``budget`` counts only the composites that are.  When
-    a stats dict is supplied it ends up holding the winner's numbers plus
-    ``attempts``, one entry per strategy with its outcome: ``ok`` (with
-    ``pre_trim``, ``pruned``, the successor unions cut off as dead, and
-    trimmed ``states``), ``budget``, ``cut``, or ``same_partition_as`` an
-    earlier strategy.
+    it shares that outcome, a budget cut included.  The distinct partitions
+    race (``powerset._race``) in enum order, which is also the tie order,
+    each computed only once the one before has run: a later strategy is cut,
+    and never built, once its last composition shows that it cannot be
+    smaller than the best so far; ``bar`` is the caller's, which cuts every
+    strategy that cannot stay below it.  When no strategy below ``bar``
+    finishes and one was cut, ``CutError`` is raised; when none finishes,
+    the last budget error.  Dead composites are never built, and ``budget``
+    counts only the composites that are.  When a stats dict is supplied it
+    ends up holding the winner's numbers plus ``attempts``, one entry per
+    strategy with its outcome: ``ok`` (with ``pre_trim``, ``pruned``, the
+    successor unions cut off as dead, and trimmed ``states``), ``budget``,
+    ``cut``, or ``same_partition_as`` an earlier strategy.
     """
-    best: tuple[Nfa, PartitionStrategy, dict] | None = None
-    failure: BudgetExceededError | None = None
-    first_with: dict[tuple[tuple[int, ...], ...], PartitionStrategy] = {}
-    attempts: list[dict] = []
-    for strat in PartitionStrategy:
-        comps = partition(a, strat).components
-        earlier = first_with.setdefault(comps, strat)
-        if earlier is not strat:
-            attempts.append(
-                {"strategy": strat.value, "outcome": "same_partition_as", "same_partition_as": earlier.value}
-            )
-            continue
+    same: dict[PartitionStrategy, PartitionStrategy] = {}
+
+    def candidates():
+        first_with: dict[tuple[tuple[int, ...], ...], PartitionStrategy] = {}
+        for rank, strat in enumerate(PartitionStrategy):
+            comps = partition(a, strat).components
+            if first_with.setdefault(comps, strat) is not strat:
+                same[strat] = first_with[comps]
+            else:
+                yield strat, rank, functools.partial(run, strat, comps)
+
+    def run(strat, comps, cut_at):
         local: dict = {"strategy": strat.value}
-        cut_at = _bar([] if best is None else [(best[0].num_states, False)], bar)
-        try:
-            cand = _run_pipeline(a, comps, rear_method, budget, local, cut_at)
-        except BudgetExceededError as exc:
-            failure = exc
-            attempts.append({"strategy": strat.value, "outcome": "budget"})
-            continue
-        except CutError:
-            attempts.append({"strategy": strat.value, "outcome": "cut"})
-            continue
-        attempts.append(
-            {
-                "strategy": strat.value,
-                "outcome": "ok",
-                "pre_trim": local["pre_trim"],
-                "pruned": local["pruned"],
-                "states": cand.num_states,
-            }
-        )
-        if best is None or cand.num_states < best[0].num_states:
-            best = (cand, strat, local)
-    cut = any(x["outcome"] == "cut" for x in attempts)
-    if cut and (best is None or bar is not None and best[0].num_states >= bar):
-        raise CutError("cut: no strategy can beat a finished candidate")
+        out = _run_pipeline(a, comps, rear_method, budget, local, cut_at)
+        return (out, local), out.num_states
+
+    best, finished, failed = _race(candidates(), bar)
     if best is None:
-        raise failure if failure is not None else BudgetExceededError()
+        raise [*failed.values()][-1]
     if stats is not None:
-        stats.update(best[2])
-        stats["attempts"] = attempts
-    return best[0], best[1]
+        stats.update(finished[best][0][1])
+        stats["attempts"] = [_attempt(s, finished, failed, same) for s in PartitionStrategy]
+    return finished[best][0][0], best
+
+
+def _attempt(strat: PartitionStrategy, finished: dict, failed: dict, same: dict) -> dict:
+    """The ``attempts`` entry of one strategy of ``seq_pipeline_best``."""
+    if strat in same:
+        return {"strategy": strat.value, "outcome": "same_partition_as", "same_partition_as": same[strat].value}
+    if strat in failed:
+        return {"strategy": strat.value, "outcome": _outcome(failed[strat])}
+    (_out, local), states = finished[strat]
+    return {"strategy": strat.value, "outcome": "ok", "pre_trim": local["pre_trim"], "pruned": local["pruned"],
+            "states": states}
 
 
 # ---------------------------------------------------------------------------

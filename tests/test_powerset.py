@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import helpers
 from conftest import nfas, port_nfas
 from nfacomp import cli, core, fileformat, powerset
-from nfacomp.errors import BudgetExceededError
+from nfacomp.errors import BudgetExceededError, CutError, NfacompError, NoGatePartitionError
 from nfacomp.families import reverse_friendly
 
 
@@ -393,3 +393,63 @@ def test_macro_names_match_the_reference():
             seen["empty"] += v.state_names is not None and "" in v.state_names
             seen["large"] += n > 64
     assert seen["unnamed"] == 12 and seen["named"] == 24 and seen["empty"] >= 10 and seen["large"] >= 10, seen
+
+
+def _stub(log, name, rank, outcome):
+    """A candidate of ``powerset._race`` that logs the bar it gets and returns
+    ``outcome``, its size, or raises it, an error."""
+    def run(cut_at):
+        log.append((name, cut_at))
+        if isinstance(outcome, Exception):
+            raise outcome
+        return f"{name} result", outcome
+    return name, rank, run
+
+
+def test_race_ties_go_to_the_lower_rank_and_each_candidate_gets_its_bar():
+    log = []
+    # Run order c, d, a, b; tie order a, b, c, d.
+    stubs = [_stub(log, "c", 2, 5), _stub(log, "d", 3, 6), _stub(log, "a", 0, 5), _stub(log, "b", 1, 7)]
+    winner, finished, failed = powerset._race(stubs)
+    assert winner == "a" and failed == {}
+    assert finished == {m: (f"{m} result", size) for m, size in (("c", 5), ("d", 6), ("a", 5), ("b", 7))}
+    # d follows c, so it must stay below c's 5; a precedes c and d, so it may
+    # reach 5 and win; b precedes c and d but follows a, so a's 5 is its bar.
+    assert log == [("c", None), ("d", 5), ("a", 6), ("b", 5)]
+    log.clear()
+    powerset._race([_stub(log, "c", 2, 5), _stub(log, "a", 0, 9), _stub(log, "b", 1, 7)], bar=4)
+    assert log == [("c", 4), ("a", 4), ("b", 4)]
+
+
+def test_race_names_each_failure_and_raises_a_cut_only_when_nothing_finished_below_the_bar():
+    errors = {"budget": BudgetExceededError(), "cut": CutError("cut"),
+              "no_partition": NoGatePartitionError("none"), "unsupported": NfacompError("port input")}
+    winner, finished, failed = powerset._race(
+        [_stub([], name, rank, exc) for rank, (name, exc) in enumerate(errors.items())] + [_stub([], "ok", 9, 3)])
+    assert (winner, list(finished), failed) == ("ok", ["ok"], errors)
+    assert {name: powerset._outcome(exc) for name, exc in failed.items()} == {name: name for name in errors}
+    cut, budget = CutError("cut"), BudgetExceededError()
+    # A cut with a finished candidate below the caller's bar, or with no bar: that one wins.
+    assert powerset._race([_stub([], "a", 0, 3), _stub([], "b", 1, cut)], bar=4)[0] == "a"
+    assert powerset._race([_stub([], "a", 0, 3), _stub([], "b", 1, cut)])[0] == "a"
+    # Nothing finished, or nothing below the bar, and one was cut.
+    for stubs, bar in [([_stub([], "b", 1, cut)], None), ([_stub([], "a", 0, 4), _stub([], "b", 1, cut)], 4)]:
+        with pytest.raises(CutError):
+            powerset._race(stubs, bar)
+    # Nothing below the bar and nothing cut: the winner stands; nothing finished: no winner.
+    assert powerset._race([_stub([], "a", 0, 4)], bar=4)[0] == "a"
+    assert powerset._race([_stub([], "a", 0, budget)], bar=4) == (None, {}, {"a": budget})
+    with pytest.raises(ValueError):  # an error of no best-of outcome is not caught
+        powerset._race([_stub([], "a", 0, ValueError("bad input"))])
+
+
+def test_race_takes_the_next_candidate_only_once_the_last_has_run():
+    log = []
+
+    def candidates():
+        for rank, size in enumerate((3, 2, 1)):
+            log.append(("made", rank))
+            yield _stub(log, rank, rank, size)
+
+    assert powerset._race(candidates())[0] == 2
+    assert log == [("made", 0), (0, None), ("made", 1), (1, 3), ("made", 2), (2, 2)]
